@@ -42,7 +42,7 @@ from .modules import (
     realization_to_module,
     subspace_realization,
 )
-from .polymat import GradedMatrix, PolyMatrix, solve_right
+from .polymat import GradedMatrix, graded_solve
 
 
 class MatchFailure(Exception):
@@ -196,22 +196,12 @@ def _sorted_degree_vectors(m, window):
 
 def _flag_factorization(cfg, degs_l, flag) -> Factorization:
     """The factorization with X^k the preimage of the k-th flag subspace."""
-    F = cfg.field
-    m = len(degs_l)
-    if m == 0:
-        empty = GradedMatrix(PolyMatrix(F, []), [], [], check=False)
-        out = fac_validate([empty] * len(flag), cfg)
-        assert isinstance(out, Factorization)
-        return out
     incls = [span_preimage_inclusion(cfg, list(degs_l), vecs) for vecs in flag]
-    incls.append(GradedMatrix.identity(F, list(degs_l)))
-    maps = []
-    for k in range(len(flag)):
-        a = solve_right(incls[k + 1].mat, incls[k].mat)
-        maps.append(GradedMatrix(a, incls[k].src_degs, incls[k + 1].src_degs))
+    incls.append(GradedMatrix.identity(cfg.field, list(degs_l)))
+    maps = [graded_solve(incls[k + 1], incls[k]) for k in range(len(flag))]
     out = fac_validate(maps, cfg)
     assert isinstance(out, Factorization), f"flag factorization invalid: {out}"
-    assert m == out.m
+    assert len(degs_l) == out.m
     return out
 
 

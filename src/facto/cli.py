@@ -51,6 +51,8 @@ def _config(args) -> HypersurfaceConfig:
         raise InputError("--d is required for this command")
     if args.d < 1:
         raise InputError("--d must be >= 1")
+    if args.l is not None and args.l < 1:
+        raise InputError("--l must be >= 1")
     return HypersurfaceConfig(args.d, field)
 
 
@@ -87,20 +89,22 @@ def _dumps(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2)
 
 
-def _load_fac(cfg, path) -> Factorization:
-    data = _load_json(path)
+def _parse(cls, cfg, data, path):
+    """cls.from_json(cfg, data), with malformed data as an InputError."""
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(data).__name__}")
     try:
-        return Factorization.from_json(cfg, data)
+        return cls.from_json(cfg, data)
     except (ValueError, KeyError, TypeError) as e:
         raise InputError(f"{path}: {e}")
+
+
+def _load_fac(cfg, path) -> Factorization:
+    return _parse(Factorization, cfg, _load_json(path), path)
 
 
 def _load_chain(cfg, path) -> MonoChain:
-    data = _load_json(path)
-    try:
-        return MonoChain.from_json(cfg, data)
-    except (ValueError, KeyError, TypeError) as e:
-        raise InputError(f"{path}: {e}")
+    return _parse(MonoChain, cfg, _load_json(path), path)
 
 
 # commands ---------------------------------------------------------------------
@@ -183,13 +187,12 @@ def _cmd_stable_hom(args):
         xd, yd = data["x"], data["y"]
     except (KeyError, TypeError):
         raise InputError(f'{args.infile}: expected an object with "x" and "y"')
-    if "objects" in xd:
-        x = MonoChain.from_json(cfg, xd)
-        y = MonoChain.from_json(cfg, yd)
+    kind = MonoChain if isinstance(xd, dict) and "objects" in xd else Factorization
+    x = _parse(kind, cfg, xd, f'{args.infile} "x"')
+    y = _parse(kind, cfg, yd, f'{args.infile} "y"')
+    if kind is MonoChain:
         dim = chain_stable_hom_dim(x, y)
     else:
-        x = Factorization.from_json(cfg, xd)
-        y = Factorization.from_json(cfg, yd)
         dim = fac_stable_hom_dim(x, y)
     _emit(_dumps({"stable_hom_dim": dim}), args.out)
     return 0

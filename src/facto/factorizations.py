@@ -9,6 +9,7 @@ functor; `rot_phase` tracks where in the rotation cycle the object sits.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -16,14 +17,7 @@ from typing import NamedTuple
 from . import linalg
 from .fields import Field
 from .modules import HypersurfaceConfig
-from .poly import Polynomial
-from .polymat import (
-    GradedMatrix,
-    NoSolution,
-    PolyMatrix,
-    graded_check,
-    solve_right,
-)
+from .polymat import GradedMatrix, graded_solve
 
 
 @dataclass(frozen=True)
@@ -148,9 +142,6 @@ def fac_validate(maps, cfg: HypersurfaceConfig, twist: int = 0):
     for k, a in enumerate(maps):
         if len(a.src_degs) != len(a.tgt_degs):
             return Invalid(f"NonSquare {k}")
-        if graded_check(a) is not True:
-            return Invalid("GradingViolation")
-    m = len(maps[0].src_degs)
     for k in range(len(maps) - 1):
         if maps[k].tgt_degs != maps[k + 1].src_degs:
             return Invalid(f"DegreeChainMismatch {k}")
@@ -160,20 +151,15 @@ def fac_validate(maps, cfg: HypersurfaceConfig, twist: int = 0):
     product = maps[0]
     for a in maps[1:]:
         product = a @ product
-    omega = PolyMatrix.scalar(F, m, Polynomial.monomial(F, cfg.d))
-    try:
-        closing_mat = solve_right(product.mat, omega)
-    except NoSolution:
-        return Invalid("NoClosing")
-    # closing: X^l -> tau X^0; tau lowers degree vectors by d
-    closing = GradedMatrix(
-        closing_mat,
-        maps[-1].tgt_degs,
-        [s - cfg.d for s in maps[0].src_degs],
-        check=False,
-    )
-    if graded_check(closing) is not True:
-        return Invalid("GradingViolation")
+    # (A^{l-1}..A^0) A^l = x^d I: the scalars of A^l invert the product's,
+    # and A^l : X^l -> tau X^0, as tau lowers degree vectors by d
+    inverse = linalg.invert(F, [list(row) for row in product.coeffs])
+    src, tgt = maps[-1].tgt_degs, [s - cfg.d for s in maps[0].src_degs]
+    for b, row in zip(tgt, inverse):
+        for a, c in zip(src, row):
+            if a < b and not F.is_zero(c):
+                return Invalid("NoClosing")
+    closing = GradedMatrix.from_coeffs(F, inverse, src, tgt)
     return Factorization(cfg, maps, closing, twist)
 
 
@@ -186,12 +172,9 @@ class ZigzagViolation:
 
 
 def omega_map(field: Field, src_degs, d: int) -> GradedMatrix:
-    """x^d * I as the map X -> tau X (degrees dropped by d)."""
-    return GradedMatrix(
-        PolyMatrix.scalar(field, len(src_degs), Polynomial.monomial(field, d)),
-        src_degs,
-        [s - d for s in src_degs],
-        check=False,
+    """x^d * I as the map X -> tau X: the identity with degrees dropped by d."""
+    return GradedMatrix.from_coeffs(
+        field, linalg.identity(field, len(src_degs)), src_degs, [s - d for s in src_degs]
     )
 
 
@@ -310,25 +293,15 @@ class FacMap:
         )
 
     def scale(self, c) -> "FacMap":
-        F = self.src.cfg.field
-        p = Polynomial(F, [c])
         return FacMap(
-            self.src, self.tgt,
-            [GradedMatrix(f.mat.scale(p), f.src_degs, f.tgt_degs, check=False)
-             for f in self.components],
-            check=False,
+            self.src, self.tgt, [f.scale(c) for f in self.components], check=False
         )
 
     def is_zero(self) -> bool:
-        return all(f.mat.is_zero() for f in self.components)
+        return all(f.is_zero() for f in self.components)
 
     def is_iso(self) -> bool:
-        for f in self.components:
-            if len(f.src_degs) != len(f.tgt_degs):
-                return False
-            if not f.mat.det().is_unit():
-                return False
-        return True
+        return all(f.is_iso() for f in self.components)
 
     def __eq__(self, other):
         return (
@@ -357,31 +330,17 @@ def _hom_slots(x: Factorization, y: Factorization):
     return slots
 
 
-def _leading(field, poly):
-    return poly.coeffs[-1] if poly.coeffs else field.zero
-
-
 def _facmap_to_vector(f: FacMap, slots):
-    F = f.src.cfg.field
-    out = []
-    for j, r, c in slots:
-        out.append(_leading(F, f.components[j].mat.entries[r][c]))
-    return out
+    return [f.components[j].coeffs[r][c] for j, r, c in slots]
 
 
 def _vector_to_facmap(x, y, slots, vec):
     F = x.cfg.field
-    mats = [
-        [[Polynomial.zero(F) for _ in range(len(x.degs(j)))]
-         for _ in range(len(y.degs(j)))]
-        for j in range(x.l + 1)
-    ]
+    mats = [linalg.zeros(F, len(y.degs(j)), len(x.degs(j))) for j in range(x.l + 1)]
     for (j, r, c), val in zip(slots, vec):
-        if not F.is_zero(val):
-            e = x.degs(j)[c] - y.degs(j)[r]
-            mats[j][r][c] = Polynomial.monomial(F, e).scale(val)
+        mats[j][r][c] = val
     comps = [
-        GradedMatrix(PolyMatrix(F, mats[j]), x.degs(j), y.degs(j), check=False)
+        GradedMatrix.from_coeffs(F, mats[j], x.degs(j), y.degs(j))
         for j in range(x.l + 1)
     ]
     return FacMap(x, y, comps)
@@ -405,13 +364,13 @@ def fac_hom_basis(x: Factorization, y: Factorization):
                 row = [F.zero] * len(slots)
                 touched = False
                 for s in range(len(y.degs(j))):
-                    co = _leading(F, b.mat.entries[r][s])
+                    co = b.coeffs[r][s]
                     if not F.is_zero(co) and (j, s, c) in idx:
                         k = idx[(j, s, c)]
                         row[k] = F.add(row[k], co)
                         touched = True
                 for s in range(len(x.degs(j))):
-                    co = _leading(F, a.mat.entries[s][c])
+                    co = a.coeffs[s][c]
                     if not F.is_zero(co) and (j + 1, r, s) in idx:
                         k = idx[(j + 1, r, s)]
                         row[k] = F.sub(row[k], co)
@@ -488,24 +447,6 @@ class NuResolution(NamedTuple):
     complement_map: FacMap    # inclusion into / projection from middle
 
 
-def _hstack_graded(field, parts, tgt_degs):
-    mat = parts[0].mat
-    src = list(parts[0].src_degs)
-    for p in parts[1:]:
-        mat = mat.hstack(p.mat)
-        src += list(p.src_degs)
-    return GradedMatrix(mat, src, tgt_degs, check=False)
-
-
-def _vstack_graded(field, parts, src_degs):
-    mat = parts[0].mat
-    tgt = list(parts[0].tgt_degs)
-    for p in parts[1:]:
-        mat = mat.vstack(p.mat)
-        tgt += list(p.tgt_degs)
-    return GradedMatrix(mat, src_degs, tgt, check=False)
-
-
 def nu_resolution(x: Factorization, side: str = "epic") -> NuResolution:
     """Lemma-style termwise split resolution by trivial factorizations.
 
@@ -534,7 +475,7 @@ def nu_resolution(x: Factorization, side: str = "epic") -> NuResolution:
         for s in summands[1:]:
             middle = middle.direct_sum(s)
         comps = [
-            _hstack_graded(F, [p.components[j] for p in pieces], x.degs(j))
+            functools.reduce(GradedMatrix.hstack, [p.components[j] for p in pieces])
             for j in range(l + 1)
         ]
         p = FacMap(middle, x, comps)
@@ -547,11 +488,7 @@ def nu_resolution(x: Factorization, side: str = "epic") -> NuResolution:
         for j in range(l):
             # solve phi^j o i_j = i_{j+1} o psi^j for psi^j
             rhs = middle.maps[j] @ incl_comps[j]
-            psi = solve_right(incl_comps[j + 1].mat, rhs.mat)
-            ker_maps.append(
-                GradedMatrix(psi, incl_comps[j].src_degs,
-                             incl_comps[j + 1].src_degs, check=False)
-            )
+            ker_maps.append(graded_solve(incl_comps[j + 1], rhs))
         ker = fac_validate(ker_maps, x.cfg)
         assert isinstance(ker, Factorization), f"kernel invalid: {ker}"
         incl = FacMap(ker, middle, incl_comps)
@@ -570,7 +507,7 @@ def nu_resolution(x: Factorization, side: str = "epic") -> NuResolution:
         for s in summands[1:]:
             middle = middle.direct_sum(s)
         comps = [
-            _vstack_graded(F, [p.components[j] for p in pieces], x.degs(j))
+            functools.reduce(GradedMatrix.vstack, [p.components[j] for p in pieces])
             for j in range(l + 1)
         ]
         mono = FacMap(x, middle, comps)
@@ -590,74 +527,46 @@ def nu_resolution(x: Factorization, side: str = "epic") -> NuResolution:
     raise ValueError("side must be 'epic' or 'monic'")
 
 
+def _select(field, degs, idx):
+    """Inclusion of the generators `idx` of ⊕S(-degs) into the whole sum."""
+    coeffs = [[field.one if r == i else field.zero for i in idx]
+              for r in range(len(degs))]
+    return GradedMatrix.from_coeffs(field, coeffs, [degs[i] for i in idx], degs)
+
+
+def _select_rows(field, degs, idx):
+    """Projection of ⊕S(-degs) onto its generators `idx`."""
+    coeffs = [[field.one if c == i else field.zero for c in range(len(degs))]
+              for i in idx]
+    return GradedMatrix.from_coeffs(field, coeffs, degs, [degs[i] for i in idx])
+
+
+def _slot(m, j):
+    """Generators of the slot-j copy of X^j in middle's position j."""
+    return range(j * m, (j + 1) * m)
+
+
+def _other_slots(middle, m, j):
+    return [i for i in range(middle.m) if i not in _slot(m, j)]
+
+
 def _kernel_inclusion(field, middle, x, p, j):
     """Columns: for each non-j slot one identity block plus -p^j at slot j."""
-    m = x.m
-    n_slots = middle.m // m
-    deg_mid = list(middle.degs(j))
-    pj = p.components[j]
-    cols_degs = []
-    entries = [[Polynomial.zero(field) for _ in range(m * (n_slots - 1))]
-               for _ in range(m * n_slots)]
-    col = 0
-    for k in range(n_slots):
-        if k == j:
-            continue
-        for c in range(m):
-            src_col = k * m + c
-            cols_degs.append(deg_mid[src_col])
-            entries[src_col][col] = Polynomial.one(field)
-            # minus the slot-j correction: p^j applied to this basis column
-            for r in range(m):
-                q = pj.mat.entries[r][src_col]
-                entries[j * m + r][col] = -q
-            col += 1
-    mat = PolyMatrix(field, entries)
-    return GradedMatrix(mat, cols_degs, deg_mid, check=False)
+    sec = _complement_section(field, middle, x, j)
+    return sec - _slot_section(field, middle, x, j) @ (p.components[j] @ sec)
 
 
 def _complement_section(field, middle, x, j):
     """Inclusion of the non-j slots into middle's position j."""
-    m = x.m
-    n_slots = middle.m // m
-    deg_mid = list(middle.degs(j))
-    cols_degs = []
-    entries = [[Polynomial.zero(field) for _ in range(m * (n_slots - 1))]
-               for _ in range(m * n_slots)]
-    col = 0
-    for k in range(n_slots):
-        if k == j:
-            continue
-        for c in range(m):
-            cols_degs.append(deg_mid[k * m + c])
-            entries[k * m + c][col] = Polynomial.one(field)
-            col += 1
-    return GradedMatrix(PolyMatrix(field, entries), cols_degs, deg_mid, check=False)
+    return _select(field, middle.degs(j), _other_slots(middle, x.m, j))
 
 
 def _cokernel_projection(field, middle, x, mono, j):
     """proj of non-j slots composed with (id - m^j r_j), r_j = slot-j row."""
-    m = x.m
-    n_slots = middle.m // m
-    deg_mid = list(middle.degs(j))
-    mj = mono.components[j]
-    rows = []
-    row_degs = []
-    for k in range(n_slots):
-        if k == j:
-            continue
-        for r in range(m):
-            row_idx = k * m + r
-            row_degs.append(deg_mid[row_idx])
-            row = []
-            for c in range(n_slots * m):
-                v = Polynomial.one(field) if c == row_idx else Polynomial.zero(field)
-                # subtract (m^j r_j)[row_idx][c]: r_j picks the slot-j rows
-                if j * m <= c < (j + 1) * m:
-                    v = v - mj.mat.entries[row_idx][c - j * m]
-                row.append(v)
-            rows.append(row)
-    return GradedMatrix(PolyMatrix(field, rows), deg_mid, row_degs, check=False)
+    degs = middle.degs(j)
+    proj = _select_rows(field, degs, _other_slots(middle, x.m, j))
+    r_j = _select_rows(field, degs, _slot(x.m, j))
+    return proj - (proj @ mono.components[j]) @ r_j
 
 
 def termwise_split_check(res: NuResolution, side: str) -> bool:
@@ -671,35 +580,22 @@ def termwise_split_check(res: NuResolution, side: str) -> bool:
         for j in range(l + 1):
             # [slot-j section | kernel inclusion] must be unimodular
             sec = _slot_section(F, res.middle, x, j)
-            big = sec.mat.hstack(res.complement_map.components[j].mat)
-            if not big.det().is_unit():
+            if not sec.hstack(res.complement_map.components[j]).is_iso():
                 return False
         return True
     if not (res.complement_map @ res.map).is_zero():
         return False
     x = res.map.src
     for j in range(l + 1):
-        big = res.map.components[j].mat.hstack(
-            _complement_section(F, res.middle, x, j).mat
-        )
-        if not big.det().is_unit():
+        big = res.map.components[j].hstack(_complement_section(F, res.middle, x, j))
+        if not big.is_iso():
             return False
     return True
 
 
 def _slot_section(field, middle, x, j):
     """Inclusion of slot j (an X^j copy) into middle's position j."""
-    m = x.m
-    n_slots = middle.m // m
-    deg_mid = list(middle.degs(j))
-    entries = [[Polynomial.zero(field) for _ in range(m)]
-               for _ in range(n_slots * m)]
-    for c in range(m):
-        entries[j * m + c][c] = Polynomial.one(field)
-    return GradedMatrix(
-        PolyMatrix(field, entries), deg_mid[j * m:(j + 1) * m], deg_mid,
-        check=False,
-    )
+    return _select(field, middle.degs(j), _slot(x.m, j))
 
 
 # stable homs --------------------------------------------------------------------

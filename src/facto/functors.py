@@ -24,23 +24,14 @@ from .modules import (
     projective_cover,
     subspace_realization,
 )
-from .poly import Polynomial
-from .polymat import GradedMatrix, PolyMatrix, try_solve_right
+from .polymat import GradedMatrix, graded_solve
 
 
 def reduced_module_map(g: GradedMatrix, cfg: HypersurfaceConfig) -> ModuleMap:
     """g mod x^d as a map of free R-modules on g's degree vectors."""
-    F = cfg.field
     src = RModule.free(cfg, g.src_degs)
     tgt = RModule.free(cfg, g.tgt_degs)
-    blocks = []
-    for r in range(len(g.tgt_degs)):
-        row = []
-        for c in range(len(g.src_degs)):
-            p = g.mat.entries[r][c]
-            row.append(p.coeffs[-1] if p.coeffs else F.zero)
-        blocks.append(row)
-    return ModuleMap(src, tgt, blocks, check=False)
+    return ModuleMap(src, tgt, g.coeffs, check=False)
 
 
 def _section_of(field, proj):
@@ -152,43 +143,25 @@ def to_ldiagram(x: Factorization) -> LDiagram:
 # reconstruction ----------------------------------------------------------------
 
 
-def _realization_to_poly_columns(field, free_degs, d, vectors):
-    """Realization vectors of a free module to polynomial column vectors."""
-    cols = []
-    for v in vectors:
-        col = []
-        for j in range(len(free_degs)):
-            coeffs = [v[j * d + i] for i in range(d)]
-            col.append(Polynomial(field, coeffs))
-        cols.append(col)
-    return cols
-
-
 def _minimal_generators(field, columns, degrees, m):
-    """Greedy minimal generating set: ascending degree, drop span members."""
+    """Greedy minimal generating set: ascending degree, drop span members.
+
+    columns are the scalar vectors of homogeneous columns of the given
+    degrees.  x^t times a column keeps its scalar vector, so a column lies
+    in the S-span of the kept ones, all of lower or equal degree, iff its
+    vector lies in the k-span of theirs.
+    """
     order = sorted(range(len(columns)), key=lambda i: degrees[i])
+    span = linalg.Echelon(field)
     kept_cols, kept_degs = [], []
     for i in order:
-        col = PolyMatrix(field, [[c] for c in columns[i]])
-        if kept_cols:
-            mat = kept_cols[0]
-            for kc in kept_cols[1:]:
-                mat = mat.hstack(kc)
-            if try_solve_right(mat, col) is not None:
-                continue
-        elif all(c.is_zero() for c in columns[i]):
-            continue
-        kept_cols.append(col)
-        kept_degs.append(degrees[i])
+        if span.add(columns[i]):
+            kept_cols.append(columns[i])
+            kept_degs.append(degrees[i])
     assert len(kept_cols) == m, (
         f"preimage module has rank {len(kept_cols)}, expected {m}"
     )
-    if not kept_cols:
-        return PolyMatrix(field, [[] for _ in range(0)]), []
-    mat = kept_cols[0]
-    for kc in kept_cols[1:]:
-        mat = mat.hstack(kc)
-    return mat, kept_degs
+    return list(zip(*kept_cols)), kept_degs
 
 
 def span_preimage_inclusion(cfg, degs_l, kvecs):
@@ -213,18 +186,18 @@ def span_preimage_inclusion(cfg, degs_l, kvecs):
         tops.append(top)
         top_degs.append(s)
         pos += e
-    columns = _realization_to_poly_columns(F, degs_l, d, tops)
+    # a top of degree s has the scalar of x^(s - t) at generator j of degree t
+    columns = [
+        [v[j * d + s - t] if 0 <= s - t < d else F.zero for j, t in enumerate(degs_l)]
+        for v, s in zip(tops, top_degs)
+    ]
     degrees = list(top_degs)
     # plus the omega-multiples of the cover's generators
     for j in range(m):
-        col = [Polynomial.zero(F)] * m
-        col[j] = Polynomial.monomial(F, d)
-        columns.append(col)
+        columns.append(linalg.unit_vector(F, m, j))
         degrees.append(degs_l[j] + d)
-    mat, kept_degs = _minimal_generators(F, columns, degrees, m)
-    if m == 0:
-        return GradedMatrix(PolyMatrix(F, []), [], [], check=False)
-    return GradedMatrix(mat, kept_degs, degs_l)
+    coeffs, kept_degs = _minimal_generators(F, columns, degrees, m)
+    return GradedMatrix.from_coeffs(F, coeffs, kept_degs, degs_l)
 
 
 def _preimage_inclusion(cfg, degs_l, proj_to_quotient):
@@ -259,7 +232,6 @@ def reconstruct(u: MonoChain) -> Factorization:
     l = u.length
     top = u.objects[-1]
     degs_l = [s for _, s in top.summands]
-    m = len(degs_l)
     _, p = projective_cover(top)
 
     inclusions = []  # X^k >-> X^l for k = 0..l-1
@@ -274,19 +246,9 @@ def reconstruct(u: MonoChain) -> Factorization:
             _, (_, proj), _ = map_ker_cok_im(comp)
             quot_proj = linalg.mat_mul(F, proj.realization(), p.realization())
         inclusions.append(_preimage_inclusion(cfg, degs_l, quot_proj))
-    identity_l = GradedMatrix.identity(F, degs_l)
-    inclusions.append(identity_l)
+    inclusions.append(GradedMatrix.identity(F, degs_l))
 
-    maps = []
-    for k in range(l):
-        ik, ik1 = inclusions[k], inclusions[k + 1]
-        if m == 0:
-            maps.append(GradedMatrix(PolyMatrix(F, []), [], [], check=False))
-            continue
-        from .polymat import solve_right
-
-        a = solve_right(ik1.mat, ik.mat)
-        maps.append(GradedMatrix(a, ik.src_degs, ik1.src_degs))
+    maps = [graded_solve(inclusions[k + 1], inclusions[k]) for k in range(l)]
     out = fac_validate(maps, cfg)
     assert isinstance(out, Factorization), f"reconstruction failed: {out}"
     return out

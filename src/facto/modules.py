@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .fields import Field
-from .poly import Polynomial
-from .polymat import GradedMatrix, try_solve_right
+from .polymat import GradedMatrix, NoSolution, graded_solve
 
 
 class NotAnnihilated(Exception):
@@ -668,13 +667,12 @@ def presentation_image_vectors(a: GradedMatrix, cfg: HypersurfaceConfig):
     rows = len(a.tgt_degs)
     free_dim = rows * d
     vecs = []
-    for col in range(len(a.src_degs)):
+    for col, s in enumerate(a.src_degs):
         base = [F.zero] * free_dim
-        for j in range(rows):
-            p = a.mat.entries[j][col]
-            for c, coeff in enumerate(p.coeffs):
-                if c < d and not F.is_zero(coeff):
-                    base[j * d + c] = coeff
+        for j, t in enumerate(a.tgt_degs):
+            # entry (j, col) is a scalar times x^(s - t)
+            if 0 <= s - t < d:
+                base[j * d + s - t] = a.coeffs[j][col]
         vecs.append(base)
     return vecs
 
@@ -692,10 +690,14 @@ def presentation_cokernel(a: GradedMatrix, cfg: HypersurfaceConfig):
     x^d does not kill the cokernel.
     """
     F = cfg.field
-    from .polymat import PolyMatrix
-
-    omega = PolyMatrix.scalar(F, len(a.tgt_degs), Polynomial.monomial(F, cfg.d))
-    if try_solve_right(a.mat, omega) is None:
+    # x^d * I on the target, as the map from the target shifted up by d
+    omega = GradedMatrix.from_coeffs(
+        F, linalg.identity(F, len(a.tgt_degs)), [t + cfg.d for t in a.tgt_degs],
+        a.tgt_degs,
+    )
+    try:
+        graded_solve(a, omega)
+    except NoSolution:
         raise NotAnnihilated("x^d does not factor through the presentation")
 
     fdegs, fx, _ = free_cover_realization(cfg, a.tgt_degs)

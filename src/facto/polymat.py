@@ -1,15 +1,21 @@
-"""Linear algebra over k[x]: matrices, Smith normal form, solving, kernels.
+"""Matrices over k[x]: graded maps, and the ungraded toolkit with SNF.
 
-`PolyMatrix` is a dense matrix of `Polynomial` entries.  `GradedMatrix`
-adds generator-degree vectors for source and target and realizes degree-0
-maps of graded free modules: entry (j, i) must be a scalar multiple of
-x^(src_degs[i] - tgt_degs[j]).
+A `GradedMatrix` is a degree-0 map of graded free modules.  Entry (j, i)
+is a scalar multiple of x^(src_degs[i] - tgt_degs[j]), so the map is a
+scalar k-matrix plus the two degree vectors, and composition, injectivity,
+inverses and solving (`graded_solve`) are k-linear algebra on the scalars.
+
+`PolyMatrix` is a dense matrix of `Polynomial` entries, for input that is
+not graded.  Its toolkit (`snf`, `solve_right`, `kernel_basis`,
+`rank_over_fractions`, Bareiss `det`) works over k[x] and serves the tests
+as the reference for the graded path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import linalg
 from .fields import Field, FieldError
 from .poly import Polynomial
 
@@ -380,34 +386,69 @@ class Violation:
 
 
 class GradedMatrix:
-    """Degree-0 map of graded free modules: src ⊕S(-a_i) -> tgt ⊕S(-b_j)."""
+    """Degree-0 map of graded free modules: src ⊕S(-a_i) -> tgt ⊕S(-b_j).
 
-    __slots__ = ("mat", "src_degs", "tgt_degs")
+    Such a map is diag(x^-b) C diag(x^a) for a k-matrix C, so it is stored
+    as C (`coeffs`, one row per target generator) and the two degree
+    vectors: entry (j, i) is coeffs[j][i] * x^(a_i - b_j), and
+    coeffs[j][i] is 0 wherever a_i < b_j.
+    """
+
+    __slots__ = ("field", "coeffs", "src_degs", "tgt_degs")
 
     def __init__(self, mat: PolyMatrix, src_degs, tgt_degs, check: bool = True):
-        self.mat = mat
-        self.src_degs = tuple(src_degs)
-        self.tgt_degs = tuple(tgt_degs)
-        if len(self.src_degs) != mat.cols or len(self.tgt_degs) != mat.rows:
+        """Convert a homogeneous polynomial matrix.
+
+        Raises ValueError on an entry that is not a monomial of degree
+        a_i - b_j.  check=False skips that scan for input known to be
+        homogeneous and keeps the degree-(a_i - b_j) part of each entry.
+        """
+        if len(src_degs) != mat.cols or len(tgt_degs) != mat.rows:
             raise ValueError("degree vector length mismatch")
         if check:
-            bad = graded_check(self)
+            bad = graded_check(mat, src_degs, tgt_degs)
             if bad is not True:
                 raise ValueError(
                     f"entry {bad.position} not homogeneous of degree {bad.expected_degree}"
                 )
+        coeffs = [
+            [p.coeff(a - b) for a, p in zip(src_degs, row)]
+            for b, row in zip(tgt_degs, mat.entries)
+        ]
+        self._set(mat.field, coeffs, src_degs, tgt_degs)
+
+    def _set(self, field, coeffs, src_degs, tgt_degs):
+        self.field = field
+        self.coeffs = tuple(map(tuple, coeffs))
+        self.src_degs = tuple(src_degs)
+        self.tgt_degs = tuple(tgt_degs)
+
+    @classmethod
+    def from_coeffs(cls, field: Field, coeffs, src_degs, tgt_degs) -> "GradedMatrix":
+        """The map with scalar matrix `coeffs`; the caller guarantees that
+        coeffs[j][i] is 0 wherever src_degs[i] < tgt_degs[j]."""
+        g = object.__new__(cls)
+        g._set(field, coeffs, src_degs, tgt_degs)
+        return g
 
     @property
-    def field(self):
-        return self.mat.field
+    def mat(self) -> PolyMatrix:
+        """The polynomial matrix of the map, built on every access."""
+        F = self.field
+        return PolyMatrix(F, [
+            [Polynomial.monomial(F, a - b, c) for a, c in zip(self.src_degs, row)]
+            for b, row in zip(self.tgt_degs, self.coeffs)
+        ])
 
     @classmethod
     def identity(cls, field: Field, degs) -> "GradedMatrix":
-        return cls(PolyMatrix.identity(field, len(degs)), degs, degs)
+        return cls.from_coeffs(field, linalg.identity(field, len(degs)), degs, degs)
 
     @classmethod
     def zero(cls, field: Field, src_degs, tgt_degs) -> "GradedMatrix":
-        return cls(PolyMatrix.zero(field, len(tgt_degs), len(src_degs)), src_degs, tgt_degs)
+        return cls.from_coeffs(
+            field, linalg.zeros(field, len(tgt_degs), len(src_degs)), src_degs, tgt_degs
+        )
 
     @classmethod
     def homothety(cls, field: Field, degs, power: int) -> "GradedMatrix":
@@ -424,54 +465,92 @@ class GradedMatrix:
             raise ValueError(
                 f"degree vector mismatch: {other.tgt_degs} vs {self.src_degs}"
             )
-        return GradedMatrix(self.mat @ other.mat, other.src_degs, self.tgt_degs, check=False)
+        F = self.field
+        F.check(other.field)
+        if other.coeffs:
+            coeffs = linalg.mat_mul(F, self.coeffs, other.coeffs)
+        else:
+            coeffs = linalg.zeros(F, len(self.tgt_degs), len(other.src_degs))
+        return GradedMatrix.from_coeffs(F, coeffs, other.src_degs, self.tgt_degs)
 
     def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
         if self.src_degs != other.src_degs or self.tgt_degs != other.tgt_degs:
             raise ValueError("degree vector mismatch in sum")
-        return GradedMatrix(self.mat + other.mat, self.src_degs, self.tgt_degs, check=False)
+        F = self.field
+        F.check(other.field)
+        coeffs = [[F.add(a, b) for a, b in zip(r1, r2)]
+                  for r1, r2 in zip(self.coeffs, other.coeffs)]
+        return GradedMatrix.from_coeffs(F, coeffs, self.src_degs, self.tgt_degs)
+
+    def scale(self, c) -> "GradedMatrix":
+        F = self.field
+        coeffs = [[F.mul(c, a) for a in row] for row in self.coeffs]
+        return GradedMatrix.from_coeffs(F, coeffs, self.src_degs, self.tgt_degs)
 
     def __neg__(self) -> "GradedMatrix":
-        return GradedMatrix(-self.mat, self.src_degs, self.tgt_degs, check=False)
+        return self.scale(self.field.neg(self.field.one))
+
+    def __sub__(self, other: "GradedMatrix") -> "GradedMatrix":
+        return self + (-other)
 
     def shift(self, t: int) -> "GradedMatrix":
         """Apply the grade shift functor: same entries, degrees bumped by t."""
-        return GradedMatrix(
-            self.mat,
+        return GradedMatrix.from_coeffs(
+            self.field,
+            self.coeffs,
             [a + t for a in self.src_degs],
             [b + t for b in self.tgt_degs],
-            check=False,
+        )
+
+    def hstack(self, other: "GradedMatrix") -> "GradedMatrix":
+        """[self | other]: the map from the sum of both sources."""
+        if self.tgt_degs != other.tgt_degs:
+            raise ValueError("target degree mismatch in hstack")
+        coeffs = [r1 + r2 for r1, r2 in zip(self.coeffs, other.coeffs)]
+        return GradedMatrix.from_coeffs(
+            self.field, coeffs, self.src_degs + other.src_degs, self.tgt_degs
+        )
+
+    def vstack(self, other: "GradedMatrix") -> "GradedMatrix":
+        """[self ; other]: the map into the sum of both targets."""
+        if self.src_degs != other.src_degs:
+            raise ValueError("source degree mismatch in vstack")
+        return GradedMatrix.from_coeffs(
+            self.field, self.coeffs + other.coeffs, self.src_degs,
+            self.tgt_degs + other.tgt_degs,
         )
 
     def direct_sum(self, other: "GradedMatrix") -> "GradedMatrix":
-        field = self.field
-        top = self.mat.hstack(PolyMatrix.zero(field, self.mat.rows, other.mat.cols))
-        bot = PolyMatrix.zero(field, other.mat.rows, self.mat.cols).hstack(other.mat)
-        return GradedMatrix(
-            top.vstack(bot),
-            self.src_degs + other.src_degs,
-            self.tgt_degs + other.tgt_degs,
-            check=False,
-        )
+        F = self.field
+        top = self.hstack(GradedMatrix.zero(F, other.src_degs, self.tgt_degs))
+        bot = GradedMatrix.zero(F, self.src_degs, other.tgt_degs).hstack(other)
+        return top.vstack(bot)
+
+    def is_zero(self) -> bool:
+        return all(self.field.is_zero(c) for row in self.coeffs for c in row)
 
     def is_injective(self) -> bool:
-        if self.mat.rows == self.mat.cols:
-            return not self.mat.det().is_zero()
-        return rank_over_fractions(self.mat) == self.mat.cols
+        """Injective over S iff C has full column rank."""
+        return linalg.rank(self.field, self.coeffs) == len(self.src_degs)
+
+    def is_iso(self) -> bool:
+        """Invertible over S: det C != 0 and equal degree multisets."""
+        return sorted(self.src_degs) == sorted(self.tgt_degs) and self.is_injective()
 
     def __eq__(self, other):
         return (
             isinstance(other, GradedMatrix)
-            and self.mat == other.mat
+            and self.field == other.field
+            and self.coeffs == other.coeffs
             and self.src_degs == other.src_degs
             and self.tgt_degs == other.tgt_degs
         )
 
     def __hash__(self):
-        return hash((self.mat, self.src_degs, self.tgt_degs))
+        return hash((self.field, self.coeffs, self.src_degs, self.tgt_degs))
 
     def __repr__(self):
-        return f"GradedMatrix({self.src_degs} -> {self.tgt_degs}, {self.mat})"
+        return f"GradedMatrix({self.src_degs} -> {self.tgt_degs}, {self.coeffs})"
 
     def to_json(self):
         data = self.mat.to_json()
@@ -485,14 +564,50 @@ class GradedMatrix:
         return cls(mat, data["src_degs"], data["tgt_degs"])
 
 
-def graded_check(g: GradedMatrix):
-    """True, or a Violation describing the first non-homogeneous entry."""
-    for j, b in enumerate(g.tgt_degs):
-        for i, a in enumerate(g.src_degs):
-            p = g.mat.entries[j][i]
+def graded_check(mat, src_degs=None, tgt_degs=None):
+    """True, or a Violation at the first entry of `mat` that is not a
+    monomial of degree src_degs[i] - tgt_degs[j].
+
+    `mat` is a PolyMatrix with its degree vectors, or a GradedMatrix, whose
+    `.mat` is checked against its own vectors.
+    """
+    if isinstance(mat, GradedMatrix):
+        mat, src_degs, tgt_degs = mat.mat, mat.src_degs, mat.tgt_degs
+    for j, b in enumerate(tgt_degs):
+        for i, a in enumerate(src_degs):
+            p = mat.entries[j][i]
             want = a - b
             if p.is_zero():
                 continue
             if want < 0 or p.degree != want or not p.is_monomial():
                 return Violation(position=(j, i), expected_degree=want)
     return True
+
+
+def graded_solve(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
+    """The graded X with A X = B; raises NoSolution if none exists.
+
+    Column c of X may use row r only where a.src_degs[r] <= b.src_degs[c],
+    so the columns of B with one source degree share one k-linear
+    elimination over the columns of A that reach them.  Free coordinates
+    are set to zero; when A is injective the solution is unique.
+    """
+    if a.tgt_degs != b.tgt_degs:
+        raise ValueError("target degree mismatch between A and B")
+    F = a.field
+    F.check(b.field)
+    out = linalg.zeros(F, len(a.src_degs), len(b.src_degs))
+    by_deg = {}
+    for c, s in enumerate(b.src_degs):
+        by_deg.setdefault(s, []).append(c)
+    for s, cols in by_deg.items():
+        reach = [r for r, t in enumerate(a.src_degs) if t <= s]
+        aug = [[arow[r] for r in reach] + [brow[c] for c in cols]
+               for arow, brow in zip(a.coeffs, b.coeffs)]
+        red, pivots = linalg.rref(F, aug)
+        if pivots and pivots[-1] >= len(reach):
+            raise NoSolution(f"a column of source degree {s} is out of reach")
+        for row, p in zip(red, pivots):
+            for q, c in enumerate(cols):
+                out[reach[p]][c] = row[len(reach) + q]
+    return GradedMatrix.from_coeffs(F, out, b.src_degs, a.src_degs)

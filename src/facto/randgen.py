@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import random
 
+from . import linalg
 from .chains import MonoChain
-from .factorizations import FacMap, Factorization, fac_validate
+from .factorizations import FacMap, Factorization, fac_validate, omega_map
 from .modules import (
     HypersurfaceConfig,
     ModuleMap,
@@ -17,32 +18,23 @@ from .modules import (
     hom_basis,
     map_ker_cok_im,
 )
-from .poly import Polynomial
-from .polymat import GradedMatrix, PolyMatrix, solve_right
+from .polymat import GradedMatrix, graded_solve
 
 
 def random_unimodular(field, degs, rng: random.Random) -> GradedMatrix:
     """Graded automorphism of ⊕S(-a): unit diagonal, entries raising degree."""
     n = len(degs)
-    entries = [[Polynomial.zero(field) for _ in range(n)] for _ in range(n)]
+    entries = linalg.zeros(field, n, n)
     for i in range(n):
-        entries[i][i] = Polynomial(field, [field.from_int(rng.randrange(1, 5))])
+        # a draw that is 0 in F_2 or F_3 becomes 1; the draws stay the same
+        unit = field.from_int(rng.randrange(1, 5))
+        entries[i][i] = field.one if field.is_zero(unit) else unit
     for r in range(n):
         for c in range(n):
             e = degs[c] - degs[r]
             if r != c and e > 0 and rng.random() < 0.5:
-                coeff = field.from_int(rng.randrange(-2, 3))
-                entries[r][c] = Polynomial.monomial(field, e).scale(coeff)
-    return GradedMatrix(PolyMatrix(field, entries), degs, degs)
-
-
-def homothety_block(field, power, degs_src) -> GradedMatrix:
-    """x^power * I on the given source degrees (targets drop by power)."""
-    return GradedMatrix(
-        PolyMatrix.scalar(field, len(degs_src), Polynomial.monomial(field, power)),
-        degs_src,
-        [s - power for s in degs_src],
-    )
+                entries[r][c] = field.from_int(rng.randrange(-2, 3))
+    return GradedMatrix.from_coeffs(field, entries, degs, degs)
 
 
 def rank1_factorization(cfg, powers, deg0: int = 0) -> Factorization:
@@ -50,7 +42,7 @@ def rank1_factorization(cfg, powers, deg0: int = 0) -> Factorization:
     maps = []
     cur = [deg0]
     for a in powers:
-        maps.append(homothety_block(cfg.field, a, cur))
+        maps.append(omega_map(cfg.field, cur, a))
         cur = [s - a for s in cur]
     out = fac_validate(maps, cfg)
     assert isinstance(out, Factorization)
@@ -79,9 +71,8 @@ def random_factorization(cfg: HypersurfaceConfig, l: int, rng: random.Random,
     us = [random_unimodular(cfg.field, list(x.degs(k)), rng) for k in range(l + 1)]
     maps = []
     for k in range(l):
-        rhs = (us[k + 1] @ x.maps[k]).mat
-        a = solve_right(us[k].mat.transpose(), rhs.transpose()).transpose()
-        maps.append(GradedMatrix(a, x.degs(k), x.degs(k + 1)))
+        u_inv = graded_solve(us[k], GradedMatrix.identity(cfg.field, x.degs(k)))
+        maps.append(us[k + 1] @ x.maps[k] @ u_inv)
     out = fac_validate(maps, cfg)
     assert isinstance(out, Factorization)
     return out
@@ -135,32 +126,23 @@ def random_split_ses(cfg: HypersurfaceConfig, l: int, rng: random.Random,
         maps = []
         for k in range(l):
             a, b = x.maps[k], z.maps[k]
-            top = a.mat.hstack(h_list[k])
-            bot = PolyMatrix.zero(F, b.mat.rows, a.mat.cols).hstack(b.mat)
-            mat = top.vstack(bot)
-            maps.append(
-                GradedMatrix(
-                    mat,
-                    list(x.degs(k)) + list(z.degs(k)),
-                    list(x.degs(k + 1)) + list(z.degs(k + 1)),
-                    check=False,
-                )
-            )
+            bot = GradedMatrix.zero(F, a.src_degs, b.tgt_degs).hstack(b)
+            maps.append(a.hstack(h_list[k]).vstack(bot))
         return fac_validate(maps, cfg)
 
     y = None
     for _ in range(tries):
         h_list = []
         for k in range(l):
-            rows, cols = x.m, z.m
-            entries = [[Polynomial.zero(F) for _ in range(cols)] for _ in range(rows)]
-            for r in range(rows):
-                for c in range(cols):
+            entries = linalg.zeros(F, x.m, z.m)
+            for r in range(x.m):
+                for c in range(z.m):
                     e = z.degs(k)[c] - x.degs(k + 1)[r]
                     if e >= 0 and rng.random() < 0.4:
-                        coeff = F.from_int(rng.randrange(-2, 3))
-                        entries[r][c] = Polynomial.monomial(F, e).scale(coeff)
-            h_list.append(PolyMatrix(F, entries))
+                        entries[r][c] = F.from_int(rng.randrange(-2, 3))
+            h_list.append(
+                GradedMatrix.from_coeffs(F, entries, z.degs(k), x.degs(k + 1))
+            )
         cand = build(h_list)
         if isinstance(cand, Factorization):
             y = cand
@@ -169,19 +151,12 @@ def random_split_ses(cfg: HypersurfaceConfig, l: int, rng: random.Random,
         y = x.direct_sum(z)
 
     def block_incl(k):
-        top = PolyMatrix.identity(F, x.m)
-        bot = PolyMatrix.zero(F, z.m, x.m)
-        return GradedMatrix(
-            top.vstack(bot), x.degs(k), list(x.degs(k)) + list(z.degs(k)),
-            check=False,
-        )
+        top = GradedMatrix.identity(F, x.degs(k))
+        return top.vstack(GradedMatrix.zero(F, x.degs(k), z.degs(k)))
 
     def block_proj(k):
-        left = PolyMatrix.zero(F, z.m, x.m)
-        return GradedMatrix(
-            left.hstack(PolyMatrix.identity(F, z.m)),
-            list(x.degs(k)) + list(z.degs(k)), z.degs(k), check=False,
-        )
+        left = GradedMatrix.zero(F, x.degs(k), z.degs(k))
+        return left.hstack(GradedMatrix.identity(F, z.degs(k)))
 
     i = FacMap(x, y, [block_incl(k) for k in range(l + 1)])
     p = FacMap(y, z, [block_proj(k) for k in range(l + 1)])

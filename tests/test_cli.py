@@ -133,3 +133,34 @@ def test_selftest(capsys):
                  "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and "pass" in out
+
+
+def test_selftest_over_f2(capsys):
+    assert main(["selftest", "--field", "fp:2", "--d", "2", "--l", "2"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_stable_hom_non_object(side, xx_file, tmp_path, capsys):
+    mf = json.loads(xx_file.read_text())
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"x": mf, "y": mf, side: [1, 2]}))
+    assert main(["stable-hom", "--field", "fp:5", "--d", "2",
+                 "--in", str(pair)]) == 1
+    assert _one_line_error(capsys)
+
+
+def test_census_l_zero(capsys):
+    assert main(["census", "--field", "fp:5", "--d", "2", "--l", "0"]) == 1
+    assert _one_line_error(capsys)
+
+
+def test_nu_l_zero(capsys):
+    assert main(["nu", "--field", "fp:5", "--d", "2", "--l", "0",
+                 "--k", "0", "--degs", "0"]) == 1
+    assert _one_line_error(capsys)

@@ -183,8 +183,7 @@ def test_graded_violation():
     m = M(QQ, [[(1, 1)]])  # 1 + x is not homogeneous
     with pytest.raises(ValueError):
         GradedMatrix(m, [1], [0])
-    bad = GradedMatrix(m, [1], [0], check=False)
-    v = graded_check(bad)
+    v = graded_check(m, [1], [0])
     assert isinstance(v, Violation)
     assert v.position == (0, 0)
     assert v.expected_degree == 1
