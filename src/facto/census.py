@@ -5,8 +5,12 @@ free cover R^m of X^l: the preimage in S^m of such a flag is a chain of
 free submodules containing x^d S^m, which is exactly a graded factorization
 up to isomorphism.  Chains of monomorphisms are enumerated the same way as
 subspace flags of a top module.  Class lists are deduplicated with the iso
-tests, filtered to indecomposable nonprojective objects, canonicalized by
-degree shift, and matched under cok.
+tests and canonicalized by degree shift.  A class is kept when it is not
+projective and is indecomposable, which is decided exactly from the
+object's own endomorphism algebra: X is indecomposable iff End(X) is local
+(Fitting's lemma, see `endo.is_local`), so the decision needs neither the
+rest of the list nor any candidate splitting.  The kept classes of the two
+sides are matched under cok.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from . import linalg
 from .chains import (
     MonoChain,
     chain_hom_basis,
+    chain_is_indecomposable,
     chain_iso_test,
     chain_projective_test,
     chain_stable_hom_dim,
@@ -28,6 +33,7 @@ from .factorizations import (
     _hom_slots,
     adjunction_transport,
     fac_hom_basis,
+    fac_is_indecomposable,
     fac_iso_test,
     fac_projective_test,
     fac_stable_hom_dim,
@@ -46,7 +52,8 @@ from .polymat import GradedMatrix, graded_solve
 
 
 class MatchFailure(Exception):
-    """The census bijection or hom table failed: an implementation bug."""
+    """A census invariant failed (flag construction, the bijection or the
+    hom table): an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -200,8 +207,8 @@ def _flag_factorization(cfg, degs_l, flag) -> Factorization:
     incls.append(GradedMatrix.identity(cfg.field, list(degs_l)))
     maps = [graded_solve(incls[k + 1], incls[k]) for k in range(len(flag))]
     out = fac_validate(maps, cfg)
-    assert isinstance(out, Factorization), f"flag factorization invalid: {out}"
-    assert len(degs_l) == out.m
+    if not isinstance(out, Factorization) or out.m != len(degs_l):
+        raise MatchFailure(f"flag factorization invalid: {out}")
     return out
 
 
@@ -294,7 +301,8 @@ def _factor_realization(field, big, small):
     out = [[field.zero] * cols for _ in range(rows)]
     for j in range(cols):
         sol = linalg.solve(field, big, [small[r][j] for r in range(len(small))])
-        assert sol is not None, "flag member does not factor"
+        if sol is None:
+            raise MatchFailure("flag member does not factor")
         for i in range(rows):
             out[i][j] = sol[i]
     return out
@@ -338,40 +346,6 @@ def enumerate_chains(cfg: HypersurfaceConfig, l: int, dim_max: int,
             raw.append(_flag_chain(cfg, top, flag))
     raw = [u.shift(-u.min_degree()) for u in raw]
     return _dedup(raw, _chain_fingerprint, lambda a, b: chain_iso_test(a, b))
-
-
-# indecomposability ------------------------------------------------------------
-
-
-def _indecomposables(pool, size, max_degree, shift, iso):
-    """Members of pool not isomorphic to a shifted sum of two members.
-
-    Sound because the pool is exhaustive within its bounds and any direct
-    summand of a pool member again lies within them.
-    """
-    out = []
-    for obj in pool:
-        if size(obj) == 0:
-            continue
-        hi = max_degree(obj)
-        split = False
-        for a, b in itertools.product(pool, repeat=2):
-            if size(a) == 0 or size(b) == 0:
-                continue
-            if size(a) + size(b) != size(obj):
-                continue
-            for sa in range(hi + 1):
-                for sb in range(hi + 1):
-                    if iso(obj, shift(a, sa).direct_sum(shift(b, sb))):
-                        split = True
-                        break
-                if split:
-                    break
-            if split:
-                break
-        if not split:
-            out.append(obj)
-    return out
 
 
 # the census itself ------------------------------------------------------------
@@ -447,30 +421,16 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
 
     Classes are indecomposable nonprojective objects up to iso and shift.
     A class may stay unmatched only when its partner falls outside the
-    given bounds; any other mismatch raises MatchFailure.
+    given bounds; any other mismatch raises MatchFailure.  Raises
+    NonSplitEndomorphism when an object's indecomposability is undecided
+    over k (see `endo.is_local`).
     """
     facs = enumerate_factorizations(cfg, l, bounds.m, bounds.window)
-    facs = _indecomposables(
-        facs,
-        size=lambda x: x.m,
-        max_degree=lambda x: max(
-            (s for k in range(x.l + 1) for s in x.degs(k)), default=0
-        ),
-        shift=lambda x, t: x.shift(t),
-        iso=lambda a, b: a.m == b.m and fac_iso_test(a, b, seed=seed),
-    )
-    facs = [x for x in facs if not fac_projective_test(x)]
+    facs = [x for x in facs
+            if fac_is_indecomposable(x) and not fac_projective_test(x)]
     chains = enumerate_chains(cfg, l, bounds.dim, bounds.window)
-    chains = _indecomposables(
-        chains,
-        size=lambda u: u.objects[-1].dim,
-        max_degree=lambda u: max(
-            (s for o in u.objects for _, s in o.summands), default=0
-        ),
-        shift=lambda u, t: u.shift(t),
-        iso=lambda a, b: chain_iso_test(a, b, seed=seed),
-    )
-    chains = [u for u in chains if not chain_projective_test(u)]
+    chains = [u for u in chains
+              if chain_is_indecomposable(u) and not chain_projective_test(u)]
 
     coks = [cok(x) for x in facs]
     canon = [u.shift(-u.min_degree()) for u in coks]

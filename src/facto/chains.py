@@ -7,14 +7,15 @@ plain module category, so the 2-factor case needs no special-casing.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import linalg
+from .endo import is_local, search_iso
 from .modules import (
     HypersurfaceConfig,
     ModuleMap,
     RModule,
+    expect_json,
     hom_basis,
     is_mono_epi,
     map_ker_cok_im,
@@ -98,8 +99,11 @@ class MonoChain:
 
     @classmethod
     def from_json(cls, cfg: HypersurfaceConfig, data) -> "MonoChain":
-        objects = [RModule.from_json(cfg, m) for m in data["objects"]]
-        maps = [ModuleMap.from_json(cfg, f) for f in data["maps"]]
+        expect_json(data, dict, "chain")
+        objects = [RModule.from_json(cfg, m)
+                   for m in expect_json(data["objects"], list, "chain objects")]
+        maps = [ModuleMap.from_json(cfg, f)
+                for f in expect_json(data["maps"], list, "chain maps")]
         return cls(cfg, objects, maps)
 
     @classmethod
@@ -347,7 +351,7 @@ def chain_stable_hom_dim(u: MonoChain, v: MonoChain) -> int:
     return len(homs) - ech.dim
 
 
-# isomorphism -----------------------------------------------------------------
+# isomorphism and indecomposability --------------------------------------------
 
 
 def chain_iso_test(u: MonoChain, v: MonoChain, seed: int = 0) -> bool:
@@ -369,34 +373,14 @@ def chain_iso_test(u: MonoChain, v: MonoChain, seed: int = 0) -> bool:
     basis = chain_hom_basis(u, v)
     if not basis:
         return False
+    return search_iso(u.cfg.field, basis, ChainMap.zero(u, v), seed)
 
+
+def chain_is_indecomposable(u: MonoChain) -> bool:
+    """u is nonzero and End(u) is local (see endo.is_local)."""
+    if u.is_zero():
+        return False
     F = u.cfg.field
-
-    def combo(weights):
-        h = ChainMap.zero(u, v)
-        for w, g in zip(weights, basis):
-            if w:
-                h = h + g.scale(F.from_int(w))
-        return h
-
-    for g in basis:
-        if g.is_iso():
-            return True
-    # deterministic small-prime weights (exact over Q, usually enough mod p)
-    primes = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
-    if combo(primes[: len(basis)] + [1] * max(0, len(basis) - len(primes))).is_iso():
-        return True
-    rng = random.Random(seed)
-    p = getattr(F, "p", 0)
-    hi = p if p else 1009
-    for _ in range(64):
-        if combo([rng.randrange(hi) for _ in basis]).is_iso():
-            return True
-    # exhaustive fallback over small finite fields and small bases
-    if p and p ** len(basis) <= 4096:
-        def rec(ws):
-            if len(ws) == len(basis):
-                return combo(ws).is_iso()
-            return any(rec(ws + [w]) for w in range(p))
-        return rec([])
-    return False
+    basis = [linalg.block_diagonal(F, [g.realization() for g in f.parts])
+             for f in chain_hom_basis(u, u)]
+    return is_local(F, basis)

@@ -9,6 +9,7 @@ leaves a partial file behind.  Exit codes: 0 success, 1 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -17,6 +18,7 @@ import tempfile
 
 from .census import Bounds, MatchFailure, class_census, hom_dim_compare
 from .chains import MonoChain, chain_iso_test, chain_stable_hom_dim
+from .endo import NonSplitEndomorphism
 from .factorizations import (
     Factorization,
     Invalid,
@@ -212,6 +214,8 @@ def _cmd_census(args):
         raise InputError(str(e))
     except MatchFailure as e:
         raise CheckFailure(f"census failed: {e}")
+    except NonSplitEndomorphism as e:
+        raise CheckFailure(f"census undecided: {e}")
     print(report.to_table())
     if args.out is not None:
         _emit(_dumps(report.to_json()), args.out)
@@ -283,7 +287,9 @@ def _cmd_selftest(args):
 # entry point --------------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """Built once per process; parse_args leaves the parser unchanged."""
     p = argparse.ArgumentParser(
         prog="facto",
         description="graded matrix factorizations of x^d and chains of "

@@ -10,11 +10,11 @@ functor; `rot_phase` tracks where in the rotation cycle the object sits.
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import linalg
+from .endo import is_local, search_iso
 from .fields import Field
 from .modules import HypersurfaceConfig
 from .polymat import GradedMatrix, graded_solve
@@ -624,7 +624,7 @@ def fac_projective_test(x: Factorization) -> bool:
     return fac_stable_hom_dim(x, x) == 0
 
 
-# isomorphism ---------------------------------------------------------------------
+# isomorphism and indecomposability -----------------------------------------------
 
 
 def fac_iso_test(x: Factorization, y: Factorization, seed: int = 0) -> bool:
@@ -641,31 +641,14 @@ def fac_iso_test(x: Factorization, y: Factorization, seed: int = 0) -> bool:
     basis = fac_hom_basis(x, y)
     if not basis:
         return False
+    return search_iso(x.cfg.field, basis, FacMap.zero(x, y), seed)
+
+
+def fac_is_indecomposable(x: Factorization) -> bool:
+    """x is nonzero and End(x) is local (see endo.is_local)."""
+    if x.is_zero():
+        return False
     F = x.cfg.field
-
-    def combo(weights):
-        h = FacMap.zero(x, y)
-        for w, g in zip(weights, basis):
-            if w:
-                h = h + g.scale(F.from_int(w))
-        return h
-
-    for g in basis:
-        if g.is_iso():
-            return True
-    primes = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
-    if combo(primes[: len(basis)] + [1] * max(0, len(basis) - len(primes))).is_iso():
-        return True
-    rng = random.Random(seed)
-    p = getattr(F, "p", 0)
-    hi = p if p else 1009
-    for _ in range(64):
-        if combo([rng.randrange(hi) for _ in basis]).is_iso():
-            return True
-    if p and p ** len(basis) <= 4096:
-        def rec(ws):
-            if len(ws) == len(basis):
-                return combo(ws).is_iso()
-            return any(rec(ws + [w]) for w in range(p))
-        return rec([])
-    return False
+    basis = [linalg.block_diagonal(F, [c.coeffs for c in f.components])
+             for f in fac_hom_basis(x, x)]
+    return is_local(F, basis)

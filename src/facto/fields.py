@@ -72,7 +72,10 @@ class Rationals(Field):
     def parse(self, s) -> Fraction:
         # "num/den" strings or bare integers
         if isinstance(s, str):
-            return Fraction(s)
+            try:
+                return Fraction(s)
+            except ZeroDivisionError:
+                raise FieldError(f"zero denominator in {s!r}") from None
         if isinstance(s, int):
             return Fraction(s)
         raise FieldError(f"cannot parse rational from {s!r}")

@@ -20,6 +20,16 @@ class NotAnnihilated(Exception):
     """The presented cokernel is not killed by x^d."""
 
 
+def expect_json(data, kind, what: str):
+    """data if it is a JSON object (kind=dict) or array (kind=list), else
+    a TypeError naming `what`."""
+    if not isinstance(data, kind):
+        name = "object" if kind is dict else "array"
+        raise TypeError(f"{what}: expected a JSON {name}, "
+                        f"got {type(data).__name__}")
+    return data
+
+
 @dataclass(frozen=True)
 class HypersurfaceConfig:
     """Fixes f = x^d: tau is the grade shift by d, omega is x^d."""
@@ -120,9 +130,11 @@ class RModule:
 
     @classmethod
     def from_json(cls, cfg: HypersurfaceConfig, data) -> "RModule":
-        if data.get("d", cfg.d) != cfg.d:
+        if expect_json(data, dict, "module").get("d", cfg.d) != cfg.d:
             raise ValueError("module d does not match config")
-        return cls(cfg, [tuple(p) for p in data["summands"]])
+        summands = expect_json(data["summands"], list, "module summands")
+        return cls(cfg, [tuple(expect_json(p, list, "summand"))
+                         for p in summands])
 
     @classmethod
     def zero(cls, cfg: HypersurfaceConfig) -> "RModule":
@@ -316,9 +328,15 @@ class ModuleMap:
 
     @classmethod
     def from_json(cls, cfg: HypersurfaceConfig, data) -> "ModuleMap":
+        expect_json(data, dict, "module map")
         src = RModule.from_json(cfg, data["src"])
         tgt = RModule.from_json(cfg, data["tgt"])
-        blocks = [[cfg.field.parse(c) for c in row] for row in data["blocks"]]
+        rows = expect_json(data["blocks"], list, "map blocks")
+        blocks = [[cfg.field.parse(c) for c in expect_json(row, list, "block row")]
+                  for row in rows]
+        if len(blocks) != len(tgt.summands) or any(
+                len(row) != len(src.summands) for row in blocks):
+            raise ValueError("map blocks do not match the summands")
         return cls(src, tgt, blocks)
 
 

@@ -1,13 +1,17 @@
+import contextlib
+import io
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from facto.cli import main
+from facto.cli import _parser, main
 from facto.factorizations import Factorization
 from facto.fields import GF
 from facto.functors import cok
 from facto.modules import HypersurfaceConfig
-from facto.randgen import rank1_factorization
+from facto.randgen import random_chain, random_factorization, rank1_factorization
 
 
 @pytest.fixture
@@ -164,3 +168,125 @@ def test_nu_l_zero(capsys):
     assert main(["nu", "--field", "fp:5", "--d", "2", "--l", "0",
                  "--k", "0", "--degs", "0"]) == 1
     assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("objects", [[5], "ab"])
+def test_reconstruct_malformed_objects(objects, tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"objects": objects, "maps": []}))
+    assert main(["reconstruct", "--field", "fp:5", "--d", "2",
+                 "--in", str(path)]) == 1
+    assert _one_line_error(capsys)
+
+
+def test_rational_zero_denominator(xx_file, tmp_path, capsys):
+    data = json.loads(xx_file.read_text())
+    data["maps"][0]["entries"][0][0] = ["1/0"]
+    path = tmp_path / "mf.json"
+    path.write_text(json.dumps(data))
+    assert main(["cok", "--field", "q", "--d", "2", "--in", str(path)]) == 1
+    assert _one_line_error(capsys)
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_built_once_without_leaking_defaults(xx_file, tmp_path):
+    assert _parser() is _parser()
+    chain = tmp_path / "chain.json"
+    base = ["--field", "fp:5", "--d", "2"]
+    calls = [
+        ["cok", *base, "--in", str(xx_file), "--out", str(chain)],
+        ["rotate", *base, "--in", str(xx_file), "--steps", "-2"],
+        ["rotate", *base, "--in", str(xx_file)],
+        ["nu", *base, "--l", "2", "--k", "1", "--degs", "0,1"],
+        ["nu", *base, "--l", "2"],
+        ["resolve", *base, "--in", str(xx_file), "--side", "monic"],
+        ["resolve", *base, "--in", str(xx_file)],
+        ["reconstruct", *base, "--in", str(chain)],
+        ["census", *base, "--l", "1"],
+        ["validate", "--d", "2", "--in", str(xx_file)],
+        ["validate", "--field", "q", "--d", "2", "--in", str(xx_file)],
+    ]
+    shared = [_run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        _parser.cache_clear()
+        fresh.append(_run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+_FUZZ_CFG = HypersurfaceConfig(2, GF(5))
+_FAC = random_factorization(_FUZZ_CFG, 2, random.Random(3), m_max=2).to_json()
+_CHAIN = random_chain(_FUZZ_CFG, 2, random.Random(3)).to_json()
+_VALID = {
+    "validate": _FAC,
+    "cok": _FAC,
+    "reconstruct": _CHAIN,
+    "stable-hom": {"x": _FAC, "y": _FAC},
+}
+
+
+def _nodes(doc, path=()):
+    """Paths to every node of a JSON document, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _fuzz_call(tmp_path, command, doc, field="fp:5"):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    return _run([command, "--field", field, "--d", "2", "--in", str(path)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(_VALID)), doc=_JSON)
+def test_fuzz_arbitrary_json_exits_1(tmp_path_factory, command, doc):
+    code, _, err = _fuzz_call(tmp_path_factory.mktemp("fuzz"), command, doc)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(_VALID)), data=st.data(),
+       field=st.sampled_from(["fp:5", "q"]))
+def test_fuzz_damaged_input_never_crashes(tmp_path_factory, command, data,
+                                          field):
+    """A valid input with one node replaced: any outcome but a traceback."""
+    valid = _VALID[command]
+    paths = list(_nodes(valid))
+    path = paths[data.draw(st.integers(0, len(paths) - 1))]
+    doc = _replace(valid, path, data.draw(_JSON))
+    code, _, err = _fuzz_call(tmp_path_factory.mktemp("fuzz"), command, doc,
+                              field)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.count("\n") == 1

@@ -1,0 +1,156 @@
+import itertools
+import random
+
+import pytest
+
+from facto.census import (
+    Bounds,
+    class_census,
+    enumerate_chains,
+    enumerate_factorizations,
+)
+from facto.chains import MonoChain, chain_is_indecomposable
+from facto.endo import NonSplitEndomorphism, is_local
+from facto.factorizations import fac_is_indecomposable, nu
+from facto.fields import GF, QQ
+from facto.linalg import identity
+from facto.modules import HypersurfaceConfig, RModule
+from facto.randgen import random_factorization
+
+FIELDS = [QQ, GF(2), GF(5)]
+
+
+def mat(field, rows):
+    return [[field.from_int(c) for c in row] for row in rows]
+
+
+def unit(field, n, i, j):
+    return mat(field, [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+
+
+def jordan(field, n, lam):
+    """lam on the diagonal, 1 just above it."""
+    return mat(field, [[lam if r == c else int(c == r + 1) for c in range(n)]
+                       for r in range(n)])
+
+
+# hand-built algebras ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_product_of_two_fields_is_not_local(field):
+    assert not is_local(field, [unit(field, 2, 0, 0), unit(field, 2, 1, 1)])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_dual_numbers_are_local(field):
+    assert is_local(field, [identity(field, 2), unit(field, 2, 0, 1)])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_full_matrix_algebra_is_not_local(field):
+    basis = [unit(field, 2, i, j) for i in range(2) for j in range(2)]
+    assert not is_local(field, basis)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_nilpotent_generators_of_a_non_nilpotent_algebra(field):
+    # E12 and E21 are nilpotent, but E12 E21 = E11 is an idempotent
+    basis = [identity(field, 2), unit(field, 2, 0, 1), unit(field, 2, 1, 0)]
+    assert not is_local(field, basis)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("n", [2, 5])
+def test_eigenvalue_search_when_char_divides_n(field, n):
+    # tr/n is undefined over F_2 at n = 2 and over F_5 at n = 5
+    lam = 3 if n == 5 else 1
+    j = jordan(field, n, lam)
+    assert is_local(field, [identity(field, n), j])
+    split = [row[:] for row in j]
+    split[0][0] = split[0][1] = field.zero  # eigenvalues 0 and lam
+    assert not is_local(field, [identity(field, n), split])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+def test_residue_field_larger_than_k_is_not_guessed(field):
+    # k[i] with i^2 = -1 is a field extension of Q and of F_3
+    rot = mat(field, [[0, -1], [1, 0]])
+    with pytest.raises(NonSplitEndomorphism):
+        is_local(field, [identity(field, 2), rot])
+
+
+def test_rotation_over_f2_is_local():
+    # t^2 + 1 = (t + 1)^2 over F_2: one eigenvalue, found by the search
+    F = GF(2)
+    assert is_local(F, [identity(F, 2), mat(F, [[0, 1], [1, 0]])])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_zero_objects_are_not_indecomposable(field):
+    assert not is_local(field, [])
+    assert not is_local(field, [[]])
+    c = HypersurfaceConfig(2, field)
+    assert not chain_is_indecomposable(MonoChain.zero(c, 2))
+    assert not fac_is_indecomposable(nu(c, 2, 0, []))
+
+
+# the wrappers ----------------------------------------------------------------
+
+
+def _modules(c, max_summands=3, dim_max=6, degrees=range(3)):
+    types = [(e, s) for e in range(1, c.d + 1) for s in degrees]
+    for k in range(1, max_summands + 1):
+        for combo in itertools.combinations_with_replacement(types, k):
+            if sum(e for e, _ in combo) <= dim_max:
+                yield RModule(c, combo)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_classical_l1_classification(field):
+    """A module is indecomposable iff it is one cyclic summand R/x^e(s)."""
+    for d in range(1, 5):
+        c = HypersurfaceConfig(d, field)
+        for m in _modules(c):
+            u = MonoChain(c, [m], [])
+            assert chain_is_indecomposable(u) == (len(m.summands) == 1), m
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_random_factorizations_split_into_their_rank_1_pieces(field):
+    """random_factorization conjugates a sum of m rank-1 pieces, so it is
+    indecomposable iff m = 1."""
+    rng = random.Random(1)
+    for _ in range(40):
+        d, l = rng.choice([(2, 1), (2, 2), (3, 2), (3, 3), (4, 2)])
+        x = random_factorization(HypersurfaceConfig(d, field), l, rng)
+        assert fac_is_indecomposable(x) == (x.m == 1)
+
+
+def test_sums_of_criterion_2_pool_members_decompose():
+    """A sum of two indecomposable pool members (the old split search's
+    candidates) is decomposable, at every pair of shifts."""
+    c = HypersurfaceConfig(2, GF(5))
+    facs = [x for x in enumerate_factorizations(c, 2, 2, 2)
+            if fac_is_indecomposable(x)]
+    chains = [u for u in enumerate_chains(c, 2, 3, 2)
+              if chain_is_indecomposable(u)]
+    assert facs and chains
+    for s, t in itertools.product(range(3), repeat=2):
+        for a, b in itertools.product(facs, repeat=2):
+            assert not fac_is_indecomposable(a.shift(s).direct_sum(b.shift(t)))
+        for a, b in itertools.product(chains, repeat=2):
+            assert not chain_is_indecomposable(a.shift(s).direct_sum(b.shift(t)))
+
+
+def _summary(rep):
+    return (len(rep.fac_classes), len(rep.chain_classes), len(rep.matching),
+            rep.fac_hom_table, rep.chain_hom_table)
+
+
+@pytest.mark.parametrize("d, fields", [(2, [GF(2), GF(3)]), (3, [GF(2)])])
+def test_census_agrees_across_fields(d, fields):
+    bounds = Bounds(m=2, dim=3, window=2)
+    ref = _summary(class_census(HypersurfaceConfig(d, GF(5)), 2, bounds))
+    for field in fields:
+        assert _summary(class_census(HypersurfaceConfig(d, field), 2, bounds)) == ref
