@@ -4,13 +4,18 @@ Factorizations are enumerated as flags of x-stable graded subspaces of the
 free cover R^m of X^l: the preimage in S^m of such a flag is a chain of
 free submodules containing x^d S^m, which is exactly a graded factorization
 up to isomorphism.  Chains of monomorphisms are enumerated the same way as
-subspace flags of a top module.  Class lists are deduplicated with the iso
-tests and canonicalized by degree shift.  A class is kept when it is not
-projective and is indecomposable, which is decided exactly from the
-object's own endomorphism algebra: X is indecomposable iff End(X) is local
-(Fitting's lemma, see `endo.is_local`), so the decision needs neither the
-rest of the list nor any candidate splitting.  The kept classes of the two
-sides are matched under cok.
+subspace flags of a top module.  Every flag object is shifted to minimum
+degree 0.
+
+The census first keeps the indecomposable flag objects, which is decided
+exactly from each object's own endomorphism algebra: X is indecomposable
+iff End(X) is local (Fitting's lemma, see `endo.is_local`).  Only these
+are deduplicated with the iso tests, and the projective classes are
+dropped last.  Both properties are iso-invariant and deduplication keeps
+the first member of each class, so this order gives the same classes as
+deduplicating everything first.  Between indecomposables the iso tests are
+exact (see `endo.search_iso`), so the result does not depend on a seed.
+The kept classes of the two sides are matched under cok.
 """
 
 from __future__ import annotations
@@ -217,6 +222,8 @@ def _fac_fingerprint(x: Factorization):
 
 
 def _dedup(objs, fingerprint, iso):
+    """The first member of each iso class of `objs`, in order; `iso` is
+    only asked about pairs with equal fingerprints."""
     groups = {}
     kept = []
     for obj in objs:
@@ -229,29 +236,35 @@ def _dedup(objs, fingerprint, iso):
     return kept
 
 
-def enumerate_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
-                             window: int):
-    """All (l+1)-factor factorizations up to iso and shift, within bounds.
+def _flag_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
+                         window: int):
+    """Every flag factorization within bounds, shifted to minimum degree 0.
 
     Ranks run to m_max and the last degree vector over [0, window]
     normalized to minimum 0; every valid graded factorization with those
-    invariants appears exactly once.
+    invariants appears at least once.
     """
     F = cfg.field
-    raw = []
     for m in range(m_max + 1):
         for degs_l in _sorted_degree_vectors(m, window):
             if m == 0:
-                raw.append(_flag_factorization(cfg, degs_l, [[]] * l))
-                continue
-            free = RModule.free(cfg, list(degs_l))
-            spaces = stable_graded_subspaces(F, free.basis_degrees(),
-                                             free.x_matrix())
-            echs = _echelons(F, spaces)
-            for chain in _subspace_flags(F, spaces, echs, l):
-                raw.append(_flag_factorization(cfg, degs_l, chain))
-    raw = [x.shift(-x.min_degree()) for x in raw]
-    return _dedup(raw, _fac_fingerprint, lambda a, b: fac_iso_test(a, b))
+                flags = [[[]] * l]
+            else:
+                free = RModule.free(cfg, list(degs_l))
+                spaces = stable_graded_subspaces(F, free.basis_degrees(),
+                                                 free.x_matrix())
+                flags = _subspace_flags(F, spaces, _echelons(F, spaces), l)
+            for flag in flags:
+                x = _flag_factorization(cfg, degs_l, flag)
+                yield x.shift(-x.min_degree())
+
+
+def enumerate_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
+                             window: int):
+    """All (l+1)-factor factorizations up to iso and shift, within bounds:
+    each class appears exactly once, as its first flag factorization."""
+    return _dedup(_flag_factorizations(cfg, l, m_max, window),
+                  _fac_fingerprint, fac_iso_test)
 
 
 def _subspace_flags(field, spaces, echs, length):
@@ -329,23 +342,28 @@ def _chain_fingerprint(u: MonoChain):
     return tuple(obj.sorted_summands() for obj in u.objects)
 
 
+def _flag_chains(cfg: HypersurfaceConfig, l: int, dim_max: int, window: int):
+    """Every flag chain of l-1 monos with top dimension <= dim_max and top
+    generator degrees over [0, window], shifted to minimum degree 0."""
+    F = cfg.field
+    for top in _top_modules(cfg, dim_max, window):
+        if l == 1:
+            chains = [MonoChain(cfg, [top], [])]
+        else:
+            spaces = stable_graded_subspaces(F, top.basis_degrees(),
+                                             top.x_matrix())
+            chains = (_flag_chain(cfg, top, flag) for flag in
+                      _subspace_flags(F, spaces, _echelons(F, spaces), l - 1))
+        for u in chains:
+            yield u.shift(-u.min_degree())
+
+
 def enumerate_chains(cfg: HypersurfaceConfig, l: int, dim_max: int,
                      window: int):
     """All chains of l-1 monos up to iso and shift, top dimension <= dim_max
     and top generator degrees over [0, window] normalized to minimum 0."""
-    F = cfg.field
-    raw = []
-    for top in _top_modules(cfg, dim_max, window):
-        if l == 1:
-            raw.append(MonoChain(cfg, [top], []))
-            continue
-        spaces = stable_graded_subspaces(F, top.basis_degrees(),
-                                         top.x_matrix())
-        echs = _echelons(F, spaces)
-        for flag in _subspace_flags(F, spaces, echs, l - 1):
-            raw.append(_flag_chain(cfg, top, flag))
-    raw = [u.shift(-u.min_degree()) for u in raw]
-    return _dedup(raw, _chain_fingerprint, lambda a, b: chain_iso_test(a, b))
+    return _dedup(_flag_chains(cfg, l, dim_max, window), _chain_fingerprint,
+                  chain_iso_test)
 
 
 # the census itself ------------------------------------------------------------
@@ -420,17 +438,23 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
     """Classify both sides, match them under cok, compare stable hom tables.
 
     Classes are indecomposable nonprojective objects up to iso and shift.
-    A class may stay unmatched only when its partner falls outside the
-    given bounds; any other mismatch raises MatchFailure.  Raises
-    NonSplitEndomorphism when an object's indecomposability is undecided
-    over k (see `endo.is_local`).
+    Each side filters its flag objects by End(X) locality, deduplicates
+    the indecomposables (keeping the first of each class) and then drops
+    the projectives.  Every iso test has an indecomposable target, so
+    deduplication and matching are exact: `seed` is passed on to the iso
+    search but does not change the result.  A class may stay unmatched
+    only when its partner falls outside the given bounds; any other
+    mismatch raises MatchFailure.  Raises NonSplitEndomorphism when an
+    object's indecomposability is undecided over k (see `endo.is_local`).
     """
-    facs = enumerate_factorizations(cfg, l, bounds.m, bounds.window)
-    facs = [x for x in facs
-            if fac_is_indecomposable(x) and not fac_projective_test(x)]
-    chains = enumerate_chains(cfg, l, bounds.dim, bounds.window)
-    chains = [u for u in chains
-              if chain_is_indecomposable(u) and not chain_projective_test(u)]
+    facs = _dedup(filter(fac_is_indecomposable,
+                         _flag_factorizations(cfg, l, bounds.m, bounds.window)),
+                  _fac_fingerprint, fac_iso_test)
+    facs = [x for x in facs if not fac_projective_test(x)]
+    chains = _dedup(filter(chain_is_indecomposable,
+                           _flag_chains(cfg, l, bounds.dim, bounds.window)),
+                    _chain_fingerprint, chain_iso_test)
+    chains = [u for u in chains if not chain_projective_test(u)]
 
     coks = [cok(x) for x in facs]
     canon = [u.shift(-u.min_degree()) for u in coks]

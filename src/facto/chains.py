@@ -171,10 +171,15 @@ class ChainMap:
             for i, f in enumerate(self.parts):
                 if f.src != src.objects[i] or f.tgt != tgt.objects[i]:
                     raise ValueError(f"component {i} endpoints mismatch")
+            F = src.cfg.field
             for i in range(src.length - 1):
-                lhs = tgt.maps[i] @ self.parts[i]
-                rhs = self.parts[i + 1] @ src.maps[i]
-                if lhs != rhs:
+                lhs = linalg.mat_mul(F, tgt.maps[i].realization(),
+                                     self.parts[i].realization())
+                rhs = linalg.mat_mul(F, self.parts[i + 1].realization(),
+                                     src.maps[i].realization())
+                # a product through a zero module comes back with no columns
+                if lhs != rhs and any(not F.is_zero(c) for m in (lhs, rhs)
+                                      for row in m for c in row):
                     raise ValueError(f"square {i} does not commute")
 
     @classmethod
@@ -231,7 +236,12 @@ class ChainMap:
 
 
 def chain_hom_basis(u: MonoChain, v: MonoChain):
-    """k-basis of ChainMaps u -> v (commuting componentwise homs)."""
+    """k-basis of ChainMaps u -> v (commuting componentwise homs).
+
+    The unknowns are the coefficients of each component in a k-basis of
+    Hom(u^i, v^i); each square gives one scalar equation per entry of
+    v.maps[i] f^i - f^{i+1} u.maps[i], built from realization products.
+    """
     if u.cfg != v.cfg:
         raise ValueError("config mismatch")
     F = u.cfg.field
@@ -242,38 +252,35 @@ def chain_hom_basis(u: MonoChain, v: MonoChain):
     total = offsets[-1]
     if total == 0:
         return []
+    reals = [[g.realization() for g in basis] for basis in comp_bases]
     rows = []
     for i in range(u.length - 1):
-        # v.maps[i] o f^i - f^{i+1} o u.maps[i] = 0, entrywise on realizations
         n_rows = v.objects[i + 1].dim
         n_cols = u.objects[i].dim
         if n_rows * n_cols == 0:
             continue
-        cols = []
-        for g in comp_bases[i]:
-            m = (v.maps[i] @ g).realization()
-            cols.append(("+", m))
-        for g in comp_bases[i + 1]:
-            m = (g @ u.maps[i]).realization()
-            cols.append(("-", m))
+        after, before = v.maps[i].realization(), u.maps[i].realization()
+        cols = [linalg.mat_mul(F, after, g) for g in reals[i]]
+        cols += [[[F.neg(c) for c in row] for row in linalg.mat_mul(F, g, before)]
+                 for g in reals[i + 1]]
         for r in range(n_rows):
             for c in range(n_cols):
                 row = [F.zero] * total
-                k = offsets[i]
-                for sign, m in cols:
-                    val = m[r][c]
-                    row[k] = val if sign == "+" else F.neg(val)
-                    k += 1
+                row[offsets[i]:offsets[i + 2]] = [m[r][c] for m in cols]
                 rows.append(row)
-    sols = linalg.nullspace(F, rows, cols=total)
     out = []
-    for sol in sols:
+    for sol in linalg.nullspace(F, rows, cols=total):
         parts = []
         for i, basis in enumerate(comp_bases):
-            f = ModuleMap.zero(u.objects[i], v.objects[i])
+            blocks = [[F.zero] * len(u.objects[i].summands)
+                      for _ in v.objects[i].summands]
             for c, g in zip(sol[offsets[i]:offsets[i + 1]], basis):
-                f = f + g.scale(c)
-            parts.append(f)
+                if F.is_zero(c):
+                    continue
+                for brow, grow in zip(blocks, g.blocks):
+                    brow[:] = [F.add(a, F.mul(c, b)) for a, b in zip(brow, grow)]
+            parts.append(ModuleMap(u.objects[i], v.objects[i], blocks,
+                                   check=False))
         out.append(ChainMap(u, v, parts))
     return out
 

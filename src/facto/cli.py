@@ -3,7 +3,7 @@
 Every command reads/writes the JSON formats declared by the library types.
 Output files are written atomically (temp file + rename) so an error never
 leaves a partial file behind.  Exit codes: 0 success, 1 invalid input,
-2 property or census failure.
+2 property or census failure, or a broken module invariant.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .factorizations import (
 )
 from .fields import FieldError, field_from_spec
 from .functors import cok, cok_exactness_check, reconstruct
-from .modules import HypersurfaceConfig
+from .modules import HypersurfaceConfig, RealizationError
 from .polymat import GradedMatrix
 
 
@@ -318,7 +318,9 @@ def _parser() -> argparse.ArgumentParser:
                         help="input JSON file")
         sp.add_argument("--out", default=None, help="output file (atomic)")
         sp.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized searches")
+                        help="accepted; the census is exact and does not "
+                        "depend on it" if name == "census"
+                        else "seed for randomized searches")
         if name == "rotate":
             sp.add_argument("--steps", type=int, default=1)
         if name == "nu":
@@ -356,6 +358,9 @@ def main(argv=None) -> int:
         return 1
     except CheckFailure as e:
         print(f"failure: {e}", file=sys.stderr)
+        return 2
+    except RealizationError as e:
+        print(f"failure: module invariant broken: {e}", file=sys.stderr)
         return 2
 
 

@@ -15,18 +15,21 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
+from math import gcd, isqrt
 
 from . import linalg
 from .fields import Field
+from .poly import Polynomial, poly_gcd
+from .polymat import PolyMatrix
 
 
 class NonSplitEndomorphism(Exception):
-    """An endomorphism that is not scalar plus nilpotent, yet no tested
-    power of it splits X.
+    """An endomorphism with no eigenvalue in k, where the rest of the basis
+    does not decide either.
 
-    Its eigenvalues are not in k, or not among the tried candidates: End(X)
-    may be local with a residue field larger than k, or X may split along
-    an eigenvalue the test did not try.  The locality test does not guess.
+    End(X) may then be local with a residue field larger than k, or X may
+    split along an eigenvalue outside k.  The locality test does not guess.
     """
 
 
@@ -40,33 +43,110 @@ def _fitting_power(field: Field, a):
     return a
 
 
-def _nilpotent_part(field: Field, b):
-    """b - lambda for the eigenvalue lambda of b in k, or None if b splits.
+def _charpoly(field: Field, b) -> Polynomial:
+    """det(t - b), as a determinant over k[t]."""
+    t, zero = Polynomial.x(field), Polynomial.zero(field)
+    rows = [[(t if i == j else zero) - Polynomial(field, [v])
+             for j, v in enumerate(row)] for i, row in enumerate(b)]
+    return PolyMatrix(field, rows).det()
 
-    The candidates are tr(b)/n and 0, or every element of F_p when char k
-    divides n.  Raises NonSplitEndomorphism when no candidate decides.
+
+def _divisors(n: int):
+    """Positive divisors of n != 0, found by trial division up to 10^6:
+    all of them unless |n| > 10^12, and only true ones."""
+    n = abs(n)
+    small = [d for d in range(1, min(isqrt(n), 10**6) + 1) if n % d == 0]
+    return small + [n // d for d in small]
+
+
+def _rational_roots(chi: Polynomial):
+    """The distinct rational roots of chi that the rational root theorem
+    finds (every one, unless a coefficient is too large to factor)."""
+    F = chi.field
+    den = 1
+    for c in chi.coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in chi.coeffs]
+    low = next(k for k, c in enumerate(ints) if c)  # chi = t^low * rest
+    roots = [F.zero] if low else []
+    ints = ints[low:]
+    for q in _divisors(ints[-1]):
+        for r in _divisors(ints[0]):
+            for cand in (Fraction(r, q), Fraction(-r, q)):
+                if cand not in roots and sum(
+                        c * cand**k for k, c in enumerate(ints)) == 0:
+                    roots.append(cand)
+    return roots
+
+
+def _eigenvalue_part(field: Field, chi: Polynomial) -> Polynomial:
+    """The monic product of (t - lambda) over the distinct roots lambda of
+    chi in k: gcd(chi, t^p - t) over F_p, the rational roots over Q."""
+    p = getattr(field, "p", 0)
+    if not p:
+        out = Polynomial.one(field)
+        for lam in _rational_roots(chi):
+            out = out * Polynomial(field, [field.neg(lam), field.one])
+        return out
+    t = Polynomial.x(field)
+    power, base, e = Polynomial.one(field), t % chi, p
+    while e:
+        if e & 1:
+            power = power * base % chi
+        base = base * base % chi
+        e >>= 1
+    rest = power - t
+    return poly_gcd(chi, rest) if not rest.is_zero() else chi.monic()
+
+
+_SPLITS = "splits"
+
+
+def _minus_eigenvalue(field: Field, b, lam):
+    """b - lam if it is nilpotent, _SPLITS if it is singular otherwise (a
+    Fitting split), None if it is invertible (lam is no eigenvalue)."""
+    n = len(b)
+    c = [[field.sub(v, lam) if i == j else v for j, v in enumerate(row)]
+         for i, row in enumerate(b)]
+    top = _fitting_power(field, c)
+    if all(field.is_zero(v) for row in top for v in row):
+        return c
+    if linalg.rank(field, top) < n:
+        return _SPLITS
+    return None
+
+
+def _nilpotent_part(field: Field, b):
+    """b - lambda for the only eigenvalue lambda of b in k; _SPLITS when b
+    splits X; None when b has no eigenvalue in k.
+
+    In a local algebra b - lambda is a unit or lies in the nilpotent
+    radical, so b has at most one eigenvalue in k and b minus it is
+    nilpotent; a second eigenvalue, or a singular b - lambda that is not
+    nilpotent, gives a Fitting split.  The candidates tr(b)/n (unless
+    char k divides n) and 0 are tried first; only when both are units are
+    the eigenvalues taken from the characteristic polynomial.
     """
     n = len(b)
     p = getattr(field, "p", 0)
-    if p and n % p == 0:
-        candidates = [field.from_int(c) for c in range(p)]
-    else:
+    candidates = [field.zero]
+    if not (p and n % p == 0):
         trace = field.zero
         for i in range(n):
             trace = field.add(trace, b[i][i])
-        candidates = [field.div(trace, field.from_int(n)), field.zero]
+        mean = field.div(trace, field.from_int(n))
+        if not field.is_zero(mean):
+            candidates.insert(0, mean)
     for lam in candidates:
-        c = [[field.sub(v, lam) if i == j else v for j, v in enumerate(row)]
-             for i, row in enumerate(b)]
-        top = _fitting_power(field, c)
-        if all(field.is_zero(v) for row in top for v in row):
+        c = _minus_eigenvalue(field, b, lam)
+        if c is not None:
             return c
-        if linalg.rank(field, top) < n:
-            return None
-    raise NonSplitEndomorphism(
-        "an endomorphism is neither scalar plus nilpotent nor split by "
-        "a tested eigenvalue"
-    )
+    roots = _eigenvalue_part(field, _charpoly(field, b))
+    if roots.degree > 1:
+        return _SPLITS
+    if roots.degree == 1:
+        return _minus_eigenvalue(field, b, field.neg(roots.coeffs[0]))
+    return None
 
 
 def _span(field: Field, mats):
@@ -98,21 +178,32 @@ def is_local(field: Field, basis) -> bool:
     the identity is local; a k-basis of End(X) generates End(X).
 
     Exact when it returns: False comes with a Fitting split of some basis
-    element or with nilpotent parts that generate a non-nilpotent algebra;
-    True with an algebra k*1 + J for a nilpotent ideal J.  The zero algebra
-    (no basis, or n = 0) is not local.  Raises NonSplitEndomorphism when a
-    basis element is not scalar plus nilpotent and no tested power of it
-    splits.
+    element (a singular, non-nilpotent b - lambda, or two eigenvalues in
+    k) or with nilpotent parts that generate a non-nilpotent algebra; True
+    with an algebra k*1 + J for a nilpotent ideal J.  The zero algebra (no
+    basis, or n = 0) is not local.  Raises NonSplitEndomorphism only when
+    some basis element has no eigenvalue in k and the rest do not decide.
     """
     if not basis or not basis[0]:
         return False
-    nilpotent = []
+    nilpotent, undecided = [], False
     for b in basis:
         c = _nilpotent_part(field, b)
-        if c is None:
+        if c is _SPLITS:
             return False
-        nilpotent.append(c)
-    return _generates_nilpotent_algebra(field, nilpotent, len(basis[0]))
+        if c is None:
+            undecided = True
+        else:
+            nilpotent.append(c)
+    # in a local algebra every nilpotent element lies in the radical
+    if not _generates_nilpotent_algebra(field, nilpotent, len(basis[0])):
+        return False
+    if undecided:
+        raise NonSplitEndomorphism(
+            "an endomorphism has no eigenvalue in k and the others do not "
+            "decide whether End(X) is local"
+        )
+    return True
 
 
 _PRIMES = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -124,7 +215,16 @@ def search_iso(field: Field, basis, zero, seed: int = 0) -> bool:
     Maps need `+`, `scale` and `is_iso`; `zero` is the zero map of the same
     hom space.  Tries single basis vectors, small deterministic weights,
     then 64 seeded random combinations, then every combination when
-    p^|basis| <= 4096.  False can miss an iso over Q or a larger field.
+    p^|basis| <= 4096.  True is always exact.
+
+    When the target Y of Hom(X, Y) has a local End(Y), False is exact too
+    and the single basis vectors already decide.  Proof: if phi: X -> Y
+    is an isomorphism, every map is g o phi for a g in End(Y), and it is
+    an isomorphism iff g is a unit, i.e. g is not in the radical J.  So
+    the non-isomorphisms form the proper subspace J o phi, which cannot
+    hold a whole k-basis of Hom(X, Y): some basis vector is an
+    isomorphism, for any basis and any seed.  For other targets False can
+    miss an iso over Q or a larger field.
     """
     def combo(weights):
         h = zero

@@ -20,6 +20,13 @@ class NotAnnihilated(Exception):
     """The presented cokernel is not killed by x^d."""
 
 
+class RealizationError(Exception):
+    """A realization breaks a module invariant: a vector that is not
+    homogeneous, an x-operator that is not graded nilpotent of order <= d,
+    or a span that is not x-stable; also a module computation that fails
+    one of its own consistency checks."""
+
+
 def expect_json(data, kind, what: str):
     """data if it is a JSON object (kind=dict) or array (kind=list), else
     a TypeError naming `what`."""
@@ -133,8 +140,10 @@ class RModule:
         if expect_json(data, dict, "module").get("d", cfg.d) != cfg.d:
             raise ValueError("module d does not match config")
         summands = expect_json(data["summands"], list, "module summands")
-        return cls(cfg, [tuple(expect_json(p, list, "summand"))
-                         for p in summands])
+        for p in summands:
+            if any(type(v) is not int for v in expect_json(p, list, "summand")):
+                raise TypeError(f"summand {p!r}: entries must be integers")
+        return cls(cfg, [tuple(p) for p in summands])
 
     @classmethod
     def zero(cls, cfg: HypersurfaceConfig) -> "RModule":
@@ -358,7 +367,8 @@ def homogeneous_components(field, degs, vectors):
         if not support:
             continue
         s = degs[support[0]]
-        assert all(degs[k] == s for k in support), "vector is not homogeneous"
+        if any(degs[k] != s for k in support):
+            raise RealizationError("vector is not homogeneous")
         comps.setdefault(s, linalg.Echelon(field)).add(v)
     return {s: [r[:] for r in e.rows] for s, e in comps.items()}
 
@@ -377,7 +387,8 @@ def decompose(field, d, degs, xmat):
     powers = [linalg.identity(field, n)]
     while not all(field.is_zero(c) for row in powers[-1] for c in row):
         powers.append(linalg.mat_mul(field, xmat, powers[-1]))
-        assert len(powers) <= d + 1, "operator is not nilpotent of order <= d"
+        if len(powers) > d + 1:
+            raise RealizationError("operator is not nilpotent of order <= d")
     nil = len(powers) - 1  # x^nil == 0
 
     deg_cols = _by_degree(degs)
@@ -415,7 +426,9 @@ def decompose(field, d, degs, xmat):
     for v, length, _ in chains:
         for i in range(length):
             basis.append(linalg.mat_vec(field, powers[i], v))
-    assert sum(e for e, _ in summands) == n, "Jordan chains do not fill the space"
+    if sum(e for e, _ in summands) != n:
+        raise RealizationError("Jordan chains do not fill the space "
+                               "(the operator does not raise degrees by 1)")
     return summands, basis
 
 
@@ -432,7 +445,8 @@ def realization_to_module(cfg: HypersurfaceConfig, degs, xmat):
     to_real = [[basis[c][r] for c in range(n)] for r in range(len(degs))]
     if n:
         from_real = linalg.invert(F, to_real)
-        assert from_real is not None
+        if from_real is None:
+            raise RealizationError("Jordan chains are linearly dependent")
     else:
         from_real = []
     return mod, to_real, from_real
@@ -453,7 +467,8 @@ def subspace_realization(field, degs, xmat, vectors):
     for c, v in enumerate(basis):
         xv = linalg.mat_vec(field, xmat, v)
         coords = linalg.solve(field, incl, xv)
-        assert coords is not None, "span is not x-stable"
+        if coords is None:
+            raise RealizationError("span is not x-stable")
         for r in range(k):
             sx[r][c] = coords[r]
     return sdegs, sx, incl
@@ -491,7 +506,8 @@ def quotient_realization(field, degs, xmat, sub_vectors):
         mat = [[full[c][r] for c in range(len(full))] for r in range(n)]
         for c in cols:
             coords = linalg.solve(field, mat, linalg.unit_vector(field, n, c))
-            assert coords is not None
+            if coords is None:
+                raise RealizationError("quotient complement does not span")
             for j, cc in enumerate(local_comp):
                 proj[comp_cols.index(cc)][c] = coords[len(sub_basis) + j]
     q_x = linalg.mat_mul(field, proj, linalg.mat_mul(field, xmat, section))
@@ -552,7 +568,8 @@ def map_ker_cok_im(f: ModuleMap):
     proj_real = linalg.mat_mul(F, c_from_real, proj_mat)
     proj = ModuleMap.from_realization(f.tgt, cmod, proj_real)
 
-    assert kmod.dim + imod.dim == f.src.dim, "rank-nullity violated"
+    if kmod.dim + imod.dim != f.src.dim:
+        raise RealizationError("rank-nullity violated")
     return (kmod, incl), (cmod, proj), imod
 
 

@@ -11,7 +11,12 @@ from facto.census import (
     hom_dim_compare,
     stable_graded_subspaces,
 )
-from facto.factorizations import nu
+from facto.chains import chain_is_indecomposable, chain_projective_test
+from facto.factorizations import (
+    fac_is_indecomposable,
+    fac_projective_test,
+    nu,
+)
 from facto.fields import GF, QQ
 from facto.modules import HypersurfaceConfig, RModule
 from facto.randgen import random_factorization, rank1_factorization
@@ -111,3 +116,31 @@ def test_hom_dim_compare_random():
             y = random_factorization(c, l, rng, m_max=2)
             lhs, rhs, ok = hom_dim_compare(x, y)
             assert ok, (lhs, rhs)
+
+
+def _classes_by_dedup_first(c, l, bounds):
+    """The class lists as deduplicating every flag object first gives them."""
+    facs = [x for x in enumerate_factorizations(c, l, bounds.m, bounds.window)
+            if fac_is_indecomposable(x) and not fac_projective_test(x)]
+    chains = [u for u in enumerate_chains(c, l, bounds.dim, bounds.window)
+              if chain_is_indecomposable(u) and not chain_projective_test(u)]
+    return [x.to_json() for x in facs], [u.to_json() for u in chains]
+
+
+@pytest.mark.parametrize("d, field", [(2, GF(5)), (2, GF(2)), (3, GF(2))],
+                         ids=repr)
+def test_census_classes_equal_dedup_first_oracle(d, field):
+    """Filtering flag objects by End(X) before dedup keeps the same
+    classes, in the same order, as filtering the deduplicated lists."""
+    c = cfg(d, field)
+    bounds = Bounds(m=2, dim=3, window=2)
+    rep = class_census(c, 2, bounds)
+    assert _classes_by_dedup_first(c, 2, bounds) == (
+        rep.to_json()["fac_classes"], rep.to_json()["chain_classes"])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_census_does_not_depend_on_the_seed(d):
+    c, bounds = cfg(d), Bounds(m=2, dim=3, window=2)
+    assert (class_census(c, 2, bounds, seed=0).to_json()
+            == class_census(c, 2, bounds, seed=7).to_json())

@@ -10,7 +10,7 @@ from facto.cli import _parser, main
 from facto.factorizations import Factorization
 from facto.fields import GF
 from facto.functors import cok
-from facto.modules import HypersurfaceConfig
+from facto.modules import HypersurfaceConfig, RealizationError
 from facto.randgen import random_chain, random_factorization, rank1_factorization
 
 
@@ -290,3 +290,29 @@ def test_fuzz_damaged_input_never_crashes(tmp_path_factory, command, data,
     assert code in (0, 1, 2)
     if code:
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("summand", [[1.7, True], [1, "0"]])
+def test_reconstruct_non_integer_summand(summand, tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"objects": [{"summands": [summand]}],
+                                "maps": []}))
+    assert main(["reconstruct", "--field", "fp:5", "--d", "2",
+                 "--in", str(path)]) == 1
+    assert _one_line_error(capsys)
+
+
+def test_census_broken_module_invariant_exits_2(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RealizationError("span is not x-stable")
+
+    monkeypatch.setattr("facto.cli.class_census", broken)
+    assert main(["census", "--field", "fp:5", "--d", "2", "--l", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failure: ") and err.count("\n") == 1
+
+
+def test_census_seed_help_says_it_does_not_matter(capsys):
+    with pytest.raises(SystemExit):
+        main(["census", "--help"])
+    assert "does not depend on it" in " ".join(capsys.readouterr().out.split())

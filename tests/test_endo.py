@@ -5,6 +5,8 @@ import pytest
 
 from facto.census import (
     Bounds,
+    _flag_chains,
+    _flag_factorizations,
     class_census,
     enumerate_chains,
     enumerate_factorizations,
@@ -154,3 +156,53 @@ def test_census_agrees_across_fields(d, fields):
     ref = _summary(class_census(HypersurfaceConfig(d, GF(5)), 2, bounds))
     for field in fields:
         assert _summary(class_census(HypersurfaceConfig(d, field), 2, bounds)) == ref
+
+
+# eigenvalues from the characteristic polynomial --------------------------------
+
+
+def test_two_rational_eigenvalues_split():
+    # tr/n = 3/2 and 0 are no eigenvalues of diag(1, 2); 1 and 2 are
+    assert not is_local(QQ, [identity(QQ, 2), mat(QQ, [[1, 0], [0, 2]])])
+
+
+def test_two_eigenvalues_in_a_large_prime_field_split():
+    F = GF(1000003)
+    assert not is_local(F, [mat(F, [[2, 0], [0, 3]])])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_one_eigenvalue_off_the_fast_candidates(field):
+    # diag(1, 1, 4): tr/n = 2 and 0 are units, so lambda comes from chi
+    block = mat(field, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    assert is_local(field, [identity(field, 3), block])
+    split = mat(field, [[1, 1, 0], [0, 1, 0], [0, 0, 4]])
+    assert not is_local(field, [identity(field, 3), split])
+
+
+def test_two_eigenvalues_when_char_divides_n():
+    # over F_3 at n = 3 only 0 is tried before chi = (t - 1)^2 (t - 2)
+    F = GF(3)
+    assert not is_local(F, [identity(F, 3), mat(F, [[1, 0, 0], [0, 1, 0],
+                                                    [0, 0, 2]])])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+def test_undecided_element_does_not_hide_a_split(field):
+    # the rotation has no eigenvalue in k, but E12 and E21 are nilpotent
+    # parts that generate M_2(k), which is not local
+    rot = mat(field, [[0, -1], [1, 0]])
+    assert not is_local(field, [rot, unit(field, 2, 0, 1), unit(field, 2, 1, 0)])
+
+
+def test_every_raw_criterion_2_flag_object_decides():
+    """Raw flag objects include decomposable ones whose endomorphisms have
+    eigenvalues other than tr/n and 0; every one gets an answer."""
+    c = HypersurfaceConfig(2, GF(5))
+    facs = list(_flag_factorizations(c, 2, 2, 2))
+    chains = list(_flag_chains(c, 2, 3, 2))
+    assert len(facs) > 100 and len(chains) > 100
+    assert any(fac_is_indecomposable(x) for x in facs)
+    assert not all(fac_is_indecomposable(x) for x in facs)
+    assert any(chain_is_indecomposable(u) for u in chains)
+    assert not all(chain_is_indecomposable(u) for u in chains)

@@ -8,10 +8,12 @@ from facto.modules import (
     HypersurfaceConfig,
     ModuleMap,
     NotAnnihilated,
+    RealizationError,
     RModule,
     bar_p_epic,
     decompose,
     hom_basis,
+    homogeneous_components,
     is_mono_epi,
     lift_along_epi,
     map_ker_cok_im,
@@ -19,7 +21,9 @@ from facto.modules import (
     module_iso,
     presentation_cokernel,
     projective_cover,
+    realization_to_module,
     stable_hom_dim,
+    subspace_realization,
 )
 from facto.poly import Polynomial
 from facto.polymat import GradedMatrix, PolyMatrix
@@ -320,3 +324,54 @@ def test_presentation_cokernel_projection():
     rhs = mat_mul(F, m.x_matrix(), proj)
     assert lhs == rhs
     assert rank(F, proj) == m.dim
+
+
+@pytest.mark.parametrize("summand", [[1.7, True], [1, True], [True, 0],
+                                     [2.0, 0], ["1", 0], [1, None]])
+def test_from_json_rejects_non_integer_summands(summand):
+    c = cfg(2, GF(5))
+    with pytest.raises(TypeError):
+        RModule.from_json(c, {"summands": [[1, 0], summand]})
+
+
+# broken realizations raise RealizationError, which is no ValueError -----------
+
+
+def test_non_homogeneous_vector_is_rejected():
+    F = GF(5)
+    with pytest.raises(RealizationError, match="homogeneous"):
+        homogeneous_components(F, [0, 1], [[1, 1]])
+
+
+def test_operator_not_nilpotent_of_order_d_is_rejected():
+    F = GF(5)
+    with pytest.raises(RealizationError, match="nilpotent"):
+        decompose(F, 2, [0, 0], [[1, 0], [0, 1]])
+    # nilpotent of order 3 > d = 2
+    x = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    with pytest.raises(RealizationError, match="nilpotent"):
+        realization_to_module(cfg(2, F), [0, 1, 2], x)
+
+
+def test_operator_that_keeps_degrees_is_rejected():
+    # x e0 = e1 with both in degree 0: nilpotent, but not graded
+    with pytest.raises(RealizationError, match="fill"):
+        decompose(GF(5), 2, [0, 0], [[0, 0], [1, 0]])
+
+
+def test_span_that_is_not_x_stable_is_rejected():
+    F = GF(5)
+    m = RModule(cfg(2, F), [(2, 0)])
+    with pytest.raises(RealizationError, match="x-stable"):
+        subspace_realization(F, m.basis_degrees(), m.x_matrix(), [[1, 0]])
+
+
+def test_unchecked_non_linear_map_is_rejected_by_ker_cok():
+    # gen -> gen from R/x into R/x^2 is not R-linear: its image is not
+    # x-stable
+    c = cfg(2, GF(5))
+    g = ModuleMap(RModule(c, [(1, 0)]), RModule(c, [(2, 0)]), [[1]],
+                  check=False)
+    with pytest.raises(RealizationError, match="x-stable"):
+        map_ker_cok_im(g)
+    assert not issubclass(RealizationError, ValueError)
