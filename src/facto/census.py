@@ -32,10 +32,9 @@ from .chains import (
     chain_projective_test,
     chain_stable_hom_dim,
 )
+from .endo import stable_dim
 from .factorizations import (
     Factorization,
-    _facmap_to_vector,
-    _hom_slots,
     adjunction_transport,
     fac_hom_basis,
     fac_is_indecomposable,
@@ -234,6 +233,13 @@ def _dedup(objs, fingerprint, iso):
         reps.append(obj)
         kept.append(obj)
     return kept
+
+
+def _classes(objs, is_indecomposable, fingerprint, iso, is_projective):
+    """The indecomposable nonprojective classes among `objs`, each as its
+    first member: filter by End(X), deduplicate, then drop projectives."""
+    kept = _dedup(filter(is_indecomposable, objs), fingerprint, iso)
+    return [x for x in kept if not is_projective(x)]
 
 
 def _flag_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
@@ -447,14 +453,12 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
     mismatch raises MatchFailure.  Raises NonSplitEndomorphism when an
     object's indecomposability is undecided over k (see `endo.is_local`).
     """
-    facs = _dedup(filter(fac_is_indecomposable,
-                         _flag_factorizations(cfg, l, bounds.m, bounds.window)),
-                  _fac_fingerprint, fac_iso_test)
-    facs = [x for x in facs if not fac_projective_test(x)]
-    chains = _dedup(filter(chain_is_indecomposable,
-                           _flag_chains(cfg, l, bounds.dim, bounds.window)),
-                    _chain_fingerprint, chain_iso_test)
-    chains = [u for u in chains if not chain_projective_test(u)]
+    facs = _classes(_flag_factorizations(cfg, l, bounds.m, bounds.window),
+                    fac_is_indecomposable, _fac_fingerprint, fac_iso_test,
+                    fac_projective_test)
+    chains = _classes(_flag_chains(cfg, l, bounds.dim, bounds.window),
+                      chain_is_indecomposable, _chain_fingerprint,
+                      chain_iso_test, chain_projective_test)
 
     coks = [cok(x) for x in facs]
     canon = [u.shift(-u.min_degree()) for u in coks]
@@ -519,17 +523,13 @@ def hom_dim_compare(x: Factorization, y: Factorization):
     through the counit nu^l(Y^0) -> Y.
     """
     F = x.cfg.field
-    homs = fac_hom_basis(x, y)
-    slots = _hom_slots(x, y)
-    full = linalg.Echelon(F)
-    for h in homs:
-        full.add(_facmap_to_vector(h, slots))
-    j = adjunction_transport(
-        "nu_l_left", y, GradedMatrix.identity(F, y.degs(0)), forward=False
-    )
-    through = linalg.Echelon(F)
-    for g in fac_hom_basis(x, j.src):
-        through.add(_facmap_to_vector(j @ g, slots))
-    lhs = full.dim - through.dim
+
+    def counit(y):
+        j = adjunction_transport(
+            "nu_l_left", y, GradedMatrix.identity(F, y.degs(0)), forward=False
+        )
+        return j.src, j
+
+    lhs = stable_dim(F, fac_hom_basis, counit, x, y)
     rhs = len(chain_hom_basis(cok(x), cok(y)))
     return lhs, rhs, lhs == rhs

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .endo import is_local, search_iso
+from .endo import is_local, search_iso, stable_dim
 from .modules import (
     HypersurfaceConfig,
     ModuleMap,
@@ -57,9 +57,6 @@ class MonoChain:
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.objects)
-
-    def total_dim(self) -> int:
-        return sum(m.dim for m in self.objects)
 
     def shift(self, t: int) -> "MonoChain":
         objs = [m.shift(t) for m in self.objects]
@@ -186,39 +183,18 @@ class ChainMap:
     def identity(cls, u: MonoChain) -> "ChainMap":
         return cls(u, u, [ModuleMap.identity(m) for m in u.objects], check=False)
 
-    @classmethod
-    def zero(cls, src: MonoChain, tgt: MonoChain) -> "ChainMap":
-        parts = [ModuleMap.zero(a, b) for a, b in zip(src.objects, tgt.objects)]
-        return cls(src, tgt, parts, check=False)
-
     def __matmul__(self, other: "ChainMap") -> "ChainMap":
         return ChainMap(
             other.src, self.tgt,
             [f @ g for f, g in zip(self.parts, other.parts)], check=False,
         )
 
-    def __add__(self, other: "ChainMap") -> "ChainMap":
-        return ChainMap(
-            self.src, self.tgt,
-            [f + g for f, g in zip(self.parts, other.parts)], check=False,
-        )
-
-    def scale(self, c) -> "ChainMap":
-        return ChainMap(
-            self.src, self.tgt, [f.scale(c) for f in self.parts], check=False
-        )
-
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.parts)
 
-    def is_iso(self) -> bool:
-        F = self.src.cfg.field
-        for f in self.parts:
-            if f.src.dim != f.tgt.dim:
-                return False
-            if f.src.dim and linalg.invert(F, f.realization()) is None:
-                return False
-        return True
+    def scalars(self):
+        """The components as k-matrices: one realization per part."""
+        return [f.realization() for f in self.parts]
 
     def __eq__(self, other):
         return (
@@ -244,6 +220,8 @@ def chain_hom_basis(u: MonoChain, v: MonoChain):
     """
     if u.cfg != v.cfg:
         raise ValueError("config mismatch")
+    if u.length != v.length:
+        raise ValueError("chain lengths differ")
     F = u.cfg.field
     comp_bases = [hom_basis(a, b) for a, b in zip(u.objects, v.objects)]
     offsets = [0]
@@ -272,15 +250,11 @@ def chain_hom_basis(u: MonoChain, v: MonoChain):
     for sol in linalg.nullspace(F, rows, cols=total):
         parts = []
         for i, basis in enumerate(comp_bases):
-            blocks = [[F.zero] * len(u.objects[i].summands)
-                      for _ in v.objects[i].summands]
-            for c, g in zip(sol[offsets[i]:offsets[i + 1]], basis):
-                if F.is_zero(c):
-                    continue
-                for brow, grow in zip(blocks, g.blocks):
-                    brow[:] = [F.add(a, F.mul(c, b)) for a, b in zip(brow, grow)]
-            parts.append(ModuleMap(u.objects[i], v.objects[i], blocks,
-                                   check=False))
+            a, b = u.objects[i], v.objects[i]
+            blocks = linalg.combination(F, sol[offsets[i]:offsets[i + 1]],
+                                        [g.blocks for g in basis],
+                                        len(b.summands), len(a.summands))
+            parts.append(ModuleMap(a, b, blocks, check=False))
         out.append(ChainMap(u, v, parts))
     return out
 
@@ -346,16 +320,8 @@ def chain_projective_cover(u: MonoChain):
 
 def chain_stable_hom_dim(u: MonoChain, v: MonoChain) -> int:
     """dim Hom(u, v) modulo maps factoring through a projective chain."""
-    F = u.cfg.field
-    homs = chain_hom_basis(u, v)
-    if not homs:
-        return 0
-    p_chain, p = chain_projective_cover(v)
-    ech = linalg.Echelon(F)
-    for g in chain_hom_basis(u, p_chain):
-        h = p @ g
-        ech.add([c for f in h.parts for row in f.realization() for c in row])
-    return len(homs) - ech.dim
+    return stable_dim(u.cfg.field, chain_hom_basis, chain_projective_cover,
+                      u, v)
 
 
 # isomorphism and indecomposability --------------------------------------------
@@ -365,8 +331,7 @@ def chain_iso_test(u: MonoChain, v: MonoChain, seed: int = 0) -> bool:
     """True iff u and v are isomorphic as chains.
 
     Necessary check: componentwise normal forms agree.  Then searches the
-    chain hom space for an invertible element: single basis vectors, small
-    deterministic weights, then seeded random combinations.
+    chain hom space for an invertible element (see endo.search_iso).
     """
     if u.cfg != v.cfg:
         raise ValueError("config mismatch")
@@ -377,10 +342,8 @@ def chain_iso_test(u: MonoChain, v: MonoChain, seed: int = 0) -> bool:
             return False
     if u.is_zero():
         return True
-    basis = chain_hom_basis(u, v)
-    if not basis:
-        return False
-    return search_iso(u.cfg.field, basis, ChainMap.zero(u, v), seed)
+    return search_iso(u.cfg.field, [f.scalars() for f in chain_hom_basis(u, v)],
+                      seed)
 
 
 def chain_is_indecomposable(u: MonoChain) -> bool:
@@ -388,6 +351,5 @@ def chain_is_indecomposable(u: MonoChain) -> bool:
     if u.is_zero():
         return False
     F = u.cfg.field
-    basis = [linalg.block_diagonal(F, [g.realization() for g in f.parts])
-             for f in chain_hom_basis(u, u)]
-    return is_local(F, basis)
+    return is_local(F, [linalg.block_diagonal(F, f.scalars())
+                        for f in chain_hom_basis(u, u)])

@@ -3,7 +3,7 @@
 Every command reads/writes the JSON formats declared by the library types.
 Output files are written atomically (temp file + rename) so an error never
 leaves a partial file behind.  Exit codes: 0 success, 1 invalid input,
-2 property or census failure, or a broken module invariant.
+2 property or census failure, or a broken library invariant.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .chains import MonoChain, chain_iso_test, chain_stable_hom_dim
 from .endo import NonSplitEndomorphism
 from .factorizations import (
     Factorization,
+    FactorizationError,
     Invalid,
     fac_stable_hom_dim,
     fac_validate,
@@ -33,7 +34,7 @@ from .factorizations import (
 from .fields import FieldError, field_from_spec
 from .functors import cok, cok_exactness_check, reconstruct
 from .modules import HypersurfaceConfig, RealizationError
-from .polymat import GradedMatrix
+from .polymat import GradedMatrix, InexactDivision
 
 
 class InputError(Exception):
@@ -192,10 +193,11 @@ def _cmd_stable_hom(args):
     kind = MonoChain if isinstance(xd, dict) and "objects" in xd else Factorization
     x = _parse(kind, cfg, xd, f'{args.infile} "x"')
     y = _parse(kind, cfg, yd, f'{args.infile} "y"')
-    if kind is MonoChain:
-        dim = chain_stable_hom_dim(x, y)
-    else:
-        dim = fac_stable_hom_dim(x, y)
+    stable = chain_stable_hom_dim if kind is MonoChain else fac_stable_hom_dim
+    try:
+        dim = stable(x, y)
+    except ValueError as e:  # "x" and "y" of different lengths or l
+        raise InputError(f"{args.infile}: {e}")
     _emit(_dumps({"stable_hom_dim": dim}), args.out)
     return 0
 
@@ -359,8 +361,8 @@ def main(argv=None) -> int:
     except CheckFailure as e:
         print(f"failure: {e}", file=sys.stderr)
         return 2
-    except RealizationError as e:
-        print(f"failure: module invariant broken: {e}", file=sys.stderr)
+    except (RealizationError, FactorizationError, InexactDivision) as e:
+        print(f"failure: invariant broken: {e}", file=sys.stderr)
         return 2
 
 

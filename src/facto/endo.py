@@ -1,14 +1,17 @@
-"""Endomorphism algebras as algebras of scalar matrices.
+"""Endomorphism algebras, isomorphisms and stable homs on scalar matrices.
 
-Both categories hand their maps over as scalar matrices: a k-basis of
-End(X) becomes a list of n x n matrices through a faithful realization
-(the block diagonal of a map's components), so composition is the matrix
-product and an endomorphism is invertible iff its matrix is.  Nothing here
-knows which category the matrices came from.
+Modules, chains and factorizations hand their maps over through
+`scalars()`, the list of a map's components as k-matrices: a k-basis of
+End(X) becomes n x n matrices through the block diagonal of the
+components, and composition is the componentwise product.  Nothing here
+knows which category a map came from; each category supplies its hom
+bases, its projective cover and the pre-checks of an iso search.
 
 By Fitting's lemma an endomorphism of a finite-dimensional object is
 nilpotent, invertible, or splits X as Im(phi^n) + Ker(phi^n) with both
 parts nonzero; so X is indecomposable iff End(X) is local (Krull-Schmidt).
+In all three categories the stable hom space is Hom(X, Y) modulo
+p o Hom(X, P) for a projective cover p: P ->> Y (`stable_dim`).
 """
 
 from __future__ import annotations
@@ -209,13 +212,21 @@ def is_local(field: Field, basis) -> bool:
 _PRIMES = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
-def search_iso(field: Field, basis, zero, seed: int = 0) -> bool:
+def _is_iso(field: Field, mats) -> bool:
+    return all(linalg.rank(field, m) == len(m) for m in mats)
+
+
+def search_iso(field: Field, basis, seed: int = 0) -> bool:
     """True if some k-combination of the hom `basis` is an isomorphism.
 
-    Maps need `+`, `scale` and `is_iso`; `zero` is the zero map of the same
-    hom space.  Tries single basis vectors, small deterministic weights,
-    then 64 seeded random combinations, then every combination when
-    p^|basis| <= 4096.  True is always exact.
+    Each map is given by its `scalars()`, a list of components.  The
+    callers' pre-checks make every component square with matching
+    degrees (equal degree multisets per position for factorizations,
+    equal module normal forms for chains), so a map is an isomorphism
+    iff every component has full rank.  Tries single basis vectors, small
+    deterministic weights, then 64 seeded random combinations, then every
+    combination when p^|basis| <= 4096.  True is always exact; an empty
+    basis gives False.
 
     When the target Y of Hom(X, Y) has a local End(Y), False is exact too
     and the single basis vectors already decide.  Proof: if phi: X -> Y
@@ -226,26 +237,46 @@ def search_iso(field: Field, basis, zero, seed: int = 0) -> bool:
     isomorphism, for any basis and any seed.  For other targets False can
     miss an iso over Q or a larger field.
     """
-    def combo(weights):
-        h = zero
-        for w, g in zip(weights, basis):
-            if w:
-                h = h + g.scale(field.from_int(w))
-        return h
+    if not basis:
+        return False
 
-    if any(g.is_iso() for g in basis):
+    def combo(weights):
+        cs = [field.from_int(w) for w in weights]
+        return [linalg.combination(field, cs, [g[j] for g in basis], len(m), len(m))
+                for j, m in enumerate(basis[0])]
+
+    if any(_is_iso(field, g) for g in basis):
         return True
     # deterministic small-prime weights (exact over Q, usually enough mod p)
     weights = _PRIMES[:len(basis)] + [1] * max(0, len(basis) - len(_PRIMES))
-    if combo(weights).is_iso():
+    if _is_iso(field, combo(weights)):
         return True
     rng = random.Random(seed)
     p = getattr(field, "p", 0)
     hi = p if p else 1009
     for _ in range(64):
-        if combo([rng.randrange(hi) for _ in basis]).is_iso():
+        if _is_iso(field, combo([rng.randrange(hi) for _ in basis])):
             return True
     if p and p ** len(basis) <= 4096:
-        return any(combo(ws).is_iso()
+        return any(_is_iso(field, combo(ws))
                    for ws in itertools.product(range(p), repeat=len(basis)))
     return False
+
+
+def stable_dim(field: Field, hom_basis, cover, x, y) -> int:
+    """dim Hom(x, y) modulo the maps that factor through cover(y).
+
+    hom_basis(a, b) is a k-basis of Hom(a, b); cover(y) is (P, p) with
+    p: P -> y through which every map from a projective to y factors (a
+    projective cover, or a counit for a smaller ideal).  Returns
+    |Hom(x, y)| - dim span{p o g : g in Hom(x, P)}, the span taken over
+    the flattened `scalars()` of the composites.
+    """
+    homs = hom_basis(x, y)
+    if not homs:
+        return 0
+    proj, p = cover(y)
+    through = linalg.Echelon(field)
+    for g in hom_basis(x, proj):
+        through.add([c for m in (p @ g).scalars() for row in m for c in row])
+    return len(homs) - through.dim

@@ -14,10 +14,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import linalg
-from .endo import is_local, search_iso
+from .endo import is_local, search_iso, stable_dim
 from .fields import Field
 from .modules import HypersurfaceConfig
 from .polymat import GradedMatrix, graded_solve
+
+
+class FactorizationError(Exception):
+    """A construction that should give a valid factorization or map did not."""
 
 
 @dataclass(frozen=True)
@@ -163,6 +167,15 @@ def fac_validate(maps, cfg: HypersurfaceConfig, twist: int = 0):
     return Factorization(cfg, maps, closing, twist)
 
 
+def fac_build(maps, cfg: HypersurfaceConfig, what: str) -> Factorization:
+    """fac_validate(maps, cfg) for maps that a construction guarantees to
+    be valid; FactorizationError naming `what` if they are not."""
+    out = fac_validate(maps, cfg)
+    if not isinstance(out, Factorization):
+        raise FactorizationError(f"{what} is invalid: {out.reason}")
+    return out
+
+
 @dataclass(frozen=True)
 class ZigzagViolation:
     k: int
@@ -202,9 +215,7 @@ def nu(cfg: HypersurfaceConfig, l: int, k: int, degs) -> Factorization:
             cur = [s - cfg.d for s in cur]
         else:
             maps.append(GradedMatrix.identity(F, cur))
-    out = fac_validate(maps, cfg)
-    assert isinstance(out, Factorization)
-    return out
+    return fac_build(maps, cfg, "nu")
 
 
 def rotate(x: Factorization, inverse: bool = False) -> Factorization:
@@ -258,10 +269,12 @@ class FacMap:
                 rhs = self.components[j + 1] @ src.maps[j]
                 if lhs != rhs:
                     raise ValueError(f"square {j} does not commute")
-            # the closing square holds automatically; assert it
+            # the closing square follows from the others; check it anyway
             lhs = self.components[0].shift(-src.cfg.d) @ src.closing
             rhs = tgt.closing @ self.components[src.l]
-            assert lhs == rhs, "closing square broken despite commuting squares"
+            if lhs != rhs:
+                raise FactorizationError(
+                    "closing square broken despite commuting squares")
 
     @classmethod
     def identity(cls, x: Factorization) -> "FacMap":
@@ -302,6 +315,10 @@ class FacMap:
 
     def is_iso(self) -> bool:
         return all(f.is_iso() for f in self.components)
+
+    def scalars(self):
+        """The components as k-matrices: the scalars of each f^j."""
+        return [f.coeffs for f in self.components]
 
     def __eq__(self, other):
         return (
@@ -447,6 +464,29 @@ class NuResolution(NamedTuple):
     complement_map: FacMap    # inclusion into / projection from middle
 
 
+def fac_projective_cover(x: Factorization):
+    """(P, p): P = nu^l(X^0) + sum_k nu^{k-1}(tau^{-1} X^k) and the epi
+    p: P ->> X whose summands are the counits of the nu-adjunctions."""
+    F = x.cfg.field
+    pieces = [
+        adjunction_transport(
+            "nu_l_left", x, GradedMatrix.identity(F, x.degs(0)), forward=False
+        )
+    ] + [
+        adjunction_transport(
+            "nu_k_left", x, GradedMatrix.identity(F, x.degs(k)), k=k,
+            forward=False,
+        )
+        for k in range(1, x.l + 1)
+    ]
+    middle = functools.reduce(Factorization.direct_sum, [q.src for q in pieces])
+    comps = [
+        functools.reduce(GradedMatrix.hstack, [q.components[j] for q in pieces])
+        for j in range(x.l + 1)
+    ]
+    return middle, FacMap(middle, x, comps)
+
+
 def nu_resolution(x: Factorization, side: str = "epic") -> NuResolution:
     """Lemma-style termwise split resolution by trivial factorizations.
 
@@ -454,31 +494,9 @@ def nu_resolution(x: Factorization, side: str = "epic") -> NuResolution:
     side="monic": X >-> sum_k nu^k(X^k), plus cokernel.
     """
     F = x.cfg.field
-    d = x.cfg.d
     l = x.l
     if side == "epic":
-        summands = [nu(x.cfg, l, l, x.degs(0))] + [
-            nu(x.cfg, l, k - 1, [s + d for s in x.degs(k)]) for k in range(1, l + 1)
-        ]
-        pieces = [
-            adjunction_transport(
-                "nu_l_left", x, GradedMatrix.identity(F, x.degs(0)), forward=False
-            )
-        ] + [
-            adjunction_transport(
-                "nu_k_left", x, GradedMatrix.identity(F, x.degs(k)), k=k,
-                forward=False,
-            )
-            for k in range(1, l + 1)
-        ]
-        middle = summands[0]
-        for s in summands[1:]:
-            middle = middle.direct_sum(s)
-        comps = [
-            functools.reduce(GradedMatrix.hstack, [p.components[j] for p in pieces])
-            for j in range(l + 1)
-        ]
-        p = FacMap(middle, x, comps)
+        middle, p = fac_projective_cover(x)
         # kernel: at slot j the epi restricted to summand j is the identity,
         # so i_j := (inclusion of the other slots) - (slot j) o p^j
         ker_maps = []
@@ -489,13 +507,11 @@ def nu_resolution(x: Factorization, side: str = "epic") -> NuResolution:
             # solve phi^j o i_j = i_{j+1} o psi^j for psi^j
             rhs = middle.maps[j] @ incl_comps[j]
             ker_maps.append(graded_solve(incl_comps[j + 1], rhs))
-        ker = fac_validate(ker_maps, x.cfg)
-        assert isinstance(ker, Factorization), f"kernel invalid: {ker}"
+        ker = fac_build(ker_maps, x.cfg, "kernel")
         incl = FacMap(ker, middle, incl_comps)
         return NuResolution(middle, p, ker, incl)
 
     if side == "monic":
-        summands = [nu(x.cfg, l, k, x.degs(k)) for k in range(l + 1)]
         pieces = [
             adjunction_transport(
                 "nu_k_right", x, GradedMatrix.identity(F, x.degs(k)), k=k,
@@ -503,11 +519,10 @@ def nu_resolution(x: Factorization, side: str = "epic") -> NuResolution:
             )
             for k in range(l + 1)
         ]
-        middle = summands[0]
-        for s in summands[1:]:
-            middle = middle.direct_sum(s)
+        middle = functools.reduce(Factorization.direct_sum,
+                                  [q.tgt for q in pieces])
         comps = [
-            functools.reduce(GradedMatrix.vstack, [p.components[j] for p in pieces])
+            functools.reduce(GradedMatrix.vstack, [q.components[j] for q in pieces])
             for j in range(l + 1)
         ]
         mono = FacMap(x, middle, comps)
@@ -519,8 +534,7 @@ def nu_resolution(x: Factorization, side: str = "epic") -> NuResolution:
             sec = _complement_section(F, middle, x, j)
             chi = (rhs @ sec)
             cok_maps.append(chi)
-        cok = fac_validate(cok_maps, x.cfg)
-        assert isinstance(cok, Factorization), f"cokernel invalid: {cok}"
+        cok = fac_build(cok_maps, x.cfg, "cokernel")
         proj = FacMap(middle, cok, proj_comps)
         return NuResolution(middle, mono, cok, proj)
 
@@ -603,20 +617,7 @@ def _slot_section(field, middle, x, j):
 
 def fac_stable_hom_dim(x: Factorization, y: Factorization) -> int:
     """dim Hom(x, y) modulo maps factoring through projectives."""
-    F = x.cfg.field
-    homs = fac_hom_basis(x, y)
-    if not homs:
-        return 0
-    res = nu_resolution(y, side="epic")
-    slots = _hom_slots(x, y)
-    ech = linalg.Echelon(F)
-    for g in fac_hom_basis(x, res.middle):
-        ech.add(_facmap_to_vector(res.map @ g, slots))
-    dim_through = ech.dim
-    full = linalg.Echelon(F)
-    for h in homs:
-        full.add(_facmap_to_vector(h, slots))
-    return full.dim - dim_through
+    return stable_dim(x.cfg.field, fac_hom_basis, fac_projective_cover, x, y)
 
 
 def fac_projective_test(x: Factorization) -> bool:
@@ -638,10 +639,8 @@ def fac_iso_test(x: Factorization, y: Factorization, seed: int = 0) -> bool:
             return False
     if x.is_zero():
         return True
-    basis = fac_hom_basis(x, y)
-    if not basis:
-        return False
-    return search_iso(x.cfg.field, basis, FacMap.zero(x, y), seed)
+    return search_iso(x.cfg.field, [f.scalars() for f in fac_hom_basis(x, y)],
+                      seed)
 
 
 def fac_is_indecomposable(x: Factorization) -> bool:
@@ -649,6 +648,5 @@ def fac_is_indecomposable(x: Factorization) -> bool:
     if x.is_zero():
         return False
     F = x.cfg.field
-    basis = [linalg.block_diagonal(F, [c.coeffs for c in f.components])
-             for f in fac_hom_basis(x, x)]
-    return is_local(F, basis)
+    return is_local(F, [linalg.block_diagonal(F, f.scalars())
+                        for f in fac_hom_basis(x, x)])

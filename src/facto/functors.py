@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 from . import linalg
 from .chains import MonoChain, chain_validate, iota_embed
-from .factorizations import FacMap, Factorization, between, fac_validate, prefix
+from .factorizations import FacMap, Factorization, FactorizationError, fac_build, prefix
 from .modules import (
     HypersurfaceConfig,
     ModuleMap,
+    RealizationError,
     RModule,
     decompose,
     is_mono_epi,
@@ -41,7 +42,8 @@ def _section_of(field, proj):
     sec = [[field.zero] * rows for _ in range(cols)]
     for j in range(rows):
         sol = linalg.solve(field, proj, linalg.unit_vector(field, rows, j))
-        assert sol is not None, "projection is not surjective"
+        if sol is None:
+            raise RealizationError("projection is not surjective")
         for i in range(cols):
             sec[i][j] = sol[i]
     return sec
@@ -64,11 +66,14 @@ def cok(x: Factorization) -> MonoChain:
         abar = reduced_module_map(x.maps[k], cfg).realization()
         mat = linalg.mat_mul(F, projs[k], linalg.mat_mul(F, abar, lift))
         f = ModuleMap.from_realization(mods[k - 1], mods[k], mat)
-        mono, _ = is_mono_epi(f)
-        assert mono, "induced cokernel map is not mono: invalid factorization?"
+        if not is_mono_epi(f)[0]:
+            raise RealizationError("induced cokernel map is not mono")
         maps.append(f)
     chain = MonoChain(cfg, mods, maps, check=False)
-    assert chain_validate(chain) is True
+    bad = chain_validate(chain)
+    if bad is not True:
+        raise RealizationError(f"cokernel chain invalid at {bad.index}: "
+                               f"{bad.reason}")
     return chain
 
 
@@ -97,17 +102,20 @@ def jq_sequence(x: Factorization):
             q.append(ModuleMap.zero(free_k, chain.objects[0]))
             continue
         mod, proj = presentation_cokernel(prefix(x, k), cfg)
-        assert mod == chain.objects[k]
+        if mod != chain.objects[k]:
+            raise RealizationError(f"cokernel {k} differs from the chain's")
         q.append(ModuleMap.from_realization(free_k, mod, proj))
     # componentwise exactness: q^k o jbar^k = 0 and rank counts match
     for k in range(l + 1):
         jbar = reduced_module_map(j.components[k], cfg)
         comp = q[k] @ jbar
-        assert comp.is_zero(), "q o j != 0"
+        if not comp.is_zero():
+            raise RealizationError("q o j != 0")
         free_dim = RModule.free(cfg, x.degs(k)).dim
         rk_j = linalg.rank(F, jbar.realization()) if free_dim else 0
         rk_q = linalg.rank(F, q[k].realization()) if free_dim else 0
-        assert rk_j + rk_q == free_dim, "jq sequence not exact"
+        if rk_j + rk_q != free_dim:
+            raise RealizationError("jq sequence not exact")
     return j, q, chain
 
 
@@ -158,9 +166,9 @@ def _minimal_generators(field, columns, degrees, m):
         if span.add(columns[i]):
             kept_cols.append(columns[i])
             kept_degs.append(degrees[i])
-    assert len(kept_cols) == m, (
-        f"preimage module has rank {len(kept_cols)}, expected {m}"
-    )
+    if len(kept_cols) != m:
+        raise FactorizationError(
+            f"preimage module has rank {len(kept_cols)}, expected {m}")
     return list(zip(*kept_cols)), kept_degs
 
 
@@ -249,9 +257,7 @@ def reconstruct(u: MonoChain) -> Factorization:
     inclusions.append(GradedMatrix.identity(F, degs_l))
 
     maps = [graded_solve(inclusions[k + 1], inclusions[k]) for k in range(l)]
-    out = fac_validate(maps, cfg)
-    assert isinstance(out, Factorization), f"reconstruction failed: {out}"
-    return out
+    return fac_build(maps, cfg, "reconstruction")
 
 
 # exactness of cok ------------------------------------------------------------

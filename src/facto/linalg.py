@@ -43,6 +43,18 @@ def mat_vec(field: Field, a, v):
     ]
 
 
+def combination(field: Field, coeffs, mats, rows: int, cols: int):
+    """sum_i coeffs[i] * mats[i] as a rows x cols matrix (zero coefficients
+    are skipped, so no mats and the empty combination give zeros)."""
+    out = zeros(field, rows, cols)
+    for c, m in zip(coeffs, mats):
+        if field.is_zero(c):
+            continue
+        for orow, mrow in zip(out, m):
+            orow[:] = [field.add(a, field.mul(c, b)) for a, b in zip(orow, mrow)]
+    return out
+
+
 def _dot(field: Field, row, v):
     s = field.zero
     for c, x in zip(row, v):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
+from .endo import stable_dim
 from .fields import Field
 from .polymat import GradedMatrix, NoSolution, graded_solve
 
@@ -79,9 +80,6 @@ class RModule:
     def basis_degrees(self):
         return [self.summands[t][1] + i for t, i in self._basis]
 
-    def basis_index(self, t: int, i: int) -> int:
-        return self._basis.index((t, i))
-
     def x_matrix(self):
         F = self.cfg.field
         n = self.dim
@@ -101,9 +99,6 @@ class RModule:
 
     def sorted_summands(self):
         return tuple(sorted(self.summands))
-
-    def normal_form(self) -> "RModule":
-        return RModule(self.cfg, self.sorted_summands())
 
     def shift(self, t: int) -> "RModule":
         return RModule(self.cfg, [(e, s + t) for e, s in self.summands])
@@ -219,6 +214,10 @@ class ModuleMap:
                     m[tgt_idx[(u, j)]][col] = c
         self._real = m
         return m
+
+    def scalars(self):
+        """The components as k-matrices: the realization alone."""
+        return [self.realization()]
 
     def commutes_with_x(self) -> bool:
         F = self.src.cfg.field
@@ -642,26 +641,13 @@ def bar_p_epic(m: RModule):
     return projective_cover(m)
 
 
-def _map_space_span(field, maps):
-    ech = linalg.Echelon(field)
-    for f in maps:
-        ech.add([c for row in f.realization() for c in row])
-    return ech
-
-
 def stable_hom_dim(m: RModule, n: RModule) -> int:
     """dim of Hom(m, n) modulo maps factoring through a projective.
 
     Every map through a projective factors through the projective cover
     of n, so the quotient is Hom(m, n) / (p o Hom(m, P(n))).
     """
-    F = m.cfg.field
-    homs = hom_basis(m, n)
-    if not homs:
-        return 0
-    _, p = projective_cover(n)
-    through = _map_space_span(F, [p @ g for g in hom_basis(m, p.src)])
-    return len(homs) - through.dim
+    return stable_dim(m.cfg.field, hom_basis, projective_cover, m, n)
 
 
 def lift_along_epi(p: ModuleMap, f: ModuleMap):
@@ -680,10 +666,9 @@ def lift_along_epi(p: ModuleMap, f: ModuleMap):
     )
     if coeffs is None:
         return None
-    g = ModuleMap.zero(f.src, p.src)
-    for c, h in zip(coeffs, cand):
-        g = g + h.scale(c)
-    return g
+    blocks = linalg.combination(F, coeffs, [h.blocks for h in cand],
+                                len(p.src.summands), len(f.src.summands))
+    return ModuleMap(f.src, p.src, blocks, check=False)
 
 
 # presentations ------------------------------------------------------------

@@ -153,10 +153,6 @@ class Polynomial:
             return self
         return self.scale(self.field.inv(self.leading()))
 
-    def truncate(self, n: int) -> "Polynomial":
-        """Reduce mod x^n."""
-        return Polynomial(self.field, self.coeffs[:n])
-
     # comparisons / hashing ---------------------------------------------
 
     def __eq__(self, other):

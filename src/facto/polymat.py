@@ -24,6 +24,11 @@ class NoSolution(Exception):
     """A x = B has no solution over k[x]."""
 
 
+class InexactDivision(Exception):
+    """Bareiss elimination met a division with a remainder, which exact
+    arithmetic rules out: an implementation bug."""
+
+
 class PolyMatrix:
     __slots__ = ("field", "rows", "cols", "entries")
 
@@ -55,10 +60,6 @@ class PolyMatrix:
     def scalar(cls, field: Field, n: int, poly: Polynomial) -> "PolyMatrix":
         z = Polynomial.zero(field)
         return cls(field, [[poly if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, field: Field, rows: int, cols: int, entry):
-        return cls(field, [[entry(i, j) for j in range(cols)] for i in range(rows)])
 
     # arithmetic --------------------------------------------------------
 
@@ -102,9 +103,6 @@ class PolyMatrix:
 
     def scale(self, poly: Polynomial) -> "PolyMatrix":
         return PolyMatrix(self.field, [[poly * p for p in row] for row in self.entries])
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.field, list(zip(*self.entries)) if self.rows else [])
 
     def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.rows != other.rows:
@@ -164,7 +162,8 @@ class PolyMatrix:
                 for j in range(k + 1, n):
                     num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                     q, r = num.divrem(prev)
-                    assert r.is_zero(), "Bareiss division must be exact"
+                    if not r.is_zero():
+                        raise InexactDivision("Bareiss division left a remainder")
                     m[i][j] = q
             prev = m[k][k]
         d = m[n - 1][n - 1]

@@ -10,7 +10,7 @@ import random
 
 from . import linalg
 from .chains import MonoChain
-from .factorizations import FacMap, Factorization, fac_validate, omega_map
+from .factorizations import FacMap, Factorization, fac_build, fac_validate, omega_map
 from .modules import (
     HypersurfaceConfig,
     ModuleMap,
@@ -44,9 +44,7 @@ def rank1_factorization(cfg, powers, deg0: int = 0) -> Factorization:
     for a in powers:
         maps.append(omega_map(cfg.field, cur, a))
         cur = [s - a for s in cur]
-    out = fac_validate(maps, cfg)
-    assert isinstance(out, Factorization)
-    return out
+    return fac_build(maps, cfg, f"rank-1 factorization with powers {powers}")
 
 
 def random_factorization(cfg: HypersurfaceConfig, l: int, rng: random.Random,
@@ -73,9 +71,7 @@ def random_factorization(cfg: HypersurfaceConfig, l: int, rng: random.Random,
     for k in range(l):
         u_inv = graded_solve(us[k], GradedMatrix.identity(cfg.field, x.degs(k)))
         maps.append(us[k + 1] @ x.maps[k] @ u_inv)
-    out = fac_validate(maps, cfg)
-    assert isinstance(out, Factorization)
-    return out
+    return fac_build(maps, cfg, "conjugated factorization")
 
 
 def random_module(cfg: HypersurfaceConfig, rng: random.Random,

@@ -15,6 +15,7 @@ from facto.chains import (
     mu_trivial,
 )
 from facto.fields import GF, QQ
+from facto.linalg import Echelon
 from facto.modules import HypersurfaceConfig, ModuleMap, RModule, hom_basis
 
 
@@ -168,6 +169,20 @@ def test_chain_hom_contains_identity():
     # identity is in the span: check dims and membership via iso search
     assert len(basis) >= 1
     assert chain_iso_test(u, u)
+    span = Echelon(c.field)
+    for f in basis:
+        span.add([x for m in f.scalars() for row in m for x in row])
+    assert span.contains([x for m in ident.scalars() for row in m for x in row])
+
+
+def test_chain_hom_rejects_different_lengths():
+    c = cfg(2, GF(5))
+    u = incl_k_in_R2(c)
+    for v in (iota_embed(u), MonoChain.zero(c, 3), MonoChain.zero(c, 1)):
+        with pytest.raises(ValueError, match="chain lengths differ"):
+            chain_hom_basis(u, v)
+        with pytest.raises(ValueError, match="chain lengths differ"):
+            chain_stable_hom_dim(u, v)
 
 
 def test_chain_hom_zero_target():

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from facto.cli import _parser, main
-from facto.factorizations import Factorization
+from facto.factorizations import Factorization, FactorizationError
 from facto.fields import GF
 from facto.functors import cok
 from facto.modules import HypersurfaceConfig, RealizationError
+from facto.polymat import InexactDivision
 from facto.randgen import random_chain, random_factorization, rank1_factorization
 
 
@@ -157,6 +158,42 @@ def test_stable_hom_non_object(side, xx_file, tmp_path, capsys):
     assert main(["stable-hom", "--field", "fp:5", "--d", "2",
                  "--in", str(pair)]) == 1
     assert _one_line_error(capsys)
+
+
+def _write_pair(tmp_path, x, y):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"x": x.to_json(), "y": y.to_json()}))
+    return str(pair)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_stable_hom_chains_of_different_lengths(seed, tmp_path, capsys):
+    c = HypersurfaceConfig(2, GF(5))
+    rng = random.Random(seed)
+    u, v = random_chain(c, 2, rng), random_chain(c, 3, rng)
+    assert main(["stable-hom", "--field", "fp:5", "--d", "2",
+                 "--in", _write_pair(tmp_path, u, v)]) == 1
+    assert _one_line_error(capsys)
+
+
+def test_stable_hom_factorizations_of_different_l(tmp_path, capsys):
+    c = HypersurfaceConfig(2, GF(5))
+    x, y = rank1_factorization(c, [1]), rank1_factorization(c, [1, 0])
+    assert main(["stable-hom", "--field", "fp:5", "--d", "2",
+                 "--in", _write_pair(tmp_path, x, y)]) == 1
+    assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("error", [FactorizationError, InexactDivision])
+def test_broken_library_invariant_exits_2(error, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise error("kernel is invalid")
+
+    monkeypatch.setattr("facto.cli.nu", broken)
+    assert main(["nu", "--field", "fp:5", "--d", "2", "--l", "1",
+                 "--k", "0", "--degs", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failure: ") and err.count("\n") == 1
 
 
 def test_census_l_zero(capsys):

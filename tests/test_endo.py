@@ -11,13 +11,13 @@ from facto.census import (
     enumerate_chains,
     enumerate_factorizations,
 )
-from facto.chains import MonoChain, chain_is_indecomposable
-from facto.endo import NonSplitEndomorphism, is_local
+from facto.chains import MonoChain, chain_is_indecomposable, chain_stable_hom_dim
+from facto.endo import NonSplitEndomorphism, is_local, search_iso
 from facto.factorizations import fac_is_indecomposable, nu
 from facto.fields import GF, QQ
 from facto.linalg import identity
-from facto.modules import HypersurfaceConfig, RModule
-from facto.randgen import random_factorization
+from facto.modules import HypersurfaceConfig, RModule, stable_hom_dim
+from facto.randgen import random_factorization, random_module
 
 FIELDS = [QQ, GF(2), GF(5)]
 
@@ -206,3 +206,32 @@ def test_every_raw_criterion_2_flag_object_decides():
     assert not all(fac_is_indecomposable(x) for x in facs)
     assert any(chain_is_indecomposable(u) for u in chains)
     assert not all(chain_is_indecomposable(u) for u in chains)
+
+
+# the shared iso search and stable hom quotient ---------------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_search_iso_on_matrix_lists(field):
+    # a map is a list of square components; the empty combination is no iso
+    assert not search_iso(field, [])
+    ident = [identity(field, 2), identity(field, 1)]
+    nil = [unit(field, 2, 0, 1), mat(field, [[0]])]
+    assert search_iso(field, [nil, ident])
+    assert search_iso(field, [ident])
+    # every combination of nilpotent components is singular
+    assert not search_iso(field, [nil, [unit(field, 2, 0, 1), mat(field, [[0]])],
+                                  [mat(field, [[0, 0], [0, 0]]), mat(field, [[0]])]])
+    assert not search_iso(field, [[jordan(field, 3, 0)]])
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=repr)
+def test_module_stable_hom_equals_length_1_chains(field):
+    rng = random.Random(23)
+    for _ in range(100):
+        cfg = HypersurfaceConfig(rng.choice([2, 3, 4]), field)
+        m = random_module(cfg, rng, max_summands=3)
+        n = random_module(cfg, rng, max_summands=3)
+        as_chain = chain_stable_hom_dim(MonoChain(cfg, [m], []),
+                                        MonoChain(cfg, [n], []))
+        assert stable_hom_dim(m, n) == as_chain

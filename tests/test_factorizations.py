@@ -10,6 +10,7 @@ from facto.factorizations import (
     contract,
     fac_hom_basis,
     fac_iso_test,
+    fac_projective_cover,
     fac_projective_test,
     fac_stable_hom_dim,
     fac_validate,
@@ -23,7 +24,7 @@ from facto.factorizations import (
 from facto.fields import GF, QQ
 from facto.modules import HypersurfaceConfig
 from facto.poly import Polynomial
-from facto.polymat import GradedMatrix, PolyMatrix
+from facto.polymat import GradedMatrix, NoSolution, PolyMatrix, graded_solve
 
 
 def cfg(d, field=QQ):
@@ -317,6 +318,25 @@ def test_nu_resolution_random():
                     assert (res.map @ res.complement_map).is_zero()
                 else:
                     assert (res.complement_map @ res.map).is_zero()
+
+
+def test_projective_cover_is_the_epic_half_of_the_resolution():
+    rng = random.Random(12)
+    for field in (GF(5), QQ):
+        for d, l in ((2, 1), (2, 2), (3, 2)):
+            c = cfg(d, field)
+            for _ in range(3):
+                x = random_fac(c, l, rng)
+                middle, p = fac_projective_cover(x)
+                assert fac_projective_test(middle)
+                for j, pj in enumerate(p.components):
+                    # surjective onto the free X^j iff it has a right inverse
+                    try:
+                        graded_solve(pj, GradedMatrix.identity(field, x.degs(j)))
+                    except NoSolution:
+                        pytest.fail(f"component {j} of the cover is not onto")
+                res = nu_resolution(x, side="epic")
+                assert (res.middle, res.map) == (middle, p)
 
 
 def test_nu_resolution_trivial_input():
