@@ -1,21 +1,25 @@
 """Desk-scale census: classify both sides and verify the equivalence.
 
-Factorizations are enumerated as flags of x-stable graded subspaces of the
-free cover R^m of X^l: the preimage in S^m of such a flag is a chain of
-free submodules containing x^d S^m, which is exactly a graded factorization
-up to isomorphism.  Chains of monomorphisms are enumerated the same way as
-subspace flags of a top module.  Every flag object is shifted to minimum
-degree 0.
+Every census object is a flag V_1 <= ... <= V_k of x-stable graded
+subspaces of one top module T.  Factorizations are flags in the free
+cover T = R^m(degs_l) of X^l: the preimage in S^m of such a flag is a
+chain of free submodules containing x^d S^m, which is exactly a graded
+factorization up to isomorphism.  Chains of monomorphisms are flags in
+their top module T.  Every flag object is shifted to minimum degree 0.
 
-The census first keeps the indecomposable flag objects, which is decided
-exactly from each object's own endomorphism algebra: X is indecomposable
-iff End(X) is local (Fitting's lemma, see `endo.is_local`).  Only these
-are deduplicated with the iso tests, and the projective classes are
+The census decides indecomposability on the flag itself, before any
+object is built: X is indecomposable iff End(X) is local (Fitting's
+lemma, see `endo.is_local`), and End(X) is the stabilizer of the flag in
+End(T), up to a nilpotent ideal on the factorization side (see
+`_local_stabilizer`).  hom_basis(T, T) is computed once per top, and each
+flag costs one nullspace.  Only the flags that pass are built into
+objects and deduplicated with the iso tests; the projective classes are
 dropped last.  Both properties are iso-invariant and deduplication keeps
-the first member of each class, so this order gives the same classes as
-deduplicating everything first.  Between indecomposables the iso tests are
-exact (see `endo.search_iso`), so the result does not depend on a seed.
-The kept classes of the two sides are matched under cok.
+the first member of each class, so this gives the same classes as
+building and deduplicating every flag object first.  Between
+indecomposables the iso tests are exact (see `endo.search_iso`), so the
+result does not depend on a seed.  The kept classes of the two sides are
+matched under cok.
 """
 
 from __future__ import annotations
@@ -27,17 +31,15 @@ from . import linalg
 from .chains import (
     MonoChain,
     chain_hom_basis,
-    chain_is_indecomposable,
     chain_iso_test,
     chain_projective_test,
     chain_stable_hom_dim,
 )
-from .endo import stable_dim
+from .endo import is_local, stable_dim
 from .factorizations import (
     Factorization,
     adjunction_transport,
     fac_hom_basis,
-    fac_is_indecomposable,
     fac_iso_test,
     fac_projective_test,
     fac_stable_hom_dim,
@@ -49,6 +51,7 @@ from .modules import (
     HypersurfaceConfig,
     ModuleMap,
     RModule,
+    hom_basis,
     realization_to_module,
     subspace_realization,
 )
@@ -80,6 +83,8 @@ class Bounds:
             key, _, num = part.partition("=")
             if key.strip() not in ("m", "dim", "window") or not num.strip().isdigit():
                 raise ValueError(f"bad bounds component {part!r}")
+            if key.strip() in vals:
+                raise ValueError(f"bounds repeat {key.strip()!r}")
             vals[key.strip()] = int(num)
         missing = {"m", "dim", "window"} - set(vals)
         if missing:
@@ -177,18 +182,114 @@ def stable_graded_subspaces(field, degs, xmat):
     return results
 
 
-def _span_contains(field, ech, vecs):
-    return all(ech.contains(v) for v in vecs)
+# flags of x-stable subspaces ----------------------------------------------------
 
 
-def _echelons(field, spaces):
-    out = []
-    for vecs in spaces:
-        ech = linalg.Echelon(field)
-        for v in vecs:
-            ech.add(v)
-        out.append(ech)
-    return out
+def _subspace_flags(field, spaces, length):
+    """Index tuples of all weakly increasing chains V_0 <= ... <= V_{length-1}
+    of `spaces`, in lexicographic order.
+
+    Containment is tested only when a flag goes one level deeper, so flags
+    of length 1 test none; `spaces` are bases, so a larger one is never
+    contained in a smaller one.
+    """
+    echs, inside = {}, {}
+
+    def contains(i, j):
+        if (i, j) not in inside:
+            ok = len(spaces[i]) <= len(spaces[j])
+            if ok:
+                if j not in echs:
+                    echs[j] = linalg.Echelon(field)
+                    for v in spaces[j]:
+                        echs[j].add(v)
+                ok = all(echs[j].contains(v) for v in spaces[i])
+            inside[(i, j)] = ok
+        return inside[(i, j)]
+
+    def rec(start_ok, acc):
+        if len(acc) == length:
+            yield tuple(acc)
+            return
+        deeper = len(acc) + 1 < length
+        for j in start_ok:
+            yield from rec([k for k in start_ok if contains(j, k)]
+                           if deeper else [], acc + [j])
+
+    return rec(range(len(spaces)), [])
+
+
+def _local_stabilizer(field, top: RModule, spaces):
+    """is_indecomposable(flag) for flags of `spaces` in `top`: whether the
+    stabilizer {phi in End(top) : phi V <= V for every V in the flag} is a
+    local algebra.
+
+    hom_basis(top, top) is computed once; each subspace V contributes one
+    block of linear conditions q . phi v = 0 (q in the annihilator of V,
+    v in V) on the basis coefficients, built when a flag first uses V and
+    kept only for this top.  A flag's stabilizer is the nullspace of its
+    stacked blocks, and `endo.is_local` decides it.
+
+    Why this is End(X) of the flag object X up to a nilpotent ideal, so
+    that X is indecomposable iff the stabilizer is local:
+    - chains: every structure map of X is a mono into the top, so a chain
+      map is fixed by its top component, and an endomorphism of the top
+      is one iff it maps each V_i into itself.  End(X) is the stabilizer.
+    - factorizations: X^0 <= ... <= X^(l-1) are the preimages in S^m of
+      the flag and X^l = S^m, all included in S^m, so a map is fixed by
+      its component on S^m; a graded endomorphism of S^m is one iff its
+      reduction mod x^d stabilizes the flag.  Every endomorphism of
+      top = S^m / x^d S^m lifts to S^m, so End(X) -> stabilizer is onto,
+      and its kernel is the maps with entries in x^d S.  They form a
+      nilpotent ideal: a product of k of them has entries in x^(kd) S,
+      and a degree-0 entry x^e between generator degrees a, b has
+      e = b - a, so it is 0 once kd exceeds the spread of the degrees.
+      An algebra is local iff its quotient by a nilpotent ideal is.
+    The zero top has no basis, so its flag object is not indecomposable.
+    """
+    homs = [f.realization() for f in hom_basis(top, top)]
+    n = top.dim
+    blocks = {}
+
+    def block(i):
+        if i not in blocks:
+            annihilator = linalg.nullspace(field, spaces[i], cols=n)
+            ech = linalg.Echelon(field)
+            for v in spaces[i]:
+                # cols[j][r]: q_r . phi_j v
+                cols = [linalg.mat_vec(field, annihilator,
+                                       linalg.mat_vec(field, h, v))
+                        for h in homs]
+                for r in range(len(annihilator)):
+                    ech.add([col[r] for col in cols])
+            blocks[i] = ech.rows
+        return blocks[i]
+
+    def keep(flag):
+        rows = [row for i in dict.fromkeys(flag) for row in block(i)]
+        stab = linalg.nullspace(field, rows, cols=len(homs))
+        return is_local(field, [linalg.combination(field, c, homs, n, n)
+                                for c in stab])
+
+    return keep
+
+
+def _flag_objects(cfg: HypersurfaceConfig, tops, length: int, build,
+                  local_only: bool = False):
+    """build(cfg, key, flag), shifted to minimum degree 0, for every flag
+    of `length` x-stable graded subspaces of each top in `tops`, a stream
+    of (key, top module) pairs; with local_only, only for the flags whose
+    stabilizer in End(top) is local (see `_local_stabilizer`)."""
+    F = cfg.field
+    for key, top in tops:
+        spaces = (stable_graded_subspaces(F, top.basis_degrees(),
+                                          top.x_matrix()) if length else [])
+        flags = _subspace_flags(F, spaces, length)
+        if local_only:
+            flags = filter(_local_stabilizer(F, top, spaces), flags)
+        for flag in flags:
+            x = build(cfg, key, [spaces[i] for i in flag])
+            yield x.shift(-x.min_degree())
 
 
 # factorization enumeration -----------------------------------------------------
@@ -203,6 +304,14 @@ def _sorted_degree_vectors(m, window):
         if vec[0] == 0:
             out.append(tuple(reversed(vec)))
     return out
+
+
+def _fac_tops(cfg: HypersurfaceConfig, m_max: int, window: int):
+    """(degs_l, free R-cover of X^l) for every rank up to m_max and every
+    degree vector over [0, window] normalized to minimum 0."""
+    for m in range(m_max + 1):
+        for degs_l in _sorted_degree_vectors(m, window):
+            yield degs_l, RModule.free(cfg, list(degs_l))
 
 
 def _flag_factorization(cfg, degs_l, flag) -> Factorization:
@@ -235,11 +344,10 @@ def _dedup(objs, fingerprint, iso):
     return kept
 
 
-def _classes(objs, is_indecomposable, fingerprint, iso, is_projective):
-    """The indecomposable nonprojective classes among `objs`, each as its
-    first member: filter by End(X), deduplicate, then drop projectives."""
-    kept = _dedup(filter(is_indecomposable, objs), fingerprint, iso)
-    return [x for x in kept if not is_projective(x)]
+def _classes(objs, fingerprint, iso, is_projective):
+    """The nonprojective classes among the indecomposable `objs`, each as
+    its first member: deduplicate, then drop projectives."""
+    return [x for x in _dedup(objs, fingerprint, iso) if not is_projective(x)]
 
 
 def _flag_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
@@ -250,19 +358,8 @@ def _flag_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
     normalized to minimum 0; every valid graded factorization with those
     invariants appears at least once.
     """
-    F = cfg.field
-    for m in range(m_max + 1):
-        for degs_l in _sorted_degree_vectors(m, window):
-            if m == 0:
-                flags = [[[]] * l]
-            else:
-                free = RModule.free(cfg, list(degs_l))
-                spaces = stable_graded_subspaces(F, free.basis_degrees(),
-                                                 free.x_matrix())
-                flags = _subspace_flags(F, spaces, _echelons(F, spaces), l)
-            for flag in flags:
-                x = _flag_factorization(cfg, degs_l, flag)
-                yield x.shift(-x.min_degree())
+    return _flag_objects(cfg, _fac_tops(cfg, m_max, window), l,
+                         _flag_factorization)
 
 
 def enumerate_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
@@ -273,32 +370,13 @@ def enumerate_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
                   _fac_fingerprint, fac_iso_test)
 
 
-def _subspace_flags(field, spaces, echs, length):
-    """All weakly increasing chains (V_0 <= ... <= V_{length-1}) of spaces."""
-    n = len(spaces)
-    contains = [
-        [_span_contains(field, echs[j], spaces[i]) for j in range(n)]
-        for i in range(n)
-    ]
-    out = []
-
-    def rec(start_ok, depth, acc):
-        if depth == length:
-            out.append([spaces[i] for i in acc])
-            return
-        for j in start_ok:
-            rec([k for k in start_ok if contains[j][k]], depth + 1, acc + [j])
-
-    rec(list(range(n)), 0, [])
-    return out
-
-
 # chain enumeration -----------------------------------------------------------
 
 
 def _top_modules(cfg: HypersurfaceConfig, dim_max: int, window: int):
     """Sorted summand lists with total dimension <= dim_max, degrees in the
-    window; includes the zero module."""
+    window; includes the zero module.  The order is depth first, so a top
+    comes after its shift to minimum degree 0."""
     types = [(e, s) for e in range(1, cfg.d + 1) for s in range(window + 1)]
     out = []
 
@@ -351,17 +429,8 @@ def _chain_fingerprint(u: MonoChain):
 def _flag_chains(cfg: HypersurfaceConfig, l: int, dim_max: int, window: int):
     """Every flag chain of l-1 monos with top dimension <= dim_max and top
     generator degrees over [0, window], shifted to minimum degree 0."""
-    F = cfg.field
-    for top in _top_modules(cfg, dim_max, window):
-        if l == 1:
-            chains = [MonoChain(cfg, [top], [])]
-        else:
-            spaces = stable_graded_subspaces(F, top.basis_degrees(),
-                                             top.x_matrix())
-            chains = (_flag_chain(cfg, top, flag) for flag in
-                      _subspace_flags(F, spaces, _echelons(F, spaces), l - 1))
-        for u in chains:
-            yield u.shift(-u.min_degree())
+    tops = _top_modules(cfg, dim_max, window)
+    return _flag_objects(cfg, ((t, t) for t in tops), l - 1, _flag_chain)
 
 
 def enumerate_chains(cfg: HypersurfaceConfig, l: int, dim_max: int,
@@ -444,21 +513,32 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
     """Classify both sides, match them under cok, compare stable hom tables.
 
     Classes are indecomposable nonprojective objects up to iso and shift.
-    Each side filters its flag objects by End(X) locality, deduplicates
-    the indecomposables (keeping the first of each class) and then drops
-    the projectives.  Every iso test has an indecomposable target, so
-    deduplication and matching are exact: `seed` is passed on to the iso
-    search but does not change the result.  A class may stay unmatched
-    only when its partner falls outside the given bounds; any other
-    mismatch raises MatchFailure.  Raises NonSplitEndomorphism when an
-    object's indecomposability is undecided over k (see `endo.is_local`).
+    Each side enumerates flags of x-stable subspaces of its top objects
+    (the free R-covers R^m(degs_l), and the chain tops of minimum degree
+    0) and keeps a flag only when its stabilizer in End(top) is local,
+    which holds iff the flag object is indecomposable (see
+    `_local_stabilizer`).  Only those flags are built into objects; they
+    are deduplicated (keeping the first of each class) and then the
+    projectives are dropped.  Every iso test has an indecomposable
+    target, so deduplication and matching are exact: `seed` is passed on
+    to the iso search but does not change the result.  A class may stay
+    unmatched only when its partner falls outside the given bounds; any
+    other mismatch raises MatchFailure.  Raises NonSplitEndomorphism when
+    an object's indecomposability is undecided over k (see
+    `endo.is_local`).
     """
-    facs = _classes(_flag_factorizations(cfg, l, bounds.m, bounds.window),
-                    fac_is_indecomposable, _fac_fingerprint, fac_iso_test,
-                    fac_projective_test)
-    chains = _classes(_flag_chains(cfg, l, bounds.dim, bounds.window),
-                      chain_is_indecomposable, _chain_fingerprint,
-                      chain_iso_test, chain_projective_test)
+    facs = _classes(
+        _flag_objects(cfg, _fac_tops(cfg, bounds.m, bounds.window), l,
+                      _flag_factorization, local_only=True),
+        _fac_fingerprint, fac_iso_test, fac_projective_test)
+    # a top of minimum degree s > 0 only repeats the flags of its shift by
+    # -s, which _top_modules lists before it
+    tops = [t for t in _top_modules(cfg, bounds.dim, bounds.window)
+            if t.min_degree() == 0]
+    chains = _classes(
+        _flag_objects(cfg, ((t, t) for t in tops), l - 1, _flag_chain,
+                      local_only=True),
+        _chain_fingerprint, chain_iso_test, chain_projective_test)
 
     coks = [cok(x) for x in facs]
     canon = [u.shift(-u.min_degree()) for u in coks]

@@ -24,7 +24,6 @@ from math import gcd, isqrt
 from . import linalg
 from .fields import Field
 from .poly import Polynomial, poly_gcd
-from .polymat import PolyMatrix
 
 
 class NonSplitEndomorphism(Exception):
@@ -47,11 +46,48 @@ def _fitting_power(field: Field, a):
 
 
 def _charpoly(field: Field, b) -> Polynomial:
-    """det(t - b), as a determinant over k[t]."""
-    t, zero = Polynomial.x(field), Polynomial.zero(field)
-    rows = [[(t if i == j else zero) - Polynomial(field, [v])
-             for j, v in enumerate(row)] for i, row in enumerate(b)]
-    return PolyMatrix(field, rows).det()
+    """det(t - b), from an upper Hessenberg matrix similar to b.
+
+    Elementary similarities (a row operation and the inverse column
+    operation) clear each column below its subdiagonal; then the leading
+    k x k minors p_k of t - h satisfy p_k = (t - h[k-1][k-1]) p_{k-1}
+    - sum_i h[k-1-i][k-1] h[k-1][k-2] ... h[k-i][k-i-1] p_{k-1-i}.
+    """
+    F = field
+    n = len(b)
+    h = [row[:] for row in b]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if not F.is_zero(h[i][j])), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = F.inv(h[j + 1][j])
+        for i in range(j + 2, n):
+            f = F.mul(h[i][j], inv)
+            if F.is_zero(f):
+                continue
+            h[i] = [F.sub(a, F.mul(f, c)) for a, c in zip(h[i], h[j + 1])]
+            for row in h:
+                row[j + 1] = F.add(row[j + 1], F.mul(f, row[i]))
+    # p[k]: coefficients of p_k, lowest degree first
+    p = [[F.one]]
+    for k in range(1, n + 1):
+        nxt = [F.zero] + p[k - 1]
+        for i, c in enumerate(p[k - 1]):
+            nxt[i] = F.sub(nxt[i], F.mul(h[k - 1][k - 1], c))
+        sub = F.one
+        for i in range(1, k):
+            sub = F.mul(sub, h[k - i][k - i - 1])
+            if F.is_zero(sub):
+                break
+            f = F.mul(h[k - 1 - i][k - 1], sub)
+            for e, c in enumerate(p[k - 1 - i]):
+                nxt[e] = F.sub(nxt[e], F.mul(f, c))
+        p.append(nxt)
+    return Polynomial(F, p[n])
 
 
 def _divisors(n: int):

@@ -5,6 +5,12 @@ import pytest
 from facto.census import (
     Bounds,
     _all_subspaces,
+    _fac_tops,
+    _flag_chain,
+    _flag_factorization,
+    _local_stabilizer,
+    _subspace_flags,
+    _top_modules,
     class_census,
     enumerate_chains,
     enumerate_factorizations,
@@ -33,6 +39,8 @@ def test_bounds_parse():
         Bounds.parse("m=1,dim=3")
     with pytest.raises(ValueError):
         Bounds.parse("m=1,dim=x,window=2")
+    with pytest.raises(ValueError):
+        Bounds.parse("m=1,dim=2,window=1,m=3")
 
 
 def test_all_subspaces_counts():
@@ -144,3 +152,66 @@ def test_census_does_not_depend_on_the_seed(d):
     c, bounds = cfg(d), Bounds(m=2, dim=3, window=2)
     assert (class_census(c, 2, bounds, seed=0).to_json()
             == class_census(c, 2, bounds, seed=7).to_json())
+
+
+def _stabilizer_decisions(c, tops, length, build):
+    """(stabilizer decision, built object) for every raw flag of `tops`."""
+    F = c.field
+    for key, top in tops:
+        spaces = (stable_graded_subspaces(F, top.basis_degrees(),
+                                          top.x_matrix()) if length else [])
+        local = _local_stabilizer(F, top, spaces)
+        for flag in _subspace_flags(F, spaces, length):
+            yield local(flag), build(c, key, [spaces[i] for i in flag])
+
+
+@pytest.mark.parametrize("d, field", [(2, GF(5)), (3, GF(2))], ids=repr)
+def test_flag_stabilizer_decides_indecomposability(d, field):
+    """The census keeps a flag iff its stabilizer in End(top) is local;
+    that must be fac_is_indecomposable / chain_is_indecomposable of the
+    object the flag builds, on every raw flag of both sides."""
+    c = cfg(d, field)
+    bounds = Bounds(m=2, dim=3, window=2)
+    facs = list(_stabilizer_decisions(
+        c, _fac_tops(c, bounds.m, bounds.window), 2, _flag_factorization))
+    tops = _top_modules(c, bounds.dim, bounds.window)
+    chains = list(_stabilizer_decisions(c, ((t, t) for t in tops), 1,
+                                        _flag_chain))
+    for got, x in facs:
+        assert got == fac_is_indecomposable(x), x
+    for got, u in chains:
+        assert got == chain_is_indecomposable(u), u
+    # both answers occur on both sides
+    assert {got for got, _ in facs} == {got for got, _ in chains} == {True, False}
+
+
+def test_census_agrees_across_fields_at_d4():
+    """l=2, d=4: F_2 and F_5 give the same classes, matching and tables."""
+    bounds = Bounds(m=2, dim=4, window=3)
+    reps = [class_census(cfg(4, field), 2, bounds) for field in (GF(2), GF(5))]
+    summaries = [(len(r.fac_classes), len(r.chain_classes), r.matching,
+                  r.fac_hom_table, r.chain_hom_table) for r in reps]
+    assert summaries[0] == summaries[1]
+    assert len(reps[0].matching) == len(reps[0].chain_classes)
+
+
+def test_ringel_schmidt_count_at_d2():
+    """The l=2 chains at d=2 are the invariant subspaces of a nilpotent
+    operator with x^2 = 0, the category S(2) of Ringel-Schmidt
+    (Crelle 614, 2008).  It has 5 indecomposables: (0 <= k), (k = k),
+    (0 <= R), (soc R <= R) and (R = R), with R = k[x]/(x^2); the two
+    projective-injectives are (0 <= R) and (R = R).
+
+    Grading: S(2) has finite type, so by Gabriel's covering theory its
+    Z-cover (the graded chains) has every indecomposable gradable, and
+    push-down is a bijection from graded indecomposables up to shift to
+    the ungraded ones.  Each indecomposable has a top of dimension <= 2
+    generated in degree 0 once shifted, inside dim=4, window=2, so the
+    census finds exactly the 3 nonprojective classes, and the
+    equivalence makes cok match each of them with a factorization.
+    """
+    rep = class_census(cfg(2, GF(2)), 2, Bounds(m=3, dim=4, window=2))
+    assert len(rep.chain_classes) == 3
+    assert len(rep.fac_classes) == len(rep.matching) == 3
+    assert {j for _, j in rep.matching} == {0, 1, 2}
+    assert rep.fac_hom_table == rep.chain_hom_table

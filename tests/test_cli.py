@@ -118,6 +118,12 @@ def test_census_bad_bounds(capsys):
                  "--bounds", "m=1"]) == 1
 
 
+def test_census_repeated_bounds_key(capsys):
+    assert main(["census", "--field", "fp:5", "--d", "2", "--l", "1",
+                 "--bounds", "m=1,dim=2,window=1,m=3"]) == 1
+    assert "repeat" in capsys.readouterr().err
+
+
 def test_no_partial_output_on_error(tmp_path):
     out = tmp_path / "never.json"
     assert main(["cok", "--field", "fp:5", "--d", "2",

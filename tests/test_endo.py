@@ -12,11 +12,13 @@ from facto.census import (
     enumerate_factorizations,
 )
 from facto.chains import MonoChain, chain_is_indecomposable, chain_stable_hom_dim
-from facto.endo import NonSplitEndomorphism, is_local, search_iso
+from facto.endo import NonSplitEndomorphism, _charpoly, is_local, search_iso
 from facto.factorizations import fac_is_indecomposable, nu
 from facto.fields import GF, QQ
 from facto.linalg import identity
 from facto.modules import HypersurfaceConfig, RModule, stable_hom_dim
+from facto.poly import Polynomial
+from facto.polymat import PolyMatrix
 from facto.randgen import random_factorization, random_module
 
 FIELDS = [QQ, GF(2), GF(5)]
@@ -193,6 +195,25 @@ def test_undecided_element_does_not_hide_a_split(field):
     # parts that generate M_2(k), which is not local
     rot = mat(field, [[0, -1], [1, 0]])
     assert not is_local(field, [rot, unit(field, 2, 0, 1), unit(field, 2, 1, 0)])
+
+
+def _det_charpoly(field, b):
+    """det(t - b) as a Bareiss determinant over k[t]: the oracle."""
+    t, zero = Polynomial.x(field), Polynomial.zero(field)
+    return PolyMatrix(field, [[(t if i == j else zero) - Polynomial(field, [v])
+                               for j, v in enumerate(row)]
+                              for i, row in enumerate(b)]).det()
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), GF(1000003), QQ], ids=repr)
+def test_charpoly_equals_determinant_oracle(field):
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        # sparse entries exercise the zero pivots of the Hessenberg sweep
+        b = [[field.from_int(rng.choice([0, 0, 0, 1, -1, rng.randrange(-9, 10)]))
+              for _ in range(n)] for _ in range(n)]
+        assert _charpoly(field, b).coeffs == _det_charpoly(field, b).coeffs
 
 
 def test_every_raw_criterion_2_flag_object_decides():
