@@ -7,19 +7,19 @@ chain of free submodules containing x^d S^m, which is exactly a graded
 factorization up to isomorphism.  Chains of monomorphisms are flags in
 their top module T.  Every flag object is shifted to minimum degree 0.
 
-The census decides indecomposability on the flag itself, before any
-object is built: X is indecomposable iff End(X) is local (Fitting's
-lemma, see `endo.is_local`), and End(X) is the stabilizer of the flag in
-End(T), up to a nilpotent ideal on the factorization side (see
-`_local_stabilizer`).  hom_basis(T, T) is computed once per top, and each
-flag costs one nullspace.  Only the flags that pass are built into
-objects and deduplicated with the iso tests; the projective classes are
-dropped last.  Both properties are iso-invariant and deduplication keeps
-the first member of each class, so this gives the same classes as
-building and deduplicating every flag object first.  Between
-indecomposables the iso tests are exact (see `endo.search_iso`), so the
-result does not depend on a seed.  The kept classes of the two sides are
-matched under cok.
+Indecomposability is decided on the flag, before any object is built:
+X is indecomposable iff End(X) is local (Fitting's lemma), End(X) is the
+flag's stabilizer A in End(T) up to a nilpotent ideal, and A is local iff
+its image in End(T/xT) is, as the maps into xT form an ideal I with
+I^d = 0 (see `_local_stabilizer`).  Each flag costs one nullspace and
+one locality test on g x g matrices, g the number of generators of T.
+Only the flags that pass are built and deduplicated with the iso tests;
+the projective classes are dropped last.  Both properties are
+iso-invariant and deduplication keeps the first member of each class, so
+this gives the classes of building and deduplicating every flag object
+first.  Between indecomposables the iso tests are exact (see
+`endo.search_iso`), so the result does not depend on a seed.  The kept
+classes of the two sides are matched under cok.
 """
 
 from __future__ import annotations
@@ -99,9 +99,11 @@ class Bounds:
 
 
 def _field_elements(field):
+    """The elements of F_p, lazily: a census over a large p must not hold
+    them all when no subspace has a free entry."""
     if not isinstance(field, PrimeField):
         raise ValueError("census enumeration requires a finite prime field")
-    return [field.from_int(n) for n in range(field.p)]
+    return range(field.p)
 
 
 def _all_subspaces(field, n, elements):
@@ -115,7 +117,10 @@ def _all_subspaces(field, n, elements):
                 for j in range(n)
                 if j > pivots[i] and j not in pivots
             ]
-            for vals in itertools.product(elements, repeat=len(free)):
+            # product() turns `elements` into a tuple: call it only when
+            # there is something to fill in
+            for vals in (itertools.product(elements, repeat=len(free))
+                         if free else [()]):
                 rows = [[field.zero] * n for _ in range(r)]
                 for i, p in enumerate(pivots):
                     rows[i][p] = field.one
@@ -219,19 +224,42 @@ def _subspace_flags(field, spaces, length):
     return rec(range(len(spaces)), [])
 
 
+def _generators(field, xmat, vecs):
+    """The members of the basis `vecs` of an x-stable V that are not in
+    xV plus the members before them: a k-complement of xV in V, so R-
+    generators of V (graded Nakayama: x is nilpotent)."""
+    ech = linalg.Echelon(field)
+    for v in vecs:
+        ech.add(linalg.mat_vec(field, xmat, v))
+    return [v for v in vecs if ech.add(v)]
+
+
 def _local_stabilizer(field, top: RModule, spaces):
-    """is_indecomposable(flag) for flags of `spaces` in `top`: whether the
-    stabilizer {phi in End(top) : phi V <= V for every V in the flag} is a
-    local algebra.
+    """is_indecomposable(flag) for flags of `spaces` in T = `top`: whether
+    the stabilizer A = {phi in End(T) : phi V <= V for V in the flag} is
+    a local algebra.
 
-    hom_basis(top, top) is computed once; each subspace V contributes one
-    block of linear conditions q . phi v = 0 (q in the annihilator of V,
-    v in V) on the basis coefficients, built when a flag first uses V and
-    kept only for this top.  A flag's stabilizer is the nullspace of its
-    stacked blocks, and `endo.is_local` decides it.
+    hom_basis(T, T) is elementary (see `modules.hom_basis`) and computed
+    once.  Each V gives one block of conditions q . phi v = 0 on the basis
+    coefficients, for q in the annihilator of V and v among the
+    R-generators of V (`_generators`): phi commutes with x, so phi V <= V
+    iff phi maps them into V.  A block is built when a flag first uses V;
+    a flag's A is the nullspace of its stacked blocks.
 
-    Why this is End(X) of the flag object X up to a nilpotent ideal, so
-    that X is indecomposable iff the stabilizer is local:
+    Locality is decided on the image of A in End(T/xT).  The maps with
+    phi T <= xT form a two-sided ideal I with I^d = 0, and an algebra is
+    local iff its quotient by a nilpotent ideal is, so A is iff
+    A / (A n I) is.  The image of the elementary map gen_t ->
+    x^(s_t - s_u) gen_u is the matrix unit (u, t) if s_u = s_t and 0
+    otherwise, so each vector of A gives its g x g head directly (g
+    generators of T).  `endo.is_local` also reaches the same verdict on
+    each element as on T: each x^i T / x^(i+1) T is a quotient of T/xT,
+    so phi and its head have the same eigenvalues in k, phi - lambda is
+    nilpotent iff its head is, and an algebra of such elements is
+    nilpotent iff its image is (its d-th power lies in I^d = 0).  So
+    NonSplitEndomorphism is raised in exactly the same cases.
+
+    Why A is End(X) of the flag object X up to a nilpotent ideal:
     - chains: every structure map of X is a mono into the top, so a chain
       map is fixed by its top component, and an endomorphism of the top
       is one iff it maps each V_i into itself.  End(X) is the stabilizer.
@@ -244,32 +272,46 @@ def _local_stabilizer(field, top: RModule, spaces):
       nilpotent ideal: a product of k of them has entries in x^(kd) S,
       and a degree-0 entry x^e between generator degrees a, b has
       e = b - a, so it is 0 once kd exceeds the spread of the degrees.
-      An algebra is local iff its quotient by a nilpotent ideal is.
-    The zero top has no basis, so its flag object is not indecomposable.
+    The zero top has no generators: its flag object is not indecomposable.
     """
-    homs = [f.realization() for f in hom_basis(top, top)]
-    n = top.dim
+    F = field
+    homs = hom_basis(top, top)
+    # the few nonzero realization entries (r, c, a) of each basis map
+    entries = [[(r, c, a) for r, row in enumerate(f.realization())
+                for c, a in enumerate(row) if not F.is_zero(a)] for f in homs]
+    degs = [s for _, s in top.summands]
+    units = [(k, u, t) for k, f in enumerate(homs)
+             for u, row in enumerate(f.blocks) for t, c in enumerate(row)
+             if not F.is_zero(c) and degs[u] == degs[t]]
+    xm = top.x_matrix()
     blocks = {}
 
     def block(i):
         if i not in blocks:
-            annihilator = linalg.nullspace(field, spaces[i], cols=n)
-            ech = linalg.Echelon(field)
-            for v in spaces[i]:
-                # cols[j][r]: q_r . phi_j v
-                cols = [linalg.mat_vec(field, annihilator,
-                                       linalg.mat_vec(field, h, v))
-                        for h in homs]
-                for r in range(len(annihilator)):
-                    ech.add([col[r] for col in cols])
+            ech = linalg.Echelon(F)
+            annihilator = linalg.nullspace(F, spaces[i], cols=top.dim)
+            for v in _generators(F, xm, spaces[i]):
+                images = [[(r, F.mul(a, v[c])) for r, c, a in ent
+                           if not F.is_zero(v[c])] for ent in entries]
+                for q in annihilator:  # q . phi_j v for every basis map
+                    row = []
+                    for image in images:
+                        acc = F.zero
+                        for r, b in image:
+                            acc = F.add(acc, F.mul(q[r], b))
+                        row.append(acc)
+                    ech.add(row)
             blocks[i] = ech.rows
         return blocks[i]
 
     def keep(flag):
         rows = [row for i in dict.fromkeys(flag) for row in block(i)]
-        stab = linalg.nullspace(field, rows, cols=len(homs))
-        return is_local(field, [linalg.combination(field, c, homs, n, n)
-                                for c in stab])
+        heads = []
+        for c in linalg.nullspace(F, rows, cols=len(homs)):
+            heads.append(linalg.zeros(F, len(degs), len(degs)))
+            for k, u, t in units:
+                heads[-1][u][t] = c[k]
+        return is_local(F, heads)
 
     return keep
 

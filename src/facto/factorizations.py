@@ -85,10 +85,6 @@ class Factorization:
             self.twist,
         )
 
-    def cycle(self):
-        """All l+1 maps in cyclic order: A^0, ..., A^{l-1}, A^l."""
-        return self.maps + (self.closing,)
-
     def __eq__(self, other):
         return (
             isinstance(other, Factorization)

@@ -19,6 +19,7 @@ from .modules import (
     RealizationError,
     RModule,
     decompose,
+    homogeneous_kernel,
     is_mono_epi,
     map_ker_cok_im,
     presentation_cokernel,
@@ -214,23 +215,9 @@ def _preimage_inclusion(cfg, degs_l, proj_to_quotient):
     proj_to_quotient: realization matrix from the free cover of X^l onto a
     quotient module; returns the inclusion GradedMatrix X^k >-> X^l.
     """
-    F = cfg.field
-    free = RModule.free(cfg, degs_l)
-    fdegs = free.basis_degrees()
-    # homogeneous kernel vectors, per degree
-    by_deg = {}
-    for idx, s in enumerate(fdegs):
-        by_deg.setdefault(s, []).append(idx)
-    kvecs = []
-    for s, cols in sorted(by_deg.items()):
-        sub = [[proj_to_quotient[r][c] for c in cols]
-               for r in range(len(proj_to_quotient))]
-        for v in linalg.nullspace(F, sub, cols=len(cols)):
-            w = [F.zero] * free.dim
-            for c, val in zip(cols, v):
-                w[c] = val
-            kvecs.append(w)
-    return span_preimage_inclusion(cfg, degs_l, kvecs)
+    fdegs = RModule.free(cfg, degs_l).basis_degrees()
+    return span_preimage_inclusion(
+        cfg, degs_l, homogeneous_kernel(cfg.field, fdegs, proj_to_quotient))
 
 
 def reconstruct(u: MonoChain) -> Factorization:

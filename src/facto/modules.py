@@ -518,23 +518,17 @@ def quotient_realization(field, degs, xmat, sub_vectors):
 
 def _image_vectors(f: ModuleMap):
     """Homogeneous spanning set of the image inside tgt's realization."""
-    F = f.src.cfg.field
-    r = f.realization()
-    return [[r[i][c] for i in range(f.tgt.dim)] for c in range(f.src.dim)]
+    return [list(col) for col in zip(*f.realization())]
 
 
-def _kernel_vectors(f: ModuleMap):
-    """Homogeneous basis of the kernel inside src's realization."""
-    F = f.src.cfg.field
-    src_degs = f.src.basis_degrees()
-    r = f.realization()
-    deg_cols = _by_degree(src_degs)
+def homogeneous_kernel(field, degs, mat):
+    """Homogeneous basis of the kernel of `mat` (columns graded by degs),
+    degree by degree."""
     out = []
-    n = f.src.dim
-    for s, cols in sorted(deg_cols.items()):
-        sub = [[r[i][c] for c in cols] for i in range(f.tgt.dim)]
-        for v in linalg.nullspace(F, sub, cols=len(cols)):
-            w = [F.zero] * n
+    for s, cols in sorted(_by_degree(degs).items()):
+        sub = [[row[c] for c in cols] for row in mat]
+        for v in linalg.nullspace(field, sub, cols=len(cols)):
+            w = [field.zero] * len(degs)
             for c, val in zip(cols, v):
                 w[c] = val
             out.append(w)
@@ -550,7 +544,7 @@ def map_ker_cok_im(f: ModuleMap):
     cfg = f.src.cfg
     F = cfg.field
 
-    kvecs = _kernel_vectors(f)
+    kvecs = homogeneous_kernel(F, f.src.basis_degrees(), f.realization())
     sdegs, sx, incl_mat = subspace_realization(F, f.src.basis_degrees(), f.src.x_matrix(), kvecs)
     kmod, k_to_real, _ = realization_to_module(cfg, sdegs, sx)
     incl_real = linalg.mat_mul(F, incl_mat, k_to_real)
@@ -580,48 +574,27 @@ def is_mono_epi(f: ModuleMap):
 
 
 def hom_basis(m: RModule, n: RModule):
-    """k-basis of degree-0 x-equivariant maps m -> n.
+    """k-basis of degree-0 x-equivariant maps m -> n: the elementary maps
+    gen_t -> x^j gen_u, j = s_t - s_u, with 0 <= j < e_u <= j + e_t.
 
-    Solves the commuting linear system on the realizations: unknowns are
-    the degree-matching matrix entries, constraints come from x-equivariance.
+    A map is fixed by where it sends the generators, and gen_t (degree
+    s_t, killed by x^e_t) can go to c x^j gen_u in summand u: nonzero iff
+    j < e_u, of degree s_t iff j = s_t - s_u >= 0, killed by x^e_t iff
+    j + e_t >= e_u.  The order is row-major in (u, t), which is the order
+    of the realization's commuting linear system: its nullspace has one
+    free unknown per map, the last entry (x^(e_u-1) gen_u, x^(e_u-1-j)
+    gen_t), and these positions increase with (u, t) as e_u - 1 - j < e_t.
     """
     if m.cfg != n.cfg:
         raise ValueError("config mismatch")
     F = m.cfg.field
-    mdegs, ndegs = m.basis_degrees(), n.basis_degrees()
-    unknowns = [
-        (i, j)
-        for i in range(n.dim)
-        for j in range(m.dim)
-        if ndegs[i] == mdegs[j]
-    ]
-    if not unknowns:
-        return []
-    uidx = {p: k for k, p in enumerate(unknowns)}
-    xm, xn = m.x_matrix(), n.x_matrix()
-    # rows: equations (x_n R - R x_m)[i][j] = 0
-    rows = []
-    for i in range(n.dim):
-        for j in range(m.dim):
-            row = [F.zero] * len(unknowns)
-            touched = False
-            for k in range(n.dim):
-                if not F.is_zero(xn[i][k]) and (k, j) in uidx:
-                    row[uidx[(k, j)]] = F.add(row[uidx[(k, j)]], xn[i][k])
-                    touched = True
-            for k in range(m.dim):
-                if not F.is_zero(xm[k][j]) and (i, k) in uidx:
-                    row[uidx[(i, k)]] = F.sub(row[uidx[(i, k)]], xm[k][j])
-                    touched = True
-            if touched:
-                rows.append(row)
-    sols = linalg.nullspace(F, rows, cols=len(unknowns))
     out = []
-    for sol in sols:
-        real = linalg.zeros(F, n.dim, m.dim)
-        for (i, j), val in zip(unknowns, sol):
-            real[i][j] = val
-        out.append(ModuleMap.from_realization(m, n, real))
+    for u, (eu, su) in enumerate(n.summands):
+        for t, (et, st) in enumerate(m.summands):
+            if 0 <= st - su < eu <= st - su + et:
+                blocks = [[F.zero] * len(m.summands) for _ in n.summands]
+                blocks[u][t] = F.one
+                out.append(ModuleMap(m, n, blocks, check=False))
     return out
 
 
@@ -674,12 +647,6 @@ def lift_along_epi(p: ModuleMap, f: ModuleMap):
 # presentations ------------------------------------------------------------
 
 
-def free_cover_realization(cfg: HypersurfaceConfig, gen_degs):
-    """Realization data of the free module ⊕R(-b): (degs, x, module)."""
-    mod = RModule.free(cfg, gen_degs)
-    return mod.basis_degrees(), mod.x_matrix(), mod
-
-
 def presentation_image_vectors(a: GradedMatrix, cfg: HypersurfaceConfig):
     """Columns of A reduced mod x^d, as homogeneous vectors in the free cover."""
     F = cfg.field
@@ -720,7 +687,8 @@ def presentation_cokernel(a: GradedMatrix, cfg: HypersurfaceConfig):
     except NoSolution:
         raise NotAnnihilated("x^d does not factor through the presentation")
 
-    fdegs, fx, _ = free_cover_realization(cfg, a.tgt_degs)
+    free = RModule.free(cfg, a.tgt_degs)
+    fdegs, fx = free.basis_degrees(), free.x_matrix()
     # close the column span under x
     vecs = presentation_image_vectors(a, cfg)
     closed = []

@@ -119,9 +119,6 @@ class PolyMatrix:
             self.field, [[self.entries[i][j] for j in col_idx] for i in row_idx]
         )
 
-    def column(self, j: int):
-        return [self.entries[i][j] for i in range(self.rows)]
-
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
 

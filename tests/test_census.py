@@ -8,6 +8,7 @@ from facto.census import (
     _fac_tops,
     _flag_chain,
     _flag_factorization,
+    _generators,
     _local_stabilizer,
     _subspace_flags,
     _top_modules,
@@ -24,7 +25,9 @@ from facto.factorizations import (
     nu,
 )
 from facto.fields import GF, QQ
-from facto.modules import HypersurfaceConfig, RModule
+from facto.endo import is_local
+from facto.linalg import Echelon, combination, mat_vec, nullspace
+from facto.modules import HypersurfaceConfig, RModule, hom_basis
 from facto.randgen import random_factorization, rank1_factorization
 
 
@@ -55,6 +58,40 @@ def test_stable_subspaces_of_cyclic():
     spaces = stable_graded_subspaces(c.field, r.basis_degrees(), r.x_matrix())
     # 0, the socle, and R itself
     assert sorted(len(v) for v in spaces) == [0, 1, 2]
+
+
+def _span(field, vecs):
+    ech = Echelon(field)
+    for v in vecs:
+        ech.add(v)
+    return ech
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
+def test_generators_are_a_complement_of_xV(field):
+    """On random x-stable subspaces V of random tops, the chosen generators
+    have x-closure V, and there are dim V - dim xV of them."""
+    rng = random.Random(17)
+    seen = 0
+    for _ in range(12):
+        d = rng.randrange(2, 5)
+        top = RModule(cfg(d, field), [(rng.randrange(1, d + 1), rng.randrange(0, 2))
+                                      for _ in range(rng.randrange(1, 3))])
+        xm = top.x_matrix()
+        spaces = stable_graded_subspaces(field, top.basis_degrees(), xm)
+        for vecs in rng.sample(spaces, min(6, len(spaces))):
+            gens = _generators(field, xm, vecs)
+            closure, layer = [], gens
+            for _ in range(d):
+                closure += layer
+                layer = [mat_vec(field, xm, v) for v in layer]
+            space = _span(field, vecs)
+            assert _span(field, closure).dim == space.dim
+            assert all(space.contains(v) for v in closure)
+            x_dim = _span(field, [mat_vec(field, xm, v) for v in vecs]).dim
+            assert len(gens) == space.dim - x_dim
+            seen += len(gens) > 1
+    assert seen  # some V need more than one generator
 
 
 def test_enumerate_factorizations_d2_l1():
@@ -185,6 +222,67 @@ def test_flag_stabilizer_decides_indecomposability(d, field):
     assert {got for got, _ in facs} == {got for got, _ in chains} == {True, False}
 
 
+def _full_stabilizer(field, top, flag):
+    """Reference: the flag's stabilizer in End(top) from conditions on every
+    vector of every V, as n x n realizations."""
+    homs = [f.realization() for f in hom_basis(top, top)]
+    n = top.dim
+    rows = []
+    for vecs in flag:
+        annihilator = nullspace(field, vecs, cols=n)
+        for v in vecs:
+            cols = [mat_vec(field, annihilator, mat_vec(field, h, v))
+                    for h in homs]
+            rows += [[col[r] for col in cols] for r in range(len(annihilator))]
+    return [combination(field, c, homs, n, n)
+            for c in nullspace(field, rows, cols=len(homs))]
+
+
+def _head(top, phi):
+    """phi on top / x top, read off the realization: the coefficient of
+    gen_u in phi(gen_t), 0 between generators of different degrees."""
+    gens = [top.basis.index((t, 0)) for t in range(len(top.summands))]
+    degs = top.basis_degrees()
+    return [[phi[a][b] if degs[a] == degs[b] else top.cfg.field.zero
+             for b in gens] for a in gens]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
+def test_local_stabilizer_equals_the_full_stabilizer_oracle(field, monkeypatch):
+    """Conditions on generators only, decided on End(T/xT), agree with the
+    full stabilizer in End(T): is_local gets one head per basis vector of
+    it, the heads span its image in End(T/xT), and the answer is is_local
+    on the full stabilizer; on random flags of random tops with up to
+    three summands."""
+    heads = []
+    monkeypatch.setattr("facto.census.is_local",
+                        lambda F, basis: heads.append(basis) or is_local(F, basis))
+    rng = random.Random(5)
+    answers = set()
+    for _ in range(14):
+        d = rng.randrange(2, 5)
+        top = RModule(cfg(d, field), [(rng.randrange(1, d + 1), rng.randrange(0, 3))
+                                      for _ in range(rng.randrange(1, 4))])
+        if top.dim > (6 if field.p == 2 else 4):
+            continue
+        spaces = stable_graded_subspaces(field, top.basis_degrees(),
+                                         top.x_matrix())
+        local = _local_stabilizer(field, top, spaces)
+        flags = list(_subspace_flags(field, spaces, 2))
+        for flag in rng.sample(flags, min(40, len(flags))):
+            got = local(flag)
+            full = _full_stabilizer(field, top, [spaces[i] for i in flag])
+            assert got == is_local(field, full), (top, flag)
+            # one head per stabilizer basis vector, spanning the image
+            assert len(heads[-1]) == len(full)
+            image = _span(field, [sum(_head(top, phi), []) for phi in full])
+            mine = _span(field, [sum(h, []) for h in heads[-1]])
+            assert mine.dim == image.dim and all(
+                image.contains(row) for row in mine.rows), (top, flag)
+            answers.add(got)
+    assert answers == {True, False}
+
+
 def test_census_agrees_across_fields_at_d4():
     """l=2, d=4: F_2 and F_5 give the same classes, matching and tables."""
     bounds = Bounds(m=2, dim=4, window=3)
@@ -214,4 +312,26 @@ def test_ringel_schmidt_count_at_d2():
     assert len(rep.chain_classes) == 3
     assert len(rep.fac_classes) == len(rep.matching) == 3
     assert {j for _, j in rep.matching} == {0, 1, 2}
+    assert rep.fac_hom_table == rep.chain_hom_table
+
+
+def test_ringel_schmidt_count_at_d3():
+    """The l=2 chains at d=3 form S(3), which has 10 indecomposables
+    (Ringel-Schmidt, Crelle 614, 2008); two of them, (0 <= R) and (R = R)
+    with R = k[x]/(x^3), are projective-injective, so at most 8 classes
+    are nonprojective.
+
+    Sharpness: push-down sends a graded indecomposable to an ungraded
+    one, and two graded ones that are not shifts of each other to
+    non-isomorphic ones (the shifts of an indecomposable are its only
+    graded forms), projectives to projectives and nonprojectives to
+    nonprojectives.  So the graded classes up to shift are at most the 8
+    ungraded nonprojective ones, within any bounds; finding 8 shows that
+    m=3, dim=6, window=3 miss none.  The equivalence then matches each
+    with a factorization under cok, with equal stable hom tables.
+    """
+    rep = class_census(cfg(3, GF(2)), 2, Bounds(m=3, dim=6, window=3))
+    assert len(rep.chain_classes) == 8
+    assert len(rep.fac_classes) == len(rep.matching) == 8
+    assert {j for _, j in rep.matching} == set(range(8))
     assert rep.fac_hom_table == rep.chain_hom_table

@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import facto.cli
 from facto.cli import _parser, main
 from facto.factorizations import Factorization, FactorizationError
 from facto.fields import GF
@@ -111,6 +116,28 @@ def test_census_command(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert len(report["matching"]) == 2
     assert report["fac_hom_table"] == report["chain_hom_table"]
+
+
+def test_census_over_a_large_prime_runs_in_bounded_memory():
+    """The census never lists the elements of F_p: over p = 2^31 - 1 these
+    bounds give no subspace a free entry, so the run needs no more memory
+    than over F_5.  It runs in a child process whose address space is
+    capped, so a regression fails here instead of exhausting the host."""
+    cap = 512 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(facto.cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from facto.cli import main; sys.exit(main(sys.argv[1:]))",
+         "census", "--field", "fp:2147483647", "--d", "2", "--l", "2",
+         "--bounds", "m=1,dim=1,window=0"],
+        preexec_fn=limit, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "matched pairs:         2" in proc.stdout
 
 
 def test_census_bad_bounds(capsys):

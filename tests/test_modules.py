@@ -3,7 +3,7 @@ import random
 import pytest
 
 from facto.fields import GF, QQ
-from facto.linalg import mat_mul, rank
+from facto.linalg import mat_mul, nullspace, rank
 from facto.modules import (
     HypersurfaceConfig,
     ModuleMap,
@@ -375,3 +375,65 @@ def test_unchecked_non_linear_map_is_rejected_by_ker_cok():
     with pytest.raises(RealizationError, match="x-stable"):
         map_ker_cok_im(g)
     assert not issubclass(RealizationError, ValueError)
+
+
+# -- hom_basis against the commuting linear system ---------------------------
+
+
+def _hom_basis_by_linear_system(m, n):
+    """Reference: the nullspace of x_n R - R x_m = 0 over the degree-matching
+    entries R[i][j] of the realization, each solution read back as a map."""
+    F = m.cfg.field
+    mdegs, ndegs = m.basis_degrees(), n.basis_degrees()
+    unknowns = [(i, j) for i in range(n.dim) for j in range(m.dim)
+                if ndegs[i] == mdegs[j]]
+    if not unknowns:
+        return []
+    uidx = {p: k for k, p in enumerate(unknowns)}
+    xm, xn = m.x_matrix(), n.x_matrix()
+    rows = []
+    for i in range(n.dim):
+        for j in range(m.dim):
+            row = [F.zero] * len(unknowns)
+            touched = False
+            for k in range(n.dim):
+                if not F.is_zero(xn[i][k]) and (k, j) in uidx:
+                    row[uidx[(k, j)]] = F.add(row[uidx[(k, j)]], xn[i][k])
+                    touched = True
+            for k in range(m.dim):
+                if not F.is_zero(xm[k][j]) and (i, k) in uidx:
+                    row[uidx[(i, k)]] = F.sub(row[uidx[(i, k)]], xm[k][j])
+                    touched = True
+            if touched:
+                rows.append(row)
+    out = []
+    for sol in nullspace(F, rows, cols=len(unknowns)):
+        real = [[F.zero] * m.dim for _ in range(n.dim)]
+        for (i, j), val in zip(unknowns, sol):
+            real[i][j] = val
+        out.append(ModuleMap.from_realization(m, n, real))
+    return out
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_hom_basis_equals_the_linear_system(field):
+    """The closed-form basis is the linear system's, map for map and in the
+    same order, on random pairs with d = 1..5, the zero module included."""
+    rng = random.Random(29)
+    empty = 0
+    for d in range(1, 6):
+        c = cfg(d, field)
+
+        def module():
+            return RModule(c, [(rng.randrange(1, d + 1), rng.randrange(-2, 4))
+                               for _ in range(rng.randrange(0, 4))])
+
+        pairs = [(RModule.zero(c), module()), (module(), RModule.zero(c))]
+        pairs += [(module(), module()) for _ in range(40)]
+        for m, n in pairs:
+            got = hom_basis(m, n)
+            assert [f.blocks for f in got] == [
+                f.blocks for f in _hom_basis_by_linear_system(m, n)], (m, n)
+            assert all(f.commutes_with_x() for f in got)
+            empty += not got
+    assert empty > 10  # pairs with no maps occur, not only zero modules
