@@ -43,10 +43,10 @@ from .factorizations import (
     fac_iso_test,
     fac_projective_test,
     fac_stable_hom_dim,
-    fac_validate,
 )
 from .fields import PrimeField
-from .functors import cok, reconstruct, span_preimage_inclusion
+from .functors import cok, reconstruct
+from .functors import flag_factorization as _flag_factorization
 from .modules import (
     HypersurfaceConfig,
     ModuleMap,
@@ -55,7 +55,7 @@ from .modules import (
     realization_to_module,
     subspace_realization,
 )
-from .polymat import GradedMatrix, graded_solve
+from .polymat import GradedMatrix
 
 
 class MatchFailure(Exception):
@@ -106,8 +106,24 @@ def _field_elements(field):
     return range(field.p)
 
 
+# the most subspaces of one F^n that a census lists; the largest bounds in
+# use list 42,176 (F_5^5, d=5, l=2)
+MAX_SUBSPACES = 10 ** 5
+
+
 def _all_subspaces(field, n, elements):
-    """Bases (as row lists) of every subspace of F^n, via unique RREFs."""
+    """Bases (as row lists) of every subspace of F^n, via unique RREFs.
+
+    Raises ValueError, before listing any, when there are more than
+    MAX_SUBSPACES: their number is the sum of the Gaussian binomials
+    [n, r]_q over r, q = |F|."""
+    q, count, binom = len(elements), 0, 1
+    for r in range(n + 1):
+        count += binom
+        binom = binom * (q ** (n - r) - 1) // (q ** (r + 1) - 1)
+    if count > MAX_SUBSPACES:
+        raise ValueError(f"F_{q}^{n} has {count} subspaces, more than the "
+                         f"census lists ({MAX_SUBSPACES})")
     out = [[]]
     for r in range(1, n + 1):
         for pivots in itertools.combinations(range(n), r):
@@ -356,17 +372,6 @@ def _fac_tops(cfg: HypersurfaceConfig, m_max: int, window: int):
             yield degs_l, RModule.free(cfg, list(degs_l))
 
 
-def _flag_factorization(cfg, degs_l, flag) -> Factorization:
-    """The factorization with X^k the preimage of the k-th flag subspace."""
-    incls = [span_preimage_inclusion(cfg, list(degs_l), vecs) for vecs in flag]
-    incls.append(GradedMatrix.identity(cfg.field, list(degs_l)))
-    maps = [graded_solve(incls[k + 1], incls[k]) for k in range(len(flag))]
-    out = fac_validate(maps, cfg)
-    if not isinstance(out, Factorization) or out.m != len(degs_l):
-        raise MatchFailure(f"flag factorization invalid: {out}")
-    return out
-
-
 def _fac_fingerprint(x: Factorization):
     return tuple(tuple(sorted(x.degs(k))) for k in range(x.l + 1))
 
@@ -433,20 +438,6 @@ def _top_modules(cfg: HypersurfaceConfig, dim_max: int, window: int):
     return out
 
 
-def _factor_realization(field, big, small):
-    """R with big @ R = small, both realization matrices (columnwise)."""
-    cols = len(small[0]) if small else 0
-    rows = len(big[0]) if big else 0
-    out = [[field.zero] * cols for _ in range(rows)]
-    for j in range(cols):
-        sol = linalg.solve(field, big, [small[r][j] for r in range(len(small))])
-        if sol is None:
-            raise MatchFailure("flag member does not factor")
-        for i in range(rows):
-            out[i][j] = sol[i]
-    return out
-
-
 def _flag_chain(cfg: HypersurfaceConfig, top: RModule, flag) -> MonoChain:
     """The chain of submodules V_1 >-> ... >-> V_{l-1} >-> top."""
     F = cfg.field
@@ -459,7 +450,9 @@ def _flag_chain(cfg: HypersurfaceConfig, top: RModule, flag) -> MonoChain:
     pairs.append((top, linalg.identity(F, top.dim)))
     maps = []
     for (m0, i0), (m1, i1) in zip(pairs, pairs[1:]):
-        real = _factor_realization(F, i1, i0)
+        real = linalg.solve(F, i1, i0, cols=m1.dim)
+        if real is None:
+            raise MatchFailure("flag member does not factor")
         maps.append(ModuleMap.from_realization(m0, m1, real))
     return MonoChain(cfg, [m for m, _ in pairs], maps)
 
@@ -567,7 +560,10 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
     unmatched only when its partner falls outside the given bounds; any
     other mismatch raises MatchFailure.  Raises NonSplitEndomorphism when
     an object's indecomposability is undecided over k (see
-    `endo.is_local`).
+    `endo.is_local`), FactorizationError when a flag does not give a
+    factorization (`functors.flag_factorization`; the CLI maps both to
+    exit 2), and ValueError when one F^n has more than MAX_SUBSPACES
+    subspaces to list (exit 1).
     """
     facs = _classes(
         _flag_objects(cfg, _fac_tops(cfg, bounds.m, bounds.window), l,

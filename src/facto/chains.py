@@ -18,7 +18,6 @@ from .modules import (
     expect_json,
     hom_basis,
     is_mono_epi,
-    map_ker_cok_im,
     module_iso,
     projective_cover,
 )
@@ -168,15 +167,8 @@ class ChainMap:
             for i, f in enumerate(self.parts):
                 if f.src != src.objects[i] or f.tgt != tgt.objects[i]:
                     raise ValueError(f"component {i} endpoints mismatch")
-            F = src.cfg.field
             for i in range(src.length - 1):
-                lhs = linalg.mat_mul(F, tgt.maps[i].realization(),
-                                     self.parts[i].realization())
-                rhs = linalg.mat_mul(F, self.parts[i + 1].realization(),
-                                     src.maps[i].realization())
-                # a product through a zero module comes back with no columns
-                if lhs != rhs and any(not F.is_zero(c) for m in (lhs, rhs)
-                                      for row in m for c in row):
+                if tgt.maps[i] @ self.parts[i] != self.parts[i + 1] @ src.maps[i]:
                     raise ValueError(f"square {i} does not commute")
 
     @classmethod
@@ -214,9 +206,13 @@ class ChainMap:
 def chain_hom_basis(u: MonoChain, v: MonoChain):
     """k-basis of ChainMaps u -> v (commuting componentwise homs).
 
-    The unknowns are the coefficients of each component in a k-basis of
-    Hom(u^i, v^i); each square gives one scalar equation per entry of
-    v.maps[i] f^i - f^{i+1} u.maps[i], built from realization products.
+    The unknowns are the coefficients of each component in the elementary
+    basis of Hom(u^i, v^i) (`modules.hom_basis`); each square gives one
+    scalar equation per generator block of v.maps[i] f^i - f^{i+1}
+    u.maps[i], read off the block products with the basis maps.  A map is
+    fixed by its normalized blocks, so these equations cut out the same
+    space as one per realization entry, and the basis is the nullspace of
+    their RREF.
     """
     if u.cfg != v.cfg:
         raise ValueError("config mismatch")
@@ -230,19 +226,12 @@ def chain_hom_basis(u: MonoChain, v: MonoChain):
     total = offsets[-1]
     if total == 0:
         return []
-    reals = [[g.realization() for g in basis] for basis in comp_bases]
     rows = []
     for i in range(u.length - 1):
-        n_rows = v.objects[i + 1].dim
-        n_cols = u.objects[i].dim
-        if n_rows * n_cols == 0:
-            continue
-        after, before = v.maps[i].realization(), u.maps[i].realization()
-        cols = [linalg.mat_mul(F, after, g) for g in reals[i]]
-        cols += [[[F.neg(c) for c in row] for row in linalg.mat_mul(F, g, before)]
-                 for g in reals[i + 1]]
-        for r in range(n_rows):
-            for c in range(n_cols):
+        cols = [(v.maps[i] @ g).blocks for g in comp_bases[i]]
+        cols += [(-(g @ u.maps[i])).blocks for g in comp_bases[i + 1]]
+        for r in range(len(v.objects[i + 1].summands)):
+            for c in range(len(u.objects[i].summands)):
                 row = [F.zero] * total
                 row[offsets[i]:offsets[i + 2]] = [m[r][c] for m in cols]
                 rows.append(row)
@@ -263,14 +252,15 @@ def chain_hom_basis(u: MonoChain, v: MonoChain):
 
 
 def chain_projective_test(u: MonoChain) -> bool:
-    """True iff every object is free and every mono splits (free cokernel)."""
-    if not all(m.is_free() for m in u.objects):
-        return False
-    for f in u.maps:
-        _, (cok, _), _ = map_ker_cok_im(f)
-        if not cok.is_free():
-            return False
-    return True
+    """True iff u is projective: every object is free.
+
+    A projective chain is a sum of trivial chains on free modules, so its
+    objects are free and its monos split with free cokernels.  Those
+    follow from the objects alone: R is self-injective, so a mono out of a
+    free module splits, and its cokernel is a summand of a free module,
+    which is free over the graded local ring R.
+    """
+    return all(m.is_free() for m in u.objects)
 
 
 def chain_projective_cover(u: MonoChain):

@@ -1,9 +1,13 @@
 """The cokernel functor, its exact sequence, and reconstruction.
 
 `cok` sends a factorization X to the chain of monomorphisms between the
-cokernels of its leading composites X^0 -> X^k.  `reconstruct` inverts it
-up to isomorphism by taking preimages (pullbacks) of the chain inside a
-minimal free cover of its last module.
+cokernels of its leading composites X^0 -> X^k.  `_cokernels` fixes the
+coordinates of these cokernels once, and `cok`, `induced_cok_map`,
+`jq_sequence` and `to_ldiagram` all read them from there.
+`reconstruct` inverts cok up to isomorphism: it is the flag factorization
+(`flag_factorization`, shared with the census) of the preimages, in a
+minimal free cover of the chain's last module, of 0 and of the images of
+the other modules.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from .modules import (
     ModuleMap,
     RealizationError,
     RModule,
+    _image_vectors,
     decompose,
     homogeneous_kernel,
     is_mono_epi,
-    map_ker_cok_im,
     presentation_cokernel,
     projective_cover,
     subspace_realization,
@@ -36,41 +40,32 @@ def reduced_module_map(g: GradedMatrix, cfg: HypersurfaceConfig) -> ModuleMap:
     return ModuleMap(src, tgt, g.coeffs, check=False)
 
 
-def _section_of(field, proj):
-    """Right inverse of a surjective realization matrix, one column at a time."""
-    rows = len(proj)
-    cols = len(proj[0]) if rows else 0
-    sec = [[field.zero] * rows for _ in range(cols)]
-    for j in range(rows):
-        sol = linalg.solve(field, proj, linalg.unit_vector(field, rows, j))
-        if sol is None:
-            raise RealizationError("projection is not surjective")
-        for i in range(cols):
-            sec[i][j] = sol[i]
-    return sec
+def _cokernels(x: Factorization):
+    """(U^k, projection) = presentation_cokernel(X^0 -> X^k) for k = 1..l:
+    the one place that fixes the coordinates of cok(x)."""
+    return [presentation_cokernel(prefix(x, k), x.cfg) for k in range(1, x.l + 1)]
+
+
+def _induced(cfg, g: GradedMatrix, src, tgt) -> ModuleMap:
+    """The map between the cokernels src and tgt (pairs from `_cokernels`)
+    that g induces on their free covers: lift along src's projection,
+    apply g mod x^d, project onto tgt."""
+    F = cfg.field
+    (src_mod, src_proj), (tgt_mod, tgt_proj) = src, tgt
+    lift = linalg.solve(F, src_proj, linalg.identity(F, src_mod.dim),
+                        cols=cfg.d * len(g.src_degs))
+    if lift is None:
+        raise RealizationError("projection is not surjective")
+    gbar = reduced_module_map(g, cfg).realization()
+    mat = linalg.mat_mul(F, tgt_proj, linalg.mat_mul(F, gbar, lift))
+    return ModuleMap.from_realization(src_mod, tgt_mod, mat)
 
 
 def cok(x: Factorization) -> MonoChain:
     """The chain U^1 >-> ... >-> U^l of cokernels of the leading composites."""
-    cfg = x.cfg
-    F = cfg.field
-    l = x.l
-    mods, projs = [], []
-    for k in range(1, l + 1):
-        m, proj = presentation_cokernel(prefix(x, k), cfg)
-        mods.append(m)
-        projs.append(proj)
-    maps = []
-    for k in range(1, l):
-        # induced map U^k -> U^{k+1}: lift along the cover, push, project
-        lift = _section_of(F, projs[k - 1])
-        abar = reduced_module_map(x.maps[k], cfg).realization()
-        mat = linalg.mat_mul(F, projs[k], linalg.mat_mul(F, abar, lift))
-        f = ModuleMap.from_realization(mods[k - 1], mods[k], mat)
-        if not is_mono_epi(f)[0]:
-            raise RealizationError("induced cokernel map is not mono")
-        maps.append(f)
-    chain = MonoChain(cfg, mods, maps, check=False)
+    coks = _cokernels(x)
+    maps = [_induced(x.cfg, x.maps[k], coks[k - 1], coks[k]) for k in range(1, x.l)]
+    chain = MonoChain(x.cfg, [m for m, _ in coks], maps, check=False)
     bad = chain_validate(chain)
     if bad is not True:
         raise RealizationError(f"cokernel chain invalid at {bad.index}: "
@@ -96,16 +91,9 @@ def jq_sequence(x: Factorization):
         "nu_l_left", x, GradedMatrix.identity(F, x.degs(0)), forward=False
     )
     chain = iota_embed(cok(x))
-    q = []
-    for k in range(l + 1):
-        free_k = RModule.free(cfg, x.degs(k))
-        if k == 0:
-            q.append(ModuleMap.zero(free_k, chain.objects[0]))
-            continue
-        mod, proj = presentation_cokernel(prefix(x, k), cfg)
-        if mod != chain.objects[k]:
-            raise RealizationError(f"cokernel {k} differs from the chain's")
-        q.append(ModuleMap.from_realization(free_k, mod, proj))
+    q = [ModuleMap.zero(RModule.free(cfg, x.degs(0)), chain.objects[0])]
+    for k, (mod, proj) in enumerate(_cokernels(x), 1):
+        q.append(ModuleMap.from_realization(RModule.free(cfg, x.degs(k)), mod, proj))
     # componentwise exactness: q^k o jbar^k = 0 and rank counts match
     for k in range(l + 1):
         jbar = reduced_module_map(j.components[k], cfg)
@@ -144,7 +132,7 @@ class LDiagram:
 def to_ldiagram(x: Factorization) -> LDiagram:
     cfg = x.cfg
     chain = cok(x)
-    mod, proj = presentation_cokernel(prefix(x, x.l), cfg)
+    mod, proj = _cokernels(x)[-1]
     rho = ModuleMap.from_realization(RModule.free(cfg, x.degs(x.l)), mod, proj)
     return LDiagram(iota=prefix(x, x.l), rho=rho, chain=chain)
 
@@ -209,42 +197,38 @@ def span_preimage_inclusion(cfg, degs_l, kvecs):
     return GradedMatrix.from_coeffs(F, coeffs, kept_degs, degs_l)
 
 
-def _preimage_inclusion(cfg, degs_l, proj_to_quotient):
-    """Free basis of the preimage in S^m of ker(proj) on the free cover.
-
-    proj_to_quotient: realization matrix from the free cover of X^l onto a
-    quotient module; returns the inclusion GradedMatrix X^k >-> X^l.
-    """
-    fdegs = RModule.free(cfg, degs_l).basis_degrees()
-    return span_preimage_inclusion(
-        cfg, degs_l, homogeneous_kernel(cfg.field, fdegs, proj_to_quotient))
+def flag_factorization(cfg, degs_l, flag) -> Factorization:
+    """The factorization whose X^k is the preimage in S^m of the k-th
+    member of `flag` (x-stable homogeneous spans in the realization of
+    the free R-cover on degs_l) and whose X^l is S^m itself.  Raises
+    FactorizationError if the maps do not form a factorization."""
+    degs_l = list(degs_l)
+    incls = [span_preimage_inclusion(cfg, degs_l, vecs) for vecs in flag]
+    incls.append(GradedMatrix.identity(cfg.field, degs_l))
+    maps = [graded_solve(incls[k + 1], incls[k]) for k in range(len(flag))]
+    return fac_build(maps, cfg, "flag factorization")
 
 
 def reconstruct(u: MonoChain) -> Factorization:
-    """A factorization X with cok(X) chain-isomorphic to u (minimal cover)."""
+    """A factorization X with cok(X) chain-isomorphic to u (minimal cover).
+
+    X is the flag factorization of the preimages under p: P ->> U^l of 0
+    and of the images of U^1, ..., U^(l-1); the preimage of W is the kernel
+    of (annihilator of W) o p.
+    """
     cfg = u.cfg
     F = cfg.field
-    l = u.length
     top = u.objects[-1]
-    degs_l = [s for _, s in top.summands]
     _, p = projective_cover(top)
-
-    inclusions = []  # X^k >-> X^l for k = 0..l-1
-    for k in range(l):
-        if k == 0:
-            # preimage of 0: kernel of p itself
-            quot_proj = p.realization()
-        else:
-            comp = ModuleMap.identity(u.objects[k - 1])
-            for i in range(k - 1, l - 1):
-                comp = u.maps[i] @ comp
-            _, (_, proj), _ = map_ker_cok_im(comp)
-            quot_proj = linalg.mat_mul(F, proj.realization(), p.realization())
-        inclusions.append(_preimage_inclusion(cfg, degs_l, quot_proj))
-    inclusions.append(GradedMatrix.identity(F, degs_l))
-
-    maps = [graded_solve(inclusions[k + 1], inclusions[k]) for k in range(l)]
-    return fac_build(maps, cfg, "reconstruction")
+    images, comp = [], ModuleMap.identity(top)
+    for f in reversed(u.maps):  # the composites U^k -> U^l, k = l-1 .. 1
+        comp = comp @ f
+        images.insert(0, _image_vectors(comp))
+    flag = [homogeneous_kernel(
+        F, p.src.basis_degrees(),
+        linalg.mat_mul(F, linalg.nullspace(F, w, cols=top.dim), p.realization()))
+        for w in [[]] + images]
+    return flag_factorization(cfg, [s for _, s in top.summands], flag)
 
 
 # exactness of cok ------------------------------------------------------------
@@ -252,24 +236,8 @@ def reconstruct(u: MonoChain) -> Factorization:
 
 def induced_cok_map(f: FacMap) -> list:
     """Componentwise maps cok(src) -> cok(tgt) induced by a FacMap."""
-    cfg = f.src.cfg
-    F = cfg.field
-    l = f.src.l
-    src_chain = cok(f.src)
-    tgt_chain = cok(f.tgt)
-    out = []
-    for k in range(1, l + 1):
-        _, proj_s = presentation_cokernel(prefix(f.src, k), cfg)
-        _, proj_t = presentation_cokernel(prefix(f.tgt, k), cfg)
-        lift = _section_of(F, proj_s)
-        fbar = reduced_module_map(f.components[k], cfg).realization()
-        mat = linalg.mat_mul(F, proj_t, linalg.mat_mul(F, fbar, lift))
-        out.append(
-            ModuleMap.from_realization(
-                src_chain.objects[k - 1], tgt_chain.objects[k - 1], mat
-            )
-        )
-    return out
+    return [_induced(f.src.cfg, g, s, t) for g, s, t in
+            zip(f.components[1:], _cokernels(f.src), _cokernels(f.tgt))]
 
 
 def cok_exactness_check(i: FacMap, p: FacMap) -> bool:

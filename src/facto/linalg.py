@@ -120,28 +120,25 @@ def unit_vector(field: Field, n: int, i: int):
     return v
 
 
-def solve(field: Field, a, b):
-    """One solution x of a x = b, or None.  b is a column vector."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [a[i][:] + [b[i]] for i in range(rows)]
-    red, pivots = rref(field, aug)
-    if cols in pivots:
+def solve(field: Field, a, b, cols: int | None = None):
+    """One solution X of a X = b, or None if some column of b is not in
+    the column space of a.  The columns of b are the right-hand sides;
+    `cols` is the width of a when a has no rows.  Free unknowns are 0, and
+    a consistent system pivots only in a's columns, so each column of X is
+    the solution of its own right-hand side alone."""
+    n = len(a[0]) if a else cols or 0
+    red, pivots = rref(field, [list(ra) + list(rb) for ra, rb in zip(a, b)])
+    if pivots and pivots[-1] >= n:
         return None
-    x = [field.zero] * cols
+    x = zeros(field, n, len(b[0]) if b else 0)
     for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
+        x[c] = red[r][n:]
     return x
 
 
 def invert(field: Field, a):
     """Inverse of a square matrix, or None if singular."""
-    n = len(a)
-    aug = [a[i][:] + identity(field, n)[i] for i in range(n)]
-    red, pivots = rref(field, aug)
-    if pivots != list(range(n)):
-        return None
-    return [red[i][n:] for i in range(n)]
+    return solve(field, a, identity(field, len(a)))
 
 
 class Echelon:

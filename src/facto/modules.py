@@ -1,10 +1,13 @@
 """Finitely generated graded modules over R = k[x]/(x^d).
 
 An `RModule` is a direct sum of cyclic pieces (R/(x^e))(-s), recorded as a
-list of (e, s) pairs.  Each module carries a realization as a graded
-k-vector space with a degree-raising x-operator; kernels, cokernels, hom
-spaces and stable homs all reduce to plain exact linear algebra on these
-realizations.  The zero module (no summands) is a first-class value.
+list of (e, s) pairs.  A `ModuleMap` is a k-matrix on generators: it is
+R-linear by a closed-form condition on its entries, and composition is
+the matrix product.  Each module also carries a realization as a graded
+k-vector space with a degree-raising x-operator, a view derived from the
+generators; kernels, images, cokernels and ranks reduce to plain exact
+linear algebra on these realizations.  The zero module (no summands) is a
+first-class value.
 """
 
 from __future__ import annotations
@@ -162,9 +165,11 @@ class ModuleMap:
     """Degree-0 x-equivariant map, stored by generator-image coefficients.
 
     blocks[u][t] is the scalar c in gen_t -> c * x^(s_t - s_u) * gen_u.
-    Validity is semantic: the realization must commute with x; the block
-    pattern itself is only normalized (entries whose monomial image is
-    zero are dropped).
+    The blocks are normalized (entries whose monomial image is zero are
+    dropped), validity is the closed form of `commutes_with_x`, and
+    composition is the product of the block matrices.  The realization is
+    a view derived from the blocks, for kernels, images, ranks and
+    `scalars()`.
     """
 
     __slots__ = ("src", "tgt", "blocks", "_real")
@@ -220,11 +225,15 @@ class ModuleMap:
         return [self.realization()]
 
     def commutes_with_x(self) -> bool:
+        """Whether the map is R-linear: x^e_t gen_t = 0 must go to
+        c x^(s_t - s_u + e_t) gen_u = 0, so every nonzero block (u, t) has
+        s_t - s_u + e_t >= e_u.  On the realization only the columns of
+        x^(e_t - 1) gen_t can fail x f = f x, and the blocks of different u
+        land in different rows there, so no two terms cancel."""
         F = self.src.cfg.field
-        r = self.realization()
-        lhs = linalg.mat_mul(F, self.tgt.x_matrix(), r)
-        rhs = linalg.mat_mul(F, r, self.src.x_matrix())
-        return lhs == rhs
+        return all(F.is_zero(c) or st - su + et >= eu
+                   for (eu, su), row in zip(self.tgt.summands, self.blocks)
+                   for (et, st), c in zip(self.src.summands, row))
 
     @classmethod
     def from_realization(cls, src: RModule, tgt: RModule, real) -> "ModuleMap":
@@ -268,13 +277,15 @@ class ModuleMap:
     # arithmetic -----------------------------------------------------------
 
     def __matmul__(self, other: "ModuleMap") -> "ModuleMap":
+        """The block product: every term g_wv f_vt of gen_t's image is the
+        monomial x^(s_t - s_w) gen_w."""
         if other.tgt != self.src:
             raise ValueError("composition mismatch")
         if self.src.is_zero():
             return ModuleMap.zero(other.src, self.tgt)
-        F = self.src.cfg.field
-        real = linalg.mat_mul(F, self.realization(), other.realization())
-        return ModuleMap.from_realization(other.src, self.tgt, real)
+        return ModuleMap(other.src, self.tgt,
+                         linalg.mat_mul(self.src.cfg.field, self.blocks,
+                                        other.blocks), check=False)
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
         if self.src != other.src or self.tgt != other.tgt:
@@ -442,12 +453,9 @@ def realization_to_module(cfg: HypersurfaceConfig, degs, xmat):
     mod = RModule(cfg, summands)
     n = mod.dim
     to_real = [[basis[c][r] for c in range(n)] for r in range(len(degs))]
-    if n:
-        from_real = linalg.invert(F, to_real)
-        if from_real is None:
-            raise RealizationError("Jordan chains are linearly dependent")
-    else:
-        from_real = []
+    from_real = linalg.invert(F, to_real)
+    if from_real is None:
+        raise RealizationError("Jordan chains are linearly dependent")
     return mod, to_real, from_real
 
 
@@ -462,14 +470,9 @@ def subspace_realization(field, degs, xmat, vectors):
     k = len(basis)
     incl = [[basis[c][r] for c in range(k)] for r in range(len(degs))]
     # coordinates of x * basis vector in the sub-basis
-    sx = linalg.zeros(field, k, k)
-    for c, v in enumerate(basis):
-        xv = linalg.mat_vec(field, xmat, v)
-        coords = linalg.solve(field, incl, xv)
-        if coords is None:
-            raise RealizationError("span is not x-stable")
-        for r in range(k):
-            sx[r][c] = coords[r]
+    sx = linalg.solve(field, incl, linalg.mat_mul(field, xmat, incl), cols=k)
+    if sx is None:
+        raise RealizationError("span is not x-stable")
     return sdegs, sx, incl
 
 
@@ -479,36 +482,32 @@ def quotient_realization(field, degs, xmat, sub_vectors):
     comps = homogeneous_components(field, degs, sub_vectors)
     deg_cols = _by_degree(degs)
     comp_cols = []  # chosen complement: standard basis indices
-    ech_by_deg = {}
     for s, cols in sorted(deg_cols.items()):
         ech = linalg.Echelon(field)
         for v in comps.get(s, []):
             ech.add(v)
-        sub_dim = ech.dim
         for c in cols:
             if ech.add(linalg.unit_vector(field, n, c)):
                 comp_cols.append(c)
-        ech_by_deg[s] = (comps.get(s, []), sub_dim)
     q = len(comp_cols)
     q_degs = [degs[c] for c in comp_cols]
     section = [[field.one if comp_cols[j] == r else field.zero for j in range(q)] for r in range(n)]
 
     # projection: solve [sub basis | complement] coords per degree, keep complement part
     proj = linalg.zeros(field, q, n)
+    eye = linalg.identity(field, n)
     for s, cols in deg_cols.items():
-        sub_basis = ech_by_deg[s][0]
+        sub_basis = comps.get(s, [])
         local_comp = [c for c in comp_cols if degs[c] == s]
-        full = sub_basis + [linalg.unit_vector(field, n, c) for c in local_comp]
-        if not full:
-            continue
+        full = sub_basis + [eye[c] for c in local_comp]
         # express each standard basis vector of this degree in `full` coords
         mat = [[full[c][r] for c in range(len(full))] for r in range(n)]
-        for c in cols:
-            coords = linalg.solve(field, mat, linalg.unit_vector(field, n, c))
-            if coords is None:
-                raise RealizationError("quotient complement does not span")
-            for j, cc in enumerate(local_comp):
-                proj[comp_cols.index(cc)][c] = coords[len(sub_basis) + j]
+        coords = linalg.solve(field, mat, [[row[c] for c in cols] for row in eye])
+        if coords is None:
+            raise RealizationError("quotient complement does not span")
+        for j, cc in enumerate(local_comp):
+            for c, val in zip(cols, coords[len(sub_basis) + j]):
+                proj[comp_cols.index(cc)][c] = val
     q_x = linalg.mat_mul(field, proj, linalg.mat_mul(field, xmat, section))
     return q_degs, q_x, proj, section
 
@@ -629,17 +628,15 @@ def lift_along_epi(p: ModuleMap, f: ModuleMap):
         raise ValueError("targets differ")
     F = p.src.cfg.field
     cand = hom_basis(f.src, p.src)
-    cols = [[c for row in (p @ g).realization() for c in row] for g in cand]
-    target = [c for row in f.realization() for c in row]
+    cols = [[c for row in (p @ g).blocks for c in row] for g in cand]
+    target = [c for row in f.blocks for c in row]
     if not target:
         return ModuleMap.zero(f.src, p.src)
-    mat = [[col[r] for col in cols] for r in range(len(target))]
-    coeffs = linalg.solve(F, mat, target) if cols else (
-        None if any(not F.is_zero(c) for c in target) else []
-    )
+    coeffs = linalg.solve(F, [[col[r] for col in cols] for r in range(len(target))],
+                          [[c] for c in target])
     if coeffs is None:
         return None
-    blocks = linalg.combination(F, coeffs, [h.blocks for h in cand],
+    blocks = linalg.combination(F, [c for c, in coeffs], [h.blocks for h in cand],
                                 len(p.src.summands), len(f.src.summands))
     return ModuleMap(f.src, p.src, blocks, check=False)
 

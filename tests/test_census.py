@@ -50,6 +50,10 @@ def test_all_subspaces_counts():
     F2, F5 = GF(2), GF(5)
     assert len(_all_subspaces(F2, 2, [F2.from_int(i) for i in range(2)])) == 5
     assert len(_all_subspaces(F5, 2, [F5.from_int(i) for i in range(5)])) == 8
+    # the sum of the Gaussian binomials, counted before any is listed
+    assert len(_all_subspaces(F2, 6, range(2))) == 2825
+    with pytest.raises(ValueError, match="417199 subspaces"):
+        _all_subspaces(F2, 8, range(2))
 
 
 def test_stable_subspaces_of_cyclic():

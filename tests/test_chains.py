@@ -275,3 +275,94 @@ def test_chain_json_round_trip():
     c = cfg(2, GF(5))
     u = incl_k_in_R2(c)
     assert MonoChain.from_json(c, u.to_json()) == u
+
+
+# -- oracles for the generator-coordinate hom basis and projectivity -----------
+
+
+def _chain_hom_basis_by_realizations(u, v):
+    """Reference: one equation per realization entry of v.maps[i] f^i -
+    f^{i+1} u.maps[i], from realization products."""
+    from facto.linalg import combination, mat_mul, nullspace
+
+    F = u.cfg.field
+    comp_bases = [hom_basis(a, b) for a, b in zip(u.objects, v.objects)]
+    offsets = [0]
+    for b in comp_bases:
+        offsets.append(offsets[-1] + len(b))
+    total = offsets[-1]
+    if total == 0:
+        return []
+    reals = [[g.realization() for g in basis] for basis in comp_bases]
+    rows = []
+    for i in range(u.length - 1):
+        n_rows, n_cols = v.objects[i + 1].dim, u.objects[i].dim
+        if n_rows * n_cols == 0:
+            continue
+        after, before = v.maps[i].realization(), u.maps[i].realization()
+        cols = [mat_mul(F, after, g) for g in reals[i]]
+        cols += [[[F.neg(c) for c in row] for row in mat_mul(F, g, before)]
+                 for g in reals[i + 1]]
+        for r in range(n_rows):
+            for c in range(n_cols):
+                row = [F.zero] * total
+                row[offsets[i]:offsets[i + 2]] = [m[r][c] for m in cols]
+                rows.append(row)
+    out = []
+    for sol in nullspace(F, rows, cols=total):
+        parts = []
+        for i, basis in enumerate(comp_bases):
+            a, b = u.objects[i], v.objects[i]
+            blocks = combination(F, sol[offsets[i]:offsets[i + 1]],
+                                 [g.blocks for g in basis],
+                                 len(b.summands), len(a.summands))
+            parts.append(ModuleMap(a, b, blocks, check=False))
+        out.append(ChainMap(u, v, parts))
+    return out
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_chain_hom_basis_equals_the_realization_equations(field):
+    """The block equations give the same ChainMaps in the same order."""
+    rng = random.Random(41)
+    sizes = []
+    for d in (1, 2, 3):
+        c = cfg(d, field)
+        for _ in range(25):
+            length = rng.randrange(1, 4)
+            u, v = random_chain(c, rng, length), random_chain(c, rng, length)
+            got = chain_hom_basis(u, v)
+            assert got == _chain_hom_basis_by_realizations(u, v), (u, v)
+            sizes.append(len(got))
+    assert max(sizes) >= 3 and 0 in sizes
+
+
+def _projective_by_split_monos(u):
+    """Reference: every object free and every mono with a free cokernel."""
+    from facto.modules import map_ker_cok_im
+
+    return (all(m.is_free() for m in u.objects)
+            and all(map_ker_cok_im(f)[1][0].is_free() for f in u.maps))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_projective_test_equals_the_split_definition(field):
+    """On random chains and on sums of trivial chains on free modules, with
+    both verdicts occurring."""
+    rng = random.Random(43)
+    verdicts = []
+    for d in (1, 2, 3):
+        c = cfg(d, field)
+        for _ in range(20):
+            length = rng.randrange(1, 4)
+            chains = [random_chain(c, rng, length)]
+            trivial = [mu_trivial(RModule.free(c, [rng.randrange(0, 3)]),
+                                  rng.randrange(1, length + 1), length)
+                       for _ in range(rng.randrange(1, 4))]
+            for t in trivial[1:]:
+                trivial[0] = trivial[0].direct_sum(t)
+            chains += [trivial[0], trivial[0].direct_sum(chains[0])]
+            for u in chains:
+                verdicts.append(chain_projective_test(u))
+                assert verdicts[-1] == _projective_by_split_monos(u), u
+    assert verdicts.count(True) > 20 and verdicts.count(False) > 20

@@ -119,10 +119,12 @@ def test_census_command(tmp_path, capsys):
 
 
 def test_census_over_a_large_prime_runs_in_bounded_memory():
-    """The census never lists the elements of F_p: over p = 2^31 - 1 these
-    bounds give no subspace a free entry, so the run needs no more memory
-    than over F_5.  It runs in a child process whose address space is
-    capped, so a regression fails here instead of exhausting the host."""
+    """The census never lists the elements of F_p: over p = 2^31 - 1 the
+    bounds dim=1 give no subspace a free entry, so the run needs no more
+    memory than over F_5, and dim=2 (p + 3 subspaces of F_p^2) is refused
+    with an error line before anything is listed.  Each run is a child
+    process whose address space is capped, so a regression fails here
+    instead of exhausting the host."""
     cap = 512 * 2**20
 
     def limit():
@@ -130,14 +132,21 @@ def test_census_over_a_large_prime_runs_in_bounded_memory():
 
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(facto.cli.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from facto.cli import main; sys.exit(main(sys.argv[1:]))",
-         "census", "--field", "fp:2147483647", "--d", "2", "--l", "2",
-         "--bounds", "m=1,dim=1,window=0"],
-        preexec_fn=limit, env=env, capture_output=True, text=True, timeout=300)
+
+    def census(bounds):
+        return subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from facto.cli import main; sys.exit(main(sys.argv[1:]))",
+             "census", "--field", "fp:2147483647", "--d", "2", "--l", "2",
+             "--bounds", bounds],
+            preexec_fn=limit, env=env, capture_output=True, text=True, timeout=300)
+
+    proc = census("m=1,dim=1,window=0")
     assert proc.returncode == 0, proc.stderr
     assert "matched pairs:         2" in proc.stdout
+    proc = census("m=1,dim=2,window=0")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_census_bad_bounds(capsys):

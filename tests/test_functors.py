@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from facto.chains import chain_iso_test, chain_validate, mu_trivial
+from facto.chains import MonoChain, chain_iso_test, chain_validate, mu_trivial
 from facto.factorizations import (
     Factorization,
     fac_stable_hom_dim,
@@ -229,3 +229,55 @@ def test_cok_exactness_malformed():
     if i2.tgt != p.src:
         with pytest.raises(ValueError):
             cok_exactness_check(i2, p)
+
+
+# -- reconstruct against its map_ker_cok_im version ------------------------------
+
+
+def _reconstruct_by_cokernels(u):
+    """Reference: X^k is the preimage of ker(U^l ->> cok(U^k -> U^l)) under
+    the cover p, taken from map_ker_cok_im (X^0: the kernel of p)."""
+    from facto.factorizations import fac_build
+    from facto.functors import span_preimage_inclusion
+    from facto.linalg import mat_mul
+    from facto.modules import (
+        ModuleMap,
+        homogeneous_kernel,
+        map_ker_cok_im,
+        projective_cover,
+    )
+    from facto.polymat import GradedMatrix, graded_solve
+
+    c, F, l = u.cfg, u.cfg.field, u.length
+    top = u.objects[-1]
+    degs_l = [s for _, s in top.summands]
+    _, p = projective_cover(top)
+    fdegs = RModule.free(c, degs_l).basis_degrees()
+    inclusions = []
+    for k in range(l):
+        if k == 0:
+            quot_proj = p.realization()
+        else:
+            comp = ModuleMap.identity(u.objects[k - 1])
+            for i in range(k - 1, l - 1):
+                comp = u.maps[i] @ comp
+            _, (_, proj), _ = map_ker_cok_im(comp)
+            quot_proj = mat_mul(F, proj.realization(), p.realization())
+        inclusions.append(span_preimage_inclusion(
+            c, degs_l, homogeneous_kernel(F, fdegs, quot_proj)))
+    inclusions.append(GradedMatrix.identity(F, degs_l))
+    maps = [graded_solve(inclusions[k + 1], inclusions[k]) for k in range(l)]
+    return fac_build(maps, c, "reconstruction")
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=repr)
+def test_reconstruct_equals_the_cokernel_version(field):
+    """Same to_json on random chains of lengths 1-3 and on zero chains."""
+    rng = random.Random(47)
+    for d in (1, 2, 3, 4):
+        c = cfg(d, field)
+        chains = [MonoChain.zero(c, length) for length in (1, 2, 3)]
+        chains += [random_chain(c, rng.randrange(1, 4), rng) for _ in range(20)]
+        for u in chains:
+            assert (reconstruct(u).to_json()
+                    == _reconstruct_by_cokernels(u).to_json()), u

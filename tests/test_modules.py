@@ -437,3 +437,60 @@ def test_hom_basis_equals_the_linear_system(field):
             assert all(f.commutes_with_x() for f in got)
             empty += not got
     assert empty > 10  # pairs with no maps occur, not only zero modules
+
+
+# -- module maps in generator coordinates against the realization ---------------
+
+
+def _commutes_by_realization(f):
+    """Reference: x_tgt R = R x_src on the realization."""
+    F = f.src.cfg.field
+    r = f.realization()
+    return mat_mul(F, f.tgt.x_matrix(), r) == mat_mul(F, r, f.src.x_matrix())
+
+
+def _compose_by_realization(g, f):
+    """Reference: the realization product, read back through the checked
+    from_realization (a product through the zero module is the zero map)."""
+    if g.src.is_zero():
+        return ModuleMap.zero(f.src, g.tgt)
+    F = g.src.cfg.field
+    return ModuleMap.from_realization(
+        f.src, g.tgt, mat_mul(F, g.realization(), f.realization()))
+
+
+def _random_map(rng, m, n):
+    """A random combination of hom_basis(m, n): an R-linear map."""
+    F = m.cfg.field
+    out = ModuleMap.zero(m, n)
+    for g in hom_basis(m, n):
+        out = out + g.scale(F.from_int(rng.randrange(-2, 3)))
+    return out
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_module_maps_equal_the_realization_oracle(field):
+    """commutes_with_x is the realization test, on random blocks that are
+    often not R-linear; g @ f is the realization product, on random maps;
+    zero modules included."""
+    rng = random.Random(31)
+    verdicts, nonzero = set(), 0
+    for d in range(1, 5):
+        c = cfg(d, field)
+
+        def module():
+            return RModule(c, [(rng.randrange(1, d + 1), rng.randrange(-1, 3))
+                               for _ in range(rng.randrange(0, 4))])
+
+        for _ in range(40):
+            a, b, e = module(), module(), module()
+            # any block that a degree-0 map may carry, R-linear or not
+            blocks = [[field.from_int(rng.randrange(0, 3)) if st >= su else field.zero
+                       for _, st in a.summands] for _, su in b.summands]
+            f = ModuleMap(a, b, blocks, check=False)
+            assert f.commutes_with_x() == _commutes_by_realization(f), f
+            verdicts.add(f.commutes_with_x())
+            f, g = _random_map(rng, a, b), _random_map(rng, b, e)
+            assert g @ f == _compose_by_realization(g, f), (g, f)
+            nonzero += not (g @ f).is_zero()
+    assert verdicts == {True, False} and nonzero > 5
