@@ -10,13 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .endo import is_local, search_iso, stable_dim
+from .endo import hom_space, is_local, search_iso, stable_dim
 from .modules import (
     HypersurfaceConfig,
     ModuleMap,
     RModule,
     expect_json,
-    hom_basis,
+    hom_positions,
     is_mono_epi,
     module_iso,
     projective_cover,
@@ -207,45 +207,25 @@ def chain_hom_basis(u: MonoChain, v: MonoChain):
     """k-basis of ChainMaps u -> v (commuting componentwise homs).
 
     The unknowns are the coefficients of each component in the elementary
-    basis of Hom(u^i, v^i) (`modules.hom_basis`); each square gives one
-    scalar equation per generator block of v.maps[i] f^i - f^{i+1}
-    u.maps[i], read off the block products with the basis maps.  A map is
-    fixed by its normalized blocks, so these equations cut out the same
-    space as one per realization entry, and the basis is the nullspace of
-    their RREF.
+    basis of Hom(u^i, v^i) (`modules.hom_positions`), and each square
+    v.maps[i] f^i = f^(i+1) u.maps[i] gives one equation per generator
+    block where the monomial survives in v^(i+1) (`endo.hom_space`).
     """
     if u.cfg != v.cfg:
         raise ValueError("config mismatch")
     if u.length != v.length:
         raise ValueError("chain lengths differ")
     F = u.cfg.field
-    comp_bases = [hom_basis(a, b) for a, b in zip(u.objects, v.objects)]
-    offsets = [0]
-    for b in comp_bases:
-        offsets.append(offsets[-1] + len(b))
-    total = offsets[-1]
-    if total == 0:
-        return []
-    rows = []
-    for i in range(u.length - 1):
-        cols = [(v.maps[i] @ g).blocks for g in comp_bases[i]]
-        cols += [(-(g @ u.maps[i])).blocks for g in comp_bases[i + 1]]
-        for r in range(len(v.objects[i + 1].summands)):
-            for c in range(len(u.objects[i].summands)):
-                row = [F.zero] * total
-                row[offsets[i]:offsets[i + 2]] = [m[r][c] for m in cols]
-                rows.append(row)
-    out = []
-    for sol in linalg.nullspace(F, rows, cols=total):
-        parts = []
-        for i, basis in enumerate(comp_bases):
-            a, b = u.objects[i], v.objects[i]
-            blocks = linalg.combination(F, sol[offsets[i]:offsets[i + 1]],
-                                        [g.blocks for g in basis],
-                                        len(b.summands), len(a.summands))
-            parts.append(ModuleMap(a, b, blocks, check=False))
-        out.append(ChainMap(u, v, parts))
-    return out
+    unknowns = [hom_positions(a, b) for a, b in zip(u.objects, v.objects)]
+    squares = [(g.blocks, f.blocks,
+                [(q, c) for q, (e, s) in enumerate(g.tgt.summands)
+                 for c, (_, t) in enumerate(f.src.summands) if 0 <= t - s < e])
+               for f, g in zip(u.maps, v.maps)]
+    return [ChainMap(u, v, [
+        ModuleMap(a, b, linalg.scatter(F, len(b.summands), len(a.summands),
+                                       pos, vals), check=False)
+        for a, b, pos, vals in zip(u.objects, v.objects, unknowns, sol)])
+        for sol in hom_space(F, unknowns, squares)]
 
 
 # projectivity -----------------------------------------------------------------

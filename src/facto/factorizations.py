@@ -5,19 +5,26 @@ together with the unique closing map A^l satisfying
 (A^{l-1} ... A^0) * A^l = x^d * I.  The integer `twist` records an overall
 degree-shift power so that rotating l+1 times is observably the shift
 functor; `rot_phase` tracks where in the rotation cycle the object sits.
+
+The maps X^0 -> X^1 -> ... -> X^l -> tau X^0 form a cycle, and every
+structure map of the trivial factorizations nu^k is a composite around
+it (`_around`): the zigzag identities, the units and counits of the
+nu-adjunctions, the projective cover and the injective hull, whose
+blocks are these composites.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import linalg
-from .endo import is_local, search_iso, stable_dim
+from .endo import hom_space, is_local, search_iso, stable_dim
 from .fields import Field
 from .modules import HypersurfaceConfig
-from .polymat import GradedMatrix, graded_solve
+from .polymat import GradedMatrix
 
 
 class FactorizationError(Exception):
@@ -134,9 +141,25 @@ def between(x: Factorization, a: int, b: int) -> GradedMatrix:
     return g
 
 
+def _around(x: Factorization, a: int, b: int) -> GradedMatrix:
+    """The composite X^a -> X^b going forward around the cycle.
+
+    For a <= b <= l it is A^{b-1}..A^a.  For b < a it goes once round,
+    tau(A^{b-1}..A^0) A^l A^{l-1}..A^a, into tau X^b; b = a + l + 1 names
+    the full loop X^a -> tau X^a, the left side of the zigzag identity.
+    """
+    if b < a:
+        b += x.l + 1
+    if b <= x.l:
+        return between(x, a, b)
+    return prefix(x, b - x.l - 1).shift(-x.cfg.d) @ x.closing @ between(x, a, x.l)
+
+
 def fac_validate(maps, cfg: HypersurfaceConfig, twist: int = 0):
     """Build a Factorization from A^0..A^{l-1}, or report why it fails."""
     F = cfg.field
+    if type(twist) is not int:
+        return Invalid(f"twist {twist!r} is not an integer")
     if not maps:
         return Invalid("need at least one map")
     for k, a in enumerate(maps):
@@ -188,12 +211,10 @@ def omega_map(field: Field, src_degs, d: int) -> GradedMatrix:
 
 
 def zigzag_check(x: Factorization):
-    """omega_{X^k} = tau(A^{k-1}..A^0) A^l A^{l-1}..A^k for every k."""
-    F = x.cfg.field
+    """omega_{X^k} = tau(A^{k-1}..A^0) A^l A^{l-1}..A^k, the loop around
+    the cycle at k, for every k."""
     for k in range(x.l):
-        lhs = prefix(x, k).shift(-x.cfg.d) @ x.closing @ between(x, k, x.l)
-        rhs = omega_map(F, x.degs(k), x.cfg.d)
-        if lhs != rhs:
+        if _around(x, k, k + x.l + 1) != omega_map(x.cfg.field, x.degs(k), x.cfg.d):
             return ZigzagViolation(k)
     return True
 
@@ -331,67 +352,44 @@ class FacMap:
 # hom spaces ------------------------------------------------------------------
 
 
-def _hom_slots(x: Factorization, y: Factorization):
-    """Admissible monomial positions (j, row, col) of a map x -> y."""
-    slots = []
+def _hom_positions(x: Factorization, y: Factorization):
+    """Admissible monomial positions (row, col) of each component of a map
+    x -> y: the entries where the source degree reaches the target's."""
+    out = []
     for j in range(x.l + 1):
         xd, yd = x.degs(j), y.degs(j)
-        for r in range(len(yd)):
-            for c in range(len(xd)):
-                if xd[c] - yd[r] >= 0:
-                    slots.append((j, r, c))
-    return slots
+        out.append([])
+        for r, t in enumerate(yd):
+            for c, s in enumerate(xd):
+                if s >= t:
+                    out[-1].append((r, c))
+    return out
+
+
+def _hom_slots(x: Factorization, y: Factorization):
+    """The positions of `_hom_positions` as (j, row, col) triples."""
+    return [(j, r, c) for j, pos in enumerate(_hom_positions(x, y)) for r, c in pos]
 
 
 def _facmap_to_vector(f: FacMap, slots):
     return [f.components[j].coeffs[r][c] for j, r, c in slots]
 
 
-def _vector_to_facmap(x, y, slots, vec):
-    F = x.cfg.field
-    mats = [linalg.zeros(F, len(y.degs(j)), len(x.degs(j))) for j in range(x.l + 1)]
-    for (j, r, c), val in zip(slots, vec):
-        mats[j][r][c] = val
-    comps = [
-        GradedMatrix.from_coeffs(F, mats[j], x.degs(j), y.degs(j))
-        for j in range(x.l + 1)
-    ]
-    return FacMap(x, y, comps)
-
-
 def fac_hom_basis(x: Factorization, y: Factorization):
-    """k-basis of Hom(x, y): solve the commuting squares coefficientwise."""
+    """k-basis of Hom(x, y): the commuting squares B^j f^j = f^{j+1} A^j,
+    solved coefficientwise on the admissible positions (`endo.hom_space`)."""
     if x.cfg != y.cfg or x.l != y.l:
         raise ValueError("shape mismatch")
     F = x.cfg.field
-    slots = _hom_slots(x, y)
-    if not slots:
-        return []
-    idx = {s: i for i, s in enumerate(slots)}
-    rows = []
-    for j in range(x.l):
-        # (B^j f^j - f^{j+1} A^j)[r][c] = 0, one scalar equation per position
-        b, a = y.maps[j], x.maps[j]
-        for r in range(len(y.degs(j + 1))):
-            for c in range(len(x.degs(j))):
-                row = [F.zero] * len(slots)
-                touched = False
-                for s in range(len(y.degs(j))):
-                    co = b.coeffs[r][s]
-                    if not F.is_zero(co) and (j, s, c) in idx:
-                        k = idx[(j, s, c)]
-                        row[k] = F.add(row[k], co)
-                        touched = True
-                for s in range(len(x.degs(j))):
-                    co = a.coeffs[s][c]
-                    if not F.is_zero(co) and (j + 1, r, s) in idx:
-                        k = idx[(j + 1, r, s)]
-                        row[k] = F.sub(row[k], co)
-                        touched = True
-                if touched:
-                    rows.append(row)
-    sols = linalg.nullspace(F, rows, cols=len(slots))
-    return [_vector_to_facmap(x, y, slots, v) for v in sols]
+    degs = [(x.degs(j), y.degs(j)) for j in range(x.l + 1)]
+    unknowns = _hom_positions(x, y)
+    squares = [(b.coeffs, a.coeffs,
+                itertools.product(range(len(b.tgt_degs)), range(len(a.src_degs))))
+               for a, b in zip(x.maps, y.maps)]
+    return [FacMap(x, y, [
+        GradedMatrix.from_coeffs(F, linalg.scatter(F, len(yd), len(xd), pos, vals), xd, yd)
+        for (xd, yd), pos, vals in zip(degs, unknowns, sol)])
+        for sol in hom_space(F, unknowns, squares)]
 
 
 # adjunction transports ---------------------------------------------------------
@@ -406,47 +404,37 @@ def adjunction_transport(which: str, x: Factorization, data, k: int = None,
     which = "nu_k_right": Hom(X^k, B) = Hom(X, nu^k(B));        g^k <-> g
 
     Forward take a FacMap and return a GradedMatrix; backward take a
-    GradedMatrix and rebuild the FacMap by the composition formulas.
+    GradedMatrix h and compose it with the composites around the cycle
+    (`_around`) out of, or into, position k.
     """
-    F = x.cfg.field
     d = x.cfg.d
     l = x.l
     if which == "nu_l_left":
         if forward:
             return data.components[0]
         h = data  # A -> X^0
-        comps = [prefix(x, j) @ h for j in range(l + 1)]
-        src = nu(x.cfg, l, l, h.src_degs)
-        return FacMap(src, x, comps)
+        comps = [_around(x, 0, j) @ h for j in range(l + 1)]
+        return FacMap(nu(x.cfg, l, l, h.src_degs), x, comps)
     if which == "nu_k_left":
         if k is None or not (1 <= k <= l):
             raise ValueError("need k in 1..l")
         if forward:
             return data.components[k]
         h = data  # tau A -> X^k
-        g0 = (x.closing @ between(x, k, l) @ h).shift(d)  # tau^{-1}(...)
-        comps = [g0]
-        for j in range(1, l + 1):
-            # at j = k the source chain map is omega_A, and g^k is h itself
-            comps.append(h if j == k else x.maps[j - 1] @ comps[-1])
-        src = nu(x.cfg, l, k - 1, [s + d for s in h.src_degs])
-        return FacMap(src, x, comps)
+        comps = [_around(x, k, j) @ h for j in range(l + 1)]
+        # before position k, nu^{k-1}(A) is A: take the maps into tau X^j back
+        comps[:k] = [g.shift(d) for g in comps[:k]]
+        return FacMap(nu(x.cfg, l, k - 1, [s + d for s in h.src_degs]), x, comps)
     if which == "nu_k_right":
         if k is None or not (0 <= k <= l):
             raise ValueError("need k in 0..l")
         if forward:
             return data.components[k]
         h = data  # X^k -> B
-        comps = []
-        for j in range(l + 1):
-            if j <= k:
-                comps.append(h @ between(x, j, k))
-            else:
-                comps.append(
-                    (h @ prefix(x, k)).shift(-d) @ x.closing @ between(x, j, l)
-                )
-        tgt = nu(x.cfg, l, k, h.tgt_degs)
-        return FacMap(x, tgt, comps)
+        # past position k, nu^k(B) is tau B
+        comps = [(h if j <= k else h.shift(-d)) @ _around(x, j, k)
+                 for j in range(l + 1)]
+        return FacMap(x, nu(x.cfg, l, k, h.tgt_degs), comps)
     raise ValueError(f"unknown adjunction {which!r}")
 
 
@@ -462,150 +450,101 @@ class NuResolution(NamedTuple):
 
 def fac_projective_cover(x: Factorization):
     """(P, p): P = nu^l(X^0) + sum_k nu^{k-1}(tau^{-1} X^k) and the epi
-    p: P ->> X whose summands are the counits of the nu-adjunctions."""
-    F = x.cfg.field
-    pieces = [
-        adjunction_transport(
-            "nu_l_left", x, GradedMatrix.identity(F, x.degs(0)), forward=False
-        )
-    ] + [
-        adjunction_transport(
-            "nu_k_left", x, GradedMatrix.identity(F, x.degs(k)), k=k,
-            forward=False,
-        )
-        for k in range(1, x.l + 1)
-    ]
-    middle = functools.reduce(Factorization.direct_sum, [q.src for q in pieces])
-    comps = [
-        functools.reduce(GradedMatrix.hstack, [q.components[j] for q in pieces])
-        for j in range(x.l + 1)
-    ]
+    p: P ->> X whose summands are the counits of the nu-adjunctions.
+
+    The block of p^j on summand k is the composite X^k -> X^j around the
+    cycle (`_around`), taken back by tau^{-1} when k > j.  The counits are
+    the block columns of p, so its one check covers all their squares.
+    """
+    d, l = x.cfg.d, x.l
+    summands = [nu(x.cfg, l, l, x.degs(0))] + [
+        nu(x.cfg, l, k - 1, [s + d for s in x.degs(k)]) for k in range(1, l + 1)]
+    middle = functools.reduce(Factorization.direct_sum, summands)
+    comps = [functools.reduce(GradedMatrix.hstack, [
+        _around(x, k, j) if k <= j else _around(x, k, j).shift(d) for k in range(l + 1)])
+        for j in range(l + 1)]
     return middle, FacMap(middle, x, comps)
+
+
+def _injective_hull(x: Factorization):
+    """(I, i): I = sum_k nu^k(X^k) and the mono i: X >-> I whose block from
+    X^j to summand k is the composite X^j -> X^k around the cycle (the
+    units of the nu_k_right adjunctions)."""
+    l = x.l
+    middle = functools.reduce(Factorization.direct_sum,
+                              [nu(x.cfg, l, k, x.degs(k)) for k in range(l + 1)])
+    comps = [functools.reduce(GradedMatrix.vstack, [_around(x, j, k) for k in range(l + 1)])
+             for j in range(l + 1)]
+    return middle, FacMap(x, middle, comps)
+
+
+def _slots(middle: Factorization, m: int, j: int):
+    """(s, s_row, t, r) at position j of a nu-resolution's middle: the
+    inclusion of slot j (summand j's copy of X^j, generators j*m ..
+    j*m + m - 1) and the projection onto it, then the inclusion of the
+    other slots and the projection onto them (r t = id, r s = 0)."""
+    F = middle.cfg.field
+    degs = middle.degs(j)
+    mine = range(j * m, (j + 1) * m)
+    out = ()
+    for idx in (mine, [i for i in range(len(degs)) if i not in mine]):
+        sub = [degs[i] for i in idx]
+        incl = [[F.one if r == i else F.zero for i in idx] for r in range(len(degs))]
+        proj = [[F.one if c == i else F.zero for c in range(len(degs))] for i in idx]
+        out += (GradedMatrix.from_coeffs(F, incl, sub, degs),
+                GradedMatrix.from_coeffs(F, proj, degs, sub))
+    return out
 
 
 def nu_resolution(x: Factorization, side: str = "epic") -> NuResolution:
     """Lemma-style termwise split resolution by trivial factorizations.
 
-    side="epic":  nu^l(X^0) + sum_k nu^{k-1}(tau^{-1} X^k) ->> X, plus kernel.
-    side="monic": X >-> sum_k nu^k(X^k), plus cokernel.
+    side="epic":  the projective cover nu^l(X^0) + sum_k nu^{k-1}(tau^{-1}
+                  X^k) ->> X, plus its kernel.
+    side="monic": the injective hull X >-> sum_k nu^k(X^k), plus its
+                  cokernel.
+
+    At position j the structure map is the identity on slot j (`_slots`),
+    so the complement is read off the other slots by a projection, with
+    phi the middle's maps:
+    - kernel: i_j = t - s p^j t, and the kernel maps are r phi^j i_j, the
+      unique psi with phi^j i_j = i_{j+1} psi, as r i_{j+1} = id;
+    - cokernel: q_j = r - r m^j s_row, and the cokernel maps are
+      q_{j+1} phi^j t, as q_j t = id.
     """
-    F = x.cfg.field
-    l = x.l
+    if side not in ("epic", "monic"):
+        raise ValueError("side must be 'epic' or 'monic'")
+    middle, f = fac_projective_cover(x) if side == "epic" else _injective_hull(x)
+    sel = [_slots(middle, x.m, j) for j in range(x.l + 1)]
     if side == "epic":
-        middle, p = fac_projective_cover(x)
-        # kernel: at slot j the epi restricted to summand j is the identity,
-        # so i_j := (inclusion of the other slots) - (slot j) o p^j
-        ker_maps = []
-        incl_comps = []
-        for j in range(l + 1):
-            incl_comps.append(_kernel_inclusion(F, middle, x, p, j))
-        for j in range(l):
-            # solve phi^j o i_j = i_{j+1} o psi^j for psi^j
-            rhs = middle.maps[j] @ incl_comps[j]
-            ker_maps.append(graded_solve(incl_comps[j + 1], rhs))
-        ker = fac_build(ker_maps, x.cfg, "kernel")
-        incl = FacMap(ker, middle, incl_comps)
-        return NuResolution(middle, p, ker, incl)
-
-    if side == "monic":
-        pieces = [
-            adjunction_transport(
-                "nu_k_right", x, GradedMatrix.identity(F, x.degs(k)), k=k,
-                forward=False,
-            )
-            for k in range(l + 1)
-        ]
-        middle = functools.reduce(Factorization.direct_sum,
-                                  [q.tgt for q in pieces])
-        comps = [
-            functools.reduce(GradedMatrix.vstack, [q.components[j] for q in pieces])
-            for j in range(l + 1)
-        ]
-        mono = FacMap(x, middle, comps)
-        proj_comps = [_cokernel_projection(F, middle, x, mono, j) for j in range(l + 1)]
-        cok_maps = []
-        for j in range(l):
-            # solve chi^j o q_j = q_{j+1} o phi^j on a right inverse of q_j
-            rhs = proj_comps[j + 1] @ middle.maps[j]
-            sec = _complement_section(F, middle, x, j)
-            chi = (rhs @ sec)
-            cok_maps.append(chi)
-        cok = fac_build(cok_maps, x.cfg, "cokernel")
-        proj = FacMap(middle, cok, proj_comps)
-        return NuResolution(middle, mono, cok, proj)
-
-    raise ValueError("side must be 'epic' or 'monic'")
-
-
-def _select(field, degs, idx):
-    """Inclusion of the generators `idx` of ⊕S(-degs) into the whole sum."""
-    coeffs = [[field.one if r == i else field.zero for i in idx]
-              for r in range(len(degs))]
-    return GradedMatrix.from_coeffs(field, coeffs, [degs[i] for i in idx], degs)
-
-
-def _select_rows(field, degs, idx):
-    """Projection of ⊕S(-degs) onto its generators `idx`."""
-    coeffs = [[field.one if c == i else field.zero for c in range(len(degs))]
-              for i in idx]
-    return GradedMatrix.from_coeffs(field, coeffs, degs, [degs[i] for i in idx])
-
-
-def _slot(m, j):
-    """Generators of the slot-j copy of X^j in middle's position j."""
-    return range(j * m, (j + 1) * m)
-
-
-def _other_slots(middle, m, j):
-    return [i for i in range(middle.m) if i not in _slot(m, j)]
-
-
-def _kernel_inclusion(field, middle, x, p, j):
-    """Columns: for each non-j slot one identity block plus -p^j at slot j."""
-    sec = _complement_section(field, middle, x, j)
-    return sec - _slot_section(field, middle, x, j) @ (p.components[j] @ sec)
-
-
-def _complement_section(field, middle, x, j):
-    """Inclusion of the non-j slots into middle's position j."""
-    return _select(field, middle.degs(j), _other_slots(middle, x.m, j))
-
-
-def _cokernel_projection(field, middle, x, mono, j):
-    """proj of non-j slots composed with (id - m^j r_j), r_j = slot-j row."""
-    degs = middle.degs(j)
-    proj = _select_rows(field, degs, _other_slots(middle, x.m, j))
-    r_j = _select_rows(field, degs, _slot(x.m, j))
-    return proj - (proj @ mono.components[j]) @ r_j
+        incl = [t - s @ (f.components[j] @ t) for j, (s, _, t, _) in enumerate(sel)]
+        ker = fac_build([r @ middle.maps[j] @ incl[j]
+                         for j, (_, _, _, r) in enumerate(sel[1:])], x.cfg, "kernel")
+        return NuResolution(middle, f, ker, FacMap(ker, middle, incl))
+    proj = [r - (r @ f.components[j]) @ s_row for j, (_, s_row, _, r) in enumerate(sel)]
+    cok = fac_build([proj[j + 1] @ middle.maps[j] @ t
+                     for j, (_, _, t, _) in enumerate(sel[:-1])], x.cfg, "cokernel")
+    return NuResolution(middle, f, cok, FacMap(middle, cok, proj))
 
 
 def termwise_split_check(res: NuResolution, side: str) -> bool:
     """The SES is termwise split exact: composite zero + unimodular splitting."""
-    F = res.middle.cfg.field
-    l = res.middle.l
     if side == "epic":
-        if not (res.map @ res.complement_map).is_zero():
-            return False
-        x = res.map.tgt
-        for j in range(l + 1):
-            # [slot-j section | kernel inclusion] must be unimodular
-            sec = _slot_section(F, res.middle, x, j)
-            if not sec.hstack(res.complement_map.components[j]).is_iso():
-                return False
-        return True
-    if not (res.complement_map @ res.map).is_zero():
+        x, composite = res.map.tgt, res.map @ res.complement_map
+    else:
+        x, composite = res.map.src, res.complement_map @ res.map
+    if not composite.is_zero():
         return False
-    x = res.map.src
-    for j in range(l + 1):
-        big = res.map.components[j].hstack(_complement_section(F, res.middle, x, j))
+    for j in range(res.middle.l + 1):
+        # [slot-j section | kernel inclusion] or [mono | other slots' section]
+        s, _, t, _ = _slots(res.middle, x.m, j)
+        if side == "epic":
+            big = s.hstack(res.complement_map.components[j])
+        else:
+            big = res.map.components[j].hstack(t)
         if not big.is_iso():
             return False
     return True
-
-
-def _slot_section(field, middle, x, j):
-    """Inclusion of slot j (an X^j copy) into middle's position j."""
-    return _select(field, middle.degs(j), _slot(x.m, j))
 
 
 # stable homs --------------------------------------------------------------------

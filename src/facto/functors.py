@@ -25,19 +25,12 @@ from .modules import (
     _image_vectors,
     decompose,
     homogeneous_kernel,
-    is_mono_epi,
     presentation_cokernel,
     projective_cover,
+    reduced_module_map,
     subspace_realization,
 )
 from .polymat import GradedMatrix, graded_solve
-
-
-def reduced_module_map(g: GradedMatrix, cfg: HypersurfaceConfig) -> ModuleMap:
-    """g mod x^d as a map of free R-modules on g's degree vectors."""
-    src = RModule.free(cfg, g.src_degs)
-    tgt = RModule.free(cfg, g.tgt_degs)
-    return ModuleMap(src, tgt, g.coeffs, check=False)
 
 
 def _cokernels(x: Factorization):
@@ -63,7 +56,11 @@ def _induced(cfg, g: GradedMatrix, src, tgt) -> ModuleMap:
 
 def cok(x: Factorization) -> MonoChain:
     """The chain U^1 >-> ... >-> U^l of cokernels of the leading composites."""
-    coks = _cokernels(x)
+    return _cok_chain(x, _cokernels(x))
+
+
+def _cok_chain(x: Factorization, coks) -> MonoChain:
+    """cok(x) from its cokernels `coks` (`_cokernels(x)`), validated."""
     maps = [_induced(x.cfg, x.maps[k], coks[k - 1], coks[k]) for k in range(1, x.l)]
     chain = MonoChain(x.cfg, [m for m, _ in coks], maps, check=False)
     bad = chain_validate(chain)
@@ -90,20 +87,19 @@ def jq_sequence(x: Factorization):
     j = adjunction_transport(
         "nu_l_left", x, GradedMatrix.identity(F, x.degs(0)), forward=False
     )
-    chain = iota_embed(cok(x))
+    coks = _cokernels(x)
+    chain = iota_embed(_cok_chain(x, coks))
     q = [ModuleMap.zero(RModule.free(cfg, x.degs(0)), chain.objects[0])]
-    for k, (mod, proj) in enumerate(_cokernels(x), 1):
+    for k, (mod, proj) in enumerate(coks, 1):
         q.append(ModuleMap.from_realization(RModule.free(cfg, x.degs(k)), mod, proj))
     # componentwise exactness: q^k o jbar^k = 0 and rank counts match
     for k in range(l + 1):
         jbar = reduced_module_map(j.components[k], cfg)
-        comp = q[k] @ jbar
-        if not comp.is_zero():
+        if not (q[k] @ jbar).is_zero():
             raise RealizationError("q o j != 0")
-        free_dim = RModule.free(cfg, x.degs(k)).dim
-        rk_j = linalg.rank(F, jbar.realization()) if free_dim else 0
-        rk_q = linalg.rank(F, q[k].realization()) if free_dim else 0
-        if rk_j + rk_q != free_dim:
+        rk_j = linalg.rank(F, jbar.realization())
+        rk_q = linalg.rank(F, q[k].realization())
+        if rk_j + rk_q != jbar.tgt.dim:
             raise RealizationError("jq sequence not exact")
     return j, q, chain
 
@@ -121,20 +117,18 @@ class LDiagram:
         ibar = reduced_module_map(self.iota, cfg)
         if not (self.rho @ ibar).is_zero():
             return False
-        free_dim = ibar.tgt.dim
-        rk_i = linalg.rank(F, ibar.realization()) if free_dim else 0
-        rk_r = linalg.rank(F, self.rho.realization()) if free_dim else 0
-        if rk_i + rk_r != free_dim:
+        rk_i = linalg.rank(F, ibar.realization())
+        rk_r = linalg.rank(F, self.rho.realization())
+        if rk_i + rk_r != ibar.tgt.dim:
             return False
         return self.chain.objects[-1] == self.rho.tgt
 
 
 def to_ldiagram(x: Factorization) -> LDiagram:
-    cfg = x.cfg
-    chain = cok(x)
-    mod, proj = _cokernels(x)[-1]
-    rho = ModuleMap.from_realization(RModule.free(cfg, x.degs(x.l)), mod, proj)
-    return LDiagram(iota=prefix(x, x.l), rho=rho, chain=chain)
+    coks = _cokernels(x)
+    mod, proj = coks[-1]
+    rho = ModuleMap.from_realization(RModule.free(x.cfg, x.degs(x.l)), mod, proj)
+    return LDiagram(iota=prefix(x, x.l), rho=rho, chain=_cok_chain(x, coks))
 
 
 # reconstruction ----------------------------------------------------------------
@@ -244,22 +238,16 @@ def cok_exactness_check(i: FacMap, p: FacMap) -> bool:
     """cok preserves a termwise split SES X >-> Y ->> Z componentwise.
 
     Checks: induced composite zero, the left map mono, the right map epi,
-    and exact rank counts in every component.
+    and exact rank counts in every component, one rank per map.
     """
     if i.tgt != p.src:
         raise ValueError("malformed SES: middle objects differ")
     F = i.src.cfg.field
-    ibar = induced_cok_map(i)
-    pbar = induced_cok_map(p)
-    for fi, fp in zip(ibar, pbar):
+    for fi, fp in zip(induced_cok_map(i), induced_cok_map(p)):
         if not (fp @ fi).is_zero():
             return False
-        mono, _ = is_mono_epi(fi)
-        _, epi = is_mono_epi(fp)
-        if not (mono and epi):
-            return False
-        rk_i = linalg.rank(F, fi.realization()) if fi.tgt.dim else 0
-        rk_p = linalg.rank(F, fp.realization()) if fp.src.dim else 0
-        if rk_i + rk_p != fi.tgt.dim:
+        rk_i = linalg.rank(F, fi.realization())
+        rk_p = linalg.rank(F, fp.realization())
+        if (rk_i, rk_p, rk_i + rk_p) != (fi.src.dim, fp.tgt.dim, fi.tgt.dim):
             return False
     return True

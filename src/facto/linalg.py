@@ -55,6 +55,14 @@ def combination(field: Field, coeffs, mats, rows: int, cols: int):
     return out
 
 
+def scatter(field: Field, rows: int, cols: int, positions, values):
+    """The rows x cols matrix with `values` at `positions`, 0 elsewhere."""
+    out = [[field.zero] * cols for _ in range(rows)]
+    for (r, c), v in zip(positions, values):
+        out[r][c] = v
+    return out
+
+
 def _dot(field: Field, row, v):
     s = field.zero
     for c, x in zip(row, v):

@@ -584,17 +584,20 @@ def hom_basis(m: RModule, n: RModule):
     free unknown per map, the last entry (x^(e_u-1) gen_u, x^(e_u-1-j)
     gen_t), and these positions increase with (u, t) as e_u - 1 - j < e_t.
     """
+    F = m.cfg.field
+    return [ModuleMap(m, n, linalg.scatter(F, len(n.summands), len(m.summands),
+                                           [pos], [F.one]), check=False)
+            for pos in hom_positions(m, n)]
+
+
+def hom_positions(m: RModule, n: RModule):
+    """The block positions (u, t) of `hom_basis`'s elementary maps, in its
+    order."""
     if m.cfg != n.cfg:
         raise ValueError("config mismatch")
-    F = m.cfg.field
-    out = []
-    for u, (eu, su) in enumerate(n.summands):
-        for t, (et, st) in enumerate(m.summands):
-            if 0 <= st - su < eu <= st - su + et:
-                blocks = [[F.zero] * len(m.summands) for _ in n.summands]
-                blocks[u][t] = F.one
-                out.append(ModuleMap(m, n, blocks, check=False))
-    return out
+    return [(u, t) for u, (eu, su) in enumerate(n.summands)
+            for t, (et, st) in enumerate(m.summands)
+            if 0 <= st - su < eu <= st - su + et]
 
 
 def projective_cover(m: RModule):
@@ -644,21 +647,11 @@ def lift_along_epi(p: ModuleMap, f: ModuleMap):
 # presentations ------------------------------------------------------------
 
 
-def presentation_image_vectors(a: GradedMatrix, cfg: HypersurfaceConfig):
-    """Columns of A reduced mod x^d, as homogeneous vectors in the free cover."""
-    F = cfg.field
-    d = cfg.d
-    rows = len(a.tgt_degs)
-    free_dim = rows * d
-    vecs = []
-    for col, s in enumerate(a.src_degs):
-        base = [F.zero] * free_dim
-        for j, t in enumerate(a.tgt_degs):
-            # entry (j, col) is a scalar times x^(s - t)
-            if 0 <= s - t < d:
-                base[j * d + s - t] = a.coeffs[j][col]
-        vecs.append(base)
-    return vecs
+def reduced_module_map(g: GradedMatrix, cfg: HypersurfaceConfig) -> ModuleMap:
+    """g mod x^d as a map of free R-modules on g's degree vectors."""
+    src = RModule.free(cfg, g.src_degs)
+    tgt = RModule.free(cfg, g.tgt_degs)
+    return ModuleMap(src, tgt, g.coeffs, check=False)
 
 
 def module_from_presentation(a: GradedMatrix, cfg: HypersurfaceConfig) -> RModule:
@@ -669,9 +662,11 @@ def module_from_presentation(a: GradedMatrix, cfg: HypersurfaceConfig) -> RModul
 def presentation_cokernel(a: GradedMatrix, cfg: HypersurfaceConfig):
     """(module, projection) with projection from free-cover coordinates.
 
-    projection maps the realization of ⊕R(-b_j) (the free cover of the
-    cokernel) onto the normal-form realization.  Raises NotAnnihilated if
-    x^d does not kill the cokernel.
+    The cokernel is the quotient of the free cover ⊕R(-b_j) by the image
+    of a mod x^d, which the realization's columns span: the columns of a
+    and their x-multiples.  projection maps the realization of the free
+    cover onto the normal-form realization.  Raises NotAnnihilated if x^d
+    does not kill the cokernel.
     """
     F = cfg.field
     # x^d * I on the target, as the map from the target shifted up by d
@@ -683,20 +678,8 @@ def presentation_cokernel(a: GradedMatrix, cfg: HypersurfaceConfig):
         graded_solve(a, omega)
     except NoSolution:
         raise NotAnnihilated("x^d does not factor through the presentation")
-
-    free = RModule.free(cfg, a.tgt_degs)
-    fdegs, fx = free.basis_degrees(), free.x_matrix()
-    # close the column span under x
-    vecs = presentation_image_vectors(a, cfg)
-    closed = []
-    for v in vecs:
-        w = v
-        for _ in range(cfg.d):
-            if all(F.is_zero(c) for c in w):
-                break
-            closed.append(w)
-            w = linalg.mat_vec(F, fx, w)
-    qdegs, qx, proj_mat, _ = quotient_realization(F, fdegs, fx, closed)
+    abar = reduced_module_map(a, cfg)
+    qdegs, qx, proj_mat, _ = quotient_realization(
+        F, abar.tgt.basis_degrees(), abar.tgt.x_matrix(), _image_vectors(abar))
     mod, _, from_real = realization_to_module(cfg, qdegs, qx)
-    proj = linalg.mat_mul(F, from_real, proj_mat)
-    return mod, proj
+    return mod, linalg.mat_mul(F, from_real, proj_mat)

@@ -366,3 +366,60 @@ def test_projective_test_equals_the_split_definition(field):
                 verdicts.append(chain_projective_test(u))
                 assert verdicts[-1] == _projective_by_split_monos(u), u
     assert verdicts.count(True) > 20 and verdicts.count(False) > 20
+
+
+def _chain_hom_basis_by_block_products(u, v):
+    """Reference: one equation per generator block of v.maps[i] f^i -
+    f^{i+1} u.maps[i], read off the normalized block products with the
+    elementary basis maps."""
+    from facto.linalg import combination, nullspace
+
+    F = u.cfg.field
+    comp_bases = [hom_basis(a, b) for a, b in zip(u.objects, v.objects)]
+    offsets = [0]
+    for b in comp_bases:
+        offsets.append(offsets[-1] + len(b))
+    total = offsets[-1]
+    if total == 0:
+        return []
+    rows = []
+    for i in range(u.length - 1):
+        cols = [(v.maps[i] @ g).blocks for g in comp_bases[i]]
+        cols += [(-(g @ u.maps[i])).blocks for g in comp_bases[i + 1]]
+        for r in range(len(v.objects[i + 1].summands)):
+            for c in range(len(u.objects[i].summands)):
+                row = [F.zero] * total
+                row[offsets[i]:offsets[i + 2]] = [m[r][c] for m in cols]
+                rows.append(row)
+    out = []
+    for sol in nullspace(F, rows, cols=total):
+        parts = []
+        for i, basis in enumerate(comp_bases):
+            a, b = u.objects[i], v.objects[i]
+            blocks = combination(F, sol[offsets[i]:offsets[i + 1]],
+                                 [g.blocks for g in basis],
+                                 len(b.summands), len(a.summands))
+            parts.append(ModuleMap(a, b, blocks, check=False))
+        out.append(ChainMap(u, v, parts))
+    return out
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=repr)
+def test_chain_hom_basis_equals_the_block_product_equations(field):
+    """The same ChainMaps in the same order as the block products give,
+    on chains whose monos send a generator into x gen_q (d >= 2), where
+    a product with an elementary map can leave the target's survival
+    range."""
+    rng = random.Random(47)
+    sizes = []
+    for d in (2, 3, 4):
+        c = cfg(d, field)
+        for _ in range(20):
+            length = rng.randrange(2, 4)
+            u = random_chain(c, rng, length, max_summands=3)
+            v = random_chain(c, rng, length, max_summands=3)
+            for a, b in ((u, v), (v, u), (u, u)):
+                got = chain_hom_basis(a, b)
+                assert got == _chain_hom_basis_by_block_products(a, b), (a, b)
+                sizes.append(len(got))
+    assert max(sizes) >= 6 and 0 in sizes

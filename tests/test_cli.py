@@ -82,6 +82,31 @@ def test_rotate_round_trip(xx_file, capsys):
     assert data["twist"] == 1
 
 
+@pytest.mark.parametrize("twist", ["a", None, [1], 1.5, True], ids=repr)
+@pytest.mark.parametrize("command", [["rotate", "--steps", "2"], ["validate"]],
+                         ids=lambda argv: argv[0])
+def test_non_integer_twist_is_an_input_error(command, twist, xx_file):
+    """Two steps turn the l = 1 factorization once round, which adds 1 to
+    the twist; a twist that is not an integer (bool included) is rejected
+    when the file is read."""
+    data = json.loads(xx_file.read_text())
+    data["twist"] = twist
+    xx_file.write_text(json.dumps(data))
+    code, out, err = _run(command + ["--field", "fp:5", "--d", "2",
+                                     "--in", str(xx_file)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_integer_twist_still_rotates(xx_file, capsys):
+    data = json.loads(xx_file.read_text())
+    data["twist"] = 3
+    xx_file.write_text(json.dumps(data))
+    assert main(["rotate", "--field", "fp:5", "--d", "2", "--in", str(xx_file),
+                 "--steps", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["twist"] == 4
+
+
 def test_nu_command(capsys):
     assert main(["nu", "--field", "fp:5", "--d", "2", "--l", "2",
                  "--k", "1", "--degs", "0,1"]) == 0
@@ -316,6 +341,8 @@ _VALID = {
     "validate": _FAC,
     "cok": _FAC,
     "reconstruct": _CHAIN,
+    "rotate": _FAC,
+    "resolve": _FAC,
     "stable-hom": {"x": _FAC, "y": _FAC},
 }
 

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -6,8 +7,13 @@ from facto.factorizations import (
     FacMap,
     Factorization,
     Invalid,
+    NuResolution,
+    ZigzagViolation,
+    _hom_slots,
     adjunction_transport,
+    between,
     contract,
+    fac_build,
     fac_hom_basis,
     fac_iso_test,
     fac_projective_cover,
@@ -16,6 +22,7 @@ from facto.factorizations import (
     fac_validate,
     nu,
     nu_resolution,
+    omega_map,
     prefix,
     rotate,
     termwise_split_check,
@@ -25,6 +32,7 @@ from facto.fields import GF, QQ
 from facto.modules import HypersurfaceConfig
 from facto.poly import Polynomial
 from facto.polymat import GradedMatrix, NoSolution, PolyMatrix, graded_solve
+from facto.randgen import random_factorization, random_unimodular
 
 
 def cfg(d, field=QQ):
@@ -403,3 +411,199 @@ def test_json_round_trip():
     x = xx(c).direct_sum(nu(c, 1, 0, [0]))
     y = Factorization.from_json(c, x.to_json())
     assert y == x
+
+
+# -- oracles for the composites around the cycle and the shared hom solver ------------
+
+
+def _transport_step_by_step(which, x, h, k=None):
+    """Reference: the backward adjunction transports, each built along its
+    own route from prefixes, tails and the closing map."""
+    d, l = x.cfg.d, x.l
+    if which == "nu_l_left":
+        comps = [prefix(x, j) @ h for j in range(l + 1)]
+        return FacMap(nu(x.cfg, l, l, h.src_degs), x, comps)
+    if which == "nu_k_left":
+        comps = [(x.closing @ between(x, k, l) @ h).shift(d)]
+        for j in range(1, l + 1):
+            comps.append(h if j == k else x.maps[j - 1] @ comps[-1])
+        return FacMap(nu(x.cfg, l, k - 1, [s + d for s in h.src_degs]), x, comps)
+    comps = [h @ between(x, j, k) if j <= k else
+             (h @ prefix(x, k)).shift(-d) @ x.closing @ between(x, j, l)
+             for j in range(l + 1)]
+    return FacMap(x, nu(x.cfg, l, k, h.tgt_degs), comps)
+
+
+def _trivial_sum_by_adjunctions(x, side):
+    """Reference: the projective cover (epic) or the injective hull (monic)
+    assembled from one adjunction transport of an identity per summand."""
+    F, l = x.cfg.field, x.l
+    if side == "epic":
+        pieces = [_transport_step_by_step(
+            "nu_l_left" if k == 0 else "nu_k_left", x,
+            GradedMatrix.identity(F, x.degs(k)), k) for k in range(l + 1)]
+        middle = functools.reduce(Factorization.direct_sum, [q.src for q in pieces])
+        comps = [functools.reduce(GradedMatrix.hstack, [q.components[j] for q in pieces])
+                 for j in range(l + 1)]
+        return middle, FacMap(middle, x, comps)
+    pieces = [_transport_step_by_step("nu_k_right", x,
+                                      GradedMatrix.identity(F, x.degs(k)), k)
+              for k in range(l + 1)]
+    middle = functools.reduce(Factorization.direct_sum, [q.tgt for q in pieces])
+    comps = [functools.reduce(GradedMatrix.vstack, [q.components[j] for q in pieces])
+             for j in range(l + 1)]
+    return middle, FacMap(x, middle, comps)
+
+
+def _resolution_by_solving(x, side):
+    """Reference: the kernel maps solved by graded_solve against the kernel
+    inclusions, and the cokernel projection (id - m^j r_j) on the other
+    slots, over the adjunction-built middles."""
+    F, m, l = x.cfg.field, x.m, x.l
+    middle, f = _trivial_sum_by_adjunctions(x, side)
+
+    def select(j, idx, rows=False):
+        degs = middle.degs(j)
+        sub = [degs[i] for i in idx]
+        if rows:
+            coeffs = [[F.one if c == i else F.zero for c in range(len(degs))]
+                      for i in idx]
+            return GradedMatrix.from_coeffs(F, coeffs, degs, sub)
+        coeffs = [[F.one if r == i else F.zero for i in idx] for r in range(len(degs))]
+        return GradedMatrix.from_coeffs(F, coeffs, sub, degs)
+
+    def slot(j):
+        return range(j * m, (j + 1) * m)
+
+    def others(j):
+        return [i for i in range(middle.m) if i not in slot(j)]
+
+    if side == "epic":
+        incl = [select(j, others(j)) - select(j, slot(j)) @ (
+            f.components[j] @ select(j, others(j))) for j in range(l + 1)]
+        maps = [graded_solve(incl[j + 1], middle.maps[j] @ incl[j]) for j in range(l)]
+        ker = fac_build(maps, x.cfg, "kernel")
+        return NuResolution(middle, f, ker, FacMap(ker, middle, incl))
+    proj = [select(j, others(j), True)
+            - (select(j, others(j), True) @ f.components[j]) @ select(j, slot(j), True)
+            for j in range(l + 1)]
+    maps = [proj[j + 1] @ middle.maps[j] @ select(j, others(j)) for j in range(l)]
+    cok = fac_build(maps, x.cfg, "cokernel")
+    return NuResolution(middle, f, cok, FacMap(middle, cok, proj))
+
+
+def _zigzag_by_prefixes(x):
+    """Reference: the zigzag identities from prefixes and tails."""
+    for k in range(x.l):
+        lhs = prefix(x, k).shift(-x.cfg.d) @ x.closing @ between(x, k, x.l)
+        if lhs != omega_map(x.cfg.field, x.degs(k), x.cfg.d):
+            return ZigzagViolation(k)
+    return True
+
+
+def _fac_hom_basis_by_slots(x, y):
+    """Reference: one equation per position of B^j f^j - f^{j+1} A^j,
+    written by looking every term up among the slots."""
+    from facto.linalg import nullspace, zeros
+
+    F = x.cfg.field
+    slots = _hom_slots(x, y)
+    if not slots:
+        return []
+    idx = {s: i for i, s in enumerate(slots)}
+    rows = []
+    for j in range(x.l):
+        b, a = y.maps[j], x.maps[j]
+        for r in range(len(y.degs(j + 1))):
+            for c in range(len(x.degs(j))):
+                row = [F.zero] * len(slots)
+                for s in range(len(y.degs(j))):
+                    if (j, s, c) in idx:
+                        k = idx[(j, s, c)]
+                        row[k] = F.add(row[k], b.coeffs[r][s])
+                for s in range(len(x.degs(j))):
+                    if (j + 1, r, s) in idx:
+                        k = idx[(j + 1, r, s)]
+                        row[k] = F.sub(row[k], a.coeffs[s][c])
+                rows.append(row)
+    out = []
+    for vec in nullspace(F, rows, cols=len(slots)):
+        mats = [zeros(F, len(y.degs(j)), len(x.degs(j))) for j in range(x.l + 1)]
+        for (j, r, c), val in zip(slots, vec):
+            mats[j][r][c] = val
+        out.append(FacMap(x, y, [GradedMatrix.from_coeffs(F, mats[j], x.degs(j), y.degs(j))
+                                 for j in range(x.l + 1)]))
+    return out
+
+
+def _oracle_inputs(field, rng):
+    """nu^k, rank-1 and conjugated random factorizations, l = 1..3."""
+    for d, l in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3)):
+        c = cfg(d, field)
+        yield nu(c, l, rng.randrange(l + 1),
+                 [rng.randrange(-1, 2) for _ in range(rng.randrange(1, 3))])
+        yield random_rank1(c, l, rng)
+        for m_max in (1, 2, 3):
+            yield random_factorization(c, l, rng, m_max=m_max)
+
+
+ORACLE_FIELDS = [GF(2), GF(3), GF(5), QQ]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_resolutions_equal_the_adjunction_built_ones(field):
+    """Cover, hull, kernel and cokernel field by field, and the split check."""
+    rng = random.Random(61)
+    for x in _oracle_inputs(field, rng):
+        assert fac_projective_cover(x) == _trivial_sum_by_adjunctions(x, "epic")
+        for side in ("epic", "monic"):
+            got, want = nu_resolution(x, side), _resolution_by_solving(x, side)
+            assert got.middle == want.middle, (x, side)
+            assert got.map == want.map, (x, side)
+            assert got.complement == want.complement, (x, side)
+            assert got.complement_map == want.complement_map, (x, side)
+            assert termwise_split_check(got, side) is True
+            # without the map that the splitting is built from, the check fails
+            broken = (got._replace(complement_map=FacMap.zero(got.complement, got.middle))
+                      if side == "epic" else got._replace(map=FacMap.zero(x, got.middle)))
+            assert termwise_split_check(broken, side) is False
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_transports_and_zigzags_equal_the_step_by_step_ones(field):
+    rng = random.Random(62)
+    for x in _oracle_inputs(field, rng):
+        assert zigzag_check(x) is _zigzag_by_prefixes(x) is True
+        for k in range(x.l + 1):
+            h = GradedMatrix.identity(field, x.degs(k))
+            # a random unimodular h as well as the identity
+            u = random_unimodular(field, x.degs(k), rng)
+            for g in (h, u):
+                which = "nu_l_left" if k == 0 else "nu_k_left"
+                assert (adjunction_transport(which, x, g, k=k or None, forward=False)
+                        == _transport_step_by_step(which, x, g, k))
+                assert (adjunction_transport("nu_k_right", x, g, k=k, forward=False)
+                        == _transport_step_by_step("nu_k_right", x, g, k))
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(5), QQ], ids=repr)
+def test_a_wrong_closing_map_breaks_both_zigzag_checks_alike(field):
+    rng = random.Random(63)
+    two = field.from_int(2)
+    for x in _oracle_inputs(field, rng):
+        bad = Factorization(x.cfg, x.maps, x.closing.scale(two), x.twist)
+        assert zigzag_check(bad) == _zigzag_by_prefixes(bad) == ZigzagViolation(0)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_fac_hom_basis_equals_the_slot_equations(field):
+    """The same FacMaps in the same order, on pairs with every l and d."""
+    rng = random.Random(64)
+    sizes = []
+    xs = list(_oracle_inputs(field, rng))
+    for x in xs:
+        for y in rng.sample([y for y in xs if y.l == x.l and y.cfg == x.cfg], 3):
+            got = fac_hom_basis(x, y)
+            assert got == _fac_hom_basis_by_slots(x, y), (x, y)
+            sizes.append(len(got))
+    assert max(sizes) >= 4 and 0 in sizes

@@ -326,6 +326,77 @@ def test_presentation_cokernel_projection():
     assert rank(F, proj) == m.dim
 
 
+def _presentation_cokernel_by_closing(a, c):
+    """Reference: the quotient of the free cover by the columns of a mod x^d
+    closed under x one vector at a time."""
+    from facto.linalg import identity, mat_vec
+    from facto.modules import quotient_realization
+    from facto.polymat import NoSolution, graded_solve
+
+    F, d = c.field, c.d
+    omega = GradedMatrix.from_coeffs(F, identity(F, len(a.tgt_degs)),
+                                     [t + d for t in a.tgt_degs], a.tgt_degs)
+    try:
+        graded_solve(a, omega)
+    except NoSolution:
+        raise NotAnnihilated("x^d does not factor through the presentation")
+    free = RModule.free(c, a.tgt_degs)
+    fdegs, fx = free.basis_degrees(), free.x_matrix()
+    closed = []
+    for col, s in enumerate(a.src_degs):
+        w = [F.zero] * (len(a.tgt_degs) * d)
+        for j, t in enumerate(a.tgt_degs):
+            if 0 <= s - t < d:
+                w[j * d + s - t] = a.coeffs[j][col]
+        for _ in range(d):
+            if all(F.is_zero(v) for v in w):
+                break
+            closed.append(w)
+            w = mat_vec(F, fx, w)
+    qdegs, qx, proj_mat, _ = quotient_realization(F, fdegs, fx, closed)
+    mod, _, from_real = realization_to_module(c, qdegs, qx)
+    return mod, mat_mul(F, from_real, proj_mat)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=repr)
+def test_presentation_cokernel_equals_the_closing_loop(field):
+    """The same (module, projection), and NotAnnihilated in the same cases,
+    on random graded maps and on the leading composites of factorizations."""
+    from facto.factorizations import prefix
+    from facto.linalg import identity
+    from facto.randgen import random_factorization
+
+    rng = random.Random(53)
+    raised = []
+    for d in (1, 2, 3, 4):
+        c = cfg(d, field)
+        inputs = []
+        for _ in range(25):
+            src = [rng.randrange(-1, 4) for _ in range(rng.randrange(0, 4))]
+            tgt = [rng.randrange(-2, 3) for _ in range(rng.randrange(1, 4))]
+            coeffs = [[field.from_int(rng.randrange(0, 4)) if s >= t else field.zero
+                       for s in src] for t in tgt]
+            a = GradedMatrix.from_coeffs(field, coeffs, src, tgt)
+            # with x^d * I beside it, the cokernel is killed by x^d
+            omega = GradedMatrix.from_coeffs(field, identity(field, len(tgt)),
+                                             [t + d for t in tgt], tgt)
+            inputs += [a, a.hstack(omega)]
+        for l in (1, 2, 3):
+            x = random_factorization(c, l, rng)
+            inputs += [prefix(x, k) for k in range(1, l + 1)]
+        for a in inputs:
+            try:
+                want = _presentation_cokernel_by_closing(a, c)
+            except NotAnnihilated:
+                with pytest.raises(NotAnnihilated):
+                    presentation_cokernel(a, c)
+                raised.append(True)
+                continue
+            assert presentation_cokernel(a, c) == want, a
+            raised.append(False)
+    assert raised.count(True) > 10 and raised.count(False) > 50
+
+
 @pytest.mark.parametrize("summand", [[1.7, True], [1, True], [True, 0],
                                      [2.0, 0], ["1", 0], [1, None]])
 def test_from_json_rejects_non_integer_summands(summand):
