@@ -11,20 +11,27 @@ Indecomposability is decided on the flag, before any object is built:
 X is indecomposable iff End(X) is local (Fitting's lemma), End(X) is the
 flag's stabilizer A in End(T) up to a nilpotent ideal, and A is local iff
 its image in End(T/xT) is, as the maps into xT form an ideal I with
-I^d = 0 (see `_local_stabilizer`).  Each flag costs one nullspace and
-one locality test on g x g matrices, g the number of generators of T.
-Only the flags that pass are built and deduplicated with the iso tests;
-the projective classes are dropped last.  Both properties are
-iso-invariant and deduplication keeps the first member of each class, so
-this gives the classes of building and deduplicating every flag object
-first.  Between indecomposables the iso tests are exact (see
-`endo.search_iso`), so the result does not depend on a seed.  The kept
-classes of the two sides are matched under cok.
+I^d = 0 (see `_local_stabilizer`).  Each flag costs one nullspace, and
+each distinct head basis of a top one locality test on g x g matrices (g
+generators of T).  Split tops are skipped (`_splits`): if the degree
+intervals [s, s+e-1] of the summands R/x^e(-s) of T (e = d for a free
+one) fall into two nonempty groups A, B sharing no degree, each T_s lies
+in T_A or T_B, so a graded x-stable V is (V n T_A) + (V n T_B).  Then
+the projection onto T_A, an idempotent other than 0 and 1, stabilizes
+every flag: no flag object on T is indecomposable.  Only the flags that
+pass are built and deduplicated with the iso tests; the projective
+classes are dropped last.  Both properties are iso-invariant and
+deduplication keeps the first member of each class, so this gives the
+classes of building and deduplicating every flag object first.  Between
+indecomposables the iso tests are exact (see `endo.search_iso`), so the
+result does not depend on a seed.  The kept classes of the two sides are
+matched under cok.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from . import linalg
@@ -200,25 +207,29 @@ def stable_graded_subspaces(field, degs, xmat):
             rec(li + 1, nxt, chosen + [ambient])
 
     rec(0, [], [])
+    del rec  # no closure cycle keeps the spaces alive
     return results
 
 
 # flags of x-stable subspaces ----------------------------------------------------
 
 
-def _subspace_flags(field, spaces, length):
+def _subspace_flags(field, spaces, length, degs):
     """Index tuples of all weakly increasing chains V_0 <= ... <= V_{length-1}
-    of `spaces`, in lexicographic order.
+    of `spaces`, homogeneous subspaces of a space with basis degrees
+    `degs`, in lexicographic order.
 
     Containment is tested only when a flag goes one level deeper, so flags
-    of length 1 test none; `spaces` are bases, so a larger one is never
-    contained in a smaller one.
+    of length 1 test none, and row-reduced only when dim V_s <= dim W_s in
+    every degree s, as V <= W needs (the bases' vectors are homogeneous).
     """
+    dims = [Counter(degs[next(c for c, a in enumerate(v) if not field.is_zero(a))]
+                    for v in vecs) for vecs in spaces]
     echs, inside = {}, {}
 
     def contains(i, j):
         if (i, j) not in inside:
-            ok = len(spaces[i]) <= len(spaces[j])
+            ok = dims[i] <= dims[j]
             if ok:
                 if j not in echs:
                     echs[j] = linalg.Echelon(field)
@@ -237,7 +248,8 @@ def _subspace_flags(field, spaces, length):
             yield from rec([k for k in start_ok if contains(j, k)]
                            if deeper else [], acc + [j])
 
-    return rec(range(len(spaces)), [])
+    yield from rec(range(len(spaces)), [])
+    del rec  # no closure cycle keeps the spaces alive
 
 
 def _generators(field, xmat, vecs):
@@ -275,6 +287,10 @@ def _local_stabilizer(field, top: RModule, spaces):
     nilpotent iff its image is (its d-th power lies in I^d = 0).  So
     NonSplitEndomorphism is raised in exactly the same cases.
 
+    The heads are fixed by the nullspace coefficients at `units`, and
+    is_local is a function of its input, so keep calls it once per tuple
+    of those coefficients: an exact memo, one per top.
+
     Why A is End(X) of the flag object X up to a nilpotent ideal:
     - chains: every structure map of X is a mono into the top, so a chain
       map is fixed by its top component, and an endomorphism of the top
@@ -299,8 +315,9 @@ def _local_stabilizer(field, top: RModule, spaces):
     units = [(k, u, t) for k, f in enumerate(homs)
              for u, row in enumerate(f.blocks) for t, c in enumerate(row)
              if not F.is_zero(c) and degs[u] == degs[t]]
+    g, cells = len(degs), [(u, t) for _, u, t in units]
     xm = top.x_matrix()
-    blocks = {}
+    blocks, decided = {}, {}
 
     def block(i):
         if i not in blocks:
@@ -322,14 +339,22 @@ def _local_stabilizer(field, top: RModule, spaces):
 
     def keep(flag):
         rows = [row for i in dict.fromkeys(flag) for row in block(i)]
-        heads = []
-        for c in linalg.nullspace(F, rows, cols=len(homs)):
-            heads.append(linalg.zeros(F, len(degs), len(degs)))
-            for k, u, t in units:
-                heads[-1][u][t] = c[k]
-        return is_local(F, heads)
+        key = tuple(tuple(c[k] for k, _, _ in units)
+                    for c in linalg.nullspace(F, rows, cols=len(homs)))
+        if key not in decided:
+            decided[key] = is_local(F, [linalg.scatter(F, g, g, cells, c)
+                                        for c in key])
+        return decided[key]
 
     return keep
+
+
+def _splits(top: RModule) -> bool:
+    """Whether the summands' degree intervals fall into two groups sharing
+    no degree, so that no flag object on `top` is indecomposable."""
+    spans = sorted((s, s + e - 1) for e, s in top.summands)
+    return any(lo > max(hi for _, hi in spans[:i])
+               for i, (lo, _) in enumerate(spans) if i)
 
 
 def _flag_objects(cfg: HypersurfaceConfig, tops, length: int, build,
@@ -337,12 +362,15 @@ def _flag_objects(cfg: HypersurfaceConfig, tops, length: int, build,
     """build(cfg, key, flag), shifted to minimum degree 0, for every flag
     of `length` x-stable graded subspaces of each top in `tops`, a stream
     of (key, top module) pairs; with local_only, only for the flags whose
-    stabilizer in End(top) is local (see `_local_stabilizer`)."""
+    stabilizer in End(top) is local (see `_local_stabilizer`), skipping
+    split tops (`_splits`)."""
     F = cfg.field
     for key, top in tops:
-        spaces = (stable_graded_subspaces(F, top.basis_degrees(),
-                                          top.x_matrix()) if length else [])
-        flags = _subspace_flags(F, spaces, length)
+        if local_only and _splits(top):
+            continue
+        degs = top.basis_degrees()
+        spaces = stable_graded_subspaces(F, degs, top.x_matrix()) if length else []
+        flags = _subspace_flags(F, spaces, length, degs)
         if local_only:
             flags = filter(_local_stabilizer(F, top, spaces), flags)
         for flag in flags:

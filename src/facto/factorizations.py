@@ -377,7 +377,8 @@ def _facmap_to_vector(f: FacMap, slots):
 
 def fac_hom_basis(x: Factorization, y: Factorization):
     """k-basis of Hom(x, y): the commuting squares B^j f^j = f^{j+1} A^j,
-    solved coefficientwise on the admissible positions (`endo.hom_space`)."""
+    solved coefficientwise on the admissible positions (`endo.hom_space`),
+    so the maps are built without re-checking their squares."""
     if x.cfg != y.cfg or x.l != y.l:
         raise ValueError("shape mismatch")
     F = x.cfg.field
@@ -388,7 +389,7 @@ def fac_hom_basis(x: Factorization, y: Factorization):
                for a, b in zip(x.maps, y.maps)]
     return [FacMap(x, y, [
         GradedMatrix.from_coeffs(F, linalg.scatter(F, len(yd), len(xd), pos, vals), xd, yd)
-        for (xd, yd), pos, vals in zip(degs, unknowns, sol)])
+        for (xd, yd), pos, vals in zip(degs, unknowns, sol)], check=False)
         for sol in hom_space(F, unknowns, squares)]
 
 
@@ -528,21 +529,21 @@ def nu_resolution(x: Factorization, side: str = "epic") -> NuResolution:
 
 
 def termwise_split_check(res: NuResolution, side: str) -> bool:
-    """The SES is termwise split exact: composite zero + unimodular splitting."""
+    """The SES mono >-> middle ->> epi is termwise split exact: epi mono = 0
+    and, at each position, epi has the section as a right inverse and
+    [section | mono] is an iso; the section is the inclusion of slot j
+    (epic side) or of the other slots (monic side)."""
     if side == "epic":
-        x, composite = res.map.tgt, res.map @ res.complement_map
+        x, mono, epi = res.map.tgt, res.complement_map, res.map
     else:
-        x, composite = res.map.src, res.complement_map @ res.map
-    if not composite.is_zero():
+        x, mono, epi = res.map.src, res.map, res.complement_map
+    if not (epi @ mono).is_zero():
         return False
     for j in range(res.middle.l + 1):
-        # [slot-j section | kernel inclusion] or [mono | other slots' section]
         s, _, t, _ = _slots(res.middle, x.m, j)
-        if side == "epic":
-            big = s.hstack(res.complement_map.components[j])
-        else:
-            big = res.map.components[j].hstack(t)
-        if not big.is_iso():
+        section, e = (s if side == "epic" else t), epi.components[j]
+        if (e @ section != GradedMatrix.identity(x.cfg.field, e.tgt_degs)
+                or not section.hstack(mono.components[j]).is_iso()):
             return False
     return True
 

@@ -10,6 +10,7 @@ from facto.census import (
     _flag_factorization,
     _generators,
     _local_stabilizer,
+    _splits,
     _subspace_flags,
     _top_modules,
     class_census,
@@ -20,6 +21,8 @@ from facto.census import (
 )
 from facto.chains import chain_is_indecomposable, chain_projective_test
 from facto.factorizations import (
+    FacMap,
+    fac_hom_basis,
     fac_is_indecomposable,
     fac_projective_test,
     nu,
@@ -202,7 +205,7 @@ def _stabilizer_decisions(c, tops, length, build):
         spaces = (stable_graded_subspaces(F, top.basis_degrees(),
                                           top.x_matrix()) if length else [])
         local = _local_stabilizer(F, top, spaces)
-        for flag in _subspace_flags(F, spaces, length):
+        for flag in _subspace_flags(F, spaces, length, top.basis_degrees()):
             yield local(flag), build(c, key, [spaces[i] for i in flag])
 
 
@@ -224,6 +227,88 @@ def test_flag_stabilizer_decides_indecomposability(d, field):
         assert got == chain_is_indecomposable(u), u
     # both answers occur on both sides
     assert {got for got, _ in facs} == {got for got, _ in chains} == {True, False}
+
+
+def _l2_census_sides(c, bounds):
+    """(tops, flag length, build, indecomposability test) of both sides of
+    an l=2 census, as class_census walks them."""
+    tops = [t for t in _top_modules(c, bounds.dim, bounds.window)
+            if t.min_degree() == 0]
+    return [(list(_fac_tops(c, bounds.m, bounds.window)), 2, _flag_factorization,
+             fac_is_indecomposable),
+            ([(t, t) for t in tops], 1, _flag_chain, chain_is_indecomposable)]
+
+
+def test_splits_reads_the_degree_intervals():
+    c = cfg(3)
+    assert not _splits(RModule.zero(c))
+    assert not _splits(RModule(c, [(3, 1)]))
+    # [0, 0] and [1, 1] share no degree; [0, 1] and [1, 1] share 1
+    assert _splits(RModule(c, [(1, 0), (1, 1)]))
+    assert not _splits(RModule(c, [(2, 0), (1, 1)]))
+    # a free summand spans d degrees: [0, 2] reaches [2, 4] but not [3, 5]
+    assert not _splits(RModule.free(c, [2, 0]))
+    assert _splits(RModule.free(c, [3, 0]))
+    assert _splits(RModule(c, [(1, 4), (2, 0), (1, 1)]))
+
+
+@pytest.mark.parametrize("d, field, window", [(2, GF(3), 2), (3, GF(2), 3)],
+                         ids=repr)
+def test_split_tops_carry_only_decomposable_flags(d, field, window):
+    """On a top that `_splits`, every flag fails keep and builds a
+    decomposable object, on both sides: class_census may skip it."""
+    c = cfg(d, field)
+    for tops, length, build, indecomposable in _l2_census_sides(
+            c, Bounds(m=2, dim=3, window=window)):
+        split = [(key, top) for key, top in tops if _splits(top)]
+        decisions = list(_stabilizer_decisions(c, split, length, build))
+        assert split and decisions
+        for got, x in decisions:
+            assert not got and not indecomposable(x), x
+
+
+@pytest.mark.parametrize("d, field", [(2, GF(5)), (3, GF(5)), (3, GF(2))],
+                         ids=repr)
+def test_memoized_keep_equals_a_fresh_decision(d, field, monkeypatch):
+    """One keep per top answers repeated head bases from its memo; on
+    every flag of the tops of a criterion-2 census it agrees with a fresh
+    keep, and it calls is_local less often than there are flags."""
+    c = cfg(d, field)
+    F = c.field
+    calls = []
+    monkeypatch.setattr("facto.census.is_local",
+                        lambda *args: calls.append(1) or is_local(*args))
+    flags = memo_calls = 0
+    for tops, length, _, _ in _l2_census_sides(c, Bounds(m=2, dim=3, window=2)):
+        for _, top in tops:
+            spaces = stable_graded_subspaces(F, top.basis_degrees(),
+                                             top.x_matrix())
+            keep = _local_stabilizer(F, top, spaces)
+            for flag in _subspace_flags(F, spaces, length, top.basis_degrees()):
+                before = len(calls)
+                got = keep(flag)
+                memo_calls += len(calls) - before
+                assert got == _local_stabilizer(F, top, spaces)(flag), (top, flag)
+                flags += 1
+    assert memo_calls < flags
+
+
+@pytest.mark.parametrize("d, field", [(2, GF(5)), (3, GF(2))], ids=repr)
+def test_degree_prefilter_keeps_the_flags(d, field):
+    """Comparing dim V_s <= dim W_s before row reduction yields the same
+    flags in the same order as plain containment of every pair."""
+    c = cfg(d, field)
+    for tops, _, _, _ in _l2_census_sides(c, Bounds(m=2, dim=3, window=2)):
+        for _, top in tops:
+            degs = top.basis_degrees()
+            spaces = stable_graded_subspaces(field, degs, top.x_matrix())
+            inside = [[all(_span(field, w).contains(v) for v in vecs)
+                       for w in spaces] for vecs in spaces]
+            plain = [(i,) for i in range(len(spaces))]
+            for length in (1, 2, 3):
+                assert list(_subspace_flags(field, spaces, length, degs)) == plain
+                plain = [f + (j,) for f in plain for j in range(len(spaces))
+                         if inside[f[-1]][j]]
 
 
 def _full_stabilizer(field, top, flag):
@@ -271,10 +356,10 @@ def test_local_stabilizer_equals_the_full_stabilizer_oracle(field, monkeypatch):
             continue
         spaces = stable_graded_subspaces(field, top.basis_degrees(),
                                          top.x_matrix())
-        local = _local_stabilizer(field, top, spaces)
-        flags = list(_subspace_flags(field, spaces, 2))
+        flags = list(_subspace_flags(field, spaces, 2, top.basis_degrees()))
         for flag in rng.sample(flags, min(40, len(flags))):
-            got = local(flag)
+            # a fresh keep per flag: a memo hit would not reach is_local
+            got = _local_stabilizer(field, top, spaces)(flag)
             full = _full_stabilizer(field, top, [spaces[i] for i in flag])
             assert got == is_local(field, full), (top, flag)
             # one head per stabilizer basis vector, spanning the image
@@ -285,6 +370,21 @@ def test_local_stabilizer_equals_the_full_stabilizer_oracle(field, monkeypatch):
                 image.contains(row) for row in mine.rows), (top, flag)
             answers.add(got)
     assert answers == {True, False}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_fac_hom_basis_maps_pass_the_square_check(d):
+    """fac_hom_basis builds its maps unchecked, as its solver writes the
+    squares; rebuilt with the check, each basis map of each pair of
+    criterion-2 classes still passes it."""
+    facs = class_census(cfg(d), 2, Bounds(m=2, dim=3, window=2)).fac_classes
+    count = 0
+    for x in facs:
+        for y in facs:
+            for f in fac_hom_basis(x, y):
+                FacMap(x, y, f.components, check=True)
+                count += 1
+    assert count > len(facs)
 
 
 def test_census_agrees_across_fields_at_d4():

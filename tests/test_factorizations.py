@@ -328,6 +328,21 @@ def test_nu_resolution_random():
                     assert (res.complement_map @ res.map).is_zero()
 
 
+@pytest.mark.parametrize("side", ["epic", "monic"])
+def test_termwise_split_check_rejects_a_zero_epi(side):
+    """A zero epi (epic side) or a zero projection onto the cokernel (monic
+    side) keeps the composite zero and [section | mono] an iso, but the
+    sequence is no longer exact: the check must see the epi itself."""
+    x = random_factorization(cfg(3, GF(5)), 2, random.Random(1))
+    res = nu_resolution(x, side=side)
+    assert termwise_split_check(res, side)
+    if side == "epic":
+        bad = res._replace(map=FacMap.zero(res.middle, x))
+    else:
+        bad = res._replace(complement_map=FacMap.zero(res.middle, res.complement))
+    assert not termwise_split_check(bad, side)
+
+
 def test_projective_cover_is_the_epic_half_of_the_resolution():
     rng = random.Random(12)
     for field in (GF(5), QQ):
