@@ -11,27 +11,33 @@ Indecomposability is decided on the flag, before any object is built:
 X is indecomposable iff End(X) is local (Fitting's lemma), End(X) is the
 flag's stabilizer A in End(T) up to a nilpotent ideal, and A is local iff
 its image in End(T/xT) is, as the maps into xT form an ideal I with
-I^d = 0 (see `_local_stabilizer`).  Each flag costs one nullspace, and
-each distinct head basis of a top one locality test on g x g matrices (g
-generators of T).  Split tops are skipped (`_splits`): if the degree
-intervals [s, s+e-1] of the summands R/x^e(-s) of T (e = d for a free
-one) fall into two nonempty groups A, B sharing no degree, each T_s lies
-in T_A or T_B, so a graded x-stable V is (V n T_A) + (V n T_B).  Then
-the projection onto T_A, an idempotent other than 0 and 1, stabilizes
-every flag: no flag object on T is indecomposable.  Only the flags that
-pass are built and deduplicated with the iso tests; the projective
-classes are dropped last.  Both properties are iso-invariant and
-deduplication keeps the first member of each class, so this gives the
-classes of building and deduplicating every flag object first.  Between
-indecomposables the iso tests are exact (see `endo.search_iso`), so the
-result does not depend on a seed.  The kept classes of the two sides are
-matched under cok.
+I^d = 0 (see `_local_stabilizer`).  A flag that the projection onto some
+summands of T stabilizes fails first (`_summand_splits`); each other flag
+costs one nullspace, and each distinct head basis of a top one locality
+test on g x g matrices (g generators of T).  Split tops are skipped
+(`_splits`): if the degree intervals [s, s+e-1] of the summands
+R/x^e(-s) of T (e = d for a free one) fall into two nonempty groups A, B
+sharing no degree, each T_s lies in T_A or T_B, so a graded x-stable V is
+(V n T_A) + (V n T_B).  Then the projection onto T_A, an idempotent other
+than 0 and 1, stabilizes every flag: no flag object on T is
+indecomposable.  So the census clamps the window: the intervals of a
+top of minimum degree 0 that does not split cover some [0, E], so its
+starts are at most dim - 1 for a chain top (E < dim), and at most
+(m - 1)(d - 1) for a factorization top (sorted, they grow by < d).  Only
+the flags that pass are built, with one preimage inclusion per space, and
+deduplicated with the iso tests; the projective classes are dropped last,
+by one projective cover per class that also serves the stable hom table.
+Both properties are iso-invariant and deduplication keeps the first
+member of each class, so this gives the classes of building and
+deduplicating every flag object first.  Between indecomposables the iso
+tests are exact (see `endo.search_iso`), so the result does not depend on
+a seed.  The kept classes of the two sides are matched under cok.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from . import linalg
@@ -39,6 +45,7 @@ from .chains import (
     MonoChain,
     chain_hom_basis,
     chain_iso_test,
+    chain_projective_cover,
     chain_projective_test,
     chain_stable_hom_dim,
 )
@@ -48,11 +55,11 @@ from .factorizations import (
     adjunction_transport,
     fac_hom_basis,
     fac_iso_test,
-    fac_projective_test,
+    fac_projective_cover,
     fac_stable_hom_dim,
 )
 from .fields import PrimeField
-from .functors import cok, reconstruct
+from .functors import cok, reconstruct, span_preimage_inclusion
 from .functors import flag_factorization as _flag_factorization
 from .modules import (
     HypersurfaceConfig,
@@ -214,30 +221,41 @@ def stable_graded_subspaces(field, degs, xmat):
 # flags of x-stable subspaces ----------------------------------------------------
 
 
+def _degree(field, degs, v):
+    """The degree of a nonzero homogeneous vector (basis degrees `degs`)."""
+    return degs[next(c for c, a in enumerate(v) if not field.is_zero(a))]
+
+
+def _degree_pieces(field, degs, vecs):
+    """{s: RREF of V_s, a tuple of rows} for V spanned by the homogeneous
+    `vecs` (basis degrees `degs`); V_s has no entry outside degree s."""
+    groups = {}
+    for v in vecs:
+        groups.setdefault(_degree(field, degs, v), []).append(v)
+    return {s: tuple(map(tuple, linalg.rref(field, rows)[0]))
+            for s, rows in groups.items()}
+
+
 def _subspace_flags(field, spaces, length, degs):
     """Index tuples of all weakly increasing chains V_0 <= ... <= V_{length-1}
     of `spaces`, homogeneous subspaces of a space with basis degrees
     `degs`, in lexicographic order.
 
     Containment is tested only when a flag goes one level deeper, so flags
-    of length 1 test none, and row-reduced only when dim V_s <= dim W_s in
-    every degree s, as V <= W needs (the bases' vectors are homogeneous).
+    of length 1 test none.  V <= W iff V_s <= W_s in every degree s (the
+    bases' vectors are homogeneous), so each space is split into its
+    degree pieces (`_degree_pieces`), and each pair of pieces is compared
+    once: pieces of equal dimension by their RREFs, a smaller one by rank.
     """
-    dims = [Counter(degs[next(c for c, a in enumerate(v) if not field.is_zero(a))]
-                    for v in vecs) for vecs in spaces]
-    echs, inside = {}, {}
+    pieces = [_degree_pieces(field, degs, vecs) for vecs in spaces] if length > 1 else []
+
+    @functools.cache
+    def piece_in(a, b):
+        return a == b or (len(a) < len(b) and linalg.rank(field, b + a) == len(b))
 
     def contains(i, j):
-        if (i, j) not in inside:
-            ok = dims[i] <= dims[j]
-            if ok:
-                if j not in echs:
-                    echs[j] = linalg.Echelon(field)
-                    for v in spaces[j]:
-                        echs[j].add(v)
-                ok = all(echs[j].contains(v) for v in spaces[i])
-            inside[(i, j)] = ok
-        return inside[(i, j)]
+        return all(s in pieces[j] and piece_in(a, pieces[j][s])
+                   for s, a in pieces[i].items())
 
     def rec(start_ok, acc):
         if len(acc) == length:
@@ -262,6 +280,35 @@ def _generators(field, xmat, vecs):
     return [v for v in vecs if ech.add(v)]
 
 
+def _summand_splits(field, top: RModule, spaces):
+    """splits(flag): whether, for a proper nonempty set S of the summands
+    of T = `top`, the projection pi_S onto them maps every member of the
+    flag (indices into `spaces`) into itself.
+
+    Then pi_S, a degree-0 idempotent of End(T) other than 0 and 1, lies in
+    the flag's stabilizer, which is not local.  pi_S V <= V iff
+    pi_S V_s <= V_s in each degree s, iff each row of the RREF of V_s
+    (`_degree_pieces`) lies in T_S or in T_{S^c}: if V_s = pi_S V_s +
+    pi_{S^c} V_s, the two parts' RREFs together are reduced, so they are
+    the RREF of V_s; conversely pi_S fixes or kills each such row.  So each
+    V gets one mask of the S it passes, one S of each pair {S, S^c} as
+    1 - pi_S = pi_{S^c}, and a flag splits when its members' masks share a
+    bit.  This is `_splits` lifted from tops to flags.
+    """
+    owner, degs = [t for t, _ in top.basis], top.basis_degrees()
+    sets = range(1, 2 ** len(top.summands) // 2)  # S without the last summand
+
+    @functools.cache
+    def mask(i):
+        supports = {sum(1 << owner[c] for c, a in enumerate(row) if not field.is_zero(a))
+                    for rows in _degree_pieces(field, degs, spaces[i]).values()
+                    for row in rows}
+        return sum(1 << S for S in sets if all(sup & S in (0, sup) for sup in supports))
+
+    every = sum(1 << S for S in sets)
+    return lambda flag: functools.reduce(lambda m, i: m & mask(i), flag, every) != 0
+
+
 def _local_stabilizer(field, top: RModule, spaces):
     """is_indecomposable(flag) for flags of `spaces` in T = `top`: whether
     the stabilizer A = {phi in End(T) : phi V <= V for V in the flag} is
@@ -284,12 +331,20 @@ def _local_stabilizer(field, top: RModule, spaces):
     each element as on T: each x^i T / x^(i+1) T is a quotient of T/xT,
     so phi and its head have the same eigenvalues in k, phi - lambda is
     nilpotent iff its head is, and an algebra of such elements is
-    nilpotent iff its image is (its d-th power lies in I^d = 0).  So
-    NonSplitEndomorphism is raised in exactly the same cases.
+    nilpotent iff its image is (its d-th power lies in I^d = 0).  So, on
+    the flags that reach it, NonSplitEndomorphism is raised in exactly
+    the cases where is_local on A itself raises it.
 
     The heads are fixed by the nullspace coefficients at `units`, and
     is_local is a function of its input, so keep calls it once per tuple
     of those coefficients: an exact memo, one per top.
+
+    keep first rejects the flags that a summand projection splits
+    (`_summand_splits`); their objects decompose, and the nullspace path
+    gives False on them too, or raises NonSplitEndomorphism when is_local
+    meets an element with no eigenvalue in k before the split.  A block
+    writes only rows with deg q = deg v: otherwise q . phi_j v = 0, as q
+    and phi_j v are homogeneous of degrees deg q and deg v.
 
     Why A is End(X) of the flag object X up to a nilpotent ideal:
     - chains: every structure map of X is a mono into the top, so a chain
@@ -316,17 +371,20 @@ def _local_stabilizer(field, top: RModule, spaces):
              for u, row in enumerate(f.blocks) for t, c in enumerate(row)
              if not F.is_zero(c) and degs[u] == degs[t]]
     g, cells = len(degs), [(u, t) for _, u, t in units]
-    xm = top.x_matrix()
+    xm, bdegs = top.x_matrix(), top.basis_degrees()
+    splits = _summand_splits(F, top, spaces)
     blocks, decided = {}, {}
 
     def block(i):
         if i not in blocks:
             ech = linalg.Echelon(F)
-            annihilator = linalg.nullspace(F, spaces[i], cols=top.dim)
+            annihilator = {}
+            for q in linalg.nullspace(F, spaces[i], cols=top.dim):
+                annihilator.setdefault(_degree(F, bdegs, q), []).append(q)
             for v in _generators(F, xm, spaces[i]):
                 images = [[(r, F.mul(a, v[c])) for r, c, a in ent
                            if not F.is_zero(v[c])] for ent in entries]
-                for q in annihilator:  # q . phi_j v for every basis map
+                for q in annihilator.get(_degree(F, bdegs, v), ()):
                     row = []
                     for image in images:
                         acc = F.zero
@@ -338,6 +396,8 @@ def _local_stabilizer(field, top: RModule, spaces):
         return blocks[i]
 
     def keep(flag):
+        if splits(flag):
+            return False
         rows = [row for i in dict.fromkeys(flag) for row in block(i)]
         key = tuple(tuple(c[k] for k, _, _ in units)
                     for c in linalg.nullspace(F, rows, cols=len(homs)))
@@ -359,11 +419,11 @@ def _splits(top: RModule) -> bool:
 
 def _flag_objects(cfg: HypersurfaceConfig, tops, length: int, build,
                   local_only: bool = False):
-    """build(cfg, key, flag), shifted to minimum degree 0, for every flag
-    of `length` x-stable graded subspaces of each top in `tops`, a stream
-    of (key, top module) pairs; with local_only, only for the flags whose
-    stabilizer in End(top) is local (see `_local_stabilizer`), skipping
-    split tops (`_splits`)."""
+    """build(cfg, key, spaces)(flag), shifted to minimum degree 0, for
+    every flag (index tuple) of `length` x-stable graded subspaces `spaces`
+    of each top in `tops`, a stream of (key, top module) pairs; with
+    local_only, only for the flags whose stabilizer in End(top) is local
+    (see `_local_stabilizer`), skipping split tops (`_splits`)."""
     F = cfg.field
     for key, top in tops:
         if local_only and _splits(top):
@@ -373,9 +433,22 @@ def _flag_objects(cfg: HypersurfaceConfig, tops, length: int, build,
         flags = _subspace_flags(F, spaces, length, degs)
         if local_only:
             flags = filter(_local_stabilizer(F, top, spaces), flags)
+        make = build(cfg, key, spaces)
         for flag in flags:
-            x = build(cfg, key, [spaces[i] for i in flag])
+            x = make(flag)
             yield x.shift(-x.min_degree())
+
+
+def _fac_build(cfg: HypersurfaceConfig, degs_l, spaces):
+    """flag -> its flag factorization; one preimage per space of the top."""
+    include = functools.cache(
+        lambda i: span_preimage_inclusion(cfg, list(degs_l), spaces[i]))
+    return lambda flag: _flag_factorization(cfg, degs_l, flag, include)
+
+
+def _chain_build(cfg: HypersurfaceConfig, top: RModule, spaces):
+    """flag -> its flag chain."""
+    return lambda flag: _flag_chain(cfg, top, [spaces[i] for i in flag])
 
 
 # factorization enumeration -----------------------------------------------------
@@ -419,12 +492,6 @@ def _dedup(objs, fingerprint, iso):
     return kept
 
 
-def _classes(objs, fingerprint, iso, is_projective):
-    """The nonprojective classes among the indecomposable `objs`, each as
-    its first member: deduplicate, then drop projectives."""
-    return [x for x in _dedup(objs, fingerprint, iso) if not is_projective(x)]
-
-
 def _flag_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
                          window: int):
     """Every flag factorization within bounds, shifted to minimum degree 0.
@@ -433,8 +500,7 @@ def _flag_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
     normalized to minimum 0; every valid graded factorization with those
     invariants appears at least once.
     """
-    return _flag_objects(cfg, _fac_tops(cfg, m_max, window), l,
-                         _flag_factorization)
+    return _flag_objects(cfg, _fac_tops(cfg, m_max, window), l, _fac_build)
 
 
 def enumerate_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
@@ -493,7 +559,7 @@ def _flag_chains(cfg: HypersurfaceConfig, l: int, dim_max: int, window: int):
     """Every flag chain of l-1 monos with top dimension <= dim_max and top
     generator degrees over [0, window], shifted to minimum degree 0."""
     tops = _top_modules(cfg, dim_max, window)
-    return _flag_objects(cfg, ((t, t) for t in tops), l - 1, _flag_chain)
+    return _flag_objects(cfg, ((t, t) for t in tops), l - 1, _chain_build)
 
 
 def enumerate_chains(cfg: HypersurfaceConfig, l: int, dim_max: int,
@@ -593,18 +659,23 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
     exit 2), and ValueError when one F^n has more than MAX_SUBSPACES
     subspaces to list (exit 1).
     """
-    facs = _classes(
-        _flag_objects(cfg, _fac_tops(cfg, bounds.m, bounds.window), l,
-                      _flag_factorization, local_only=True),
-        _fac_fingerprint, fac_iso_test, fac_projective_test)
+    # wider windows only add split tops (see the module docstring)
+    fac_window = min(bounds.window, max(bounds.m - 1, 0) * (cfg.d - 1))
+    chain_window = min(bounds.window, max(bounds.dim - 1, 0))
+    covered = [(x, fac_projective_cover(x)) for x in _dedup(
+        _flag_objects(cfg, _fac_tops(cfg, bounds.m, fac_window), l,
+                      _fac_build, local_only=True),
+        _fac_fingerprint, fac_iso_test)]
+    covered = [(x, c) for x, c in covered if fac_stable_hom_dim(x, x, c)]
+    facs = [x for x, _ in covered]
     # a top of minimum degree s > 0 only repeats the flags of its shift by
     # -s, which _top_modules lists before it
-    tops = [t for t in _top_modules(cfg, bounds.dim, bounds.window)
+    tops = [t for t in _top_modules(cfg, bounds.dim, chain_window)
             if t.min_degree() == 0]
-    chains = _classes(
-        _flag_objects(cfg, ((t, t) for t in tops), l - 1, _flag_chain,
-                      local_only=True),
-        _chain_fingerprint, chain_iso_test, chain_projective_test)
+    chains = [u for u in _dedup(
+        _flag_objects(cfg, ((t, t) for t in tops), l - 1, _chain_build,
+                      local_only=True), _chain_fingerprint, chain_iso_test)
+        if not chain_projective_test(u)]
 
     coks = [cok(x) for x in facs]
     canon = [u.shift(-u.min_degree()) for u in coks]
@@ -637,11 +708,11 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
                 f"chain class {j}: reconstruction in bounds but unmatched"
             )
 
-    n = len(facs)
-    fac_table = [[fac_stable_hom_dim(facs[i], facs[j]) for j in range(n)]
-                 for i in range(n)]
-    chain_table = [[chain_stable_hom_dim(coks[i], coks[j]) for j in range(n)]
-                   for i in range(n)]
+    fac_table = [[fac_stable_hom_dim(x, y, c) for y, c in covered]
+                 for x in facs]
+    chain_covers = [chain_projective_cover(u) for u in coks]
+    chain_table = [[chain_stable_hom_dim(u, v, c) for v, c in zip(coks, chain_covers)]
+                   for u in coks]
     if fac_table != chain_table:
         raise MatchFailure(
             f"stable hom tables differ: {fac_table} vs {chain_table}"

@@ -288,10 +288,11 @@ def chain_projective_cover(u: MonoChain):
     return p_chain, p
 
 
-def chain_stable_hom_dim(u: MonoChain, v: MonoChain) -> int:
-    """dim Hom(u, v) modulo maps factoring through a projective chain."""
-    return stable_dim(u.cfg.field, chain_hom_basis, chain_projective_cover,
-                      u, v)
+def chain_stable_hom_dim(u: MonoChain, v: MonoChain, cover=None) -> int:
+    """dim Hom(u, v) modulo maps factoring through a projective chain;
+    `cover` is v's projective cover (P, p) when the caller already has it."""
+    return stable_dim(u.cfg.field, chain_hom_basis, chain_projective_cover
+                      if cover is None else lambda _: cover, u, v)
 
 
 # isomorphism and indecomposability --------------------------------------------

@@ -77,15 +77,18 @@ def _emit(text: str, out_path):
         print(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".facto-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text + "\n")
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".facto-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text + "\n")
+            os.replace(tmp, out_path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise InputError(f"cannot write {out_path}: {e}")
 
 
 def _dumps(data) -> str:

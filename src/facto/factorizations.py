@@ -551,9 +551,11 @@ def termwise_split_check(res: NuResolution, side: str) -> bool:
 # stable homs --------------------------------------------------------------------
 
 
-def fac_stable_hom_dim(x: Factorization, y: Factorization) -> int:
-    """dim Hom(x, y) modulo maps factoring through projectives."""
-    return stable_dim(x.cfg.field, fac_hom_basis, fac_projective_cover, x, y)
+def fac_stable_hom_dim(x: Factorization, y: Factorization, cover=None) -> int:
+    """dim Hom(x, y) modulo maps factoring through projectives; `cover` is
+    y's projective cover (P, p) when the caller already has it."""
+    return stable_dim(x.cfg.field, fac_hom_basis, fac_projective_cover
+                      if cover is None else lambda _: cover, x, y)
 
 
 def fac_projective_test(x: Factorization) -> bool:

@@ -191,13 +191,16 @@ def span_preimage_inclusion(cfg, degs_l, kvecs):
     return GradedMatrix.from_coeffs(F, coeffs, kept_degs, degs_l)
 
 
-def flag_factorization(cfg, degs_l, flag) -> Factorization:
+def flag_factorization(cfg, degs_l, flag, include=None) -> Factorization:
     """The factorization whose X^k is the preimage in S^m of the k-th
     member of `flag` (x-stable homogeneous spans in the realization of
-    the free R-cover on degs_l) and whose X^l is S^m itself.  Raises
+    the free R-cover on degs_l) and whose X^l is S^m itself.  `include`,
+    when given, maps a member to its inclusion X^k >-> X^l in place of
+    `span_preimage_inclusion` (the census passes a memo).  Raises
     FactorizationError if the maps do not form a factorization."""
     degs_l = list(degs_l)
-    incls = [span_preimage_inclusion(cfg, degs_l, vecs) for vecs in flag]
+    incls = [include(vecs) if include else span_preimage_inclusion(cfg, degs_l, vecs)
+             for vecs in flag]
     incls.append(GradedMatrix.identity(cfg.field, degs_l))
     maps = [graded_solve(incls[k + 1], incls[k]) for k in range(len(flag))]
     return fac_build(maps, cfg, "flag factorization")

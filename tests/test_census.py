@@ -12,6 +12,7 @@ from facto.census import (
     _local_stabilizer,
     _splits,
     _subspace_flags,
+    _summand_splits,
     _top_modules,
     class_census,
     enumerate_chains,
@@ -336,40 +337,79 @@ def _head(top, phi):
              for b in gens] for a in gens]
 
 
+def _random_tops(field, rng, count):
+    """Random tops with up to three summands, small enough to list every
+    flag of."""
+    for _ in range(count):
+        d = rng.randrange(2, 5)
+        top = RModule(cfg(d, field), [(rng.randrange(1, d + 1), rng.randrange(0, 3))
+                                      for _ in range(rng.randrange(1, 4))])
+        if top.dim <= (6 if field.p == 2 else 4):
+            yield top
+
+
 @pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
 def test_local_stabilizer_equals_the_full_stabilizer_oracle(field, monkeypatch):
     """Conditions on generators only, decided on End(T/xT), agree with the
-    full stabilizer in End(T): is_local gets one head per basis vector of
-    it, the heads span its image in End(T/xT), and the answer is is_local
-    on the full stabilizer; on random flags of random tops with up to
-    three summands."""
+    full stabilizer in End(T): the answer is is_local on the full
+    stabilizer; and on the flags that reach is_local (those no summand
+    projection splits), it gets one head per basis vector of the
+    stabilizer, and the heads span its image in End(T/xT); on random flags
+    of random tops with up to three summands."""
     heads = []
     monkeypatch.setattr("facto.census.is_local",
                         lambda F, basis: heads.append(basis) or is_local(F, basis))
     rng = random.Random(5)
-    answers = set()
-    for _ in range(14):
-        d = rng.randrange(2, 5)
-        top = RModule(cfg(d, field), [(rng.randrange(1, d + 1), rng.randrange(0, 3))
-                                      for _ in range(rng.randrange(1, 4))])
-        if top.dim > (6 if field.p == 2 else 4):
-            continue
+    answers, reached = set(), set()
+    for top in _random_tops(field, rng, 14):
         spaces = stable_graded_subspaces(field, top.basis_degrees(),
                                          top.x_matrix())
         flags = list(_subspace_flags(field, spaces, 2, top.basis_degrees()))
         for flag in rng.sample(flags, min(40, len(flags))):
             # a fresh keep per flag: a memo hit would not reach is_local
+            before = len(heads)
             got = _local_stabilizer(field, top, spaces)(flag)
             full = _full_stabilizer(field, top, [spaces[i] for i in flag])
             assert got == is_local(field, full), (top, flag)
+            answers.add(got)
+            reached.add(len(heads) > before)
+            if len(heads) == before:
+                continue
             # one head per stabilizer basis vector, spanning the image
             assert len(heads[-1]) == len(full)
             image = _span(field, [sum(_head(top, phi), []) for phi in full])
             mine = _span(field, [sum(h, []) for h in heads[-1]])
             assert mine.dim == image.dim and all(
                 image.contains(row) for row in mine.rows), (top, flag)
-            answers.add(got)
-    assert answers == {True, False}
+    assert answers == reached == {True, False}
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5)], ids=repr)
+def test_summand_splits_rejects_only_nonlocal_stabilizers(field):
+    """Every flag that a summand projection splits has a full stabilizer
+    in End(T) that is not local: on every flag of the tops of the
+    criterion-2 censuses (l=2, d=2 and 3, m=2, dim=3, window=2) over F_5,
+    and on every flag of random tops over F_2 and F_3."""
+    if field.p == 5:
+        tops = [top for d in (2, 3) for side in _l2_census_sides(
+            cfg(d, field), Bounds(m=2, dim=3, window=2))
+            for _, top in side[0] if not _splits(top)]
+    else:
+        tops = list(_random_tops(field, random.Random(9), 14))
+    rejected = kept = 0
+    for top in tops:
+        spaces = stable_graded_subspaces(field, top.basis_degrees(),
+                                         top.x_matrix())
+        splits = _summand_splits(field, top, spaces)
+        for length in (1, 2):
+            for flag in _subspace_flags(field, spaces, length, top.basis_degrees()):
+                if not splits(flag):
+                    kept += 1
+                    continue
+                full = _full_stabilizer(field, top, [spaces[i] for i in flag])
+                assert not is_local(field, full), (top, flag)
+                rejected += 1
+    assert rejected and kept
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -438,4 +478,26 @@ def test_ringel_schmidt_count_at_d3():
     assert len(rep.chain_classes) == 8
     assert len(rep.fac_classes) == len(rep.matching) == 8
     assert {j for _, j in rep.matching} == set(range(8))
+    assert rep.fac_hom_table == rep.chain_hom_table
+
+
+def test_ringel_schmidt_count_at_d4():
+    """The l=2 chains at d=4 form S(4), which has 20 indecomposables
+    (Ringel-Schmidt, Crelle 614, 2008); two of them, (0 <= R) and (R = R)
+    with R = k[x]/(x^4), are projective-injective, so at most 18 are
+    nonprojective.
+
+    Sharpness, as at d=3: push-down sends graded indecomposables that are
+    not shifts of each other to non-isomorphic ungraded ones, and keeps
+    projectivity, so there are at most 18 graded nonprojective classes up
+    to shift within any bounds.  The census classes are pairwise
+    non-isomorphic nonprojective indecomposables, decided exactly, so
+    finding 18 shows that m=3, dim=6, window=3 miss none.  The
+    equivalence then matches each with a factorization under cok, with
+    equal stable hom tables.
+    """
+    rep = class_census(cfg(4, GF(2)), 2, Bounds(m=3, dim=6, window=3))
+    assert len(rep.chain_classes) == 18
+    assert len(rep.fac_classes) == len(rep.matching) == 18
+    assert {j for _, j in rep.matching} == set(range(18))
     assert rep.fac_hom_table == rep.chain_hom_table

@@ -174,6 +174,50 @@ def test_census_over_a_large_prime_runs_in_bounded_memory():
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+def test_census_huge_window_runs_in_bounded_memory(tmp_path):
+    """A window far beyond what a non-split top reaches is clamped on the
+    census path: the run exits 0 in a child process with a capped address
+    space, with the classes, matching and tables of the clamped window
+    (dim - 1 = 0 for chain tops, (m - 1)(d - 1) = 0 for factorization
+    tops)."""
+    cap = 512 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(facto.cli.__file__)))
+
+    def census(window):
+        out = tmp_path / f"window{window}.json"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from facto.cli import main; sys.exit(main(sys.argv[1:]))",
+             "census", "--field", "fp:2", "--d", "2", "--l", "1",
+             "--bounds", f"m=1,dim=1,window={window}", "--out", str(out)],
+            preexec_fn=limit, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(out.read_text())
+        assert report.pop("bounds")["window"] == window
+        return report
+
+    huge = census(999999999)
+    assert huge == census(0)
+    assert huge["matching"]
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "dir"])
+def test_census_out_unwritable_is_an_input_error(target, tmp_path, capsys):
+    """--out into a missing directory, or onto a directory, exits 1 with an
+    error line and leaves no temp file behind."""
+    (tmp_path / "dir").mkdir()
+    assert main(["census", "--field", "fp:2", "--d", "2", "--l", "1",
+                 "--bounds", "m=1,dim=1,window=0",
+                 "--out", str(tmp_path / target)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir"]
+
+
 def test_census_bad_bounds(capsys):
     assert main(["census", "--field", "fp:5", "--d", "2", "--l", "1",
                  "--bounds", "m=1"]) == 1
