@@ -236,7 +236,7 @@ def _degree_pieces(field, degs, vecs):
             for s, rows in groups.items()}
 
 
-def _subspace_flags(field, spaces, length, degs):
+def _subspace_flags(field, spaces, length, degs, pieces=None):
     """Index tuples of all weakly increasing chains V_0 <= ... <= V_{length-1}
     of `spaces`, homogeneous subspaces of a space with basis degrees
     `degs`, in lexicographic order.
@@ -246,8 +246,10 @@ def _subspace_flags(field, spaces, length, degs):
     bases' vectors are homogeneous), so each space is split into its
     degree pieces (`_degree_pieces`), and each pair of pieces is compared
     once: pieces of equal dimension by their RREFs, a smaller one by rank.
+    `pieces` is the list of the spaces' degree pieces if already made.
     """
-    pieces = [_degree_pieces(field, degs, vecs) for vecs in spaces] if length > 1 else []
+    if length > 1 and pieces is None:
+        pieces = [_degree_pieces(field, degs, vecs) for vecs in spaces]
 
     @functools.cache
     def piece_in(a, b):
@@ -280,7 +282,7 @@ def _generators(field, xmat, vecs):
     return [v for v in vecs if ech.add(v)]
 
 
-def _summand_splits(field, top: RModule, spaces):
+def _summand_splits(field, top: RModule, spaces, pieces=None):
     """splits(flag): whether, for a proper nonempty set S of the summands
     of T = `top`, the projection pi_S onto them maps every member of the
     flag (indices into `spaces`) into itself.
@@ -293,7 +295,8 @@ def _summand_splits(field, top: RModule, spaces):
     the RREF of V_s; conversely pi_S fixes or kills each such row.  So each
     V gets one mask of the S it passes, one S of each pair {S, S^c} as
     1 - pi_S = pi_{S^c}, and a flag splits when its members' masks share a
-    bit.  This is `_splits` lifted from tops to flags.
+    bit.  This is `_splits` lifted from tops to flags.  `pieces` is the
+    list of the spaces' degree pieces if already made.
     """
     owner, degs = [t for t, _ in top.basis], top.basis_degrees()
     sets = range(1, 2 ** len(top.summands) // 2)  # S without the last summand
@@ -301,7 +304,8 @@ def _summand_splits(field, top: RModule, spaces):
     @functools.cache
     def mask(i):
         supports = {sum(1 << owner[c] for c, a in enumerate(row) if not field.is_zero(a))
-                    for rows in _degree_pieces(field, degs, spaces[i]).values()
+                    for rows in (_degree_pieces(field, degs, spaces[i])
+                                 if pieces is None else pieces[i]).values()
                     for row in rows}
         return sum(1 << S for S in sets if all(sup & S in (0, sup) for sup in supports))
 
@@ -309,7 +313,7 @@ def _summand_splits(field, top: RModule, spaces):
     return lambda flag: functools.reduce(lambda m, i: m & mask(i), flag, every) != 0
 
 
-def _local_stabilizer(field, top: RModule, spaces):
+def _local_stabilizer(field, top: RModule, spaces, pieces=None):
     """is_indecomposable(flag) for flags of `spaces` in T = `top`: whether
     the stabilizer A = {phi in End(T) : phi V <= V for V in the flag} is
     a local algebra.
@@ -340,11 +344,12 @@ def _local_stabilizer(field, top: RModule, spaces):
     of those coefficients: an exact memo, one per top.
 
     keep first rejects the flags that a summand projection splits
-    (`_summand_splits`); their objects decompose, and the nullspace path
-    gives False on them too, or raises NonSplitEndomorphism when is_local
-    meets an element with no eigenvalue in k before the split.  A block
-    writes only rows with deg q = deg v: otherwise q . phi_j v = 0, as q
-    and phi_j v are homogeneous of degrees deg q and deg v.
+    (`_summand_splits`, given `pieces`); their objects decompose, and the
+    nullspace path gives False on them too, or raises NonSplitEndomorphism
+    when is_local meets an element with no eigenvalue in k before the
+    split.  A block writes only rows with deg q = deg v: otherwise
+    q . phi_j v = 0, as q and phi_j v are homogeneous of degrees deg q and
+    deg v.
 
     Why A is End(X) of the flag object X up to a nilpotent ideal:
     - chains: every structure map of X is a mono into the top, so a chain
@@ -372,7 +377,7 @@ def _local_stabilizer(field, top: RModule, spaces):
              if not F.is_zero(c) and degs[u] == degs[t]]
     g, cells = len(degs), [(u, t) for _, u, t in units]
     xm, bdegs = top.x_matrix(), top.basis_degrees()
-    splits = _summand_splits(F, top, spaces)
+    splits = _summand_splits(F, top, spaces, pieces)
     blocks, decided = {}, {}
 
     def block(i):
@@ -430,9 +435,11 @@ def _flag_objects(cfg: HypersurfaceConfig, tops, length: int, build,
             continue
         degs = top.basis_degrees()
         spaces = stable_graded_subspaces(F, degs, top.x_matrix()) if length else []
-        flags = _subspace_flags(F, spaces, length, degs)
+        # flags of length 1 test no containment, and need no pieces list
+        pieces = [_degree_pieces(F, degs, v) for v in spaces] if length > 1 else None
+        flags = _subspace_flags(F, spaces, length, degs, pieces)
         if local_only:
-            flags = filter(_local_stabilizer(F, top, spaces), flags)
+            flags = filter(_local_stabilizer(F, top, spaces, pieces), flags)
         make = build(cfg, key, spaces)
         for flag in flags:
             x = make(flag)

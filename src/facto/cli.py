@@ -9,6 +9,7 @@ leaves a partial file behind.  Exit codes: 0 success, 1 invalid input,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -71,14 +72,19 @@ def _load_json(path):
         raise InputError(f"malformed JSON in {path}: {e}")
 
 
+def _temp_beside(out_path):
+    """(fd, path) of a new temp file in the directory of `out_path`."""
+    return tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out_path)),
+                            prefix=".facto-")
+
+
 def _emit(text: str, out_path):
     """Print to stdout, or atomically write to --out."""
     if out_path is None:
         print(text)
         return
-    directory = os.path.dirname(os.path.abspath(out_path))
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".facto-")
+        fd, tmp = _temp_beside(out_path)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text + "\n")
@@ -91,8 +97,24 @@ def _emit(text: str, out_path):
         raise InputError(f"cannot write {out_path}: {e}")
 
 
+def _check_writable(out_path):
+    """Raise the InputError that `_emit` would, before a long run: the
+    directory must take a temp file, and the path must not be a directory.
+    The probe file is removed at once."""
+    try:
+        if os.path.isdir(out_path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
+        fd, tmp = _temp_beside(out_path)
+        os.close(fd)
+        os.unlink(tmp)
+    except OSError as e:
+        raise InputError(f"cannot write {out_path}: {e}")
+
+
 def _dumps(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2)
+    """Compact JSON with sorted keys, through the C encoder (an indent
+    would send it to the pure-Python one)."""
+    return json.dumps(data, sort_keys=True)
 
 
 def _parse(cls, cfg, data, path):
@@ -213,6 +235,8 @@ def _cmd_census(args):
         bounds = Bounds.parse(args.bounds)
     except ValueError as e:
         raise InputError(str(e))
+    if args.out is not None:
+        _check_writable(args.out)
     try:
         report = class_census(cfg, args.l, bounds, seed=args.seed)
     except ValueError as e:

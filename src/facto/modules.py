@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import linalg
 from .endo import stable_dim
 from .fields import Field
-from .polymat import GradedMatrix, NoSolution, graded_solve
+from .polymat import GradedMatrix, NoSolution, expect_json, graded_solve
 
 
 class NotAnnihilated(Exception):
@@ -29,16 +29,6 @@ class RealizationError(Exception):
     homogeneous, an x-operator that is not graded nilpotent of order <= d,
     or a span that is not x-stable; also a module computation that fails
     one of its own consistency checks."""
-
-
-def expect_json(data, kind, what: str):
-    """data if it is a JSON object (kind=dict) or array (kind=list), else
-    a TypeError naming `what`."""
-    if not isinstance(data, kind):
-        name = "object" if kind is dict else "array"
-        raise TypeError(f"{what}: expected a JSON {name}, "
-                        f"got {type(data).__name__}")
-    return data
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,16 @@ class InexactDivision(Exception):
     arithmetic rules out: an implementation bug."""
 
 
+def expect_json(data, kind, what: str):
+    """data if it is a JSON object (kind=dict) or array (kind=list), else
+    a TypeError naming `what`."""
+    if not isinstance(data, kind):
+        name = "object" if kind is dict else "array"
+        raise TypeError(f"{what}: expected a JSON {name}, "
+                        f"got {type(data).__name__}")
+    return data
+
+
 class PolyMatrix:
     __slots__ = ("field", "rows", "cols", "entries")
 
@@ -388,6 +398,12 @@ class GradedMatrix:
     as C (`coeffs`, one row per target generator) and the two degree
     vectors: entry (j, i) is coeffs[j][i] * x^(a_i - b_j), and
     coeffs[j][i] is 0 wherever a_i < b_j.
+
+    The JSON form is {"rows", "cols", "entries", "src_degs", "tgt_degs"},
+    with each entry a polynomial coefficient array (`Polynomial.to_json`):
+    c * x^e is e zeros followed by c, and 0 is [].  It is read and written
+    on the scalars; "cols" counts the entries of the first row, so it is 0
+    when there are no rows.
     """
 
     __slots__ = ("field", "coeffs", "src_degs", "tgt_degs")
@@ -549,15 +565,62 @@ class GradedMatrix:
         return f"GradedMatrix({self.src_degs} -> {self.tgt_degs}, {self.coeffs})"
 
     def to_json(self):
-        data = self.mat.to_json()
-        data["src_degs"] = list(self.src_degs)
-        data["tgt_degs"] = list(self.tgt_degs)
-        return data
+        F = self.field
+        enc, zero = F.to_json, F.zero
+        pad = enc(zero)
+        entries = [[[pad] * (a - b) + [enc(c)] if c != zero else []
+                    for a, c in zip(self.src_degs, row)]
+                   for b, row in zip(self.tgt_degs, self.coeffs)]
+        return {
+            "rows": len(entries),
+            "cols": len(entries[0]) if entries else 0,
+            "entries": entries,
+            "src_degs": list(self.src_degs),
+            "tgt_degs": list(self.tgt_degs),
+        }
 
     @classmethod
     def from_json(cls, field: Field, data) -> "GradedMatrix":
-        mat = PolyMatrix.from_json(field, data)
-        return cls(mat, data["src_degs"], data["tgt_degs"])
+        """Read the JSON form, rejecting what `PolyMatrix.from_json` and
+        the checked constructor reject: a non-array entry (FieldError), a
+        ragged or misdeclared shape, degree vectors of the wrong length, an
+        entry that is not a monomial of degree a_i - b_j (ValueError); and
+        a degree that is not an integer (TypeError)."""
+        expect_json(data, dict, "graded matrix")
+        parse, zero = field.parse, field.zero
+        rows = []
+        for row in data["entries"]:
+            out = []
+            for p in row:
+                if not isinstance(p, list):
+                    raise FieldError(
+                        f"polynomial JSON must be a coefficient array, got {p!r}")
+                cs = [parse(c) for c in p]
+                while cs and cs[-1] == zero:
+                    cs.pop()
+                out.append(cs)
+            rows.append(out)
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
+            raise ValueError("ragged matrix")
+        if len(rows) != data.get("rows", len(rows)) or cols != data.get("cols", cols):
+            raise ValueError("declared shape does not match entries")
+        src_degs, tgt_degs = data["src_degs"], data["tgt_degs"]
+        if len(src_degs) != cols or len(tgt_degs) != len(rows):
+            raise ValueError("degree vector length mismatch")
+        coeffs = []
+        for j, (b, row) in enumerate(zip(tgt_degs, rows)):
+            out = []
+            for i, (a, cs) in enumerate(zip(src_degs, row)):
+                want = a - b
+                if cs and (len(cs) != want + 1 or any(c != zero for c in cs[:-1])):
+                    raise ValueError(
+                        f"entry {(j, i)} not homogeneous of degree {want}")
+                out.append(cs[-1] if cs else zero)
+            coeffs.append(out)
+        if any(type(a) is not int for degs in (src_degs, tgt_degs) for a in degs):
+            raise TypeError("graded matrix degrees must be integers")
+        return cls.from_coeffs(field, coeffs, src_degs, tgt_degs)
 
 
 def graded_check(mat, src_degs=None, tgt_degs=None):

@@ -12,7 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 import facto.cli
 from facto.cli import _parser, main
-from facto.factorizations import Factorization, FactorizationError
+from facto.factorizations import (
+    Factorization,
+    FactorizationError,
+    nu,
+    nu_resolution,
+    rotate,
+)
 from facto.fields import GF
 from facto.functors import cok
 from facto.modules import HypersurfaceConfig, RealizationError
@@ -214,8 +220,36 @@ def test_census_out_unwritable_is_an_input_error(target, tmp_path, capsys):
     assert main(["census", "--field", "fp:2", "--d", "2", "--l", "1",
                  "--bounds", "m=1,dim=1,window=0",
                  "--out", str(tmp_path / target)]) == 1
-    assert capsys.readouterr().err.startswith("error: cannot write")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write")
+    assert captured.out == ""  # checked before the census runs
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir"]
+
+
+def test_out_file_is_compact_sorted_json(xx_file, tmp_path):
+    """--out holds json.dumps(<library result>, sort_keys=True) and a
+    newline: one line through the C encoder."""
+    c = HypersurfaceConfig(2, GF(5))
+    x = Factorization.from_json(c, json.loads(xx_file.read_text()))
+    res = nu_resolution(x, "epic")
+    expected = {
+        "cok": cok(x).to_json(),
+        "rotate": rotate(x).to_json(),
+        "nu": nu(c, 2, 1, [0, 1]).to_json(),
+        "resolve": {"side": "epic", "middle": res.middle.to_json(),
+                    "map": res.map.to_json(), "termwise_split_exact": True},
+    }
+    base = ["--field", "fp:5", "--d", "2"]
+    argvs = {
+        "cok": ["cok", *base, "--in", str(xx_file)],
+        "rotate": ["rotate", *base, "--in", str(xx_file)],
+        "nu": ["nu", *base, "--l", "2", "--k", "1", "--degs", "0,1"],
+        "resolve": ["resolve", *base, "--in", str(xx_file), "--side", "epic"],
+    }
+    for command, argv in argvs.items():
+        out = tmp_path / f"{command}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == json.dumps(expected[command], sort_keys=True) + "\n"
 
 
 def test_census_bad_bounds(capsys):

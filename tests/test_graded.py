@@ -2,15 +2,19 @@
 
 Every degree-0 map of graded free modules is a scalar matrix plus two
 degree vectors; these checks draw random graded inputs over F_5 and Q and
-require the same answers from both paths.
+require the same answers from both paths.  The JSON form is read and
+written on the scalars, against the polynomial matrix's JSON as oracle.
 """
 
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
+from facto.cli import main
 from facto.factorizations import FacMap, fac_hom_basis, fac_validate
-from facto.fields import GF, QQ
+from facto.fields import GF, QQ, FieldError
 from facto.modules import HypersurfaceConfig
 from facto.poly import Polynomial
 from facto.polymat import (
@@ -113,3 +117,138 @@ def test_facmap_is_iso_is_unit_determinants(field):
             isos += want
             others += not want
     assert isos > 5 and others > 5
+
+
+# JSON on the scalars ----------------------------------------------------------
+
+JSON_FIELDS = [GF(2), GF(5), GF(2**31 - 1), QQ]
+
+
+def _scalar(field, rng):
+    if field == QQ:
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+    return rng.randrange(field.p)
+
+
+def _old_to_json(g):
+    """The JSON that went through the polynomial matrix."""
+    data = g.mat.to_json()
+    data["src_degs"] = list(g.src_degs)
+    data["tgt_degs"] = list(g.tgt_degs)
+    return data
+
+
+def _old_from_json(field, data):
+    return GradedMatrix(PolyMatrix.from_json(field, data),
+                        data["src_degs"], data["tgt_degs"])
+
+
+@pytest.mark.parametrize("field", JSON_FIELDS, ids=repr)
+def test_json_agrees_with_the_polynomial_matrix(field):
+    """Random graded matrices, 0 x 0 and m x 0 included, with negative
+    degrees: the same JSON, read back to the same map on both paths.  A
+    0 x n map writes "cols": 0 on both, which neither reads back (see the
+    malformed cases)."""
+    rng = random.Random(25)
+    shapes = [(0, 0), (1, 0), (3, 0), (0, 2)] + [
+        (rng.randrange(1, 5), rng.randrange(1, 5)) for _ in range(60)]
+    for rows, cols in shapes:
+        src = [rng.randrange(-3, 4) for _ in range(cols)]
+        tgt = [rng.randrange(-3, 4) for _ in range(rows)]
+        coeffs = [[_scalar(field, rng) if a >= b and rng.random() < 0.7
+                   else field.zero for a in src] for b in tgt]
+        g = GradedMatrix.from_coeffs(field, coeffs, src, tgt)
+        data = g.to_json()
+        assert data == _old_to_json(g)
+        if not rows and cols:
+            continue
+        data = json.loads(json.dumps(data))
+        assert GradedMatrix.from_json(field, data) == g
+        assert _old_from_json(field, data) == g
+
+
+def _doc(**changes):
+    """A valid 2 x 2 map over F_5 (source degrees 2, 0; target 0, 0) with
+    some keys replaced; entries=(j, i, value) replaces one entry."""
+    data = {"rows": 2, "cols": 2, "src_degs": [2, 0], "tgt_degs": [0, 0],
+            "entries": [[[0, 0, 3], [1]], [[], [4]]]}
+    if "entry" in changes:
+        j, i, value = changes.pop("entry")
+        data["entries"][j][i] = value
+    data.update(changes)
+    return data
+
+
+_MALFORMED = {
+    "entry is a number": (GF(5), _doc(entry=(0, 1, 3))),
+    "entry is a string": (GF(5), _doc(entry=(0, 1, "1"))),
+    "entry is null": (GF(5), _doc(entry=(0, 1, None))),
+    "float coefficient": (GF(5), _doc(entry=(0, 0, [0, 0, 1.5]))),
+    "non-numeric coefficient": (GF(5), _doc(entry=(0, 0, [0, 0, "x"]))),
+    "zero denominator": (QQ, _doc(entry=(0, 1, ["1/0"]))),
+    "row is a number": (GF(5), _doc(entries=[7, [[], [4]]])),
+    "entries is a number": (GF(5), _doc(entries=5)),
+    "ragged": (GF(5), _doc(entries=[[[0, 0, 3], [1]], [[], [4], []]])),
+    "declared rows": (GF(5), _doc(rows=3)),
+    "declared cols": (GF(5), _doc(cols=1)),
+    "short src_degs": (GF(5), _doc(src_degs=[2])),
+    "long tgt_degs": (GF(5), _doc(tgt_degs=[0, 0, 0])),
+    "src_degs is a number": (GF(5), _doc(src_degs=2)),
+    "not homogeneous": (GF(5), _doc(entry=(0, 0, [1, 0, 3]))),
+    "wrong degree": (GF(5), _doc(entry=(0, 1, [0, 1]))),
+    "negative degree": (GF(5), _doc(tgt_degs=[0, 1])),
+    "float degree": (GF(5), _doc(src_degs=[2.0, 0])),
+    "string degree": (GF(5), _doc(src_degs=["2", 0])),
+    "no entries": (GF(5), {"src_degs": [], "tgt_degs": []}),
+    "no src_degs": (GF(5), {"entries": [], "tgt_degs": []}),
+    "not an object": (GF(5), [[[1]]]),
+    "0 x 2 map read back": (GF(5), GradedMatrix.zero(GF(5), [0, 1], []).to_json()),
+}
+
+
+def _outcome(read, field, data):
+    try:
+        return read(field, data)
+    except Exception as e:  # noqa: BLE001 - the class is the outcome
+        return type(e)
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_json_fails_as_on_the_polynomial_path(case, tmp_path):
+    """Each malformed map raises the exception class of the polynomial
+    path, and `facto validate` exits 1 on a file that holds it."""
+    field, data = _MALFORMED[case]
+    got = _outcome(GradedMatrix.from_json, field, data)
+    assert isinstance(got, type) and issubclass(got, Exception)
+    assert got is _outcome(_old_from_json, field, data)
+    if case == "entry is a number":
+        assert got is FieldError
+    path = tmp_path / "mf.json"
+    path.write_text(json.dumps({"maps": [data], "twist": 0}))
+    spec = "q" if field == QQ else "fp:5"
+    assert main(["validate", "--field", spec, "--d", "2", "--in", str(path)]) == 1
+
+
+def test_json_message_names_the_entry():
+    with pytest.raises(ValueError, match=r"entry \(0, 1\) not homogeneous of degree 0"):
+        GradedMatrix.from_json(GF(5), _doc(entry=(0, 1, [0, 1])))
+
+
+@pytest.mark.parametrize("data", [
+    _doc(entry=(0, 1, [1, 0, 0])),  # trailing zeros
+    _doc(entry=(1, 0, [0, 0, 0])),  # a zero with padding
+    _doc(entry=(1, 1, ["9"])),  # a residue as a string
+    {k: v for k, v in _doc().items() if k not in ("rows", "cols")},
+], ids=["trailing zeros", "padded zero", "string residue", "shape omitted"])
+def test_lenient_json_reads_as_on_the_polynomial_path(data):
+    assert GradedMatrix.from_json(GF(5), data) == _old_from_json(GF(5), data)
+
+
+@pytest.mark.parametrize("degs", [[2.0, 0], [True, 0]], ids=["float", "bool"])
+def test_non_integer_degrees_are_rejected_on_zero_maps(degs):
+    """The polynomial path read these degrees only where every entry they
+    reach is zero; the scalar path rejects them everywhere."""
+    data = _doc(src_degs=degs, entries=[[[], [1]], [[], [4]]])
+    assert _old_from_json(GF(5), data).src_degs == tuple(degs)
+    with pytest.raises(TypeError):
+        GradedMatrix.from_json(GF(5), data)
