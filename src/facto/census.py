@@ -66,8 +66,7 @@ from .modules import (
     ModuleMap,
     RModule,
     hom_basis,
-    realization_to_module,
-    subspace_realization,
+    submodule,
 )
 from .polymat import GradedMatrix
 
@@ -236,20 +235,16 @@ def _degree_pieces(field, degs, vecs):
             for s, rows in groups.items()}
 
 
-def _subspace_flags(field, spaces, length, degs, pieces=None):
+def _subspace_flags(field, pieces, length):
     """Index tuples of all weakly increasing chains V_0 <= ... <= V_{length-1}
-    of `spaces`, homogeneous subspaces of a space with basis degrees
-    `degs`, in lexicographic order.
+    of homogeneous subspaces, given by their degree pieces `pieces`
+    (`_degree_pieces`), in lexicographic order.
 
     Containment is tested only when a flag goes one level deeper, so flags
     of length 1 test none.  V <= W iff V_s <= W_s in every degree s (the
-    bases' vectors are homogeneous), so each space is split into its
-    degree pieces (`_degree_pieces`), and each pair of pieces is compared
+    bases' vectors are homogeneous), so each pair of pieces is compared
     once: pieces of equal dimension by their RREFs, a smaller one by rank.
-    `pieces` is the list of the spaces' degree pieces if already made.
     """
-    if length > 1 and pieces is None:
-        pieces = [_degree_pieces(field, degs, vecs) for vecs in spaces]
 
     @functools.cache
     def piece_in(a, b):
@@ -268,8 +263,8 @@ def _subspace_flags(field, spaces, length, degs, pieces=None):
             yield from rec([k for k in start_ok if contains(j, k)]
                            if deeper else [], acc + [j])
 
-    yield from rec(range(len(spaces)), [])
-    del rec  # no closure cycle keeps the spaces alive
+    yield from rec(range(len(pieces)), [])
+    del rec  # no closure cycle keeps the pieces alive
 
 
 def _generators(field, xmat, vecs):
@@ -282,10 +277,11 @@ def _generators(field, xmat, vecs):
     return [v for v in vecs if ech.add(v)]
 
 
-def _summand_splits(field, top: RModule, spaces, pieces=None):
+def _summand_splits(field, top: RModule, pieces):
     """splits(flag): whether, for a proper nonempty set S of the summands
     of T = `top`, the projection pi_S onto them maps every member of the
-    flag (indices into `spaces`) into itself.
+    flag (indices into `pieces`, the degree pieces of subspaces of T)
+    into itself.
 
     Then pi_S, a degree-0 idempotent of End(T) other than 0 and 1, lies in
     the flag's stabilizer, which is not local.  pi_S V <= V iff
@@ -295,25 +291,22 @@ def _summand_splits(field, top: RModule, spaces, pieces=None):
     the RREF of V_s; conversely pi_S fixes or kills each such row.  So each
     V gets one mask of the S it passes, one S of each pair {S, S^c} as
     1 - pi_S = pi_{S^c}, and a flag splits when its members' masks share a
-    bit.  This is `_splits` lifted from tops to flags.  `pieces` is the
-    list of the spaces' degree pieces if already made.
+    bit.  This is `_splits` lifted from tops to flags.
     """
-    owner, degs = [t for t, _ in top.basis], top.basis_degrees()
+    owner = [t for t, _ in top.basis]
     sets = range(1, 2 ** len(top.summands) // 2)  # S without the last summand
 
     @functools.cache
     def mask(i):
         supports = {sum(1 << owner[c] for c, a in enumerate(row) if not field.is_zero(a))
-                    for rows in (_degree_pieces(field, degs, spaces[i])
-                                 if pieces is None else pieces[i]).values()
-                    for row in rows}
+                    for rows in pieces[i].values() for row in rows}
         return sum(1 << S for S in sets if all(sup & S in (0, sup) for sup in supports))
 
     every = sum(1 << S for S in sets)
     return lambda flag: functools.reduce(lambda m, i: m & mask(i), flag, every) != 0
 
 
-def _local_stabilizer(field, top: RModule, spaces, pieces=None):
+def _local_stabilizer(field, top: RModule, spaces, pieces):
     """is_indecomposable(flag) for flags of `spaces` in T = `top`: whether
     the stabilizer A = {phi in End(T) : phi V <= V for V in the flag} is
     a local algebra.
@@ -344,12 +337,12 @@ def _local_stabilizer(field, top: RModule, spaces, pieces=None):
     of those coefficients: an exact memo, one per top.
 
     keep first rejects the flags that a summand projection splits
-    (`_summand_splits`, given `pieces`); their objects decompose, and the
-    nullspace path gives False on them too, or raises NonSplitEndomorphism
-    when is_local meets an element with no eigenvalue in k before the
-    split.  A block writes only rows with deg q = deg v: otherwise
-    q . phi_j v = 0, as q and phi_j v are homogeneous of degrees deg q and
-    deg v.
+    (`_summand_splits` on `pieces`, the spaces' degree pieces); their
+    objects decompose, and the nullspace path gives False on them too, or
+    raises NonSplitEndomorphism when is_local meets an element with no
+    eigenvalue in k before the split.  A block writes only rows with
+    deg q = deg v: otherwise q . phi_j v = 0, as q and phi_j v are
+    homogeneous of degrees deg q and deg v.
 
     Why A is End(X) of the flag object X up to a nilpotent ideal:
     - chains: every structure map of X is a mono into the top, so a chain
@@ -377,7 +370,7 @@ def _local_stabilizer(field, top: RModule, spaces, pieces=None):
              if not F.is_zero(c) and degs[u] == degs[t]]
     g, cells = len(degs), [(u, t) for _, u, t in units]
     xm, bdegs = top.x_matrix(), top.basis_degrees()
-    splits = _summand_splits(F, top, spaces, pieces)
+    splits = _summand_splits(F, top, pieces)
     blocks, decided = {}, {}
 
     def block(i):
@@ -435,9 +428,8 @@ def _flag_objects(cfg: HypersurfaceConfig, tops, length: int, build,
             continue
         degs = top.basis_degrees()
         spaces = stable_graded_subspaces(F, degs, top.x_matrix()) if length else []
-        # flags of length 1 test no containment, and need no pieces list
-        pieces = [_degree_pieces(F, degs, v) for v in spaces] if length > 1 else None
-        flags = _subspace_flags(F, spaces, length, degs, pieces)
+        pieces = [_degree_pieces(F, degs, v) for v in spaces]
+        flags = _subspace_flags(F, pieces, length)
         if local_only:
             flags = filter(_local_stabilizer(F, top, spaces, pieces), flags)
         make = build(cfg, key, spaces)
@@ -541,21 +533,15 @@ def _top_modules(cfg: HypersurfaceConfig, dim_max: int, window: int):
 
 def _flag_chain(cfg: HypersurfaceConfig, top: RModule, flag) -> MonoChain:
     """The chain of submodules V_1 >-> ... >-> V_{l-1} >-> top."""
-    F = cfg.field
-    degs, xm = top.basis_degrees(), top.x_matrix()
-    pairs = []
-    for vecs in flag:
-        sdegs, sx, incl = subspace_realization(F, degs, xm, vecs)
-        mod, to_real, _ = realization_to_module(cfg, sdegs, sx)
-        pairs.append((mod, linalg.mat_mul(F, incl, to_real)))
-    pairs.append((top, linalg.identity(F, top.dim)))
+    incls = [submodule(top, vecs) for vecs in flag] + [ModuleMap.identity(top)]
     maps = []
-    for (m0, i0), (m1, i1) in zip(pairs, pairs[1:]):
-        real = linalg.solve(F, i1, i0, cols=m1.dim)
+    for i0, i1 in zip(incls, incls[1:]):
+        real = linalg.solve(cfg.field, i1.realization(), i0.realization(),
+                            cols=i1.src.dim)
         if real is None:
             raise MatchFailure("flag member does not factor")
-        maps.append(ModuleMap.from_realization(m0, m1, real))
-    return MonoChain(cfg, [m for m, _ in pairs], maps)
+        maps.append(ModuleMap.from_realization(i0.src, i1.src, real))
+    return MonoChain(cfg, [i.src for i in incls], maps)
 
 
 def _chain_fingerprint(u: MonoChain):

@@ -2,8 +2,10 @@
 
 `cok` sends a factorization X to the chain of monomorphisms between the
 cokernels of its leading composites X^0 -> X^k.  `_cokernels` fixes the
-coordinates of these cokernels once, and `cok`, `induced_cok_map`,
-`jq_sequence` and `to_ldiagram` all read them from there.
+coordinates of these cokernels once, as the projections from the free
+covers that `modules.presentation_cokernel` (a `modules.quotient`)
+returns, and `cok`, `induced_cok_map`, `jq_sequence` and `to_ldiagram`
+all read them from there.
 `reconstruct` inverts cok up to isomorphism: it is the flag factorization
 (`flag_factorization`, shared with the census) of the preimages, in a
 minimal free cover of the chain's last module, of 0 and of the images of
@@ -23,35 +25,34 @@ from .modules import (
     RealizationError,
     RModule,
     _image_vectors,
-    decompose,
     homogeneous_kernel,
     presentation_cokernel,
     projective_cover,
     reduced_module_map,
-    subspace_realization,
+    submodule,
 )
 from .polymat import GradedMatrix, graded_solve
 
 
 def _cokernels(x: Factorization):
-    """(U^k, projection) = presentation_cokernel(X^0 -> X^k) for k = 1..l:
-    the one place that fixes the coordinates of cok(x)."""
+    """The projections X^k ->> U^k = presentation_cokernel(X^0 -> X^k) of
+    the free covers, for k = 1..l: the one place that fixes the
+    coordinates of cok(x)."""
     return [presentation_cokernel(prefix(x, k), x.cfg) for k in range(1, x.l + 1)]
 
 
-def _induced(cfg, g: GradedMatrix, src, tgt) -> ModuleMap:
-    """The map between the cokernels src and tgt (pairs from `_cokernels`)
-    that g induces on their free covers: lift along src's projection,
-    apply g mod x^d, project onto tgt."""
+def _induced(cfg, g: GradedMatrix, src: ModuleMap, tgt: ModuleMap) -> ModuleMap:
+    """The map between the cokernels src.tgt and tgt.tgt (projections from
+    `_cokernels`) that g induces on their free covers: lift along src,
+    apply g mod x^d, project along tgt."""
     F = cfg.field
-    (src_mod, src_proj), (tgt_mod, tgt_proj) = src, tgt
-    lift = linalg.solve(F, src_proj, linalg.identity(F, src_mod.dim),
+    lift = linalg.solve(F, src.realization(), linalg.identity(F, src.tgt.dim),
                         cols=cfg.d * len(g.src_degs))
     if lift is None:
         raise RealizationError("projection is not surjective")
     gbar = reduced_module_map(g, cfg).realization()
-    mat = linalg.mat_mul(F, tgt_proj, linalg.mat_mul(F, gbar, lift))
-    return ModuleMap.from_realization(src_mod, tgt_mod, mat)
+    mat = linalg.mat_mul(F, tgt.realization(), linalg.mat_mul(F, gbar, lift))
+    return ModuleMap.from_realization(src.tgt, tgt.tgt, mat)
 
 
 def cok(x: Factorization) -> MonoChain:
@@ -62,7 +63,7 @@ def cok(x: Factorization) -> MonoChain:
 def _cok_chain(x: Factorization, coks) -> MonoChain:
     """cok(x) from its cokernels `coks` (`_cokernels(x)`), validated."""
     maps = [_induced(x.cfg, x.maps[k], coks[k - 1], coks[k]) for k in range(1, x.l)]
-    chain = MonoChain(x.cfg, [m for m, _ in coks], maps, check=False)
+    chain = MonoChain(x.cfg, [p.tgt for p in coks], maps, check=False)
     bad = chain_validate(chain)
     if bad is not True:
         raise RealizationError(f"cokernel chain invalid at {bad.index}: "
@@ -89,9 +90,7 @@ def jq_sequence(x: Factorization):
     )
     coks = _cokernels(x)
     chain = iota_embed(_cok_chain(x, coks))
-    q = [ModuleMap.zero(RModule.free(cfg, x.degs(0)), chain.objects[0])]
-    for k, (mod, proj) in enumerate(coks, 1):
-        q.append(ModuleMap.from_realization(RModule.free(cfg, x.degs(k)), mod, proj))
+    q = [ModuleMap.zero(RModule.free(cfg, x.degs(0)), chain.objects[0])] + coks
     # componentwise exactness: q^k o jbar^k = 0 and rank counts match
     for k in range(l + 1):
         jbar = reduced_module_map(j.components[k], cfg)
@@ -126,9 +125,7 @@ class LDiagram:
 
 def to_ldiagram(x: Factorization) -> LDiagram:
     coks = _cokernels(x)
-    mod, proj = coks[-1]
-    rho = ModuleMap.from_realization(RModule.free(x.cfg, x.degs(x.l)), mod, proj)
-    return LDiagram(iota=prefix(x, x.l), rho=rho, chain=_cok_chain(x, coks))
+    return LDiagram(iota=prefix(x, x.l), rho=coks[-1], chain=_cok_chain(x, coks))
 
 
 # reconstruction ----------------------------------------------------------------
@@ -163,30 +160,15 @@ def span_preimage_inclusion(cfg, degs_l, kvecs):
     GradedMatrix X^k >-> X^l.
     """
     F = cfg.field
-    d = cfg.d
     m = len(degs_l)
-    free = RModule.free(cfg, degs_l)
-    fdegs, fx = free.basis_degrees(), free.x_matrix()
-    # chain tops of the span generate it over R
-    sdegs, sx, incl = subspace_realization(F, fdegs, fx, kvecs)
-    summands, basis = decompose(F, d, sdegs, sx)
-    tops, top_degs = [], []
-    pos = 0
-    for e, s in summands:
-        top = linalg.mat_vec(F, incl, basis[pos])
-        tops.append(top)
-        top_degs.append(s)
-        pos += e
-    # a top of degree s has the scalar of x^(s - t) at generator j of degree t
-    columns = [
-        [v[j * d + s - t] if 0 <= s - t < d else F.zero for j, t in enumerate(degs_l)]
-        for v, s in zip(tops, top_degs)
-    ]
-    degrees = list(top_degs)
+    # the span's generators, as coefficients on the cover's generators
+    incl = submodule(RModule.free(cfg, degs_l), kvecs)
+    columns = [list(col) for col in zip(*incl.blocks)]
+    degrees = [s for _, s in incl.src.summands]
     # plus the omega-multiples of the cover's generators
     for j in range(m):
         columns.append(linalg.unit_vector(F, m, j))
-        degrees.append(degs_l[j] + d)
+        degrees.append(degs_l[j] + cfg.d)
     coeffs, kept_degs = _minimal_generators(F, columns, degrees, m)
     return GradedMatrix.from_coeffs(F, coeffs, kept_degs, degs_l)
 

@@ -6,8 +6,10 @@ R-linear by a closed-form condition on its entries, and composition is
 the matrix product.  Each module also carries a realization as a graded
 k-vector space with a degree-raising x-operator, a view derived from the
 generators; kernels, images, cokernels and ranks reduce to plain exact
-linear algebra on these realizations.  The zero module (no summands) is a
-first-class value.
+linear algebra on these realizations.  Every submodule and quotient is
+built by `submodule` and `quotient`, which return the inclusion and the
+projection with the other end in normal form.  The zero module (no
+summands) is a first-class value.
 """
 
 from __future__ import annotations
@@ -359,6 +361,19 @@ def _by_degree(degs):
     return out
 
 
+def _degree_kernel(field, n, cols, mat):
+    """Basis of the kernel of `mat` on the coordinates `cols` (one degree),
+    each vector written out in all n coordinates."""
+    out = []
+    for v in linalg.nullspace(field, [[row[c] for c in cols] for row in mat],
+                              cols=len(cols)):
+        w = [field.zero] * n
+        for c, val in zip(cols, v):
+            w[c] = val
+        out.append(w)
+    return out
+
+
 def homogeneous_components(field, degs, vectors):
     """Split possibly-redundant homogeneous vectors into per-degree bases."""
     comps = {}
@@ -383,7 +398,7 @@ def decompose(field, d, degs, xmat):
     n = len(degs)
     if n == 0:
         return [], []
-    # powers of x and their per-degree kernels
+    # powers of x, whose per-degree kernels fix the chains
     powers = [linalg.identity(field, n)]
     while not all(field.is_zero(c) for row in powers[-1] for c in row):
         powers.append(linalg.mat_mul(field, xmat, powers[-1]))
@@ -391,32 +406,16 @@ def decompose(field, d, degs, xmat):
             raise RealizationError("operator is not nilpotent of order <= d")
     nil = len(powers) - 1  # x^nil == 0
 
-    deg_cols = _by_degree(degs)
-
-    def kernel_vectors(j, s):
-        """Homogeneous basis of ker(x^j) in degree s (global coordinates)."""
-        cols = deg_cols.get(s, [])
-        if not cols:
-            return []
-        sub = [[powers[j][r][c] for c in cols] for r in range(n)]
-        out = []
-        for v in linalg.nullspace(field, sub, cols=len(cols)):
-            w = [field.zero] * n
-            for c, val in zip(cols, v):
-                w[c] = val
-            out.append(w)
-        return out
-
     chains = []  # (start vector, length, degree)
     for j in range(nil, 0, -1):
-        for s in sorted(deg_cols):
+        for s, cols in sorted(_by_degree(degs).items()):
             ech = linalg.Echelon(field)
-            for v in kernel_vectors(j - 1, s):
+            for v in _degree_kernel(field, n, cols, powers[j - 1]):
                 ech.add(v)
             for v, length, sv in chains:
                 if sv + (length - j) == s and length > j:
                     ech.add(linalg.mat_vec(field, powers[length - j], v))
-            for w in kernel_vectors(j, s):
+            for w in _degree_kernel(field, n, cols, powers[j]):
                 if ech.add(w):
                     chains.append((w, j, s))
 
@@ -467,39 +466,56 @@ def subspace_realization(field, degs, xmat, vectors):
 
 
 def quotient_realization(field, degs, xmat, sub_vectors):
-    """(q_degs, q_x, projection, section) for the quotient by a submodule span."""
+    """(q_degs, q_x, projection, section) for the quotient by a submodule span.
+
+    In each degree the complement is the standard basis vectors that the
+    span's piece misses, and the projection rows are the complement's rows
+    of the inverse of [span piece | complement] on that degree's
+    coordinates."""
     n = len(degs)
     comps = homogeneous_components(field, degs, sub_vectors)
-    deg_cols = _by_degree(degs)
-    comp_cols = []  # chosen complement: standard basis indices
-    for s, cols in sorted(deg_cols.items()):
-        ech = linalg.Echelon(field)
-        for v in comps.get(s, []):
-            ech.add(v)
-        for c in cols:
-            if ech.add(linalg.unit_vector(field, n, c)):
-                comp_cols.append(c)
-    q = len(comp_cols)
-    q_degs = [degs[c] for c in comp_cols]
-    section = [[field.one if comp_cols[j] == r else field.zero for j in range(q)] for r in range(n)]
-
-    # projection: solve [sub basis | complement] coords per degree, keep complement part
-    proj = linalg.zeros(field, q, n)
-    eye = linalg.identity(field, n)
-    for s, cols in deg_cols.items():
+    comp_cols, proj = [], []  # complement: standard basis indices
+    for s, cols in sorted(_by_degree(degs).items()):
         sub_basis = comps.get(s, [])
-        local_comp = [c for c in comp_cols if degs[c] == s]
-        full = sub_basis + [eye[c] for c in local_comp]
-        # express each standard basis vector of this degree in `full` coords
-        mat = [[full[c][r] for c in range(len(full))] for r in range(n)]
-        coords = linalg.solve(field, mat, [[row[c] for c in cols] for row in eye])
-        if coords is None:
+        ech = linalg.Echelon(field)
+        for v in sub_basis:
+            ech.add(v)
+        local = [c for c in cols if ech.add(linalg.unit_vector(field, n, c))]
+        full = [[v[r] for v in sub_basis] + [field.one if c == r else field.zero
+                                            for c in local] for r in cols]
+        inv = linalg.invert(field, full)
+        if inv is None:
             raise RealizationError("quotient complement does not span")
-        for j, cc in enumerate(local_comp):
-            for c, val in zip(cols, coords[len(sub_basis) + j]):
-                proj[comp_cols.index(cc)][c] = val
+        for row in inv[len(sub_basis):]:
+            out = [field.zero] * n
+            for c, val in zip(cols, row):
+                out[c] = val
+            proj.append(out)
+        comp_cols += local
+    q_degs = [degs[c] for c in comp_cols]
+    section = linalg.scatter(field, n, len(comp_cols),
+                             [(c, j) for j, c in enumerate(comp_cols)],
+                             [field.one] * len(comp_cols))
     q_x = linalg.mat_mul(field, proj, linalg.mat_mul(field, xmat, section))
     return q_degs, q_x, proj, section
+
+
+def submodule(m: RModule, vecs) -> ModuleMap:
+    """The inclusion of the normal-form submodule spanned by the x-stable
+    homogeneous `vecs` (vectors in m's realization)."""
+    F = m.cfg.field
+    sdegs, sx, incl = subspace_realization(F, m.basis_degrees(), m.x_matrix(), vecs)
+    sub, to_real, _ = realization_to_module(m.cfg, sdegs, sx)
+    return ModuleMap.from_realization(sub, m, linalg.mat_mul(F, incl, to_real))
+
+
+def quotient(m: RModule, vecs) -> ModuleMap:
+    """The projection onto the normal-form quotient of m by the span of
+    the x-stable homogeneous `vecs` (vectors in m's realization)."""
+    F = m.cfg.field
+    qdegs, qx, proj, _ = quotient_realization(F, m.basis_degrees(), m.x_matrix(), vecs)
+    quo, _, from_real = realization_to_module(m.cfg, qdegs, qx)
+    return ModuleMap.from_realization(m, quo, linalg.mat_mul(F, from_real, proj))
 
 
 # operations ---------------------------------------------------------------
@@ -513,15 +529,8 @@ def _image_vectors(f: ModuleMap):
 def homogeneous_kernel(field, degs, mat):
     """Homogeneous basis of the kernel of `mat` (columns graded by degs),
     degree by degree."""
-    out = []
-    for s, cols in sorted(_by_degree(degs).items()):
-        sub = [[row[c] for c in cols] for row in mat]
-        for v in linalg.nullspace(field, sub, cols=len(cols)):
-            w = [field.zero] * len(degs)
-            for c, val in zip(cols, v):
-                w[c] = val
-            out.append(w)
-    return out
+    return [w for _, cols in sorted(_by_degree(degs).items())
+            for w in _degree_kernel(field, len(degs), cols, mat)]
 
 
 def map_ker_cok_im(f: ModuleMap):
@@ -530,29 +539,14 @@ def map_ker_cok_im(f: ModuleMap):
     Returns ((ker, incl), (cok, proj), im) where incl: ker -> src and
     proj: tgt -> cok are ModuleMaps.
     """
-    cfg = f.src.cfg
-    F = cfg.field
-
-    kvecs = homogeneous_kernel(F, f.src.basis_degrees(), f.realization())
-    sdegs, sx, incl_mat = subspace_realization(F, f.src.basis_degrees(), f.src.x_matrix(), kvecs)
-    kmod, k_to_real, _ = realization_to_module(cfg, sdegs, sx)
-    incl_real = linalg.mat_mul(F, incl_mat, k_to_real)
-    incl = ModuleMap.from_realization(kmod, f.src, incl_real)
-
+    incl = submodule(f.src, homogeneous_kernel(
+        f.src.cfg.field, f.src.basis_degrees(), f.realization()))
     ivecs = _image_vectors(f)
-    idegs, ix, _ = subspace_realization(F, f.tgt.basis_degrees(), f.tgt.x_matrix(), ivecs)
-    imod, _, _ = realization_to_module(cfg, idegs, ix)
-
-    qdegs, qx, proj_mat, _ = quotient_realization(
-        F, f.tgt.basis_degrees(), f.tgt.x_matrix(), ivecs
-    )
-    cmod, _, c_from_real = realization_to_module(cfg, qdegs, qx)
-    proj_real = linalg.mat_mul(F, c_from_real, proj_mat)
-    proj = ModuleMap.from_realization(f.tgt, cmod, proj_real)
-
-    if kmod.dim + imod.dim != f.src.dim:
+    imod = submodule(f.tgt, ivecs).src
+    proj = quotient(f.tgt, ivecs)
+    if incl.src.dim + imod.dim != f.src.dim:
         raise RealizationError("rank-nullity violated")
-    return (kmod, incl), (cmod, proj), imod
+    return (incl.src, incl), (proj.tgt, proj), imod
 
 
 def is_mono_epi(f: ModuleMap):
@@ -646,17 +640,16 @@ def reduced_module_map(g: GradedMatrix, cfg: HypersurfaceConfig) -> ModuleMap:
 
 def module_from_presentation(a: GradedMatrix, cfg: HypersurfaceConfig) -> RModule:
     """Normal form of cok(A) for a graded map of free S-modules."""
-    return presentation_cokernel(a, cfg)[0]
+    return presentation_cokernel(a, cfg).tgt
 
 
-def presentation_cokernel(a: GradedMatrix, cfg: HypersurfaceConfig):
-    """(module, projection) with projection from free-cover coordinates.
+def presentation_cokernel(a: GradedMatrix, cfg: HypersurfaceConfig) -> ModuleMap:
+    """The projection from the free cover onto cok(A) in normal form.
 
     The cokernel is the quotient of the free cover ⊕R(-b_j) by the image
     of a mod x^d, which the realization's columns span: the columns of a
-    and their x-multiples.  projection maps the realization of the free
-    cover onto the normal-form realization.  Raises NotAnnihilated if x^d
-    does not kill the cokernel.
+    and their x-multiples.  Raises NotAnnihilated if x^d does not kill
+    the cokernel.
     """
     F = cfg.field
     # x^d * I on the target, as the map from the target shifted up by d
@@ -669,7 +662,4 @@ def presentation_cokernel(a: GradedMatrix, cfg: HypersurfaceConfig):
     except NoSolution:
         raise NotAnnihilated("x^d does not factor through the presentation")
     abar = reduced_module_map(a, cfg)
-    qdegs, qx, proj_mat, _ = quotient_realization(
-        F, abar.tgt.basis_degrees(), abar.tgt.x_matrix(), _image_vectors(abar))
-    mod, _, from_real = realization_to_module(cfg, qdegs, qx)
-    return mod, linalg.mat_mul(F, from_real, proj_mat)
+    return quotient(abar.tgt, _image_vectors(abar))

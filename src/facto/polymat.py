@@ -402,27 +402,25 @@ class GradedMatrix:
     The JSON form is {"rows", "cols", "entries", "src_degs", "tgt_degs"},
     with each entry a polynomial coefficient array (`Polynomial.to_json`):
     c * x^e is e zeros followed by c, and 0 is [].  It is read and written
-    on the scalars; "cols" counts the entries of the first row, so it is 0
-    when there are no rows.
+    on the scalars; "cols" counts the source generators, so a map with no
+    rows keeps its width.
     """
 
     __slots__ = ("field", "coeffs", "src_degs", "tgt_degs")
 
-    def __init__(self, mat: PolyMatrix, src_degs, tgt_degs, check: bool = True):
+    def __init__(self, mat: PolyMatrix, src_degs, tgt_degs):
         """Convert a homogeneous polynomial matrix.
 
         Raises ValueError on an entry that is not a monomial of degree
-        a_i - b_j.  check=False skips that scan for input known to be
-        homogeneous and keeps the degree-(a_i - b_j) part of each entry.
+        a_i - b_j.
         """
         if len(src_degs) != mat.cols or len(tgt_degs) != mat.rows:
             raise ValueError("degree vector length mismatch")
-        if check:
-            bad = graded_check(mat, src_degs, tgt_degs)
-            if bad is not True:
-                raise ValueError(
-                    f"entry {bad.position} not homogeneous of degree {bad.expected_degree}"
-                )
+        bad = graded_check(mat, src_degs, tgt_degs)
+        if bad is not True:
+            raise ValueError(
+                f"entry {bad.position} not homogeneous of degree {bad.expected_degree}"
+            )
         coeffs = [
             [p.coeff(a - b) for a, p in zip(src_degs, row)]
             for b, row in zip(tgt_degs, mat.entries)
@@ -573,7 +571,7 @@ class GradedMatrix:
                    for b, row in zip(self.tgt_degs, self.coeffs)]
         return {
             "rows": len(entries),
-            "cols": len(entries[0]) if entries else 0,
+            "cols": len(self.src_degs),
             "entries": entries,
             "src_degs": list(self.src_degs),
             "tgt_degs": list(self.tgt_degs),
@@ -585,7 +583,8 @@ class GradedMatrix:
         the checked constructor reject: a non-array entry (FieldError), a
         ragged or misdeclared shape, degree vectors of the wrong length, an
         entry that is not a monomial of degree a_i - b_j (ValueError); and
-        a degree that is not an integer (TypeError)."""
+        a degree that is not an integer (TypeError).  A map with no rows
+        takes its width from "cols", or else from "src_degs"."""
         expect_json(data, dict, "graded matrix")
         parse, zero = field.parse, field.zero
         rows = []
@@ -600,12 +599,14 @@ class GradedMatrix:
                     cs.pop()
                 out.append(cs)
             rows.append(out)
-        cols = len(rows[0]) if rows else 0
+        cols = len(rows[0]) if rows else data.get("cols")
         if any(len(row) != cols for row in rows):
             raise ValueError("ragged matrix")
         if len(rows) != data.get("rows", len(rows)) or cols != data.get("cols", cols):
             raise ValueError("declared shape does not match entries")
         src_degs, tgt_degs = data["src_degs"], data["tgt_degs"]
+        if cols is None:
+            cols = len(src_degs)
         if len(src_degs) != cols or len(tgt_degs) != len(rows):
             raise ValueError("degree vector length mismatch")
         coeffs = []

@@ -5,6 +5,7 @@ import pytest
 from facto.census import (
     Bounds,
     _all_subspaces,
+    _degree_pieces,
     _fac_tops,
     _flag_chain,
     _flag_factorization,
@@ -205,8 +206,9 @@ def _stabilizer_decisions(c, tops, length, build):
     for key, top in tops:
         spaces = (stable_graded_subspaces(F, top.basis_degrees(),
                                           top.x_matrix()) if length else [])
-        local = _local_stabilizer(F, top, spaces)
-        for flag in _subspace_flags(F, spaces, length, top.basis_degrees()):
+        pieces = [_degree_pieces(F, top.basis_degrees(), v) for v in spaces]
+        local = _local_stabilizer(F, top, spaces, pieces)
+        for flag in _subspace_flags(F, pieces, length):
             yield local(flag), build(c, key, [spaces[i] for i in flag])
 
 
@@ -284,12 +286,13 @@ def test_memoized_keep_equals_a_fresh_decision(d, field, monkeypatch):
         for _, top in tops:
             spaces = stable_graded_subspaces(F, top.basis_degrees(),
                                              top.x_matrix())
-            keep = _local_stabilizer(F, top, spaces)
-            for flag in _subspace_flags(F, spaces, length, top.basis_degrees()):
+            pieces = [_degree_pieces(F, top.basis_degrees(), v) for v in spaces]
+            keep = _local_stabilizer(F, top, spaces, pieces)
+            for flag in _subspace_flags(F, pieces, length):
                 before = len(calls)
                 got = keep(flag)
                 memo_calls += len(calls) - before
-                assert got == _local_stabilizer(F, top, spaces)(flag), (top, flag)
+                assert got == _local_stabilizer(F, top, spaces, pieces)(flag), (top, flag)
                 flags += 1
     assert memo_calls < flags
 
@@ -305,9 +308,10 @@ def test_degree_prefilter_keeps_the_flags(d, field):
             spaces = stable_graded_subspaces(field, degs, top.x_matrix())
             inside = [[all(_span(field, w).contains(v) for v in vecs)
                        for w in spaces] for vecs in spaces]
+            pieces = [_degree_pieces(field, degs, v) for v in spaces]
             plain = [(i,) for i in range(len(spaces))]
             for length in (1, 2, 3):
-                assert list(_subspace_flags(field, spaces, length, degs)) == plain
+                assert list(_subspace_flags(field, pieces, length)) == plain
                 plain = [f + (j,) for f in plain for j in range(len(spaces))
                          if inside[f[-1]][j]]
 
@@ -364,11 +368,12 @@ def test_local_stabilizer_equals_the_full_stabilizer_oracle(field, monkeypatch):
     for top in _random_tops(field, rng, 14):
         spaces = stable_graded_subspaces(field, top.basis_degrees(),
                                          top.x_matrix())
-        flags = list(_subspace_flags(field, spaces, 2, top.basis_degrees()))
+        pieces = [_degree_pieces(field, top.basis_degrees(), v) for v in spaces]
+        flags = list(_subspace_flags(field, pieces, 2))
         for flag in rng.sample(flags, min(40, len(flags))):
             # a fresh keep per flag: a memo hit would not reach is_local
             before = len(heads)
-            got = _local_stabilizer(field, top, spaces)(flag)
+            got = _local_stabilizer(field, top, spaces, pieces)(flag)
             full = _full_stabilizer(field, top, [spaces[i] for i in flag])
             assert got == is_local(field, full), (top, flag)
             answers.add(got)
@@ -400,9 +405,10 @@ def test_summand_splits_rejects_only_nonlocal_stabilizers(field):
     for top in tops:
         spaces = stable_graded_subspaces(field, top.basis_degrees(),
                                          top.x_matrix())
-        splits = _summand_splits(field, top, spaces)
+        pieces = [_degree_pieces(field, top.basis_degrees(), v) for v in spaces]
+        splits = _summand_splits(field, top, pieces)
         for length in (1, 2):
-            for flag in _subspace_flags(field, spaces, length, top.basis_degrees()):
+            for flag in _subspace_flags(field, pieces, length):
                 if not splits(flag):
                     kept += 1
                     continue

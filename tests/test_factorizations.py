@@ -215,7 +215,7 @@ def test_hom_contains_identity():
 def test_hom_to_zero():
     c = cfg(2)
     x = xx(c)
-    maps = [GradedMatrix(PolyMatrix(QQ, []), [], [], check=False)]
+    maps = [GradedMatrix(PolyMatrix(QQ, []), [], [])]
     z = fac_validate(maps, c)
     assert isinstance(z, Factorization)
     assert fac_hom_basis(x, z) == []
@@ -287,7 +287,7 @@ def test_adjunction_naturality():
         # naturality in B: postcomposing with 2*id on B
         two = GradedMatrix(
             PolyMatrix.scalar(c.field, x.m, Polynomial(c.field, [c.field.from_int(2)])),
-            x.degs(k), x.degs(k), check=False,
+            x.degs(k), x.degs(k),
         )
         g2 = adjunction_transport("nu_k_right", x, two @ h, k=k, forward=False)
         # past position k the components land in tau B, so shift the scalar

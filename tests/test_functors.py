@@ -84,7 +84,7 @@ def test_cok_intermediate_quotients():
         # j=1 < k=2 (1-based chain positions)
         f = chain.maps[0]
         _, (cok_chain, _), _ = map_ker_cok_im(f)
-        mod, _ = presentation_cokernel(between(x, 1, 2), c)
+        mod = presentation_cokernel(between(x, 1, 2), c).tgt
         assert module_iso(cok_chain, mod)
 
 
@@ -281,3 +281,62 @@ def test_reconstruct_equals_the_cokernel_version(field):
         for u in chains:
             assert (reconstruct(u).to_json()
                     == _reconstruct_by_cokernels(u).to_json()), u
+
+
+# -- preimage generators against the Jordan tops ------------------------------------
+
+
+def _preimage_by_jordan_tops(c, degs_l, kvecs):
+    """Reference: the free basis of the preimage read off the chain tops of
+    `decompose` on the span's realization, plus the omega-multiples."""
+    from facto.functors import _minimal_generators
+    from facto.linalg import mat_vec, unit_vector
+    from facto.modules import decompose, subspace_realization
+    from facto.polymat import GradedMatrix
+
+    F, d, m = c.field, c.d, len(degs_l)
+    free = RModule.free(c, degs_l)
+    sdegs, sx, incl = subspace_realization(F, free.basis_degrees(), free.x_matrix(), kvecs)
+    summands, basis = decompose(F, d, sdegs, sx)
+    tops, top_degs, pos = [], [], 0
+    for e, s in summands:
+        tops.append(mat_vec(F, incl, basis[pos]))
+        top_degs.append(s)
+        pos += e
+    columns = [[v[j * d + s - t] if 0 <= s - t < d else F.zero
+                for j, t in enumerate(degs_l)] for v, s in zip(tops, top_degs)]
+    degrees = list(top_degs)
+    for j in range(m):
+        columns.append(unit_vector(F, m, j))
+        degrees.append(degs_l[j] + d)
+    coeffs, kept_degs = _minimal_generators(F, columns, degrees, m)
+    return GradedMatrix.from_coeffs(F, coeffs, kept_degs, degs_l)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_span_preimage_inclusion_equals_the_jordan_tops(field):
+    """The same inclusion on kernels of random maps out of a free module
+    and images of random maps into one."""
+    from facto.functors import span_preimage_inclusion
+    from facto.modules import ModuleMap, hom_basis, homogeneous_kernel
+    from facto.randgen import random_module
+
+    rng = random.Random(67)
+    proper = 0
+    for _ in range(40):
+        c = cfg(rng.randrange(1, 5), field)
+        degs_l = [rng.randrange(0, 3) for _ in range(rng.randrange(1, 4))]
+        free, other = RModule.free(c, degs_l), random_module(c, rng, 3)
+        maps = []
+        for a, b in ((free, other), (other, free)):
+            f = ModuleMap.zero(a, b)
+            for g in hom_basis(a, b):
+                f = f + g.scale(field.from_int(rng.randrange(-2, 3)))
+            maps.append(f)
+        spans = [homogeneous_kernel(field, free.basis_degrees(), maps[0].realization()),
+                 [list(col) for col in zip(*maps[1].realization())]]
+        for kvecs in spans:
+            got = span_preimage_inclusion(c, degs_l, kvecs)
+            assert got == _preimage_by_jordan_tops(c, degs_l, kvecs), (degs_l, kvecs)
+            proper += not got.is_iso()
+    assert proper > 10

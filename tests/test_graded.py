@@ -145,10 +145,11 @@ def _old_from_json(field, data):
 
 @pytest.mark.parametrize("field", JSON_FIELDS, ids=repr)
 def test_json_agrees_with_the_polynomial_matrix(field):
-    """Random graded matrices, 0 x 0 and m x 0 included, with negative
-    degrees: the same JSON, read back to the same map on both paths.  A
-    0 x n map writes "cols": 0 on both, which neither reads back (see the
-    malformed cases)."""
+    """Random graded matrices, 0 x 0, m x 0 and 0 x n included, with
+    negative degrees: the same JSON, read back to the same map on both
+    paths.  A 0 x n map writes "cols": n, where the polynomial path writes
+    0 and reads neither back, so it round-trips on the scalar path alone
+    (the "cols": 0 document stays malformed, see the malformed cases)."""
     rng = random.Random(25)
     shapes = [(0, 0), (1, 0), (3, 0), (0, 2)] + [
         (rng.randrange(1, 5), rng.randrange(1, 5)) for _ in range(60)]
@@ -159,12 +160,14 @@ def test_json_agrees_with_the_polynomial_matrix(field):
                    else field.zero for a in src] for b in tgt]
         g = GradedMatrix.from_coeffs(field, coeffs, src, tgt)
         data = g.to_json()
-        assert data == _old_to_json(g)
-        if not rows and cols:
-            continue
+        oracle = rows or not cols
+        if oracle:
+            assert data == _old_to_json(g)
+        assert data["cols"] == cols
         data = json.loads(json.dumps(data))
         assert GradedMatrix.from_json(field, data) == g
-        assert _old_from_json(field, data) == g
+        if oracle:
+            assert _old_from_json(field, data) == g
 
 
 def _doc(**changes):
@@ -202,7 +205,8 @@ _MALFORMED = {
     "no entries": (GF(5), {"src_degs": [], "tgt_degs": []}),
     "no src_degs": (GF(5), {"entries": [], "tgt_degs": []}),
     "not an object": (GF(5), [[[1]]]),
-    "0 x 2 map read back": (GF(5), GradedMatrix.zero(GF(5), [0, 1], []).to_json()),
+    # the polynomial path writes "cols": 0 for a 0 x 2 map
+    "0 x 2 map read back": (GF(5), _old_to_json(GradedMatrix.zero(GF(5), [0, 1], []))),
 }
 
 

@@ -14,6 +14,7 @@ from facto.modules import (
     decompose,
     hom_basis,
     homogeneous_components,
+    homogeneous_kernel,
     is_mono_epi,
     lift_along_epi,
     map_ker_cok_im,
@@ -21,8 +22,10 @@ from facto.modules import (
     module_iso,
     presentation_cokernel,
     projective_cover,
+    quotient,
     realization_to_module,
     stable_hom_dim,
+    submodule,
     subspace_realization,
 )
 from facto.poly import Polynomial
@@ -318,7 +321,8 @@ def test_presentation_cokernel_projection():
     c = cfg(2, GF(5))
     F = GF(5)
     a = graded(F, [[[0, 1], [0, 2]], [[], [0, 1]]], [1, 1], [0, 0])
-    m, proj = presentation_cokernel(a, c)
+    p = presentation_cokernel(a, c)
+    m, proj = p.tgt, p.realization()
     free = RModule.free(c, [0, 0])
     lhs = mat_mul(F, proj, free.x_matrix())
     rhs = mat_mul(F, m.x_matrix(), proj)
@@ -392,7 +396,8 @@ def test_presentation_cokernel_equals_the_closing_loop(field):
                     presentation_cokernel(a, c)
                 raised.append(True)
                 continue
-            assert presentation_cokernel(a, c) == want, a
+            p = presentation_cokernel(a, c)
+            assert (p.tgt, p.realization()) == want, a
             raised.append(False)
     assert raised.count(True) > 10 and raised.count(False) > 50
 
@@ -565,3 +570,41 @@ def test_module_maps_equal_the_realization_oracle(field):
             assert g @ f == _compose_by_realization(g, f), (g, f)
             nonzero += not (g @ f).is_zero()
     assert verdicts == {True, False} and nonzero > 5
+
+
+# -- submodules and quotients ----------------------------------------------------
+
+
+def _random_spans(field, rng, count):
+    """(module, vecs): the kernel in the source and the image in the target
+    of random combinations of hom_basis maps between random modules."""
+    for _ in range(count):
+        c = cfg(rng.randrange(1, 5), field)
+        a, b = (RModule(c, [(rng.randrange(1, c.d + 1), rng.randrange(-1, 3))
+                            for _ in range(rng.randrange(0, 4))]) for _ in range(2))
+        f = _random_map(rng, a, b)
+        yield a, homogeneous_kernel(field, a.basis_degrees(), f.realization())
+        yield b, [list(col) for col in zip(*f.realization())]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_submodule_and_quotient_of_kernels_and_images(field):
+    """submodule(m, V) is a mono onto V from the normal form of V's
+    realization; quotient(m, V) is an epi with kernel V."""
+    rng = random.Random(61)
+    proper = 0
+    for m, vecs in _random_spans(field, rng, 60):
+        dim = rank(field, vecs)
+        incl = submodule(m, vecs)
+        sdegs, sx, _ = subspace_realization(field, m.basis_degrees(), m.x_matrix(), vecs)
+        assert incl.src == realization_to_module(m.cfg, sdegs, sx)[0]
+        assert incl.tgt == m and is_mono_epi(incl)[0]
+        cols = [list(col) for col in zip(*incl.realization())]
+        assert rank(field, cols + vecs) == rank(field, cols) == dim, (m, vecs)
+        proj = quotient(m, vecs)
+        assert proj.src == m and is_mono_epi(proj)[1]
+        assert proj.tgt.dim == m.dim - dim
+        kernel = homogeneous_kernel(field, m.basis_degrees(), proj.realization())
+        assert rank(field, kernel + vecs) == len(kernel) == dim, (m, vecs)
+        proper += 0 < dim < m.dim
+    assert proper > 20
