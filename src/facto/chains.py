@@ -7,6 +7,7 @@ plain module category, so the 2-factor case needs no special-casing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import linalg
@@ -249,43 +250,23 @@ def chain_projective_cover(u: MonoChain):
     Component k of P is Q^0 + ... + Q^k with inclusion-as-prefix monos; the
     epi p^k = (prefix-composites o q^j)_j, one block per free cover q^j.
     """
-    cfg = u.cfg
-    F = cfg.field
     n = u.length
     covers = [projective_cover(m) for m in u.objects]  # (Q^k, q^k)
-
-    objs = []
-    for k in range(n):
-        obj = covers[0][0]
-        for j in range(1, k + 1):
-            obj = obj.direct_sum(covers[j][0])
-        objs.append(obj)
-    maps = []
-    for k in range(n - 1):
-        # prefix inclusion P^k -> P^{k+1}: identity blocks on shared summands
-        ns, nt = len(objs[k].summands), len(objs[k + 1].summands)
-        blocks = [
-            [F.one if uu == t else F.zero for t in range(ns)] for uu in range(nt)
-        ]
-        maps.append(ModuleMap(objs[k], objs[k + 1], blocks, check=False))
-    p_chain = MonoChain(cfg, objs, maps, check=False)
+    p_chain = functools.reduce(MonoChain.direct_sum, [
+        mu_trivial(q_mod, n - j, n) for j, (q_mod, _) in enumerate(covers)])
 
     parts = []
     for k in range(n):
         # p^k = (alpha^{k-1}...alpha^j o q^j)_{j<=k} assembled column-blockwise
-        pieces = []
+        blocks = [[] for _ in u.objects[k].summands]
         for j in range(k + 1):
             g = covers[j][1]  # Q^j -> U^j
             for i in range(j, k):
                 g = u.maps[i] @ g
-            pieces.append(g)
-        blocks = [[] for _ in u.objects[k].summands]
-        for g in pieces:
             for row, grow in zip(blocks, g.blocks):
                 row.extend(grow)
-        parts.append(ModuleMap(objs[k], u.objects[k], blocks, check=False))
-    p = ChainMap(p_chain, u, parts)
-    return p_chain, p
+        parts.append(ModuleMap(p_chain.objects[k], u.objects[k], blocks, check=False))
+    return p_chain, ChainMap(p_chain, u, parts)
 
 
 def chain_stable_hom_dim(u: MonoChain, v: MonoChain, cover=None) -> int:

@@ -346,10 +346,10 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--in", dest="infile", default=None,
                         help="input JSON file")
         sp.add_argument("--out", default=None, help="output file (atomic)")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="accepted; the census is exact and does not "
-                        "depend on it" if name == "census"
-                        else "seed for randomized searches")
+        sp.add_argument("--seed", type=int, default=0, help={
+            "census": "accepted; the census is exact and does not depend on it",
+            "selftest": "seed of the random inputs that the checks run on",
+        }.get(name, "accepted; this command is deterministic and ignores it"))
         if name == "rotate":
             sp.add_argument("--steps", type=int, default=1)
         if name == "nu":

@@ -512,6 +512,7 @@ def nu_resolution(x: Factorization, side: str = "epic") -> NuResolution:
       unique psi with phi^j i_j = i_{j+1} psi, as r i_{j+1} = id;
     - cokernel: q_j = r - r m^j s_row, and the cokernel maps are
       q_{j+1} phi^j t, as q_j t = id.
+    These identities are the complement map's squares: it is built unchecked.
     """
     if side not in ("epic", "monic"):
         raise ValueError("side must be 'epic' or 'monic'")
@@ -521,11 +522,11 @@ def nu_resolution(x: Factorization, side: str = "epic") -> NuResolution:
         incl = [t - s @ (f.components[j] @ t) for j, (s, _, t, _) in enumerate(sel)]
         ker = fac_build([r @ middle.maps[j] @ incl[j]
                          for j, (_, _, _, r) in enumerate(sel[1:])], x.cfg, "kernel")
-        return NuResolution(middle, f, ker, FacMap(ker, middle, incl))
+        return NuResolution(middle, f, ker, FacMap(ker, middle, incl, check=False))
     proj = [r - (r @ f.components[j]) @ s_row for j, (_, s_row, _, r) in enumerate(sel)]
     cok = fac_build([proj[j + 1] @ middle.maps[j] @ t
                      for j, (_, _, t, _) in enumerate(sel[:-1])], x.cfg, "cokernel")
-    return NuResolution(middle, f, cok, FacMap(middle, cok, proj))
+    return NuResolution(middle, f, cok, FacMap(middle, cok, proj, check=False))
 
 
 def termwise_split_check(res: NuResolution, side: str) -> bool:

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 from . import linalg
 from .chains import MonoChain, chain_validate, iota_embed
-from .factorizations import FacMap, Factorization, FactorizationError, fac_build, prefix
+from .factorizations import (
+    FacMap,
+    Factorization,
+    FactorizationError,
+    adjunction_transport,
+    fac_build,
+    prefix,
+)
 from .modules import (
     HypersurfaceConfig,
     ModuleMap,
@@ -83,8 +90,6 @@ def jq_sequence(x: Factorization):
     cfg = x.cfg
     F = cfg.field
     l = x.l
-    from .factorizations import adjunction_transport
-
     j = adjunction_transport(
         "nu_l_left", x, GradedMatrix.identity(F, x.degs(0)), forward=False
     )

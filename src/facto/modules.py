@@ -259,12 +259,7 @@ class ModuleMap:
 
     @classmethod
     def identity(cls, m: RModule) -> "ModuleMap":
-        F = m.cfg.field
-        n = len(m.summands)
-        return cls(
-            m, m, [[F.one if u == t else F.zero for t in range(n)] for u in range(n)],
-            check=False,
-        )
+        return cls(m, m, linalg.identity(m.cfg.field, len(m.summands)), check=False)
 
     # arithmetic -----------------------------------------------------------
 
@@ -406,16 +401,19 @@ def decompose(field, d, degs, xmat):
             raise RealizationError("operator is not nilpotent of order <= d")
     nil = len(powers) - 1  # x^nil == 0
 
+    pieces = sorted(_by_degree(degs).items())
+    # kernels[j][i]: the kernel of x^j in degree pieces[i], computed once
+    kernels = [[_degree_kernel(field, n, c, p) for _, c in pieces] for p in powers]
     chains = []  # (start vector, length, degree)
     for j in range(nil, 0, -1):
-        for s, cols in sorted(_by_degree(degs).items()):
+        for (s, _), low, high in zip(pieces, kernels[j - 1], kernels[j]):
             ech = linalg.Echelon(field)
-            for v in _degree_kernel(field, n, cols, powers[j - 1]):
+            for v in low:
                 ech.add(v)
             for v, length, sv in chains:
                 if sv + (length - j) == s and length > j:
                     ech.add(linalg.mat_vec(field, powers[length - j], v))
-            for w in _degree_kernel(field, n, cols, powers[j]):
+            for w in high:
                 if ech.add(w):
                     chains.append((w, j, s))
 
@@ -432,20 +430,17 @@ def decompose(field, d, degs, xmat):
 
 
 def realization_to_module(cfg: HypersurfaceConfig, degs, xmat):
-    """Normal-form module plus the change of basis to/from the realization.
+    """Normal-form module plus the change of basis into the realization.
 
-    Returns (module, to_real, from_real): to_real maps normal-form
-    coordinates into the given realization; from_real is its inverse.
+    Returns (module, to_real): to_real maps normal-form coordinates into
+    the given realization, and is checked to be invertible.
     """
-    F = cfg.field
-    summands, basis = decompose(F, cfg.d, degs, xmat)
+    summands, basis = decompose(cfg.field, cfg.d, degs, xmat)
     mod = RModule(cfg, summands)
-    n = mod.dim
-    to_real = [[basis[c][r] for c in range(n)] for r in range(len(degs))]
-    from_real = linalg.invert(F, to_real)
-    if from_real is None:
+    to_real = [list(row) for row in zip(*basis)]
+    if linalg.rank(cfg.field, to_real) != len(degs):
         raise RealizationError("Jordan chains are linearly dependent")
-    return mod, to_real, from_real
+    return mod, to_real
 
 
 def subspace_realization(field, degs, xmat, vectors):
@@ -466,12 +461,12 @@ def subspace_realization(field, degs, xmat, vectors):
 
 
 def quotient_realization(field, degs, xmat, sub_vectors):
-    """(q_degs, q_x, projection, section) for the quotient by a submodule span.
+    """(q_degs, q_x, projection) for the quotient by a submodule span.
 
     In each degree the complement is the standard basis vectors that the
     span's piece misses, and the projection rows are the complement's rows
     of the inverse of [span piece | complement] on that degree's
-    coordinates."""
+    coordinates.  q_x is the projection of x on the complement's columns."""
     n = len(degs)
     comps = homogeneous_components(field, degs, sub_vectors)
     comp_cols, proj = [], []  # complement: standard basis indices
@@ -493,11 +488,8 @@ def quotient_realization(field, degs, xmat, sub_vectors):
             proj.append(out)
         comp_cols += local
     q_degs = [degs[c] for c in comp_cols]
-    section = linalg.scatter(field, n, len(comp_cols),
-                             [(c, j) for j, c in enumerate(comp_cols)],
-                             [field.one] * len(comp_cols))
-    q_x = linalg.mat_mul(field, proj, linalg.mat_mul(field, xmat, section))
-    return q_degs, q_x, proj, section
+    q_x = linalg.mat_mul(field, proj, [[row[c] for c in comp_cols] for row in xmat])
+    return q_degs, q_x, proj
 
 
 def submodule(m: RModule, vecs) -> ModuleMap:
@@ -505,7 +497,7 @@ def submodule(m: RModule, vecs) -> ModuleMap:
     homogeneous `vecs` (vectors in m's realization)."""
     F = m.cfg.field
     sdegs, sx, incl = subspace_realization(F, m.basis_degrees(), m.x_matrix(), vecs)
-    sub, to_real, _ = realization_to_module(m.cfg, sdegs, sx)
+    sub, to_real = realization_to_module(m.cfg, sdegs, sx)
     return ModuleMap.from_realization(sub, m, linalg.mat_mul(F, incl, to_real))
 
 
@@ -513,9 +505,9 @@ def quotient(m: RModule, vecs) -> ModuleMap:
     """The projection onto the normal-form quotient of m by the span of
     the x-stable homogeneous `vecs` (vectors in m's realization)."""
     F = m.cfg.field
-    qdegs, qx, proj, _ = quotient_realization(F, m.basis_degrees(), m.x_matrix(), vecs)
-    quo, _, from_real = realization_to_module(m.cfg, qdegs, qx)
-    return ModuleMap.from_realization(m, quo, linalg.mat_mul(F, from_real, proj))
+    qdegs, qx, proj = quotient_realization(F, m.basis_degrees(), m.x_matrix(), vecs)
+    quo, to_real = realization_to_module(m.cfg, qdegs, qx)
+    return ModuleMap.from_realization(m, quo, linalg.solve(F, to_real, proj))
 
 
 # operations ---------------------------------------------------------------
@@ -537,14 +529,15 @@ def map_ker_cok_im(f: ModuleMap):
     """Kernel, cokernel and image in normal form, with structure maps.
 
     Returns ((ker, incl), (cok, proj), im) where incl: ker -> src and
-    proj: tgt -> cok are ModuleMaps.
+    proj: tgt -> cok are ModuleMaps; im comes with no inclusion map.
     """
-    incl = submodule(f.src, homogeneous_kernel(
-        f.src.cfg.field, f.src.basis_degrees(), f.realization()))
+    src, tgt, F = f.src, f.tgt, f.src.cfg.field
+    incl = submodule(src, homogeneous_kernel(F, src.basis_degrees(), f.realization()))
     ivecs = _image_vectors(f)
-    imod = submodule(f.tgt, ivecs).src
-    proj = quotient(f.tgt, ivecs)
-    if incl.src.dim + imod.dim != f.src.dim:
+    sdegs, sx, _ = subspace_realization(F, tgt.basis_degrees(), tgt.x_matrix(), ivecs)
+    imod, _ = realization_to_module(tgt.cfg, sdegs, sx)
+    proj = quotient(tgt, ivecs)
+    if incl.src.dim + imod.dim != src.dim:
         raise RealizationError("rank-nullity violated")
     return (incl.src, incl), (proj.tgt, proj), imod
 
@@ -586,13 +579,8 @@ def hom_positions(m: RModule, n: RModule):
 
 def projective_cover(m: RModule):
     """(P, p): the free module on m's generators and the canonical epi."""
-    cfg = m.cfg
-    F = cfg.field
-    p_mod = RModule.free(cfg, [s for _, s in m.summands])
-    n = len(m.summands)
-    blocks = [[F.one if u == t else F.zero for t in range(n)] for u in range(n)]
-    p = ModuleMap(p_mod, m, blocks)
-    return p_mod, p
+    p_mod = RModule.free(m.cfg, [s for _, s in m.summands])
+    return p_mod, ModuleMap(p_mod, m, linalg.identity(m.cfg.field, len(m.summands)))
 
 
 def bar_p_epic(m: RModule):

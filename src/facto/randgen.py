@@ -16,7 +16,8 @@ from .modules import (
     ModuleMap,
     RModule,
     hom_basis,
-    map_ker_cok_im,
+    homogeneous_kernel,
+    submodule,
 )
 from .polymat import GradedMatrix, graded_solve
 
@@ -99,10 +100,11 @@ def random_chain(cfg: HypersurfaceConfig, length: int, rng: random.Random,
             f = basis[0].scale(cfg.field.from_int(rng.randrange(-2, 3)))
             for g in basis[1:]:
                 f = f + g.scale(cfg.field.from_int(rng.randrange(-2, 3)))
-            (ker, incl), _, _ = map_ker_cok_im(f)
+            incl = submodule(cur, homogeneous_kernel(
+                cfg.field, cur.basis_degrees(), f.realization()))
         else:
-            ker, incl = cur, ModuleMap.identity(cur)
-        objs.insert(0, ker)
+            incl = ModuleMap.identity(cur)
+        objs.insert(0, incl.src)
         incls.insert(0, incl)
     return MonoChain(cfg, objs, incls)
 

@@ -16,7 +16,14 @@ from facto.chains import (
 )
 from facto.fields import GF, QQ
 from facto.linalg import Echelon
-from facto.modules import HypersurfaceConfig, ModuleMap, RModule, hom_basis
+from facto.modules import (
+    HypersurfaceConfig,
+    ModuleMap,
+    RModule,
+    hom_basis,
+    is_mono_epi,
+    projective_cover,
+)
 
 
 def cfg(d, field=QQ):
@@ -123,6 +130,36 @@ def test_projective_cover_random():
 
                 for f in p.parts:
                     assert is_mono_epi(f)[1]  # componentwise epi
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_projective_cover_is_the_sum_of_trivial_chains(field):
+    """Component k of P holds the free covers of U^0 .. U^k in order, each
+    mono is the inclusion of the prefix, and p^k is epi and is q^k on the
+    last block."""
+    rng = random.Random(71)
+    F = field
+    for d in (1, 2, 3):
+        c = cfg(d, field)
+        chains = [MonoChain.zero(c, n) for n in range(1, 5)]
+        chains += [random_chain(c, rng, rng.randrange(1, 5), max_summands=3)
+                   for _ in range(12)]
+        for u in chains:
+            p_chain, p = chain_projective_cover(u)
+            assert p_chain.length == p.src.length == u.length and p.tgt is u
+            gens = []
+            for k, (obj, f) in enumerate(zip(p_chain.objects, p.parts)):
+                prev = len(gens)
+                gens += [(d, s) for _, s in u.objects[k].summands]
+                assert obj.summands == tuple(gens), (u, k)
+                if k:
+                    assert p_chain.maps[k - 1].blocks == tuple(
+                        tuple(F.one if r == t else F.zero for t in range(prev))
+                        for r in range(len(gens))), (u, k)
+                assert f.src == obj and f.tgt == u.objects[k]
+                assert is_mono_epi(f)[1], (u, k)
+                assert (tuple(row[prev:] for row in f.blocks)
+                        == projective_cover(u.objects[k])[1].blocks), (u, k)
 
 
 def random_chain(c, rng, length=2, max_summands=2):

@@ -497,6 +497,10 @@ def test_census_broken_module_invariant_exits_2(monkeypatch, capsys):
 
 
 def test_census_seed_help_says_it_does_not_matter(capsys):
-    with pytest.raises(SystemExit):
-        main(["census", "--help"])
-    assert "does not depend on it" in " ".join(capsys.readouterr().out.split())
+    """--seed is accepted everywhere; its help says what it does per command."""
+    for command, says in (("census", "does not depend on it"),
+                          ("selftest", "seed of the random inputs"),
+                          ("resolve", "this command is deterministic and ignores it")):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert says in " ".join(capsys.readouterr().out.split()), command

@@ -584,6 +584,17 @@ def test_resolutions_equal_the_adjunction_built_ones(field):
             assert termwise_split_check(broken, side) is False
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_resolution_complement_maps_pass_the_square_checks(field):
+    """nu_resolution builds its complement maps unchecked; rebuilt with the
+    check, every square commutes, the closing one included."""
+    rng = random.Random(63)
+    for x in _oracle_inputs(field, rng):
+        for side in ("epic", "monic"):
+            g = nu_resolution(x, side).complement_map
+            assert FacMap(g.src, g.tgt, g.components, check=True) == g, (x, side)
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_transports_and_zigzags_equal_the_step_by_step_ones(field):
     rng = random.Random(62)

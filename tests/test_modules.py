@@ -3,7 +3,7 @@ import random
 import pytest
 
 from facto.fields import GF, QQ
-from facto.linalg import mat_mul, nullspace, rank
+from facto.linalg import mat_mul, nullspace, rank, solve
 from facto.modules import (
     HypersurfaceConfig,
     ModuleMap,
@@ -23,6 +23,7 @@ from facto.modules import (
     presentation_cokernel,
     projective_cover,
     quotient,
+    quotient_realization,
     realization_to_module,
     stable_hom_dim,
     submodule,
@@ -334,7 +335,6 @@ def _presentation_cokernel_by_closing(a, c):
     """Reference: the quotient of the free cover by the columns of a mod x^d
     closed under x one vector at a time."""
     from facto.linalg import identity, mat_vec
-    from facto.modules import quotient_realization
     from facto.polymat import NoSolution, graded_solve
 
     F, d = c.field, c.d
@@ -357,9 +357,9 @@ def _presentation_cokernel_by_closing(a, c):
                 break
             closed.append(w)
             w = mat_vec(F, fx, w)
-    qdegs, qx, proj_mat, _ = quotient_realization(F, fdegs, fx, closed)
-    mod, _, from_real = realization_to_module(c, qdegs, qx)
-    return mod, mat_mul(F, from_real, proj_mat)
+    qdegs, qx, proj_mat = quotient_realization(F, fdegs, fx, closed)
+    mod, to_real = realization_to_module(c, qdegs, qx)
+    return mod, solve(F, to_real, proj_mat)
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=repr)
@@ -608,3 +608,36 @@ def test_submodule_and_quotient_of_kernels_and_images(field):
         assert rank(field, kernel + vecs) == len(kernel) == dim, (m, vecs)
         proper += 0 < dim < m.dim
     assert proper > 20
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_normal_forms_take_each_kernel_once_and_invert_nothing(field, monkeypatch):
+    """decompose computes each per-degree kernel of each power of x once,
+    and realization_to_module inverts no matrix: the independence of the
+    Jordan chains is a rank."""
+    import facto.modules as modules
+
+    rng = random.Random(67)
+    reals = []
+    for m, vecs in _random_spans(field, rng, 40):
+        degs, x = m.basis_degrees(), m.x_matrix()
+        reals += [(m.cfg, subspace_realization(field, degs, x, vecs)[:2]),
+                  (m.cfg, quotient_realization(field, degs, x, vecs)[:2])]
+    calls = []
+    kernel = modules._degree_kernel
+
+    def counted(field, n, cols, mat):
+        calls.append((tuple(cols), tuple(map(tuple, mat))))
+        return kernel(field, n, cols, mat)
+
+    def invert(*_):
+        raise AssertionError("inverted a matrix")
+
+    monkeypatch.setattr(modules, "_degree_kernel", counted)
+    monkeypatch.setattr(modules.linalg, "invert", invert)
+    for c, (degs, x) in reals:
+        calls.clear()
+        mod, to_real = realization_to_module(c, degs, x)
+        assert mod.dim == len(degs) == len(to_real)
+        assert len(calls) == len(set(calls)), (degs, x)
+    assert sum(len(degs) > 2 for _, (degs, _) in reals) > 10
