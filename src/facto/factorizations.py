@@ -8,9 +8,10 @@ functor; `rot_phase` tracks where in the rotation cycle the object sits.
 
 The maps X^0 -> X^1 -> ... -> X^l -> tau X^0 form a cycle, and every
 structure map of the trivial factorizations nu^k is a composite around
-it (`_around`): the zigzag identities, the units and counits of the
-nu-adjunctions, the projective cover and the injective hull, whose
-blocks are these composites.
+it, read off one walk (`_walk`): the zigzag identities, the units and
+counits of the nu-adjunctions, the projective cover and the injective
+hull, whose blocks are these composites.  Sums of nu^k are built from
+the definition (`_nu_sum`), never re-validated.
 """
 
 from __future__ import annotations
@@ -135,24 +136,19 @@ def prefix(x: Factorization, j: int) -> GradedMatrix:
 
 def between(x: Factorization, a: int, b: int) -> GradedMatrix:
     """A^{b-1} ... A^a : X^a -> X^b for 0 <= a <= b <= l."""
-    g = GradedMatrix.identity(x.cfg.field, x.degs(a))
-    for k in range(a, b):
-        g = x.maps[k] @ g
-    return g
+    return _walk(x, a, b - a)[-1]
 
 
-def _around(x: Factorization, a: int, b: int) -> GradedMatrix:
-    """The composite X^a -> X^b going forward around the cycle.
-
-    For a <= b <= l it is A^{b-1}..A^a.  For b < a it goes once round,
-    tau(A^{b-1}..A^0) A^l A^{l-1}..A^a, into tau X^b; b = a + l + 1 names
-    the full loop X^a -> tau X^a, the left side of the zigzag identity.
-    """
-    if b < a:
-        b += x.l + 1
-    if b <= x.l:
-        return between(x, a, b)
-    return prefix(x, b - x.l - 1).shift(-x.cfg.d) @ x.closing @ between(x, a, x.l)
+def _walk(x: Factorization, a: int, steps: int):
+    """The composites X^a -> X^(a+s) around the cycle, s = 0..steps, each
+    one product after the last: past X^l come the closing map, then the
+    tau(A^k), so position l+1+k is tau X^k."""
+    out = [GradedMatrix.identity(x.cfg.field, x.degs(a))]
+    for p in range(a, a + steps):
+        t, r = divmod(p, x.l + 1)
+        step = (x.maps[r] if r < x.l else x.closing).shift(-x.cfg.d * t)
+        out.append(step @ out[-1] if p > a else step)
+    return out
 
 
 def fac_validate(maps, cfg: HypersurfaceConfig, twist: int = 0):
@@ -214,7 +210,7 @@ def zigzag_check(x: Factorization):
     """omega_{X^k} = tau(A^{k-1}..A^0) A^l A^{l-1}..A^k, the loop around
     the cycle at k, for every k."""
     for k in range(x.l):
-        if _around(x, k, k + x.l + 1) != omega_map(x.cfg.field, x.degs(k), x.cfg.d):
+        if _walk(x, k, x.l + 1)[-1] != omega_map(x.cfg.field, x.degs(k), x.cfg.d):
             return ZigzagViolation(k)
     return True
 
@@ -223,16 +219,20 @@ def nu(cfg: HypersurfaceConfig, l: int, k: int, degs) -> Factorization:
     """Trivial factorization nu^k(A) on the free module with given degrees."""
     if not (0 <= k <= l):
         raise ValueError("k out of range")
-    F = cfg.field
-    maps = []
-    cur = list(degs)
-    for j in range(l):
-        if j == k:
-            maps.append(omega_map(F, cur, cfg.d))
-            cur = [s - cfg.d for s in cur]
-        else:
-            maps.append(GradedMatrix.identity(F, cur))
-    return fac_build(maps, cfg, "nu")
+    if l < 1:
+        raise FactorizationError("nu is invalid: need at least one map")
+    return _nu_sum(cfg, l, [(k, degs)])
+
+
+def _nu_sum(cfg: HypersurfaceConfig, l: int, parts) -> Factorization:
+    """The sum of nu^k(A) over the pairs (k, degrees of A) in `parts`: every
+    structure map and the closing map (into position l+1, tau X^0) has
+    identity scalars, and A's degrees drop by d past position k."""
+    F, d = cfg.field, cfg.d
+    degs = [[s - d if j > k else s for k, a in parts for s in a] for j in range(l + 2)]
+    one = linalg.identity(F, len(degs[0]))
+    maps = [GradedMatrix.from_coeffs(F, one, degs[j], degs[j + 1]) for j in range(l + 1)]
+    return Factorization(cfg, maps[:l], maps[l])
 
 
 def rotate(x: Factorization, inverse: bool = False) -> Factorization:
@@ -406,7 +406,7 @@ def adjunction_transport(which: str, x: Factorization, data, k: int = None,
 
     Forward take a FacMap and return a GradedMatrix; backward take a
     GradedMatrix h and compose it with the composites around the cycle
-    (`_around`) out of, or into, position k.
+    (`_walk`) out of, or into, position k.
     """
     d = x.cfg.d
     l = x.l
@@ -414,7 +414,7 @@ def adjunction_transport(which: str, x: Factorization, data, k: int = None,
         if forward:
             return data.components[0]
         h = data  # A -> X^0
-        comps = [_around(x, 0, j) @ h for j in range(l + 1)]
+        comps = [g @ h for g in _walk(x, 0, l)]
         return FacMap(nu(x.cfg, l, l, h.src_degs), x, comps)
     if which == "nu_k_left":
         if k is None or not (1 <= k <= l):
@@ -422,9 +422,10 @@ def adjunction_transport(which: str, x: Factorization, data, k: int = None,
         if forward:
             return data.components[k]
         h = data  # tau A -> X^k
-        comps = [_around(x, k, j) @ h for j in range(l + 1)]
+        walk = [g @ h for g in _walk(x, k, l)]
         # before position k, nu^{k-1}(A) is A: take the maps into tau X^j back
-        comps[:k] = [g.shift(d) for g in comps[:k]]
+        comps = [walk[j - k] if j >= k else walk[j + l + 1 - k].shift(d)
+                 for j in range(l + 1)]
         return FacMap(nu(x.cfg, l, k - 1, [s + d for s in h.src_degs]), x, comps)
     if which == "nu_k_right":
         if k is None or not (0 <= k <= l):
@@ -433,7 +434,7 @@ def adjunction_transport(which: str, x: Factorization, data, k: int = None,
             return data.components[k]
         h = data  # X^k -> B
         # past position k, nu^k(B) is tau B
-        comps = [(h if j <= k else h.shift(-d)) @ _around(x, j, k)
+        comps = [(h if j <= k else h.shift(-d)) @ _walk(x, j, (k - j) % (l + 1))[-1]
                  for j in range(l + 1)]
         return FacMap(x, nu(x.cfg, l, k, h.tgt_degs), comps)
     raise ValueError(f"unknown adjunction {which!r}")
@@ -453,29 +454,28 @@ def fac_projective_cover(x: Factorization):
     """(P, p): P = nu^l(X^0) + sum_k nu^{k-1}(tau^{-1} X^k) and the epi
     p: P ->> X whose summands are the counits of the nu-adjunctions.
 
-    The block of p^j on summand k is the composite X^k -> X^j around the
-    cycle (`_around`), taken back by tau^{-1} when k > j.  The counits are
-    the block columns of p, so its one check covers all their squares.
+    The block of p^j on summand k is the composite X^k -> X^j on the walk
+    from k, taken back by tau^{-1} when k > j.  The counits are the block
+    columns of p, so its one check covers all their squares.
     """
     d, l = x.cfg.d, x.l
-    summands = [nu(x.cfg, l, l, x.degs(0))] + [
-        nu(x.cfg, l, k - 1, [s + d for s in x.degs(k)]) for k in range(1, l + 1)]
-    middle = functools.reduce(Factorization.direct_sum, summands)
+    middle = _nu_sum(x.cfg, l, [(l, x.degs(0))] + [
+        (k - 1, [s + d for s in x.degs(k)]) for k in range(1, l + 1)])
+    walks = [_walk(x, k, l) for k in range(l + 1)]
     comps = [functools.reduce(GradedMatrix.hstack, [
-        _around(x, k, j) if k <= j else _around(x, k, j).shift(d) for k in range(l + 1)])
+        w[j - k] if k <= j else w[j + l + 1 - k].shift(d) for k, w in enumerate(walks)])
         for j in range(l + 1)]
     return middle, FacMap(middle, x, comps)
 
 
 def _injective_hull(x: Factorization):
     """(I, i): I = sum_k nu^k(X^k) and the mono i: X >-> I whose block from
-    X^j to summand k is the composite X^j -> X^k around the cycle (the
+    X^j to summand k is the composite X^j -> X^k on the walk from j (the
     units of the nu_k_right adjunctions)."""
     l = x.l
-    middle = functools.reduce(Factorization.direct_sum,
-                              [nu(x.cfg, l, k, x.degs(k)) for k in range(l + 1)])
-    comps = [functools.reduce(GradedMatrix.vstack, [_around(x, j, k) for k in range(l + 1)])
-             for j in range(l + 1)]
+    middle = _nu_sum(x.cfg, l, [(k, x.degs(k)) for k in range(l + 1)])
+    comps = [functools.reduce(GradedMatrix.vstack, [w[(k - j) % (l + 1)] for k in range(l + 1)])
+             for j, w in enumerate(_walk(x, j, l) for j in range(l + 1))]
     return middle, FacMap(x, middle, comps)
 
 

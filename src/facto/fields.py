@@ -157,5 +157,9 @@ def field_from_spec(spec: str) -> Field:
     if spec in ("q", "qq", "rational"):
         return QQ
     if spec.startswith("fp:"):
-        return PrimeField(int(spec[3:]))
+        try:
+            p = int(spec[3:])
+        except ValueError:
+            raise FieldError(f"modulus must be an integer, got {spec[3:]!r}") from None
+        return PrimeField(p)
     raise FieldError(f"unknown field spec {spec!r} (use q or fp:<p>)")

@@ -22,6 +22,7 @@ from .factorizations import (
     FacMap,
     Factorization,
     FactorizationError,
+    _walk,
     adjunction_transport,
     fac_build,
     prefix,
@@ -45,7 +46,7 @@ def _cokernels(x: Factorization):
     """The projections X^k ->> U^k = presentation_cokernel(X^0 -> X^k) of
     the free covers, for k = 1..l: the one place that fixes the
     coordinates of cok(x)."""
-    return [presentation_cokernel(prefix(x, k), x.cfg) for k in range(1, x.l + 1)]
+    return [presentation_cokernel(g, x.cfg) for g in _walk(x, 0, x.l)[1:]]
 
 
 def _induced(cfg, g: GradedMatrix, src: ModuleMap, tgt: ModuleMap) -> ModuleMap:

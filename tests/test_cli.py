@@ -6,6 +6,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -504,3 +505,57 @@ def test_census_seed_help_says_it_does_not_matter(capsys):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         assert says in " ".join(capsys.readouterr().out.split()), command
+
+
+@pytest.mark.parametrize("spec", ["fp:abc", "fp:", "fp:5.0", "fp:1e3", "fp:4"])
+def test_bad_modulus_is_an_input_error(spec):
+    """A modulus that is not an integer (or not a prime) is one error line,
+    never a traceback."""
+    code, out, err = _run(["nu", "--field", spec, "--d", "2", "--l", "1",
+                           "--k", "0", "--degs", "0"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if spec == "fp:4":
+        assert "modulus must be a prime" in err
+
+
+def _rotate_cli(path, steps):
+    code, out, err = _run(["rotate", "--field", "fp:5", "--d", "3", "--in", str(path),
+                           "--steps", str(steps)])
+    assert code == 0, err
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_rotate_steps_equal_single_rotations(l, tmp_path):
+    """--steps N gives the same file as N single rotations, for |N| past
+    three full cycles and a starting twist of 2."""
+    c = HypersurfaceConfig(3, GF(5))
+    x = random_factorization(c, l, random.Random(l), m_max=2)
+    path = tmp_path / "mf.json"
+    path.write_text(json.dumps(dict(x.to_json(), twist=2)))
+    x = Factorization.from_json(c, json.loads(path.read_text()))
+    for steps in range(-3 * (l + 1) - 1, 3 * (l + 1) + 2):
+        y = x
+        for _ in range(abs(steps)):
+            y = rotate(y, inverse=steps < 0)
+        assert _rotate_cli(path, steps) == y.to_json(), steps
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_rotate_huge_steps_return_at_once(sign, tmp_path):
+    """Theta^{l+1} = tau: 10^12 steps are 10^12 // (l+1) twists and the
+    remainder in single rotations."""
+    c = HypersurfaceConfig(3, GF(5))
+    x = random_factorization(c, 2, random.Random(7), m_max=2)
+    path = tmp_path / "mf.json"
+    path.write_text(json.dumps(x.to_json()))
+    start = time.perf_counter()
+    got = _rotate_cli(path, sign * 10**12)
+    assert time.perf_counter() - start < 1
+    q, r = divmod(10**12, 3)
+    y = x
+    for _ in range(r):
+        y = rotate(y, inverse=sign < 0)
+    assert got == dict(y.to_json(), twist=y.twist + sign * q)

@@ -6,10 +6,13 @@ import pytest
 from facto.factorizations import (
     FacMap,
     Factorization,
+    FactorizationError,
     Invalid,
     NuResolution,
     ZigzagViolation,
     _hom_slots,
+    _injective_hull,
+    _nu_sum,
     adjunction_transport,
     between,
     contract,
@@ -633,3 +636,66 @@ def test_fac_hom_basis_equals_the_slot_equations(field):
             assert got == _fac_hom_basis_by_slots(x, y), (x, y)
             sizes.append(len(got))
     assert max(sizes) >= 4 and 0 in sizes
+
+
+# -- trivial factorizations built from the definition ------------------------------
+
+
+def _nu_inputs(field):
+    """(cfg, l, k, degs): every k for l = 1..3, d = 1..3, degree vectors
+    from empty to three generators."""
+    for d in (1, 2, 3):
+        c = cfg(d, field)
+        for l in (1, 2, 3):
+            for k in range(l + 1):
+                for degs in ([], [0], [2, -1], [1, 1, 0]):
+                    yield c, l, k, degs
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_nu_equals_its_validated_maps(field):
+    """nu is built unchecked; fac_validate of its maps gives the same object,
+    the closing map included."""
+    for c, l, k, degs in _nu_inputs(field):
+        x = nu(c, l, k, degs)
+        y = fac_validate(list(x.maps), c)
+        assert isinstance(y, Factorization), (l, k, degs, y)
+        assert y == x and y.closing == x.closing, (l, k, degs)
+        assert zigzag_check(x) is True
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_nu_sum_equals_the_direct_sum_of_its_parts(field):
+    rng = random.Random(65)
+    for c, l, _, _ in _nu_inputs(field):
+        parts = [(rng.randrange(l + 1), [rng.randrange(-1, 3) for _ in range(rng.randrange(3))])
+                 for _ in range(rng.randrange(1, 5))]
+        want = functools.reduce(Factorization.direct_sum, [_nu_sum(c, l, [p]) for p in parts])
+        got = _nu_sum(c, l, parts)
+        assert got == want and got.closing == want.closing, (l, parts)
+        assert got == fac_validate(list(got.maps), c), (l, parts)
+
+
+def test_nu_without_maps_is_still_invalid():
+    with pytest.raises(FactorizationError, match="nu is invalid: need at least one map"):
+        nu(cfg(2), 0, 0, [0])
+    with pytest.raises(ValueError, match="k out of range"):
+        nu(cfg(2), 1, 2, [0])
+
+
+def test_trivial_sums_are_built_without_validation(monkeypatch):
+    """nu, the cover and the hull make no fac_validate or fac_build call and
+    no direct_sum fold; the cover and hull maps keep their square check."""
+    rng = random.Random(66)
+    xs = [random_factorization(cfg(d, GF(5)), l, rng) for d, l in ((2, 1), (3, 2), (2, 3))]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
+
+    for name in ("fac_validate", "fac_build"):
+        monkeypatch.setattr(f"facto.factorizations.{name}", forbidden)
+    monkeypatch.setattr(Factorization, "direct_sum", forbidden)
+    for x in xs:
+        nu(x.cfg, x.l, x.l, x.degs(0))
+        for _, f in (fac_projective_cover(x), _injective_hull(x)):
+            assert FacMap(f.src, f.tgt, f.components, check=True) == f
