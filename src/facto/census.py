@@ -24,14 +24,16 @@ indecomposable.  So the census clamps the window: the intervals of a
 top of minimum degree 0 that does not split cover some [0, E], so its
 starts are at most dim - 1 for a chain top (E < dim), and at most
 (m - 1)(d - 1) for a factorization top (sorted, they grow by < d).  Only
-the flags that pass are built, with one preimage inclusion per space, and
-deduplicated with the iso tests; the projective classes are dropped last,
-by one projective cover per class that also serves the stable hom table.
-Both properties are iso-invariant and deduplication keeps the first
-member of each class, so this gives the classes of building and
-deduplicating every flag object first.  Between indecomposables the iso
-tests are exact (see `endo.search_iso`), so the result does not depend on
-a seed.  The kept classes of the two sides are matched under cok.
+the flags that pass are built, with one inclusion per space (a preimage
+in S^m, a submodule of a chain top), and deduplicated with the iso tests:
+these are `enumerate_factorizations` and `enumerate_chains`.  The census
+drops the projective classes last, by one projective cover per class that
+also serves the stable hom table.  Both properties are iso-invariant and
+deduplication keeps the first member of each class, so this gives the
+classes of building and deduplicating every flag object first.  Between
+indecomposables the iso tests are exact (see `endo.search_iso`), so the
+census passes its seed nowhere.  The kept classes of the two sides are
+matched under cok; an unmatched chain class is checked on its top.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ from .factorizations import (
     fac_stable_hom_dim,
 )
 from .fields import PrimeField
-from .functors import cok, reconstruct, span_preimage_inclusion
-from .functors import flag_factorization as _flag_factorization
+from .functors import cok, flag_factorization, span_preimage_inclusion
 from .modules import (
     HypersurfaceConfig,
     ModuleMap,
@@ -122,6 +123,9 @@ def _field_elements(field):
 # the most subspaces of one F^n that a census lists; the largest bounds in
 # use list 42,176 (F_5^5, d=5, l=2)
 MAX_SUBSPACES = 10 ** 5
+# the largest top dimension (m*d for factorizations, dim for chains) and flag
+# length l that a census accepts; the largest in use are 15 and 3
+MAX_CENSUS_SIZE = 64
 
 
 def _all_subspaces(field, n, elements):
@@ -442,12 +446,13 @@ def _fac_build(cfg: HypersurfaceConfig, degs_l, spaces):
     """flag -> its flag factorization; one preimage per space of the top."""
     include = functools.cache(
         lambda i: span_preimage_inclusion(cfg, list(degs_l), spaces[i]))
-    return lambda flag: _flag_factorization(cfg, degs_l, flag, include)
+    return lambda flag: flag_factorization(cfg, [include(i) for i in flag])
 
 
 def _chain_build(cfg: HypersurfaceConfig, top: RModule, spaces):
-    """flag -> its flag chain."""
-    return lambda flag: _flag_chain(cfg, top, [spaces[i] for i in flag])
+    """flag -> its flag chain; one submodule per space of the top."""
+    include = functools.cache(lambda i: submodule(top, spaces[i]))
+    return lambda flag: _flag_chain(cfg, top, [include(i) for i in flag])
 
 
 # factorization enumeration -----------------------------------------------------
@@ -504,10 +509,13 @@ def _flag_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
 
 def enumerate_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
                              window: int):
-    """All (l+1)-factor factorizations up to iso and shift, within bounds:
-    each class appears exactly once, as its first flag factorization."""
-    return _dedup(_flag_factorizations(cfg, l, m_max, window),
-                  _fac_fingerprint, fac_iso_test)
+    """The indecomposable (l+1)-factor factorizations up to iso and shift,
+    within bounds: each class appears once, as its first flag factorization.
+    Only local flags of unsplit tops are built (see the module docstring),
+    so the window is clamped to what those reach."""
+    window = min(window, max(m_max - 1, 0) * (cfg.d - 1))
+    return _dedup(_flag_objects(cfg, _fac_tops(cfg, m_max, window), l, _fac_build,
+                                local_only=True), _fac_fingerprint, fac_iso_test)
 
 
 # chain enumeration -----------------------------------------------------------
@@ -517,7 +525,8 @@ def _top_modules(cfg: HypersurfaceConfig, dim_max: int, window: int):
     """Sorted summand lists with total dimension <= dim_max, degrees in the
     window; includes the zero module.  The order is depth first, so a top
     comes after its shift to minimum degree 0."""
-    types = [(e, s) for e in range(1, cfg.d + 1) for s in range(window + 1)]
+    types = [(e, s) for e in range(1, min(cfg.d, dim_max) + 1)
+             for s in range(window + 1)]
     out = []
 
     def rec(start, left, acc):
@@ -531,9 +540,10 @@ def _top_modules(cfg: HypersurfaceConfig, dim_max: int, window: int):
     return out
 
 
-def _flag_chain(cfg: HypersurfaceConfig, top: RModule, flag) -> MonoChain:
-    """The chain of submodules V_1 >-> ... >-> V_{l-1} >-> top."""
-    incls = [submodule(top, vecs) for vecs in flag] + [ModuleMap.identity(top)]
+def _flag_chain(cfg: HypersurfaceConfig, top: RModule, incls) -> MonoChain:
+    """The chain of submodules V_1 >-> ... >-> V_{l-1} >-> top, given by
+    their inclusions `incls` into top (`modules.submodule`)."""
+    incls = incls + [ModuleMap.identity(top)]
     maps = []
     for i0, i1 in zip(incls, incls[1:]):
         real = linalg.solve(cfg.field, i1.realization(), i0.realization(),
@@ -557,10 +567,15 @@ def _flag_chains(cfg: HypersurfaceConfig, l: int, dim_max: int, window: int):
 
 def enumerate_chains(cfg: HypersurfaceConfig, l: int, dim_max: int,
                      window: int):
-    """All chains of l-1 monos up to iso and shift, top dimension <= dim_max
-    and top generator degrees over [0, window] normalized to minimum 0."""
-    return _dedup(_flag_chains(cfg, l, dim_max, window), _chain_fingerprint,
-                  chain_iso_test)
+    """The indecomposable chains of l-1 monos up to iso and shift, top
+    dimension <= dim_max, top generator degrees over [0, window]: each class
+    appears once, as its first flag chain.  Only local flags of unsplit tops
+    of minimum degree 0 are built, with the window clamped to what those
+    reach; a top of minimum degree s > 0 repeats its shift by -s."""
+    window = min(window, max(dim_max - 1, 0))
+    tops = [t for t in _top_modules(cfg, dim_max, window) if t.min_degree() == 0]
+    return _dedup(_flag_objects(cfg, ((t, t) for t in tops), l - 1, _chain_build,
+                                local_only=True), _chain_fingerprint, chain_iso_test)
 
 
 # the census itself ------------------------------------------------------------
@@ -619,15 +634,17 @@ class CensusReport:
 
 def _chain_in_bounds(u: MonoChain, bounds: Bounds) -> bool:
     top = u.objects[-1]
-    if top.dim > bounds.dim:
-        return False
-    return all(s <= bounds.window for _, s in top.summands)
+    return top.dim <= bounds.dim and all(s <= bounds.window for _, s in top.summands)
 
 
-def _fac_in_bounds(x: Factorization, bounds: Bounds) -> bool:
-    if x.m > bounds.m:
-        return False
-    return all(s <= bounds.window for s in x.degs(x.l))
+def _reconstruction_in_bounds(v: MonoChain, bounds: Bounds) -> bool:
+    """Whether reconstruct(v), shifted to minimum degree 0, is in bounds,
+    read off v's top U^l: reconstruct builds on its minimal free cover, so
+    the rank is its number of summands, and X^l has its generator degrees,
+    which are also the object's lowest degrees."""
+    degs = [s for _, s in v.objects[-1].summands]
+    return (len(degs) <= bounds.m
+            and max(degs, default=0) - min(degs, default=0) <= bounds.window)
 
 
 def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
@@ -635,47 +652,39 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
     """Classify both sides, match them under cok, compare stable hom tables.
 
     Classes are indecomposable nonprojective objects up to iso and shift.
-    Each side enumerates flags of x-stable subspaces of its top objects
-    (the free R-covers R^m(degs_l), and the chain tops of minimum degree
-    0) and keeps a flag only when its stabilizer in End(top) is local,
-    which holds iff the flag object is indecomposable (see
-    `_local_stabilizer`).  Only those flags are built into objects; they
-    are deduplicated (keeping the first of each class) and then the
-    projectives are dropped.  Every iso test has an indecomposable
-    target, so deduplication and matching are exact: `seed` is passed on
-    to the iso search but does not change the result.  A class may stay
-    unmatched only when its partner falls outside the given bounds; any
-    other mismatch raises MatchFailure.  Raises NonSplitEndomorphism when
-    an object's indecomposability is undecided over k (see
-    `endo.is_local`), FactorizationError when a flag does not give a
-    factorization (`functors.flag_factorization`; the CLI maps both to
-    exit 2), and ValueError when one F^n has more than MAX_SUBSPACES
-    subspaces to list (exit 1).
+    The two sides are `enumerate_factorizations` and `enumerate_chains`,
+    which build only the flags whose stabilizer in End(top) is local (see
+    `_local_stabilizer`); the census drops their projective classes,
+    matches the rest under cok and compares the stable hom tables.  Every
+    iso test has an indecomposable target, so deduplication and matching
+    are exact (see `endo.search_iso`): `seed` is accepted, for the CLI's
+    `--seed`, and passed nowhere.  A class may stay unmatched only when its
+    partner falls outside the given bounds; any other mismatch raises
+    MatchFailure.  Raises NonSplitEndomorphism when an object's
+    indecomposability is undecided over k (see `endo.is_local`),
+    FactorizationError when a flag does not give a factorization
+    (`functors.flag_factorization`; the CLI maps both to exit 2), and
+    ValueError (exit 1), before any enumeration, when m*d, dim or l exceeds
+    MAX_CENSUS_SIZE, or when one F^n has more than MAX_SUBSPACES subspaces
+    to list.
     """
-    # wider windows only add split tops (see the module docstring)
-    fac_window = min(bounds.window, max(bounds.m - 1, 0) * (cfg.d - 1))
-    chain_window = min(bounds.window, max(bounds.dim - 1, 0))
-    covered = [(x, fac_projective_cover(x)) for x in _dedup(
-        _flag_objects(cfg, _fac_tops(cfg, bounds.m, fac_window), l,
-                      _fac_build, local_only=True),
-        _fac_fingerprint, fac_iso_test)]
+    for name, size in (("m*d", bounds.m * cfg.d), ("dim", bounds.dim), ("l", l)):
+        if size > MAX_CENSUS_SIZE:
+            raise ValueError(f"{name} = {size} is larger than the census "
+                             f"accepts ({MAX_CENSUS_SIZE})")
+    covered = [(x, fac_projective_cover(x)) for x in
+               enumerate_factorizations(cfg, l, bounds.m, bounds.window)]
     covered = [(x, c) for x, c in covered if fac_stable_hom_dim(x, x, c)]
     facs = [x for x, _ in covered]
-    # a top of minimum degree s > 0 only repeats the flags of its shift by
-    # -s, which _top_modules lists before it
-    tops = [t for t in _top_modules(cfg, bounds.dim, chain_window)
-            if t.min_degree() == 0]
-    chains = [u for u in _dedup(
-        _flag_objects(cfg, ((t, t) for t in tops), l - 1, _chain_build,
-                      local_only=True), _chain_fingerprint, chain_iso_test)
-        if not chain_projective_test(u)]
+    chains = [u for u in enumerate_chains(cfg, l, bounds.dim, bounds.window)
+              if not chain_projective_test(u)]
 
     coks = [cok(x) for x in facs]
     canon = [u.shift(-u.min_degree()) for u in coks]
     matching = []
     taken = {}
     for i, u in enumerate(canon):
-        hits = [j for j, v in enumerate(chains) if chain_iso_test(u, v, seed=seed)]
+        hits = [j for j, v in enumerate(chains) if chain_iso_test(u, v)]
         if len(hits) > 1:
             raise MatchFailure(f"fac class {i}: cok matches chains {hits}")
         if not hits:
@@ -692,11 +701,7 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
         taken[j] = i
         matching.append((i, j))
     for j, v in enumerate(chains):
-        if j in taken:
-            continue
-        x = reconstruct(v)
-        x = x.shift(-x.min_degree())
-        if _fac_in_bounds(x, bounds):
+        if j not in taken and _reconstruction_in_bounds(v, bounds):
             raise MatchFailure(
                 f"chain class {j}: reconstruction in bounds but unmatched"
             )

@@ -279,7 +279,7 @@ def chain_stable_hom_dim(u: MonoChain, v: MonoChain, cover=None) -> int:
 # isomorphism and indecomposability --------------------------------------------
 
 
-def chain_iso_test(u: MonoChain, v: MonoChain, seed: int = 0) -> bool:
+def chain_iso_test(u: MonoChain, v: MonoChain) -> bool:
     """True iff u and v are isomorphic as chains.
 
     Necessary check: componentwise normal forms agree.  Then searches the
@@ -294,8 +294,7 @@ def chain_iso_test(u: MonoChain, v: MonoChain, seed: int = 0) -> bool:
             return False
     if u.is_zero():
         return True
-    return search_iso(u.cfg.field, [f.scalars() for f in chain_hom_basis(u, v)],
-                      seed)
+    return search_iso(u.cfg.field, [f.scalars() for f in chain_hom_basis(u, v)])
 
 
 def chain_is_indecomposable(u: MonoChain) -> bool:

@@ -255,7 +255,7 @@ def _is_iso(field: Field, mats) -> bool:
     return all(linalg.rank(field, m) == len(m) for m in mats)
 
 
-def search_iso(field: Field, basis, seed: int = 0) -> bool:
+def search_iso(field: Field, basis) -> bool:
     """True if some k-combination of the hom `basis` is an isomorphism.
 
     Each map is given by its `scalars()`, a list of components.  The
@@ -263,9 +263,9 @@ def search_iso(field: Field, basis, seed: int = 0) -> bool:
     degrees (equal degree multisets per position for factorizations,
     equal module normal forms for chains), so a map is an isomorphism
     iff every component has full rank.  Tries single basis vectors, small
-    deterministic weights, then 64 seeded random combinations, then every
-    combination when p^|basis| <= 4096.  True is always exact; an empty
-    basis gives False.
+    deterministic weights, then 64 random combinations from one fixed
+    stream (random.Random(0)), then every combination when p^|basis| <=
+    4096.  True is always exact; an empty basis gives False.
 
     When the target Y of Hom(X, Y) has a local End(Y), False is exact too
     and the single basis vectors already decide.  Proof: if phi: X -> Y
@@ -273,8 +273,8 @@ def search_iso(field: Field, basis, seed: int = 0) -> bool:
     an isomorphism iff g is a unit, i.e. g is not in the radical J.  So
     the non-isomorphisms form the proper subspace J o phi, which cannot
     hold a whole k-basis of Hom(X, Y): some basis vector is an
-    isomorphism, for any basis and any seed.  For other targets False can
-    miss an iso over Q or a larger field.
+    isomorphism, for any basis.  For other targets False can miss an iso
+    over Q or a larger field.
     """
     if not basis:
         return False
@@ -290,7 +290,7 @@ def search_iso(field: Field, basis, seed: int = 0) -> bool:
     weights = _PRIMES[:len(basis)] + [1] * max(0, len(basis) - len(_PRIMES))
     if _is_iso(field, combo(weights)):
         return True
-    rng = random.Random(seed)
+    rng = random.Random(0)
     p = getattr(field, "p", 0)
     hi = p if p else 1009
     for _ in range(64):

@@ -567,7 +567,7 @@ def fac_projective_test(x: Factorization) -> bool:
 # isomorphism and indecomposability -----------------------------------------------
 
 
-def fac_iso_test(x: Factorization, y: Factorization, seed: int = 0) -> bool:
+def fac_iso_test(x: Factorization, y: Factorization) -> bool:
     """True iff x and y are isomorphic in Fac (twist ignored)."""
     if x.cfg != y.cfg or x.l != y.l:
         return False
@@ -578,8 +578,7 @@ def fac_iso_test(x: Factorization, y: Factorization, seed: int = 0) -> bool:
             return False
     if x.is_zero():
         return True
-    return search_iso(x.cfg.field, [f.scalars() for f in fac_hom_basis(x, y)],
-                      seed)
+    return search_iso(x.cfg.field, [f.scalars() for f in fac_hom_basis(x, y)])
 
 
 def fac_is_indecomposable(x: Factorization) -> bool:

@@ -7,9 +7,9 @@ covers that `modules.presentation_cokernel` (a `modules.quotient`)
 returns, and `cok`, `induced_cok_map`, `jq_sequence` and `to_ldiagram`
 all read them from there.
 `reconstruct` inverts cok up to isomorphism: it is the flag factorization
-(`flag_factorization`, shared with the census) of the preimages, in a
-minimal free cover of the chain's last module, of 0 and of the images of
-the other modules.
+(`flag_factorization`, shared with the census, which takes the members'
+inclusions) of the preimages, in a minimal free cover of the chain's last
+module, of 0 and of the images of the other modules.
 """
 
 from __future__ import annotations
@@ -179,18 +179,14 @@ def span_preimage_inclusion(cfg, degs_l, kvecs):
     return GradedMatrix.from_coeffs(F, coeffs, kept_degs, degs_l)
 
 
-def flag_factorization(cfg, degs_l, flag, include=None) -> Factorization:
-    """The factorization whose X^k is the preimage in S^m of the k-th
-    member of `flag` (x-stable homogeneous spans in the realization of
-    the free R-cover on degs_l) and whose X^l is S^m itself.  `include`,
-    when given, maps a member to its inclusion X^k >-> X^l in place of
-    `span_preimage_inclusion` (the census passes a memo).  Raises
-    FactorizationError if the maps do not form a factorization."""
-    degs_l = list(degs_l)
-    incls = [include(vecs) if include else span_preimage_inclusion(cfg, degs_l, vecs)
-             for vecs in flag]
-    incls.append(GradedMatrix.identity(cfg.field, degs_l))
-    maps = [graded_solve(incls[k + 1], incls[k]) for k in range(len(flag))]
+def flag_factorization(cfg, incls) -> Factorization:
+    """The factorization whose X^k is the source of the k-th of the
+    inclusions `incls` X^k >-> X^l (GradedMatrices into one free S^m, as
+    `span_preimage_inclusion` builds them) and whose X^l is S^m itself.
+    Raises FactorizationError if the maps do not form a factorization."""
+    # no inclusion gives no map, which fac_build rejects
+    incls = incls + [GradedMatrix.identity(cfg.field, g.tgt_degs) for g in incls[-1:]]
+    maps = [graded_solve(b, a) for a, b in zip(incls, incls[1:])]
     return fac_build(maps, cfg, "flag factorization")
 
 
@@ -213,7 +209,8 @@ def reconstruct(u: MonoChain) -> Factorization:
         F, p.src.basis_degrees(),
         linalg.mat_mul(F, linalg.nullspace(F, w, cols=top.dim), p.realization()))
         for w in [[]] + images]
-    return flag_factorization(cfg, [s for _, s in top.summands], flag)
+    degs_l = [s for _, s in top.summands]
+    return flag_factorization(cfg, [span_preimage_inclusion(cfg, degs_l, v) for v in flag])
 
 
 # exactness of cok ------------------------------------------------------------

@@ -2,15 +2,22 @@ import random
 
 import pytest
 
+from facto import census
 from facto.census import (
     Bounds,
     _all_subspaces,
+    _chain_build,
+    _chain_fingerprint,
+    _dedup,
     _degree_pieces,
+    _fac_build,
+    _fac_fingerprint,
     _fac_tops,
-    _flag_chain,
-    _flag_factorization,
+    _flag_chains,
+    _flag_factorizations,
     _generators,
     _local_stabilizer,
+    _reconstruction_in_bounds,
     _splits,
     _subspace_flags,
     _summand_splits,
@@ -21,19 +28,25 @@ from facto.census import (
     hom_dim_compare,
     stable_graded_subspaces,
 )
-from facto.chains import chain_is_indecomposable, chain_projective_test
+from facto.chains import (
+    chain_is_indecomposable,
+    chain_iso_test,
+    chain_projective_test,
+)
 from facto.factorizations import (
     FacMap,
     fac_hom_basis,
     fac_is_indecomposable,
+    fac_iso_test,
     fac_projective_test,
     nu,
 )
 from facto.fields import GF, QQ
 from facto.endo import is_local
+from facto.functors import reconstruct
 from facto.linalg import Echelon, combination, mat_vec, nullspace
 from facto.modules import HypersurfaceConfig, RModule, hom_basis
-from facto.randgen import random_factorization, rank1_factorization
+from facto.randgen import random_chain, random_factorization, rank1_factorization
 
 
 def cfg(d, field=GF(5)):
@@ -125,9 +138,10 @@ def test_enumerate_factorizations_needs_finite_field():
 
 def test_enumerate_chains_d2_l1():
     c = cfg(2)
-    chains = enumerate_chains(c, 1, 2, 0)
-    # 0, k, k^2, R
-    assert len(chains) == 4
+    # the indecomposables k and R; the raw flag chains also give 0 and k^2
+    assert len(enumerate_chains(c, 1, 2, 0)) == 2
+    assert len(_dedup(_flag_chains(c, 1, 2, 0), _chain_fingerprint,
+                      chain_iso_test)) == 4
 
 
 def test_census_classical():
@@ -174,9 +188,11 @@ def test_hom_dim_compare_random():
 
 def _classes_by_dedup_first(c, l, bounds):
     """The class lists as deduplicating every flag object first gives them."""
-    facs = [x for x in enumerate_factorizations(c, l, bounds.m, bounds.window)
+    facs = [x for x in _dedup(_flag_factorizations(c, l, bounds.m, bounds.window),
+                              _fac_fingerprint, fac_iso_test)
             if fac_is_indecomposable(x) and not fac_projective_test(x)]
-    chains = [u for u in enumerate_chains(c, l, bounds.dim, bounds.window)
+    chains = [u for u in _dedup(_flag_chains(c, l, bounds.dim, bounds.window),
+                                _chain_fingerprint, chain_iso_test)
               if chain_is_indecomposable(u) and not chain_projective_test(u)]
     return [x.to_json() for x in facs], [u.to_json() for u in chains]
 
@@ -200,6 +216,68 @@ def test_census_does_not_depend_on_the_seed(d):
             == class_census(c, 2, bounds, seed=7).to_json())
 
 
+def test_census_classes_come_from_the_enumerators(monkeypatch):
+    """class_census reaches its classes through the public enumerators,
+    looked up on the census module as the bench's spans bind them."""
+    calls = []
+    for name in ("enumerate_factorizations", "enumerate_chains"):
+        real = getattr(census, name)
+        monkeypatch.setattr(census, name, lambda *a, real=real, name=name: (
+            calls.append(name) or real(*a)))
+    rep = class_census(cfg(2), 2, Bounds(m=2, dim=3, window=2))
+    assert sorted(calls) == ["enumerate_chains", "enumerate_factorizations"]
+    assert rep.matching
+
+
+def test_census_builds_each_member_inclusion_once(monkeypatch):
+    """On l=3 censuses, a chain member's submodule and a factorization
+    member's preimage are built at most once per (top, subspace)."""
+    built = []
+    for name, key in (("submodule", lambda top, vecs: top.summands),
+                      ("span_preimage_inclusion", lambda c, degs, vecs: tuple(degs))):
+        real = getattr(census, name)
+        monkeypatch.setattr(census, name, lambda *a, real=real, name=name, key=key: (
+            built.append((name, key(*a), tuple(map(tuple, a[-1])))) or real(*a)))
+    for d, field, bounds in ((3, GF(5), Bounds(m=2, dim=3, window=2)),
+                             (2, GF(2), Bounds(m=3, dim=4, window=2))):
+        built.clear()
+        class_census(cfg(d, field), 3, bounds)
+        assert {name for name, _, _ in built} == {"submodule", "span_preimage_inclusion"}
+        assert len(built) == len(set(built))
+
+
+def _fac_in_bounds(x, bounds):
+    """The partner test on a reconstruction x: shifted to minimum degree 0,
+    it is within the factorization bounds."""
+    x = x.shift(-x.min_degree())
+    return x.m <= bounds.m and all(s <= bounds.window for s in x.degs(x.l))
+
+
+def test_partner_bounds_read_off_the_top_equal_a_reconstruction():
+    """_reconstruction_in_bounds(v) agrees with _fac_in_bounds of
+    reconstruct(v), for m and window in 0..3, on the chain classes of nine
+    censuses and on random chains over F_2, F_5 and Q."""
+    chains = [u for l, d, p, dim, window in (
+        (2, 2, 5, 3, 2), (2, 3, 5, 3, 2), (1, 2, 5, 2, 2), (1, 3, 5, 3, 3),
+        (1, 4, 5, 4, 4), (2, 3, 2, 6, 3), (3, 3, 5, 3, 2), (2, 4, 5, 3, 2),
+        (2, 4, 2, 4, 3)) for u in enumerate_chains(cfg(d, GF(p)), l, dim, window)]
+    rng = random.Random(23)
+    for field in (GF(2), GF(5), QQ):
+        for _ in range(30):
+            c = cfg(rng.randrange(1, 5), field)
+            chains.append(random_chain(c, rng.randrange(1, 4), rng, max_summands=3))
+    answers = set()
+    for v in chains:
+        x = reconstruct(v)
+        for m in range(4):
+            for window in range(4):
+                bounds = Bounds(m=m, dim=0, window=window)
+                want = _fac_in_bounds(x, bounds)
+                assert _reconstruction_in_bounds(v, bounds) == want, (v, bounds)
+                answers.add(want)
+    assert answers == {True, False}
+
+
 def _stabilizer_decisions(c, tops, length, build):
     """(stabilizer decision, built object) for every raw flag of `tops`."""
     F = c.field
@@ -208,8 +286,9 @@ def _stabilizer_decisions(c, tops, length, build):
                                           top.x_matrix()) if length else [])
         pieces = [_degree_pieces(F, top.basis_degrees(), v) for v in spaces]
         local = _local_stabilizer(F, top, spaces, pieces)
+        make = build(c, key, spaces)
         for flag in _subspace_flags(F, pieces, length):
-            yield local(flag), build(c, key, [spaces[i] for i in flag])
+            yield local(flag), make(flag)
 
 
 @pytest.mark.parametrize("d, field", [(2, GF(5)), (3, GF(2))], ids=repr)
@@ -220,10 +299,10 @@ def test_flag_stabilizer_decides_indecomposability(d, field):
     c = cfg(d, field)
     bounds = Bounds(m=2, dim=3, window=2)
     facs = list(_stabilizer_decisions(
-        c, _fac_tops(c, bounds.m, bounds.window), 2, _flag_factorization))
+        c, _fac_tops(c, bounds.m, bounds.window), 2, _fac_build))
     tops = _top_modules(c, bounds.dim, bounds.window)
     chains = list(_stabilizer_decisions(c, ((t, t) for t in tops), 1,
-                                        _flag_chain))
+                                        _chain_build))
     for got, x in facs:
         assert got == fac_is_indecomposable(x), x
     for got, u in chains:
@@ -237,9 +316,9 @@ def _l2_census_sides(c, bounds):
     an l=2 census, as class_census walks them."""
     tops = [t for t in _top_modules(c, bounds.dim, bounds.window)
             if t.min_degree() == 0]
-    return [(list(_fac_tops(c, bounds.m, bounds.window)), 2, _flag_factorization,
+    return [(list(_fac_tops(c, bounds.m, bounds.window)), 2, _fac_build,
              fac_is_indecomposable),
-            ([(t, t) for t in tops], 1, _flag_chain, chain_is_indecomposable)]
+            ([(t, t) for t in tops], 1, _chain_build, chain_is_indecomposable)]
 
 
 def test_splits_reads_the_degree_intervals():

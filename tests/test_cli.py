@@ -213,6 +213,34 @@ def test_census_huge_window_runs_in_bounded_memory(tmp_path):
     assert huge["matching"]
 
 
+@pytest.mark.parametrize("args, code, says", [
+    ("--d 100000000 --l 2 --bounds m=0,dim=1,window=0", 0, "chain classes:         2"),
+    ("--d 3000 --l 2 --bounds m=1,dim=1,window=0", 1, "error: m*d = 3000"),
+    ("--d 1 --l 2 --bounds m=0,dim=2000,window=0", 1, "error: dim = 2000"),
+    ("--d 2 --l 3000 --bounds m=1,dim=1,window=0", 1, "error: l = 3000"),
+], ids=["huge-d", "huge-m*d", "huge-dim", "huge-l"])
+def test_census_size_limit_exits_without_a_traceback(args, code, says):
+    """A huge d with no free top runs to a report, as nothing of dimension
+    d is built; m*d, dim or l beyond MAX_CENSUS_SIZE is an error line that
+    names the bound.  Each run is a child process with a 1 GiB address
+    space."""
+    cap = 2**30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(facto.cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from facto.cli import main; sys.exit(main(sys.argv[1:]))",
+         "census", "--field", "fp:5", *args.split()],
+        preexec_fn=limit, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert says in (proc.stderr if code else proc.stdout)
+
+
 @pytest.mark.parametrize("target", ["missing/x.json", "dir"])
 def test_census_out_unwritable_is_an_input_error(target, tmp_path, capsys):
     """--out into a missing directory, or onto a directory, exits 1 with an

@@ -37,3 +37,17 @@ def test_submodules_and_quotients_are_built_in_modules_only():
                 continue
             found += [f"{path.name}:{node.lineno}:{n}" for n in used if n in names]
     assert not found, found
+
+
+def test_only_the_census_takes_a_seed():
+    # iso searches draw from one fixed stream; class_census accepts a seed
+    # for the CLI's --seed and passes it nowhere
+    found = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "seed" in [a.arg for a in node.args.args + node.args.kwonlyargs
+                       + node.args.posonlyargs]
+    ]
+    assert found == ["census.class_census"], found
