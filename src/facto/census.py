@@ -128,6 +128,15 @@ MAX_SUBSPACES = 10 ** 5
 MAX_CENSUS_SIZE = 64
 
 
+def _check_census_size(*sizes):
+    """ValueError, before any enumeration, when one of the (name, size)
+    pairs exceeds MAX_CENSUS_SIZE."""
+    for name, size in sizes:
+        if size > MAX_CENSUS_SIZE:
+            raise ValueError(f"{name} = {size} is larger than the census "
+                             f"accepts ({MAX_CENSUS_SIZE})")
+
+
 def _all_subspaces(field, n, elements):
     """Bases (as row lists) of every subspace of F^n, via unique RREFs.
 
@@ -512,7 +521,9 @@ def enumerate_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
     """The indecomposable (l+1)-factor factorizations up to iso and shift,
     within bounds: each class appears once, as its first flag factorization.
     Only local flags of unsplit tops are built (see the module docstring),
-    so the window is clamped to what those reach."""
+    so the window is clamped to what those reach.  ValueError when m_max*d
+    or l exceeds MAX_CENSUS_SIZE."""
+    _check_census_size(("m*d", m_max * cfg.d), ("l", l))
     window = min(window, max(m_max - 1, 0) * (cfg.d - 1))
     return _dedup(_flag_objects(cfg, _fac_tops(cfg, m_max, window), l, _fac_build,
                                 local_only=True), _fac_fingerprint, fac_iso_test)
@@ -571,7 +582,9 @@ def enumerate_chains(cfg: HypersurfaceConfig, l: int, dim_max: int,
     dimension <= dim_max, top generator degrees over [0, window]: each class
     appears once, as its first flag chain.  Only local flags of unsplit tops
     of minimum degree 0 are built, with the window clamped to what those
-    reach; a top of minimum degree s > 0 repeats its shift by -s."""
+    reach; a top of minimum degree s > 0 repeats its shift by -s.
+    ValueError when dim_max or l exceeds MAX_CENSUS_SIZE."""
+    _check_census_size(("dim", dim_max), ("l", l))
     window = min(window, max(dim_max - 1, 0))
     tops = [t for t in _top_modules(cfg, dim_max, window) if t.min_degree() == 0]
     return _dedup(_flag_objects(cfg, ((t, t) for t in tops), l - 1, _chain_build,
@@ -668,10 +681,7 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
     MAX_CENSUS_SIZE, or when one F^n has more than MAX_SUBSPACES subspaces
     to list.
     """
-    for name, size in (("m*d", bounds.m * cfg.d), ("dim", bounds.dim), ("l", l)):
-        if size > MAX_CENSUS_SIZE:
-            raise ValueError(f"{name} = {size} is larger than the census "
-                             f"accepts ({MAX_CENSUS_SIZE})")
+    _check_census_size(("m*d", bounds.m * cfg.d), ("dim", bounds.dim), ("l", l))
     covered = [(x, fac_projective_cover(x)) for x in
                enumerate_factorizations(cfg, l, bounds.m, bounds.window)]
     covered = [(x, c) for x, c in covered if fac_stable_hom_dim(x, x, c)]

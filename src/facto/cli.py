@@ -64,11 +64,11 @@ def _load_json(path):
     if path is None:
         raise InputError("--in is required for this command")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise InputError(f"malformed JSON in {path}: {e}")
 
 
@@ -79,15 +79,20 @@ def _temp_beside(out_path):
 
 
 def _emit(text: str, out_path):
-    """Print to stdout, or atomically write to --out."""
+    """Print to stdout, or atomically write to --out: the UTF-8 bytes go to
+    the temp file's descriptor, which is closed before the rename."""
     if out_path is None:
         print(text)
         return
     try:
         fd, tmp = _temp_beside(out_path)
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text + "\n")
+            try:
+                data = memoryview((text + "\n").encode())
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             os.replace(tmp, out_path)
         except BaseException:
             if os.path.exists(tmp):

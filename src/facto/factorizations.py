@@ -479,22 +479,12 @@ def _injective_hull(x: Factorization):
     return middle, FacMap(x, middle, comps)
 
 
-def _slots(middle: Factorization, m: int, j: int):
-    """(s, s_row, t, r) at position j of a nu-resolution's middle: the
-    inclusion of slot j (summand j's copy of X^j, generators j*m ..
-    j*m + m - 1) and the projection onto it, then the inclusion of the
-    other slots and the projection onto them (r t = id, r s = 0)."""
-    F = middle.cfg.field
-    degs = middle.degs(j)
+def _slot(middle: Factorization, m: int, j: int):
+    """(mine, rest) at position j of a nu-resolution's middle: the indices
+    of slot j (summand j's copy of X^j, generators j*m .. j*m + m - 1) and
+    of the other slots, in order."""
     mine = range(j * m, (j + 1) * m)
-    out = ()
-    for idx in (mine, [i for i in range(len(degs)) if i not in mine]):
-        sub = [degs[i] for i in idx]
-        incl = [[F.one if r == i else F.zero for i in idx] for r in range(len(degs))]
-        proj = [[F.one if c == i else F.zero for c in range(len(degs))] for i in idx]
-        out += (GradedMatrix.from_coeffs(F, incl, sub, degs),
-                GradedMatrix.from_coeffs(F, proj, degs, sub))
-    return out
+    return mine, [i for i in range(len(middle.degs(j))) if i not in mine]
 
 
 def nu_resolution(x: Factorization, side: str = "epic") -> NuResolution:
@@ -505,46 +495,78 @@ def nu_resolution(x: Factorization, side: str = "epic") -> NuResolution:
     side="monic": the injective hull X >-> sum_k nu^k(X^k), plus its
                   cokernel.
 
-    At position j the structure map is the identity on slot j (`_slots`),
-    so the complement is read off the other slots by a projection, with
-    phi the middle's maps:
-    - kernel: i_j = t - s p^j t, and the kernel maps are r phi^j i_j, the
-      unique psi with phi^j i_j = i_{j+1} psi, as r i_{j+1} = id;
-    - cokernel: q_j = r - r m^j s_row, and the cokernel maps are
-      q_{j+1} phi^j t, as q_j t = id.
+    At position j the structure map is the identity on slot j (`_slot`),
+    so the complement is read off the other slots by slot index.  With s
+    and t the inclusions of slot j and of the rest, r the projection onto
+    the rest, and phi the middle's maps, whose scalars are the identity:
+    - kernel: i_j = t - s p^j t, the identity on the rest's rows and -p^j
+      on slot j's; the kernel maps are r phi^j i_j, the unique psi with
+      phi^j i_j = i_{j+1} psi (as r i_{j+1} = id): the rows of i_j at the
+      rest of position j+1;
+    - cokernel: q_j = r - r m^j s_row, the identity on the rest's columns
+      and minus the rest's rows of m^j on slot j's; the cokernel maps are
+      q_{j+1} phi^j t (as q_j t = id): the columns of q_{j+1} at the rest
+      of position j.
     These identities are the complement map's squares: it is built unchecked.
     """
     if side not in ("epic", "monic"):
         raise ValueError("side must be 'epic' or 'monic'")
     middle, f = fac_projective_cover(x) if side == "epic" else _injective_hull(x)
-    sel = [_slots(middle, x.m, j) for j in range(x.l + 1)]
+    F, m = x.cfg.field, x.m
+    comps, rests = [], []
+    for j in range(x.l + 1):
+        degs, (mine, rest) = middle.degs(j), _slot(middle, m, j)
+        fj, sub = f.components[j].coeffs, [degs[i] for i in rest]
+        if side == "epic":
+            coeffs = [[F.neg(fj[i - j * m][k]) for k in rest] if i in mine
+                      else [F.one if k == i else F.zero for k in rest]
+                      for i in range(len(degs))]
+            comps.append(GradedMatrix.from_coeffs(F, coeffs, sub, degs))
+        else:
+            coeffs = [[F.neg(fj[i][k - j * m]) if k in mine
+                       else F.one if k == i else F.zero for k in range(len(degs))]
+                      for i in rest]
+            comps.append(GradedMatrix.from_coeffs(F, coeffs, degs, sub))
+        rests.append(rest)
     if side == "epic":
-        incl = [t - s @ (f.components[j] @ t) for j, (s, _, t, _) in enumerate(sel)]
-        ker = fac_build([r @ middle.maps[j] @ incl[j]
-                         for j, (_, _, _, r) in enumerate(sel[1:])], x.cfg, "kernel")
-        return NuResolution(middle, f, ker, FacMap(ker, middle, incl, check=False))
-    proj = [r - (r @ f.components[j]) @ s_row for j, (_, s_row, _, r) in enumerate(sel)]
-    cok = fac_build([proj[j + 1] @ middle.maps[j] @ t
-                     for j, (_, _, t, _) in enumerate(sel[:-1])], x.cfg, "cokernel")
-    return NuResolution(middle, f, cok, FacMap(middle, cok, proj, check=False))
+        ker = fac_build([GradedMatrix.from_coeffs(F, [g.coeffs[i] for i in rest],
+                                                  g.src_degs, h.src_degs)
+                         for g, h, rest in zip(comps, comps[1:], rests[1:])],
+                        x.cfg, "kernel")
+        return NuResolution(middle, f, ker, FacMap(ker, middle, comps, check=False))
+    cok = fac_build([GradedMatrix.from_coeffs(F, [[row[i] for i in rest] for row in h.coeffs],
+                                              g.tgt_degs, h.tgt_degs)
+                     for g, h, rest in zip(comps, comps[1:], rests)],
+                    x.cfg, "cokernel")
+    return NuResolution(middle, f, cok, FacMap(middle, cok, comps, check=False))
 
 
 def termwise_split_check(res: NuResolution, side: str) -> bool:
     """The SES mono >-> middle ->> epi is termwise split exact: epi mono = 0
     and, at each position, epi has the section as a right inverse and
     [section | mono] is an iso; the section is the inclusion of slot j
-    (epic side) or of the other slots (monic side)."""
+    (epic side) or of the other slots (monic side).  Both are read by slot
+    index: epi's columns at the section must be the identity, and as the
+    section's columns are unit vectors, [section | mono] is an iso iff the
+    degrees match and mono's rows off the section have full rank."""
     if side == "epic":
         x, mono, epi = res.map.tgt, res.complement_map, res.map
     else:
         x, mono, epi = res.map.src, res.map, res.complement_map
     if not (epi @ mono).is_zero():
         return False
+    F = x.cfg.field
     for j in range(res.middle.l + 1):
-        s, _, t, _ = _slots(res.middle, x.m, j)
-        section, e = (s if side == "epic" else t), epi.components[j]
-        if (e @ section != GradedMatrix.identity(x.cfg.field, e.tgt_degs)
-                or not section.hstack(mono.components[j]).is_iso()):
+        degs, (mine, rest) = res.middle.degs(j), _slot(res.middle, x.m, j)
+        section = mine if side == "epic" else rest
+        e, g, sec_degs = epi.components[j], mono.components[j], [degs[i] for i in section]
+        if (e.src_degs != degs or tuple(sec_degs) != e.tgt_degs
+                or [[row[i] for i in section] for row in e.coeffs]
+                != linalg.identity(F, len(section))):
+            return False
+        off = [row for i, row in enumerate(g.coeffs) if i not in section]
+        if (g.tgt_degs != degs or sorted(sec_degs + list(g.src_degs)) != sorted(degs)
+                or (linalg.rank(F, off) if off else 0) != len(g.src_degs)):
             return False
     return True
 

@@ -32,8 +32,7 @@ from .modules import (
     ModuleMap,
     RealizationError,
     RModule,
-    _image_vectors,
-    homogeneous_kernel,
+    preimage,
     presentation_cokernel,
     projective_cover,
     reduced_module_map,
@@ -51,16 +50,19 @@ def _cokernels(x: Factorization):
 
 def _induced(cfg, g: GradedMatrix, src: ModuleMap, tgt: ModuleMap) -> ModuleMap:
     """The map between the cokernels src.tgt and tgt.tgt (projections from
-    `_cokernels`) that g induces on their free covers: lift along src,
-    apply g mod x^d, project along tgt."""
+    `_cokernels`) that g induces on their free covers, degree by degree:
+    lift along src, apply g mod x^d, project along tgt."""
     F = cfg.field
-    lift = linalg.solve(F, src.realization(), linalg.identity(F, src.tgt.dim),
-                        cols=cfg.d * len(g.src_degs))
-    if lift is None:
-        raise RealizationError("projection is not surjective")
-    gbar = reduced_module_map(g, cfg).realization()
-    mat = linalg.mat_mul(F, tgt.realization(), linalg.mat_mul(F, gbar, lift))
-    return ModuleMap.from_realization(src.tgt, tgt.tgt, mat)
+    gbar, down, up = reduced_module_map(g, cfg).pieces(), src.pieces(), tgt.pieces()
+    pieces = {}
+    for s, idx in src.tgt.pieces().items():
+        lift = linalg.solve(F, down[s], linalg.identity(F, len(idx)),
+                            cols=len(down[s][0]))
+        if lift is None:
+            raise RealizationError("projection is not surjective")
+        pieces[s] = (linalg.mat_mul(F, up[s], linalg.mat_mul(F, gbar[s], lift))
+                     if up.get(s) else [])
+    return ModuleMap.from_pieces(src.tgt, tgt.tgt, pieces)
 
 
 def cok(x: Factorization) -> MonoChain:
@@ -194,23 +196,18 @@ def reconstruct(u: MonoChain) -> Factorization:
     """A factorization X with cok(X) chain-isomorphic to u (minimal cover).
 
     X is the flag factorization of the preimages under p: P ->> U^l of 0
-    and of the images of U^1, ..., U^(l-1); the preimage of W is the kernel
-    of (annihilator of W) o p.
+    and of the images of U^1, ..., U^(l-1) (`modules.preimage`).
     """
     cfg = u.cfg
-    F = cfg.field
     top = u.objects[-1]
     _, p = projective_cover(top)
-    images, comp = [], ModuleMap.identity(top)
+    comps, comp = [ModuleMap.zero(RModule.zero(cfg), top)], ModuleMap.identity(top)
     for f in reversed(u.maps):  # the composites U^k -> U^l, k = l-1 .. 1
         comp = comp @ f
-        images.insert(0, _image_vectors(comp))
-    flag = [homogeneous_kernel(
-        F, p.src.basis_degrees(),
-        linalg.mat_mul(F, linalg.nullspace(F, w, cols=top.dim), p.realization()))
-        for w in [[]] + images]
+        comps.insert(1, comp)
     degs_l = [s for _, s in top.summands]
-    return flag_factorization(cfg, [span_preimage_inclusion(cfg, degs_l, v) for v in flag])
+    return flag_factorization(cfg, [span_preimage_inclusion(cfg, degs_l, preimage(p, g))
+                                    for g in comps])
 
 
 # exactness of cok ------------------------------------------------------------

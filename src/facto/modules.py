@@ -5,11 +5,14 @@ list of (e, s) pairs.  A `ModuleMap` is a k-matrix on generators: it is
 R-linear by a closed-form condition on its entries, and composition is
 the matrix product.  Each module also carries a realization as a graded
 k-vector space with a degree-raising x-operator, a view derived from the
-generators; kernels, images, cokernels and ranks reduce to plain exact
-linear algebra on these realizations.  Every submodule and quotient is
-built by `submodule` and `quotient`, which return the inclusion and the
-projection with the other end in normal form.  The zero module (no
-summands) is a first-class value.
+generators.  A realization is the direct sum of its degree pieces T_s, and
+x is a set of shift blocks T_s -> T_{s+1}, so kernels, images, cokernels,
+Jordan normal forms and ranks reduce to small exact linear algebra on one
+piece at a time (`pieces`).  Every submodule and quotient is built by
+`submodule` and `quotient`, which return the inclusion and the projection
+with the other end in normal form (`_submodule` and `_quotient` take the
+span as per-degree bases).  The zero module (no summands) is a
+first-class value.
 """
 
 from __future__ import annotations
@@ -19,18 +22,23 @@ from dataclasses import dataclass
 from . import linalg
 from .endo import stable_dim
 from .fields import Field
+from .pieces import (
+    RealizationError,
+    ambient,
+    assemble,
+    bases,
+    complement,
+    embed,
+    indices_by_degree,
+    jordan,
+    split,
+    sub_shifts,
+)
 from .polymat import GradedMatrix, NoSolution, expect_json, graded_solve
 
 
 class NotAnnihilated(Exception):
     """The presented cokernel is not killed by x^d."""
-
-
-class RealizationError(Exception):
-    """A realization breaks a module invariant: a vector that is not
-    homogeneous, an x-operator that is not graded nilpotent of order <= d,
-    or a span that is not x-stable; also a module computation that fails
-    one of its own consistency checks."""
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,12 @@ class RModule:
 
     def basis_degrees(self):
         return [self.summands[t][1] + i for t, i in self._basis]
+
+    def pieces(self):
+        """The degree pieces T_s of the realization: {s: the flat indices of
+        its basis}, in ascending s.  T_s holds one basis vector x^(s - s_t)
+        gen_t for each summand t that reaches degree s, in summand order."""
+        return indices_by_degree(self.basis_degrees())
 
     def x_matrix(self):
         F = self.cfg.field
@@ -212,6 +226,19 @@ class ModuleMap:
         self._real = m
         return m
 
+    def pieces(self):
+        """The realization degree by degree: {s: the matrix T_s(src) ->
+        T_s(tgt)} for every degree s of src, with no rows where tgt has no
+        degree s.  The row of x^j gen_u and the column of x^i gen_t in one
+        degree meet at blocks[u][t], as j - i = s_t - s_u."""
+        tgt_pieces, tb, sb = self.tgt.pieces(), self.tgt.basis, self.src.basis
+        out = {}
+        for s, cols in self.src.pieces().items():
+            ts = [sb[c][0] for c in cols]
+            out[s] = [[self.blocks[tb[k][0]][t] for t in ts]
+                      for k in tgt_pieces.get(s, ())]
+        return out
+
     def scalars(self):
         """The components as k-matrices: the realization alone."""
         return [self.realization()]
@@ -229,22 +256,36 @@ class ModuleMap:
 
     @classmethod
     def from_realization(cls, src: RModule, tgt: RModule, real) -> "ModuleMap":
-        """Recover block form from a realization matrix; validates agreement."""
+        """Recover block form from a realization matrix; validates agreement.
+        The entries off the degree blocks must be 0, and the blocks go to
+        `from_pieces`."""
         F = src.cfg.field
-        tgt_idx = {b: k for k, b in enumerate(tgt.basis)}
-        src_idx = {b: k for k, b in enumerate(src.basis)}
-        blocks = []
-        for u, (eu, su) in enumerate(tgt.summands):
-            row = []
-            for t, (et, st) in enumerate(src.summands):
-                j0 = st - su
-                if 0 <= j0 < eu:
-                    row.append(real[tgt_idx[(u, j0)]][src_idx[(t, 0)]])
-                else:
-                    row.append(F.zero)
-            blocks.append(row)
+        sdegs, tdegs = src.basis_degrees(), tgt.basis_degrees()
+        if len(real) != len(tdegs) or any(len(row) != len(sdegs) for row in real) \
+                or any(not F.is_zero(c) and tdegs[r] != sdegs[k]
+                       for r, row in enumerate(real) for k, c in enumerate(row)):
+            raise ValueError("realization is not a degree-0 equivariant map")
+        rows = tgt.pieces()
+        return cls.from_pieces(src, tgt, {
+            s: [[real[r][c] for c in cols] for r in rows.get(s, ())]
+            for s, cols in src.pieces().items()})
+
+    @classmethod
+    def from_pieces(cls, src: RModule, tgt: RModule, pieces) -> "ModuleMap":
+        """Recover block form from the realization's degree pieces, written
+        as `pieces()` writes them; validates agreement.  The column of gen_t
+        lies in degree s_t, and its rows there are the x^(s_t - s_u) gen_u."""
+        F = src.cfg.field
+        blocks = [[F.zero] * len(src.summands) for _ in tgt.summands]
+        tgt_pieces = tgt.pieces()
+        for s, cols in src.pieces().items():
+            for c, k in enumerate(cols):
+                t, i = src.basis[k]
+                if i == 0:
+                    for row, kk in zip(pieces[s], tgt_pieces.get(s, ())):
+                        blocks[tgt.basis[kk][0]][t] = row[c]
         f = cls(src, tgt, blocks)
-        if f.realization() != [r[:] for r in real]:
+        if f.pieces() != pieces:
             raise ValueError("realization is not a degree-0 equivariant map")
         return f
 
@@ -346,41 +387,87 @@ class ModuleMap:
         return cls(src, tgt, blocks)
 
 
-# realization helpers ------------------------------------------------------
+# submodules and quotients on degree pieces (`pieces`) ---------------------
 
 
-def _by_degree(degs):
+def _shifts(m: RModule):
+    """x on m's degree pieces, read off the summands: the 0/1 blocks
+    T_s -> T_{s+1} sending x^i gen_t (flat index k) to x^(i+1) gen_t (flat
+    index k + 1) while i + 1 < e_t."""
+    F = m.cfg.field
+    pieces = m.pieces()
     out = {}
-    for k, s in enumerate(degs):
-        out.setdefault(s, []).append(k)
+    for s, cols in pieces.items():
+        rows = pieces.get(s + 1)
+        if rows is None:
+            continue
+        at = {k: r for r, k in enumerate(rows)}
+        out[s] = block = linalg.zeros(F, len(rows), len(cols))
+        for c, k in enumerate(cols):
+            t, i = m.basis[k]
+            if i + 1 < m.summands[t][0]:
+                block[at[k + 1]][c] = F.one
     return out
+
+
+def _normal_form(cfg: HypersurfaceConfig, dims, shifts):
+    """(module, to_real): `pieces.jordan` with its summands as a module."""
+    summands, to_real = jordan(cfg.field, cfg.d, dims, shifts)
+    return RModule(cfg, summands), to_real
+
+
+def _submodule(m: RModule, bases) -> ModuleMap:
+    """The inclusion of the normal-form submodule of m with per-degree
+    bases `bases`."""
+    F = m.cfg.field
+    dims, shifts = sub_shifts(F, _shifts(m), bases)
+    sub, to_real = _normal_form(m.cfg, dims, shifts)
+    return ModuleMap.from_pieces(sub, m, {
+        s: linalg.mat_mul(F, [list(c) for c in zip(*bases[s].rows)], to_real[s])
+        for s in dims})
+
+
+def _quotient(m: RModule, bases) -> ModuleMap:
+    """The projection of m onto the normal-form quotient by the span with
+    per-degree bases `bases`."""
+    F = m.cfg.field
+    dims = {s: len(idx) for s, idx in m.pieces().items()}
+    qdims, qshifts, proj = complement(F, dims, _shifts(m), bases)
+    quo, to_real = _normal_form(m.cfg, qdims, qshifts)
+    return ModuleMap.from_pieces(m, quo, {
+        s: linalg.solve(F, to_real[s], p) if s in qdims else []
+        for s, p in proj.items()})
+
+
+def submodule(m: RModule, vecs) -> ModuleMap:
+    """The inclusion of the normal-form submodule spanned by the x-stable
+    homogeneous `vecs` (vectors in m's realization)."""
+    F = m.cfg.field
+    return _submodule(m, bases(F, split(F, m.basis_degrees(), vecs)))
+
+
+def quotient(m: RModule, vecs) -> ModuleMap:
+    """The projection onto the normal-form quotient of m by the span of
+    the x-stable homogeneous `vecs` (vectors in m's realization)."""
+    F = m.cfg.field
+    return _quotient(m, bases(F, split(F, m.basis_degrees(), vecs)))
+
+
+# ambient adapters -----------------------------------------------------------
 
 
 def _degree_kernel(field, n, cols, mat):
     """Basis of the kernel of `mat` on the coordinates `cols` (one degree),
     each vector written out in all n coordinates."""
-    out = []
-    for v in linalg.nullspace(field, [[row[c] for c in cols] for row in mat],
-                              cols=len(cols)):
-        w = [field.zero] * n
-        for c, val in zip(cols, v):
-            w[c] = val
-        out.append(w)
-    return out
+    return [embed(field, n, cols, v) for v in linalg.nullspace(
+        field, [[row[c] for c in cols] for row in mat], cols=len(cols))]
 
 
 def homogeneous_components(field, degs, vectors):
     """Split possibly-redundant homogeneous vectors into per-degree bases."""
-    comps = {}
-    for v in vectors:
-        support = [k for k, c in enumerate(v) if not field.is_zero(c)]
-        if not support:
-            continue
-        s = degs[support[0]]
-        if any(degs[k] != s for k in support):
-            raise RealizationError("vector is not homogeneous")
-        comps.setdefault(s, linalg.Echelon(field)).add(v)
-    return {s: [r[:] for r in e.rows] for s, e in comps.items()}
+    pieces = indices_by_degree(degs)
+    return {s: [embed(field, len(degs), pieces[s], r) for r in ech.rows]
+            for s, ech in bases(field, split(field, degs, vectors)).items()}
 
 
 def decompose(field, d, degs, xmat):
@@ -390,43 +477,8 @@ def decompose(field, d, degs, xmat):
     (length, degree) pairs and basis the list of columns realizing the
     normal form: for each summand, the chain v, xv, ..., x^(e-1)v.
     """
-    n = len(degs)
-    if n == 0:
-        return [], []
-    # powers of x, whose per-degree kernels fix the chains
-    powers = [linalg.identity(field, n)]
-    while not all(field.is_zero(c) for row in powers[-1] for c in row):
-        powers.append(linalg.mat_mul(field, xmat, powers[-1]))
-        if len(powers) > d + 1:
-            raise RealizationError("operator is not nilpotent of order <= d")
-    nil = len(powers) - 1  # x^nil == 0
-
-    pieces = sorted(_by_degree(degs).items())
-    # kernels[j][i]: the kernel of x^j in degree pieces[i], computed once
-    kernels = [[_degree_kernel(field, n, c, p) for _, c in pieces] for p in powers]
-    chains = []  # (start vector, length, degree)
-    for j in range(nil, 0, -1):
-        for (s, _), low, high in zip(pieces, kernels[j - 1], kernels[j]):
-            ech = linalg.Echelon(field)
-            for v in low:
-                ech.add(v)
-            for v, length, sv in chains:
-                if sv + (length - j) == s and length > j:
-                    ech.add(linalg.mat_vec(field, powers[length - j], v))
-            for w in high:
-                if ech.add(w):
-                    chains.append((w, j, s))
-
-    chains.sort(key=lambda c: (c[1], c[2]))
-    summands = [(length, s) for _, length, s in chains]
-    basis = []
-    for v, length, _ in chains:
-        for i in range(length):
-            basis.append(linalg.mat_vec(field, powers[i], v))
-    if sum(e for e, _ in summands) != n:
-        raise RealizationError("Jordan chains do not fill the space "
-                               "(the operator does not raise degrees by 1)")
-    return summands, basis
+    mod, to_real = realization_to_module(HypersurfaceConfig(d, field), degs, xmat)
+    return list(mod.summands), [list(col) for col in zip(*to_real)]
 
 
 def realization_to_module(cfg: HypersurfaceConfig, degs, xmat):
@@ -435,93 +487,49 @@ def realization_to_module(cfg: HypersurfaceConfig, degs, xmat):
     Returns (module, to_real): to_real maps normal-form coordinates into
     the given realization, and is checked to be invertible.
     """
-    summands, basis = decompose(cfg.field, cfg.d, degs, xmat)
-    mod = RModule(cfg, summands)
-    to_real = [list(row) for row in zip(*basis)]
-    if linalg.rank(cfg.field, to_real) != len(degs):
-        raise RealizationError("Jordan chains are linearly dependent")
-    return mod, to_real
+    pieces, dims, shifts = ambient(cfg.field, degs, xmat, cfg.d)
+    mod, to_real = _normal_form(cfg, dims, shifts)
+    return mod, assemble(cfg.field, pieces, mod.pieces(), to_real,
+                         len(degs), len(degs))
 
 
 def subspace_realization(field, degs, xmat, vectors):
     """(sub_degs, sub_x, inclusion) for an x-stable homogeneous span."""
-    comps = homogeneous_components(field, degs, vectors)
-    basis, sdegs = [], []
-    for s in sorted(comps):
-        for v in comps[s]:
-            basis.append(v)
-            sdegs.append(s)
-    k = len(basis)
-    incl = [[basis[c][r] for c in range(k)] for r in range(len(degs))]
-    # coordinates of x * basis vector in the sub-basis
-    sx = linalg.solve(field, incl, linalg.mat_mul(field, xmat, incl), cols=k)
-    if sx is None:
-        raise RealizationError("span is not x-stable")
-    return sdegs, sx, incl
+    pieces, _, shifts = ambient(field, degs, xmat, len(degs))
+    basis = bases(field, split(field, degs, vectors))
+    dims, sx = sub_shifts(field, shifts, basis)
+    sdegs = [s for s, k in dims.items() for _ in range(k)]
+    spieces, k = indices_by_degree(sdegs), len(sdegs)
+    incl = assemble(field, pieces, spieces,
+                    {s: [list(c) for c in zip(*basis[s].rows)] for s in dims},
+                    len(degs), k)
+    return sdegs, assemble(field, spieces, spieces, sx, k, k, step=1), incl
 
 
 def quotient_realization(field, degs, xmat, sub_vectors):
-    """(q_degs, q_x, projection) for the quotient by a submodule span.
-
-    In each degree the complement is the standard basis vectors that the
-    span's piece misses, and the projection rows are the complement's rows
-    of the inverse of [span piece | complement] on that degree's
-    coordinates.  q_x is the projection of x on the complement's columns."""
-    n = len(degs)
-    comps = homogeneous_components(field, degs, sub_vectors)
-    comp_cols, proj = [], []  # complement: standard basis indices
-    for s, cols in sorted(_by_degree(degs).items()):
-        sub_basis = comps.get(s, [])
-        ech = linalg.Echelon(field)
-        for v in sub_basis:
-            ech.add(v)
-        local = [c for c in cols if ech.add(linalg.unit_vector(field, n, c))]
-        full = [[v[r] for v in sub_basis] + [field.one if c == r else field.zero
-                                            for c in local] for r in cols]
-        inv = linalg.invert(field, full)
-        if inv is None:
-            raise RealizationError("quotient complement does not span")
-        for row in inv[len(sub_basis):]:
-            out = [field.zero] * n
-            for c, val in zip(cols, row):
-                out[c] = val
-            proj.append(out)
-        comp_cols += local
-    q_degs = [degs[c] for c in comp_cols]
-    q_x = linalg.mat_mul(field, proj, [[row[c] for c in comp_cols] for row in xmat])
-    return q_degs, q_x, proj
-
-
-def submodule(m: RModule, vecs) -> ModuleMap:
-    """The inclusion of the normal-form submodule spanned by the x-stable
-    homogeneous `vecs` (vectors in m's realization)."""
-    F = m.cfg.field
-    sdegs, sx, incl = subspace_realization(F, m.basis_degrees(), m.x_matrix(), vecs)
-    sub, to_real = realization_to_module(m.cfg, sdegs, sx)
-    return ModuleMap.from_realization(sub, m, linalg.mat_mul(F, incl, to_real))
-
-
-def quotient(m: RModule, vecs) -> ModuleMap:
-    """The projection onto the normal-form quotient of m by the span of
-    the x-stable homogeneous `vecs` (vectors in m's realization)."""
-    F = m.cfg.field
-    qdegs, qx, proj = quotient_realization(F, m.basis_degrees(), m.x_matrix(), vecs)
-    quo, to_real = realization_to_module(m.cfg, qdegs, qx)
-    return ModuleMap.from_realization(m, quo, linalg.solve(F, to_real, proj))
+    """(q_degs, q_x, projection) for the quotient by a submodule span; see
+    `pieces.complement`."""
+    pieces, dims, shifts = ambient(field, degs, xmat, len(degs))
+    qdims, qx, proj = complement(field, dims, shifts,
+                                 bases(field, split(field, degs, sub_vectors)))
+    qdegs = [s for s, k in qdims.items() for _ in range(k)]
+    qpieces, k = indices_by_degree(qdegs), len(qdegs)
+    return (qdegs, assemble(field, qpieces, qpieces, qx, k, k, step=1),
+            assemble(field, qpieces, pieces, proj, k, len(degs)))
 
 
 # operations ---------------------------------------------------------------
 
 
-def _image_vectors(f: ModuleMap):
-    """Homogeneous spanning set of the image inside tgt's realization."""
-    return [list(col) for col in zip(*f.realization())]
+def _image(f: ModuleMap):
+    """{s: the columns of f's degree piece s}, which span im f there."""
+    return {s: [list(c) for c in zip(*mat)] for s, mat in f.pieces().items()}
 
 
 def homogeneous_kernel(field, degs, mat):
     """Homogeneous basis of the kernel of `mat` (columns graded by degs),
     degree by degree."""
-    return [w for _, cols in sorted(_by_degree(degs).items())
+    return [w for cols in indices_by_degree(degs).values()
             for w in _degree_kernel(field, len(degs), cols, mat)]
 
 
@@ -532,20 +540,34 @@ def map_ker_cok_im(f: ModuleMap):
     proj: tgt -> cok are ModuleMaps; im comes with no inclusion map.
     """
     src, tgt, F = f.src, f.tgt, f.src.cfg.field
-    incl = submodule(src, homogeneous_kernel(F, src.basis_degrees(), f.realization()))
-    ivecs = _image_vectors(f)
-    sdegs, sx, _ = subspace_realization(F, tgt.basis_degrees(), tgt.x_matrix(), ivecs)
-    imod, _ = realization_to_module(tgt.cfg, sdegs, sx)
-    proj = quotient(tgt, ivecs)
+    kernel = {s: linalg.nullspace(F, mat, cols=len(src.pieces()[s]))
+              for s, mat in f.pieces().items()}
+    incl = _submodule(src, bases(F, kernel))
+    image = bases(F, _image(f))
+    imod, _ = _normal_form(tgt.cfg, *sub_shifts(F, _shifts(tgt), image))
+    proj = _quotient(tgt, image)
     if incl.src.dim + imod.dim != src.dim:
         raise RealizationError("rank-nullity violated")
     return (incl.src, incl), (proj.tgt, proj), imod
 
 
+def preimage(p: ModuleMap, f: ModuleMap):
+    """A homogeneous basis of the preimage under p of the image of f (a map
+    into p.tgt), as vectors of p.src's realization: in each degree, the
+    kernel of (the annihilator of the image's piece) o (p's piece)."""
+    F = p.src.cfg.field
+    image, src, tgt = _image(f), p.src.pieces(), p.tgt.pieces()
+    out = []
+    for s, mat in p.pieces().items():
+        ann = linalg.nullspace(F, image.get(s, []), cols=len(tgt.get(s, ())))
+        out += [embed(F, p.src.dim, src[s], v) for v in linalg.nullspace(
+            F, linalg.mat_mul(F, ann, mat), cols=len(src[s]))]
+    return out
+
+
 def is_mono_epi(f: ModuleMap):
     F = f.src.cfg.field
-    r = f.realization()
-    rk = linalg.rank(F, r) if r else 0
+    rk = sum(linalg.rank(F, mat) for mat in f.pieces().values())
     return rk == f.src.dim, rk == f.tgt.dim
 
 
@@ -650,4 +672,4 @@ def presentation_cokernel(a: GradedMatrix, cfg: HypersurfaceConfig) -> ModuleMap
     except NoSolution:
         raise NotAnnihilated("x^d does not factor through the presentation")
     abar = reduced_module_map(a, cfg)
-    return quotient(abar.tgt, _image_vectors(abar))
+    return _quotient(abar.tgt, bases(F, _image(abar)))

@@ -136,6 +136,19 @@ def test_enumerate_factorizations_needs_finite_field():
         enumerate_factorizations(cfg(2, QQ), 1, 1, 0)
 
 
+@pytest.mark.parametrize("call, says", [
+    (lambda: enumerate_factorizations(cfg(3000), 2, 1, 0), "m\\*d = 3000"),
+    (lambda: enumerate_chains(cfg(2), 2, 2000, 0), "dim = 2000"),
+    (lambda: enumerate_factorizations(cfg(2), 3000, 1, 0), "l = 3000"),
+    (lambda: enumerate_chains(cfg(2), 3000, 1, 0), "l = 3000"),
+], ids=["fac-m*d", "chain-dim", "fac-l", "chain-l"])
+def test_enumerators_reject_sizes_beyond_the_census_limit(call, says):
+    """The public enumerators check MAX_CENSUS_SIZE as class_census does,
+    so a huge top is a ValueError and not a RecursionError."""
+    with pytest.raises(ValueError, match=says):
+        call()
+
+
 def test_enumerate_chains_d2_l1():
     c = cfg(2)
     # the indecomposables k and R; the raw flag chains also give 0 and k^2

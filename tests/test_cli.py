@@ -51,6 +51,49 @@ def test_validate_bad_json(tmp_path, capsys):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+IN_COMMANDS = {
+    "validate": [], "cok": [], "reconstruct": [], "rotate": ["--steps", "1"],
+    "resolve": ["--side", "epic"], "stable-hom": [],
+}
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"{\"maps\": \"\xc3\"}",
+                                  b"\xef\xbb\xbf{}"],
+                         ids=["utf16-bom", "truncated-utf8", "utf8-bom"])
+@pytest.mark.parametrize("command", sorted(IN_COMMANDS))
+def test_undecodable_input_is_malformed_json(command, data, tmp_path, capsys):
+    """Bytes that are not UTF-8 (or start with a BOM, which JSON rejects as
+    before) in --in exit 1 with the malformed-JSON error line, for every
+    command that reads --in."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert main([command, "--field", "fp:5", "--d", "2", "--l", "2",
+                 "--in", str(bad), *IN_COMMANDS[command]]) == 1
+    assert capsys.readouterr().err.startswith(f"error: malformed JSON in {bad}")
+
+
+def test_out_file_is_private_and_a_failed_write_leaves_nothing(xx_file, tmp_path,
+                                                               monkeypatch, capsys):
+    """--out gets the stdout text and a newline in a 0600 file; a write that
+    fails is an input error and removes the temp file."""
+    argv = ["cok", "--field", "fp:5", "--d", "2", "--in", str(xx_file)]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
+    assert out.stat().st_mode & 0o777 == 0o600
+
+    def fail(fd, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(facto.cli.os, "write", fail)
+    again = tmp_path / "again.json"
+    assert main(argv + ["--out", str(again)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {again}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mf.json", "out.json"]
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", "--field", "fp:5", "--d", "2",
                  "--in", str(tmp_path / "none.json")]) == 1

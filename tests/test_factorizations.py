@@ -699,3 +699,68 @@ def test_trivial_sums_are_built_without_validation(monkeypatch):
         nu(x.cfg, x.l, x.l, x.degs(0))
         for _, f in (fac_projective_cover(x), _injective_hull(x)):
             assert FacMap(f.src, f.tgt, f.components, check=True) == f
+
+
+# -- nu-resolutions by slot index against the slot-product construction --------
+
+
+def _slots_by_matrices(middle, m, j):
+    """(s, s_row, t, r) at position j: the 0/1 GradedMatrices of the
+    inclusion of slot j and the projection onto it, then of the other
+    slots (r t = id, r s = 0)."""
+    F = middle.cfg.field
+    degs = middle.degs(j)
+    mine = range(j * m, (j + 1) * m)
+    out = ()
+    for idx in (mine, [i for i in range(len(degs)) if i not in mine]):
+        sub = [degs[i] for i in idx]
+        incl = [[F.one if r == i else F.zero for i in idx] for r in range(len(degs))]
+        proj = [[F.one if c == i else F.zero for c in range(len(degs))] for i in idx]
+        out += (GradedMatrix.from_coeffs(F, incl, sub, degs),
+                GradedMatrix.from_coeffs(F, proj, degs, sub))
+    return out
+
+
+def _resolution_by_slot_products(x, side):
+    """Reference: the complement and its map as products with the slot
+    matrices, i_j = t - s p^j t with kernel maps r phi^j i_j, or
+    q_j = r - r m^j s_row with cokernel maps q_{j+1} phi^j t."""
+    middle, f = fac_projective_cover(x) if side == "epic" else _injective_hull(x)
+    sel = [_slots_by_matrices(middle, x.m, j) for j in range(x.l + 1)]
+    if side == "epic":
+        incl = [t - s @ (f.components[j] @ t) for j, (s, _, t, _) in enumerate(sel)]
+        ker = fac_build([r @ middle.maps[j] @ incl[j]
+                         for j, (_, _, _, r) in enumerate(sel[1:])], x.cfg, "kernel")
+        return NuResolution(middle, f, ker, FacMap(ker, middle, incl))
+    proj = [r - (r @ f.components[j]) @ s_row for j, (_, s_row, _, r) in enumerate(sel)]
+    cok = fac_build([proj[j + 1] @ middle.maps[j] @ t
+                     for j, (_, _, t, _) in enumerate(sel[:-1])], x.cfg, "cokernel")
+    return NuResolution(middle, f, cok, FacMap(middle, cok, proj))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_resolutions_by_slot_index_equal_the_slot_products(field):
+    """Middle, map, complement and complement map have equal JSON, l = 1..3,
+    both sides; a zero epi and a zero projection still fail the split
+    check."""
+    rng = random.Random(71)
+    count = 0
+    for d in (2, 3):
+        for l in (1, 2, 3):
+            c = cfg(d, field)
+            for x in [random_rank1(c, l, rng)] + [random_factorization(c, l, rng, m_max=m)
+                                                  for m in (1, 2, 3)]:
+                for side in ("epic", "monic"):
+                    got, want = nu_resolution(x, side), _resolution_by_slot_products(x, side)
+                    assert got.middle.to_json() == want.middle.to_json(), (x, side)
+                    assert got.map.to_json() == want.map.to_json(), (x, side)
+                    assert got.complement.to_json() == want.complement.to_json(), (x, side)
+                    assert (got.complement_map.to_json()
+                            == want.complement_map.to_json()), (x, side)
+                    assert termwise_split_check(got, side) is True
+                    bad = (got._replace(map=FacMap.zero(got.middle, x)) if side == "epic"
+                           else got._replace(complement_map=FacMap.zero(
+                               got.middle, got.complement)))
+                    assert termwise_split_check(bad, side) is False
+                    count += 1
+    assert count == 2 * 3 * 4 * 2

@@ -340,3 +340,38 @@ def test_span_preimage_inclusion_equals_the_jordan_tops(field):
             assert got == _preimage_by_jordan_tops(c, degs_l, kvecs), (degs_l, kvecs)
             proper += not got.is_iso()
     assert proper > 10
+
+
+# -- the module layer works on degree pieces --------------------------------------
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_normal_forms_never_build_the_ambient_x_operator(field, monkeypatch):
+    """submodule, quotient, presentation_cokernel, cok and reconstruct read
+    x off the summands as shift blocks between degree pieces: with
+    RModule.x_matrix raising, they still give what they gave before."""
+    from facto.factorizations import prefix
+    from facto.modules import ModuleMap, hom_basis, presentation_cokernel, quotient, submodule
+
+    rng = random.Random(73)
+    cases = []
+    for d, l in ((2, 2), (3, 2), (3, 3), (4, 1)):
+        c = cfg(d, field)
+        x, u = random_factorization(c, l, rng), random_chain(c, l, rng)
+        a, b = RModule.free(c, [0, 1]), RModule(c, [(d, 0), (1, 2)])
+        f = ModuleMap.zero(a, b)
+        for g in hom_basis(a, b):
+            f = f + g.scale(field.from_int(rng.randrange(1, 4)))
+        image = [list(col) for col in zip(*f.realization())]
+        cases += [(lambda b=b, v=image: submodule(b, v)),
+                  (lambda b=b, v=image: quotient(b, v)),
+                  (lambda x=x: [presentation_cokernel(prefix(x, k), x.cfg)
+                                for k in range(1, x.l + 1)]),
+                  (lambda x=x: cok(x)), (lambda u=u: reconstruct(u))]
+    want = [case() for case in cases]
+
+    def no_x_matrix(self):
+        raise AssertionError("built the ambient x operator")
+
+    monkeypatch.setattr(RModule, "x_matrix", no_x_matrix)
+    assert [case() for case in cases] == want

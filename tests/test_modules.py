@@ -547,10 +547,11 @@ def _random_map(rng, m, n):
 @pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
 def test_module_maps_equal_the_realization_oracle(field):
     """commutes_with_x is the realization test, on random blocks that are
-    often not R-linear; g @ f is the realization product, on random maps;
-    zero modules included."""
+    often not R-linear; g @ f is the realization product, pieces() the
+    realization's degree blocks and from_pieces their inverse, on random
+    maps; zero modules included."""
     rng = random.Random(31)
-    verdicts, nonzero = set(), 0
+    verdicts, nonzero, rejected = set(), 0, 0
     for d in range(1, 5):
         c = cfg(d, field)
 
@@ -569,7 +570,49 @@ def test_module_maps_equal_the_realization_oracle(field):
             f, g = _random_map(rng, a, b), _random_map(rng, b, e)
             assert g @ f == _compose_by_realization(g, f), (g, f)
             nonzero += not (g @ f).is_zero()
+            assert f.pieces() == _pieces_by_realization(f), f
+            assert ModuleMap.from_pieces(a, b, f.pieces()) == f
+            rejected += _changed_entries_are_rejected(f)
     assert verdicts == {True, False} and nonzero > 5
+    assert rejected > 10
+
+
+def _pieces_by_realization(f):
+    """Reference: the degree-s blocks of the realization, for each degree s
+    of the source, with no rows where the target has no degree s."""
+    sdegs, tdegs, real = f.src.basis_degrees(), f.tgt.basis_degrees(), f.realization()
+    return {s: [[real[r][c] for c, sc in enumerate(sdegs) if sc == s]
+                for r, tr in enumerate(tdegs) if tr == s]
+            for s in sorted(set(sdegs))}
+
+
+def _changed_entries_are_rejected(f):
+    """from_pieces rejects pieces with one entry changed in a column
+    x^i gen_t, i >= 1, which block recovery does not read; from_realization
+    rejects a realization with one entry changed off the degree blocks.
+    Returns the number of changed inputs tried."""
+    F = f.src.cfg.field
+    tried = 0
+    spieces = f.src.pieces()
+    for s, block in f.pieces().items():
+        cols = [c for c, k in enumerate(spieces[s]) if f.src.basis[k][1] >= 1]
+        if block and cols:
+            bad = [row[:] for row in block]
+            bad[0][cols[0]] = F.add(bad[0][cols[0]], F.one)
+            with pytest.raises(ValueError):
+                ModuleMap.from_pieces(f.src, f.tgt, {**f.pieces(), s: bad})
+            tried += 1
+    sdegs, tdegs = f.src.basis_degrees(), f.tgt.basis_degrees()
+    off = [(r, c) for r, tr in enumerate(tdegs)
+           for c, sc in enumerate(sdegs) if tr != sc]
+    if off:
+        r, c = off[0]
+        bad = [row[:] for row in f.realization()]
+        bad[r][c] = F.one
+        with pytest.raises(ValueError):
+            ModuleMap.from_realization(f.src, f.tgt, bad)
+        tried += 1
+    return tried
 
 
 # -- submodules and quotients ----------------------------------------------------
@@ -612,8 +655,9 @@ def test_submodule_and_quotient_of_kernels_and_images(field):
 
 @pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
 def test_normal_forms_take_each_kernel_once_and_invert_nothing(field, monkeypatch):
-    """decompose computes each per-degree kernel of each power of x once,
-    and realization_to_module inverts no matrix: the independence of the
+    """The Jordan decomposition takes the kernel of each power of x on each
+    degree piece at most once, each on a piece-sized matrix, and
+    realization_to_module inverts no matrix: the independence of the
     Jordan chains is a rank."""
     import facto.modules as modules
 
@@ -623,21 +667,25 @@ def test_normal_forms_take_each_kernel_once_and_invert_nothing(field, monkeypatc
         degs, x = m.basis_degrees(), m.x_matrix()
         reals += [(m.cfg, subspace_realization(field, degs, x, vecs)[:2]),
                   (m.cfg, quotient_realization(field, degs, x, vecs)[:2])]
-    calls = []
-    kernel = modules._degree_kernel
+    calls, total = [], 0
+    nullspace = modules.linalg.nullspace
 
-    def counted(field, n, cols, mat):
-        calls.append((tuple(cols), tuple(map(tuple, mat))))
-        return kernel(field, n, cols, mat)
+    def counted(field, mat, cols=None):
+        calls.append((id(mat), cols))
+        return nullspace(field, mat, cols=cols)
 
     def invert(*_):
         raise AssertionError("inverted a matrix")
 
-    monkeypatch.setattr(modules, "_degree_kernel", counted)
+    monkeypatch.setattr(modules.linalg, "nullspace", counted)
     monkeypatch.setattr(modules.linalg, "invert", invert)
     for c, (degs, x) in reals:
         calls.clear()
         mod, to_real = realization_to_module(c, degs, x)
         assert mod.dim == len(degs) == len(to_real)
-        assert len(calls) == len(set(calls)), (degs, x)
+        # one call per power matrix, each on the columns of one degree piece
+        assert len(calls) == len({i for i, _ in calls}), (degs, x)
+        assert {cols for _, cols in calls} <= {degs.count(s) for s in degs}
+        total += len(calls)
+    assert total > 0
     assert sum(len(degs) > 2 for _, (degs, _) in reals) > 10
