@@ -6,6 +6,10 @@ cover T = R^m(degs_l) of X^l: the preimage in S^m of such a flag is a
 chain of free submodules containing x^d S^m, which is exactly a graded
 factorization up to isomorphism.  Chains of monomorphisms are flags in
 their top module T.  Every flag object is shifted to minimum degree 0.
+A subspace V of T is held as its pieces {s: basis of V_s in the
+coordinates of T_s}, with x as the shift blocks of `modules._shifts`, from
+its listing (`stable_graded_subspaces`) to its flag stabilizers and the
+members' inclusions; no ambient vector or matrix of T is built.
 
 Indecomposability is decided on the flag, before any object is built:
 X is indecomposable iff End(X) is local (Fitting's lemma), End(X) is the
@@ -66,6 +70,7 @@ from .modules import (
     HypersurfaceConfig,
     ModuleMap,
     RModule,
+    _shifts,
     hom_basis,
     submodule,
 )
@@ -192,40 +197,30 @@ def _subspaces_containing(field, n, lower, elements):
     return out
 
 
-def stable_graded_subspaces(field, degs, xmat):
-    """All x-stable homogeneous subspaces of a graded realization.
+def stable_graded_subspaces(field, top: RModule):
+    """All x-stable graded subspaces of the realization of `top`.
 
-    Returned as lists of ambient vectors; enumeration walks the degrees
-    upward, at each level listing the subspaces containing the x-image of
-    the level below.
+    Each is returned as its pieces {s: basis of V_s in the coordinates of
+    T_s}, with no empty piece; enumeration walks the degree pieces upward,
+    at each level listing the subspaces containing the x-image of the
+    level below (x: `modules._shifts`).
     """
     elements = _field_elements(field)
-    by_deg = {}
-    for i, s in enumerate(degs):
-        by_deg.setdefault(s, []).append(i)
-    levels = sorted(by_deg)
+    dims = [(s, len(idx)) for s, idx in top.pieces().items()]
+    shifts = _shifts(top)
     results = []
 
     def rec(li, lower, chosen):
-        if li == len(levels):
-            results.append([v for level in chosen for v in level])
+        if li == len(dims):
+            results.append(chosen)
             return
-        cols = by_deg[levels[li]]
-        n = len(cols)
-        lower_local = [[v[c] for c in cols] for v in lower]
-        for local in _subspaces_containing(field, n, lower_local, elements):
-            ambient = []
-            for lv in local:
-                w = [field.zero] * len(degs)
-                for idx, c in enumerate(cols):
-                    w[c] = lv[idx]
-                ambient.append(w)
-            nxt = []
-            if li + 1 < len(levels) and levels[li + 1] == levels[li] + 1:
-                nxt = [linalg.mat_vec(field, xmat, w) for w in ambient]
-            rec(li + 1, nxt, chosen + [ambient])
+        s, n = dims[li]
+        x = shifts.get(s)
+        for local in _subspaces_containing(field, n, lower, elements):
+            nxt = [linalg.mat_vec(field, x, v) for v in local] if x is not None else []
+            rec(li + 1, nxt, {**chosen, s: local} if local else chosen)
 
-    rec(0, [], [])
+    rec(0, [], {})
     del rec  # no closure cycle keeps the spaces alive
     return results
 
@@ -233,30 +228,22 @@ def stable_graded_subspaces(field, degs, xmat):
 # flags of x-stable subspaces ----------------------------------------------------
 
 
-def _degree(field, degs, v):
-    """The degree of a nonzero homogeneous vector (basis degrees `degs`)."""
-    return degs[next(c for c, a in enumerate(v) if not field.is_zero(a))]
-
-
-def _degree_pieces(field, degs, vecs):
-    """{s: RREF of V_s, a tuple of rows} for V spanned by the homogeneous
-    `vecs` (basis degrees `degs`); V_s has no entry outside degree s."""
-    groups = {}
-    for v in vecs:
-        groups.setdefault(_degree(field, degs, v), []).append(v)
+def _reduced(field, space):
+    """{s: the RREF of V_s, a tuple of rows} for a subspace given by its
+    pieces: equal subspaces give equal values."""
     return {s: tuple(map(tuple, linalg.rref(field, rows)[0]))
-            for s, rows in groups.items()}
+            for s, rows in space.items()}
 
 
 def _subspace_flags(field, pieces, length):
     """Index tuples of all weakly increasing chains V_0 <= ... <= V_{length-1}
-    of homogeneous subspaces, given by their degree pieces `pieces`
-    (`_degree_pieces`), in lexicographic order.
+    of graded subspaces, given by the RREFs of their pieces `pieces`
+    (`_reduced`), in lexicographic order.
 
     Containment is tested only when a flag goes one level deeper, so flags
-    of length 1 test none.  V <= W iff V_s <= W_s in every degree s (the
-    bases' vectors are homogeneous), so each pair of pieces is compared
-    once: pieces of equal dimension by their RREFs, a smaller one by rank.
+    of length 1 test none.  V <= W iff V_s <= W_s in every degree s, so
+    each pair of pieces is compared once: pieces of equal dimension by
+    their RREFs, a smaller one by rank.
     """
 
     @functools.cache
@@ -280,39 +267,44 @@ def _subspace_flags(field, pieces, length):
     del rec  # no closure cycle keeps the pieces alive
 
 
-def _generators(field, xmat, vecs):
-    """The members of the basis `vecs` of an x-stable V that are not in
-    xV plus the members before them: a k-complement of xV in V, so R-
-    generators of V (graded Nakayama: x is nilpotent)."""
-    ech = linalg.Echelon(field)
-    for v in vecs:
-        ech.add(linalg.mat_vec(field, xmat, v))
-    return [v for v in vecs if ech.add(v)]
+def _generators(field, shifts, space):
+    """{s: the members of the basis of V_s that are not in (xV)_s plus the
+    members before them} for an x-stable V given by its pieces `space` (x:
+    the shift blocks `shifts`): a k-complement of xV in V, so R-generators
+    of V (graded Nakayama: x is nilpotent)."""
+    out = {}
+    for s, vecs in space.items():
+        ech = linalg.Echelon(field)
+        x = shifts.get(s - 1)
+        for v in space.get(s - 1, ()) if x is not None else ():
+            ech.add(linalg.mat_vec(field, x, v))
+        out[s] = [v for v in vecs if ech.add(v)]
+    return out
 
 
 def _summand_splits(field, top: RModule, pieces):
     """splits(flag): whether, for a proper nonempty set S of the summands
     of T = `top`, the projection pi_S onto them maps every member of the
-    flag (indices into `pieces`, the degree pieces of subspaces of T)
-    into itself.
+    flag (indices into `pieces`, the RREFs of the pieces of subspaces of
+    T) into itself.
 
     Then pi_S, a degree-0 idempotent of End(T) other than 0 and 1, lies in
     the flag's stabilizer, which is not local.  pi_S V <= V iff
     pi_S V_s <= V_s in each degree s, iff each row of the RREF of V_s
-    (`_degree_pieces`) lies in T_S or in T_{S^c}: if V_s = pi_S V_s +
-    pi_{S^c} V_s, the two parts' RREFs together are reduced, so they are
-    the RREF of V_s; conversely pi_S fixes or kills each such row.  So each
-    V gets one mask of the S it passes, one S of each pair {S, S^c} as
-    1 - pi_S = pi_{S^c}, and a flag splits when its members' masks share a
-    bit.  This is `_splits` lifted from tops to flags.
+    lies in T_S or in T_{S^c}: if V_s = pi_S V_s + pi_{S^c} V_s, the two
+    parts' RREFs together are reduced, so they are the RREF of V_s;
+    conversely pi_S fixes or kills each such row.  So each V gets one mask
+    of the S it passes, one S of each pair {S, S^c} as 1 - pi_S = pi_{S^c},
+    and a flag splits when its members' masks share a bit.  This is
+    `_splits` lifted from tops to flags.
     """
-    owner = [t for t, _ in top.basis]
+    owner = {s: [top.basis[k][0] for k in idx] for s, idx in top.pieces().items()}
     sets = range(1, 2 ** len(top.summands) // 2)  # S without the last summand
 
     @functools.cache
     def mask(i):
-        supports = {sum(1 << owner[c] for c, a in enumerate(row) if not field.is_zero(a))
-                    for rows in pieces[i].values() for row in rows}
+        supports = {sum(1 << owner[s][c] for c, a in enumerate(row) if not field.is_zero(a))
+                    for s, rows in pieces[i].items() for row in rows}
         return sum(1 << S for S in sets if all(sup & S in (0, sup) for sup in supports))
 
     every = sum(1 << S for S in sets)
@@ -325,11 +317,12 @@ def _local_stabilizer(field, top: RModule, spaces, pieces):
     a local algebra.
 
     hom_basis(T, T) is elementary (see `modules.hom_basis`) and computed
-    once.  Each V gives one block of conditions q . phi v = 0 on the basis
-    coefficients, for q in the annihilator of V and v among the
-    R-generators of V (`_generators`): phi commutes with x, so phi V <= V
-    iff phi maps them into V.  A block is built when a flag first uses V;
-    a flag's A is the nullspace of its stacked blocks.
+    once, and read degree by degree (`ModuleMap.pieces`).  Each V gives
+    one block of conditions q . phi v = 0 on the basis coefficients, for v
+    among the R-generators of V in degree s (`_generators`) and q in the
+    annihilator of V_s in T_s: phi commutes with x, so phi V <= V iff phi
+    maps them into V, and phi v lies in T_s.  A block is built when a flag
+    first uses V; a flag's A is the nullspace of its stacked blocks.
 
     Locality is decided on the image of A in End(T/xT).  The maps with
     phi T <= xT form a two-sided ideal I with I^d = 0, and an algebra is
@@ -350,12 +343,10 @@ def _local_stabilizer(field, top: RModule, spaces, pieces):
     of those coefficients: an exact memo, one per top.
 
     keep first rejects the flags that a summand projection splits
-    (`_summand_splits` on `pieces`, the spaces' degree pieces); their
+    (`_summand_splits` on `pieces`, the RREFs of the spaces' pieces); their
     objects decompose, and the nullspace path gives False on them too, or
     raises NonSplitEndomorphism when is_local meets an element with no
-    eigenvalue in k before the split.  A block writes only rows with
-    deg q = deg v: otherwise q . phi_j v = 0, as q and phi_j v are
-    homogeneous of degrees deg q and deg v.
+    eigenvalue in k before the split.
 
     Why A is End(X) of the flag object X up to a nilpotent ideal:
     - chains: every structure map of X is a mono into the top, so a chain
@@ -374,35 +365,36 @@ def _local_stabilizer(field, top: RModule, spaces, pieces):
     """
     F = field
     homs = hom_basis(top, top)
-    # the few nonzero realization entries (r, c, a) of each basis map
-    entries = [[(r, c, a) for r, row in enumerate(f.realization())
-                for c, a in enumerate(row) if not F.is_zero(a)] for f in homs]
+    # the few nonzero entries (r, c, a) of each basis map's degree pieces
+    entries = [{s: [(r, c, a) for r, row in enumerate(mat)
+                    for c, a in enumerate(row) if not F.is_zero(a)]
+                for s, mat in f.pieces().items()} for f in homs]
     degs = [s for _, s in top.summands]
     units = [(k, u, t) for k, f in enumerate(homs)
              for u, row in enumerate(f.blocks) for t, c in enumerate(row)
              if not F.is_zero(c) and degs[u] == degs[t]]
     g, cells = len(degs), [(u, t) for _, u, t in units]
-    xm, bdegs = top.x_matrix(), top.basis_degrees()
+    shifts, dims = _shifts(top), {s: len(idx) for s, idx in top.pieces().items()}
     splits = _summand_splits(F, top, pieces)
     blocks, decided = {}, {}
 
     def block(i):
         if i not in blocks:
             ech = linalg.Echelon(F)
-            annihilator = {}
-            for q in linalg.nullspace(F, spaces[i], cols=top.dim):
-                annihilator.setdefault(_degree(F, bdegs, q), []).append(q)
-            for v in _generators(F, xm, spaces[i]):
-                images = [[(r, F.mul(a, v[c])) for r, c, a in ent
-                           if not F.is_zero(v[c])] for ent in entries]
-                for q in annihilator.get(_degree(F, bdegs, v), ()):
-                    row = []
-                    for image in images:
-                        acc = F.zero
-                        for r, b in image:
-                            acc = F.add(acc, F.mul(q[r], b))
-                        row.append(acc)
-                    ech.add(row)
+            space = spaces[i]
+            for s, gens in _generators(F, shifts, space).items():
+                annihilator = linalg.nullspace(F, space[s], cols=dims[s])
+                for v in gens:
+                    images = [[(r, F.mul(a, v[c])) for r, c, a in ent[s]
+                               if not F.is_zero(v[c])] for ent in entries]
+                    for q in annihilator:
+                        row = []
+                        for image in images:
+                            acc = F.zero
+                            for r, b in image:
+                                acc = F.add(acc, F.mul(q[r], b))
+                            row.append(acc)
+                        ech.add(row)
             blocks[i] = ech.rows
         return blocks[i]
 
@@ -432,16 +424,16 @@ def _flag_objects(cfg: HypersurfaceConfig, tops, length: int, build,
                   local_only: bool = False):
     """build(cfg, key, spaces)(flag), shifted to minimum degree 0, for
     every flag (index tuple) of `length` x-stable graded subspaces `spaces`
-    of each top in `tops`, a stream of (key, top module) pairs; with
-    local_only, only for the flags whose stabilizer in End(top) is local
-    (see `_local_stabilizer`), skipping split tops (`_splits`)."""
+    (`stable_graded_subspaces`) of each top in `tops`, a stream of (key,
+    top module) pairs; with local_only, only for the flags whose
+    stabilizer in End(top) is local (see `_local_stabilizer`), skipping
+    split tops (`_splits`)."""
     F = cfg.field
     for key, top in tops:
         if local_only and _splits(top):
             continue
-        degs = top.basis_degrees()
-        spaces = stable_graded_subspaces(F, degs, top.x_matrix()) if length else []
-        pieces = [_degree_pieces(F, degs, v) for v in spaces]
+        spaces = stable_graded_subspaces(F, top) if length else []
+        pieces = [_reduced(F, v) for v in spaces]
         flags = _subspace_flags(F, pieces, length)
         if local_only:
             flags = filter(_local_stabilizer(F, top, spaces, pieces), flags)
@@ -505,17 +497,6 @@ def _dedup(objs, fingerprint, iso):
     return kept
 
 
-def _flag_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
-                         window: int):
-    """Every flag factorization within bounds, shifted to minimum degree 0.
-
-    Ranks run to m_max and the last degree vector over [0, window]
-    normalized to minimum 0; every valid graded factorization with those
-    invariants appears at least once.
-    """
-    return _flag_objects(cfg, _fac_tops(cfg, m_max, window), l, _fac_build)
-
-
 def enumerate_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
                              window: int):
     """The indecomposable (l+1)-factor factorizations up to iso and shift,
@@ -553,27 +534,22 @@ def _top_modules(cfg: HypersurfaceConfig, dim_max: int, window: int):
 
 def _flag_chain(cfg: HypersurfaceConfig, top: RModule, incls) -> MonoChain:
     """The chain of submodules V_1 >-> ... >-> V_{l-1} >-> top, given by
-    their inclusions `incls` into top (`modules.submodule`)."""
+    their inclusions `incls` into top (`modules.submodule`): each map is
+    the solution of i1 f = i0, degree by degree."""
     incls = incls + [ModuleMap.identity(top)]
     maps = []
     for i0, i1 in zip(incls, incls[1:]):
-        real = linalg.solve(cfg.field, i1.realization(), i0.realization(),
-                            cols=i1.src.dim)
-        if real is None:
-            raise MatchFailure("flag member does not factor")
-        maps.append(ModuleMap.from_realization(i0.src, i1.src, real))
+        up, pieces = i1.pieces(), {}
+        for s, mat in i0.pieces().items():
+            pieces[s] = linalg.solve(cfg.field, up[s], mat) if s in up else None
+            if pieces[s] is None:
+                raise MatchFailure("flag member does not factor")
+        maps.append(ModuleMap.from_pieces(i0.src, i1.src, pieces))
     return MonoChain(cfg, [i.src for i in incls], maps)
 
 
 def _chain_fingerprint(u: MonoChain):
     return tuple(obj.sorted_summands() for obj in u.objects)
-
-
-def _flag_chains(cfg: HypersurfaceConfig, l: int, dim_max: int, window: int):
-    """Every flag chain of l-1 monos with top dimension <= dim_max and top
-    generator degrees over [0, window], shifted to minimum degree 0."""
-    tops = _top_modules(cfg, dim_max, window)
-    return _flag_objects(cfg, ((t, t) for t in tops), l - 1, _chain_build)
 
 
 def enumerate_chains(cfg: HypersurfaceConfig, l: int, dim_max: int,

@@ -366,15 +366,6 @@ def _hom_positions(x: Factorization, y: Factorization):
     return out
 
 
-def _hom_slots(x: Factorization, y: Factorization):
-    """The positions of `_hom_positions` as (j, row, col) triples."""
-    return [(j, r, c) for j, pos in enumerate(_hom_positions(x, y)) for r, c in pos]
-
-
-def _facmap_to_vector(f: FacMap, slots):
-    return [f.components[j].coeffs[r][c] for j, r, c in slots]
-
-
 def fac_hom_basis(x: Factorization, y: Factorization):
     """k-basis of Hom(x, y): the commuting squares B^j f^j = f^{j+1} A^j,
     solved coefficientwise on the admissible positions (`endo.hom_space`),
@@ -456,7 +447,8 @@ def fac_projective_cover(x: Factorization):
 
     The block of p^j on summand k is the composite X^k -> X^j on the walk
     from k, taken back by tau^{-1} when k > j.  The counits are the block
-    columns of p, so its one check covers all their squares.
+    columns of p, and the walk's composites make every square commute, so
+    p is built unchecked.
     """
     d, l = x.cfg.d, x.l
     middle = _nu_sum(x.cfg, l, [(l, x.degs(0))] + [
@@ -465,18 +457,19 @@ def fac_projective_cover(x: Factorization):
     comps = [functools.reduce(GradedMatrix.hstack, [
         w[j - k] if k <= j else w[j + l + 1 - k].shift(d) for k, w in enumerate(walks)])
         for j in range(l + 1)]
-    return middle, FacMap(middle, x, comps)
+    return middle, FacMap(middle, x, comps, check=False)
 
 
 def _injective_hull(x: Factorization):
     """(I, i): I = sum_k nu^k(X^k) and the mono i: X >-> I whose block from
     X^j to summand k is the composite X^j -> X^k on the walk from j (the
-    units of the nu_k_right adjunctions)."""
+    units of the nu_k_right adjunctions); the walk makes its squares
+    commute, so i is built unchecked."""
     l = x.l
     middle = _nu_sum(x.cfg, l, [(k, x.degs(k)) for k in range(l + 1)])
     comps = [functools.reduce(GradedMatrix.vstack, [w[(k - j) % (l + 1)] for k in range(l + 1)])
              for j, w in enumerate(_walk(x, j, l) for j in range(l + 1))]
-    return middle, FacMap(x, middle, comps)
+    return middle, FacMap(x, middle, comps, check=False)
 
 
 def _slot(middle: Factorization, m: int, j: int):

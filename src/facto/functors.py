@@ -160,17 +160,17 @@ def _minimal_generators(field, columns, degrees, m):
     return list(zip(*kept_cols)), kept_degs
 
 
-def span_preimage_inclusion(cfg, degs_l, kvecs):
-    """Free basis of the preimage in S^m of an x-stable homogeneous span.
+def span_preimage_inclusion(cfg, degs_l, spans):
+    """Free basis of the preimage in S^m of an x-stable graded span.
 
-    kvecs: vectors in the realization of the free R-cover on degs_l; the
-    preimage adds omega-multiples of the generators.  Returns the inclusion
-    GradedMatrix X^k >-> X^l.
+    spans: {s: vectors of T_s} in the realization of the free R-cover on
+    degs_l; the preimage adds omega-multiples of the generators.  Returns
+    the inclusion GradedMatrix X^k >-> X^l.
     """
     F = cfg.field
     m = len(degs_l)
     # the span's generators, as coefficients on the cover's generators
-    incl = submodule(RModule.free(cfg, degs_l), kvecs)
+    incl = submodule(RModule.free(cfg, degs_l), spans)
     columns = [list(col) for col in zip(*incl.blocks)]
     degrees = [s for _, s in incl.src.summands]
     # plus the omega-multiples of the cover's generators

@@ -8,11 +8,11 @@ k-vector space with a degree-raising x-operator, a view derived from the
 generators.  A realization is the direct sum of its degree pieces T_s, and
 x is a set of shift blocks T_s -> T_{s+1}, so kernels, images, cokernels,
 Jordan normal forms and ranks reduce to small exact linear algebra on one
-piece at a time (`pieces`).  Every submodule and quotient is built by
-`submodule` and `quotient`, which return the inclusion and the projection
-with the other end in normal form (`_submodule` and `_quotient` take the
-span as per-degree bases).  The zero module (no summands) is a
-first-class value.
+piece at a time (`pieces`).  A subspace of the realization is held as
+its pieces, {s: vectors of T_s}, and every submodule and quotient is built
+by `submodule` and `quotient`, which return the inclusion and the
+projection with the other end in normal form.  The zero module (no
+summands) is a first-class value.
 """
 
 from __future__ import annotations
@@ -28,10 +28,8 @@ from .pieces import (
     assemble,
     bases,
     complement,
-    embed,
     indices_by_degree,
     jordan,
-    split,
     sub_shifts,
 )
 from .polymat import GradedMatrix, NoSolution, expect_json, graded_solve
@@ -88,17 +86,6 @@ class RModule:
         its basis}, in ascending s.  T_s holds one basis vector x^(s - s_t)
         gen_t for each summand t that reaches degree s, in summand order."""
         return indices_by_degree(self.basis_degrees())
-
-    def x_matrix(self):
-        F = self.cfg.field
-        n = self.dim
-        idx = {b: k for k, b in enumerate(self._basis)}
-        m = linalg.zeros(F, n, n)
-        for k, (t, i) in enumerate(self._basis):
-            nxt = idx.get((t, i + 1))
-            if nxt is not None:
-                m[nxt][k] = F.one
-        return m
 
     def is_zero(self) -> bool:
         return not self.summands
@@ -231,9 +218,13 @@ class ModuleMap:
         T_s(tgt)} for every degree s of src, with no rows where tgt has no
         degree s.  The row of x^j gen_u and the column of x^i gen_t in one
         degree meet at blocks[u][t], as j - i = s_t - s_u."""
-        tgt_pieces, tb, sb = self.tgt.pieces(), self.tgt.basis, self.src.basis
+        return self._pieces(self.src.pieces(), self.tgt.pieces())
+
+    def _pieces(self, src_pieces, tgt_pieces):
+        """`pieces()` on the given `RModule.pieces` of src and tgt."""
+        tb, sb = self.tgt.basis, self.src.basis
         out = {}
-        for s, cols in self.src.pieces().items():
+        for s, cols in src_pieces.items():
             ts = [sb[c][0] for c in cols]
             out[s] = [[self.blocks[tb[k][0]][t] for t in ts]
                       for k in tgt_pieces.get(s, ())]
@@ -255,37 +246,21 @@ class ModuleMap:
                    for (et, st), c in zip(self.src.summands, row))
 
     @classmethod
-    def from_realization(cls, src: RModule, tgt: RModule, real) -> "ModuleMap":
-        """Recover block form from a realization matrix; validates agreement.
-        The entries off the degree blocks must be 0, and the blocks go to
-        `from_pieces`."""
-        F = src.cfg.field
-        sdegs, tdegs = src.basis_degrees(), tgt.basis_degrees()
-        if len(real) != len(tdegs) or any(len(row) != len(sdegs) for row in real) \
-                or any(not F.is_zero(c) and tdegs[r] != sdegs[k]
-                       for r, row in enumerate(real) for k, c in enumerate(row)):
-            raise ValueError("realization is not a degree-0 equivariant map")
-        rows = tgt.pieces()
-        return cls.from_pieces(src, tgt, {
-            s: [[real[r][c] for c in cols] for r in rows.get(s, ())]
-            for s, cols in src.pieces().items()})
-
-    @classmethod
     def from_pieces(cls, src: RModule, tgt: RModule, pieces) -> "ModuleMap":
         """Recover block form from the realization's degree pieces, written
         as `pieces()` writes them; validates agreement.  The column of gen_t
         lies in degree s_t, and its rows there are the x^(s_t - s_u) gen_u."""
         F = src.cfg.field
         blocks = [[F.zero] * len(src.summands) for _ in tgt.summands]
-        tgt_pieces = tgt.pieces()
-        for s, cols in src.pieces().items():
+        src_pieces, tgt_pieces = src.pieces(), tgt.pieces()
+        for s, cols in src_pieces.items():
             for c, k in enumerate(cols):
                 t, i = src.basis[k]
                 if i == 0:
                     for row, kk in zip(pieces[s], tgt_pieces.get(s, ())):
                         blocks[tgt.basis[kk][0]][t] = row[c]
         f = cls(src, tgt, blocks)
-        if f.pieces() != pieces:
+        if f._pieces(src_pieces, tgt_pieces) != pieces:
             raise ValueError("realization is not a degree-0 equivariant map")
         return f
 
@@ -416,58 +391,31 @@ def _normal_form(cfg: HypersurfaceConfig, dims, shifts):
     return RModule(cfg, summands), to_real
 
 
-def _submodule(m: RModule, bases) -> ModuleMap:
-    """The inclusion of the normal-form submodule of m with per-degree
-    bases `bases`."""
+def submodule(m: RModule, spans) -> ModuleMap:
+    """The inclusion of the normal-form submodule of m spanned by the
+    x-stable `spans`, {s: vectors of T_s}."""
     F = m.cfg.field
-    dims, shifts = sub_shifts(F, _shifts(m), bases)
+    basis = bases(F, spans)
+    dims, shifts = sub_shifts(F, _shifts(m), basis)
     sub, to_real = _normal_form(m.cfg, dims, shifts)
     return ModuleMap.from_pieces(sub, m, {
-        s: linalg.mat_mul(F, [list(c) for c in zip(*bases[s].rows)], to_real[s])
+        s: linalg.mat_mul(F, [list(c) for c in zip(*basis[s].rows)], to_real[s])
         for s in dims})
 
 
-def _quotient(m: RModule, bases) -> ModuleMap:
-    """The projection of m onto the normal-form quotient by the span with
-    per-degree bases `bases`."""
+def quotient(m: RModule, spans) -> ModuleMap:
+    """The projection of m onto the normal-form quotient by the span of the
+    x-stable `spans`, {s: vectors of T_s}."""
     F = m.cfg.field
     dims = {s: len(idx) for s, idx in m.pieces().items()}
-    qdims, qshifts, proj = complement(F, dims, _shifts(m), bases)
+    qdims, qshifts, proj = complement(F, dims, _shifts(m), bases(F, spans))
     quo, to_real = _normal_form(m.cfg, qdims, qshifts)
     return ModuleMap.from_pieces(m, quo, {
         s: linalg.solve(F, to_real[s], p) if s in qdims else []
         for s, p in proj.items()})
 
 
-def submodule(m: RModule, vecs) -> ModuleMap:
-    """The inclusion of the normal-form submodule spanned by the x-stable
-    homogeneous `vecs` (vectors in m's realization)."""
-    F = m.cfg.field
-    return _submodule(m, bases(F, split(F, m.basis_degrees(), vecs)))
-
-
-def quotient(m: RModule, vecs) -> ModuleMap:
-    """The projection onto the normal-form quotient of m by the span of
-    the x-stable homogeneous `vecs` (vectors in m's realization)."""
-    F = m.cfg.field
-    return _quotient(m, bases(F, split(F, m.basis_degrees(), vecs)))
-
-
-# ambient adapters -----------------------------------------------------------
-
-
-def _degree_kernel(field, n, cols, mat):
-    """Basis of the kernel of `mat` on the coordinates `cols` (one degree),
-    each vector written out in all n coordinates."""
-    return [embed(field, n, cols, v) for v in linalg.nullspace(
-        field, [[row[c] for c in cols] for row in mat], cols=len(cols))]
-
-
-def homogeneous_components(field, degs, vectors):
-    """Split possibly-redundant homogeneous vectors into per-degree bases."""
-    pieces = indices_by_degree(degs)
-    return {s: [embed(field, len(degs), pieces[s], r) for r in ech.rows]
-            for s, ech in bases(field, split(field, degs, vectors)).items()}
+# ambient realizations -------------------------------------------------------
 
 
 def decompose(field, d, degs, xmat):
@@ -493,44 +441,12 @@ def realization_to_module(cfg: HypersurfaceConfig, degs, xmat):
                          len(degs), len(degs))
 
 
-def subspace_realization(field, degs, xmat, vectors):
-    """(sub_degs, sub_x, inclusion) for an x-stable homogeneous span."""
-    pieces, _, shifts = ambient(field, degs, xmat, len(degs))
-    basis = bases(field, split(field, degs, vectors))
-    dims, sx = sub_shifts(field, shifts, basis)
-    sdegs = [s for s, k in dims.items() for _ in range(k)]
-    spieces, k = indices_by_degree(sdegs), len(sdegs)
-    incl = assemble(field, pieces, spieces,
-                    {s: [list(c) for c in zip(*basis[s].rows)] for s in dims},
-                    len(degs), k)
-    return sdegs, assemble(field, spieces, spieces, sx, k, k, step=1), incl
-
-
-def quotient_realization(field, degs, xmat, sub_vectors):
-    """(q_degs, q_x, projection) for the quotient by a submodule span; see
-    `pieces.complement`."""
-    pieces, dims, shifts = ambient(field, degs, xmat, len(degs))
-    qdims, qx, proj = complement(field, dims, shifts,
-                                 bases(field, split(field, degs, sub_vectors)))
-    qdegs = [s for s, k in qdims.items() for _ in range(k)]
-    qpieces, k = indices_by_degree(qdegs), len(qdegs)
-    return (qdegs, assemble(field, qpieces, qpieces, qx, k, k, step=1),
-            assemble(field, qpieces, pieces, proj, k, len(degs)))
-
-
 # operations ---------------------------------------------------------------
 
 
 def _image(f: ModuleMap):
     """{s: the columns of f's degree piece s}, which span im f there."""
     return {s: [list(c) for c in zip(*mat)] for s, mat in f.pieces().items()}
-
-
-def homogeneous_kernel(field, degs, mat):
-    """Homogeneous basis of the kernel of `mat` (columns graded by degs),
-    degree by degree."""
-    return [w for cols in indices_by_degree(degs).values()
-            for w in _degree_kernel(field, len(degs), cols, mat)]
 
 
 def map_ker_cok_im(f: ModuleMap):
@@ -540,28 +456,27 @@ def map_ker_cok_im(f: ModuleMap):
     proj: tgt -> cok are ModuleMaps; im comes with no inclusion map.
     """
     src, tgt, F = f.src, f.tgt, f.src.cfg.field
-    kernel = {s: linalg.nullspace(F, mat, cols=len(src.pieces()[s]))
-              for s, mat in f.pieces().items()}
-    incl = _submodule(src, bases(F, kernel))
-    image = bases(F, _image(f))
-    imod, _ = _normal_form(tgt.cfg, *sub_shifts(F, _shifts(tgt), image))
-    proj = _quotient(tgt, image)
+    dims = src.pieces()
+    incl = submodule(src, {s: linalg.nullspace(F, mat, cols=len(dims[s]))
+                           for s, mat in f.pieces().items()})
+    image = _image(f)
+    imod, _ = _normal_form(tgt.cfg, *sub_shifts(F, _shifts(tgt), bases(F, image)))
+    proj = quotient(tgt, image)
     if incl.src.dim + imod.dim != src.dim:
         raise RealizationError("rank-nullity violated")
     return (incl.src, incl), (proj.tgt, proj), imod
 
 
 def preimage(p: ModuleMap, f: ModuleMap):
-    """A homogeneous basis of the preimage under p of the image of f (a map
-    into p.tgt), as vectors of p.src's realization: in each degree, the
+    """The preimage under p of the image of f (a map into p.tgt), as
+    {s: a basis of its piece in degree s of p.src}: in each degree, the
     kernel of (the annihilator of the image's piece) o (p's piece)."""
     F = p.src.cfg.field
     image, src, tgt = _image(f), p.src.pieces(), p.tgt.pieces()
-    out = []
+    out = {}
     for s, mat in p.pieces().items():
         ann = linalg.nullspace(F, image.get(s, []), cols=len(tgt.get(s, ())))
-        out += [embed(F, p.src.dim, src[s], v) for v in linalg.nullspace(
-            F, linalg.mat_mul(F, ann, mat), cols=len(src[s]))]
+        out[s] = linalg.nullspace(F, linalg.mat_mul(F, ann, mat), cols=len(src[s]))
     return out
 
 
@@ -605,11 +520,6 @@ def projective_cover(m: RModule):
     return p_mod, ModuleMap(p_mod, m, linalg.identity(m.cfg.field, len(m.summands)))
 
 
-def bar_p_epic(m: RModule):
-    """P/x^d P covering m; over k[x] this coincides with the projective cover."""
-    return projective_cover(m)
-
-
 def stable_hom_dim(m: RModule, n: RModule) -> int:
     """dim of Hom(m, n) modulo maps factoring through a projective.
 
@@ -617,25 +527,6 @@ def stable_hom_dim(m: RModule, n: RModule) -> int:
     of n, so the quotient is Hom(m, n) / (p o Hom(m, P(n))).
     """
     return stable_dim(m.cfg.field, hom_basis, projective_cover, m, n)
-
-
-def lift_along_epi(p: ModuleMap, f: ModuleMap):
-    """g with p o g = f, or None when no lift exists."""
-    if p.tgt != f.tgt:
-        raise ValueError("targets differ")
-    F = p.src.cfg.field
-    cand = hom_basis(f.src, p.src)
-    cols = [[c for row in (p @ g).blocks for c in row] for g in cand]
-    target = [c for row in f.blocks for c in row]
-    if not target:
-        return ModuleMap.zero(f.src, p.src)
-    coeffs = linalg.solve(F, [[col[r] for col in cols] for r in range(len(target))],
-                          [[c] for c in target])
-    if coeffs is None:
-        return None
-    blocks = linalg.combination(F, [c for c, in coeffs], [h.blocks for h in cand],
-                                len(p.src.summands), len(f.src.summands))
-    return ModuleMap(f.src, p.src, blocks, check=False)
 
 
 # presentations ------------------------------------------------------------
@@ -646,11 +537,6 @@ def reduced_module_map(g: GradedMatrix, cfg: HypersurfaceConfig) -> ModuleMap:
     src = RModule.free(cfg, g.src_degs)
     tgt = RModule.free(cfg, g.tgt_degs)
     return ModuleMap(src, tgt, g.coeffs, check=False)
-
-
-def module_from_presentation(a: GradedMatrix, cfg: HypersurfaceConfig) -> RModule:
-    """Normal form of cok(A) for a graded map of free S-modules."""
-    return presentation_cokernel(a, cfg).tgt
 
 
 def presentation_cokernel(a: GradedMatrix, cfg: HypersurfaceConfig) -> ModuleMap:
@@ -672,4 +558,4 @@ def presentation_cokernel(a: GradedMatrix, cfg: HypersurfaceConfig) -> ModuleMap
     except NoSolution:
         raise NotAnnihilated("x^d does not factor through the presentation")
     abar = reduced_module_map(a, cfg)
-    return _quotient(abar.tgt, bases(F, _image(abar)))
+    return quotient(abar.tgt, _image(abar))

@@ -9,10 +9,10 @@ never build the ambient matrix of x.
 A realization is held as `dims` {s: dim T_s}, in ascending s and without
 empty pieces, and `shifts` {s: the matrix of x : T_s -> T_{s+1}}, absent
 where x is 0 on T_s.  A vector of T_s is written in T_s's own coordinates,
-and a subspace is a dict of per-degree `linalg.Echelon`s whose rows are its
-basis.  `split`, `assemble`, `embed` and `ambient` convert from and to
-ambient vectors and matrices, whose coordinates are graded by a list of
-degrees.
+and a subspace is held as its pieces {s: vectors of T_s}, which `bases`
+turns into per-degree `linalg.Echelon`s.  `ambient` and `assemble` read and
+write the ambient operator and change of basis of `modules.decompose`,
+whose coordinates are graded by a list of degrees.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from . import linalg
 
 
 class RealizationError(Exception):
-    """A realization breaks a module invariant: a vector that is not
-    homogeneous, an x-operator that is not graded nilpotent of order <= d,
-    or a span that is not x-stable; also a module computation that fails
-    one of its own consistency checks."""
+    """A realization breaks a module invariant: an x-operator that is not
+    graded nilpotent of order <= d, or a span that is not x-stable; also a
+    module computation that fails one of its own consistency checks."""
 
 
 NOT_NILPOTENT = "operator is not nilpotent of order <= d"
@@ -40,14 +39,6 @@ def indices_by_degree(degs):
     return {s: tuple(out[s]) for s in sorted(out)}
 
 
-def embed(field, n, idx, v):
-    """The length-n ambient vector with v on the coordinates idx."""
-    out = [field.zero] * n
-    for c, val in zip(idx, v):
-        out[c] = val
-    return out
-
-
 def assemble(field, rows, cols, blocks, nrows, ncols, step=0):
     """The nrows x ncols ambient matrix with blocks[s] on the coordinates
     rows[s + step] x cols[s] (rows, cols: `indices_by_degree`)."""
@@ -56,22 +47,6 @@ def assemble(field, rows, cols, blocks, nrows, ncols, step=0):
         for r, brow in zip(rows.get(s + step, ()), block):
             for c, val in zip(cols[s], brow):
                 out[r][c] = val
-    return out
-
-
-def split(field, degs, vectors):
-    """Homogeneous ambient `vectors` as {s: [vectors of T_s]}, zero vectors
-    dropped; RealizationError if one is not homogeneous."""
-    pieces = indices_by_degree(degs)
-    out = {}
-    for v in vectors:
-        support = [k for k, c in enumerate(v) if not field.is_zero(c)]
-        if not support:
-            continue
-        s = degs[support[0]]
-        if any(degs[k] != s for k in support):
-            raise RealizationError("vector is not homogeneous")
-        out.setdefault(s, []).append([v[k] for k in pieces[s]])
     return out
 
 

@@ -37,10 +37,6 @@ class Polynomial:
         return cls(field, (field.zero,) * exp + (c,))
 
     @classmethod
-    def from_ints(cls, field: Field, ints) -> "Polynomial":
-        return cls(field, [field.from_int(n) for n in ints])
-
-    @classmethod
     def x(cls, field: Field) -> "Polynomial":
         return cls.monomial(field, 1)
 

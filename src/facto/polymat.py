@@ -360,13 +360,6 @@ def solve_right(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return v @ PolyMatrix(field, y)
 
 
-def try_solve_right(a: PolyMatrix, b: PolyMatrix):
-    try:
-        return solve_right(a, b)
-    except NoSolution:
-        return None
-
-
 def kernel_basis(a: PolyMatrix) -> PolyMatrix:
     """Columns form a k[x]-basis of ker(A); empty (cols x 0) if injective."""
     u, d, v = snf(a)
@@ -458,16 +451,6 @@ class GradedMatrix:
     def zero(cls, field: Field, src_degs, tgt_degs) -> "GradedMatrix":
         return cls.from_coeffs(
             field, linalg.zeros(field, len(tgt_degs), len(src_degs)), src_degs, tgt_degs
-        )
-
-    @classmethod
-    def homothety(cls, field: Field, degs, power: int) -> "GradedMatrix":
-        """x^power * I as a map ⊕S(-a) -> ⊕S(-(a+power))... i.e. degs -> degs shifted."""
-        mono = Polynomial.monomial(field, power)
-        return cls(
-            PolyMatrix.scalar(field, len(degs), mono),
-            [a + power for a in degs],
-            degs,
         )
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":

@@ -1,0 +1,295 @@
+"""Reference code the tests check the library against.
+
+The library holds a subspace of a realization as its degree pieces
+{s: vectors of T_s} and reads x off the summands as shift blocks.  The
+ambient forms below write a realization as one vector space, graded by a
+list of degrees, with x as one matrix: they are the earlier ambient
+implementations (the census's listing of x-stable subspaces among them)
+and the adapters between the two forms.  The rest are helpers that only
+tests use.  pytest does not collect this module; tests import it by name.
+"""
+
+from __future__ import annotations
+
+from facto import linalg
+from facto.census import (
+    _chain_build,
+    _fac_build,
+    _fac_tops,
+    _field_elements,
+    _flag_objects,
+    _subspaces_containing,
+    _top_modules,
+)
+from facto.factorizations import FacMap, Factorization, _hom_positions
+from facto.fields import Field
+from facto.functors import _minimal_generators
+from facto.modules import (
+    HypersurfaceConfig,
+    ModuleMap,
+    RModule,
+    decompose,
+    hom_basis,
+    presentation_cokernel,
+    projective_cover,
+)
+from facto.pieces import (
+    RealizationError,
+    ambient,
+    assemble,
+    bases,
+    complement,
+    indices_by_degree,
+    sub_shifts,
+)
+from facto.poly import Polynomial
+from facto.polymat import GradedMatrix, NoSolution, PolyMatrix, solve_right
+
+
+# -- ambient realizations ------------------------------------------------------
+
+
+def x_matrix(m: RModule):
+    """The ambient matrix of x on m's realization."""
+    F = m.cfg.field
+    n = m.dim
+    idx = {b: k for k, b in enumerate(m.basis)}
+    out = linalg.zeros(F, n, n)
+    for k, (t, i) in enumerate(m.basis):
+        nxt = idx.get((t, i + 1))
+        if nxt is not None:
+            out[nxt][k] = F.one
+    return out
+
+
+def from_realization(src: RModule, tgt: RModule, real) -> ModuleMap:
+    """Recover block form from a realization matrix; validates agreement.
+    The entries off the degree blocks must be 0, and the blocks go to
+    `from_pieces`."""
+    F = src.cfg.field
+    sdegs, tdegs = src.basis_degrees(), tgt.basis_degrees()
+    if len(real) != len(tdegs) or any(len(row) != len(sdegs) for row in real) \
+            or any(not F.is_zero(c) and tdegs[r] != sdegs[k]
+                   for r, row in enumerate(real) for k, c in enumerate(row)):
+        raise ValueError("realization is not a degree-0 equivariant map")
+    rows = tgt.pieces()
+    return ModuleMap.from_pieces(src, tgt, {
+        s: [[real[r][c] for c in cols] for r in rows.get(s, ())]
+        for s, cols in src.pieces().items()})
+
+
+def embed(field, n, idx, v):
+    """The length-n ambient vector with v on the coordinates idx."""
+    out = [field.zero] * n
+    for c, val in zip(idx, v):
+        out[c] = val
+    return out
+
+
+def split(field, degs, vectors):
+    """Homogeneous ambient `vectors` as {s: [vectors of T_s]}, zero vectors
+    dropped; RealizationError if one is not homogeneous."""
+    pieces = indices_by_degree(degs)
+    out = {}
+    for v in vectors:
+        support = [k for k, c in enumerate(v) if not field.is_zero(c)]
+        if not support:
+            continue
+        s = degs[support[0]]
+        if any(degs[k] != s for k in support):
+            raise RealizationError("vector is not homogeneous")
+        out.setdefault(s, []).append([v[k] for k in pieces[s]])
+    return out
+
+
+def to_ambient(field, m: RModule, space):
+    """The vectors of the pieces `space` {s: vectors of T_s}, written out in
+    m's realization, in ascending degree."""
+    pieces = m.pieces()
+    return [embed(field, m.dim, pieces[s], v) for s, vecs in space.items() for v in vecs]
+
+
+def _degree_kernel(field, n, cols, mat):
+    """Basis of the kernel of `mat` on the coordinates `cols` (one degree),
+    each vector written out in all n coordinates."""
+    return [embed(field, n, cols, v) for v in linalg.nullspace(
+        field, [[row[c] for c in cols] for row in mat], cols=len(cols))]
+
+
+def homogeneous_components(field, degs, vectors):
+    """Split possibly-redundant homogeneous vectors into per-degree bases."""
+    pieces = indices_by_degree(degs)
+    return {s: [embed(field, len(degs), pieces[s], r) for r in ech.rows]
+            for s, ech in bases(field, split(field, degs, vectors)).items()}
+
+
+def homogeneous_kernel(field, degs, mat):
+    """Homogeneous basis of the kernel of `mat` (columns graded by degs),
+    degree by degree."""
+    return [w for cols in indices_by_degree(degs).values()
+            for w in _degree_kernel(field, len(degs), cols, mat)]
+
+
+def subspace_realization(field, degs, xmat, vectors):
+    """(sub_degs, sub_x, inclusion) for an x-stable homogeneous span."""
+    pieces, _, shifts = ambient(field, degs, xmat, len(degs))
+    basis = bases(field, split(field, degs, vectors))
+    dims, sx = sub_shifts(field, shifts, basis)
+    sdegs = [s for s, k in dims.items() for _ in range(k)]
+    spieces, k = indices_by_degree(sdegs), len(sdegs)
+    incl = assemble(field, pieces, spieces,
+                    {s: [list(c) for c in zip(*basis[s].rows)] for s in dims},
+                    len(degs), k)
+    return sdegs, assemble(field, spieces, spieces, sx, k, k, step=1), incl
+
+
+def quotient_realization(field, degs, xmat, sub_vectors):
+    """(q_degs, q_x, projection) for the quotient by a submodule span; see
+    `pieces.complement`."""
+    pieces, dims, shifts = ambient(field, degs, xmat, len(degs))
+    qdims, qx, proj = complement(field, dims, shifts,
+                                 bases(field, split(field, degs, sub_vectors)))
+    qdegs = [s for s, k in qdims.items() for _ in range(k)]
+    qpieces, k = indices_by_degree(qdegs), len(qdegs)
+    return (qdegs, assemble(field, qpieces, qpieces, qx, k, k, step=1),
+            assemble(field, qpieces, pieces, proj, k, len(degs)))
+
+
+def stable_graded_subspaces(field, degs, xmat):
+    """All x-stable homogeneous subspaces of a graded realization.
+
+    Returned as lists of ambient vectors; enumeration walks the degrees
+    upward, at each level listing the subspaces containing the x-image of
+    the level below.
+    """
+    elements = _field_elements(field)
+    by_deg = {}
+    for i, s in enumerate(degs):
+        by_deg.setdefault(s, []).append(i)
+    levels = sorted(by_deg)
+    results = []
+
+    def rec(li, lower, chosen):
+        if li == len(levels):
+            results.append([v for level in chosen for v in level])
+            return
+        cols = by_deg[levels[li]]
+        n = len(cols)
+        lower_local = [[v[c] for c in cols] for v in lower]
+        for local in _subspaces_containing(field, n, lower_local, elements):
+            ambient = []
+            for lv in local:
+                w = [field.zero] * len(degs)
+                for idx, c in enumerate(cols):
+                    w[c] = lv[idx]
+                ambient.append(w)
+            nxt = []
+            if li + 1 < len(levels) and levels[li + 1] == levels[li] + 1:
+                nxt = [linalg.mat_vec(field, xmat, w) for w in ambient]
+            rec(li + 1, nxt, chosen + [ambient])
+
+    rec(0, [], [])
+    del rec  # no closure cycle keeps the spaces alive
+    return results
+
+
+def _preimage_by_jordan_tops(c, degs_l, kvecs):
+    """Reference: the free basis of the preimage read off the chain tops of
+    `decompose` on the span's realization, plus the omega-multiples."""
+    F, d, m = c.field, c.d, len(degs_l)
+    free = RModule.free(c, degs_l)
+    sdegs, sx, incl = subspace_realization(F, free.basis_degrees(), x_matrix(free), kvecs)
+    summands, basis = decompose(F, d, sdegs, sx)
+    tops, top_degs, pos = [], [], 0
+    for e, s in summands:
+        tops.append(linalg.mat_vec(F, incl, basis[pos]))
+        top_degs.append(s)
+        pos += e
+    columns = [[v[j * d + s - t] if 0 <= s - t < d else F.zero
+                for j, t in enumerate(degs_l)] for v, s in zip(tops, top_degs)]
+    degrees = list(top_degs)
+    for j in range(m):
+        columns.append(linalg.unit_vector(F, m, j))
+        degrees.append(degs_l[j] + d)
+    coeffs, kept_degs = _minimal_generators(F, columns, degrees, m)
+    return GradedMatrix.from_coeffs(F, coeffs, kept_degs, degs_l)
+
+
+# -- helpers only tests use ------------------------------------------------------
+
+
+def bar_p_epic(m: RModule):
+    """P/x^d P covering m; over k[x] this coincides with the projective cover."""
+    return projective_cover(m)
+
+
+def lift_along_epi(p: ModuleMap, f: ModuleMap):
+    """g with p o g = f, or None when no lift exists."""
+    if p.tgt != f.tgt:
+        raise ValueError("targets differ")
+    F = p.src.cfg.field
+    cand = hom_basis(f.src, p.src)
+    cols = [[c for row in (p @ g).blocks for c in row] for g in cand]
+    target = [c for row in f.blocks for c in row]
+    if not target:
+        return ModuleMap.zero(f.src, p.src)
+    coeffs = linalg.solve(F, [[col[r] for col in cols] for r in range(len(target))],
+                          [[c] for c in target])
+    if coeffs is None:
+        return None
+    blocks = linalg.combination(F, [c for c, in coeffs], [h.blocks for h in cand],
+                                len(p.src.summands), len(f.src.summands))
+    return ModuleMap(f.src, p.src, blocks, check=False)
+
+
+def module_from_presentation(a: GradedMatrix, cfg: HypersurfaceConfig) -> RModule:
+    """Normal form of cok(A) for a graded map of free S-modules."""
+    return presentation_cokernel(a, cfg).tgt
+
+
+def _hom_slots(x: Factorization, y: Factorization):
+    """The positions of `_hom_positions` as (j, row, col) triples."""
+    return [(j, r, c) for j, pos in enumerate(_hom_positions(x, y)) for r, c in pos]
+
+
+def _facmap_to_vector(f: FacMap, slots):
+    return [f.components[j].coeffs[r][c] for j, r, c in slots]
+
+
+def try_solve_right(a: PolyMatrix, b: PolyMatrix):
+    try:
+        return solve_right(a, b)
+    except NoSolution:
+        return None
+
+
+def homothety(field: Field, degs, power: int) -> GradedMatrix:
+    """x^power * I as a map ⊕S(-a) -> ⊕S(-(a+power))... i.e. degs -> degs shifted."""
+    mono = Polynomial.monomial(field, power)
+    return GradedMatrix(
+        PolyMatrix.scalar(field, len(degs), mono),
+        [a + power for a in degs],
+        degs,
+    )
+
+
+def from_ints(field: Field, ints) -> Polynomial:
+    return Polynomial(field, [field.from_int(n) for n in ints])
+
+
+def _flag_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
+                         window: int):
+    """Every flag factorization within bounds, shifted to minimum degree 0.
+
+    Ranks run to m_max and the last degree vector over [0, window]
+    normalized to minimum 0; every valid graded factorization with those
+    invariants appears at least once.
+    """
+    return _flag_objects(cfg, _fac_tops(cfg, m_max, window), l, _fac_build)
+
+
+def _flag_chains(cfg: HypersurfaceConfig, l: int, dim_max: int, window: int):
+    """Every flag chain of l-1 monos with top dimension <= dim_max and top
+    generator degrees over [0, window], shifted to minimum degree 0."""
+    tops = _top_modules(cfg, dim_max, window)
+    return _flag_objects(cfg, ((t, t) for t in tops), l - 1, _chain_build)

@@ -257,7 +257,7 @@ def test_criterion_10_quotient_ideal():
         nu_u = FacMap(j.src, j.src, [u] * (l + 1))
         j_cov = FacMap(j.src, y, [a @ b for a, b in
                                   zip(j.components, nu_u.components)])
-        from facto.factorizations import _facmap_to_vector, _hom_slots
+        from reference import _facmap_to_vector, _hom_slots
 
         slots = _hom_slots(x, y)
         dims = []

@@ -9,15 +9,13 @@ from facto.census import (
     _chain_build,
     _chain_fingerprint,
     _dedup,
-    _degree_pieces,
     _fac_build,
     _fac_fingerprint,
     _fac_tops,
-    _flag_chains,
-    _flag_factorizations,
     _generators,
     _local_stabilizer,
     _reconstruction_in_bounds,
+    _reduced,
     _splits,
     _subspace_flags,
     _summand_splits,
@@ -44,9 +42,27 @@ from facto.factorizations import (
 from facto.fields import GF, QQ
 from facto.endo import is_local
 from facto.functors import reconstruct
-from facto.linalg import Echelon, combination, mat_vec, nullspace
-from facto.modules import HypersurfaceConfig, RModule, hom_basis
+from facto.linalg import Echelon, combination, mat_mul, mat_vec, nullspace
+from facto.functors import span_preimage_inclusion
+from facto.modules import (
+    HypersurfaceConfig,
+    RModule,
+    _shifts,
+    hom_basis,
+    realization_to_module,
+    submodule,
+)
 from facto.randgen import random_chain, random_factorization, rank1_factorization
+from reference import (
+    _flag_chains,
+    _flag_factorizations,
+    _preimage_by_jordan_tops,
+    from_realization,
+    subspace_realization,
+    to_ambient,
+    x_matrix,
+)
+from reference import stable_graded_subspaces as ambient_stable_graded_subspaces
 
 
 def cfg(d, field=GF(5)):
@@ -77,9 +93,40 @@ def test_all_subspaces_counts():
 def test_stable_subspaces_of_cyclic():
     c = cfg(2)
     r = RModule.free(c, [0])
-    spaces = stable_graded_subspaces(c.field, r.basis_degrees(), r.x_matrix())
+    spaces = stable_graded_subspaces(c.field, r)
     # 0, the socle, and R itself
-    assert sorted(len(v) for v in spaces) == [0, 1, 2]
+    assert sorted(sum(map(len, v.values())) for v in spaces) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5)], ids=repr)
+def test_piece_subspaces_equal_the_ambient_listing(field):
+    """On the chain tops and the free tops of the criterion-2 censuses
+    (d=2, 3; m=2, dim=3, window=2), stable_graded_subspaces lists the
+    ambient reference's subspaces, vector for vector and in its order; and
+    the submodule and the preimage inclusion built from each one's pieces
+    equal those built from its ambient vectors."""
+    bounds = Bounds(m=2, dim=3, window=2)
+    built = 0
+    for d in (2, 3):
+        c = cfg(d, field)
+        tops = [top for _, top in _fac_tops(c, bounds.m, bounds.window)]
+        tops += _top_modules(c, bounds.dim, bounds.window)
+        for top in tops:
+            degs, xm = top.basis_degrees(), x_matrix(top)
+            spaces = stable_graded_subspaces(field, top)
+            want = ambient_stable_graded_subspaces(field, degs, xm)
+            assert [to_ambient(field, top, v) for v in spaces] == want, top
+            for space, vecs in zip(spaces, want):
+                sdegs, sx, incl = subspace_realization(field, degs, xm, vecs)
+                sub, to_real = realization_to_module(c, sdegs, sx)
+                assert submodule(top, space) == from_realization(
+                    sub, top, mat_mul(field, incl, to_real)), (top, vecs)
+                if top.is_free() and top.summands:
+                    degs_l = [s for _, s in top.summands]
+                    assert span_preimage_inclusion(c, degs_l, space) == (
+                        _preimage_by_jordan_tops(c, degs_l, vecs)), (top, vecs)
+                built += 1
+    assert built > 100
 
 
 def _span(field, vecs):
@@ -99,10 +146,11 @@ def test_generators_are_a_complement_of_xV(field):
         d = rng.randrange(2, 5)
         top = RModule(cfg(d, field), [(rng.randrange(1, d + 1), rng.randrange(0, 2))
                                       for _ in range(rng.randrange(1, 3))])
-        xm = top.x_matrix()
-        spaces = stable_graded_subspaces(field, top.basis_degrees(), xm)
-        for vecs in rng.sample(spaces, min(6, len(spaces))):
-            gens = _generators(field, xm, vecs)
+        xm = x_matrix(top)
+        spaces = stable_graded_subspaces(field, top)
+        for pieces in rng.sample(spaces, min(6, len(spaces))):
+            gens = to_ambient(field, top, _generators(field, _shifts(top), pieces))
+            vecs = to_ambient(field, top, pieces)
             closure, layer = [], gens
             for _ in range(d):
                 closure += layer
@@ -246,11 +294,13 @@ def test_census_builds_each_member_inclusion_once(monkeypatch):
     """On l=3 censuses, a chain member's submodule and a factorization
     member's preimage are built at most once per (top, subspace)."""
     built = []
-    for name, key in (("submodule", lambda top, vecs: top.summands),
-                      ("span_preimage_inclusion", lambda c, degs, vecs: tuple(degs))):
+    for name, key in (("submodule", lambda top, space: top.summands),
+                      ("span_preimage_inclusion", lambda c, degs, space: tuple(degs))):
         real = getattr(census, name)
         monkeypatch.setattr(census, name, lambda *a, real=real, name=name, key=key: (
-            built.append((name, key(*a), tuple(map(tuple, a[-1])))) or real(*a)))
+            built.append((name, key(*a), tuple((s, tuple(map(tuple, vecs)))
+                                               for s, vecs in a[-1].items())))
+            or real(*a)))
     for d, field, bounds in ((3, GF(5), Bounds(m=2, dim=3, window=2)),
                              (2, GF(2), Bounds(m=3, dim=4, window=2))):
         built.clear()
@@ -295,9 +345,8 @@ def _stabilizer_decisions(c, tops, length, build):
     """(stabilizer decision, built object) for every raw flag of `tops`."""
     F = c.field
     for key, top in tops:
-        spaces = (stable_graded_subspaces(F, top.basis_degrees(),
-                                          top.x_matrix()) if length else [])
-        pieces = [_degree_pieces(F, top.basis_degrees(), v) for v in spaces]
+        spaces = stable_graded_subspaces(F, top) if length else []
+        pieces = [_reduced(F, v) for v in spaces]
         local = _local_stabilizer(F, top, spaces, pieces)
         make = build(c, key, spaces)
         for flag in _subspace_flags(F, pieces, length):
@@ -376,9 +425,8 @@ def test_memoized_keep_equals_a_fresh_decision(d, field, monkeypatch):
     flags = memo_calls = 0
     for tops, length, _, _ in _l2_census_sides(c, Bounds(m=2, dim=3, window=2)):
         for _, top in tops:
-            spaces = stable_graded_subspaces(F, top.basis_degrees(),
-                                             top.x_matrix())
-            pieces = [_degree_pieces(F, top.basis_degrees(), v) for v in spaces]
+            spaces = stable_graded_subspaces(F, top)
+            pieces = [_reduced(F, v) for v in spaces]
             keep = _local_stabilizer(F, top, spaces, pieces)
             for flag in _subspace_flags(F, pieces, length):
                 before = len(calls)
@@ -396,11 +444,11 @@ def test_degree_prefilter_keeps_the_flags(d, field):
     c = cfg(d, field)
     for tops, _, _, _ in _l2_census_sides(c, Bounds(m=2, dim=3, window=2)):
         for _, top in tops:
-            degs = top.basis_degrees()
-            spaces = stable_graded_subspaces(field, degs, top.x_matrix())
+            spaces = stable_graded_subspaces(field, top)
+            vectors = [to_ambient(field, top, v) for v in spaces]
             inside = [[all(_span(field, w).contains(v) for v in vecs)
-                       for w in spaces] for vecs in spaces]
-            pieces = [_degree_pieces(field, degs, v) for v in spaces]
+                       for w in vectors] for vecs in vectors]
+            pieces = [_reduced(field, v) for v in spaces]
             plain = [(i,) for i in range(len(spaces))]
             for length in (1, 2, 3):
                 assert list(_subspace_flags(field, pieces, length)) == plain
@@ -458,15 +506,15 @@ def test_local_stabilizer_equals_the_full_stabilizer_oracle(field, monkeypatch):
     rng = random.Random(5)
     answers, reached = set(), set()
     for top in _random_tops(field, rng, 14):
-        spaces = stable_graded_subspaces(field, top.basis_degrees(),
-                                         top.x_matrix())
-        pieces = [_degree_pieces(field, top.basis_degrees(), v) for v in spaces]
+        spaces = stable_graded_subspaces(field, top)
+        pieces = [_reduced(field, v) for v in spaces]
         flags = list(_subspace_flags(field, pieces, 2))
         for flag in rng.sample(flags, min(40, len(flags))):
             # a fresh keep per flag: a memo hit would not reach is_local
             before = len(heads)
             got = _local_stabilizer(field, top, spaces, pieces)(flag)
-            full = _full_stabilizer(field, top, [spaces[i] for i in flag])
+            full = _full_stabilizer(field, top, [to_ambient(field, top, spaces[i])
+                                                 for i in flag])
             assert got == is_local(field, full), (top, flag)
             answers.add(got)
             reached.add(len(heads) > before)
@@ -495,16 +543,16 @@ def test_summand_splits_rejects_only_nonlocal_stabilizers(field):
         tops = list(_random_tops(field, random.Random(9), 14))
     rejected = kept = 0
     for top in tops:
-        spaces = stable_graded_subspaces(field, top.basis_degrees(),
-                                         top.x_matrix())
-        pieces = [_degree_pieces(field, top.basis_degrees(), v) for v in spaces]
+        spaces = stable_graded_subspaces(field, top)
+        pieces = [_reduced(field, v) for v in spaces]
         splits = _summand_splits(field, top, pieces)
         for length in (1, 2):
             for flag in _subspace_flags(field, pieces, length):
                 if not splits(flag):
                     kept += 1
                     continue
-                full = _full_stabilizer(field, top, [spaces[i] for i in flag])
+                full = _full_stabilizer(field, top, [to_ambient(field, top, spaces[i])
+                                                     for i in flag])
                 assert not is_local(field, full), (top, flag)
                 rejected += 1
     assert rejected and kept

@@ -5,8 +5,6 @@ import pytest
 
 from facto.census import (
     Bounds,
-    _flag_chains,
-    _flag_factorizations,
     class_census,
     enumerate_chains,
     enumerate_factorizations,
@@ -20,6 +18,7 @@ from facto.modules import HypersurfaceConfig, RModule, stable_hom_dim
 from facto.poly import Polynomial
 from facto.polymat import PolyMatrix
 from facto.randgen import random_factorization, random_module
+from reference import _flag_chains, _flag_factorizations
 
 FIELDS = [QQ, GF(2), GF(5)]
 

@@ -10,7 +10,6 @@ from facto.factorizations import (
     Invalid,
     NuResolution,
     ZigzagViolation,
-    _hom_slots,
     _injective_hull,
     _nu_sum,
     adjunction_transport,
@@ -36,6 +35,7 @@ from facto.modules import HypersurfaceConfig
 from facto.poly import Polynomial
 from facto.polymat import GradedMatrix, NoSolution, PolyMatrix, graded_solve
 from facto.randgen import random_factorization, random_unimodular
+from reference import _hom_slots
 
 
 def cfg(d, field=QQ):
@@ -596,6 +596,16 @@ def test_resolution_complement_maps_pass_the_square_checks(field):
         for side in ("epic", "monic"):
             g = nu_resolution(x, side).complement_map
             assert FacMap(g.src, g.tgt, g.components, check=True) == g, (x, side)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_cover_and_hull_maps_pass_the_square_checks(field):
+    """fac_projective_cover and _injective_hull build their maps unchecked;
+    rebuilt with the check, every square commutes, the closing one included."""
+    rng = random.Random(64)
+    for x in _oracle_inputs(field, rng):
+        for _, f in (fac_projective_cover(x), _injective_hull(x)):
+            assert FacMap(f.src, f.tgt, f.components, check=True) == f, x
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)

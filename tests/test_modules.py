@@ -10,27 +10,33 @@ from facto.modules import (
     NotAnnihilated,
     RealizationError,
     RModule,
-    bar_p_epic,
     decompose,
     hom_basis,
-    homogeneous_components,
-    homogeneous_kernel,
     is_mono_epi,
-    lift_along_epi,
     map_ker_cok_im,
-    module_from_presentation,
     module_iso,
     presentation_cokernel,
     projective_cover,
     quotient,
-    quotient_realization,
     realization_to_module,
     stable_hom_dim,
     submodule,
-    subspace_realization,
 )
 from facto.poly import Polynomial
 from facto.polymat import GradedMatrix, PolyMatrix
+from reference import (
+    bar_p_epic,
+    from_ints,
+    from_realization,
+    homogeneous_components,
+    homogeneous_kernel,
+    lift_along_epi,
+    module_from_presentation,
+    quotient_realization,
+    split,
+    subspace_realization,
+    x_matrix,
+)
 
 
 def cfg(d, field=QQ):
@@ -38,7 +44,7 @@ def cfg(d, field=QQ):
 
 
 def graded(field, entries, src_degs, tgt_degs):
-    rows = [[Polynomial.from_ints(field, e) if isinstance(e, list) else e for e in row] for row in entries]
+    rows = [[from_ints(field, e) if isinstance(e, list) else e for e in row] for row in entries]
     return GradedMatrix(PolyMatrix(field, rows), src_degs, tgt_degs)
 
 
@@ -60,7 +66,7 @@ def test_realization_shape():
     m = RModule(cfg(3), [(2, 0), (3, -1)])
     assert m.dim == 5
     assert m.basis_degrees() == [0, 1, -1, 0, 1]
-    x = m.x_matrix()
+    x = x_matrix(m)
     # x is nilpotent with x^3 = 0 and x^2 != 0
     F = QQ
     x2 = mat_mul(F, x, x)
@@ -145,7 +151,7 @@ def test_decompose_recovers_normal_form():
             c = cfg(d, field)
             for _ in range(15):
                 m = random_conjugated_module(c, rng)
-                summands, _ = decompose(field, d, m.basis_degrees(), m.x_matrix())
+                summands, _ = decompose(field, d, m.basis_degrees(), x_matrix(m))
                 assert tuple(summands) == m.sorted_summands()
 
 
@@ -325,8 +331,8 @@ def test_presentation_cokernel_projection():
     p = presentation_cokernel(a, c)
     m, proj = p.tgt, p.realization()
     free = RModule.free(c, [0, 0])
-    lhs = mat_mul(F, proj, free.x_matrix())
-    rhs = mat_mul(F, m.x_matrix(), proj)
+    lhs = mat_mul(F, proj, x_matrix(free))
+    rhs = mat_mul(F, x_matrix(m), proj)
     assert lhs == rhs
     assert rank(F, proj) == m.dim
 
@@ -345,7 +351,7 @@ def _presentation_cokernel_by_closing(a, c):
     except NoSolution:
         raise NotAnnihilated("x^d does not factor through the presentation")
     free = RModule.free(c, a.tgt_degs)
-    fdegs, fx = free.basis_degrees(), free.x_matrix()
+    fdegs, fx = free.basis_degrees(), x_matrix(free)
     closed = []
     for col, s in enumerate(a.src_degs):
         w = [F.zero] * (len(a.tgt_degs) * d)
@@ -439,7 +445,7 @@ def test_span_that_is_not_x_stable_is_rejected():
     F = GF(5)
     m = RModule(cfg(2, F), [(2, 0)])
     with pytest.raises(RealizationError, match="x-stable"):
-        subspace_realization(F, m.basis_degrees(), m.x_matrix(), [[1, 0]])
+        subspace_realization(F, m.basis_degrees(), x_matrix(m), [[1, 0]])
 
 
 def test_unchecked_non_linear_map_is_rejected_by_ker_cok():
@@ -466,7 +472,7 @@ def _hom_basis_by_linear_system(m, n):
     if not unknowns:
         return []
     uidx = {p: k for k, p in enumerate(unknowns)}
-    xm, xn = m.x_matrix(), n.x_matrix()
+    xm, xn = x_matrix(m), x_matrix(n)
     rows = []
     for i in range(n.dim):
         for j in range(m.dim):
@@ -487,7 +493,7 @@ def _hom_basis_by_linear_system(m, n):
         real = [[F.zero] * m.dim for _ in range(n.dim)]
         for (i, j), val in zip(unknowns, sol):
             real[i][j] = val
-        out.append(ModuleMap.from_realization(m, n, real))
+        out.append(from_realization(m, n, real))
     return out
 
 
@@ -522,7 +528,7 @@ def _commutes_by_realization(f):
     """Reference: x_tgt R = R x_src on the realization."""
     F = f.src.cfg.field
     r = f.realization()
-    return mat_mul(F, f.tgt.x_matrix(), r) == mat_mul(F, r, f.src.x_matrix())
+    return mat_mul(F, x_matrix(f.tgt), r) == mat_mul(F, r, x_matrix(f.src))
 
 
 def _compose_by_realization(g, f):
@@ -531,7 +537,7 @@ def _compose_by_realization(g, f):
     if g.src.is_zero():
         return ModuleMap.zero(f.src, g.tgt)
     F = g.src.cfg.field
-    return ModuleMap.from_realization(
+    return from_realization(
         f.src, g.tgt, mat_mul(F, g.realization(), f.realization()))
 
 
@@ -610,7 +616,7 @@ def _changed_entries_are_rejected(f):
         bad = [row[:] for row in f.realization()]
         bad[r][c] = F.one
         with pytest.raises(ValueError):
-            ModuleMap.from_realization(f.src, f.tgt, bad)
+            from_realization(f.src, f.tgt, bad)
         tried += 1
     return tried
 
@@ -638,13 +644,13 @@ def test_submodule_and_quotient_of_kernels_and_images(field):
     proper = 0
     for m, vecs in _random_spans(field, rng, 60):
         dim = rank(field, vecs)
-        incl = submodule(m, vecs)
-        sdegs, sx, _ = subspace_realization(field, m.basis_degrees(), m.x_matrix(), vecs)
+        incl = submodule(m, split(field, m.basis_degrees(), vecs))
+        sdegs, sx, _ = subspace_realization(field, m.basis_degrees(), x_matrix(m), vecs)
         assert incl.src == realization_to_module(m.cfg, sdegs, sx)[0]
         assert incl.tgt == m and is_mono_epi(incl)[0]
         cols = [list(col) for col in zip(*incl.realization())]
         assert rank(field, cols + vecs) == rank(field, cols) == dim, (m, vecs)
-        proj = quotient(m, vecs)
+        proj = quotient(m, split(field, m.basis_degrees(), vecs))
         assert proj.src == m and is_mono_epi(proj)[1]
         assert proj.tgt.dim == m.dim - dim
         kernel = homogeneous_kernel(field, m.basis_degrees(), proj.realization())
@@ -664,7 +670,7 @@ def test_normal_forms_take_each_kernel_once_and_invert_nothing(field, monkeypatc
     rng = random.Random(67)
     reals = []
     for m, vecs in _random_spans(field, rng, 40):
-        degs, x = m.basis_degrees(), m.x_matrix()
+        degs, x = m.basis_degrees(), x_matrix(m)
         reals += [(m.cfg, subspace_realization(field, degs, x, vecs)[:2]),
                   (m.cfg, quotient_realization(field, degs, x, vecs)[:2])]
     calls, total = [], 0

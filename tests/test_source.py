@@ -53,3 +53,37 @@ def test_only_the_census_takes_a_seed():
                        + node.args.posonlyargs]
     ]
     assert found == ["census.class_census"], found
+
+
+def test_census_reads_no_ambient_realization():
+    # the census lists and builds subspaces as their degree pieces
+    tree = ast.parse((SRC / "census.py").read_text())
+    found = [
+        f"census.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in ("x_matrix", "realization")
+    ]
+    assert not found, found
+
+
+# ambient adapters and helpers that only tests use live in tests/reference.py
+TEST_ONLY = {
+    "subspace_realization", "quotient_realization", "homogeneous_components",
+    "homogeneous_kernel", "_degree_kernel", "from_realization", "x_matrix",
+    "split", "embed", "_facmap_to_vector", "_hom_slots", "bar_p_epic",
+    "lift_along_epi", "module_from_presentation", "homothety",
+    "try_solve_right", "from_ints", "_flag_factorizations", "_flag_chains",
+}
+
+
+def test_test_only_code_is_not_in_the_library():
+    found = [
+        f"{path.name}:{node.lineno}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in TEST_ONLY
+    ]
+    assert not found, found
