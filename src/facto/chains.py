@@ -186,8 +186,8 @@ class ChainMap:
         return all(f.is_zero() for f in self.parts)
 
     def scalars(self):
-        """The components as k-matrices: one realization per part."""
-        return [f.realization() for f in self.parts]
+        """The components as k-matrices: the pieces of each part in turn."""
+        return [m for f in self.parts for m in f.scalars()]
 
     def __eq__(self, other):
         return (

@@ -38,6 +38,10 @@ from .modules import HypersurfaceConfig, RealizationError
 from .polymat import GradedMatrix, InexactDivision
 
 
+# the largest (l+1)*m*d every command except census accepts (inputs in use: <= 36)
+MAX_CLI_SIZE = 1024
+
+
 class InputError(Exception):
     """Bad flags, unreadable file, malformed JSON, invariant violation."""
 
@@ -122,14 +126,29 @@ def _dumps(data) -> str:
     return json.dumps(data, sort_keys=True)
 
 
+def _check_size(cfg, l, m):
+    """InputError beyond MAX_CLI_SIZE: realizations, hom spaces and written
+    polynomials grow with (l+1)*m*d, whatever the size of the input."""
+    if (size := (l + 1) * m * cfg.d) > MAX_CLI_SIZE:
+        raise InputError(f"(l+1)*m*d = {size} is above the cli's bound {MAX_CLI_SIZE}")
+
+
 def _parse(cls, cfg, data, path):
-    """cls.from_json(cfg, data), with malformed data as an InputError."""
+    """cls.from_json(cfg, data), with malformed data or sizes as InputErrors."""
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    objs = data.get("objects") if cls is MonoChain else None
+    if isinstance(objs, list):  # a chain's size, before its modules are built
+        sizes = [len(o["summands"]) for o in objs
+                 if isinstance(o, dict) and isinstance(o.get("summands"), list)]
+        _check_size(cfg, len(objs), max(sizes, default=0))
     try:
-        return cls.from_json(cfg, data)
+        x = cls.from_json(cfg, data)
     except (ValueError, KeyError, TypeError) as e:
         raise InputError(f"{path}: {e}")
+    if cls is Factorization:
+        _check_size(cfg, x.l, x.m)
+    return x
 
 
 def _load_fac(cfg, path) -> Factorization:
@@ -153,6 +172,7 @@ def _cmd_validate(args):
     out = fac_validate(maps, cfg, twist=data.get("twist", 0))
     if isinstance(out, Invalid):
         raise InputError(f"invalid factorization: {out.reason}")
+    _check_size(cfg, out.l, out.m)
     report = {"valid": True, "m": out.m, "closing": out.closing.to_json()}
     _emit(_dumps(report), args.out)
     return 0
@@ -194,6 +214,7 @@ def _cmd_nu(args):
         raise InputError(f"bad --degs {args.degs!r} (comma-separated integers)")
     if not (0 <= args.k <= args.l):
         raise InputError("--k must lie in [0, l]")
+    _check_size(cfg, args.l, len(degs))
     _emit(_dumps(nu(cfg, args.l, args.k, degs).to_json()), args.out)
     return 0
 
@@ -264,6 +285,7 @@ def _cmd_selftest(args):
 
     rng = random.Random(args.seed)
     l = args.l if args.l is not None else 2
+    _check_size(cfg, l, 4)  # the middles of the random split SESs have m <= 4
     failures = []
 
     def check(name, fn):

@@ -1,10 +1,11 @@
 """Endomorphism algebras, isomorphisms and stable homs on scalar matrices.
 
 Modules, chains and factorizations hand their maps over through
-`scalars()`, the list of a map's components as k-matrices: a k-basis of
-End(X) becomes n x n matrices through the block diagonal of the
-components, and composition is the componentwise product.  Nothing here
-knows which category a map came from; each category supplies its
+`scalars()`, the list of a map's components as k-matrices (a module
+map's degree pieces, a permuted block diagonal of its realization): a
+k-basis of End(X) becomes n x n matrices through the block diagonal of
+the components, and composition is the componentwise product.  Nothing
+here knows which category a map came from; each category supplies its
 projective cover and the pre-checks of an iso search.  Hom bases are
 shared too: `hom_space` solves the commuting squares of both
 factorizations and chains, and each category only names the positions
@@ -259,13 +260,13 @@ def search_iso(field: Field, basis) -> bool:
     """True if some k-combination of the hom `basis` is an isomorphism.
 
     Each map is given by its `scalars()`, a list of components.  The
-    callers' pre-checks make every component square with matching
-    degrees (equal degree multisets per position for factorizations,
-    equal module normal forms for chains), so a map is an isomorphism
-    iff every component has full rank.  Tries single basis vectors, small
-    deterministic weights, then 64 random combinations from one fixed
-    stream (random.Random(0)), then every combination when p^|basis| <=
-    4096.  True is always exact; an empty basis gives False.
+    callers' pre-checks make every component square: equal degree
+    multisets per position for factorizations, equal module normal forms
+    (so equal piece dimensions) per object for chains.  A map is then an
+    isomorphism iff every component has full rank.  Tries single basis
+    vectors, small deterministic weights, then 64 random combinations
+    from one fixed stream (random.Random(0)), then every combination when
+    p^|basis| <= 4096.  True is always exact; an empty basis gives False.
 
     When the target Y of Hom(X, Y) has a local End(Y), False is exact too
     and the single basis vectors already decide.  Proof: if phi: X -> Y

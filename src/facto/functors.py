@@ -33,6 +33,7 @@ from .modules import (
     RealizationError,
     RModule,
     preimage,
+    rank,
     presentation_cokernel,
     projective_cover,
     reduced_module_map,
@@ -104,9 +105,7 @@ def jq_sequence(x: Factorization):
         jbar = reduced_module_map(j.components[k], cfg)
         if not (q[k] @ jbar).is_zero():
             raise RealizationError("q o j != 0")
-        rk_j = linalg.rank(F, jbar.realization())
-        rk_q = linalg.rank(F, q[k].realization())
-        if rk_j + rk_q != jbar.tgt.dim:
+        if rank(jbar) + rank(q[k]) != jbar.tgt.dim:
             raise RealizationError("jq sequence not exact")
     return j, q, chain
 
@@ -120,13 +119,10 @@ class LDiagram:
     chain: MonoChain
 
     def validate(self, cfg: HypersurfaceConfig) -> bool:
-        F = cfg.field
         ibar = reduced_module_map(self.iota, cfg)
         if not (self.rho @ ibar).is_zero():
             return False
-        rk_i = linalg.rank(F, ibar.realization())
-        rk_r = linalg.rank(F, self.rho.realization())
-        if rk_i + rk_r != ibar.tgt.dim:
+        if rank(ibar) + rank(self.rho) != ibar.tgt.dim:
             return False
         return self.chain.objects[-1] == self.rho.tgt
 
@@ -227,12 +223,10 @@ def cok_exactness_check(i: FacMap, p: FacMap) -> bool:
     """
     if i.tgt != p.src:
         raise ValueError("malformed SES: middle objects differ")
-    F = i.src.cfg.field
     for fi, fp in zip(induced_cok_map(i), induced_cok_map(p)):
         if not (fp @ fi).is_zero():
             return False
-        rk_i = linalg.rank(F, fi.realization())
-        rk_p = linalg.rank(F, fp.realization())
+        rk_i, rk_p = rank(fi), rank(fp)
         if (rk_i, rk_p, rk_i + rk_p) != (fi.src.dim, fp.tgt.dim, fi.tgt.dim):
             return False
     return True

@@ -8,11 +8,11 @@ k-vector space with a degree-raising x-operator, a view derived from the
 generators.  A realization is the direct sum of its degree pieces T_s, and
 x is a set of shift blocks T_s -> T_{s+1}, so kernels, images, cokernels,
 Jordan normal forms and ranks reduce to small exact linear algebra on one
-piece at a time (`pieces`).  A subspace of the realization is held as
-its pieces, {s: vectors of T_s}, and every submodule and quotient is built
-by `submodule` and `quotient`, which return the inclusion and the
-projection with the other end in normal form.  The zero module (no
-summands) is a first-class value.
+piece at a time (`pieces`).  A map is read there as its pieces T_s ->
+T_s (`ModuleMap.pieces`), a subspace as {s: vectors of T_s}, and every
+submodule and quotient is built by `submodule` and `quotient`, which
+return the inclusion and the projection with the other end in normal
+form.  The zero module (no summands) is a first-class value.
 """
 
 from __future__ import annotations
@@ -160,12 +160,12 @@ class ModuleMap:
     blocks[u][t] is the scalar c in gen_t -> c * x^(s_t - s_u) * gen_u.
     The blocks are normalized (entries whose monomial image is zero are
     dropped), validity is the closed form of `commutes_with_x`, and
-    composition is the product of the block matrices.  The realization is
-    a view derived from the blocks, for kernels, images, ranks and
-    `scalars()`.
+    composition is the product of the block matrices.  Its only k-matrix
+    view is `pieces()`, the realization degree by degree, which serves
+    kernels, images, ranks and `scalars()`.
     """
 
-    __slots__ = ("src", "tgt", "blocks", "_real")
+    __slots__ = ("src", "tgt", "blocks")
 
     def __init__(self, src: RModule, tgt: RModule, blocks, check: bool = True):
         if src.cfg != tgt.cfg:
@@ -188,30 +188,8 @@ class ModuleMap:
         self.src = src
         self.tgt = tgt
         self.blocks = tuple(norm)
-        self._real = None
         if check and not self.commutes_with_x():
             raise ValueError("map does not commute with x (not R-linear)")
-
-    # realization ---------------------------------------------------------
-
-    def realization(self):
-        """dim(tgt) x dim(src) matrix over k."""
-        if self._real is not None:
-            return self._real
-        F = self.src.cfg.field
-        m = linalg.zeros(F, self.tgt.dim, self.src.dim)
-        tgt_idx = {b: k for k, b in enumerate(self.tgt.basis)}
-        for col, (t, i) in enumerate(self.src.basis):
-            st = self.src.summands[t][1]
-            for u, (eu, su) in enumerate(self.tgt.summands):
-                c = self.blocks[u][t]
-                if F.is_zero(c):
-                    continue
-                j = st - su + i
-                if j < eu:
-                    m[tgt_idx[(u, j)]][col] = c
-        self._real = m
-        return m
 
     def pieces(self):
         """The realization degree by degree: {s: the matrix T_s(src) ->
@@ -231,8 +209,8 @@ class ModuleMap:
         return out
 
     def scalars(self):
-        """The components as k-matrices: the realization alone."""
-        return [self.realization()]
+        """The components as k-matrices: the pieces, in ascending degree."""
+        return list(self.pieces().values())
 
     def commutes_with_x(self) -> bool:
         """Whether the map is R-linear: x^e_t gen_t = 0 must go to
@@ -480,9 +458,13 @@ def preimage(p: ModuleMap, f: ModuleMap):
     return out
 
 
+def rank(f: ModuleMap) -> int:
+    """The k-rank of f: the sum of the ranks of its degree pieces."""
+    return sum(linalg.rank(f.src.cfg.field, m) for m in f.pieces().values())
+
+
 def is_mono_epi(f: ModuleMap):
-    F = f.src.cfg.field
-    rk = sum(linalg.rank(F, mat) for mat in f.pieces().values())
+    rk = rank(f)
     return rk == f.src.dim, rk == f.tgt.dim
 
 

@@ -1,12 +1,14 @@
 """Reference code the tests check the library against.
 
 The library holds a subspace of a realization as its degree pieces
-{s: vectors of T_s} and reads x off the summands as shift blocks.  The
-ambient forms below write a realization as one vector space, graded by a
-list of degrees, with x as one matrix: they are the earlier ambient
-implementations (the census's listing of x-stable subspaces among them)
-and the adapters between the two forms.  The rest are helpers that only
-tests use.  pytest does not collect this module; tests import it by name.
+{s: vectors of T_s}, reads a module map as its pieces T_s -> T_s and
+reads x off the summands as shift blocks.  The ambient forms below write
+a realization as one vector space, graded by a list of degrees, with x
+and each map as one matrix (`x_matrix`, `realization`): they are the
+earlier ambient implementations (the census's listing of x-stable
+subspaces among them) and the adapters between the two forms.  The rest
+are helpers that only tests use.  pytest does not collect this module;
+tests import it by name.
 """
 
 from __future__ import annotations
@@ -60,6 +62,23 @@ def x_matrix(m: RModule):
         if nxt is not None:
             out[nxt][k] = F.one
     return out
+
+
+def realization(f: ModuleMap):
+    """The ambient dim(tgt) x dim(src) matrix of f over k."""
+    F = f.src.cfg.field
+    m = linalg.zeros(F, f.tgt.dim, f.src.dim)
+    tgt_idx = {b: k for k, b in enumerate(f.tgt.basis)}
+    for col, (t, i) in enumerate(f.src.basis):
+        st = f.src.summands[t][1]
+        for u, (eu, su) in enumerate(f.tgt.summands):
+            c = f.blocks[u][t]
+            if F.is_zero(c):
+                continue
+            j = st - su + i
+            if j < eu:
+                m[tgt_idx[(u, j)]][col] = c
+    return m
 
 
 def from_realization(src: RModule, tgt: RModule, real) -> ModuleMap:

@@ -58,6 +58,7 @@ from reference import (
     _flag_factorizations,
     _preimage_by_jordan_tops,
     from_realization,
+    realization,
     subspace_realization,
     to_ambient,
     x_matrix,
@@ -459,7 +460,7 @@ def test_degree_prefilter_keeps_the_flags(d, field):
 def _full_stabilizer(field, top, flag):
     """Reference: the flag's stabilizer in End(top) from conditions on every
     vector of every V, as n x n realizations."""
-    homs = [f.realization() for f in hom_basis(top, top)]
+    homs = [realization(f) for f in hom_basis(top, top)]
     n = top.dim
     rows = []
     for vecs in flag:

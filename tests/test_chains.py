@@ -24,6 +24,7 @@ from facto.modules import (
     is_mono_epi,
     projective_cover,
 )
+from reference import realization
 
 
 def cfg(d, field=QQ):
@@ -330,13 +331,13 @@ def _chain_hom_basis_by_realizations(u, v):
     total = offsets[-1]
     if total == 0:
         return []
-    reals = [[g.realization() for g in basis] for basis in comp_bases]
+    reals = [[realization(g) for g in basis] for basis in comp_bases]
     rows = []
     for i in range(u.length - 1):
         n_rows, n_cols = v.objects[i + 1].dim, u.objects[i].dim
         if n_rows * n_cols == 0:
             continue
-        after, before = v.maps[i].realization(), u.maps[i].realization()
+        after, before = realization(v.maps[i]), realization(u.maps[i])
         cols = [mat_mul(F, after, g) for g in reals[i]]
         cols += [[[F.neg(c) for c in row] for row in mat_mul(F, g, before)]
                  for g in reals[i + 1]]

@@ -284,6 +284,65 @@ def test_census_size_limit_exits_without_a_traceback(args, code, says):
     assert says in (proc.stderr if code else proc.stdout)
 
 
+_HUGE = 10**9
+_TRIVIAL = {"d": _HUGE, "maps": [{"rows": 1, "cols": 1, "entries": [[[1]]],
+                                  "src_degs": [0], "tgt_degs": [0]}]}
+_CHAIN = {"objects": [{"summands": [[1, 0]]}], "maps": []}
+
+
+@pytest.mark.parametrize("args, data, says", [
+    ("cok", _TRIVIAL, "(l+1)*m*d = 2000000000"),
+    ("validate", _TRIVIAL, "(l+1)*m*d = 2000000000"),
+    ("reconstruct", {"objects": [{"summands": [[_HUGE, 0]]}], "maps": []},
+     "(l+1)*m*d = 2000000000"),
+    ("stable-hom", {"x": _CHAIN, "y": _CHAIN}, "(l+1)*m*d = 2000000000"),
+    ("nu --l 1 --k 0 --degs 0", None, "(l+1)*m*d = 2000000000"),
+    ("nu --l 1 --k 0 --degs " + ",".join(["0"] * 50000), None,
+     "(l+1)*m*d = 100000000000000"),
+    ("selftest --l 2", None, "(l+1)*m*d = 12000000000"),
+], ids=["cok", "validate", "reconstruct", "stable-hom-chains", "nu-huge-d",
+        "nu-huge-degs", "selftest"])
+def test_size_limit_exits_without_a_traceback(args, data, says, tmp_path):
+    """--d 10^9 on inputs of a few bytes, or 50000 --degs, is an error line
+    that names MAX_CLI_SIZE, before a module, matrix or polynomial of that
+    size is built.  Each run is a child process with a 1 GiB address
+    space."""
+    cap = 2**30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(facto.cli.__file__)))
+    path = tmp_path / "in.json"
+    if data is not None:
+        path.write_text(json.dumps(data))
+    command, *rest = args.split()
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from facto.cli import main; sys.exit(main(sys.argv[1:]))",
+         command, "--field", "fp:5", "--d", str(_HUGE), *rest,
+         *(["--in", str(path)] if data is not None else [])],
+        preexec_fn=limit, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == (f"error: {says} is above the cli's bound "
+                           f"{facto.cli.MAX_CLI_SIZE}\n")
+
+
+@pytest.mark.parametrize("extra, code", [(0, 0), (1, 1)])
+def test_size_limit_is_inclusive(extra, code, capsys):
+    """nu at d = 2, l = 1 on m degrees has (l+1)*m*d = 4m: accepted up to
+    MAX_CLI_SIZE, refused one generator beyond."""
+    m = facto.cli.MAX_CLI_SIZE // 4 + extra
+    assert main(["nu", "--field", "fp:5", "--d", "2", "--l", "1", "--k", "0",
+                 "--degs", ",".join(["0"] * m)]) == code
+    if code:
+        assert _one_line_error(capsys)
+    else:
+        out = json.loads(capsys.readouterr().out)
+        assert Factorization.from_json(HypersurfaceConfig(2, GF(5)), out).m == m
+
+
 @pytest.mark.parametrize("target", ["missing/x.json", "dir"])
 def test_census_out_unwritable_is_an_input_error(target, tmp_path, capsys):
     """--out into a missing directory, or onto a directory, exits 1 with an

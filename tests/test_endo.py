@@ -9,16 +9,23 @@ from facto.census import (
     enumerate_chains,
     enumerate_factorizations,
 )
-from facto.chains import MonoChain, chain_is_indecomposable, chain_stable_hom_dim
+from facto.chains import (
+    ChainMap,
+    MonoChain,
+    chain_hom_basis,
+    chain_is_indecomposable,
+    chain_iso_test,
+    chain_stable_hom_dim,
+)
 from facto.endo import NonSplitEndomorphism, _charpoly, is_local, search_iso
 from facto.factorizations import fac_is_indecomposable, nu
 from facto.fields import GF, QQ
-from facto.linalg import identity
-from facto.modules import HypersurfaceConfig, RModule, stable_hom_dim
+from facto.linalg import identity, rank as matrix_rank
+from facto.modules import HypersurfaceConfig, ModuleMap, RModule, rank, stable_hom_dim
 from facto.poly import Polynomial
 from facto.polymat import PolyMatrix
-from facto.randgen import random_factorization, random_module
-from reference import _flag_chains, _flag_factorizations
+from facto.randgen import random_chain, random_factorization, random_module
+from reference import _flag_chains, _flag_factorizations, realization
 
 FIELDS = [QQ, GF(2), GF(5)]
 
@@ -255,3 +262,45 @@ def test_module_stable_hom_equals_length_1_chains(field):
         as_chain = chain_stable_hom_dim(MonoChain(cfg, [m], []),
                                         MonoChain(cfg, [n], []))
         assert stable_hom_dim(m, n) == as_chain
+
+
+def _chain_verdicts(pairs):
+    """Iso, indecomposability and stable hom verdicts on chain pairs, and
+    the stable homs between their objects."""
+    return ([chain_iso_test(u, v) for u, v in pairs],
+            [chain_is_indecomposable(u) for u, _ in pairs],
+            [chain_stable_hom_dim(u, v) for u, v in pairs],
+            [stable_hom_dim(a, b) for u, v in pairs
+             for a in u.objects for b in v.objects])
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=repr)
+def test_piece_scalars_decide_as_the_ambient_realization(field, monkeypatch):
+    """Iso, indecomposability, stable hom dimensions and ranks read off the
+    degree pieces of module maps equal the same computations on the
+    ambient realization matrices (the reference `realization`): on 60
+    random chains, on the criterion-2 census classes (l = 2, dim <= 3,
+    window 2, d = 2, 3; not over Q, which the census does not enumerate),
+    on sums u + v against v + u, and on the maps of their hom bases."""
+    rng = random.Random(97)
+    chains = [random_chain(HypersurfaceConfig(d, field), l, rng)
+              for d, l in [(2, 2), (3, 2), (3, 3), (4, 2)] for _ in range(15)]
+    if field is not QQ:
+        for d in (2, 3):
+            chains += enumerate_chains(HypersurfaceConfig(d, field), 2, 3, 2)
+    pairs = [(u, v) for u, v in zip(chains, chains[1:] + chains[:1])
+             if u.cfg == v.cfg and u.length == v.length]
+    pairs += [(u.direct_sum(v), v.direct_sum(u)) for u, v in pairs[-8:]]
+    pairs += [(u, u) for u in chains]
+    maps = [g for u, v in pairs for f in chain_hom_basis(u, v) for g in f.parts]
+    maps += [f for u, _ in pairs for f in u.maps]
+    verdicts = _chain_verdicts(pairs)
+    assert any(verdicts[0]) and not all(verdicts[0])
+    assert any(verdicts[2]) and any(verdicts[3])
+    ranks = [rank(f) for f in maps]
+    assert ranks == [matrix_rank(field, realization(f)) for f in maps]
+    assert len(set(ranks)) > 2
+    monkeypatch.setattr(ModuleMap, "scalars", lambda f: [realization(f)])
+    monkeypatch.setattr(ChainMap, "scalars",
+                        lambda f: [realization(g) for g in f.parts])
+    assert _chain_verdicts(pairs) == verdicts

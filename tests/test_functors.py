@@ -242,7 +242,7 @@ def _reconstruct_by_cokernels(u):
     from facto.linalg import mat_mul
     from facto.modules import ModuleMap, map_ker_cok_im, projective_cover
     from facto.polymat import GradedMatrix, graded_solve
-    from reference import homogeneous_kernel, split
+    from reference import homogeneous_kernel, realization, split
 
     c, F, l = u.cfg, u.cfg.field, u.length
     top = u.objects[-1]
@@ -252,13 +252,13 @@ def _reconstruct_by_cokernels(u):
     inclusions = []
     for k in range(l):
         if k == 0:
-            quot_proj = p.realization()
+            quot_proj = realization(p)
         else:
             comp = ModuleMap.identity(u.objects[k - 1])
             for i in range(k - 1, l - 1):
                 comp = u.maps[i] @ comp
             _, (_, proj), _ = map_ker_cok_im(comp)
-            quot_proj = mat_mul(F, proj.realization(), p.realization())
+            quot_proj = mat_mul(F, realization(proj), realization(p))
         inclusions.append(span_preimage_inclusion(
             c, degs_l, split(F, fdegs, homogeneous_kernel(F, fdegs, quot_proj))))
     inclusions.append(GradedMatrix.identity(F, degs_l))
@@ -289,7 +289,8 @@ def test_span_preimage_inclusion_equals_the_jordan_tops(field):
     from facto.functors import span_preimage_inclusion
     from facto.modules import ModuleMap, hom_basis
     from facto.randgen import random_module
-    from reference import _preimage_by_jordan_tops, homogeneous_kernel, split
+    from reference import (_preimage_by_jordan_tops, homogeneous_kernel,
+                           realization, split)
 
     rng = random.Random(67)
     proper = 0
@@ -303,8 +304,8 @@ def test_span_preimage_inclusion_equals_the_jordan_tops(field):
             for g in hom_basis(a, b):
                 f = f + g.scale(field.from_int(rng.randrange(-2, 3)))
             maps.append(f)
-        spans = [homogeneous_kernel(field, free.basis_degrees(), maps[0].realization()),
-                 [list(col) for col in zip(*maps[1].realization())]]
+        spans = [homogeneous_kernel(field, free.basis_degrees(), realization(maps[0])),
+                 [list(col) for col in zip(*realization(maps[1]))]]
         for kvecs in spans:
             got = span_preimage_inclusion(c, degs_l, split(field, free.basis_degrees(), kvecs))
             assert got == _preimage_by_jordan_tops(c, degs_l, kvecs), (degs_l, kvecs)
@@ -323,7 +324,7 @@ def test_normal_forms_never_build_the_ambient_x_operator(field):
     the same outputs on repeated calls."""
     from facto.factorizations import prefix
     from facto.modules import ModuleMap, hom_basis, presentation_cokernel, quotient, submodule
-    from reference import split
+    from reference import realization, split
 
     rng = random.Random(73)
     cases = []
@@ -334,7 +335,7 @@ def test_normal_forms_never_build_the_ambient_x_operator(field):
         f = ModuleMap.zero(a, b)
         for g in hom_basis(a, b):
             f = f + g.scale(field.from_int(rng.randrange(1, 4)))
-        image = split(field, b.basis_degrees(), [list(col) for col in zip(*f.realization())])
+        image = split(field, b.basis_degrees(), [list(col) for col in zip(*realization(f))])
         cases += [(lambda b=b, v=image: submodule(b, v)),
                   (lambda b=b, v=image: quotient(b, v)),
                   (lambda x=x: [presentation_cokernel(prefix(x, k), x.cfg)
