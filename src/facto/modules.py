@@ -8,11 +8,13 @@ k-vector space with a degree-raising x-operator, a view derived from the
 generators.  A realization is the direct sum of its degree pieces T_s, and
 x is a set of shift blocks T_s -> T_{s+1}, so kernels, images, cokernels,
 Jordan normal forms and ranks reduce to small exact linear algebra on one
-piece at a time (`pieces`).  A map is read there as its pieces T_s ->
-T_s (`ModuleMap.pieces`), a subspace as {s: vectors of T_s}, and every
-submodule and quotient is built by `submodule` and `quotient`, which
-return the inclusion and the projection with the other end in normal
-form.  The zero module (no summands) is a first-class value.
+piece at a time (`pieces`); the Jordan normal form is one ascending sweep
+with one elimination per shift block, and no power of x is formed.  A map
+is read there as its pieces T_s -> T_s (`ModuleMap.pieces`), a subspace
+as {s: vectors of T_s}, and every submodule and quotient is built by
+`submodule` and `quotient`, which return the inclusion and the projection
+with the other end in normal form.  The zero module (no summands) is a
+first-class value.
 """
 
 from __future__ import annotations
@@ -411,7 +413,8 @@ def realization_to_module(cfg: HypersurfaceConfig, degs, xmat):
     """Normal-form module plus the change of basis into the realization.
 
     Returns (module, to_real): to_real maps normal-form coordinates into
-    the given realization, and is checked to be invertible.
+    the given realization, and is invertible, as the Jordan chains are a
+    basis of every degree piece.
     """
     pieces, dims, shifts = ambient(cfg.field, degs, xmat, cfg.d)
     mod, to_real = _normal_form(cfg, dims, shifts)

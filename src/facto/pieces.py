@@ -4,7 +4,9 @@ A graded k-vector space T with a degree-raising nilpotent operator x is the
 direct sum of its degree pieces T_s, and x is a set of shift blocks
 T_s -> T_{s+1}.  So the realization algorithms of `modules` (Jordan normal
 forms, x-stable subspaces, quotients) run on one small piece at a time and
-never build the ambient matrix of x.
+never build the ambient matrix of x.  The Jordan normal form is one
+ascending sweep over the pieces by the elder rule of persistence: each
+shift block is applied and eliminated once, and no power of x is formed.
 
 A realization is held as `dims` {s: dim T_s}, in ascending s and without
 empty pieces, and `shifts` {s: the matrix of x : T_s -> T_{s+1}}, absent
@@ -84,75 +86,54 @@ def jordan(field, d, dims, shifts):
     Returns (summands, to_real): the sorted (length, degree) pairs of the
     normal form, and for each degree s the matrix whose columns are the
     normal form's basis of T_s (one x^i v per chain v that reaches s, in
-    summand order) in the given coordinates of T_s.  From the longest
-    length j down, in each degree s the chains of length j start at the
-    vectors of ker x^j that extend ker x^(j-1) plus the images in T_s of
-    the longer chains; each kernel of each power on each piece is taken
-    once, and the chains are checked to fill every piece independently.
+    summand order) in the given coordinates of T_s.
+
+    The pieces with x are a persistence module, and its chains are the
+    bars, found by one sweep in ascending s with the elder rule.  Each live
+    chain's last vector is pushed through the shift block into T_s, and
+    the images are eliminated in birth order, elders first.  An image that
+    depends on its elders' ends its chain: the same combination of the
+    elders' vectors, alive in every degree the chain spans, is subtracted
+    from its vectors, so that x kills its last one.  New chains start at
+    the unit vectors off the pivots of the surviving images, which
+    complete them to a basis of T_s.  So each shift block is applied and
+    eliminated once, no power of x is formed, and the chains are a basis
+    of every piece by construction.
     """
-    # powers[s][j]: x^j on T_s, a dim T_(s+j) x dim T_s matrix, up to the
-    # first that is 0
-    powers = {}
+    chains, live = [], []  # [start degree, [x^i v for i = 0, 1, ...]], by birth
     for s, n in dims.items():
-        p = [linalg.identity(field, n)]
-        while any(not field.is_zero(c) for row in p[-1] for c in row):
-            if len(p) > d:
-                raise RealizationError(NOT_NILPOTENT)
-            x = shifts.get(s + len(p) - 1)
-            p.append(linalg.mat_mul(field, x, p[-1]) if x is not None else [])
-        powers[s] = p
-    nil = max((len(p) - 1 for p in powers.values()), default=0)  # x^nil = 0
-
-    def kernels_of(s):
-        """ker x^j on T_s for j = 0..nil: 0 at j = 0, a nullspace while
-        x^j != 0 (0 on a line), and all of T_s from then on."""
-        n, p = dims[s], powers[s]
-        whole = [linalg.unit_vector(field, n, i) for i in range(n)]
-        out = [[]]
-        for j in range(1, nil + 1):
-            if j >= len(p) - 1:
-                out.append(whole)
-            else:
-                out.append(linalg.nullspace(field, p[j], cols=n) if n > 1 else [])
-        return out
-
-    kernels = {s: kernels_of(s) for s in dims}
-    # chains: [length, start degree, x^i v for i = 0, 1, ...]; on level j
-    # every chain found so far (each longer than j) takes one more step of x,
-    # by the shift block of the degree it has reached
-    chains = []
-    for j in range(nil, 0, -1):
-        longer = {}  # s: the images x^(length - j) v in T_s, in chain order
-        for _, start, seq in chains:
-            at = start + len(seq) - 1  # the degree of seq[-1]
-            seq.append(linalg.mat_vec(field, shifts[at], seq[-1]))
-            longer.setdefault(at + 1, []).append(seq[-1])
-        for s in dims:
-            low, high, images = kernels[s][j - 1], kernels[s][j], longer.get(s, [])
-            # the images of longer chains are independent modulo ker x^(j-1),
-            # so when the counts fill ker x^j no chain starts here
-            if len(high) == len(low) + len(images):
+        x, k = shifts.get(s - 1), len(live)
+        ech, survivors = linalg.Echelon(field), []
+        for i, (start, seq) in enumerate(live if x is not None else ()):
+            w = linalg.mat_vec(field, x, seq[-1])
+            # w | e_i: the tail tracks w as a combination of the live images,
+            # so a w that reduces to 0 leaves w + sum_j r_j w_j = 0 over the
+            # elders j < i, and chain i ends at v + sum_j r_j v_j
+            r = ech.reduce(w + linalg.unit_vector(field, k, i))
+            if any(not field.is_zero(c) for c in r[:n]):
+                ech.add(r)
+                seq.append(w)
+                survivors.append(live[i])
                 continue
-            ech = linalg.Echelon(field)
-            for v in low + images:
-                ech.add(v)
-            for w in high:
-                if ech.add(w):
-                    chains.append([j, s, [w]])
-
-    chains.sort(key=lambda c: (c[0], c[1]))
-    if sum(length for length, _, _ in chains) != sum(dims.values()):
-        raise RealizationError(NO_FILL)
+            for j, c in enumerate(r[n:n + i]):
+                if not field.is_zero(c):
+                    born, elder = live[j]
+                    seq[:] = [[field.add(a, field.mul(c, b)) for a, b in zip(v, u)]
+                              for v, u in zip(seq, elder[start - born:])]
+        for q in range(n):
+            if q not in ech.pivots:
+                survivors.append([s, [linalg.unit_vector(field, n, q)]])
+                chains.append(survivors[-1])
+        live = survivors
+    if any(len(seq) > d for _, seq in chains):
+        raise RealizationError(NOT_NILPOTENT)
+    chains.sort(key=lambda c: (len(c[1]), c[0]))
     cols = {s: [] for s in dims}
-    for _, s, seq in chains:
+    for s, seq in chains:
         for i, v in enumerate(seq):
             cols[s + i].append(v)
-    to_real = {}
-    for s, vecs in cols.items():
-        to_real[s] = [list(row) for row in zip(*vecs)]
-        if linalg.rank(field, to_real[s]) != dims[s]:
-            raise RealizationError("Jordan chains are linearly dependent")
-    return [(length, s) for length, s, _ in chains], to_real
+    return ([(len(seq), s) for s, seq in chains],
+            {s: [list(row) for row in zip(*vecs)] for s, vecs in cols.items()})
 
 
 def sub_shifts(field, shifts, bases):

@@ -6,8 +6,10 @@ reads x off the summands as shift blocks.  The ambient forms below write
 a realization as one vector space, graded by a list of degrees, with x
 and each map as one matrix (`x_matrix`, `realization`): they are the
 earlier ambient implementations (the census's listing of x-stable
-subspaces among them) and the adapters between the two forms.  The rest
-are helpers that only tests use.  pytest does not collect this module;
+subspaces among them) and the adapters between the two forms.
+`jordan_by_kernels` is the earlier Jordan decomposition on degree pieces,
+which took the kernel of every power of x on every piece.  The rest are
+helpers that only tests use.  pytest does not collect this module;
 tests import it by name.
 """
 
@@ -36,6 +38,8 @@ from facto.modules import (
     projective_cover,
 )
 from facto.pieces import (
+    NO_FILL,
+    NOT_NILPOTENT,
     RealizationError,
     ambient,
     assemble,
@@ -232,6 +236,83 @@ def _preimage_by_jordan_tops(c, degs_l, kvecs):
         degrees.append(degs_l[j] + d)
     coeffs, kept_degs = _minimal_generators(F, columns, degrees, m)
     return GradedMatrix.from_coeffs(F, coeffs, kept_degs, degs_l)
+
+
+def jordan_by_kernels(field, d, dims, shifts):
+    """Homogeneous Jordan decomposition of a graded nilpotent x.
+
+    Returns (summands, to_real): the sorted (length, degree) pairs of the
+    normal form, and for each degree s the matrix whose columns are the
+    normal form's basis of T_s (one x^i v per chain v that reaches s, in
+    summand order) in the given coordinates of T_s.  From the longest
+    length j down, in each degree s the chains of length j start at the
+    vectors of ker x^j that extend ker x^(j-1) plus the images in T_s of
+    the longer chains; each kernel of each power on each piece is taken
+    once, and the chains are checked to fill every piece independently.
+    """
+    # powers[s][j]: x^j on T_s, a dim T_(s+j) x dim T_s matrix, up to the
+    # first that is 0
+    powers = {}
+    for s, n in dims.items():
+        p = [linalg.identity(field, n)]
+        while any(not field.is_zero(c) for row in p[-1] for c in row):
+            if len(p) > d:
+                raise RealizationError(NOT_NILPOTENT)
+            x = shifts.get(s + len(p) - 1)
+            p.append(linalg.mat_mul(field, x, p[-1]) if x is not None else [])
+        powers[s] = p
+    nil = max((len(p) - 1 for p in powers.values()), default=0)  # x^nil = 0
+
+    def kernels_of(s):
+        """ker x^j on T_s for j = 0..nil: 0 at j = 0, a nullspace while
+        x^j != 0 (0 on a line), and all of T_s from then on."""
+        n, p = dims[s], powers[s]
+        whole = [linalg.unit_vector(field, n, i) for i in range(n)]
+        out = [[]]
+        for j in range(1, nil + 1):
+            if j >= len(p) - 1:
+                out.append(whole)
+            else:
+                out.append(linalg.nullspace(field, p[j], cols=n) if n > 1 else [])
+        return out
+
+    kernels = {s: kernels_of(s) for s in dims}
+    # chains: [length, start degree, x^i v for i = 0, 1, ...]; on level j
+    # every chain found so far (each longer than j) takes one more step of x,
+    # by the shift block of the degree it has reached
+    chains = []
+    for j in range(nil, 0, -1):
+        longer = {}  # s: the images x^(length - j) v in T_s, in chain order
+        for _, start, seq in chains:
+            at = start + len(seq) - 1  # the degree of seq[-1]
+            seq.append(linalg.mat_vec(field, shifts[at], seq[-1]))
+            longer.setdefault(at + 1, []).append(seq[-1])
+        for s in dims:
+            low, high, images = kernels[s][j - 1], kernels[s][j], longer.get(s, [])
+            # the images of longer chains are independent modulo ker x^(j-1),
+            # so when the counts fill ker x^j no chain starts here
+            if len(high) == len(low) + len(images):
+                continue
+            ech = linalg.Echelon(field)
+            for v in low + images:
+                ech.add(v)
+            for w in high:
+                if ech.add(w):
+                    chains.append([j, s, [w]])
+
+    chains.sort(key=lambda c: (c[0], c[1]))
+    if sum(length for length, _, _ in chains) != sum(dims.values()):
+        raise RealizationError(NO_FILL)
+    cols = {s: [] for s in dims}
+    for _, s, seq in chains:
+        for i, v in enumerate(seq):
+            cols[s + i].append(v)
+    to_real = {}
+    for s, vecs in cols.items():
+        to_real[s] = [list(row) for row in zip(*vecs)]
+        if linalg.rank(field, to_real[s]) != dims[s]:
+            raise RealizationError("Jordan chains are linearly dependent")
+    return [(length, s) for length, s, _ in chains], to_real
 
 
 # -- helpers only tests use ------------------------------------------------------

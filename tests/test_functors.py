@@ -2,9 +2,19 @@ import random
 
 import pytest
 
-from facto.chains import MonoChain, chain_iso_test, chain_validate, mu_trivial
+from facto.census import enumerate_factorizations
+from facto.chains import (
+    ChainMap,
+    MonoChain,
+    chain_hom_basis,
+    chain_iso_test,
+    chain_validate,
+    mu_trivial,
+)
 from facto.factorizations import (
+    FacMap,
     Factorization,
+    fac_hom_basis,
     fac_stable_hom_dim,
     fac_validate,
     nu,
@@ -14,11 +24,13 @@ from facto.fields import GF, QQ
 from facto.functors import (
     cok,
     cok_exactness_check,
+    induced_cok_map,
     jq_sequence,
     reconstruct,
     to_ldiagram,
 )
-from facto.modules import HypersurfaceConfig, RModule
+from facto.linalg import rank
+from facto.modules import HypersurfaceConfig, ModuleMap, RModule
 from facto.randgen import (
     random_chain,
     random_factorization,
@@ -232,6 +244,54 @@ def test_cok_exactness_malformed():
 
 
 # -- reconstruct against its map_ker_cok_im version ------------------------------
+
+
+# -- cok on morphisms ---------------------------------------------------------
+
+
+def _census_homs(d, l):
+    """(classes, homs): the factorization classes over F_5 at (d, l) with
+    m=2, window=2, projectives included, and homs[i, j] the fac_hom_basis
+    maps from class i to class j with their induced cok maps."""
+    classes = enumerate_factorizations(cfg(d, GF(5)), l, 2, 2)
+    homs = {}
+    for i, x in enumerate(classes):
+        for j, y in enumerate(classes):
+            homs[i, j] = [(f, induced_cok_map(f)) for f in fac_hom_basis(x, y)]
+    return classes, homs
+
+
+@pytest.mark.parametrize("d, l, pairs", [(3, 2, 121), (3, 3, 784)])
+def test_cok_maps_are_chain_maps_that_span_the_chain_homs(d, l, pairs):
+    """cok of each basis map between two classes is a checked ChainMap of
+    their cok chains, and these images span every chain hom between them."""
+    F = GF(5)
+    classes, homs = _census_homs(d, l)
+    assert len(homs) == pairs
+    coks = [cok(x) for x in classes]
+    for (i, j), maps in homs.items():
+        images = [ChainMap(coks[i], coks[j], parts) for _, parts in maps]
+        basis = chain_hom_basis(coks[i], coks[j])
+        rows = [[c for m in h.scalars() for row in m for c in row]
+                for h in images + basis]
+        assert rank(F, rows[:len(images)]) == rank(F, rows) == len(basis), (i, j)
+
+
+def test_cok_is_a_functor_on_the_census_classes():
+    """cok(id) = id, and cok(g f) = cok g cok f over every composable pair
+    of basis maps between the classes at d=3, l=2 over F_5."""
+    classes, homs = _census_homs(3, 2)
+    for x in classes:
+        assert induced_cok_map(FacMap.identity(x)) == [
+            ModuleMap.identity(m) for m in cok(x).objects]
+    composed = 0
+    for (i, j), maps in homs.items():
+        for k in range(len(classes)):
+            for f, cf in maps:
+                for g, cg in homs[j, k]:
+                    assert induced_cok_map(g @ f) == [b @ a for b, a in zip(cg, cf)]
+                    composed += 1
+    assert composed > 100
 
 
 def _reconstruct_by_cokernels(u):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from facto.fields import GF, QQ
-from facto.linalg import mat_mul, nullspace, rank, solve
+from facto.linalg import mat_mul, mat_vec, nullspace, rank, solve
 from facto.modules import (
     HypersurfaceConfig,
     ModuleMap,
@@ -22,6 +22,7 @@ from facto.modules import (
     stable_hom_dim,
     submodule,
 )
+from facto.pieces import ambient, jordan
 from facto.poly import Polynomial
 from facto.polymat import GradedMatrix, PolyMatrix
 from reference import (
@@ -30,6 +31,7 @@ from reference import (
     from_realization,
     homogeneous_components,
     homogeneous_kernel,
+    jordan_by_kernels,
     lift_along_epi,
     module_from_presentation,
     quotient_realization,
@@ -625,13 +627,15 @@ def _changed_entries_are_rejected(f):
 # -- submodules and quotients ----------------------------------------------------
 
 
-def _random_spans(field, rng, count):
+def _random_spans(field, rng, count, summands=3):
     """(module, vecs): the kernel in the source and the image in the target
-    of random combinations of hom_basis maps between random modules."""
+    of random combinations of hom_basis maps between random modules of at
+    most `summands` summands."""
     for _ in range(count):
         c = cfg(rng.randrange(1, 5), field)
         a, b = (RModule(c, [(rng.randrange(1, c.d + 1), rng.randrange(-1, 3))
-                            for _ in range(rng.randrange(0, 4))]) for _ in range(2))
+                            for _ in range(rng.randrange(0, summands + 1))])
+                for _ in range(2))
         f = _random_map(rng, a, b)
         yield a, homogeneous_kernel(field, a.basis_degrees(), realization(f))
         yield b, [list(col) for col in zip(*realization(f))]
@@ -660,39 +664,78 @@ def test_submodule_and_quotient_of_kernels_and_images(field):
     assert proper > 20
 
 
+def _random_realizations(field, rng, count, summands=3):
+    """(cfg, degs, x): the ambient realizations of the x-stable subspaces
+    and quotients of `_random_spans`."""
+    for m, vecs in _random_spans(field, rng, count, summands):
+        degs, x = m.basis_degrees(), x_matrix(m)
+        yield m.cfg, *subspace_realization(field, degs, x, vecs)[:2]
+        yield m.cfg, *quotient_realization(field, degs, x, vecs)[:2]
+
+
 @pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
-def test_normal_forms_take_each_kernel_once_and_invert_nothing(field, monkeypatch):
-    """The Jordan decomposition takes the kernel of each power of x on each
-    degree piece at most once, each on a piece-sized matrix, and
-    realization_to_module inverts no matrix: the independence of the
-    Jordan chains is a rank."""
+def test_normal_forms_take_no_kernel_and_invert_nothing(field, monkeypatch):
+    """The Jordan decomposition forms no power of x and takes no kernel:
+    realization_to_module calls no nullspace, invert or mat_mul, and on the
+    rank-1 free module at d=1000 jordan calls nothing but mat_vec, at most
+    d times: once per shift block, so its cost is linear in d."""
     import facto.modules as modules
 
-    rng = random.Random(67)
-    reals = []
-    for m, vecs in _random_spans(field, rng, 40):
-        degs, x = m.basis_degrees(), x_matrix(m)
-        reals += [(m.cfg, subspace_realization(field, degs, x, vecs)[:2]),
-                  (m.cfg, quotient_realization(field, degs, x, vecs)[:2])]
-    calls, total = [], 0
-    nullspace = modules.linalg.nullspace
+    reals = list(_random_realizations(field, random.Random(67), 40))
+    calls = {}
 
-    def counted(field, mat, cols=None):
-        calls.append((id(mat), cols))
-        return nullspace(field, mat, cols=cols)
+    def counted(name):
+        f = getattr(modules.linalg, name)
 
-    def invert(*_):
-        raise AssertionError("inverted a matrix")
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return f(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(modules.linalg, "nullspace", counted)
-    monkeypatch.setattr(modules.linalg, "invert", invert)
-    for c, (degs, x) in reals:
-        calls.clear()
+    for name in ("nullspace", "invert", "mat_mul", "mat_vec"):
+        monkeypatch.setattr(modules.linalg, name, counted(name))
+    for c, degs, x in reals:
         mod, to_real = realization_to_module(c, degs, x)
         assert mod.dim == len(degs) == len(to_real)
-        # one call per power matrix, each on the columns of one degree piece
-        assert len(calls) == len({i for i, _ in calls}), (degs, x)
-        assert {cols for _, cols in calls} <= {degs.count(s) for s in degs}
-        total += len(calls)
-    assert total > 0
-    assert sum(len(degs) > 2 for _, (degs, _) in reals) > 10
+    assert sum(len(degs) > 2 for _, degs, _ in reals) > 10
+    assert not {"nullspace", "invert", "mat_mul"} & set(calls), calls
+    assert calls["mat_vec"] > 0
+
+    d = 1000
+    calls.clear()
+    summands, to_real = jordan(field, d, {s: 1 for s in range(d)},
+                               {s: [[field.one]] for s in range(d - 1)})
+    assert summands == [(d, 0)]
+    assert all(to_real[s] == [[field.one]] for s in range(d))
+    assert set(calls) == {"mat_vec"} and calls["mat_vec"] <= d, calls
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=repr)
+def test_jordan_agrees_with_the_kernels_of_powers(field):
+    """On random x-stable submodules and quotients, the sweep finds the
+    summands of the Jordan decomposition by kernels of powers of x, and its
+    columns are Jordan chains: x takes each column to the next one of its
+    chain and kills the last, and they are a basis of every piece."""
+    rng = random.Random(79)
+    tried = proper = 0
+    for c, degs, x in _random_realizations(field, rng, 150, summands=6):
+        _, dims, shifts = ambient(field, degs, x, c.d)
+        summands, to_real = jordan(field, c.d, dims, shifts)
+        assert summands == jordan_by_kernels(field, c.d, dims, shifts)[0], (degs, x)
+        at, cols = dict.fromkeys(dims, 0), []
+        for e, s in summands:
+            cols.append([at[s + i] for i in range(e)])
+            for i in range(e):
+                at[s + i] += 1
+        for (e, s), chain in zip(summands, cols):
+            for i, k in enumerate(chain):
+                col = [row[k] for row in to_real[s + i]]
+                image = mat_vec(field, shifts[s + i], col) if s + i in shifts else []
+                want = ([row[chain[i + 1]] for row in to_real[s + i + 1]] if i + 1 < e
+                        else [field.zero] * len(image))
+                assert image == want, (degs, x)
+        for s, n in dims.items():
+            assert at[s] == n == rank(field, to_real[s]), (degs, x)
+        tried += 1
+        proper += len(summands) > 1 and len(set(summands)) > 1
+    assert tried >= 600 and proper > 100
