@@ -27,12 +27,14 @@ than 0 and 1, stabilizes every flag: no flag object on T is
 indecomposable.  So the census clamps the window: the intervals of a
 top of minimum degree 0 that does not split cover some [0, E], so its
 starts are at most dim - 1 for a chain top (E < dim), and at most
-(m - 1)(d - 1) for a factorization top (sorted, they grow by < d).  Only
-the flags that pass are built, with one inclusion per space (a preimage
-in S^m, a submodule of a chain top), and deduplicated with the iso tests:
-these are `enumerate_factorizations` and `enumerate_chains`.  The census
-drops the projective classes last, by one projective cover per class that
-also serves the stable hom table.  Both properties are iso-invariant and
+(m - 1)(d - 1) for a factorization top (sorted, they grow by < d).  Flags
+are listed up to the torus of T, one per orbit (`_subspace_flags`), which
+keeps the first flag of each iso class.  Only the flags that pass are
+built, with one inclusion per space (a preimage in S^m, a submodule of a
+chain top), and deduplicated with the iso tests: these are
+`enumerate_factorizations` and `enumerate_chains`.  The census drops the
+projective classes last, by one projective cover per class that also
+serves the stable hom table.  Both properties are iso-invariant and
 deduplication keeps the first member of each class, so this gives the
 classes of building and deduplicating every flag object first.  Between
 indecomposables the iso tests are exact (see `endo.search_iso`), so the
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import linalg
@@ -123,6 +126,19 @@ def _field_elements(field):
     if not isinstance(field, PrimeField):
         raise ValueError("census enumeration requires a finite prime field")
     return range(field.p)
+
+
+def _primitive_root(field):
+    """The least generator omega of the units of F_p = `field`: no
+    omega^((p-1)/q) is 1, q over the primes dividing p - 1 (1 for p = 2)."""
+    p = len(_field_elements(field))
+    n, primes = p - 1, set()
+    for q in range(2, math.isqrt(p) + 1):
+        while n % q == 0:
+            primes.add(q)
+            n //= q
+    primes |= {n} - {1}  # what is left of p - 1 is 1 or a prime
+    return next(w for w in range(1, p) if all(pow(w, (p - 1) // q, p) != 1 for q in primes))
 
 
 # the most subspaces of one F^n that a census lists; the largest bounds in
@@ -235,7 +251,67 @@ def _reduced(field, space):
             for s, rows in space.items()}
 
 
-def _subspace_flags(field, pieces, length):
+def _owners(top: RModule):
+    """{s: the summand owning each coordinate of T_s} for T = `top`."""
+    return {s: [top.basis[k][0] for k in idx] for s, idx in top.pieces().items()}
+
+
+def _supports(field, owner, space):
+    """The supports of the rows of the pieces `space`: bitmasks of the
+    summands owning their nonzero coordinates, at most one each (`_owners`)."""
+    return {sum(1 << owner[s][c] for c, a in enumerate(row) if not field.is_zero(a))
+            for s, rows in space.items() for row in rows}
+
+
+def _torus_orbits(field, top: RModule, pieces, omega):
+    """(least, join, P0) for the torus of T = `top`, its scalings of the
+    summands by units, on the spaces with RREF pieces `pieces`; None when it
+    fixes them all (omega = 1 over F_2, or one summand).  least(P) maps each
+    space to the least index in its orbit under the scalings constant on the
+    blocks of P (bitmasks; singletons in P0), which scaling one block but the
+    last by omega generates; that moves no pivot, so it takes an RREF row r to
+    r times omega on the block, over its pivot entry.  As tau V = V iff tau r
+    is a multiple of r for each RREF row r, join(P, j) joins P with the
+    components of V_j's row supports (None when one block is left)."""
+    if omega == 1 or len(top.summands) < 2:
+        return None
+    owner, units = _owners(top), (omega, field.inv(omega))
+    index = {tuple(p.items()): i for i, p in enumerate(pieces)}
+    supports = functools.cache(lambda j: _supports(field, owner, pieces[j]))
+
+    def image(i, block):
+        out = []
+        for s, rows in pieces[i].items():
+            inside = [block >> t & 1 for t in owner[s]]
+            pivots = [inside[next(c for c, a in enumerate(row) if not field.is_zero(a))]
+                      for row in rows]
+            out.append((s, tuple(tuple(a if inside[c] == v else field.mul(a, units[v])
+                                       for c, a in enumerate(row))
+                                 for row, v in zip(rows, pivots))))
+        return index[tuple(out)]
+
+    @functools.cache
+    def least(part):
+        low = {}
+        for i in range(len(pieces)):
+            todo = [i]
+            for k in todo:  # the orbit of i as it grows, unless it is done
+                if k not in low:
+                    low[k] = i
+                    todo += [image(k, block) for block in part[:-1]]
+        return low
+
+    def join(part, j):
+        for sup in supports(j):
+            hit = [b for b in part if b & sup]  # disjoint: their sum is their union
+            part = tuple(sorted([b for b in part if b not in hit] + [sum(hit)]))
+        return part if len(part) > 1 else None
+
+    return least, join, tuple(1 << t for t in range(len(top.summands)))
+
+
+def _subspace_flags(field, pieces, length, top: RModule | None = None,
+                    omega=None):
     """Index tuples of all weakly increasing chains V_0 <= ... <= V_{length-1}
     of graded subspaces, given by the RREFs of their pieces `pieces`
     (`_reduced`), in lexicographic order.
@@ -244,6 +320,11 @@ def _subspace_flags(field, pieces, length):
     of length 1 test none.  V <= W iff V_s <= W_s in every degree s, so
     each pair of pieces is compared once: pieces of equal dimension by
     their RREFs, a smaller one by rank.
+
+    Given their module `top`, only the lex-least flag of each orbit of its
+    torus (`_torus_orbits`, omega from `_primitive_root`) is listed: each
+    member is least in its orbit under the scalings fixing those before it.
+    An orbit lies in one iso class, so each class keeps its first flag.
     """
 
     @functools.cache
@@ -254,16 +335,22 @@ def _subspace_flags(field, pieces, length):
         return all(s in pieces[j] and piece_in(a, pieces[j][s])
                    for s, a in pieces[i].items())
 
-    def rec(start_ok, acc):
+    torus = top and _torus_orbits(field, top, pieces, omega or _primitive_root(field))
+    least, join, start = torus or (None, None, None)
+
+    def rec(start_ok, acc, part):
         if len(acc) == length:
             yield tuple(acc)
             return
         deeper = len(acc) + 1 < length
+        low = least(part) if part else None
         for j in start_ok:
-            yield from rec([k for k in start_ok if contains(j, k)]
-                           if deeper else [], acc + [j])
+            if low is None or low[j] == j:
+                yield from rec([k for k in start_ok if contains(j, k)]
+                               if deeper else [], acc + [j],
+                               join(part, j) if deeper and part else None)
 
-    yield from rec(range(len(pieces)), [])
+    yield from rec(range(len(pieces)), [], start)
     del rec  # no closure cycle keeps the pieces alive
 
 
@@ -298,13 +385,12 @@ def _summand_splits(field, top: RModule, pieces):
     and a flag splits when its members' masks share a bit.  This is
     `_splits` lifted from tops to flags.
     """
-    owner = {s: [top.basis[k][0] for k in idx] for s, idx in top.pieces().items()}
+    owner = _owners(top)
     sets = range(1, 2 ** len(top.summands) // 2)  # S without the last summand
 
     @functools.cache
     def mask(i):
-        supports = {sum(1 << owner[s][c] for c, a in enumerate(row) if not field.is_zero(a))
-                    for s, rows in pieces[i].items() for row in rows}
+        supports = _supports(field, owner, pieces[i])
         return sum(1 << S for S in sets if all(sup & S in (0, sup) for sup in supports))
 
     every = sum(1 << S for S in sets)
@@ -335,8 +421,9 @@ def _local_stabilizer(field, top: RModule, spaces, pieces):
     so phi and its head have the same eigenvalues in k, phi - lambda is
     nilpotent iff its head is, and an algebra of such elements is
     nilpotent iff its image is (its d-th power lies in I^d = 0).  So, on
-    the flags that reach it, NonSplitEndomorphism is raised in exactly
-    the cases where is_local on A itself raises it.
+    the flags that reach it, NonSplitEndomorphism is raised iff is_local on
+    A raises it; the census tests a subset of them, in the same order, so
+    it raises in at most those cases.
 
     The heads are fixed by the nullspace coefficients at `units`, and
     is_local is a function of its input, so keep calls it once per tuple
@@ -364,17 +451,17 @@ def _local_stabilizer(field, top: RModule, spaces, pieces):
     The zero top has no generators: its flag object is not indecomposable.
     """
     F = field
-    homs = hom_basis(top, top)
+    homs, tp = hom_basis(top, top), top.pieces()
     # the few nonzero entries (r, c, a) of each basis map's degree pieces
     entries = [{s: [(r, c, a) for r, row in enumerate(mat)
                     for c, a in enumerate(row) if not F.is_zero(a)]
-                for s, mat in f.pieces().items()} for f in homs]
+                for s, mat in f._pieces(tp, tp).items()} for f in homs]
     degs = [s for _, s in top.summands]
     units = [(k, u, t) for k, f in enumerate(homs)
              for u, row in enumerate(f.blocks) for t, c in enumerate(row)
              if not F.is_zero(c) and degs[u] == degs[t]]
     g, cells = len(degs), [(u, t) for _, u, t in units]
-    shifts, dims = _shifts(top), {s: len(idx) for s, idx in top.pieces().items()}
+    shifts, dims = _shifts(top), {s: len(idx) for s, idx in tp.items()}
     splits = _summand_splits(F, top, pieces)
     blocks, decided = {}, {}
 
@@ -425,16 +512,17 @@ def _flag_objects(cfg: HypersurfaceConfig, tops, length: int, build,
     """build(cfg, key, spaces)(flag), shifted to minimum degree 0, for
     every flag (index tuple) of `length` x-stable graded subspaces `spaces`
     (`stable_graded_subspaces`) of each top in `tops`, a stream of (key,
-    top module) pairs; with local_only, only for the flags whose
-    stabilizer in End(top) is local (see `_local_stabilizer`), skipping
-    split tops (`_splits`)."""
+    top module) pairs; with local_only, only for the lex-least flag of each
+    torus orbit (`_subspace_flags`) whose stabilizer in End(top) is local
+    (`_local_stabilizer`), skipping split tops (`_splits`)."""
     F = cfg.field
+    omega = _primitive_root(F) if local_only and length else None
     for key, top in tops:
         if local_only and _splits(top):
             continue
         spaces = stable_graded_subspaces(F, top) if length else []
         pieces = [_reduced(F, v) for v in spaces]
-        flags = _subspace_flags(F, pieces, length)
+        flags = _subspace_flags(F, pieces, length, top if omega else None, omega)
         if local_only:
             flags = filter(_local_stabilizer(F, top, spaces, pieces), flags)
         make = build(cfg, key, spaces)
@@ -461,13 +549,8 @@ def _chain_build(cfg: HypersurfaceConfig, top: RModule, spaces):
 
 def _sorted_degree_vectors(m, window):
     """Weakly decreasing vectors of length m in [0, window] with min 0."""
-    if m == 0:
-        return [()]
-    out = []
-    for vec in itertools.combinations_with_replacement(range(window + 1), m):
-        if vec[0] == 0:
-            out.append(tuple(reversed(vec)))
-    return out
+    return [vec[::-1] for vec in itertools.combinations_with_replacement(
+        range(window + 1), m) if vec[:1] in ((), (0,))]
 
 
 def _fac_tops(cfg: HypersurfaceConfig, m_max: int, window: int):
@@ -485,15 +568,12 @@ def _fac_fingerprint(x: Factorization):
 def _dedup(objs, fingerprint, iso):
     """The first member of each iso class of `objs`, in order; `iso` is
     only asked about pairs with equal fingerprints."""
-    groups = {}
-    kept = []
+    groups, kept = {}, []
     for obj in objs:
-        key = fingerprint(obj)
-        reps = groups.setdefault(key, [])
-        if any(iso(obj, rep) for rep in reps):
-            continue
-        reps.append(obj)
-        kept.append(obj)
+        reps = groups.setdefault(fingerprint(obj), [])
+        if not any(iso(obj, rep) for rep in reps):
+            reps.append(obj)
+            kept.append(obj)
     return kept
 
 

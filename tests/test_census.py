@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
@@ -14,6 +17,7 @@ from facto.census import (
     _fac_tops,
     _generators,
     _local_stabilizer,
+    _primitive_root,
     _reconstruction_in_bounds,
     _reduced,
     _splits,
@@ -259,8 +263,8 @@ def _classes_by_dedup_first(c, l, bounds):
     return [x.to_json() for x in facs], [u.to_json() for u in chains]
 
 
-@pytest.mark.parametrize("d, field", [(2, GF(5)), (2, GF(2)), (3, GF(2))],
-                         ids=repr)
+@pytest.mark.parametrize("d, field", [(2, GF(5)), (3, GF(5)), (2, GF(7)),
+                                      (2, GF(2)), (3, GF(2))], ids=repr)
 def test_census_classes_equal_dedup_first_oracle(d, field):
     """Filtering flag objects by End(X) before dedup keeps the same
     classes, in the same order, as filtering the deduplicated lists."""
@@ -269,6 +273,91 @@ def test_census_classes_equal_dedup_first_oracle(d, field):
     rep = class_census(c, 2, bounds)
     assert _classes_by_dedup_first(c, 2, bounds) == (
         rep.to_json()["fac_classes"], rep.to_json()["chain_classes"])
+
+
+def _torus_least_flags(field, top, pieces, length):
+    """Reference: the flags of `pieces` (the RREF pieces of the x-stable
+    subspaces of `top`) that no scaling of the summands of top by units,
+    out of all (p-1)^g of them, maps to a lex-smaller flag."""
+    index = {tuple(v.items()): i for i, v in enumerate(pieces)}
+    owner = {s: [top.basis[k][0] for k in idx] for s, idx in top.pieces().items()}
+    moves = [[index[tuple(_reduced(field, {
+        s: [[field.mul(a, lam[owner[s][c]]) for c, a in enumerate(row)] for row in rows]
+        for s, rows in v.items()}).items())] for v in pieces]
+        for lam in itertools.product(range(1, field.p), repeat=len(top.summands))]
+    return [flag for flag in _subspace_flags(field, pieces, length)
+            if all(tuple(move[i] for i in flag) >= flag for move in moves)]
+
+
+@pytest.mark.parametrize("p, d, top, length", [
+    (3, 3, [(3, 0), (3, 1)], 2),
+    (3, 3, [(2, 0), (1, 0), (1, 1)], 2),
+    (3, 2, [(2, 0), (2, 0), (2, 1)], 3),
+    (5, 2, [(2, 0), (2, 0)], 3),
+    (5, 3, [(3, 0), (3, 1)], 2),
+    (5, 3, [(3, 0), (2, 0), (1, 1)], 1),
+    (7, 2, [(2, 0), (2, 1)], 3),
+    (7, 3, [(2, 0), (2, 1)], 2),
+    (7, 2, [(2, 0), (1, 0), (1, 1)], 1),
+], ids=repr)
+def test_torus_pruned_flags_are_the_lex_least_of_each_orbit(p, d, top, length):
+    """Given its top, _subspace_flags lists exactly the flags that are
+    lex-least in their orbit under the whole torus (F_p^*)^g of the top,
+    on free and non-free tops, flags of length 1 to 3; and it drops some."""
+    field = GF(p)
+    top = RModule(cfg(d, field), top)
+    pieces = [_reduced(field, v) for v in stable_graded_subspaces(field, top)]
+    got = list(_subspace_flags(field, pieces, length, top))
+    assert got == _torus_least_flags(field, top, pieces, length)
+    assert len(got) < len(list(_subspace_flags(field, pieces, length)))
+
+
+def test_primitive_root_generates_the_units():
+    for p in range(2, 200):
+        if all(p % q for q in range(2, p)):
+            w = _primitive_root(GF(p))
+            assert next(k for k in range(1, p) if pow(w, k, p) == 1) == p - 1, p
+    assert _primitive_root(GF(2)) == 1
+    assert _primitive_root(GF(2 ** 31 - 1)) == 7
+
+
+def test_primitive_root_is_found_once_per_enumeration(monkeypatch):
+    """Each enumerator looks the unit up once for its field, not per top,
+    and not at all for flags of no member, which also need no finite field."""
+    calls = []
+    monkeypatch.setattr(census, "_primitive_root",
+                        lambda field, real=_primitive_root: calls.append(field) or real(field))
+    c = cfg(3)
+    assert len(list(_fac_tops(c, 2, 2))) > 1
+    assert enumerate_factorizations(c, 2, 2, 2)
+    assert calls == [GF(5)]
+    assert enumerate_chains(c, 2, 3, 2)
+    assert calls == [GF(5)] * 2
+    assert enumerate_chains(c, 1, 3, 2) and enumerate_chains(cfg(3, QQ), 1, 3, 2)
+    assert calls == [GF(5)] * 2
+
+
+# sha256 of json.dumps(report.to_json(), sort_keys=True), recorded from the
+# census as it was before flags were listed up to the torus of their top:
+# regression pins of the reports, not independent counts
+PINNED_REPORTS = [
+    (2, 2, Bounds(m=2, dim=3, window=2),
+     "a0dfc187c422592d2edac2f53c01e7054864ae510be572c3037419d4c69a1ae3"),
+    (2, 3, Bounds(m=2, dim=3, window=2),
+     "9163ea88d360fc9402c501ea1006ee7b0f38d9d783aa21f6446bd2094e6c42d6"),
+    (3, 3, Bounds(m=2, dim=3, window=2),
+     "6f6b5fd4161d194404c16550a1a56b4481f2d88e58b376f2616a30031cc4c0d7"),
+    (2, 4, Bounds(m=2, dim=4, window=3),
+     "cf6c0c607f2d7f713ac586425a95ac1c293831b6005115d6d2f1843461ec8893"),
+]
+
+
+@pytest.mark.parametrize("l, d, bounds, digest", PINNED_REPORTS,
+                         ids=[f"l{l}-d{d}" for l, d, _, _ in PINNED_REPORTS])
+def test_census_report_matches_its_pinned_digest(l, d, bounds, digest):
+    rep = class_census(cfg(d), l, bounds)
+    text = json.dumps(rep.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("d", [2, 3])
