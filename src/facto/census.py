@@ -6,20 +6,21 @@ cover T = R^m(degs_l) of X^l: the preimage in S^m of such a flag is a
 chain of free submodules containing x^d S^m, which is exactly a graded
 factorization up to isomorphism.  Chains of monomorphisms are flags in
 their top module T.  Every flag object is shifted to minimum degree 0.
-A subspace V of T is held as its pieces {s: basis of V_s in the
-coordinates of T_s}, with x as the shift blocks of `modules._shifts`, from
-its listing (`stable_graded_subspaces`) to its flag stabilizers and the
-members' inclusions; no ambient vector or matrix of T is built.
+A listed subspace V of T is its RREF pieces {s: the RREF of V_s in the
+coordinates of T_s, a tuple of row tuples}, canonical and hashable, with
+x as the shift blocks of `modules._shifts`, from its listing
+(`stable_graded_subspaces`) to its flag stabilizers and the members'
+inclusions; no ambient vector or matrix of T is built.
 
 Indecomposability is decided on the flag, before any object is built:
 X is indecomposable iff End(X) is local (Fitting's lemma), End(X) is the
 flag's stabilizer A in End(T) up to a nilpotent ideal, and A is local iff
 its image in End(T/xT) is, as the maps into xT form an ideal I with
 I^d = 0 (see `_local_stabilizer`).  A flag that the projection onto some
-summands of T stabilizes fails first (`_summand_splits`); each other flag
-costs one nullspace, and each distinct head basis of a top one locality
-test on g x g matrices (g generators of T).  Split tops are skipped
-(`_splits`): if the degree intervals [s, s+e-1] of the summands
+summands of T stabilizes is not listed (`_subspace_flags`); each other
+flag costs one nullspace, and each distinct head basis of a top one
+locality test on g x g matrices (g generators of T).  Split tops are
+skipped (`_splits`): if the degree intervals [s, s+e-1] of the summands
 R/x^e(-s) of T (e = d for a free one) fall into two nonempty groups A, B
 sharing no degree, each T_s lies in T_A or T_B, so a graded x-stable V is
 (V n T_A) + (V n T_B).  Then the projection onto T_A, an idempotent other
@@ -216,10 +217,12 @@ def _subspaces_containing(field, n, lower, elements):
 def stable_graded_subspaces(field, top: RModule):
     """All x-stable graded subspaces of the realization of `top`.
 
-    Each is returned as its pieces {s: basis of V_s in the coordinates of
-    T_s}, with no empty piece; enumeration walks the degree pieces upward,
-    at each level listing the subspaces containing the x-image of the
-    level below (x: `modules._shifts`).
+    Each is returned as its RREF pieces {s: the RREF of V_s in the
+    coordinates of T_s, a tuple of row tuples}, with no empty piece: equal
+    subspaces give equal values.  Enumeration walks the degree pieces
+    upward, at each level listing the subspaces containing the x-image of
+    the level below (x: `modules._shifts`); each level choice is reduced
+    once, and every subspace below it shares that piece.
     """
     elements = _field_elements(field)
     dims = [(s, len(idx)) for s, idx in top.pieces().items()]
@@ -233,8 +236,9 @@ def stable_graded_subspaces(field, top: RModule):
         s, n = dims[li]
         x = shifts.get(s)
         for local in _subspaces_containing(field, n, lower, elements):
-            nxt = [linalg.mat_vec(field, x, v) for v in local] if x is not None else []
-            rec(li + 1, nxt, {**chosen, s: local} if local else chosen)
+            piece = local and tuple(map(tuple, linalg.rref(field, local)[0]))
+            nxt = [linalg.mat_vec(field, x, v) for v in piece] if x is not None else []
+            rec(li + 1, nxt, {**chosen, s: piece} if piece else chosen)
 
     rec(0, [], {})
     del rec  # no closure cycle keeps the spaces alive
@@ -242,13 +246,6 @@ def stable_graded_subspaces(field, top: RModule):
 
 
 # flags of x-stable subspaces ----------------------------------------------------
-
-
-def _reduced(field, space):
-    """{s: the RREF of V_s, a tuple of rows} for a subspace given by its
-    pieces: equal subspaces give equal values."""
-    return {s: tuple(map(tuple, linalg.rref(field, rows)[0]))
-            for s, rows in space.items()}
 
 
 def _owners(top: RModule):
@@ -263,25 +260,32 @@ def _supports(field, owner, space):
             for s, rows in space.items() for row in rows}
 
 
-def _torus_orbits(field, top: RModule, pieces, omega):
-    """(least, join, P0) for the torus of T = `top`, its scalings of the
-    summands by units, on the spaces with RREF pieces `pieces`; None when it
-    fixes them all (omega = 1 over F_2, or one summand).  least(P) maps each
-    space to the least index in its orbit under the scalings constant on the
-    blocks of P (bitmasks; singletons in P0), which scaling one block but the
-    last by omega generates; that moves no pivot, so it takes an RREF row r to
-    r times omega on the block, over its pivot entry.  As tau V = V iff tau r
-    is a multiple of r for each RREF row r, join(P, j) joins P with the
-    components of V_j's row supports (None when one block is left)."""
+def _join(part, supports):
+    """The partition `part` of the summands (a sorted tuple of disjoint
+    bitmasks) joined with the sets `supports`: each merges the blocks it
+    meets."""
+    for sup in supports:
+        hit = [b for b in part if b & sup]  # disjoint: their sum is their union
+        part = tuple(sorted([b for b in part if b not in hit] + [sum(hit)]))
+    return part
+
+
+def _torus_orbits(field, top: RModule, spaces, omega):
+    """least(P) for the torus of T = `top`, its scalings of the summands by
+    units, on `spaces` (RREF pieces); None when it fixes them all (omega = 1
+    over F_2, or one summand).  least(P) maps each space to the least index
+    in its orbit under the scalings constant on the blocks of P (bitmasks),
+    which scaling one block but the last by omega generates; that moves no
+    pivot, so it takes an RREF row r to r times omega on the block, over its
+    pivot entry."""
     if omega == 1 or len(top.summands) < 2:
         return None
     owner, units = _owners(top), (omega, field.inv(omega))
-    index = {tuple(p.items()): i for i, p in enumerate(pieces)}
-    supports = functools.cache(lambda j: _supports(field, owner, pieces[j]))
+    index = {tuple(p.items()): i for i, p in enumerate(spaces)}
 
     def image(i, block):
         out = []
-        for s, rows in pieces[i].items():
+        for s, rows in spaces[i].items():
             inside = [block >> t & 1 for t in owner[s]]
             pivots = [inside[next(c for c, a in enumerate(row) if not field.is_zero(a))]
                       for row in rows]
@@ -293,7 +297,7 @@ def _torus_orbits(field, top: RModule, pieces, omega):
     @functools.cache
     def least(part):
         low = {}
-        for i in range(len(pieces)):
+        for i in range(len(spaces)):
             todo = [i]
             for k in todo:  # the orbit of i as it grows, unless it is done
                 if k not in low:
@@ -301,30 +305,40 @@ def _torus_orbits(field, top: RModule, pieces, omega):
                     todo += [image(k, block) for block in part[:-1]]
         return low
 
-    def join(part, j):
-        for sup in supports(j):
-            hit = [b for b in part if b & sup]  # disjoint: their sum is their union
-            part = tuple(sorted([b for b in part if b not in hit] + [sum(hit)]))
-        return part if len(part) > 1 else None
-
-    return least, join, tuple(1 << t for t in range(len(top.summands)))
+    return least
 
 
-def _subspace_flags(field, pieces, length, top: RModule | None = None,
+def _subspace_flags(field, spaces, length, top: RModule | None = None,
                     omega=None):
     """Index tuples of all weakly increasing chains V_0 <= ... <= V_{length-1}
-    of graded subspaces, given by the RREFs of their pieces `pieces`
-    (`_reduced`), in lexicographic order.
+    of the graded subspaces `spaces`, given by their RREF pieces
+    (`stable_graded_subspaces`), in lexicographic order.
 
     Containment is tested only when a flag goes one level deeper, so flags
     of length 1 test none.  V <= W iff V_s <= W_s in every degree s, so
     each pair of pieces is compared once: pieces of equal dimension by
     their RREFs, a smaller one by rank.
 
-    Given their module `top`, only the lex-least flag of each orbit of its
-    torus (`_torus_orbits`, omega from `_primitive_root`) is listed: each
-    member is least in its orbit under the scalings fixing those before it.
-    An orbit lies in one iso class, so each class keeps its first flag.
+    Given their module `top`, each prefix carries the partition P of the
+    summands of T = top that its members' RREF row supports generate
+    (`_join`, from singletons; `_supports`).  A scaling tau of the
+    summands has tau V = V iff tau r is a multiple of r for each RREF row r
+    of V, so the scalings fixing the prefix are those constant on the
+    blocks of P.  Two things read P:
+    - the torus: only the lex-least flag of each torus orbit is listed,
+      each member least in its orbit under the scalings constant on the
+      blocks of P (`_torus_orbits`, omega from `_primitive_root`; omega = 1
+      prunes none).  An orbit lies in one iso class, so each class keeps
+      its first flag.
+    - splitting: a flag whose P has more than one block is not listed.  For
+      S a union of some blocks but not all, the projection pi_S onto those
+      summands fixes or kills each RREF row, so it maps each member into
+      itself: pi_S, a degree-0 idempotent of End(T) other than 0 and 1,
+      lies in the flag's stabilizer, which is not local, and the flag
+      object decomposes.  Conversely, if pi_S V_s <= V_s, the RREFs of
+      pi_S V_s and pi_{S^c} V_s together are reduced, so they are the RREF
+      of V_s: every S with pi_S stabilizing the flag is a union of blocks.
+      This is `_splits` lifted from tops to flags.
     """
 
     @functools.cache
@@ -332,26 +346,28 @@ def _subspace_flags(field, pieces, length, top: RModule | None = None,
         return a == b or (len(a) < len(b) and linalg.rank(field, b + a) == len(b))
 
     def contains(i, j):
-        return all(s in pieces[j] and piece_in(a, pieces[j][s])
-                   for s, a in pieces[i].items())
+        return all(s in spaces[j] and piece_in(a, spaces[j][s])
+                   for s, a in spaces[i].items())
 
-    torus = top and _torus_orbits(field, top, pieces, omega or _primitive_root(field))
-    least, join, start = torus or (None, None, None)
+    owner = top and _owners(top)
+    join = functools.cache(lambda part, j: _join(part, _supports(field, owner, spaces[j])))
+    least = length and top and _torus_orbits(field, top, spaces,
+                                             omega or _primitive_root(field))
 
     def rec(start_ok, acc, part):
         if len(acc) == length:
-            yield tuple(acc)
+            if part is None or len(part) < 2:
+                yield tuple(acc)
             return
         deeper = len(acc) + 1 < length
-        low = least(part) if part else None
+        low = least(part) if least and len(part) > 1 else None
         for j in start_ok:
             if low is None or low[j] == j:
                 yield from rec([k for k in start_ok if contains(j, k)]
-                               if deeper else [], acc + [j],
-                               join(part, j) if deeper and part else None)
+                               if deeper else [], acc + [j], part and join(part, j))
 
-    yield from rec(range(len(pieces)), [], start)
-    del rec  # no closure cycle keeps the pieces alive
+    yield from rec(range(len(spaces)), [], top and tuple(1 << t for t in range(len(top.summands))))
+    del rec  # no closure cycle keeps the spaces alive
 
 
 def _generators(field, shifts, space):
@@ -369,36 +385,9 @@ def _generators(field, shifts, space):
     return out
 
 
-def _summand_splits(field, top: RModule, pieces):
-    """splits(flag): whether, for a proper nonempty set S of the summands
-    of T = `top`, the projection pi_S onto them maps every member of the
-    flag (indices into `pieces`, the RREFs of the pieces of subspaces of
-    T) into itself.
-
-    Then pi_S, a degree-0 idempotent of End(T) other than 0 and 1, lies in
-    the flag's stabilizer, which is not local.  pi_S V <= V iff
-    pi_S V_s <= V_s in each degree s, iff each row of the RREF of V_s
-    lies in T_S or in T_{S^c}: if V_s = pi_S V_s + pi_{S^c} V_s, the two
-    parts' RREFs together are reduced, so they are the RREF of V_s;
-    conversely pi_S fixes or kills each such row.  So each V gets one mask
-    of the S it passes, one S of each pair {S, S^c} as 1 - pi_S = pi_{S^c},
-    and a flag splits when its members' masks share a bit.  This is
-    `_splits` lifted from tops to flags.
-    """
-    owner = _owners(top)
-    sets = range(1, 2 ** len(top.summands) // 2)  # S without the last summand
-
-    @functools.cache
-    def mask(i):
-        supports = _supports(field, owner, pieces[i])
-        return sum(1 << S for S in sets if all(sup & S in (0, sup) for sup in supports))
-
-    every = sum(1 << S for S in sets)
-    return lambda flag: functools.reduce(lambda m, i: m & mask(i), flag, every) != 0
-
-
-def _local_stabilizer(field, top: RModule, spaces, pieces):
-    """is_indecomposable(flag) for flags of `spaces` in T = `top`: whether
+def _local_stabilizer(field, top: RModule, spaces):
+    """is_indecomposable(flag) for flags of `spaces` (RREF pieces) in
+    T = `top`: whether
     the stabilizer A = {phi in End(T) : phi V <= V for V in the flag} is
     a local algebra.
 
@@ -420,20 +409,16 @@ def _local_stabilizer(field, top: RModule, spaces, pieces):
     each element as on T: each x^i T / x^(i+1) T is a quotient of T/xT,
     so phi and its head have the same eigenvalues in k, phi - lambda is
     nilpotent iff its head is, and an algebra of such elements is
-    nilpotent iff its image is (its d-th power lies in I^d = 0).  So, on
-    the flags that reach it, NonSplitEndomorphism is raised iff is_local on
-    A raises it; the census tests a subset of them, in the same order, so
-    it raises in at most those cases.
+    nilpotent iff its image is (its d-th power lies in I^d = 0).  So keep
+    raises NonSplitEndomorphism iff is_local on A raises it.  The census
+    calls keep only on the flags that `_subspace_flags` lists given the
+    top, a subset of all flags in the same order with no split flag among
+    them, so it raises in at most the cases where testing every flag
+    object would.
 
     The heads are fixed by the nullspace coefficients at `units`, and
     is_local is a function of its input, so keep calls it once per tuple
     of those coefficients: an exact memo, one per top.
-
-    keep first rejects the flags that a summand projection splits
-    (`_summand_splits` on `pieces`, the RREFs of the spaces' pieces); their
-    objects decompose, and the nullspace path gives False on them too, or
-    raises NonSplitEndomorphism when is_local meets an element with no
-    eigenvalue in k before the split.
 
     Why A is End(X) of the flag object X up to a nilpotent ideal:
     - chains: every structure map of X is a mono into the top, so a chain
@@ -462,7 +447,6 @@ def _local_stabilizer(field, top: RModule, spaces, pieces):
              if not F.is_zero(c) and degs[u] == degs[t]]
     g, cells = len(degs), [(u, t) for _, u, t in units]
     shifts, dims = _shifts(top), {s: len(idx) for s, idx in tp.items()}
-    splits = _summand_splits(F, top, pieces)
     blocks, decided = {}, {}
 
     def block(i):
@@ -486,8 +470,6 @@ def _local_stabilizer(field, top: RModule, spaces, pieces):
         return blocks[i]
 
     def keep(flag):
-        if splits(flag):
-            return False
         rows = [row for i in dict.fromkeys(flag) for row in block(i)]
         key = tuple(tuple(c[k] for k, _, _ in units)
                     for c in linalg.nullspace(F, rows, cols=len(homs)))
@@ -512,8 +494,9 @@ def _flag_objects(cfg: HypersurfaceConfig, tops, length: int, build,
     """build(cfg, key, spaces)(flag), shifted to minimum degree 0, for
     every flag (index tuple) of `length` x-stable graded subspaces `spaces`
     (`stable_graded_subspaces`) of each top in `tops`, a stream of (key,
-    top module) pairs; with local_only, only for the lex-least flag of each
-    torus orbit (`_subspace_flags`) whose stabilizer in End(top) is local
+    top module) pairs; with local_only, only for the flags that
+    `_subspace_flags` lists given the top (one per torus orbit, none split
+    by a summand projection) whose stabilizer in End(top) is local
     (`_local_stabilizer`), skipping split tops (`_splits`)."""
     F = cfg.field
     omega = _primitive_root(F) if local_only and length else None
@@ -521,10 +504,9 @@ def _flag_objects(cfg: HypersurfaceConfig, tops, length: int, build,
         if local_only and _splits(top):
             continue
         spaces = stable_graded_subspaces(F, top) if length else []
-        pieces = [_reduced(F, v) for v in spaces]
-        flags = _subspace_flags(F, pieces, length, top if omega else None, omega)
+        flags = _subspace_flags(F, spaces, length, top if local_only else None, omega)
         if local_only:
-            flags = filter(_local_stabilizer(F, top, spaces, pieces), flags)
+            flags = filter(_local_stabilizer(F, top, spaces), flags)
         make = build(cfg, key, spaces)
         for flag in flags:
             x = make(flag)

@@ -8,7 +8,9 @@ and each map as one matrix (`x_matrix`, `realization`): they are the
 earlier ambient implementations (the census's listing of x-stable
 subspaces among them) and the adapters between the two forms.
 `jordan_by_kernels` is the earlier Jordan decomposition on degree pieces,
-which took the kernel of every power of x on every piece.  The rest are
+which took the kernel of every power of x on every piece.
+`projection_splits` tries every set of summands on ambient vectors, an
+oracle for the census's drop of split flags.  The rest are
 helpers that only tests use.  pytest does not collect this module;
 tests import it by name.
 """
@@ -214,6 +216,24 @@ def stable_graded_subspaces(field, degs, xmat):
     rec(0, [], [])
     del rec  # no closure cycle keeps the spaces alive
     return results
+
+
+def projection_splits(field, top: RModule, flag_vectors):
+    """Whether the projection pi_S onto some proper nonempty set S of the
+    summands of `top` maps every member of a flag into itself: every S is
+    tried, on each member's ambient vectors (`flag_vectors`, one list per
+    member), with Echelon.contains."""
+    owner = [t for t, _ in top.basis]
+    members = []
+    for vecs in flag_vectors:
+        ech = linalg.Echelon(field)
+        for v in vecs:
+            ech.add(v)
+        members.append((ech, vecs))
+    return any(all(ech.contains([a if S >> owner[c] & 1 else field.zero
+                                 for c, a in enumerate(v)])
+                   for ech, vecs in members for v in vecs)
+               for S in range(1, 2 ** len(top.summands) - 1))
 
 
 def _preimage_by_jordan_tops(c, degs_l, kvecs):

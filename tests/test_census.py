@@ -19,10 +19,8 @@ from facto.census import (
     _local_stabilizer,
     _primitive_root,
     _reconstruction_in_bounds,
-    _reduced,
     _splits,
     _subspace_flags,
-    _summand_splits,
     _top_modules,
     class_census,
     enumerate_chains,
@@ -46,7 +44,7 @@ from facto.factorizations import (
 from facto.fields import GF, QQ
 from facto.endo import is_local
 from facto.functors import reconstruct
-from facto.linalg import Echelon, combination, mat_mul, mat_vec, nullspace
+from facto.linalg import Echelon, combination, mat_mul, mat_vec, nullspace, rref
 from facto.functors import span_preimage_inclusion
 from facto.modules import (
     HypersurfaceConfig,
@@ -62,7 +60,9 @@ from reference import (
     _flag_factorizations,
     _preimage_by_jordan_tops,
     from_realization,
+    projection_splits,
     realization,
+    split,
     subspace_realization,
     to_ambient,
     x_matrix,
@@ -107,9 +107,9 @@ def test_stable_subspaces_of_cyclic():
 def test_piece_subspaces_equal_the_ambient_listing(field):
     """On the chain tops and the free tops of the criterion-2 censuses
     (d=2, 3; m=2, dim=3, window=2), stable_graded_subspaces lists the
-    ambient reference's subspaces, vector for vector and in its order; and
-    the submodule and the preimage inclusion built from each one's pieces
-    equal those built from its ambient vectors."""
+    ambient reference's subspaces, in its order, each as the RREFs of its
+    degree pieces; and the submodule and the preimage inclusion built from
+    each one's pieces equal those built from its ambient vectors."""
     bounds = Bounds(m=2, dim=3, window=2)
     built = 0
     for d in (2, 3):
@@ -120,8 +120,10 @@ def test_piece_subspaces_equal_the_ambient_listing(field):
             degs, xm = top.basis_degrees(), x_matrix(top)
             spaces = stable_graded_subspaces(field, top)
             want = ambient_stable_graded_subspaces(field, degs, xm)
-            assert [to_ambient(field, top, v) for v in spaces] == want, top
-            for space, vecs in zip(spaces, want):
+            assert spaces == [{s: _rref(field, rows) for s, rows in
+                               split(field, degs, vecs).items()} for vecs in want], top
+            for space in spaces:
+                vecs = to_ambient(field, top, space)
                 sdegs, sx, incl = subspace_realization(field, degs, xm, vecs)
                 sub, to_real = realization_to_module(c, sdegs, sx)
                 assert submodule(top, space) == from_realization(
@@ -132,6 +134,10 @@ def test_piece_subspaces_equal_the_ambient_listing(field):
                         _preimage_by_jordan_tops(c, degs_l, vecs)), (top, vecs)
                 built += 1
     assert built > 100
+
+
+def _rref(field, rows):
+    return tuple(map(tuple, rref(field, rows)[0]))
 
 
 def _span(field, vecs):
@@ -275,18 +281,21 @@ def test_census_classes_equal_dedup_first_oracle(d, field):
         rep.to_json()["fac_classes"], rep.to_json()["chain_classes"])
 
 
-def _torus_least_flags(field, top, pieces, length):
-    """Reference: the flags of `pieces` (the RREF pieces of the x-stable
-    subspaces of `top`) that no scaling of the summands of top by units,
-    out of all (p-1)^g of them, maps to a lex-smaller flag."""
-    index = {tuple(v.items()): i for i, v in enumerate(pieces)}
+def _torus_least_flags(field, top, spaces, length):
+    """Reference: the flags of `spaces` (the RREF pieces of the x-stable
+    subspaces of `top`) that no summand projection splits
+    (`projection_splits`) and that no scaling of the summands of top by
+    units, out of all (p-1)^g of them, maps to a lex-smaller flag."""
+    index = {tuple(v.items()): i for i, v in enumerate(spaces)}
     owner = {s: [top.basis[k][0] for k in idx] for s, idx in top.pieces().items()}
-    moves = [[index[tuple(_reduced(field, {
-        s: [[field.mul(a, lam[owner[s][c]]) for c, a in enumerate(row)] for row in rows]
-        for s, rows in v.items()}).items())] for v in pieces]
+    moves = [[index[tuple((s, _rref(field, [
+        [field.mul(a, lam[owner[s][c]]) for c, a in enumerate(row)] for row in rows]))
+        for s, rows in v.items())] for v in spaces]
         for lam in itertools.product(range(1, field.p), repeat=len(top.summands))]
-    return [flag for flag in _subspace_flags(field, pieces, length)
-            if all(tuple(move[i] for i in flag) >= flag for move in moves)]
+    return [flag for flag in _subspace_flags(field, spaces, length)
+            if all(tuple(move[i] for i in flag) >= flag for move in moves)
+            and not projection_splits(field, top, [to_ambient(field, top, spaces[i])
+                                                   for i in flag])]
 
 
 @pytest.mark.parametrize("p, d, top, length", [
@@ -301,15 +310,16 @@ def _torus_least_flags(field, top, pieces, length):
     (7, 2, [(2, 0), (1, 0), (1, 1)], 1),
 ], ids=repr)
 def test_torus_pruned_flags_are_the_lex_least_of_each_orbit(p, d, top, length):
-    """Given its top, _subspace_flags lists exactly the flags that are
-    lex-least in their orbit under the whole torus (F_p^*)^g of the top,
-    on free and non-free tops, flags of length 1 to 3; and it drops some."""
+    """Given its top, _subspace_flags lists exactly the flags that no
+    summand projection splits and that are lex-least in their orbit under
+    the whole torus (F_p^*)^g of the top, on free and non-free tops, flags
+    of length 1 to 3; and it drops some."""
     field = GF(p)
     top = RModule(cfg(d, field), top)
-    pieces = [_reduced(field, v) for v in stable_graded_subspaces(field, top)]
-    got = list(_subspace_flags(field, pieces, length, top))
-    assert got == _torus_least_flags(field, top, pieces, length)
-    assert len(got) < len(list(_subspace_flags(field, pieces, length)))
+    spaces = stable_graded_subspaces(field, top)
+    got = list(_subspace_flags(field, spaces, length, top))
+    assert got == _torus_least_flags(field, top, spaces, length)
+    assert len(got) < len(list(_subspace_flags(field, spaces, length)))
 
 
 def test_primitive_root_generates_the_units():
@@ -436,10 +446,9 @@ def _stabilizer_decisions(c, tops, length, build):
     F = c.field
     for key, top in tops:
         spaces = stable_graded_subspaces(F, top) if length else []
-        pieces = [_reduced(F, v) for v in spaces]
-        local = _local_stabilizer(F, top, spaces, pieces)
+        local = _local_stabilizer(F, top, spaces)
         make = build(c, key, spaces)
-        for flag in _subspace_flags(F, pieces, length):
+        for flag in _subspace_flags(F, spaces, length):
             yield local(flag), make(flag)
 
 
@@ -516,13 +525,12 @@ def test_memoized_keep_equals_a_fresh_decision(d, field, monkeypatch):
     for tops, length, _, _ in _l2_census_sides(c, Bounds(m=2, dim=3, window=2)):
         for _, top in tops:
             spaces = stable_graded_subspaces(F, top)
-            pieces = [_reduced(F, v) for v in spaces]
-            keep = _local_stabilizer(F, top, spaces, pieces)
-            for flag in _subspace_flags(F, pieces, length):
+            keep = _local_stabilizer(F, top, spaces)
+            for flag in _subspace_flags(F, spaces, length):
                 before = len(calls)
                 got = keep(flag)
                 memo_calls += len(calls) - before
-                assert got == _local_stabilizer(F, top, spaces, pieces)(flag), (top, flag)
+                assert got == _local_stabilizer(F, top, spaces)(flag), (top, flag)
                 flags += 1
     assert memo_calls < flags
 
@@ -538,10 +546,9 @@ def test_degree_prefilter_keeps_the_flags(d, field):
             vectors = [to_ambient(field, top, v) for v in spaces]
             inside = [[all(_span(field, w).contains(v) for v in vecs)
                        for w in vectors] for vecs in vectors]
-            pieces = [_reduced(field, v) for v in spaces]
             plain = [(i,) for i in range(len(spaces))]
             for length in (1, 2, 3):
-                assert list(_subspace_flags(field, pieces, length)) == plain
+                assert list(_subspace_flags(field, spaces, length)) == plain
                 plain = [f + (j,) for f in plain for j in range(len(spaces))
                          if inside[f[-1]][j]]
 
@@ -586,66 +593,91 @@ def _random_tops(field, rng, count):
 def test_local_stabilizer_equals_the_full_stabilizer_oracle(field, monkeypatch):
     """Conditions on generators only, decided on End(T/xT), agree with the
     full stabilizer in End(T): the answer is is_local on the full
-    stabilizer; and on the flags that reach is_local (those no summand
-    projection splits), it gets one head per basis vector of the
-    stabilizer, and the heads span its image in End(T/xT); on random flags
-    of random tops with up to three summands."""
+    stabilizer; and each fresh keep calls is_local once, with one head per
+    basis vector of the stabilizer, and the heads span its image in
+    End(T/xT); on random flags of random tops with up to three summands."""
     heads = []
     monkeypatch.setattr("facto.census.is_local",
                         lambda F, basis: heads.append(basis) or is_local(F, basis))
     rng = random.Random(5)
-    answers, reached = set(), set()
+    answers = set()
     for top in _random_tops(field, rng, 14):
         spaces = stable_graded_subspaces(field, top)
-        pieces = [_reduced(field, v) for v in spaces]
-        flags = list(_subspace_flags(field, pieces, 2))
+        flags = list(_subspace_flags(field, spaces, 2))
         for flag in rng.sample(flags, min(40, len(flags))):
             # a fresh keep per flag: a memo hit would not reach is_local
             before = len(heads)
-            got = _local_stabilizer(field, top, spaces, pieces)(flag)
+            got = _local_stabilizer(field, top, spaces)(flag)
             full = _full_stabilizer(field, top, [to_ambient(field, top, spaces[i])
                                                  for i in flag])
             assert got == is_local(field, full), (top, flag)
             answers.add(got)
-            reached.add(len(heads) > before)
-            if len(heads) == before:
-                continue
+            assert len(heads) == before + 1, (top, flag)
             # one head per stabilizer basis vector, spanning the image
             assert len(heads[-1]) == len(full)
             image = _span(field, [sum(_head(top, phi), []) for phi in full])
             mine = _span(field, [sum(h, []) for h in heads[-1]])
             assert mine.dim == image.dim and all(
                 image.contains(row) for row in mine.rows), (top, flag)
-    assert answers == reached == {True, False}
+    assert answers == {True, False}
+
+
+def _criterion2_tops(field):
+    """The unsplit tops of both sides of the criterion-2 censuses (l=2,
+    d=2 and 3, m=2, dim=3, window=2) over `field`."""
+    return [top for d in (2, 3) for side in _l2_census_sides(
+        cfg(d, field), Bounds(m=2, dim=3, window=2))
+        for _, top in side[0] if not _splits(top)]
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5)], ids=repr)
 def test_summand_splits_rejects_only_nonlocal_stabilizers(field):
-    """Every flag that a summand projection splits has a full stabilizer
-    in End(T) that is not local: on every flag of the tops of the
-    criterion-2 censuses (l=2, d=2 and 3, m=2, dim=3, window=2) over F_5,
-    and on every flag of random tops over F_2 and F_3."""
+    """Given its top and no torus (omega = 1), _subspace_flags drops exactly
+    the flags that some summand projection splits (`projection_splits`,
+    every proper nonempty set of summands tried on ambient vectors), and
+    each of them has a full stabilizer in End(T) that is not local: on
+    every flag of the tops of the criterion-2 censuses over F_5, and on
+    every flag of random tops over F_2 and F_3."""
     if field.p == 5:
-        tops = [top for d in (2, 3) for side in _l2_census_sides(
-            cfg(d, field), Bounds(m=2, dim=3, window=2))
-            for _, top in side[0] if not _splits(top)]
+        tops = _criterion2_tops(field)
     else:
         tops = list(_random_tops(field, random.Random(9), 14))
     rejected = kept = 0
     for top in tops:
         spaces = stable_graded_subspaces(field, top)
-        pieces = [_reduced(field, v) for v in spaces]
-        splits = _summand_splits(field, top, pieces)
         for length in (1, 2):
-            for flag in _subspace_flags(field, pieces, length):
-                if not splits(flag):
+            listed = set(_subspace_flags(field, spaces, length, top, 1))
+            for flag in _subspace_flags(field, spaces, length):
+                vectors = [to_ambient(field, top, spaces[i]) for i in flag]
+                splits = projection_splits(field, top, vectors)
+                assert (flag not in listed) == splits, (top, flag)
+                if not splits:
                     kept += 1
                     continue
-                full = _full_stabilizer(field, top, [to_ambient(field, top, spaces[i])
-                                                     for i in flag])
-                assert not is_local(field, full), (top, flag)
+                assert not is_local(field, _full_stabilizer(field, top, vectors)), (top, flag)
                 rejected += 1
     assert rejected and kept
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5)], ids=repr)
+def test_listed_subspaces_are_distinct_rref_pieces(field):
+    """Every piece that stable_graded_subspaces lists is its own RREF, as a
+    tuple of row tuples, and no top lists one subspace twice: the torus's
+    index of spaces and _subspace_flags' piece comparison rely on both; on
+    the criterion-2 tops over F_5 and on random tops over F_2 and F_3."""
+    if field.p == 5:
+        tops = _criterion2_tops(field)
+    else:
+        tops = list(_random_tops(field, random.Random(9), 14))
+    pieces = 0
+    for top in tops:
+        spaces = stable_graded_subspaces(field, top)
+        assert len({tuple(sorted(v.items())) for v in spaces}) == len(spaces), top
+        for space in spaces:
+            for rows in space.values():
+                assert rows and rows == _rref(field, rows), (top, space)
+                pieces += 1
+    assert pieces > 100
 
 
 @pytest.mark.parametrize("d", [2, 3])

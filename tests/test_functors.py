@@ -249,11 +249,12 @@ def test_cok_exactness_malformed():
 # -- cok on morphisms ---------------------------------------------------------
 
 
-def _census_homs(d, l):
-    """(classes, homs): the factorization classes over F_5 at (d, l) with
-    m=2, window=2, projectives included, and homs[i, j] the fac_hom_basis
-    maps from class i to class j with their induced cok maps."""
-    classes = enumerate_factorizations(cfg(d, GF(5)), l, 2, 2)
+def _census_homs(d, l, field=GF(5), m=2, window=2):
+    """(classes, homs): the factorization classes over `field` at (d, l)
+    within rank m and `window`, projectives included, and homs[i, j] the
+    fac_hom_basis maps from class i to class j with their induced cok
+    maps."""
+    classes = enumerate_factorizations(cfg(d, field), l, m, window)
     homs = {}
     for i, x in enumerate(classes):
         for j, y in enumerate(classes):
@@ -261,12 +262,16 @@ def _census_homs(d, l):
     return classes, homs
 
 
-@pytest.mark.parametrize("d, l, pairs", [(3, 2, 121), (3, 3, 784)])
-def test_cok_maps_are_chain_maps_that_span_the_chain_homs(d, l, pairs):
+@pytest.mark.parametrize("d, l, pairs, p, m, window", [
+    (3, 2, 121, 5, 2, 2), (3, 3, 784, 5, 2, 2), (4, 2, 441, 2, 3, 3)],
+    ids=["3-2-121", "3-3-784", "4-2-441-GF(2)"])
+def test_cok_maps_are_chain_maps_that_span_the_chain_homs(d, l, pairs, p, m, window):
     """cok of each basis map between two classes is a checked ChainMap of
-    their cok chains, and these images span every chain hom between them."""
-    F = GF(5)
-    classes, homs = _census_homs(d, l)
+    their cok chains, and these images span every chain hom between them:
+    over F_5 with m=2, window=2, and at (d, l) = (4, 2) over F_2 with m=3,
+    window=3."""
+    F = GF(p)
+    classes, homs = _census_homs(d, l, F, m, window)
     assert len(homs) == pairs
     coks = [cok(x) for x in classes]
     for (i, j), maps in homs.items():
