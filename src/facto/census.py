@@ -19,18 +19,42 @@ its image in End(T/xT) is, as the maps into xT form an ideal I with
 I^d = 0 (see `_local_stabilizer`).  A flag that the projection onto some
 summands of T stabilizes is not listed (`_subspace_flags`); each other
 flag costs one nullspace, and each distinct head basis of a top one
-locality test on g x g matrices (g generators of T).  Split tops are
-skipped (`_splits`): if the degree intervals [s, s+e-1] of the summands
-R/x^e(-s) of T (e = d for a free one) fall into two nonempty groups A, B
-sharing no degree, each T_s lies in T_A or T_B, so a graded x-stable V is
-(V n T_A) + (V n T_B).  Then the projection onto T_A, an idempotent other
-than 0 and 1, stabilizes every flag: no flag object on T is
-indecomposable.  So the census clamps the window: the intervals of a
-top of minimum degree 0 that does not split cover some [0, E], so its
-starts are at most dim - 1 for a chain top (E < dim), and at most
-(m - 1)(d - 1) for a factorization top (sorted, they grow by < d).  Flags
-are listed up to the torus of T, one per orbit (`_subspace_flags`), which
-keeps the first flag of each iso class.  Only the flags that pass are
+locality test on g x g matrices (g generators of T).
+
+Split tops are skipped (`_splits`): on them every flag is, up to an
+automorphism of T, stabilized by an idempotent other than 0 and 1, so no
+flag object is indecomposable.  Two rules find them:
+- touching intervals.  Let the degree intervals [s, s+e-1] of the
+  summands R/x^e(-s) of T (e = d for a free one) fall into two nonempty
+  groups A, B sharing at most the degree t, with A's ends at most t and
+  B's starts at least t.  Every T_s with s != t lies in T_A or T_B.  In
+  T_t, A contributes socles x^(e_a-1) gen_a (a space S) and B generators
+  (a space H).  The maps gen_b -> gen_b + sum u_ab x^(e_a-1) gen_a are
+  R-linear, as x kills what they add, and act on T_t alone, as
+  (s, h) -> (s + u h, h) for u: H -> S.  A member V moves to
+  (V n T_A) + (V n T_B) iff (-u h, h) lies in V_t for each h in
+  pi_H V_t, which fixes u on pi_H V_t modulo V_t n S.  Along the flag
+  pi_H V_t and V_t n S grow, so a choice for one member also serves each
+  later member on that member's pi_H V_t, and u is extended member by
+  member.  Then the projection onto T_A stabilizes the moved flag.
+- homogeneous tops.  Let T = N^n with N = R/x^e(-s), n >= 2.  A member
+  is sum_i x^i gen (x) W_i with W_0 <= ... <= W_(e-1) <= k^n, so a flag of
+  `length` members is a representation of the poset [length] x [e] by
+  subspaces of k^n.  When min(length, e) <= 2 that poset is a union of at
+  most two chains, and two chains of subspaces have a common adapted
+  basis (Bruhat decomposition).  GL_n(k) <= Aut(T) moves it to the
+  coordinate basis, where the projection onto one copy of N stabilizes
+  the flag.  At width 3 this fails: l=3, d=3 has indecomposable flags on
+  R^2.
+So the census clamps the window: the sorted intervals of a top of
+minimum degree 0 that does not split start at 0 and then each below the
+largest end before it, at most E - 1 where [0, E] is their union.  So
+its starts are at most max(dim - 2, 0) for a chain top (E < dim), and at
+most (m - 1) max(d - 2, 0) for a factorization top (sorted, they grow by
+at most d - 2).
+
+Flags are listed up to the torus of T, one per orbit (`_subspace_flags`),
+which keeps the first flag of each iso class.  Only the flags that pass are
 built, with one inclusion per space (a preimage in S^m, a submodule of a
 chain top), and deduplicated with the iso tests: these are
 `enumerate_factorizations` and `enumerate_chains`.  The census drops the
@@ -338,7 +362,8 @@ def _subspace_flags(field, spaces, length, top: RModule | None = None,
       object decomposes.  Conversely, if pi_S V_s <= V_s, the RREFs of
       pi_S V_s and pi_{S^c} V_s together are reduced, so they are the RREF
       of V_s: every S with pi_S stabilizing the flag is a union of blocks.
-      This is `_splits` lifted from tops to flags.
+      This is the idempotent of `_splits` read on the flag itself, with
+      no automorphism of T applied first.
     """
 
     @functools.cache
@@ -481,12 +506,15 @@ def _local_stabilizer(field, top: RModule, spaces):
     return keep
 
 
-def _splits(top: RModule) -> bool:
-    """Whether the summands' degree intervals fall into two groups sharing
-    no degree, so that no flag object on `top` is indecomposable."""
+def _splits(top: RModule, length: int) -> bool:
+    """Whether no flag object with `length` members on `top` is
+    indecomposable, by one of two rules (see the module docstring): the
+    summands' degree intervals fall into two groups sharing at most one
+    degree, or top = N^n with n >= 2 and min(length, dim N) <= 2."""
     spans = sorted((s, s + e - 1) for e, s in top.summands)
-    return any(lo > max(hi for _, hi in spans[:i])
-               for i, (lo, _) in enumerate(spans) if i)
+    touching = any(lo >= max(hi for _, hi in spans[:i]) for i, (lo, _) in enumerate(spans) if i)
+    homogeneous = len(set(top.summands)) == 1 < len(top.summands)
+    return touching or (homogeneous and min(length, top.summands[0][0]) <= 2)
 
 
 def _flag_objects(cfg: HypersurfaceConfig, tops, length: int, build,
@@ -501,7 +529,7 @@ def _flag_objects(cfg: HypersurfaceConfig, tops, length: int, build,
     F = cfg.field
     omega = _primitive_root(F) if local_only and length else None
     for key, top in tops:
-        if local_only and _splits(top):
+        if local_only and _splits(top, length):
             continue
         spaces = stable_graded_subspaces(F, top) if length else []
         flags = _subspace_flags(F, spaces, length, top if local_only else None, omega)
@@ -567,7 +595,7 @@ def enumerate_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
     so the window is clamped to what those reach.  ValueError when m_max*d
     or l exceeds MAX_CENSUS_SIZE."""
     _check_census_size(("m*d", m_max * cfg.d), ("l", l))
-    window = min(window, max(m_max - 1, 0) * (cfg.d - 1))
+    window = min(window, max(m_max - 1, 0) * max(cfg.d - 2, 0))
     return _dedup(_flag_objects(cfg, _fac_tops(cfg, m_max, window), l, _fac_build,
                                 local_only=True), _fac_fingerprint, fac_iso_test)
 
@@ -623,7 +651,7 @@ def enumerate_chains(cfg: HypersurfaceConfig, l: int, dim_max: int,
     reach; a top of minimum degree s > 0 repeats its shift by -s.
     ValueError when dim_max or l exceeds MAX_CENSUS_SIZE."""
     _check_census_size(("dim", dim_max), ("l", l))
-    window = min(window, max(dim_max - 1, 0))
+    window = min(window, max(dim_max - 2, 0))
     tops = [t for t in _top_modules(cfg, dim_max, window) if t.min_degree() == 0]
     return _dedup(_flag_objects(cfg, ((t, t) for t in tops), l - 1, _chain_build,
                                 local_only=True), _chain_fingerprint, chain_iso_test)
@@ -720,10 +748,12 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
     to list.
     """
     _check_census_size(("m*d", bounds.m * cfg.d), ("dim", bounds.dim), ("l", l))
-    covered = [(x, fac_projective_cover(x)) for x in
-               enumerate_factorizations(cfg, l, bounds.m, bounds.window)]
-    covered = [(x, c) for x, c in covered if fac_stable_hom_dim(x, x, c)]
-    facs = [x for x, _ in covered]
+    # (x, its projective cover, dim of its stable End): 0 iff x is projective
+    covered = [(x, c, fac_stable_hom_dim(x, x, c)) for x in
+               enumerate_factorizations(cfg, l, bounds.m, bounds.window)
+               for c in [fac_projective_cover(x)]]
+    covered = [(x, c, end) for x, c, end in covered if end]
+    facs = [x for x, _, _ in covered]
     chains = [u for u in enumerate_chains(cfg, l, bounds.dim, bounds.window)
               if not chain_projective_test(u)]
 
@@ -754,7 +784,7 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
                 f"chain class {j}: reconstruction in bounds but unmatched"
             )
 
-    fac_table = [[fac_stable_hom_dim(x, y, c) for y, c in covered]
+    fac_table = [[end if x is y else fac_stable_hom_dim(x, y, c) for y, c, end in covered]
                  for x in facs]
     chain_covers = [chain_projective_cover(u) for u in coks]
     chain_table = [[chain_stable_hom_dim(u, v, c) for v, c in zip(coks, chain_covers)]

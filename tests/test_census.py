@@ -472,42 +472,71 @@ def test_flag_stabilizer_decides_indecomposability(d, field):
     assert {got for got, _ in facs} == {got for got, _ in chains} == {True, False}
 
 
-def _l2_census_sides(c, bounds):
+def _census_sides(c, bounds, l=2):
     """(tops, flag length, build, indecomposability test) of both sides of
-    an l=2 census, as class_census walks them."""
+    a census, as class_census walks them."""
     tops = [t for t in _top_modules(c, bounds.dim, bounds.window)
             if t.min_degree() == 0]
-    return [(list(_fac_tops(c, bounds.m, bounds.window)), 2, _fac_build,
+    return [(list(_fac_tops(c, bounds.m, bounds.window)), l, _fac_build,
              fac_is_indecomposable),
-            ([(t, t) for t in tops], 1, _chain_build, chain_is_indecomposable)]
+            ([(t, t) for t in tops], l - 1, _chain_build, chain_is_indecomposable)]
 
 
 def test_splits_reads_the_degree_intervals():
     c = cfg(3)
-    assert not _splits(RModule.zero(c))
-    assert not _splits(RModule(c, [(3, 1)]))
-    # [0, 0] and [1, 1] share no degree; [0, 1] and [1, 1] share 1
-    assert _splits(RModule(c, [(1, 0), (1, 1)]))
-    assert not _splits(RModule(c, [(2, 0), (1, 1)]))
-    # a free summand spans d degrees: [0, 2] reaches [2, 4] but not [3, 5]
-    assert not _splits(RModule.free(c, [2, 0]))
-    assert _splits(RModule.free(c, [3, 0]))
-    assert _splits(RModule(c, [(1, 4), (2, 0), (1, 1)]))
+    assert not _splits(RModule.zero(c), 2)
+    assert not _splits(RModule(c, [(3, 1)]), 2)
+    # [0, 0] and [1, 1] share no degree; [0, 1] and [1, 1] share only 1
+    assert _splits(RModule(c, [(1, 0), (1, 1)]), 2)
+    assert _splits(RModule(c, [(2, 0), (1, 1)]), 2)
+    # a free summand spans d degrees: [0, 2] shares 1 and 2 with [1, 3],
+    # only 2 with [2, 4], and none with [3, 5]
+    assert not _splits(RModule.free(c, [1, 0]), 2)
+    assert _splits(RModule.free(c, [2, 0]), 2)
+    assert _splits(RModule.free(c, [3, 0]), 2)
+    assert _splits(RModule(c, [(1, 4), (2, 0), (1, 1)]), 2)
+    # N^n, n >= 2, splits iff min(length, dim N) <= 2
+    assert _splits(RModule.free(c, [0, 0]), 2)
+    assert not _splits(RModule.free(c, [0, 0]), 3)
+    assert _splits(RModule(c, [(1, 0)] * 3), 1)
 
 
-@pytest.mark.parametrize("d, field, window", [(2, GF(3), 2), (3, GF(2), 3)],
-                         ids=repr)
-def test_split_tops_carry_only_decomposable_flags(d, field, window):
+@pytest.mark.parametrize("d, field, window, l", [
+    pytest.param(2, GF(3), 2, 2, id="2-GF(3)-2"),
+    pytest.param(3, GF(2), 3, 2, id="3-GF(2)-3"),
+    pytest.param(2, GF(3), 2, 3, id="2-GF(3)-2-l3"),
+    pytest.param(3, GF(2), 3, 3, id="3-GF(2)-3-l3"),
+])
+def test_split_tops_carry_only_decomposable_flags(d, field, window, l):
     """On a top that `_splits`, every flag fails keep and builds a
-    decomposable object, on both sides: class_census may skip it."""
+    decomposable object, on both sides: class_census may skip it.  The
+    split tops include one whose intervals share one degree (touching)
+    and, where min(l, d) <= 2, the homogeneous free top R^2."""
     c = cfg(d, field)
-    for tops, length, build, indecomposable in _l2_census_sides(
-            c, Bounds(m=2, dim=3, window=window)):
-        split = [(key, top) for key, top in tops if _splits(top)]
+    for tops, length, build, indecomposable in _census_sides(
+            c, Bounds(m=2, dim=3, window=window), l):
+        split = [(key, top) for key, top in tops if _splits(top, length)]
         decisions = list(_stabilizer_decisions(c, split, length, build))
         assert split and decisions
         for got, x in decisions:
             assert not got and not indecomposable(x), x
+        split_tops = {top.sorted_summands() for _, top in split}
+        if build is _fac_build:
+            assert ((d, 0), (d, d - 1)) in split_tops  # touching in degree d - 1
+            assert (((d, 0), (d, 0)) in split_tops) == (min(l, d) <= 2)
+        else:
+            assert ((1, 1), (2, 0)) in split_tops  # touching in degree 1
+
+
+def test_homogeneous_rule_needs_the_width_condition():
+    """At l=3, d=3 the flags on R^2 form representations of [3] x [3], a
+    poset of width 3, and some flag builds an indecomposable factorization
+    over F_2: R^2 does not split at length 3."""
+    c = cfg(3, GF(2))
+    top = RModule.free(c, [0, 0])
+    assert _splits(top, 2) and not _splits(top, 3)
+    assert any(got and fac_is_indecomposable(x) for got, x in
+               _stabilizer_decisions(c, [((0, 0), top)], 3, _fac_build))
 
 
 @pytest.mark.parametrize("d, field", [(2, GF(5)), (3, GF(5)), (3, GF(2))],
@@ -522,7 +551,7 @@ def test_memoized_keep_equals_a_fresh_decision(d, field, monkeypatch):
     monkeypatch.setattr("facto.census.is_local",
                         lambda *args: calls.append(1) or is_local(*args))
     flags = memo_calls = 0
-    for tops, length, _, _ in _l2_census_sides(c, Bounds(m=2, dim=3, window=2)):
+    for tops, length, _, _ in _census_sides(c, Bounds(m=2, dim=3, window=2)):
         for _, top in tops:
             spaces = stable_graded_subspaces(F, top)
             keep = _local_stabilizer(F, top, spaces)
@@ -540,7 +569,7 @@ def test_degree_prefilter_keeps_the_flags(d, field):
     """Comparing dim V_s <= dim W_s before row reduction yields the same
     flags in the same order as plain containment of every pair."""
     c = cfg(d, field)
-    for tops, _, _, _ in _l2_census_sides(c, Bounds(m=2, dim=3, window=2)):
+    for tops, _, _, _ in _census_sides(c, Bounds(m=2, dim=3, window=2)):
         for _, top in tops:
             spaces = stable_graded_subspaces(field, top)
             vectors = [to_ambient(field, top, v) for v in spaces]
@@ -623,11 +652,11 @@ def test_local_stabilizer_equals_the_full_stabilizer_oracle(field, monkeypatch):
 
 
 def _criterion2_tops(field):
-    """The unsplit tops of both sides of the criterion-2 censuses (l=2,
-    d=2 and 3, m=2, dim=3, window=2) over `field`."""
-    return [top for d in (2, 3) for side in _l2_census_sides(
+    """The tops of both sides of the criterion-2 censuses (l=2, d=2 and 3,
+    m=2, dim=3, window=2) over `field`, split or not."""
+    return [top for d in (2, 3) for side in _census_sides(
         cfg(d, field), Bounds(m=2, dim=3, window=2))
-        for _, top in side[0] if not _splits(top)]
+        for _, top in side[0]]
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5)], ids=repr)
@@ -768,4 +797,26 @@ def test_ringel_schmidt_count_at_d4():
     assert len(rep.chain_classes) == 18
     assert len(rep.fac_classes) == len(rep.matching) == 18
     assert {j for _, j in rep.matching} == set(range(18))
+    assert rep.fac_hom_table == rep.chain_hom_table
+
+
+def test_ringel_schmidt_count_at_d5():
+    """The l=2 chains at d=5 form S(5), which has 50 indecomposables
+    (Ringel-Schmidt, Crelle 614, 2008); two of them, (0 <= R) and (R = R)
+    with R = k[x]/(x^5), are projective-injective, so at most 48 are
+    nonprojective.
+
+    Sharpness, as at d=3 and d=4: push-down sends graded indecomposables
+    that are not shifts of each other to non-isomorphic ungraded ones, and
+    keeps projectivity, so there are at most 48 graded nonprojective
+    classes up to shift within any bounds.  The census finds 48 pairwise
+    non-isomorphic nonprojective indecomposable factorizations, so
+    m=3, window=3 miss none.  The chain side holds only the classes whose
+    top fits in dim=7, so its count is not pinned; the equivalence matches
+    each of them with a factorization under cok, with equal stable hom
+    tables.
+    """
+    rep = class_census(cfg(5, GF(2)), 2, Bounds(m=3, dim=7, window=3))
+    assert len(rep.fac_classes) == 48
+    assert {j for _, j in rep.matching} == set(range(len(rep.chain_classes)))
     assert rep.fac_hom_table == rep.chain_hom_table

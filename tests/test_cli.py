@@ -194,12 +194,15 @@ def test_census_command(tmp_path, capsys):
 
 
 def test_census_over_a_large_prime_runs_in_bounded_memory():
-    """The census never lists the elements of F_p: over p = 2^31 - 1 the
-    bounds dim=1 give no subspace a free entry, so the run needs no more
-    memory than over F_5, and dim=2 (p + 3 subspaces of F_p^2) is refused
-    with an error line before anything is listed.  Each run is a child
-    process whose address space is capped, so a regression fails here
-    instead of exhausting the host."""
+    """The census never lists the elements of F_p: over p = 2^31 - 1, at
+    d=2 the bounds dim=1 give no subspace a free entry, and at dim=2 the
+    only top with a 2-dimensional piece, k^2, is skipped before its
+    subspaces are listed (it splits), so these runs need no more memory
+    than over F_5.  At d=3 the unsplit free top R(0) + R(-1) has pieces
+    F_p^2 (p + 3 subspaces each), so m=2 is refused with an error line
+    before anything is listed.  Each run is a child process whose address
+    space is capped, so a regression fails here instead of exhausting the
+    host."""
     cap = 512 * 2**20
 
     def limit():
@@ -208,18 +211,19 @@ def test_census_over_a_large_prime_runs_in_bounded_memory():
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(facto.cli.__file__)))
 
-    def census(bounds):
+    def census(d, bounds):
         return subprocess.run(
             [sys.executable, "-c",
              "import sys; from facto.cli import main; sys.exit(main(sys.argv[1:]))",
-             "census", "--field", "fp:2147483647", "--d", "2", "--l", "2",
+             "census", "--field", "fp:2147483647", "--d", str(d), "--l", "2",
              "--bounds", bounds],
             preexec_fn=limit, env=env, capture_output=True, text=True, timeout=300)
 
-    proc = census("m=1,dim=1,window=0")
-    assert proc.returncode == 0, proc.stderr
-    assert "matched pairs:         2" in proc.stdout
-    proc = census("m=1,dim=2,window=0")
+    for dim, matched in [(1, 2), (2, 3)]:
+        proc = census(2, f"m=1,dim={dim},window=0")
+        assert proc.returncode == 0, proc.stderr
+        assert f"matched pairs:         {matched}" in proc.stdout
+    proc = census(3, "m=2,dim=1,window=1")
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
@@ -228,8 +232,8 @@ def test_census_huge_window_runs_in_bounded_memory(tmp_path):
     """A window far beyond what a non-split top reaches is clamped on the
     census path: the run exits 0 in a child process with a capped address
     space, with the classes, matching and tables of the clamped window
-    (dim - 1 = 0 for chain tops, (m - 1)(d - 1) = 0 for factorization
-    tops)."""
+    (max(dim - 2, 0) = 0 for chain tops, (m - 1) max(d - 2, 0) = 0 for
+    factorization tops)."""
     cap = 512 * 2**20
 
     def limit():
