@@ -17,9 +17,10 @@ X is indecomposable iff End(X) is local (Fitting's lemma), End(X) is the
 flag's stabilizer A in End(T) up to a nilpotent ideal, and A is local iff
 its image in End(T/xT) is, as the maps into xT form an ideal I with
 I^d = 0 (see `_local_stabilizer`).  A flag that the projection onto some
-summands of T stabilizes is not listed (`_subspace_flags`); each other
-flag costs one nullspace, and each distinct head basis of a top one
-locality test on g x g matrices (g generators of T).
+summands of T stabilizes is not listed (`_subspace_flags`).  On a top
+with at least two generators each other flag costs one nullspace, and
+each distinct head basis of the top one locality test on g x g matrices
+(g generators of T); on a top with one generator every flag is local.
 
 Split tops are skipped (`_splits`): on them every flag is, up to an
 automorphism of T, stabilized by an idempotent other than 0 and 1, so no
@@ -58,8 +59,9 @@ which keeps the first flag of each iso class.  Only the flags that pass are
 built, with one inclusion per space (a preimage in S^m, a submodule of a
 chain top), and deduplicated with the iso tests: these are
 `enumerate_factorizations` and `enumerate_chains`.  The census drops the
-projective classes last, by one projective cover per class that also
-serves the stable hom table.  Both properties are iso-invariant and
+projective classes last, those whose stable End is 0, by the walks of
+each class (`fac_walks`) that also serve its row and column of the stable
+hom table.  Both properties are iso-invariant and
 deduplication keeps the first member of each class, so this gives the
 classes of building and deduplicating every flag object first.  Between
 indecomposables the iso tests are exact (see `endo.search_iso`), so the
@@ -77,9 +79,9 @@ from dataclasses import dataclass
 from . import linalg
 from .chains import (
     MonoChain,
+    chain_composites,
     chain_hom_basis,
     chain_iso_test,
-    chain_projective_cover,
     chain_projective_test,
     chain_stable_hom_dim,
 )
@@ -89,8 +91,8 @@ from .factorizations import (
     adjunction_transport,
     fac_hom_basis,
     fac_iso_test,
-    fac_projective_cover,
     fac_stable_hom_dim,
+    fac_walks,
 )
 from .fields import PrimeField
 from .functors import cok, flag_factorization, span_preimage_inclusion
@@ -459,7 +461,12 @@ def _local_stabilizer(field, top: RModule, spaces):
       and a degree-0 entry x^e between generator degrees a, b has
       e = b - a, so it is 0 once kd exceeds the spread of the degrees.
     The zero top has no generators: its flag object is not indecomposable.
+    A top with one generator has End(T/xT) = k, onto which every
+    stabilizer maps (it holds the identity): every flag is local, and keep
+    accepts it with no block built and nothing solved.
     """
+    if len(top.summands) == 1:
+        return lambda flag: True
     F = field
     homs, tp = hom_basis(top, top), top.pieces()
     # the few nonzero entries (r, c, a) of each basis map's degree pieces
@@ -748,12 +755,12 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
     to list.
     """
     _check_census_size(("m*d", bounds.m * cfg.d), ("dim", bounds.dim), ("l", l))
-    # (x, its projective cover, dim of its stable End): 0 iff x is projective
-    covered = [(x, c, fac_stable_hom_dim(x, x, c)) for x in
-               enumerate_factorizations(cfg, l, bounds.m, bounds.window)
-               for c in [fac_projective_cover(x)]]
-    covered = [(x, c, end) for x, c, end in covered if end]
-    facs = [x for x, _, _ in covered]
+    # (x, its walks, dim of its stable End): 0 iff x is projective
+    walked = [(x, w, fac_stable_hom_dim(x, x, (w, w))) for x in
+              enumerate_factorizations(cfg, l, bounds.m, bounds.window)
+              for w in [fac_walks(x)]]
+    walked = [(x, w, end) for x, w, end in walked if end]
+    facs = [x for x, _, _ in walked]
     chains = [u for u in enumerate_chains(cfg, l, bounds.dim, bounds.window)
               if not chain_projective_test(u)]
 
@@ -784,11 +791,11 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
                 f"chain class {j}: reconstruction in bounds but unmatched"
             )
 
-    fac_table = [[end if x is y else fac_stable_hom_dim(x, y, c) for y, c, end in covered]
-                 for x in facs]
-    chain_covers = [chain_projective_cover(u) for u in coks]
-    chain_table = [[chain_stable_hom_dim(u, v, c) for v, c in zip(coks, chain_covers)]
-                   for u in coks]
+    fac_table = [[end if x is y else fac_stable_hom_dim(x, y, (w, v)) for y, v, end in walked]
+                 for x, w, _ in walked]
+    composites = [chain_composites(u) for u in coks]
+    chain_table = [[chain_stable_hom_dim(u, v, (cu, cv)) for v, cv in zip(coks, composites)]
+                   for u, cu in zip(coks, composites)]
     if fac_table != chain_table:
         raise MatchFailure(
             f"stable hom tables differ: {fac_table} vs {chain_table}"

@@ -11,7 +11,7 @@ import functools
 from dataclasses import dataclass
 
 from . import linalg
-from .endo import hom_space, is_local, search_iso, stable_dim
+from .endo import hom_dim, hom_space, is_local, search_iso
 from .modules import (
     HypersurfaceConfig,
     ModuleMap,
@@ -204,6 +204,28 @@ class ChainMap:
 # hom spaces ------------------------------------------------------------------
 
 
+def _chain_hom_system(u: MonoChain, v: MonoChain):
+    """(unknowns, squares) of chain maps u -> v for `endo.hom_space`: the
+    elementary positions of each component and the squares, one equation
+    per generator block where the monomial survives."""
+    if u.cfg != v.cfg:
+        raise ValueError("config mismatch")
+    if u.length != v.length:
+        raise ValueError("chain lengths differ")
+    unknowns = [hom_positions(a, b) for a, b in zip(u.objects, v.objects)]
+    squares = [(g.blocks, f.blocks, _surviving(f.src, g.tgt))
+               for f, g in zip(u.maps, v.maps)]
+    return unknowns, squares
+
+
+def _surviving(src: RModule, tgt: RModule):
+    """The block positions (q, c) of a map src -> tgt whose monomial
+    x^(s_c - s_q) gen_q survives in tgt: the entries a normalized block
+    matrix can hold."""
+    return [(q, c) for q, (e, s) in enumerate(tgt.summands)
+            for c, (_, t) in enumerate(src.summands) if 0 <= t - s < e]
+
+
 def chain_hom_basis(u: MonoChain, v: MonoChain):
     """k-basis of ChainMaps u -> v (commuting componentwise homs).
 
@@ -212,21 +234,19 @@ def chain_hom_basis(u: MonoChain, v: MonoChain):
     v.maps[i] f^i = f^(i+1) u.maps[i] gives one equation per generator
     block where the monomial survives in v^(i+1) (`endo.hom_space`).
     """
-    if u.cfg != v.cfg:
-        raise ValueError("config mismatch")
-    if u.length != v.length:
-        raise ValueError("chain lengths differ")
     F = u.cfg.field
-    unknowns = [hom_positions(a, b) for a, b in zip(u.objects, v.objects)]
-    squares = [(g.blocks, f.blocks,
-                [(q, c) for q, (e, s) in enumerate(g.tgt.summands)
-                 for c, (_, t) in enumerate(f.src.summands) if 0 <= t - s < e])
-               for f, g in zip(u.maps, v.maps)]
+    unknowns, squares = _chain_hom_system(u, v)
     return [ChainMap(u, v, [
         ModuleMap(a, b, linalg.scatter(F, len(b.summands), len(a.summands),
                                        pos, vals), check=False)
         for a, b, pos, vals in zip(u.objects, v.objects, unknowns, sol)])
         for sol in hom_space(F, unknowns, squares)]
+
+
+def chain_hom_dim(u: MonoChain, v: MonoChain) -> int:
+    """dim Hom(u, v) = len(chain_hom_basis(u, v)), by one rank of the same
+    system (`endo.hom_dim`)."""
+    return hom_dim(u.cfg.field, *_chain_hom_system(u, v))
 
 
 # projectivity -----------------------------------------------------------------
@@ -269,11 +289,59 @@ def chain_projective_cover(u: MonoChain):
     return p_chain, ChainMap(p_chain, u, parts)
 
 
-def chain_stable_hom_dim(u: MonoChain, v: MonoChain, cover=None) -> int:
+def chain_composites(u: MonoChain):
+    """[alpha^u_{j -> n-1} for j = 0..n-1]: the composites of u's monos from
+    U^j into the top U^(n-1), the identity for j = n-1."""
+    out = [ModuleMap.identity(u.objects[-1])]
+    for f in reversed(u.maps):
+        out.append(out[-1] @ f)
+    return out[::-1]
+
+
+def _killing(top: RModule, alpha, s: int):
+    """The maps h: top -> R(-s), as coefficient rows in the elementary basis
+    (`modules.hom_positions`), with h o alpha = 0 (any h if alpha is None):
+    one equation per generator c of alpha's source whose image monomial
+    survives in R(-s), 0 <= s_c - s < d."""
+    F, d = top.cfg.field, top.cfg.d
+    free = [t for _, t in hom_positions(top, RModule.free(top.cfg, [s]))]
+    rows = [] if alpha is None else [
+        [alpha.blocks[t][c] for t in free]
+        for c, (_, sc) in enumerate(alpha.src.summands) if 0 <= sc - s < d]
+    return [linalg.scatter(F, 1, len(top.summands), [(0, t) for t in free], sol)[0]
+            for sol in linalg.nullspace(F, rows, cols=len(free))]
+
+
+def chain_stable_hom_dim(u: MonoChain, v: MonoChain, composites=None) -> int:
     """dim Hom(u, v) modulo maps factoring through a projective chain;
-    `cover` is v's projective cover (P, p) when the caller already has it."""
-    return stable_dim(u.cfg.field, chain_hom_basis, chain_projective_cover
-                      if cover is None else lambda _: cover, u, v)
+    `composites` is (chain_composites(u), chain_composites(v)) when the
+    caller already has them.  Builds no hom basis and no projective cover.
+
+    Every such map factors through v's projective cover, the sum over j of
+    the trivial chains mu_j(Q^j) on the free covers q^j: Q^j ->> V^j, with
+    p's block j at k equal to alpha^v_{j -> k} q^j (`chain_projective_cover`).
+    A chain map u -> mu_j(Q) is h alpha^u_{k -> n-1} at k >= j and 0 below,
+    for an h: U^(n-1) -> Q with h alpha^u_{j-1 -> n-1} = 0.  Q is free, so h
+    is a row per generator r of Q, each a map into R(-s_r) that kills the
+    image of U^(j-1) (`_killing`).  A chain map is fixed by its top
+    component, as every alpha^v is a mono, and a module map by its
+    normalized blocks: so the maps through the cover are measured by the
+    blocks of alpha^v_{j -> n-1} e_r eta at the surviving positions, one
+    outer product of column r of alpha^v_{j -> n-1} and a killing row eta
+    each.  Returns dim Hom(u, v) (`chain_hom_dim`) minus their rank.
+    """
+    hom = chain_hom_dim(u, v)
+    if not hom:
+        return 0
+    cu, cv = composites or (chain_composites(u), chain_composites(v))
+    F, top = u.cfg.field, u.objects[-1]
+    positions = _surviving(top, v.objects[-1])
+    through = []
+    for j, (obj, alpha) in enumerate(zip(v.objects, cv)):
+        for r, (_, s) in enumerate(obj.summands):
+            through += [[F.mul(alpha.blocks[q][r], eta[c]) for q, c in positions]
+                        for eta in _killing(top, cu[j - 1] if j else None, s)]
+    return hom - linalg.rank(F, through)
 
 
 # isomorphism and indecomposability --------------------------------------------

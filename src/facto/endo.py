@@ -5,11 +5,12 @@ Modules, chains and factorizations hand their maps over through
 map's degree pieces, a permuted block diagonal of its realization): a
 k-basis of End(X) becomes n x n matrices through the block diagonal of
 the components, and composition is the componentwise product.  Nothing
-here knows which category a map came from; each category supplies its
-projective cover and the pre-checks of an iso search.  Hom bases are
-shared too: `hom_space` solves the commuting squares of both
-factorizations and chains, and each category only names the positions
-of its unknowns and of its square equations.
+here knows which category a map came from; each category supplies the
+pre-checks of an iso search, and modules their projective cover.  Hom
+spaces are shared too: `hom_space` solves the commuting squares of both
+factorizations and chains, and `hom_dim` takes their rank, and each
+category only names the positions of its unknowns and of its square
+equations.
 
 By Fitting's lemma an endomorphism of a finite-dimensional object is
 nilpotent, invertible, or splits X as Im(phi^n) + Ker(phi^n) with both
@@ -303,6 +304,31 @@ def search_iso(field: Field, basis) -> bool:
     return False
 
 
+def _hom_equations(field: Field, unknowns, squares):
+    """(rows, offsets): the square equations of `hom_space`, one row per
+    surviving position, over the unknowns of component i at
+    offsets[i]..offsets[i+1]."""
+    F = field
+    offsets = [0]
+    for pos in unknowns:
+        offsets.append(offsets[-1] + len(pos))
+    total = offsets[-1]
+    zero, is_zero = F.zero, F.is_zero
+    rows = []
+    for i, (b, a, positions) in enumerate(squares):
+        eqs = {}  # (q, c) -> its equation, made when a first term lands there
+        for k, (s, c) in enumerate(unknowns[i], offsets[i]):
+            for q, brow in enumerate(b):  # b[q][s] f^i[s][c]
+                if not is_zero(brow[s]):
+                    eqs.setdefault((q, c), [zero] * total)[k] = brow[s]
+        for k, (q, s) in enumerate(unknowns[i + 1], offsets[i + 1]):
+            for c, co in enumerate(a[s]):  # -f^(i+1)[q][s] a[s][c]
+                if not is_zero(co):
+                    eqs.setdefault((q, c), [zero] * total)[k] = F.neg(co)
+        rows += [eqs[p] for p in positions if p in eqs]
+    return rows, offsets
+
+
 def hom_space(field: Field, unknowns, squares):
     """A k-basis of the maps f = (f^0, ..., f^n) between two diagrams
     X^0 -> ... -> X^n and Y^0 -> ... -> Y^n whose squares commute.
@@ -326,29 +352,19 @@ def hom_space(field: Field, unknowns, squares):
     equations at the surviving positions hold, and those are its
     positions.
     """
-    F = field
-    offsets = [0]
-    for pos in unknowns:
-        offsets.append(offsets[-1] + len(pos))
-    total = offsets[-1]
-    if not total:
+    rows, offsets = _hom_equations(field, unknowns, squares)
+    if not offsets[-1]:
         return []
-    zero, is_zero = F.zero, F.is_zero
-    rows = []
-    for i, (b, a, positions) in enumerate(squares):
-        eqs = {}  # (q, c) -> its equation, made when a first term lands there
-        for k, (s, c) in enumerate(unknowns[i], offsets[i]):
-            for q, brow in enumerate(b):  # b[q][s] f^i[s][c]
-                if not is_zero(brow[s]):
-                    eqs.setdefault((q, c), [zero] * total)[k] = brow[s]
-        for k, (q, s) in enumerate(unknowns[i + 1], offsets[i + 1]):
-            for c, co in enumerate(a[s]):  # -f^(i+1)[q][s] a[s][c]
-                if not is_zero(co):
-                    eqs.setdefault((q, c), [zero] * total)[k] = F.neg(co)
-        rows += [eqs[p] for p in positions if p in eqs]
     spans = list(zip(offsets, offsets[1:]))
     return [[sol[lo:hi] for lo, hi in spans]
-            for sol in linalg.nullspace(F, rows, cols=total)]
+            for sol in linalg.nullspace(field, rows, cols=offsets[-1])]
+
+
+def hom_dim(field: Field, unknowns, squares) -> int:
+    """len(hom_space(field, unknowns, squares)), with no basis built: the
+    number of unknowns minus the rank of the square equations."""
+    rows, offsets = _hom_equations(field, unknowns, squares)
+    return offsets[-1] - linalg.rank(field, rows)
 
 
 def stable_dim(field: Field, hom_basis, cover, x, y) -> int:
@@ -359,6 +375,11 @@ def stable_dim(field: Field, hom_basis, cover, x, y) -> int:
     projective cover, or a counit for a smaller ideal).  Returns
     |Hom(x, y)| - dim span{p o g : g in Hom(x, P)}, the span taken over
     the flattened `scalars()` of the composites.
+
+    Its callers are `modules.stable_hom_dim` and `census.hom_dim_compare`
+    (the counit of nu^l); the tests keep it, on the explicit covers, as
+    the reference for `fac_stable_hom_dim` and `chain_stable_hom_dim`,
+    which take the same quotient in closed form.
     """
     homs = hom_basis(x, y)
     if not homs:

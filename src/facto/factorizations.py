@@ -10,8 +10,9 @@ The maps X^0 -> X^1 -> ... -> X^l -> tau X^0 form a cycle, and every
 structure map of the trivial factorizations nu^k is a composite around
 it, read off one walk (`_walk`): the zigzag identities, the units and
 counits of the nu-adjunctions, the projective cover and the injective
-hull, whose blocks are these composites.  Sums of nu^k are built from
-the definition (`_nu_sum`), never re-validated.
+hull, whose blocks are these composites.  The stable homs read the same
+composites' scalars (`fac_walks`) and build no cover.  Sums of nu^k are
+built from the definition (`_nu_sum`), never re-validated.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import linalg
-from .endo import hom_space, is_local, search_iso, stable_dim
+from .endo import hom_dim, hom_space, is_local, search_iso
 from .fields import Field
 from .modules import HypersurfaceConfig
 from .polymat import GradedMatrix
@@ -366,22 +367,35 @@ def _hom_positions(x: Factorization, y: Factorization):
     return out
 
 
+def _fac_hom_system(x: Factorization, y: Factorization):
+    """(unknowns, squares) of Hom(x, y) for `endo.hom_space`: the admissible
+    positions of each component and the squares B^j f^j = f^{j+1} A^j,
+    coefficientwise at every position."""
+    if x.cfg != y.cfg or x.l != y.l:
+        raise ValueError("shape mismatch")
+    squares = [(b.coeffs, a.coeffs,
+                itertools.product(range(len(b.tgt_degs)), range(len(a.src_degs))))
+               for a, b in zip(x.maps, y.maps)]
+    return _hom_positions(x, y), squares
+
+
 def fac_hom_basis(x: Factorization, y: Factorization):
     """k-basis of Hom(x, y): the commuting squares B^j f^j = f^{j+1} A^j,
     solved coefficientwise on the admissible positions (`endo.hom_space`),
     so the maps are built without re-checking their squares."""
-    if x.cfg != y.cfg or x.l != y.l:
-        raise ValueError("shape mismatch")
+    unknowns, squares = _fac_hom_system(x, y)
     F = x.cfg.field
     degs = [(x.degs(j), y.degs(j)) for j in range(x.l + 1)]
-    unknowns = _hom_positions(x, y)
-    squares = [(b.coeffs, a.coeffs,
-                itertools.product(range(len(b.tgt_degs)), range(len(a.src_degs))))
-               for a, b in zip(x.maps, y.maps)]
     return [FacMap(x, y, [
         GradedMatrix.from_coeffs(F, linalg.scatter(F, len(yd), len(xd), pos, vals), xd, yd)
         for (xd, yd), pos, vals in zip(degs, unknowns, sol)], check=False)
         for sol in hom_space(F, unknowns, squares)]
+
+
+def fac_hom_dim(x: Factorization, y: Factorization) -> int:
+    """dim Hom(x, y) = len(fac_hom_basis(x, y)), by one rank of the same
+    system (`endo.hom_dim`)."""
+    return hom_dim(x.cfg.field, *_fac_hom_system(x, y))
 
 
 # adjunction transports ---------------------------------------------------------
@@ -567,11 +581,52 @@ def termwise_split_check(res: NuResolution, side: str) -> bool:
 # stable homs --------------------------------------------------------------------
 
 
-def fac_stable_hom_dim(x: Factorization, y: Factorization, cover=None) -> int:
-    """dim Hom(x, y) modulo maps factoring through projectives; `cover` is
-    y's projective cover (P, p) when the caller already has it."""
-    return stable_dim(x.cfg.field, fac_hom_basis, fac_projective_cover
-                      if cover is None else lambda _: cover, x, y)
+def fac_walks(x: Factorization):
+    """(out, back): the scalars of the walks around x's cycle that
+    `fac_stable_hom_dim` reads, out[k] of the composite X^0 -> X^k and
+    back[k] of X^k -> tau X^0 (the identity for k = 0), for k = 0..l."""
+    out = [g.coeffs for g in _walk(x, 0, x.l)]
+    return out, [out[0]] + [_walk(x, k, x.l + 1 - k)[-1].coeffs
+                            for k in range(1, x.l + 1)]
+
+
+def fac_stable_hom_dim(x: Factorization, y: Factorization, walks=None) -> int:
+    """dim Hom(x, y) modulo the maps that factor through projectives;
+    `walks` is (fac_walks(x), fac_walks(y)) when the caller already has
+    them.  Builds no hom basis and no projective cover.
+
+    Every such map factors through y's projective cover p: P ->> Y, with
+    P = nu^l(Y^0) + sum_{i>=1} nu^(i-1)(tau^-1 Y^i) (`fac_projective_cover`),
+    whose block from summand i is the walk of y from i.  A map into
+    nu^k(A) is g^j = h o walk_x(j -> k) for a graded h: X^k -> A (the
+    nu_k_right adjunction, `adjunction_transport`), and h is a sum of
+    elementary maps e_r e_c^T at the admissible positions, deg X^k[c] >=
+    deg A[r].  So the maps through P are spanned by one composite per
+    summand i, with k = l and A = Y^0 for i = 0 and k = i - 1 and A =
+    tau^-1 Y^i otherwise, and per admissible (r, c).
+
+    A map of factorizations is fixed by its component f^0: the scalars of
+    the structure maps are invertible, as their product around the cycle
+    is the identity (x^d I), and f^(j+1) A^j = B^j f^j.  So the span is
+    measured on component 0, where the composite has the scalars
+    back_y[i] e_r e_c^T out_x[k] (`fac_walks`): the outer product of
+    column r of back_y[i] and row c of out_x[k].  Returns dim Hom(x, y)
+    (`fac_hom_dim`) minus the rank of these outer products.
+    """
+    hom = fac_hom_dim(x, y)
+    if not hom:
+        return 0
+    (out, _), (_, back) = walks or (fac_walks(x), fac_walks(y))
+    F, d, l = x.cfg.field, x.cfg.d, x.l
+    targets = [(l, y.degs(0))] + [(i - 1, [s + d for s in y.degs(i)])
+                                  for i in range(1, l + 1)]
+    through = []
+    for (k, degs), b in zip(targets, back):
+        for r, t in enumerate(degs):
+            col = [row[r] for row in b]
+            through += [[F.mul(a, e) for a in col for e in out[k][c]]
+                        for c, s in enumerate(x.degs(k)) if s >= t]
+    return hom - linalg.rank(F, through)
 
 
 def fac_projective_test(x: Factorization) -> bool:

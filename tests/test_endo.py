@@ -12,13 +12,26 @@ from facto.census import (
 from facto.chains import (
     ChainMap,
     MonoChain,
+    chain_composites,
     chain_hom_basis,
+    chain_hom_dim,
     chain_is_indecomposable,
     chain_iso_test,
+    chain_projective_cover,
+    chain_projective_test,
     chain_stable_hom_dim,
 )
-from facto.endo import NonSplitEndomorphism, _charpoly, is_local, search_iso
-from facto.factorizations import fac_is_indecomposable, nu
+from facto.endo import NonSplitEndomorphism, _charpoly, is_local, search_iso, stable_dim
+from facto.factorizations import (
+    fac_hom_basis,
+    fac_hom_dim,
+    fac_is_indecomposable,
+    fac_projective_cover,
+    fac_stable_hom_dim,
+    fac_walks,
+    nu,
+)
+from facto.functors import cok
 from facto.fields import GF, QQ
 from facto.linalg import identity, rank as matrix_rank
 from facto.modules import HypersurfaceConfig, ModuleMap, RModule, rank, stable_hom_dim
@@ -304,3 +317,78 @@ def test_piece_scalars_decide_as_the_ambient_realization(field, monkeypatch):
     monkeypatch.setattr(ChainMap, "scalars",
                         lambda f: [realization(g) for g in f.parts])
     assert _chain_verdicts(pairs) == verdicts
+
+
+# stable homs in closed form against the explicit projective covers ------------
+
+
+def _fac_dims(x, y, walks=None):
+    """(dim Hom by rank, stable dim in closed form, dim Hom by a basis,
+    stable dim by the explicit cover) of factorizations x, y."""
+    return (fac_hom_dim(x, y), fac_stable_hom_dim(x, y, walks), len(fac_hom_basis(x, y)),
+            stable_dim(x.cfg.field, fac_hom_basis, fac_projective_cover, x, y))
+
+
+def _chain_dims(u, v, composites=None):
+    """The same for chains u, v."""
+    return (chain_hom_dim(u, v), chain_stable_hom_dim(u, v, composites),
+            len(chain_hom_basis(u, v)),
+            stable_dim(u.cfg.field, chain_hom_basis, chain_projective_cover, u, v))
+
+
+def _assert_agree(dims):
+    """Each hom dim equals its basis length and each stable dim the
+    explicit cover's, and some stable dims are 0 and some are not."""
+    for hom, stable, basis, explicit in dims:
+        assert (hom, stable) == (basis, explicit)
+    assert {bool(stable) for _, stable, _, _ in dims} == {True, False}
+
+
+# the census workload's censuses (F_5), then Ringel-Schmidt d=3 over F_2
+CENSUS_CLASSES = [(2, 2, 5, Bounds(m=2, dim=3, window=2)),
+                  (2, 3, 5, Bounds(m=2, dim=3, window=2)),
+                  (1, 2, 5, Bounds(m=1, dim=2, window=2)),
+                  (1, 3, 5, Bounds(m=1, dim=3, window=3)),
+                  (1, 4, 5, Bounds(m=1, dim=4, window=4)),
+                  (2, 3, 2, Bounds(m=3, dim=6, window=3))]
+
+
+@pytest.mark.parametrize("l, d, p, bounds", CENSUS_CLASSES,
+                         ids=[f"l{l}-d{d}-F{p}" for l, d, p, _ in CENSUS_CLASSES])
+def test_stable_homs_of_census_classes_equal_the_explicit_covers(l, d, p, bounds):
+    """fac_stable_hom_dim and chain_stable_hom_dim, given the walks and
+    composites that class_census shares, equal endo.stable_dim on the
+    explicit projective covers, and fac_hom_dim and chain_hom_dim the
+    lengths of the hom bases: on every ordered pair of the enumerated
+    classes, projective ones included, and of the cok images of the
+    factorization classes, on which the census's chain table is taken."""
+    c = HypersurfaceConfig(d, GF(p))
+    facs = enumerate_factorizations(c, l, bounds.m, bounds.window)
+    chains = enumerate_chains(c, l, bounds.dim, bounds.window) + [cok(x) for x in facs]
+    assert any(chain_projective_test(u) for u in chains)
+    walked = [(x, fac_walks(x)) for x in facs]
+    _assert_agree([_fac_dims(x, y, (v, w))
+                   for (x, v), (y, w) in itertools.product(walked, repeat=2)])
+    composed = [(u, chain_composites(u)) for u in chains]
+    _assert_agree([_chain_dims(u, v, (cu, cv))
+                   for (u, cu), (v, cv) in itertools.product(composed, repeat=2)])
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_stable_homs_of_random_objects_equal_the_explicit_covers(field):
+    """The same, with no walks or composites given, on random
+    factorizations and chains of six (d, l) shapes, on direct sums on
+    either side and on each object with itself."""
+    rng = random.Random(41)
+    fac_dims, chain_dims = [], []
+    for d, l in [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3)]:
+        c = HypersurfaceConfig(d, field)
+        for _ in range(6):
+            x, y, z = (random_factorization(c, l, rng, m_max=2) for _ in range(3))
+            fac_dims += [_fac_dims(x, y), _fac_dims(x.direct_sum(z), y),
+                         _fac_dims(y, x.direct_sum(z)), _fac_dims(x, x)]
+            u, v, w = (random_chain(c, l, rng) for _ in range(3))
+            chain_dims += [_chain_dims(u, v), _chain_dims(u.direct_sum(w), v),
+                           _chain_dims(v, u.direct_sum(w)), _chain_dims(u, u)]
+    _assert_agree(fac_dims)
+    _assert_agree(chain_dims)
