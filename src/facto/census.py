@@ -80,16 +80,16 @@ from . import linalg
 from .chains import (
     MonoChain,
     chain_composites,
-    chain_hom_basis,
+    chain_hom_dim,
     chain_iso_test,
     chain_projective_test,
     chain_stable_hom_dim,
 )
-from .endo import is_local, stable_dim
+from .endo import is_local
 from .factorizations import (
     Factorization,
-    adjunction_transport,
-    fac_hom_basis,
+    _cover_rows,
+    fac_hom_dim,
     fac_iso_test,
     fac_stable_hom_dim,
     fac_walks,
@@ -104,7 +104,6 @@ from .modules import (
     hom_basis,
     submodule,
 )
-from .polymat import GradedMatrix
 
 
 class MatchFailure(Exception):
@@ -820,16 +819,10 @@ def hom_dim_compare(x: Factorization, y: Factorization):
     """(lhs, rhs, equal): Hom in Fac modulo nu^l-objects vs Hom of cokernels.
 
     Maps factoring through a nu^l object are exactly those factoring
-    through the counit nu^l(Y^0) -> Y.
+    through the counit nu^l(Y^0) -> Y, summand 0 of y's projective cover,
+    whose rows on component 0 `fac_stable_hom_dim` takes with the others.
     """
-    F = x.cfg.field
-
-    def counit(y):
-        j = adjunction_transport(
-            "nu_l_left", y, GradedMatrix.identity(F, y.degs(0)), forward=False
-        )
-        return j.src, j
-
-    lhs = stable_dim(F, fac_hom_basis, counit, x, y)
-    rhs = len(chain_hom_basis(cok(x), cok(y)))
+    lhs = fac_hom_dim(x, y) - linalg.rank(
+        x.cfg.field, _cover_rows(x, y, (fac_walks(x), fac_walks(y)), 0))
+    rhs = chain_hom_dim(cok(x), cok(y))
     return lhs, rhs, lhs == rhs

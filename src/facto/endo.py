@@ -16,7 +16,8 @@ By Fitting's lemma an endomorphism of a finite-dimensional object is
 nilpotent, invertible, or splits X as Im(phi^n) + Ker(phi^n) with both
 parts nonzero; so X is indecomposable iff End(X) is local (Krull-Schmidt).
 In all three categories the stable hom space is Hom(X, Y) modulo
-p o Hom(X, P) for a projective cover p: P ->> Y (`stable_dim`).
+p o Hom(X, P) for a projective cover p: P ->> Y; each category takes it
+in closed form, by `hom_dim` or a count, with no basis and no cover.
 """
 
 from __future__ import annotations
@@ -365,27 +366,3 @@ def hom_dim(field: Field, unknowns, squares) -> int:
     number of unknowns minus the rank of the square equations."""
     rows, offsets = _hom_equations(field, unknowns, squares)
     return offsets[-1] - linalg.rank(field, rows)
-
-
-def stable_dim(field: Field, hom_basis, cover, x, y) -> int:
-    """dim Hom(x, y) modulo the maps that factor through cover(y).
-
-    hom_basis(a, b) is a k-basis of Hom(a, b); cover(y) is (P, p) with
-    p: P -> y through which every map from a projective to y factors (a
-    projective cover, or a counit for a smaller ideal).  Returns
-    |Hom(x, y)| - dim span{p o g : g in Hom(x, P)}, the span taken over
-    the flattened `scalars()` of the composites.
-
-    Its callers are `modules.stable_hom_dim` and `census.hom_dim_compare`
-    (the counit of nu^l); the tests keep it, on the explicit covers, as
-    the reference for `fac_stable_hom_dim` and `chain_stable_hom_dim`,
-    which take the same quotient in closed form.
-    """
-    homs = hom_basis(x, y)
-    if not homs:
-        return 0
-    proj, p = cover(y)
-    through = linalg.Echelon(field)
-    for g in hom_basis(x, proj):
-        through.add([c for m in (p @ g).scalars() for row in m for c in row])
-    return len(homs) - through.dim

@@ -616,17 +616,21 @@ def fac_stable_hom_dim(x: Factorization, y: Factorization, walks=None) -> int:
     hom = fac_hom_dim(x, y)
     if not hom:
         return 0
-    (out, _), (_, back) = walks or (fac_walks(x), fac_walks(y))
-    F, d, l = x.cfg.field, x.cfg.d, x.l
-    targets = [(l, y.degs(0))] + [(i - 1, [s + d for s in y.degs(i)])
-                                  for i in range(1, l + 1)]
-    through = []
-    for (k, degs), b in zip(targets, back):
-        for r, t in enumerate(degs):
-            col = [row[r] for row in b]
-            through += [[F.mul(a, e) for a in col for e in out[k][c]]
-                        for c, s in enumerate(x.degs(k)) if s >= t]
-    return hom - linalg.rank(F, through)
+    walks = walks or (fac_walks(x), fac_walks(y))
+    return hom - linalg.rank(x.cfg.field, [
+        row for i in range(x.l + 1) for row in _cover_rows(x, y, walks, i)])
+
+
+def _cover_rows(x: Factorization, y: Factorization, walks, i: int):
+    """The outer products that `fac_stable_hom_dim` reads for summand i of
+    y's projective cover: nu^l(Y^0), the counit, for i = 0, and
+    nu^(i-1)(tau^-1 Y^i) otherwise; `walks` is (fac_walks(x), fac_walks(y))."""
+    (out, _), (_, back) = walks
+    F = x.cfg.field
+    k, degs = (x.l, y.degs(0)) if i == 0 else (i - 1, [s + x.cfg.d for s in y.degs(i)])
+    return [[F.mul(a, e) for a in col for e in out[k][c]]
+            for col, t in zip(zip(*back[i]), degs)
+            for c, s in enumerate(x.degs(k)) if s >= t]
 
 
 def fac_projective_test(x: Factorization) -> bool:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .endo import stable_dim
 from .fields import Field
 from .pieces import (
     RealizationError,
@@ -198,7 +197,8 @@ class ModuleMap:
         T_s(tgt)} for every degree s of src, with no rows where tgt has no
         degree s.  The row of x^j gen_u and the column of x^i gen_t in one
         degree meet at blocks[u][t], as j - i = s_t - s_u."""
-        return self._pieces(self.src.pieces(), self.tgt.pieces())
+        src = self.src.pieces()
+        return self._pieces(src, src if self.tgt == self.src else self.tgt.pieces())
 
     def _pieces(self, src_pieces, tgt_pieces):
         """`pieces()` on the given `RModule.pieces` of src and tgt."""
@@ -508,10 +508,13 @@ def projective_cover(m: RModule):
 def stable_hom_dim(m: RModule, n: RModule) -> int:
     """dim of Hom(m, n) modulo maps factoring through a projective.
 
-    Every map through a projective factors through the projective cover
-    of n, so the quotient is Hom(m, n) / (p o Hom(m, P(n))).
+    Every such map factors through the cover p: P = sum_u R(-s_u) ->> n,
+    and p sends the elementary maps gen_t -> x^j gen'_u that span Hom(m, P),
+    j = s_t - s_u and j + e_t >= d, to those of `hom_basis`, or to 0.  So
+    the quotient counts the basis maps with j + e_t < d.
     """
-    return stable_dim(m.cfg.field, hom_basis, projective_cover, m, n)
+    return sum(m.summands[t][1] - n.summands[u][1] + m.summands[t][0] < m.cfg.d
+               for u, t in hom_positions(m, n))
 
 
 # presentations ------------------------------------------------------------

@@ -10,9 +10,10 @@ subspaces among them) and the adapters between the two forms.
 `jordan_by_kernels` is the earlier Jordan decomposition on degree pieces,
 which took the kernel of every power of x on every piece.
 `projection_splits` tries every set of summands on ambient vectors, an
-oracle for the census's drop of split flags.  The rest are
-helpers that only tests use.  pytest does not collect this module;
-tests import it by name.
+oracle for the census's drop of split flags.  `stable_dim` is the
+earlier stable hom, taken on a hom basis and an explicit cover: the
+oracle for the closed forms.  The rest are helpers that only tests use.
+pytest does not collect this module; tests import it by name.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from facto.census import (
     _subspaces_containing,
     _top_modules,
 )
-from facto.factorizations import FacMap, Factorization, _hom_positions
+from facto.factorizations import FacMap, Factorization, _hom_positions, adjunction_transport
 from facto.fields import Field
 from facto.functors import _minimal_generators
 from facto.modules import (
@@ -333,6 +334,41 @@ def jordan_by_kernels(field, d, dims, shifts):
         if linalg.rank(field, to_real[s]) != dims[s]:
             raise RealizationError("Jordan chains are linearly dependent")
     return [(length, s) for length, s, _ in chains], to_real
+
+
+# -- stable homs on explicit covers ---------------------------------------------
+
+
+def stable_dim(field: Field, hom_basis, cover, x, y) -> int:
+    """dim Hom(x, y) modulo the maps that factor through cover(y).
+
+    hom_basis(a, b) is a k-basis of Hom(a, b); cover(y) is (P, p) with
+    p: P -> y through which every map from a projective to y factors (a
+    projective cover, or a counit for a smaller ideal).  Returns
+    |Hom(x, y)| - dim span{p o g : g in Hom(x, P)}, the span taken over
+    the flattened `scalars()` of the composites.
+
+    On the explicit covers it is the reference for the closed forms
+    `modules.stable_hom_dim`, `fac_stable_hom_dim`, `chain_stable_hom_dim`
+    and, with `nu_l_counit`, the left side of `census.hom_dim_compare`.
+    """
+    homs = hom_basis(x, y)
+    if not homs:
+        return 0
+    proj, p = cover(y)
+    through = linalg.Echelon(field)
+    for g in hom_basis(x, proj):
+        through.add([c for m in (p @ g).scalars() for row in m for c in row])
+    return len(homs) - through.dim
+
+
+def nu_l_counit(y: Factorization):
+    """(nu^l(Y^0), the counit nu^l(Y^0) -> Y): the identity of Y^0 taken
+    back through the nu_l_left adjunction."""
+    j = adjunction_transport(
+        "nu_l_left", y, GradedMatrix.identity(y.cfg.field, y.degs(0)), forward=False
+    )
+    return j.src, j
 
 
 # -- helpers only tests use ------------------------------------------------------

@@ -8,6 +8,7 @@ from facto.census import (
     class_census,
     enumerate_chains,
     enumerate_factorizations,
+    hom_dim_compare,
 )
 from facto.chains import (
     ChainMap,
@@ -21,7 +22,7 @@ from facto.chains import (
     chain_projective_test,
     chain_stable_hom_dim,
 )
-from facto.endo import NonSplitEndomorphism, _charpoly, is_local, search_iso, stable_dim
+from facto.endo import NonSplitEndomorphism, _charpoly, is_local, search_iso
 from facto.factorizations import (
     fac_hom_basis,
     fac_hom_dim,
@@ -34,11 +35,19 @@ from facto.factorizations import (
 from facto.functors import cok
 from facto.fields import GF, QQ
 from facto.linalg import identity, rank as matrix_rank
-from facto.modules import HypersurfaceConfig, ModuleMap, RModule, rank, stable_hom_dim
+from facto.modules import (
+    HypersurfaceConfig,
+    ModuleMap,
+    RModule,
+    hom_basis,
+    projective_cover,
+    rank,
+    stable_hom_dim,
+)
 from facto.poly import Polynomial
 from facto.polymat import PolyMatrix
 from facto.randgen import random_chain, random_factorization, random_module
-from reference import _flag_chains, _flag_factorizations, realization
+from reference import _flag_chains, _flag_factorizations, nu_l_counit, realization, stable_dim
 
 FIELDS = [QQ, GF(2), GF(5)]
 
@@ -265,8 +274,15 @@ def test_search_iso_on_matrix_lists(field):
     assert not search_iso(field, [[jordan(field, 3, 0)]])
 
 
-@pytest.mark.parametrize("field", [GF(5), QQ], ids=repr)
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
 def test_module_stable_hom_equals_length_1_chains(field):
+    """The closed form of modules.stable_hom_dim equals the length-1 chains'
+    and the explicit cover's on random modules, and the explicit cover's on
+    every pair of modules with at most 2 summands (e, s), e <= d, s <= 2,
+    d <= 4."""
+    def by_cover(m, n):
+        return stable_dim(field, hom_basis, projective_cover, m, n)
+
     rng = random.Random(23)
     for _ in range(100):
         cfg = HypersurfaceConfig(rng.choice([2, 3, 4]), field)
@@ -274,7 +290,17 @@ def test_module_stable_hom_equals_length_1_chains(field):
         n = random_module(cfg, rng, max_summands=3)
         as_chain = chain_stable_hom_dim(MonoChain(cfg, [m], []),
                                         MonoChain(cfg, [n], []))
-        assert stable_hom_dim(m, n) == as_chain
+        assert stable_hom_dim(m, n) == as_chain == by_cover(m, n)
+    dims = []
+    for d in range(1, 5):
+        cfg = HypersurfaceConfig(d, field)
+        cyclic = [(e, s) for e in range(1, d + 1) for s in range(3)]
+        modules = [RModule(cfg, summands) for k in range(3)
+                   for summands in itertools.combinations_with_replacement(cyclic, k)]
+        for m, n in itertools.product(modules, repeat=2):
+            dims.append(stable_hom_dim(m, n))
+            assert dims[-1] == by_cover(m, n), (m, n)
+    assert len(dims) == 12_190 and len(set(dims)) > 3
 
 
 def _chain_verdicts(pairs):
@@ -323,25 +349,29 @@ def test_piece_scalars_decide_as_the_ambient_realization(field, monkeypatch):
 
 
 def _fac_dims(x, y, walks=None):
-    """(dim Hom by rank, stable dim in closed form, dim Hom by a basis,
-    stable dim by the explicit cover) of factorizations x, y."""
-    return (fac_hom_dim(x, y), fac_stable_hom_dim(x, y, walks), len(fac_hom_basis(x, y)),
-            stable_dim(x.cfg.field, fac_hom_basis, fac_projective_cover, x, y))
+    """((dim Hom by rank, stable dim in closed form, hom_dim_compare's left
+    side), (dim Hom by a basis, stable dim by the explicit cover, by the
+    nu^l counit)) of factorizations x, y."""
+    F = x.cfg.field
+    return ((fac_hom_dim(x, y), fac_stable_hom_dim(x, y, walks), hom_dim_compare(x, y)[0]),
+            (len(fac_hom_basis(x, y)), stable_dim(F, fac_hom_basis, fac_projective_cover, x, y),
+             stable_dim(F, fac_hom_basis, nu_l_counit, x, y)))
 
 
 def _chain_dims(u, v, composites=None):
-    """The same for chains u, v."""
-    return (chain_hom_dim(u, v), chain_stable_hom_dim(u, v, composites),
-            len(chain_hom_basis(u, v)),
-            stable_dim(u.cfg.field, chain_hom_basis, chain_projective_cover, u, v))
+    """The same for chains u, v, with no counit."""
+    return ((chain_hom_dim(u, v), chain_stable_hom_dim(u, v, composites)),
+            (len(chain_hom_basis(u, v)),
+             stable_dim(u.cfg.field, chain_hom_basis, chain_projective_cover, u, v)))
 
 
 def _assert_agree(dims):
-    """Each hom dim equals its basis length and each stable dim the
-    explicit cover's, and some stable dims are 0 and some are not."""
-    for hom, stable, basis, explicit in dims:
-        assert (hom, stable) == (basis, explicit)
-    assert {bool(stable) for _, stable, _, _ in dims} == {True, False}
+    """Each closed form equals its reference (a hom dim its basis length, a
+    stable dim the explicit cover's), and some stable dims are 0 and some
+    are not."""
+    for closed, reference in dims:
+        assert closed == reference
+    assert {bool(closed[1]) for closed, _ in dims} == {True, False}
 
 
 # the census workload's censuses (F_5), then Ringel-Schmidt d=3 over F_2

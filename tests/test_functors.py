@@ -14,9 +14,11 @@ from facto.chains import (
 from facto.factorizations import (
     FacMap,
     Factorization,
+    _cover_rows,
     fac_hom_basis,
     fac_stable_hom_dim,
     fac_validate,
+    fac_walks,
     nu,
     zigzag_check,
 )
@@ -29,7 +31,7 @@ from facto.functors import (
     reconstruct,
     to_ldiagram,
 )
-from facto.linalg import rank
+from facto.linalg import nullspace, rank
 from facto.modules import HypersurfaceConfig, ModuleMap, RModule
 from facto.randgen import (
     random_chain,
@@ -263,23 +265,36 @@ def _census_homs(d, l, field=GF(5), m=2, window=2):
 
 
 @pytest.mark.parametrize("d, l, pairs, p, m, window", [
-    (3, 2, 121, 5, 2, 2), (3, 3, 784, 5, 2, 2), (4, 2, 441, 2, 3, 3)],
-    ids=["3-2-121", "3-3-784", "4-2-441-GF(2)"])
+    (3, 2, 121, 5, 2, 2), (3, 3, 784, 5, 2, 2), (4, 2, 441, 2, 3, 3),
+    (2, 2, 36, 5, 2, 2), (3, 1, 16, 5, 1, 3), (3, 2, 121, 2, 3, 3)],
+    ids=["3-2-121", "3-3-784", "4-2-441-GF(2)", "2-2-36", "3-1-16", "3-2-121-GF(2)"])
 def test_cok_maps_are_chain_maps_that_span_the_chain_homs(d, l, pairs, p, m, window):
     """cok of each basis map between two classes is a checked ChainMap of
     their cok chains, and these images span every chain hom between them:
-    over F_5 with m=2, window=2, and at (d, l) = (4, 2) over F_2 with m=3,
-    window=3."""
+    over F_5 with m=2, window=2 (m=1, window=3 at l=1), and at (d, l) =
+    (4, 2) and (3, 2) over F_2 with m=3, window=3.  The kernel of cok on Hom(X, Y), read on component 0, is the
+    span of the maps through the nu^l counit that hom_dim_compare takes."""
     F = GF(p)
     classes, homs = _census_homs(d, l, F, m, window)
     assert len(homs) == pairs
     coks = [cok(x) for x in classes]
+    walks = [fac_walks(x) for x in classes]
+    killed = 0
     for (i, j), maps in homs.items():
         images = [ChainMap(coks[i], coks[j], parts) for _, parts in maps]
         basis = chain_hom_basis(coks[i], coks[j])
         rows = [[c for m in h.scalars() for row in m for c in row]
                 for h in images + basis]
         assert rank(F, rows[:len(images)]) == rank(F, rows) == len(basis), (i, j)
+        # the combinations of the basis maps that cok sends to 0
+        kernel = nullspace(F, [list(col) for col in zip(*rows[:len(images)])], len(maps))
+        flat = [[c for row in f.components[0].coeffs for c in row] for f, _ in maps]
+        kernel = [[sum((F.mul(a, v[n]) for a, v in zip(k, flat)), F.zero)
+                   for n in range(len(flat[0]))] for k in kernel]
+        counit = _cover_rows(classes[i], classes[j], (walks[i], walks[j]), 0)
+        assert rank(F, kernel) == rank(F, counit) == rank(F, kernel + counit), (i, j)
+        killed += bool(kernel)
+    assert killed
 
 
 def test_cok_is_a_functor_on_the_census_classes():

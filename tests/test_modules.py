@@ -3,7 +3,7 @@ import random
 import pytest
 
 from facto.fields import GF, QQ
-from facto.linalg import mat_mul, mat_vec, nullspace, rank, solve
+from facto.linalg import identity, mat_mul, mat_vec, nullspace, rank, solve
 from facto.modules import (
     HypersurfaceConfig,
     ModuleMap,
@@ -584,6 +584,16 @@ def test_module_maps_equal_the_realization_oracle(field):
             rejected += _changed_entries_are_rejected(f)
     assert verdicts == {True, False} and nonzero > 5
     assert rejected > 10
+
+
+def test_an_endomorphism_reads_its_module_pieces_once(monkeypatch):
+    m = RModule(cfg(3), [(3, 0), (2, 1), (1, 1), (2, 2)])
+    calls = []
+    pieces = RModule.pieces
+    monkeypatch.setattr(RModule, "pieces", lambda n: calls.append(n) or pieces(n))
+    assert ModuleMap.identity(m).scalars() == [
+        identity(m.cfg.field, len(ks)) for ks in pieces(m).values()]
+    assert len(calls) == 1
 
 
 def _pieces_by_realization(f):

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib.util
 import pathlib
 
 import facto.endo
@@ -76,7 +77,7 @@ TEST_ONLY = {
     "split", "embed", "_facmap_to_vector", "_hom_slots", "bar_p_epic",
     "lift_along_epi", "module_from_presentation", "homothety",
     "try_solve_right", "from_ints", "_flag_factorizations", "_flag_chains",
-    "realization", "jordan_by_kernels",
+    "realization", "jordan_by_kernels", "stable_dim",
 }
 
 
@@ -89,3 +90,16 @@ def test_test_only_code_is_not_in_the_library():
         and node.name in TEST_ONLY
     ]
     assert not found, found
+
+
+def test_every_traced_benchmark_target_resolves():
+    # perfbench/spans.py wraps each TRACED "module:qualname" in place, and
+    # one target that is moved or renamed breaks every traced benchmark run
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = [target for fns in spans.TRACED.values() for _, target in fns]
+    assert len(targets) > 30
+    for target in targets:
+        assert callable(spans._resolve(target)[2]), target
