@@ -79,11 +79,11 @@ from dataclasses import dataclass
 from . import linalg
 from .chains import (
     MonoChain,
-    chain_composites,
     chain_hom_dim,
     chain_iso_test,
     chain_projective_test,
     chain_stable_hom_dim,
+    chain_walks,
 )
 from .endo import is_local
 from .factorizations import (
@@ -792,9 +792,9 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
 
     fac_table = [[end if x is y else fac_stable_hom_dim(x, y, (w, v)) for y, v, end in walked]
                  for x, w, _ in walked]
-    composites = [chain_composites(u) for u in coks]
-    chain_table = [[chain_stable_hom_dim(u, v, (cu, cv)) for v, cv in zip(coks, composites)]
-                   for u, cu in zip(coks, composites)]
+    walks = [chain_walks(u) for u in coks]
+    chain_table = [[chain_stable_hom_dim(u, v, (cu, cv)) for v, cv in zip(coks, walks)]
+                   for u, cu in zip(coks, walks)]
     if fac_table != chain_table:
         raise MatchFailure(
             f"stable hom tables differ: {fac_table} vs {chain_table}"
@@ -822,7 +822,7 @@ def hom_dim_compare(x: Factorization, y: Factorization):
     through the counit nu^l(Y^0) -> Y, summand 0 of y's projective cover,
     whose rows on component 0 `fac_stable_hom_dim` takes with the others.
     """
-    lhs = fac_hom_dim(x, y) - linalg.rank(
-        x.cfg.field, _cover_rows(x, y, (fac_walks(x), fac_walks(y)), 0))
+    walks = fac_walks(x), fac_walks(y)
+    lhs = fac_hom_dim(x, y, walks) - linalg.rank(x.cfg.field, _cover_rows(x, y, walks, 0))
     rhs = chain_hom_dim(cok(x), cok(y))
     return lhs, rhs, lhs == rhs

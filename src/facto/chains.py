@@ -11,7 +11,7 @@ import functools
 from dataclasses import dataclass
 
 from . import linalg
-from .endo import hom_dim, hom_space, is_local, search_iso
+from .endo import hom_space, is_local, search_iso
 from .modules import (
     HypersurfaceConfig,
     ModuleMap,
@@ -243,10 +243,35 @@ def chain_hom_basis(u: MonoChain, v: MonoChain):
         for sol in hom_space(F, unknowns, squares)]
 
 
-def chain_hom_dim(u: MonoChain, v: MonoChain) -> int:
-    """dim Hom(u, v) = len(chain_hom_basis(u, v)), by one rank of the same
-    system (`endo.hom_dim`)."""
-    return hom_dim(u.cfg.field, *_chain_hom_system(u, v))
+def chain_hom_dim(u: MonoChain, v: MonoChain, walks=None) -> int:
+    """dim Hom(u, v) = len(chain_hom_basis(u, v)), by one rank over the
+    unknowns of the top component; `walks` is (chain_walks(u),
+    chain_walks(v)) when the caller already has them.
+
+    A chain map is fixed by its top component phi: U^(n-1) -> V^(n-1), as
+    every alpha^v_j = alpha^v_{j -> n-1} is a mono.  Conversely phi
+    extends iff phi alpha^u_j lands in im alpha^v_j for each j < n-1: then
+    f^j is the lift of phi alpha^u_j through alpha^v_j, and the squares
+    commute after alpha^v_(j+1), a mono.  R is self-injective, so
+    im alpha^v_j is the intersection of the kernels of the maps eta:
+    V^(n-1) -> R(-s) that kill it, the rows of `chain_walks`.  So phi, in
+    the elementary basis (`modules.hom_positions`), extends iff eta phi
+    alpha^u_j = 0: the coefficient of x^(s_c - s) in the image of each
+    generator c of U^j with 0 <= s_c - s < d, one row eta[q]
+    alpha^u_j[t][c] over the positions (q, t) each.
+    """
+    if u.cfg != v.cfg:
+        raise ValueError("config mismatch")
+    if u.length != v.length:
+        raise ValueError("chain lengths differ")
+    (cu, _), (_, killing) = walks or (chain_walks(u), chain_walks(v))
+    F, d = u.cfg.field, u.cfg.d
+    positions = hom_positions(u.objects[-1], v.objects[-1])
+    return len(positions) - linalg.rank(F, [
+        [F.mul(eta[q], cu[j].blocks[t][c]) for q, t in positions]
+        for (j, s), etas in killing.items() if j >= 0
+        for c, (_, sc) in enumerate(cu[j].src.summands) if 0 <= sc - s < d
+        for eta in etas])
 
 
 # projectivity -----------------------------------------------------------------
@@ -298,6 +323,20 @@ def chain_composites(u: MonoChain):
     return out[::-1]
 
 
+def chain_walks(u: MonoChain):
+    """(composites, killing): `chain_composites(u)` and, keyed by (j, s),
+    the maps top -> R(-s) that kill the image of U^j (`_killing`; every
+    map for j = -1), for j = -1..n-2.  `chain_hom_dim` reads the target's
+    rows and `chain_stable_hom_dim` the source's.  Only the degrees s with
+    Hom(top, R(-s)) != 0 are keyed: s_t - d < s <= s_t + e_t - d for a
+    summand (e_t, s_t) of the top, as gen_t -> x^(s_t - s) must survive in
+    R(-s) and die under x^(e_t)."""
+    comps, top, d = chain_composites(u), u.objects[-1], u.cfg.d
+    degrees = {s for e, t in top.summands for s in range(t - d + 1, t + e - d + 1)}
+    return comps, {(j, s): _killing(top, comps[j] if j >= 0 else None, s)
+                   for j in range(-1, u.length - 1) for s in degrees}
+
+
 def _killing(top: RModule, alpha, s: int):
     """The maps h: top -> R(-s), as coefficient rows in the elementary basis
     (`modules.hom_positions`), with h o alpha = 0 (any h if alpha is None):
@@ -312,10 +351,10 @@ def _killing(top: RModule, alpha, s: int):
             for sol in linalg.nullspace(F, rows, cols=len(free))]
 
 
-def chain_stable_hom_dim(u: MonoChain, v: MonoChain, composites=None) -> int:
+def chain_stable_hom_dim(u: MonoChain, v: MonoChain, walks=None) -> int:
     """dim Hom(u, v) modulo maps factoring through a projective chain;
-    `composites` is (chain_composites(u), chain_composites(v)) when the
-    caller already has them.  Builds no hom basis and no projective cover.
+    `walks` is (chain_walks(u), chain_walks(v)) when the caller already
+    has them.  Builds no hom basis and no projective cover.
 
     Every such map factors through v's projective cover, the sum over j of
     the trivial chains mu_j(Q^j) on the free covers q^j: Q^j ->> V^j, with
@@ -323,25 +362,27 @@ def chain_stable_hom_dim(u: MonoChain, v: MonoChain, composites=None) -> int:
     A chain map u -> mu_j(Q) is h alpha^u_{k -> n-1} at k >= j and 0 below,
     for an h: U^(n-1) -> Q with h alpha^u_{j-1 -> n-1} = 0.  Q is free, so h
     is a row per generator r of Q, each a map into R(-s_r) that kills the
-    image of U^(j-1) (`_killing`).  A chain map is fixed by its top
-    component, as every alpha^v is a mono, and a module map by its
-    normalized blocks: so the maps through the cover are measured by the
-    blocks of alpha^v_{j -> n-1} e_r eta at the surviving positions, one
-    outer product of column r of alpha^v_{j -> n-1} and a killing row eta
-    each.  Returns dim Hom(u, v) (`chain_hom_dim`) minus their rank.
+    image of U^(j-1): the source's rows of `chain_walks` at (j - 1, s_r),
+    none if s_r is not keyed there, as then Hom(U^(n-1), R(-s_r)) = 0.  A
+    chain map is fixed by its top component, as every alpha^v is a mono,
+    and a module map by its normalized blocks: so the maps through the
+    cover are measured by the blocks of alpha^v_{j -> n-1} e_r eta at the
+    surviving positions, one outer product of column r of alpha^v_{j ->
+    n-1} and a killing row eta each.  Returns dim Hom(u, v)
+    (`chain_hom_dim`, on the same walks) minus their rank.
     """
-    hom = chain_hom_dim(u, v)
+    walks = walks or (chain_walks(u), chain_walks(v))
+    hom = chain_hom_dim(u, v, walks)
     if not hom:
         return 0
-    cu, cv = composites or (chain_composites(u), chain_composites(v))
-    F, top = u.cfg.field, u.objects[-1]
-    positions = _surviving(top, v.objects[-1])
-    through = []
-    for j, (obj, alpha) in enumerate(zip(v.objects, cv)):
-        for r, (_, s) in enumerate(obj.summands):
-            through += [[F.mul(alpha.blocks[q][r], eta[c]) for q, c in positions]
-                        for eta in _killing(top, cu[j - 1] if j else None, s)]
-    return hom - linalg.rank(F, through)
+    (_, killing), (cv, _) = walks
+    F = u.cfg.field
+    positions = _surviving(u.objects[-1], v.objects[-1])
+    return hom - linalg.rank(F, [
+        [F.mul(alpha.blocks[q][r], eta[c]) for q, c in positions]
+        for j, (obj, alpha) in enumerate(zip(v.objects, cv))
+        for r, (_, s) in enumerate(obj.summands)
+        for eta in killing.get((j - 1, s), ())])
 
 
 # isomorphism and indecomposability --------------------------------------------

@@ -7,17 +7,18 @@ k-basis of End(X) becomes n x n matrices through the block diagonal of
 the components, and composition is the componentwise product.  Nothing
 here knows which category a map came from; each category supplies the
 pre-checks of an iso search, and modules their projective cover.  Hom
-spaces are shared too: `hom_space` solves the commuting squares of both
-factorizations and chains, and `hom_dim` takes their rank, and each
-category only names the positions of its unknowns and of its square
-equations.
+bases are shared too: `hom_space` solves the commuting squares of both
+factorizations and chains, and each category only names the positions of
+its unknowns and of its square equations.  A Hom dimension needs no
+basis: each category takes it as one rank over the unknowns of the one
+component that fixes a map (`fac_hom_dim`, `chain_hom_dim`).
 
 By Fitting's lemma an endomorphism of a finite-dimensional object is
 nilpotent, invertible, or splits X as Im(phi^n) + Ker(phi^n) with both
 parts nonzero; so X is indecomposable iff End(X) is local (Krull-Schmidt).
 In all three categories the stable hom space is Hom(X, Y) modulo
 p o Hom(X, P) for a projective cover p: P ->> Y; each category takes it
-in closed form, by `hom_dim` or a count, with no basis and no cover.
+in closed form, by such a rank or a count, with no basis and no cover.
 """
 
 from __future__ import annotations
@@ -305,31 +306,6 @@ def search_iso(field: Field, basis) -> bool:
     return False
 
 
-def _hom_equations(field: Field, unknowns, squares):
-    """(rows, offsets): the square equations of `hom_space`, one row per
-    surviving position, over the unknowns of component i at
-    offsets[i]..offsets[i+1]."""
-    F = field
-    offsets = [0]
-    for pos in unknowns:
-        offsets.append(offsets[-1] + len(pos))
-    total = offsets[-1]
-    zero, is_zero = F.zero, F.is_zero
-    rows = []
-    for i, (b, a, positions) in enumerate(squares):
-        eqs = {}  # (q, c) -> its equation, made when a first term lands there
-        for k, (s, c) in enumerate(unknowns[i], offsets[i]):
-            for q, brow in enumerate(b):  # b[q][s] f^i[s][c]
-                if not is_zero(brow[s]):
-                    eqs.setdefault((q, c), [zero] * total)[k] = brow[s]
-        for k, (q, s) in enumerate(unknowns[i + 1], offsets[i + 1]):
-            for c, co in enumerate(a[s]):  # -f^(i+1)[q][s] a[s][c]
-                if not is_zero(co):
-                    eqs.setdefault((q, c), [zero] * total)[k] = F.neg(co)
-        rows += [eqs[p] for p in positions if p in eqs]
-    return rows, offsets
-
-
 def hom_space(field: Field, unknowns, squares):
     """A k-basis of the maps f = (f^0, ..., f^n) between two diagrams
     X^0 -> ... -> X^n and Y^0 -> ... -> Y^n whose squares commute.
@@ -353,16 +329,27 @@ def hom_space(field: Field, unknowns, squares):
     equations at the surviving positions hold, and those are its
     positions.
     """
-    rows, offsets = _hom_equations(field, unknowns, squares)
-    if not offsets[-1]:
+    F = field
+    offsets = [0]
+    for pos in unknowns:
+        offsets.append(offsets[-1] + len(pos))
+    total = offsets[-1]
+    if not total:
         return []
+    zero, is_zero = F.zero, F.is_zero
+    rows = []
+    for i, (b, a, positions) in enumerate(squares):
+        eqs = {}  # (q, c) -> its equation, made when a first term lands there
+        for k, (s, c) in enumerate(unknowns[i], offsets[i]):
+            for q, brow in enumerate(b):  # b[q][s] f^i[s][c]
+                if not is_zero(brow[s]):
+                    eqs.setdefault((q, c), [zero] * total)[k] = brow[s]
+        for k, (q, s) in enumerate(unknowns[i + 1], offsets[i + 1]):
+            for c, co in enumerate(a[s]):  # -f^(i+1)[q][s] a[s][c]
+                if not is_zero(co):
+                    eqs.setdefault((q, c), [zero] * total)[k] = F.neg(co)
+        rows += [eqs[p] for p in positions if p in eqs]
     spans = list(zip(offsets, offsets[1:]))
     return [[sol[lo:hi] for lo, hi in spans]
-            for sol in linalg.nullspace(field, rows, cols=offsets[-1])]
+            for sol in linalg.nullspace(F, rows, cols=total)]
 
-
-def hom_dim(field: Field, unknowns, squares) -> int:
-    """len(hom_space(field, unknowns, squares)), with no basis built: the
-    number of unknowns minus the rank of the square equations."""
-    rows, offsets = _hom_equations(field, unknowns, squares)
-    return offsets[-1] - linalg.rank(field, rows)

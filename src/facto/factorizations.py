@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import linalg
-from .endo import hom_dim, hom_space, is_local, search_iso
+from .endo import hom_space, is_local, search_iso
 from .fields import Field
 from .modules import HypersurfaceConfig
 from .polymat import GradedMatrix
@@ -392,10 +392,32 @@ def fac_hom_basis(x: Factorization, y: Factorization):
         for sol in hom_space(F, unknowns, squares)]
 
 
-def fac_hom_dim(x: Factorization, y: Factorization) -> int:
-    """dim Hom(x, y) = len(fac_hom_basis(x, y)), by one rank of the same
-    system (`endo.hom_dim`)."""
-    return hom_dim(x.cfg.field, *_fac_hom_system(x, y))
+def fac_hom_dim(x: Factorization, y: Factorization, walks=None) -> int:
+    """dim Hom(x, y) = len(fac_hom_basis(x, y)), by one rank over the
+    unknowns of component 0; `walks` is (fac_walks(x), fac_walks(y)) when
+    the caller already has them.
+
+    The scalars of X^0 -> X^k are out_x[k], those of X^k -> tau X^0 are
+    back_x[k], and back_x[k] out_x[k] is the identity: the loop around the
+    cycle is x^d I (`fac_walks`).  The squares give f^k out_x[k] =
+    out_y[k] f^0, so f^k = out_y[k] f^0 back_x[k], and a map is fixed by
+    f^0.  Conversely these f^k make every square commute: back_x[k] =
+    back_x[k+1] A^k, as both are the walk from k to tau X^0, and the
+    closing square holds as back_y[l] out_y[l] is the identity.  So an
+    admissible f^0 extends iff each f^k, k = 1..l, is 0 at the positions
+    (r, c) where deg X^k[c] < deg Y^k[r]: one row out_y[k][r][a]
+    back_x[k][b][c] per such position, over the admissible positions
+    (a, b) of component 0.
+    """
+    if x.cfg != y.cfg or x.l != y.l:
+        raise ValueError("shape mismatch")
+    (_, back), (out, _) = walks or (fac_walks(x), fac_walks(y))
+    F = x.cfg.field
+    free = [(a, b) for a, t in enumerate(y.degs(0)) for b, s in enumerate(x.degs(0)) if s >= t]
+    return len(free) - linalg.rank(F, [
+        [F.mul(out[k][r][a], back[k][b][c]) for a, b in free]
+        for k in range(1, x.l + 1) for r, t in enumerate(y.degs(k))
+        for c, s in enumerate(x.degs(k)) if s < t])
 
 
 # adjunction transports ---------------------------------------------------------
@@ -583,8 +605,9 @@ def termwise_split_check(res: NuResolution, side: str) -> bool:
 
 def fac_walks(x: Factorization):
     """(out, back): the scalars of the walks around x's cycle that
-    `fac_stable_hom_dim` reads, out[k] of the composite X^0 -> X^k and
-    back[k] of X^k -> tau X^0 (the identity for k = 0), for k = 0..l."""
+    `fac_hom_dim` and `fac_stable_hom_dim` read, out[k] of the composite
+    X^0 -> X^k and back[k] of X^k -> tau X^0 (the identity for k = 0),
+    for k = 0..l."""
     out = [g.coeffs for g in _walk(x, 0, x.l)]
     return out, [out[0]] + [_walk(x, k, x.l + 1 - k)[-1].coeffs
                             for k in range(1, x.l + 1)]
@@ -611,12 +634,13 @@ def fac_stable_hom_dim(x: Factorization, y: Factorization, walks=None) -> int:
     measured on component 0, where the composite has the scalars
     back_y[i] e_r e_c^T out_x[k] (`fac_walks`): the outer product of
     column r of back_y[i] and row c of out_x[k].  Returns dim Hom(x, y)
-    (`fac_hom_dim`) minus the rank of these outer products.
+    (`fac_hom_dim`, on the same walks and component) minus the rank of
+    these outer products.
     """
-    hom = fac_hom_dim(x, y)
+    walks = walks or (fac_walks(x), fac_walks(y))
+    hom = fac_hom_dim(x, y, walks)
     if not hom:
         return 0
-    walks = walks or (fac_walks(x), fac_walks(y))
     return hom - linalg.rank(x.cfg.field, [
         row for i in range(x.l + 1) for row in _cover_rows(x, y, walks, i)])
 

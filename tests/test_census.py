@@ -378,7 +378,8 @@ CERTIFIED = [(2, 2, GF(5), Bounds(m=2, dim=3, window=2)),
              (1, 3, GF(5), Bounds(m=1, dim=3, window=3)),
              (1, 4, GF(5), Bounds(m=1, dim=4, window=4)),
              (2, 3, GF(2), Bounds(m=3, dim=6, window=3)),
-             (3, 3, GF(5), Bounds(m=2, dim=3, window=2))]
+             (3, 3, GF(5), Bounds(m=2, dim=3, window=2)),
+             (3, 4, GF(2), Bounds(m=2, dim=4, window=3))]
 
 
 @pytest.mark.parametrize("l, d, field, bounds", CERTIFIED,

@@ -13,7 +13,6 @@ from facto.census import (
 from facto.chains import (
     ChainMap,
     MonoChain,
-    chain_composites,
     chain_hom_basis,
     chain_hom_dim,
     chain_is_indecomposable,
@@ -21,6 +20,7 @@ from facto.chains import (
     chain_projective_cover,
     chain_projective_test,
     chain_stable_hom_dim,
+    chain_walks,
 )
 from facto.endo import NonSplitEndomorphism, _charpoly, is_local, search_iso
 from facto.factorizations import (
@@ -374,13 +374,15 @@ def _assert_agree(dims):
     assert {bool(closed[1]) for closed, _ in dims} == {True, False}
 
 
-# the census workload's censuses (F_5), then Ringel-Schmidt d=3 over F_2
+# the census workload's censuses (F_5), Ringel-Schmidt d=3 over F_2, and
+# l=3, d=3 over F_5, where component 0 carries a quarter of the unknowns
 CENSUS_CLASSES = [(2, 2, 5, Bounds(m=2, dim=3, window=2)),
                   (2, 3, 5, Bounds(m=2, dim=3, window=2)),
                   (1, 2, 5, Bounds(m=1, dim=2, window=2)),
                   (1, 3, 5, Bounds(m=1, dim=3, window=3)),
                   (1, 4, 5, Bounds(m=1, dim=4, window=4)),
-                  (2, 3, 2, Bounds(m=3, dim=6, window=3))]
+                  (2, 3, 2, Bounds(m=3, dim=6, window=3)),
+                  (3, 3, 5, Bounds(m=2, dim=3, window=2))]
 
 
 @pytest.mark.parametrize("l, d, p, bounds", CENSUS_CLASSES,
@@ -399,7 +401,7 @@ def test_stable_homs_of_census_classes_equal_the_explicit_covers(l, d, p, bounds
     walked = [(x, fac_walks(x)) for x in facs]
     _assert_agree([_fac_dims(x, y, (v, w))
                    for (x, v), (y, w) in itertools.product(walked, repeat=2)])
-    composed = [(u, chain_composites(u)) for u in chains]
+    composed = [(u, chain_walks(u)) for u in chains]
     _assert_agree([_chain_dims(u, v, (cu, cv))
                    for (u, cu), (v, cv) in itertools.product(composed, repeat=2)])
 
