@@ -84,6 +84,7 @@ from .chains import (
     chain_projective_test,
     chain_stable_hom_dim,
     chain_walks,
+    lift,
 )
 from .endo import is_local
 from .factorizations import (
@@ -631,16 +632,13 @@ def _top_modules(cfg: HypersurfaceConfig, dim_max: int, window: int):
 def _flag_chain(cfg: HypersurfaceConfig, top: RModule, incls) -> MonoChain:
     """The chain of submodules V_1 >-> ... >-> V_{l-1} >-> top, given by
     their inclusions `incls` into top (`modules.submodule`): each map is
-    the solution of i1 f = i0, degree by degree."""
+    the lift of one inclusion through the next (`chains.lift`)."""
     incls = incls + [ModuleMap.identity(top)]
     maps = []
     for i0, i1 in zip(incls, incls[1:]):
-        up, pieces = i1.pieces(), {}
-        for s, mat in i0.pieces().items():
-            pieces[s] = linalg.solve(cfg.field, up[s], mat) if s in up else None
-            if pieces[s] is None:
-                raise MatchFailure("flag member does not factor")
-        maps.append(ModuleMap.from_pieces(i0.src, i1.src, pieces))
+        maps.append(lift(i1, i0))
+        if maps[-1] is None:
+            raise MatchFailure("flag member does not factor")
     return MonoChain(cfg, [i.src for i in incls], maps)
 
 
@@ -820,7 +818,7 @@ def hom_dim_compare(x: Factorization, y: Factorization):
 
     Maps factoring through a nu^l object are exactly those factoring
     through the counit nu^l(Y^0) -> Y, summand 0 of y's projective cover,
-    whose rows on component 0 `fac_stable_hom_dim` takes with the others.
+    whose rows on component l `fac_stable_hom_dim` takes with the others.
     """
     walks = fac_walks(x), fac_walks(y)
     lhs = fac_hom_dim(x, y, walks) - linalg.rank(x.cfg.field, _cover_rows(x, y, walks, 0))

@@ -11,7 +11,7 @@ import functools
 from dataclasses import dataclass
 
 from . import linalg
-from .endo import hom_space, is_local, search_iso
+from .endo import is_local, search_iso
 from .modules import (
     HypersurfaceConfig,
     ModuleMap,
@@ -204,20 +204,6 @@ class ChainMap:
 # hom spaces ------------------------------------------------------------------
 
 
-def _chain_hom_system(u: MonoChain, v: MonoChain):
-    """(unknowns, squares) of chain maps u -> v for `endo.hom_space`: the
-    elementary positions of each component and the squares, one equation
-    per generator block where the monomial survives."""
-    if u.cfg != v.cfg:
-        raise ValueError("config mismatch")
-    if u.length != v.length:
-        raise ValueError("chain lengths differ")
-    unknowns = [hom_positions(a, b) for a, b in zip(u.objects, v.objects)]
-    squares = [(g.blocks, f.blocks, _surviving(f.src, g.tgt))
-               for f, g in zip(u.maps, v.maps)]
-    return unknowns, squares
-
-
 def _surviving(src: RModule, tgt: RModule):
     """The block positions (q, c) of a map src -> tgt whose monomial
     x^(s_c - s_q) gen_q survives in tgt: the entries a normalized block
@@ -226,52 +212,81 @@ def _surviving(src: RModule, tgt: RModule):
             for c, (_, t) in enumerate(src.summands) if 0 <= t - s < e]
 
 
-def chain_hom_basis(u: MonoChain, v: MonoChain):
-    """k-basis of ChainMaps u -> v (commuting componentwise homs).
-
-    The unknowns are the coefficients of each component in the elementary
-    basis of Hom(u^i, v^i) (`modules.hom_positions`), and each square
-    v.maps[i] f^i = f^(i+1) u.maps[i] gives one equation per generator
-    block where the monomial survives in v^(i+1) (`endo.hom_space`).
-    """
-    F = u.cfg.field
-    unknowns, squares = _chain_hom_system(u, v)
-    return [ChainMap(u, v, [
-        ModuleMap(a, b, linalg.scatter(F, len(b.summands), len(a.summands),
-                                       pos, vals), check=False)
-        for a, b, pos, vals in zip(u.objects, v.objects, unknowns, sol)])
-        for sol in hom_space(F, unknowns, squares)]
-
-
-def chain_hom_dim(u: MonoChain, v: MonoChain, walks=None) -> int:
-    """dim Hom(u, v) = len(chain_hom_basis(u, v)), by one rank over the
-    unknowns of the top component; `walks` is (chain_walks(u),
-    chain_walks(v)) when the caller already has them.
+def _top_rows(u: MonoChain, v: MonoChain, walks=None):
+    """(positions, rows): the system of chain maps u -> v on the top
+    component, which fixes a map; `walks` is (chain_walks(u),
+    chain_walks(v)) when the caller already has them, of which only u's
+    composites and v's killing rows are read.
 
     A chain map is fixed by its top component phi: U^(n-1) -> V^(n-1), as
     every alpha^v_j = alpha^v_{j -> n-1} is a mono.  Conversely phi
     extends iff phi alpha^u_j lands in im alpha^v_j for each j < n-1: then
-    f^j is the lift of phi alpha^u_j through alpha^v_j, and the squares
-    commute after alpha^v_(j+1), a mono.  R is self-injective, so
+    f^j is the lift of phi alpha^u_j through alpha^v_j (`lift`), and the
+    squares commute after alpha^v_(j+1), a mono.  R is self-injective, so
     im alpha^v_j is the intersection of the kernels of the maps eta:
     V^(n-1) -> R(-s) that kill it, the rows of `chain_walks`.  So phi, in
-    the elementary basis (`modules.hom_positions`), extends iff eta phi
-    alpha^u_j = 0: the coefficient of x^(s_c - s) in the image of each
-    generator c of U^j with 0 <= s_c - s < d, one row eta[q]
+    the elementary basis at `positions` (`modules.hom_positions`), extends
+    iff eta phi alpha^u_j = 0: the coefficient of x^(s_c - s) in the image
+    of each generator c of U^j with 0 <= s_c - s < d, one row eta[q]
     alpha^u_j[t][c] over the positions (q, t) each.
     """
     if u.cfg != v.cfg:
         raise ValueError("config mismatch")
     if u.length != v.length:
         raise ValueError("chain lengths differ")
-    (cu, _), (_, killing) = walks or (chain_walks(u), chain_walks(v))
+    (cu, _), (_, killing) = walks or ((chain_composites(u), None), chain_walks(v))
     F, d = u.cfg.field, u.cfg.d
     positions = hom_positions(u.objects[-1], v.objects[-1])
-    return len(positions) - linalg.rank(F, [
+    return positions, [
         [F.mul(eta[q], cu[j].blocks[t][c]) for q, t in positions]
         for (j, s), etas in killing.items() if j >= 0
         for c, (_, sc) in enumerate(cu[j].src.summands) if 0 <= sc - s < d
-        for eta in etas])
+        for eta in etas]
+
+
+def _top_basis(u: MonoChain, v: MonoChain, walks=None):
+    """The top components phi of a k-basis of chain maps u -> v: the
+    nullspace of `_top_rows`.  It is the top component of the basis that
+    every commuting square, solved on all components with the unknowns in
+    component order, gives: phi fixes a map, so a free unknown of that
+    system's RREF lies in the top component, and its nullspace vectors are
+    the maps with one free unknown of the top equal to 1 and the others 0,
+    as here."""
+    positions, rows = _top_rows(u, v, walks)
+    F, a, b = u.cfg.field, u.objects[-1], v.objects[-1]
+    return [ModuleMap(a, b, linalg.scatter(F, len(b.summands), len(a.summands),
+                                           positions, sol), check=False)
+            for sol in linalg.nullspace(F, rows, cols=len(positions))]
+
+
+def lift(mono: ModuleMap, f: ModuleMap):
+    """The map g with mono o g = f, or None when f does not factor through
+    the mono: solved degree by degree on the pieces, where a degree that
+    the mono's source lacks must carry a zero piece of f."""
+    F, up, pieces = f.src.cfg.field, mono.pieces(), {}
+    for s, mat in f.pieces().items():
+        pieces[s] = linalg.solve(F, up.get(s, [[] for _ in mat]), mat)
+        if pieces[s] is None:
+            return None
+    return ModuleMap.from_pieces(f.src, mono.src, pieces)
+
+
+def chain_hom_basis(u: MonoChain, v: MonoChain):
+    """k-basis of ChainMaps u -> v: each top component phi of `_top_basis`
+    extended by the lifts of phi alpha^u_j through alpha^v_j (`_top_rows`),
+    so the maps are built without re-checking their squares."""
+    cu, (cv, killing) = chain_composites(u), chain_walks(v)
+    return [ChainMap(u, v, [lift(beta, phi @ alpha) for alpha, beta in zip(cu, cv[:-1])]
+                     + [phi], check=False)
+            for phi in _top_basis(u, v, ((cu, None), (cv, killing)))]
+
+
+def chain_hom_dim(u: MonoChain, v: MonoChain, walks=None) -> int:
+    """dim Hom(u, v) = len(chain_hom_basis(u, v)), by one rank over the
+    unknowns of the top component (`_top_rows`); `walks` is
+    (chain_walks(u), chain_walks(v)) when the caller already has them."""
+    positions, rows = _top_rows(u, v, walks)
+    return len(positions) - linalg.rank(u.cfg.field, rows)
 
 
 # projectivity -----------------------------------------------------------------
@@ -326,11 +341,11 @@ def chain_composites(u: MonoChain):
 def chain_walks(u: MonoChain):
     """(composites, killing): `chain_composites(u)` and, keyed by (j, s),
     the maps top -> R(-s) that kill the image of U^j (`_killing`; every
-    map for j = -1), for j = -1..n-2.  `chain_hom_dim` reads the target's
-    rows and `chain_stable_hom_dim` the source's.  Only the degrees s with
-    Hom(top, R(-s)) != 0 are keyed: s_t - d < s <= s_t + e_t - d for a
-    summand (e_t, s_t) of the top, as gen_t -> x^(s_t - s) must survive in
-    R(-s) and die under x^(e_t)."""
+    map for j = -1), for j = -1..n-2.  The Hom system (`_top_rows`) reads
+    the target's rows and `chain_stable_hom_dim` the source's.  Only the
+    degrees s with Hom(top, R(-s)) != 0 are keyed: s_t - d < s <= s_t +
+    e_t - d for a summand (e_t, s_t) of the top, as gen_t -> x^(s_t - s)
+    must survive in R(-s) and die under x^(e_t)."""
     comps, top, d = chain_composites(u), u.objects[-1], u.cfg.d
     degrees = {s for e, t in top.summands for s in range(t - d + 1, t + e - d + 1)}
     return comps, {(j, s): _killing(top, comps[j] if j >= 0 else None, s)
@@ -392,7 +407,10 @@ def chain_iso_test(u: MonoChain, v: MonoChain) -> bool:
     """True iff u and v are isomorphic as chains.
 
     Necessary check: componentwise normal forms agree.  Then searches the
-    chain hom space for an invertible element (see endo.search_iso).
+    top components of a hom basis (`_top_basis`) for an invertible one
+    (see endo.search_iso): each f^j is the restriction of f^top to U^j,
+    so when f^top is an iso every f^j is a mono between modules of equal
+    dimension, and f is an iso iff f^top is.
     """
     if u.cfg != v.cfg:
         raise ValueError("config mismatch")
@@ -403,13 +421,14 @@ def chain_iso_test(u: MonoChain, v: MonoChain) -> bool:
             return False
     if u.is_zero():
         return True
-    return search_iso(u.cfg.field, [f.scalars() for f in chain_hom_basis(u, v)])
+    return search_iso(u.cfg.field, [phi.scalars() for phi in _top_basis(u, v)])
 
 
 def chain_is_indecomposable(u: MonoChain) -> bool:
-    """u is nonzero and End(u) is local (see endo.is_local)."""
+    """u is nonzero and End(u) is local (see endo.is_local), read on the
+    top component: f -> f^top embeds End(u) as an algebra in End(U^top)."""
     if u.is_zero():
         return False
     F = u.cfg.field
-    return is_local(F, [linalg.block_diagonal(F, f.scalars())
-                        for f in chain_hom_basis(u, u)])
+    return is_local(F, [linalg.block_diagonal(F, phi.scalars())
+                        for phi in _top_basis(u, u)])

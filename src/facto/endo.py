@@ -6,12 +6,12 @@ map's degree pieces, a permuted block diagonal of its realization): a
 k-basis of End(X) becomes n x n matrices through the block diagonal of
 the components, and composition is the componentwise product.  Nothing
 here knows which category a map came from; each category supplies the
-pre-checks of an iso search, and modules their projective cover.  Hom
-bases are shared too: `hom_space` solves the commuting squares of both
-factorizations and chains, and each category only names the positions of
-its unknowns and of its square equations.  A Hom dimension needs no
-basis: each category takes it as one rank over the unknowns of the one
-component that fixes a map (`fac_hom_dim`, `chain_hom_dim`).
+pre-checks of an iso search, and modules their projective cover.  Each
+category solves its Hom spaces on the one component that fixes a map,
+component l of a factorization (`factorizations._hom_rows`) and the top
+of a chain (`chains._top_rows`), and hands over that component alone:
+f -> f^l and f -> f^top embed End(X) as an algebra, and a map between
+objects that pass the pre-checks is an iso iff that component is.
 
 By Fitting's lemma an endomorphism of a finite-dimensional object is
 nilpotent, invertible, or splits X as Im(phi^n) + Ker(phi^n) with both
@@ -304,52 +304,4 @@ def search_iso(field: Field, basis) -> bool:
         return any(_is_iso(field, combo(ws))
                    for ws in itertools.product(range(p), repeat=len(basis)))
     return False
-
-
-def hom_space(field: Field, unknowns, squares):
-    """A k-basis of the maps f = (f^0, ..., f^n) between two diagrams
-    X^0 -> ... -> X^n and Y^0 -> ... -> Y^n whose squares commute.
-
-    Each component f^i is a k-matrix that is 0 outside the positions
-    (r, c) of `unknowns[i]`; the unknowns are its entries there, component
-    by component in the given order.  squares[i] = (b, a, positions) asks
-    b f^i = f^(i+1) a for the k-matrices b of Y^i -> Y^(i+1) and a of
-    X^i -> X^(i+1): one scalar equation per position (q, c) of b f^i -
-    f^(i+1) a in `positions`, with the coefficients b[q][s] and a[s][c]
-    read off directly.  Returns the nullspace of these equations (the
-    basis of their RREF, so it depends only on their span), each solution
-    as one list of values per component, aligned with `unknowns`.
-
-    Factorizations keep every position: a graded map is its k-matrix.
-    Chains hold normalized generator blocks, where entry (q, c) stands
-    for x^(s_c - s_q) gen_q in the image of gen_c.  A block product keeps
-    that entry only where the monomial survives in the target, 0 <= s_c -
-    s_q < e_q, and normalization drops every other entry; a module map is
-    fixed by its normalized blocks, so a chain square commutes iff the
-    equations at the surviving positions hold, and those are its
-    positions.
-    """
-    F = field
-    offsets = [0]
-    for pos in unknowns:
-        offsets.append(offsets[-1] + len(pos))
-    total = offsets[-1]
-    if not total:
-        return []
-    zero, is_zero = F.zero, F.is_zero
-    rows = []
-    for i, (b, a, positions) in enumerate(squares):
-        eqs = {}  # (q, c) -> its equation, made when a first term lands there
-        for k, (s, c) in enumerate(unknowns[i], offsets[i]):
-            for q, brow in enumerate(b):  # b[q][s] f^i[s][c]
-                if not is_zero(brow[s]):
-                    eqs.setdefault((q, c), [zero] * total)[k] = brow[s]
-        for k, (q, s) in enumerate(unknowns[i + 1], offsets[i + 1]):
-            for c, co in enumerate(a[s]):  # -f^(i+1)[q][s] a[s][c]
-                if not is_zero(co):
-                    eqs.setdefault((q, c), [zero] * total)[k] = F.neg(co)
-        rows += [eqs[p] for p in positions if p in eqs]
-    spans = list(zip(offsets, offsets[1:]))
-    return [[sol[lo:hi] for lo, hi in spans]
-            for sol in linalg.nullspace(F, rows, cols=total)]
 

@@ -10,20 +10,21 @@ The maps X^0 -> X^1 -> ... -> X^l -> tau X^0 form a cycle, and every
 structure map of the trivial factorizations nu^k is a composite around
 it, read off one walk (`_walk`): the zigzag identities, the units and
 counits of the nu-adjunctions, the projective cover and the injective
-hull, whose blocks are these composites.  The stable homs read the same
-composites' scalars (`fac_walks`) and build no cover.  Sums of nu^k are
+hull, whose blocks are these composites.  A map is fixed by its
+component f^l: Hom spaces are solved there (`_hom_rows`) and the other
+components read off the walks into and out of X^l (`fac_walks`), whose
+scalars the stable homs read too, with no cover built.  Sums of nu^k are
 built from the definition (`_nu_sum`), never re-validated.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import linalg
-from .endo import hom_space, is_local, search_iso
+from .endo import is_local, search_iso
 from .fields import Field
 from .modules import HypersurfaceConfig
 from .polymat import GradedMatrix
@@ -353,71 +354,67 @@ class FacMap:
 # hom spaces ------------------------------------------------------------------
 
 
-def _hom_positions(x: Factorization, y: Factorization):
-    """Admissible monomial positions (row, col) of each component of a map
-    x -> y: the entries where the source degree reaches the target's."""
-    out = []
-    for j in range(x.l + 1):
-        xd, yd = x.degs(j), y.degs(j)
-        out.append([])
-        for r, t in enumerate(yd):
-            for c, s in enumerate(xd):
-                if s >= t:
-                    out[-1].append((r, c))
-    return out
+def _hom_rows(x: Factorization, y: Factorization, walks=None):
+    """(free, rows): the Hom(x, y) system on component l, which fixes a
+    map; `walks` is (fac_walks(x), fac_walks(y)) when the caller already
+    has them.
 
-
-def _fac_hom_system(x: Factorization, y: Factorization):
-    """(unknowns, squares) of Hom(x, y) for `endo.hom_space`: the admissible
-    positions of each component and the squares B^j f^j = f^{j+1} A^j,
-    coefficientwise at every position."""
+    The scalars of X^k -> X^l are into_x[k], those of X^l -> tau X^k are
+    frm_x[k], and frm_x[k] into_x[k] is the identity: the loop around the
+    cycle is x^d I (`fac_walks`).  The squares give f^l into_x[k] =
+    into_y[k] f^k, so f^k = frm_y[k] f^l into_x[k], and a map is fixed by
+    f^l.  Conversely these f^k make every square commute: into_x[k] =
+    into_x[k+1] A^k, and B^k frm_y[k] = frm_y[k+1], as both are the walk
+    from Y^l to tau Y^(k+1) (the loop at Y^l when k + 1 = l); the closing
+    square holds as into_x[0] C_x, the loop at X^l, is the identity and
+    frm_y[0] = C_y.
+    So an admissible f^l, at the positions `free` (a, b) where deg X^l[b]
+    >= deg Y^l[a], extends iff each f^k, k = 0..l-1, is 0 at the positions
+    (r, c) where deg X^k[c] < deg Y^k[r]: one row frm_y[k][r][a]
+    into_x[k][b][c] over `free` per such position.
+    """
     if x.cfg != y.cfg or x.l != y.l:
         raise ValueError("shape mismatch")
-    squares = [(b.coeffs, a.coeffs,
-                itertools.product(range(len(b.tgt_degs)), range(len(a.src_degs))))
-               for a, b in zip(x.maps, y.maps)]
-    return _hom_positions(x, y), squares
+    (into, _), (_, frm) = walks or (fac_walks(x), fac_walks(y))
+    F, l = x.cfg.field, x.l
+    free = [(a, b) for a, t in enumerate(y.degs(l)) for b, s in enumerate(x.degs(l)) if s >= t]
+    return free, [[F.mul(frm[k][r][a], into[k][b][c]) for a, b in free]
+                  for k in range(l) for r, t in enumerate(y.degs(k))
+                  for c, s in enumerate(x.degs(k)) if s < t]
+
+
+def _top_basis(x: Factorization, y: Factorization, walks=None):
+    """The components f^l of a k-basis of Hom(x, y), as k-matrices: the
+    nullspace of `_hom_rows`.  It is the last component of the basis
+    that every commuting square, solved on all l+1 components with the
+    unknowns in component order, gives: f^l fixes a map, so a free unknown
+    of that system's RREF lies in component l, and its nullspace vectors
+    are the maps with one free unknown of component l equal to 1 and the
+    others 0, as here."""
+    free, rows = _hom_rows(x, y, walks)
+    F = x.cfg.field
+    return [linalg.scatter(F, y.m, x.m, free, sol)
+            for sol in linalg.nullspace(F, rows, cols=len(free))]
 
 
 def fac_hom_basis(x: Factorization, y: Factorization):
-    """k-basis of Hom(x, y): the commuting squares B^j f^j = f^{j+1} A^j,
-    solved coefficientwise on the admissible positions (`endo.hom_space`),
-    so the maps are built without re-checking their squares."""
-    unknowns, squares = _fac_hom_system(x, y)
+    """k-basis of Hom(x, y): each f^l of `_top_basis` extended by the
+    walks, f^k = frm_y[k] f^l into_x[k] (`_hom_rows`), so the maps are built
+    without re-checking their squares."""
+    walks = fac_walks(x), fac_walks(y)
+    (into, _), (_, frm) = walks
     F = x.cfg.field
-    degs = [(x.degs(j), y.degs(j)) for j in range(x.l + 1)]
-    return [FacMap(x, y, [
-        GradedMatrix.from_coeffs(F, linalg.scatter(F, len(yd), len(xd), pos, vals), xd, yd)
-        for (xd, yd), pos, vals in zip(degs, unknowns, sol)], check=False)
-        for sol in hom_space(F, unknowns, squares)]
+    return [FacMap(x, y, [GradedMatrix.from_coeffs(
+        F, linalg.mat_mul(F, linalg.mat_mul(F, frm[k], top), into[k]), x.degs(k), y.degs(k))
+        for k in range(x.l + 1)], check=False) for top in _top_basis(x, y, walks)]
 
 
 def fac_hom_dim(x: Factorization, y: Factorization, walks=None) -> int:
     """dim Hom(x, y) = len(fac_hom_basis(x, y)), by one rank over the
-    unknowns of component 0; `walks` is (fac_walks(x), fac_walks(y)) when
-    the caller already has them.
-
-    The scalars of X^0 -> X^k are out_x[k], those of X^k -> tau X^0 are
-    back_x[k], and back_x[k] out_x[k] is the identity: the loop around the
-    cycle is x^d I (`fac_walks`).  The squares give f^k out_x[k] =
-    out_y[k] f^0, so f^k = out_y[k] f^0 back_x[k], and a map is fixed by
-    f^0.  Conversely these f^k make every square commute: back_x[k] =
-    back_x[k+1] A^k, as both are the walk from k to tau X^0, and the
-    closing square holds as back_y[l] out_y[l] is the identity.  So an
-    admissible f^0 extends iff each f^k, k = 1..l, is 0 at the positions
-    (r, c) where deg X^k[c] < deg Y^k[r]: one row out_y[k][r][a]
-    back_x[k][b][c] per such position, over the admissible positions
-    (a, b) of component 0.
-    """
-    if x.cfg != y.cfg or x.l != y.l:
-        raise ValueError("shape mismatch")
-    (_, back), (out, _) = walks or (fac_walks(x), fac_walks(y))
-    F = x.cfg.field
-    free = [(a, b) for a, t in enumerate(y.degs(0)) for b, s in enumerate(x.degs(0)) if s >= t]
-    return len(free) - linalg.rank(F, [
-        [F.mul(out[k][r][a], back[k][b][c]) for a, b in free]
-        for k in range(1, x.l + 1) for r, t in enumerate(y.degs(k))
-        for c, s in enumerate(x.degs(k)) if s < t])
+    unknowns of component l (`_hom_rows`); `walks` is (fac_walks(x),
+    fac_walks(y)) when the caller already has them."""
+    free, rows = _hom_rows(x, y, walks)
+    return len(free) - linalg.rank(x.cfg.field, rows)
 
 
 # adjunction transports ---------------------------------------------------------
@@ -604,13 +601,17 @@ def termwise_split_check(res: NuResolution, side: str) -> bool:
 
 
 def fac_walks(x: Factorization):
-    """(out, back): the scalars of the walks around x's cycle that
-    `fac_hom_dim` and `fac_stable_hom_dim` read, out[k] of the composite
-    X^0 -> X^k and back[k] of X^k -> tau X^0 (the identity for k = 0),
-    for k = 0..l."""
-    out = [g.coeffs for g in _walk(x, 0, x.l)]
-    return out, [out[0]] + [_walk(x, k, x.l + 1 - k)[-1].coeffs
-                            for k in range(1, x.l + 1)]
+    """(into, frm): the scalars of the walks through X^l that `_hom_rows`
+    and `_cover_rows` read, into[k] of the composite X^k -> X^l and frm[k]
+    of X^l -> tau X^k, for k = 0..l (both the identity at k = l).  One
+    backward pass gives into, into[k] = into[k+1] A^k, and one walk from
+    X^l gives frm, so the cost is linear in l."""
+    F = x.cfg.field
+    into = [linalg.identity(F, x.m)]
+    for a in reversed(x.maps):
+        into.append(linalg.mat_mul(F, into[-1], a.coeffs))
+    frm = [g.coeffs for g in _walk(x, x.l, x.l)]  # X^l, tau X^0, ..., tau X^(l-1)
+    return into[::-1], frm[1:] + frm[:1]
 
 
 def fac_stable_hom_dim(x: Factorization, y: Factorization, walks=None) -> int:
@@ -628,14 +629,13 @@ def fac_stable_hom_dim(x: Factorization, y: Factorization, walks=None) -> int:
     summand i, with k = l and A = Y^0 for i = 0 and k = i - 1 and A =
     tau^-1 Y^i otherwise, and per admissible (r, c).
 
-    A map of factorizations is fixed by its component f^0: the scalars of
-    the structure maps are invertible, as their product around the cycle
-    is the identity (x^d I), and f^(j+1) A^j = B^j f^j.  So the span is
-    measured on component 0, where the composite has the scalars
-    back_y[i] e_r e_c^T out_x[k] (`fac_walks`): the outer product of
-    column r of back_y[i] and row c of out_x[k].  Returns dim Hom(x, y)
-    (`fac_hom_dim`, on the same walks and component) minus the rank of
-    these outer products.
+    A map of factorizations is fixed by its component f^l (`_hom_rows`).
+    So the span is measured on component l, where the composite is the
+    walk of y from i to l after h after the walk of x from l to k, with
+    the scalars into_y[i] e_r e_c^T frm_x[k] (`fac_walks`): the outer
+    product of column r of into_y[i] and row c of frm_x[k].  Returns dim
+    Hom(x, y) (`fac_hom_dim`, on the same walks and component) minus the
+    rank of these outer products.
     """
     walks = walks or (fac_walks(x), fac_walks(y))
     hom = fac_hom_dim(x, y, walks)
@@ -646,14 +646,15 @@ def fac_stable_hom_dim(x: Factorization, y: Factorization, walks=None) -> int:
 
 
 def _cover_rows(x: Factorization, y: Factorization, walks, i: int):
-    """The outer products that `fac_stable_hom_dim` reads for summand i of
-    y's projective cover: nu^l(Y^0), the counit, for i = 0, and
-    nu^(i-1)(tau^-1 Y^i) otherwise; `walks` is (fac_walks(x), fac_walks(y))."""
-    (out, _), (_, back) = walks
+    """The outer products on component l that `fac_stable_hom_dim` reads
+    for summand i of y's projective cover: nu^l(Y^0), the counit, for i =
+    0, and nu^(i-1)(tau^-1 Y^i) otherwise; `walks` is (fac_walks(x),
+    fac_walks(y))."""
+    (_, frm), (into, _) = walks
     F = x.cfg.field
     k, degs = (x.l, y.degs(0)) if i == 0 else (i - 1, [s + x.cfg.d for s in y.degs(i)])
-    return [[F.mul(a, e) for a in col for e in out[k][c]]
-            for col, t in zip(zip(*back[i]), degs)
+    return [[F.mul(a, e) for a in col for e in frm[k][c]]
+            for col, t in zip(zip(*into[i]), degs)
             for c, s in enumerate(x.degs(k)) if s >= t]
 
 
@@ -666,7 +667,11 @@ def fac_projective_test(x: Factorization) -> bool:
 
 
 def fac_iso_test(x: Factorization, y: Factorization) -> bool:
-    """True iff x and y are isomorphic in Fac (twist ignored)."""
+    """True iff x and y are isomorphic in Fac (twist ignored).
+
+    Searches the components f^l of a hom basis (`_top_basis`): each f^k
+    is frm_y[k] f^l into_x[k] with both walks invertible, so f is an iso
+    iff f^l is."""
     if x.cfg != y.cfg or x.l != y.l:
         return False
     if x.m != y.m:
@@ -676,13 +681,12 @@ def fac_iso_test(x: Factorization, y: Factorization) -> bool:
             return False
     if x.is_zero():
         return True
-    return search_iso(x.cfg.field, [f.scalars() for f in fac_hom_basis(x, y)])
+    return search_iso(x.cfg.field, [[top] for top in _top_basis(x, y)])
 
 
 def fac_is_indecomposable(x: Factorization) -> bool:
-    """x is nonzero and End(x) is local (see endo.is_local)."""
+    """x is nonzero and End(x) is local (see endo.is_local), read on
+    component l: f -> f^l embeds End(x) as an algebra in the k-matrices."""
     if x.is_zero():
         return False
-    F = x.cfg.field
-    return is_local(F, [linalg.block_diagonal(F, f.scalars())
-                        for f in fac_hom_basis(x, x)])
+    return is_local(x.cfg.field, _top_basis(x, x))

@@ -28,7 +28,7 @@ from facto.census import (
     _subspaces_containing,
     _top_modules,
 )
-from facto.factorizations import FacMap, Factorization, _hom_positions, adjunction_transport
+from facto.factorizations import FacMap, Factorization, adjunction_transport
 from facto.fields import Field
 from facto.functors import _minimal_generators
 from facto.modules import (
@@ -401,6 +401,13 @@ def lift_along_epi(p: ModuleMap, f: ModuleMap):
 def module_from_presentation(a: GradedMatrix, cfg: HypersurfaceConfig) -> RModule:
     """Normal form of cok(A) for a graded map of free S-modules."""
     return presentation_cokernel(a, cfg).tgt
+
+
+def _hom_positions(x: Factorization, y: Factorization):
+    """Admissible monomial positions (row, col) of each component of a map
+    x -> y: the entries where the source degree reaches the target's."""
+    return [[(r, c) for r, t in enumerate(y.degs(j)) for c, s in enumerate(x.degs(j)) if s >= t]
+            for j in range(x.l + 1)]
 
 
 def _hom_slots(x: Factorization, y: Factorization):

@@ -12,8 +12,10 @@ from facto.chains import (
     chain_stable_hom_dim,
     chain_validate,
     iota_embed,
+    lift,
     mu_trivial,
 )
+from facto.census import MatchFailure, _flag_chain
 from facto.fields import GF, QQ
 from facto.linalg import Echelon
 from facto.modules import (
@@ -23,6 +25,7 @@ from facto.modules import (
     hom_basis,
     is_mono_epi,
     projective_cover,
+    submodule,
 )
 from reference import realization
 
@@ -461,3 +464,27 @@ def test_chain_hom_basis_equals_the_block_product_equations(field):
                 assert got == _chain_hom_basis_by_block_products(a, b), (a, b)
                 sizes.append(len(got))
     assert max(sizes) >= 6 and 0 in sizes
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_lift_through_a_mono_undoes_composition(field):
+    """lift(g, g f) = f for the consecutive monos f, g of random chains;
+    the identity of the top lifts through the mono into it iff that mono
+    is onto; and a flag member that does not lie in the next one stops
+    the census's flag chain."""
+    rng = random.Random(53)
+    onto = []
+    for d in (2, 3, 4):
+        c = cfg(d, field)
+        for _ in range(10):
+            f, g = random_chain(c, rng, 3, max_summands=3).maps
+            assert lift(g, g @ f) == f
+            onto.append(is_mono_epi(g)[1])
+            assert (lift(g, ModuleMap.identity(g.tgt)) is None) is not onto[-1]
+    assert set(onto) == {True, False}
+    c = cfg(2, field)
+    top = RModule(c, [(2, 0)])
+    socle = submodule(top, {1: [[field.one]]})  # x R inside R = k[x]/(x^2)
+    assert _flag_chain(c, top, [socle]).objects == (socle.src, top)
+    with pytest.raises(MatchFailure, match="does not factor"):
+        _flag_chain(c, top, [ModuleMap.identity(top), socle])

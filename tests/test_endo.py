@@ -5,6 +5,8 @@ import pytest
 
 from facto.census import (
     Bounds,
+    _chain_fingerprint,
+    _fac_fingerprint,
     class_census,
     enumerate_chains,
     enumerate_factorizations,
@@ -27,6 +29,7 @@ from facto.factorizations import (
     fac_hom_basis,
     fac_hom_dim,
     fac_is_indecomposable,
+    fac_iso_test,
     fac_projective_cover,
     fac_stable_hom_dim,
     fac_walks,
@@ -34,12 +37,13 @@ from facto.factorizations import (
 )
 from facto.functors import cok
 from facto.fields import GF, QQ
-from facto.linalg import identity, rank as matrix_rank
+from facto.linalg import block_diagonal, identity, rank as matrix_rank
 from facto.modules import (
     HypersurfaceConfig,
     ModuleMap,
     RModule,
     hom_basis,
+    module_iso,
     projective_cover,
     rank,
     stable_hom_dim,
@@ -48,6 +52,8 @@ from facto.poly import Polynomial
 from facto.polymat import PolyMatrix
 from facto.randgen import random_chain, random_factorization, random_module
 from reference import _flag_chains, _flag_factorizations, nu_l_counit, realization, stable_dim
+from test_chains import _chain_hom_basis_by_block_products
+from test_factorizations import _fac_hom_basis_by_slots
 
 FIELDS = [QQ, GF(2), GF(5)]
 
@@ -345,6 +351,78 @@ def test_piece_scalars_decide_as_the_ambient_realization(field, monkeypatch):
     assert _chain_verdicts(pairs) == verdicts
 
 
+# iso and locality on the one component that fixes a map -----------------------
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the exception it raises."""
+    try:
+        return fn(*args)
+    except NonSplitEndomorphism as exc:
+        return type(exc)
+
+
+def _fac_reference(x, y):
+    """(iso, indecomposable) read on every component of the slot-equation
+    basis: search_iso on all l+1 components, is_local on their block
+    diagonal."""
+    F = x.cfg.field
+    same = all(sorted(x.degs(k)) == sorted(y.degs(k)) for k in range(x.l + 1))
+    iso = same and (x.is_zero() or search_iso(
+        F, [f.scalars() for f in _fac_hom_basis_by_slots(x, y)]))
+    return iso, not x.is_zero() and _outcome(is_local, F, [
+        block_diagonal(F, f.scalars()) for f in _fac_hom_basis_by_slots(x, x)])
+
+
+def _chain_reference(u, v):
+    """The same on every component of the block-product basis."""
+    F = u.cfg.field
+    same = all(module_iso(a, b) for a, b in zip(u.objects, v.objects))
+    iso = same and (u.is_zero() or search_iso(
+        F, [f.scalars() for f in _chain_hom_basis_by_block_products(u, v)]))
+    return iso, not u.is_zero() and _outcome(is_local, F, [
+        block_diagonal(F, f.scalars()) for f in _chain_hom_basis_by_block_products(u, u)])
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_verdicts_on_the_fixing_component_equal_the_all_component_ones(field):
+    """fac_iso_test, fac_is_indecomposable, chain_iso_test and
+    chain_is_indecomposable, which read only component l or the top, give
+    the verdicts of search_iso and is_local on every component of the
+    oracle bases: on random objects, their sums x + y, y + x and x + x, and
+    the cok images of the factorizations, at five (d, l) shapes; and, but
+    over Q, where the census enumerates nothing, on distinct flag
+    factorizations (l = 2, d = 3, m <= 2, window 1) of the same degrees and
+    their cok images of the same normal forms, which only the search tells
+    apart."""
+    rng = random.Random(43)
+    fac_pairs, chain_pairs = [], []
+    if field is not QQ:
+        facs = list(_flag_factorizations(HypersurfaceConfig(3, field), 2, 2, 1))
+        for pairs, objs, key in [(fac_pairs, facs, _fac_fingerprint),
+                                 (chain_pairs, [cok(x) for x in facs], _chain_fingerprint)]:
+            same = [(a, b) for a, b in itertools.combinations(objs, 2)
+                    if a != b and key(a) == key(b)]
+            pairs += rng.sample(same, min(len(same), 150))
+    for d, l in [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2)]:
+        c = HypersurfaceConfig(d, field)
+        x, y = (random_factorization(c, l, rng, m_max=2) for _ in range(2))
+        u, v = (random_chain(c, l, rng, max_summands=3) for _ in range(2))
+        facs = [x, y, x.direct_sum(y), y.direct_sum(x), x.direct_sum(x)]
+        chains = [u, v, u.direct_sum(v), v.direct_sum(u), u.direct_sum(u)]
+        chains += [cok(z) for z in facs]
+        fac_pairs += itertools.product(facs, repeat=2)
+        chain_pairs += itertools.product(chains, repeat=2)
+    fac_verdicts = [(fac_iso_test(a, b), _outcome(fac_is_indecomposable, a)) for a, b in fac_pairs]
+    chain_verdicts = [(chain_iso_test(a, b), _outcome(chain_is_indecomposable, a))
+                      for a, b in chain_pairs]
+    assert fac_verdicts == [_fac_reference(a, b) for a, b in fac_pairs]
+    assert chain_verdicts == [_chain_reference(a, b) for a, b in chain_pairs]
+    for verdicts in (fac_verdicts, chain_verdicts):
+        assert {iso for iso, _ in verdicts} == {True, False}
+        assert {True, False} <= {local for _, local in verdicts}
+
+
 # stable homs in closed form against the explicit projective covers ------------
 
 
@@ -375,7 +453,7 @@ def _assert_agree(dims):
 
 
 # the census workload's censuses (F_5), Ringel-Schmidt d=3 over F_2, and
-# l=3, d=3 over F_5, where component 0 carries a quarter of the unknowns
+# l=3, d=3 over F_5, where component l carries a quarter of the unknowns
 CENSUS_CLASSES = [(2, 2, 5, Bounds(m=2, dim=3, window=2)),
                   (2, 3, 5, Bounds(m=2, dim=3, window=2)),
                   (1, 2, 5, Bounds(m=1, dim=2, window=2)),

@@ -272,7 +272,7 @@ def test_cok_maps_are_chain_maps_that_span_the_chain_homs(d, l, pairs, p, m, win
     """cok of each basis map between two classes is a checked ChainMap of
     their cok chains, and these images span every chain hom between them:
     over F_5 with m=2, window=2 (m=1, window=3 at l=1), and at (d, l) =
-    (4, 2) and (3, 2) over F_2 with m=3, window=3.  The kernel of cok on Hom(X, Y), read on component 0, is the
+    (4, 2) and (3, 2) over F_2 with m=3, window=3.  The kernel of cok on Hom(X, Y), read on component l, is the
     span of the maps through the nu^l counit that hom_dim_compare takes."""
     F = GF(p)
     classes, homs = _census_homs(d, l, F, m, window)
@@ -288,7 +288,7 @@ def test_cok_maps_are_chain_maps_that_span_the_chain_homs(d, l, pairs, p, m, win
         assert rank(F, rows[:len(images)]) == rank(F, rows) == len(basis), (i, j)
         # the combinations of the basis maps that cok sends to 0
         kernel = nullspace(F, [list(col) for col in zip(*rows[:len(images)])], len(maps))
-        flat = [[c for row in f.components[0].coeffs for c in row] for f, _ in maps]
+        flat = [[c for row in f.components[-1].coeffs for c in row] for f, _ in maps]
         kernel = [[sum((F.mul(a, v[n]) for a, v in zip(k, flat)), F.zero)
                    for n in range(len(flat[0]))] for k in kernel]
         counit = _cover_rows(classes[i], classes[j], (walks[i], walks[j]), 0)

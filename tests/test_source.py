@@ -77,7 +77,7 @@ TEST_ONLY = {
     "split", "embed", "_facmap_to_vector", "_hom_slots", "bar_p_epic",
     "lift_along_epi", "module_from_presentation", "homothety",
     "try_solve_right", "from_ints", "_flag_factorizations", "_flag_chains",
-    "realization", "jordan_by_kernels", "stable_dim",
+    "realization", "jordan_by_kernels", "stable_dim", "_hom_positions",
 }
 
 
