@@ -79,6 +79,7 @@ from dataclasses import dataclass
 from . import linalg
 from .chains import (
     MonoChain,
+    chain_composites,
     chain_hom_dim,
     chain_iso_test,
     chain_projective_test,
@@ -424,7 +425,9 @@ def _local_stabilizer(field, top: RModule, spaces):
     among the R-generators of V in degree s (`_generators`) and q in the
     annihilator of V_s in T_s: phi commutes with x, so phi V <= V iff phi
     maps them into V, and phi v lies in T_s.  A block is built when a flag
-    first uses V; a flag's A is the nullspace of its stacked blocks.
+    first uses V; a flag's A is the nullspace of its stacked blocks.  The
+    annihilator of a piece is solved once per (degree, piece) of a top, as
+    the listed spaces share their pieces.
 
     Locality is decided on the image of A in End(T/xT).  The maps with
     phi T <= xT form a two-sided ideal I with I^d = 0, and an algebra is
@@ -479,14 +482,17 @@ def _local_stabilizer(field, top: RModule, spaces):
              if not F.is_zero(c) and degs[u] == degs[t]]
     g, cells = len(degs), [(u, t) for _, u, t in units]
     shifts, dims = _shifts(top), {s: len(idx) for s, idx in tp.items()}
-    blocks, decided = {}, {}
+    blocks, decided, annihilators = {}, {}, {}
 
     def block(i):
         if i not in blocks:
             ech = linalg.Echelon(F)
             space = spaces[i]
             for s, gens in _generators(F, shifts, space).items():
-                annihilator = linalg.nullspace(F, space[s], cols=dims[s])
+                key = s, space[s]
+                if key not in annihilators:
+                    annihilators[key] = linalg.nullspace(F, space[s], cols=dims[s])
+                annihilator = annihilators[key]
                 for v in gens:
                     images = [[(r, F.mul(a, v[c])) for r, c, a in ent[s]
                                if not F.is_zero(v[c])] for ent in entries]
@@ -730,6 +736,48 @@ def _reconstruction_in_bounds(v: MonoChain, bounds: Bounds) -> bool:
             and max(degs, default=0) - min(degs, default=0) <= bounds.window)
 
 
+def _match(canon, chains, bounds: Bounds):
+    """The (fac index, chain index) pairs of the classes whose canonical
+    cok `canon[i]` is isomorphic to `chains[j]`; MatchFailure on a cok that
+    matches twice or not at all in bounds, on a chain class hit twice, and
+    on an unmatched chain class whose reconstruction is in bounds.
+    chain_iso_test is False between chains of different fingerprints, so
+    only equal fingerprints are tested, and a chain class's walks and a
+    cok's composites are built once, when first read."""
+    candidates, walked, matching, taken = {}, {}, [], {}
+    for j, v in enumerate(chains):
+        candidates.setdefault(_chain_fingerprint(v), []).append(j)
+    for i, u in enumerate(canon):
+        hits, cu = [], None
+        for j in candidates.get(_chain_fingerprint(u), ()):
+            if j not in walked:
+                walked[j] = chain_walks(chains[j])
+            cu = cu or (chain_composites(u), None)
+            if chain_iso_test(u, chains[j], (cu, walked[j])):
+                hits.append(j)
+        if len(hits) > 1:
+            raise MatchFailure(f"fac class {i}: cok matches chains {hits}")
+        if not hits:
+            if _chain_in_bounds(u, bounds):
+                raise MatchFailure(
+                    f"fac class {i}: cok in bounds but not in the chain census"
+                )
+            continue
+        j = hits[0]
+        if j in taken:
+            raise MatchFailure(
+                f"fac classes {taken[j]} and {i} both map to chain class {j}"
+            )
+        taken[j] = i
+        matching.append((i, j))
+    for j, v in enumerate(chains):
+        if j not in taken and _reconstruction_in_bounds(v, bounds):
+            raise MatchFailure(
+                f"chain class {j}: reconstruction in bounds but unmatched"
+            )
+    return matching
+
+
 def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
                  seed: int = 0) -> CensusReport:
     """Classify both sides, match them under cok, compare stable hom tables.
@@ -762,31 +810,7 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
               if not chain_projective_test(u)]
 
     coks = [cok(x) for x in facs]
-    canon = [u.shift(-u.min_degree()) for u in coks]
-    matching = []
-    taken = {}
-    for i, u in enumerate(canon):
-        hits = [j for j, v in enumerate(chains) if chain_iso_test(u, v)]
-        if len(hits) > 1:
-            raise MatchFailure(f"fac class {i}: cok matches chains {hits}")
-        if not hits:
-            if _chain_in_bounds(u, bounds):
-                raise MatchFailure(
-                    f"fac class {i}: cok in bounds but not in the chain census"
-                )
-            continue
-        j = hits[0]
-        if j in taken:
-            raise MatchFailure(
-                f"fac classes {taken[j]} and {i} both map to chain class {j}"
-            )
-        taken[j] = i
-        matching.append((i, j))
-    for j, v in enumerate(chains):
-        if j not in taken and _reconstruction_in_bounds(v, bounds):
-            raise MatchFailure(
-                f"chain class {j}: reconstruction in bounds but unmatched"
-            )
+    matching = _match([u.shift(-u.min_degree()) for u in coks], chains, bounds)
 
     fac_table = [[end if x is y else fac_stable_hom_dim(x, y, (w, v)) for y, v, end in walked]
                  for x, w, _ in walked]

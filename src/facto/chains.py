@@ -403,8 +403,10 @@ def chain_stable_hom_dim(u: MonoChain, v: MonoChain, walks=None) -> int:
 # isomorphism and indecomposability --------------------------------------------
 
 
-def chain_iso_test(u: MonoChain, v: MonoChain) -> bool:
-    """True iff u and v are isomorphic as chains.
+def chain_iso_test(u: MonoChain, v: MonoChain, walks=None) -> bool:
+    """True iff u and v are isomorphic as chains; `walks` is
+    (chain_walks(u), chain_walks(v)) when the caller already has them, of
+    which only u's composites and v's killing rows are read (`_top_rows`).
 
     Necessary check: componentwise normal forms agree.  Then searches the
     top components of a hom basis (`_top_basis`) for an invertible one
@@ -421,7 +423,7 @@ def chain_iso_test(u: MonoChain, v: MonoChain) -> bool:
             return False
     if u.is_zero():
         return True
-    return search_iso(u.cfg.field, [phi.scalars() for phi in _top_basis(u, v)])
+    return search_iso(u.cfg.field, [phi.scalars() for phi in _top_basis(u, v, walks)])
 
 
 def chain_is_indecomposable(u: MonoChain) -> bool:

@@ -2,10 +2,11 @@
 
 `cok` sends a factorization X to the chain of monomorphisms between the
 cokernels of its leading composites X^0 -> X^k.  `_cokernels` fixes the
-coordinates of these cokernels once, as the projections from the free
-covers that `modules.presentation_cokernel` (a `modules.quotient`)
-returns, and `cok`, `induced_cok_map`, `jq_sequence` and `to_ldiagram`
-all read them from there.
+coordinates of these cokernels once, as the projections P from the free
+covers and their sections M that `modules.presentation_cokernel` (a graded
+elimination on the generators) returns, and `cok`, `induced_cok_map`,
+`jq_sequence` and `to_ldiagram` all read them from there: the map that g
+induces between two cokernels is the generator product P_tgt g M_src.
 `reconstruct` inverts cok up to isomorphism: it is the flag factorization
 (`flag_factorization`, shared with the census, which takes the members'
 inclusions) of the preimages, in a minimal free cover of the chain's last
@@ -43,27 +44,20 @@ from .polymat import GradedMatrix, graded_solve
 
 
 def _cokernels(x: Factorization):
-    """The projections X^k ->> U^k = presentation_cokernel(X^0 -> X^k) of
-    the free covers, for k = 1..l: the one place that fixes the
-    coordinates of cok(x)."""
+    """The (projection X^k ->> U^k, section) pairs of
+    presentation_cokernel(X^0 -> X^k) on the free covers, for k = 1..l:
+    the one place that fixes the coordinates of cok(x)."""
     return [presentation_cokernel(g, x.cfg) for g in _walk(x, 0, x.l)[1:]]
 
 
-def _induced(cfg, g: GradedMatrix, src: ModuleMap, tgt: ModuleMap) -> ModuleMap:
-    """The map between the cokernels src.tgt and tgt.tgt (projections from
-    `_cokernels`) that g induces on their free covers, degree by degree:
-    lift along src, apply g mod x^d, project along tgt."""
-    F = cfg.field
-    gbar, down, up = reduced_module_map(g, cfg).pieces(), src.pieces(), tgt.pieces()
-    pieces = {}
-    for s, idx in src.tgt.pieces().items():
-        lift = linalg.solve(F, down[s], linalg.identity(F, len(idx)),
-                            cols=len(down[s][0]))
-        if lift is None:
-            raise RealizationError("projection is not surjective")
-        pieces[s] = (linalg.mat_mul(F, up[s], linalg.mat_mul(F, gbar[s], lift))
-                     if up.get(s) else [])
-    return ModuleMap.from_pieces(src.tgt, tgt.tgt, pieces)
+def _induced(g: GradedMatrix, src, tgt) -> ModuleMap:
+    """The map between the cokernels of src and tgt ((projection, section)
+    pairs from `_cokernels`) that g induces on their free covers, on the
+    generators: each generator of src's cokernel is the projection of its
+    section's column, so its image is P_tgt g M_src."""
+    (p, m), (q, _) = src, tgt
+    F = g.field
+    return ModuleMap(p.tgt, q.tgt, linalg.mat_mul(F, q.blocks, linalg.mat_mul(F, g.coeffs, m)))
 
 
 def cok(x: Factorization) -> MonoChain:
@@ -73,8 +67,8 @@ def cok(x: Factorization) -> MonoChain:
 
 def _cok_chain(x: Factorization, coks) -> MonoChain:
     """cok(x) from its cokernels `coks` (`_cokernels(x)`), validated."""
-    maps = [_induced(x.cfg, x.maps[k], coks[k - 1], coks[k]) for k in range(1, x.l)]
-    chain = MonoChain(x.cfg, [p.tgt for p in coks], maps, check=False)
+    maps = [_induced(x.maps[k], coks[k - 1], coks[k]) for k in range(1, x.l)]
+    chain = MonoChain(x.cfg, [p.tgt for p, _ in coks], maps, check=False)
     bad = chain_validate(chain)
     if bad is not True:
         raise RealizationError(f"cokernel chain invalid at {bad.index}: "
@@ -99,7 +93,7 @@ def jq_sequence(x: Factorization):
     )
     coks = _cokernels(x)
     chain = iota_embed(_cok_chain(x, coks))
-    q = [ModuleMap.zero(RModule.free(cfg, x.degs(0)), chain.objects[0])] + coks
+    q = [ModuleMap.zero(RModule.free(cfg, x.degs(0)), chain.objects[0])] + [p for p, _ in coks]
     # componentwise exactness: q^k o jbar^k = 0 and rank counts match
     for k in range(l + 1):
         jbar = reduced_module_map(j.components[k], cfg)
@@ -129,7 +123,7 @@ class LDiagram:
 
 def to_ldiagram(x: Factorization) -> LDiagram:
     coks = _cokernels(x)
-    return LDiagram(iota=prefix(x, x.l), rho=coks[-1], chain=_cok_chain(x, coks))
+    return LDiagram(iota=prefix(x, x.l), rho=coks[-1][0], chain=_cok_chain(x, coks))
 
 
 # reconstruction ----------------------------------------------------------------
@@ -211,7 +205,7 @@ def reconstruct(u: MonoChain) -> Factorization:
 
 def induced_cok_map(f: FacMap) -> list:
     """Componentwise maps cok(src) -> cok(tgt) induced by a FacMap."""
-    return [_induced(f.src.cfg, g, s, t) for g, s, t in
+    return [_induced(g, s, t) for g, s, t in
             zip(f.components[1:], _cokernels(f.src), _cokernels(f.tgt))]
 
 

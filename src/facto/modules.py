@@ -13,8 +13,13 @@ with one elimination per shift block, and no power of x is formed.  A map
 is read there as its pieces T_s -> T_s (`ModuleMap.pieces`), a subspace
 as {s: vectors of T_s}, and every submodule and quotient is built by
 `submodule` and `quotient`, which return the inclusion and the projection
-with the other end in normal form.  The zero module (no summands) is a
-first-class value.
+with the other end in normal form.  The cokernel of a presentation, a
+homogeneous matrix over k[x], is no quotient of a realization:
+`presentation_cokernel` is a graded elimination on the generators (the
+column reduction of persistence), which reads the normal form, the
+projection and a section off the generators and decides by itself whether
+x^d kills the cokernel.  The zero module (no summands) is a first-class
+value.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .pieces import (
     jordan,
     sub_shifts,
 )
-from .polymat import GradedMatrix, NoSolution, expect_json, graded_solve
+from .polymat import GradedMatrix, expect_json
 
 
 class NotAnnihilated(Exception):
@@ -527,23 +532,56 @@ def reduced_module_map(g: GradedMatrix, cfg: HypersurfaceConfig) -> ModuleMap:
     return ModuleMap(src, tgt, g.coeffs, check=False)
 
 
-def presentation_cokernel(a: GradedMatrix, cfg: HypersurfaceConfig) -> ModuleMap:
-    """The projection from the free cover onto cok(A) in normal form.
+def presentation_cokernel(a: GradedMatrix, cfg: HypersurfaceConfig):
+    """(projection, M): the projection from the free cover onto cok(A) in
+    normal form, by a graded elimination on the generators, and its
+    section on generators, the scalar matrix M whose column u writes the
+    generator of summand u in the cover's generators, so that the
+    projection's blocks times M are the identity.
 
-    The cokernel is the quotient of the free cover ⊕R(-b_j) by the image
-    of a mod x^d, which the realization's columns span: the columns of a
-    and their x-multiples.  Raises NotAnnihilated if x^d does not kill
-    the cokernel.
+    The rows of a are the cover's generators, of degrees b_j, and its
+    columns the relations, of degrees a_i: entry c is c x^(a_i - b_j).
+    The relations are reduced in ascending degree, as in the column
+    reduction of persistence (Zomorodian-Carlsson), each written in the
+    current basis g of the cover:
+    - a term on a generator g_q pivoted earlier is x^(a_i - a_q) times q's
+      relation x^(t_q) g_q, so it is cleared;
+    - if a term is left, the relation pivots on its youngest generator p,
+      of the largest degree b_p (the last one on ties).  Every term has
+      b_j <= b_p, so the relation is c_p x^(a_i - b_p) g_p' with g_p' =
+      g_p + sum_j (c_j / c_p) x^(b_p - b_j) g_j.  Taking g_p' for g_p keeps
+      degrees and leaves the earlier relations as they are; it is a row
+      operation on P (the coordinates of the cover's generators in g) and
+      on the later relations, and a column operation on M.  Then g_p has
+      length t_p = a_i - b_p.
+    So cok(A) is the sum of S/(x^(t_p))(-b_p) over the pivots p and of
+    S(-b_j) over the generators never pivoted, and x^d kills it iff every
+    generator is pivoted with t_p <= d; else NotAnnihilated is raised.
+    The summands with t_p >= 1 are sorted into normal form.
     """
-    F = cfg.field
-    # x^d * I on the target, as the map from the target shifted up by d
-    omega = GradedMatrix.from_coeffs(
-        F, linalg.identity(F, len(a.tgt_degs)), [t + cfg.d for t in a.tgt_degs],
-        a.tgt_degs,
-    )
-    try:
-        graded_solve(a, omega)
-    except NoSolution:
+    F, degs = cfg.field, a.tgt_degs
+    n = len(degs)
+    rels = [list(row) for row in a.coeffs]
+    p_rows, m_rows = linalg.identity(F, n), linalg.identity(F, n)
+    length, free = {}, set(range(n))
+    for i in sorted(range(len(a.src_degs)), key=a.src_degs.__getitem__):
+        support = [j for j in free if not F.is_zero(rels[j][i])]
+        if not support:
+            continue
+        p = max(support, key=lambda j: (degs[j], j))
+        inv = F.inv(rels[p][i])
+        for j in support:
+            if j != p:
+                c = F.mul(rels[j][i], inv)
+                rels[j] = [F.sub(v, F.mul(c, w)) for v, w in zip(rels[j], rels[p])]
+                p_rows[j] = [F.sub(v, F.mul(c, w)) for v, w in zip(p_rows[j], p_rows[p])]
+                for row in m_rows:
+                    row[p] = F.add(row[p], F.mul(c, row[j]))
+        free.discard(p)
+        length[p] = a.src_degs[i] - degs[p]
+    if free or any(t > cfg.d for t in length.values()):
         raise NotAnnihilated("x^d does not factor through the presentation")
-    abar = reduced_module_map(a, cfg)
-    return quotient(abar.tgt, _image(abar))
+    kept = sorted((t, degs[p], p) for p, t in length.items() if t)
+    proj = ModuleMap(RModule.free(cfg, degs), RModule(cfg, [(t, s) for t, s, _ in kept]),
+                     [p_rows[p] for _, _, p in kept], check=False)
+    return proj, [[row[p] for _, _, p in kept] for row in m_rows]

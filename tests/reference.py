@@ -12,7 +12,10 @@ which took the kernel of every power of x on every piece.
 `projection_splits` tries every set of summands on ambient vectors, an
 oracle for the census's drop of split flags.  `stable_dim` is the
 earlier stable hom, taken on a hom basis and an explicit cover: the
-oracle for the closed forms.  The rest are helpers that only tests use.
+oracle for the closed forms.  `presentation_cokernel_by_quotient` is the
+earlier cokernel of a presentation, a quotient of the realization, and
+`cok_by_quotient` the cokernel functor built on it: the oracles for the
+graded elimination on generators.  The rest are helpers that only tests use.
 pytest does not collect this module; tests import it by name.
 """
 
@@ -28,17 +31,22 @@ from facto.census import (
     _subspaces_containing,
     _top_modules,
 )
-from facto.factorizations import FacMap, Factorization, adjunction_transport
+from facto.chains import MonoChain
+from facto.factorizations import FacMap, Factorization, _walk, adjunction_transport
 from facto.fields import Field
 from facto.functors import _minimal_generators
 from facto.modules import (
     HypersurfaceConfig,
     ModuleMap,
     RModule,
+    NotAnnihilated,
+    _image,
     decompose,
     hom_basis,
     presentation_cokernel,
     projective_cover,
+    quotient,
+    reduced_module_map,
 )
 from facto.pieces import (
     NO_FILL,
@@ -52,7 +60,7 @@ from facto.pieces import (
     sub_shifts,
 )
 from facto.poly import Polynomial
-from facto.polymat import GradedMatrix, NoSolution, PolyMatrix, solve_right
+from facto.polymat import GradedMatrix, NoSolution, PolyMatrix, graded_solve, solve_right
 
 
 # -- ambient realizations ------------------------------------------------------
@@ -400,7 +408,55 @@ def lift_along_epi(p: ModuleMap, f: ModuleMap):
 
 def module_from_presentation(a: GradedMatrix, cfg: HypersurfaceConfig) -> RModule:
     """Normal form of cok(A) for a graded map of free S-modules."""
-    return presentation_cokernel(a, cfg).tgt
+    return presentation_cokernel(a, cfg)[0].tgt
+
+
+def presentation_cokernel_by_quotient(a: GradedMatrix,
+                                      cfg: HypersurfaceConfig) -> ModuleMap:
+    """The projection from the free cover onto cok(A) in normal form.
+
+    The cokernel is the quotient of the free cover ⊕R(-b_j) by the image
+    of a mod x^d, which the realization's columns span: the columns of a
+    and their x-multiples.  Raises NotAnnihilated if x^d does not kill
+    the cokernel.
+    """
+    F = cfg.field
+    # x^d * I on the target, as the map from the target shifted up by d
+    omega = GradedMatrix.from_coeffs(
+        F, linalg.identity(F, len(a.tgt_degs)), [t + cfg.d for t in a.tgt_degs],
+        a.tgt_degs,
+    )
+    try:
+        graded_solve(a, omega)
+    except NoSolution:
+        raise NotAnnihilated("x^d does not factor through the presentation")
+    abar = reduced_module_map(a, cfg)
+    return quotient(abar.tgt, _image(abar))
+
+
+def factor_through(p: ModuleMap, q: ModuleMap) -> ModuleMap:
+    """The map phi with q = phi o p, for an epi p and a map q on p's
+    source, degree by degree: phi_s is q_s times a right inverse of p_s."""
+    F = p.src.cfg.field
+    down, up, pieces = p.pieces(), q.pieces(), {}
+    for s, idx in p.tgt.pieces().items():
+        lift = linalg.solve(F, down[s], linalg.identity(F, len(idx)),
+                            cols=len(down[s][0]))
+        if lift is None:
+            raise RealizationError("projection is not surjective")
+        pieces[s] = linalg.mat_mul(F, up[s], lift) if up.get(s) else []
+    return ModuleMap.from_pieces(p.tgt, q.tgt, pieces)
+
+
+def cok_by_quotient(x: Factorization):
+    """(projections, chain): cok(x) with its cokernels taken by
+    `presentation_cokernel_by_quotient`, each map lifted along one
+    projection, pushed through X^k -> X^(k+1) mod x^d and projected along
+    the next, degree by degree."""
+    coks = [presentation_cokernel_by_quotient(g, x.cfg) for g in _walk(x, 0, x.l)[1:]]
+    maps = [factor_through(p, q @ reduced_module_map(x.maps[k], x.cfg))
+            for k, (p, q) in enumerate(zip(coks, coks[1:]), start=1)]
+    return coks, MonoChain(x.cfg, [p.tgt for p in coks], maps)
 
 
 def _hom_positions(x: Factorization, y: Factorization):

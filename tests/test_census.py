@@ -362,6 +362,29 @@ PINNED_REPORTS = [
 ]
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(5)], ids=repr)
+def test_matching_tries_every_chain_class_of_a_fingerprint(field):
+    """_match pairs each canonical cok with the one isomorphic chain class
+    among the classes of its fingerprint: the two socle_or_side chains
+    share their objects and are not isomorphic, in both orders; a cok with
+    no partner in bounds, a cok with two and a class hit twice raise
+    MatchFailure."""
+    from facto.census import MatchFailure, _match
+    from test_chains import socle_or_side
+
+    u, v = (socle_or_side(HypersurfaceConfig(2, field), side) for side in (0, 1))
+    bounds = Bounds(m=0, dim=0, window=0)  # nothing is in bounds
+    assert _match([u, v], [v, u], bounds) == [(0, 1), (1, 0)]
+    assert _match([v, u], [v, u], bounds) == [(0, 0), (1, 1)]
+    assert _match([u], [v], bounds) == []
+    with pytest.raises(MatchFailure):
+        _match([u], [v], Bounds(m=2, dim=3, window=1))
+    with pytest.raises(MatchFailure):
+        _match([u], [u, u], bounds)
+    with pytest.raises(MatchFailure):
+        _match([u, u], [v, u], bounds)
+
+
 @pytest.mark.parametrize("l, d, bounds, digest", PINNED_REPORTS,
                          ids=[f"l{l}-d{d}" for l, d, _, _ in PINNED_REPORTS])
 def test_census_report_matches_its_pinned_digest(l, d, bounds, digest):

@@ -98,7 +98,7 @@ def test_cok_intermediate_quotients():
         # j=1 < k=2 (1-based chain positions)
         f = chain.maps[0]
         _, (cok_chain, _), _ = map_ker_cok_im(f)
-        mod = presentation_cokernel(between(x, 1, 2), c).tgt
+        mod = presentation_cokernel(between(x, 1, 2), c)[0].tgt
         assert module_iso(cok_chain, mod)
 
 
@@ -312,6 +312,83 @@ def test_cok_is_a_functor_on_the_census_classes():
                     assert induced_cok_map(g @ f) == [b @ a for b, a in zip(cg, cf)]
                     composed += 1
     assert composed > 100
+
+
+# the census workload's censuses (F_5) and Ringel-Schmidt d=3 over F_2
+COK_CENSUSES = [(2, 2, 5, 2, 2), (2, 3, 5, 2, 2), (1, 2, 5, 1, 2), (1, 3, 5, 1, 3),
+                (1, 4, 5, 1, 4), (2, 3, 2, 3, 3)]
+
+
+def _assert_cok_is_the_quotient_version(x):
+    """cok(x) has the objects of `cok_by_quotient(x)`, and the maps phi_k
+    with p_k = phi_k o p_ref_k between their projections are module isos
+    that form a checked ChainMap: the two chains are isomorphic."""
+    from facto.functors import _cokernels
+    from facto.modules import is_mono_epi
+    from reference import cok_by_quotient, factor_through
+
+    refs, want = cok_by_quotient(x)
+    got = cok(x)
+    assert got.objects == want.objects
+    phis = [factor_through(ref, p) for ref, (p, _) in zip(refs, _cokernels(x))]
+    assert all(is_mono_epi(phi) == (True, True) for phi in phis)
+    ChainMap(want, got, phis)
+
+
+@pytest.mark.parametrize("l, d, p, m, window", COK_CENSUSES,
+                         ids=[f"l{l}-d{d}-F{p}" for l, d, p, _, _ in COK_CENSUSES])
+def test_cok_is_the_quotient_version_on_the_census_classes(l, d, p, m, window):
+    """cok by graded elimination is chain-isomorphic to cok through the
+    realization's quotient on every factorization class, projectives
+    included."""
+    classes = enumerate_factorizations(cfg(d, GF(p)), l, m, window)
+    assert len(classes) > 2
+    for x in classes:
+        _assert_cok_is_the_quotient_version(x)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=repr)
+def test_cok_is_the_quotient_version_on_random_factorizations(field):
+    """The same on random factorizations with d <= 4 and l <= 3, and on
+    direct sums of two of them."""
+    rng = random.Random(61)
+    for d in (1, 2, 3, 4):
+        for l in (1, 2, 3):
+            x, y = (random_factorization(cfg(d, field), l, rng, m_max=2) for _ in range(2))
+            for z in (x, y, x.direct_sum(y)):
+                _assert_cok_is_the_quotient_version(z)
+
+
+def test_cokernels_take_no_quotient_and_no_graded_solve(monkeypatch):
+    """presentation_cokernel, cok, induced_cok_map and to_ldiagram build no
+    realization quotient, complement or Jordan form and solve no graded
+    system: those functions raise wherever facto holds them, and the
+    calls still give the chains they gave before."""
+    import sys
+
+    from facto.factorizations import prefix
+    from facto.modules import presentation_cokernel
+
+    rng = random.Random(67)
+    xs = [random_factorization(cfg(d, field), l, rng) for d, l, field in
+          ((2, 1, QQ), (3, 2, GF(5)), (4, 3, GF(2)), (3, 3, GF(3)))]
+    maps = [FacMap.identity(x) for x in xs]
+    want = [cok(x) for x in xs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cokernels took a quotient or a graded solve")
+
+    names = {"quotient", "complement", "jordan", "graded_solve"}
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("facto"):
+            for attr in names & set(vars(mod)):
+                monkeypatch.setattr(mod, attr, refuse)
+    assert [cok(x) for x in xs] == want
+    for x, f in zip(xs, maps):
+        assert [presentation_cokernel(prefix(x, k), x.cfg)[0].tgt
+                for k in range(1, x.l + 1)] == list(cok(x).objects)
+        assert induced_cok_map(f) == [ModuleMap.identity(m) for m in cok(x).objects]
+        assert to_ldiagram(x).chain == cok(x)
 
 
 def _reconstruct_by_cokernels(u):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from facto.fields import GF, QQ
-from facto.linalg import identity, mat_mul, mat_vec, nullspace, rank, solve
+from facto.linalg import identity, mat_mul, mat_vec, nullspace, rank, rref, solve
 from facto.modules import (
     HypersurfaceConfig,
     ModuleMap,
@@ -27,6 +27,7 @@ from facto.poly import Polynomial
 from facto.polymat import GradedMatrix, PolyMatrix
 from reference import (
     bar_p_epic,
+    factor_through,
     from_ints,
     from_realization,
     homogeneous_components,
@@ -34,6 +35,7 @@ from reference import (
     jordan_by_kernels,
     lift_along_epi,
     module_from_presentation,
+    presentation_cokernel_by_quotient,
     quotient_realization,
     realization,
     split,
@@ -331,7 +333,7 @@ def test_presentation_cokernel_projection():
     c = cfg(2, GF(5))
     F = GF(5)
     a = graded(F, [[[0, 1], [0, 2]], [[], [0, 1]]], [1, 1], [0, 0])
-    p = presentation_cokernel(a, c)
+    p, _ = presentation_cokernel(a, c)
     m, proj = p.tgt, realization(p)
     free = RModule.free(c, [0, 0])
     lhs = mat_mul(F, proj, x_matrix(free))
@@ -371,16 +373,14 @@ def _presentation_cokernel_by_closing(a, c):
     return mod, solve(F, to_real, proj_mat)
 
 
-@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=repr)
-def test_presentation_cokernel_equals_the_closing_loop(field):
-    """The same (module, projection), and NotAnnihilated in the same cases,
-    on random graded maps and on the leading composites of factorizations."""
+def _presentation_inputs(field):
+    """(config, presentation) pairs over `field` for d = 1..4: random graded
+    maps, each also with x^d * I beside it, so that x^d kills its cokernel,
+    and the leading composites of random factorizations."""
     from facto.factorizations import prefix
-    from facto.linalg import identity
     from facto.randgen import random_factorization
 
     rng = random.Random(53)
-    raised = []
     for d in (1, 2, 3, 4):
         c = cfg(d, field)
         inputs = []
@@ -397,18 +397,99 @@ def test_presentation_cokernel_equals_the_closing_loop(field):
         for l in (1, 2, 3):
             x = random_factorization(c, l, rng)
             inputs += [prefix(x, k) for k in range(1, l + 1)]
-        for a in inputs:
-            try:
-                want = _presentation_cokernel_by_closing(a, c)
-            except NotAnnihilated:
-                with pytest.raises(NotAnnihilated):
-                    presentation_cokernel(a, c)
-                raised.append(True)
-                continue
-            p = presentation_cokernel(a, c)
-            assert (p.tgt, realization(p)) == want, a
-            raised.append(False)
+        yield from ((c, a) for a in inputs)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=repr)
+def test_presentation_cokernel_equals_the_closing_loop(field):
+    """The same (module, projection), and NotAnnihilated in the same cases,
+    on random graded maps and on the leading composites of factorizations:
+    the quotient of the realization (`presentation_cokernel_by_quotient`)
+    against its columns closed under x one vector at a time."""
+    raised = []
+    for c, a in _presentation_inputs(field):
+        try:
+            want = _presentation_cokernel_by_closing(a, c)
+        except NotAnnihilated:
+            with pytest.raises(NotAnnihilated):
+                presentation_cokernel_by_quotient(a, c)
+            raised.append(True)
+            continue
+        p = presentation_cokernel_by_quotient(a, c)
+        assert (p.tgt, realization(p)) == want, a
+        raised.append(False)
     assert raised.count(True) > 10 and raised.count(False) > 50
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=repr)
+def test_presentation_cokernel_by_elimination_equals_the_quotient(field):
+    """On the same inputs, the graded elimination gives the quotient's
+    module and raises NotAnnihilated in the same cases.  Its projection p
+    has the quotient's kernel in every degree, so p = phi o p_ref for a
+    module iso phi; and its blocks times the section M are the identity
+    on the cokernel's generators."""
+    F = field
+    raised = []
+    for c, a in _presentation_inputs(field):
+        try:
+            ref = presentation_cokernel_by_quotient(a, c)
+        except NotAnnihilated:
+            with pytest.raises(NotAnnihilated):
+                presentation_cokernel(a, c)
+            raised.append(True)
+            continue
+        p, m = presentation_cokernel(a, c)
+        assert (p.src, p.tgt) == (ref.src, ref.tgt), a
+        got, want = p.pieces(), ref.pieces()
+        assert got.keys() == want.keys()
+        for s, idx in p.src.pieces().items():
+            kernels = [rref(F, nullspace(F, piece[s], cols=len(idx)))[0]
+                       for piece in (got, want)]
+            assert kernels[0] == kernels[1], (a, s)
+        phi = factor_through(ref, p)
+        assert is_mono_epi(phi) == (True, True)
+        assert phi @ ref == p
+        assert ModuleMap(p.tgt, p.tgt, mat_mul(F, p.blocks, m)) == ModuleMap.identity(p.tgt)
+        raised.append(False)
+    assert raised.count(True) > 10 and raised.count(False) > 50
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=repr)
+def test_summand_lengths_are_the_valuations_of_the_invariant_factors(field):
+    """The multiset of the cokernel's summand lengths is that of the x-adic
+    valuations, at least 1, of the invariant factors that `polymat.snf`
+    finds over k[x]: on random homogeneous presentations with x^d * I
+    beside them, whose rank is then full, and on the leading composites
+    of random factorizations."""
+    from facto.factorizations import prefix
+    from facto.polymat import snf
+    from facto.randgen import random_factorization
+
+    rng = random.Random(59)
+    checked = set()
+    for d in (1, 2, 3, 4):
+        c = cfg(d, field)
+        inputs = []
+        for _ in range(15):
+            n = rng.randrange(1, 4)
+            src = [rng.randrange(0, 4) for _ in range(rng.randrange(0, 4))]
+            tgt = [rng.randrange(-1, 3) for _ in range(n)]
+            coeffs = [[field.from_int(rng.randrange(0, 4)) if s >= t else field.zero
+                       for s in src] for t in tgt]
+            omega = GradedMatrix.from_coeffs(field, identity(field, n),
+                                             [t + d for t in tgt], tgt)
+            inputs.append(GradedMatrix.from_coeffs(field, coeffs, src, tgt).hstack(omega))
+        for l in (1, 2, 3):
+            x = random_factorization(c, l, rng)
+            inputs += [prefix(x, k) for k in range(1, l + 1)]
+        for a in inputs:
+            _, diag, _ = snf(a.mat)
+            factors = [diag.entries[i][i] for i in range(min(diag.rows, diag.cols))]
+            assert len(factors) == diag.rows and all(f.is_monomial() for f in factors)
+            lengths = sorted(e for e, _ in presentation_cokernel(a, c)[0].tgt.summands)
+            assert lengths == sorted(f.degree for f in factors if f.degree), a
+            checked.add(tuple(lengths))
+    assert len(checked) > 10
 
 
 @pytest.mark.parametrize("summand", [[1.7, True], [1, True], [True, 0],

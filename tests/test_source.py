@@ -78,6 +78,7 @@ TEST_ONLY = {
     "lift_along_epi", "module_from_presentation", "homothety",
     "try_solve_right", "from_ints", "_flag_factorizations", "_flag_chains",
     "realization", "jordan_by_kernels", "stable_dim", "_hom_positions",
+    "presentation_cokernel_by_quotient", "factor_through", "cok_by_quotient",
 }
 
 
