@@ -530,24 +530,22 @@ def _splits(top: RModule, length: int) -> bool:
     return touching or (homogeneous and min(length, top.summands[0][0]) <= 2)
 
 
-def _flag_objects(cfg: HypersurfaceConfig, tops, length: int, build,
-                  local_only: bool = False):
-    """build(cfg, key, spaces)(flag), shifted to minimum degree 0, for
-    every flag (index tuple) of `length` x-stable graded subspaces `spaces`
+def _flag_objects(cfg: HypersurfaceConfig, tops, length: int, build):
+    """build(cfg, key, spaces)(flag), shifted to minimum degree 0, for the
+    flags (index tuples) of `length` x-stable graded subspaces `spaces`
     (`stable_graded_subspaces`) of each top in `tops`, a stream of (key,
-    top module) pairs; with local_only, only for the flags that
-    `_subspace_flags` lists given the top (one per torus orbit, none split
-    by a summand projection) whose stabilizer in End(top) is local
-    (`_local_stabilizer`), skipping split tops (`_splits`)."""
+    top module) pairs, that `_subspace_flags` lists given the top (one per
+    torus orbit, none split by a summand projection) and whose stabilizer
+    in End(top) is local (`_local_stabilizer`); split tops (`_splits`)
+    are skipped."""
     F = cfg.field
-    omega = _primitive_root(F) if local_only and length else None
+    omega = _primitive_root(F) if length else None
     for key, top in tops:
-        if local_only and _splits(top, length):
+        if _splits(top, length):
             continue
         spaces = stable_graded_subspaces(F, top) if length else []
-        flags = _subspace_flags(F, spaces, length, top if local_only else None, omega)
-        if local_only:
-            flags = filter(_local_stabilizer(F, top, spaces), flags)
+        flags = filter(_local_stabilizer(F, top, spaces),
+                       _subspace_flags(F, spaces, length, top, omega))
         make = build(cfg, key, spaces)
         for flag in flags:
             x = make(flag)
@@ -609,8 +607,8 @@ def enumerate_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
     or l exceeds MAX_CENSUS_SIZE."""
     _check_census_size(("m*d", m_max * cfg.d), ("l", l))
     window = min(window, max(m_max - 1, 0) * max(cfg.d - 2, 0))
-    return _dedup(_flag_objects(cfg, _fac_tops(cfg, m_max, window), l, _fac_build,
-                                local_only=True), _fac_fingerprint, fac_iso_test)
+    return _dedup(_flag_objects(cfg, _fac_tops(cfg, m_max, window), l, _fac_build),
+                  _fac_fingerprint, fac_iso_test)
 
 
 # chain enumeration -----------------------------------------------------------
@@ -663,8 +661,8 @@ def enumerate_chains(cfg: HypersurfaceConfig, l: int, dim_max: int,
     _check_census_size(("dim", dim_max), ("l", l))
     window = min(window, max(dim_max - 2, 0))
     tops = [t for t in _top_modules(cfg, dim_max, window) if t.min_degree() == 0]
-    return _dedup(_flag_objects(cfg, ((t, t) for t in tops), l - 1, _chain_build,
-                                local_only=True), _chain_fingerprint, chain_iso_test)
+    return _dedup(_flag_objects(cfg, ((t, t) for t in tops), l - 1, _chain_build),
+                  _chain_fingerprint, chain_iso_test)
 
 
 # the census itself ------------------------------------------------------------

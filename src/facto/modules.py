@@ -6,20 +6,21 @@ R-linear by a closed-form condition on its entries, and composition is
 the matrix product.  Each module also carries a realization as a graded
 k-vector space with a degree-raising x-operator, a view derived from the
 generators.  A realization is the direct sum of its degree pieces T_s, and
-x is a set of shift blocks T_s -> T_{s+1}, so kernels, images, cokernels,
-Jordan normal forms and ranks reduce to small exact linear algebra on one
-piece at a time (`pieces`); the Jordan normal form is one ascending sweep
-with one elimination per shift block, and no power of x is formed.  A map
-is read there as its pieces T_s -> T_s (`ModuleMap.pieces`), a subspace
-as {s: vectors of T_s}, and every submodule and quotient is built by
-`submodule` and `quotient`, which return the inclusion and the projection
-with the other end in normal form.  The cokernel of a presentation, a
-homogeneous matrix over k[x], is no quotient of a realization:
-`presentation_cokernel` is a graded elimination on the generators (the
-column reduction of persistence), which reads the normal form, the
-projection and a section off the generators and decides by itself whether
-x^d kills the cokernel.  The zero module (no summands) is a first-class
-value.
+x is a set of shift blocks T_s -> T_{s+1}, so kernels, submodules, Jordan
+normal forms and ranks reduce to small exact linear algebra on one piece
+at a time (`pieces`); the Jordan normal form is one ascending sweep with
+one elimination per shift block, and no power of x is formed.  A map is
+read there as its pieces T_s -> T_s (`ModuleMap.pieces`), a subspace as
+{s: vectors of T_s}, and every submodule is built by `submodule`, which
+returns the inclusion with its source in normal form; `kernel` is the
+submodule of the nullspaces of a map's pieces.  A cokernel is no quotient
+of a realization: `presentation_cokernel` is a graded elimination on the
+generators of a presentation, a homogeneous matrix over k[x] (the column
+reduction of persistence), which reads the normal form, the projection
+and a section off the generators and decides by itself whether x^d kills
+the cokernel.  The cokernel of a module map f and its image src / ker f
+are eliminations of the presentations `_relations` of f and of ker f's
+inclusion.  The zero module (no summands) is a first-class value.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .pieces import (
     ambient,
     assemble,
     bases,
-    complement,
     indices_by_degree,
     jordan,
     sub_shifts,
@@ -347,7 +347,7 @@ class ModuleMap:
         return cls(src, tgt, blocks)
 
 
-# submodules and quotients on degree pieces (`pieces`) ---------------------
+# submodules on degree pieces (`pieces`) -----------------------------------
 
 
 def _shifts(m: RModule):
@@ -388,18 +388,6 @@ def submodule(m: RModule, spans) -> ModuleMap:
         for s in dims})
 
 
-def quotient(m: RModule, spans) -> ModuleMap:
-    """The projection of m onto the normal-form quotient by the span of the
-    x-stable `spans`, {s: vectors of T_s}."""
-    F = m.cfg.field
-    dims = {s: len(idx) for s, idx in m.pieces().items()}
-    qdims, qshifts, proj = complement(F, dims, _shifts(m), bases(F, spans))
-    quo, to_real = _normal_form(m.cfg, qdims, qshifts)
-    return ModuleMap.from_pieces(m, quo, {
-        s: linalg.solve(F, to_real[s], p) if s in qdims else []
-        for s, p in proj.items()})
-
-
 # ambient realizations -------------------------------------------------------
 
 
@@ -435,22 +423,42 @@ def _image(f: ModuleMap):
     return {s: [list(c) for c in zip(*mat)] for s, mat in f.pieces().items()}
 
 
+def kernel(f: ModuleMap) -> ModuleMap:
+    """The inclusion of ker f: the nullspace of each degree piece of f,
+    passed through `submodule`."""
+    F, dims = f.src.cfg.field, f.src.pieces()
+    return submodule(f.src, {s: linalg.nullspace(F, mat, cols=len(dims[s]))
+                             for s, mat in f.pieces().items()})
+
+
+def _relations(g: ModuleMap) -> GradedMatrix:
+    """cok g presented over S on g's target generators: g's generator
+    images at their source degrees s_t, then x^(e_u) gen_u at degree
+    s_u + e_u for each target summand u."""
+    F, tgt = g.src.cfg.field, g.tgt.summands
+    return GradedMatrix.from_coeffs(
+        F, [list(row) + unit for row, unit in zip(g.blocks, linalg.identity(F, len(tgt)))],
+        [s for _, s in g.src.summands] + [s + e for e, s in tgt], [s for _, s in tgt])
+
+
 def map_ker_cok_im(f: ModuleMap):
     """Kernel, cokernel and image in normal form, with structure maps.
 
     Returns ((ker, incl), (cok, proj), im) where incl: ker -> src and
-    proj: tgt -> cok are ModuleMaps; im comes with no inclusion map.
+    proj: tgt -> cok are ModuleMaps; im comes with no inclusion map.  The
+    kernel is a submodule of the realization (`kernel`); the cokernel and
+    the image im f = src / ker f are graded eliminations of their
+    presentations (`_relations`, `presentation_cokernel`), so the
+    rank-nullity check compares two independent algorithms.
     """
-    src, tgt, F = f.src, f.tgt, f.src.cfg.field
-    dims = src.pieces()
-    incl = submodule(src, {s: linalg.nullspace(F, mat, cols=len(dims[s]))
-                           for s, mat in f.pieces().items()})
-    image = _image(f)
-    imod, _ = _normal_form(tgt.cfg, *sub_shifts(F, _shifts(tgt), bases(F, image)))
-    proj = quotient(tgt, image)
-    if incl.src.dim + imod.dim != src.dim:
+    if not f.commutes_with_x():
+        raise RealizationError("map is not R-linear: its kernel need not be x-stable")
+    cfg, incl = f.src.cfg, kernel(f)
+    p, _ = presentation_cokernel(_relations(f), cfg)
+    imod = presentation_cokernel(_relations(incl), cfg)[0].tgt
+    if incl.src.dim + imod.dim != f.src.dim:
         raise RealizationError("rank-nullity violated")
-    return (incl.src, incl), (proj.tgt, proj), imod
+    return (incl.src, incl), (p.tgt, ModuleMap(f.tgt, p.tgt, p.blocks)), imod
 
 
 def preimage(p: ModuleMap, f: ModuleMap):

@@ -3,10 +3,10 @@
 A graded k-vector space T with a degree-raising nilpotent operator x is the
 direct sum of its degree pieces T_s, and x is a set of shift blocks
 T_s -> T_{s+1}.  So the realization algorithms of `modules` (Jordan normal
-forms, x-stable subspaces, quotients) run on one small piece at a time and
-never build the ambient matrix of x.  The Jordan normal form is one
-ascending sweep over the pieces by the elder rule of persistence: each
-shift block is applied and eliminated once, and no power of x is formed.
+forms and x-stable subspaces) run on one small piece at a time and never
+build the ambient matrix of x.  The Jordan normal form is one ascending
+sweep over the pieces by the elder rule of persistence: each shift block
+is applied and eliminated once, and no power of x is formed.
 
 A realization is held as `dims` {s: dim T_s}, in ascending s and without
 empty pieces, and `shifts` {s: the matrix of x : T_s -> T_{s+1}}, absent
@@ -160,37 +160,3 @@ def sub_shifts(field, shifts, bases):
         out[s] = [[w[p] for w in images] for p in nxt.pivots]
     return dims, out
 
-
-def complement(field, dims, shifts, bases):
-    """(dims, shifts, proj) of the quotient by the span with per-degree
-    bases `bases`.  In each degree the complement is the unit vectors that
-    the span's piece misses, taken greedily in order, and proj[s] is the
-    projection along the span onto their coordinates; x on the quotient is
-    proj x on the complement's columns.
-
-    The span's Echelon rows have unit pivot columns, so its annihilator has
-    the basis e_f - sum_r row_r[f] e_(p_r) over the non-pivot columns f.
-    The reduced row echelon form of that basis is the projection: it kills
-    the span, its pivot columns are the greedy complement (a unit vector is
-    missed iff its column is independent of the earlier ones), and it is
-    the identity there.
-    """
-    qdims, local, proj = {}, {}, {}
-    for s, n in dims.items():
-        ech = bases.get(s)
-        rows, pivots = (ech.rows, ech.pivots) if ech is not None else ([], [])
-        ann = []
-        for f in range(n):
-            if f not in pivots:
-                q = [field.zero] * n
-                q[f] = field.one
-                for row, p in zip(rows, pivots):
-                    q[p] = field.neg(row[f])
-                ann.append(q)
-        proj[s], local[s] = linalg.rref(field, ann)
-        if local[s]:
-            qdims[s] = len(local[s])
-    qshifts = {s: linalg.mat_mul(field, proj[s + 1],
-                                 [[row[c] for c in local[s]] for row in x])
-               for s, x in shifts.items() if s in qdims and s + 1 in qdims}
-    return qdims, qshifts, proj

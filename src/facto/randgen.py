@@ -16,7 +16,7 @@ from .modules import (
     ModuleMap,
     RModule,
     hom_basis,
-    submodule,
+    kernel,
 )
 from .polymat import GradedMatrix, graded_solve
 
@@ -99,9 +99,7 @@ def random_chain(cfg: HypersurfaceConfig, length: int, rng: random.Random,
             f = basis[0].scale(cfg.field.from_int(rng.randrange(-2, 3)))
             for g in basis[1:]:
                 f = f + g.scale(cfg.field.from_int(rng.randrange(-2, 3)))
-            dims = cur.pieces()
-            incl = submodule(cur, {s: linalg.nullspace(cfg.field, mat, cols=len(dims[s]))
-                                   for s, mat in f.pieces().items()})
+            incl = kernel(f)
         else:
             incl = ModuleMap.identity(cur)
         objs.insert(0, incl.src)

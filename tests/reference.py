@@ -15,19 +15,24 @@ earlier stable hom, taken on a hom basis and an explicit cover: the
 oracle for the closed forms.  `presentation_cokernel_by_quotient` is the
 earlier cokernel of a presentation, a quotient of the realization, and
 `cok_by_quotient` the cokernel functor built on it: the oracles for the
-graded elimination on generators.  The rest are helpers that only tests use.
+graded elimination on generators.  `quotient` and `complement` take that
+quotient of a realization by an x-stable span, and
+`map_ker_cok_im_by_quotient` is the earlier kernel, cokernel and image of
+a module map built on them.  `_flag_factorizations` and `_flag_chains`
+list every flag object within bounds, with nothing pruned: the census's
+exhaustive oracle.  The rest are helpers that only tests use.
 pytest does not collect this module; tests import it by name.
 """
 
 from __future__ import annotations
 
-from facto import linalg
+from facto import census, linalg
 from facto.census import (
     _chain_build,
     _fac_build,
     _fac_tops,
     _field_elements,
-    _flag_objects,
+    _subspace_flags,
     _subspaces_containing,
     _top_modules,
 )
@@ -41,12 +46,14 @@ from facto.modules import (
     RModule,
     NotAnnihilated,
     _image,
+    _normal_form,
+    _shifts,
     decompose,
     hom_basis,
     presentation_cokernel,
     projective_cover,
-    quotient,
     reduced_module_map,
+    submodule,
 )
 from facto.pieces import (
     NO_FILL,
@@ -55,7 +62,6 @@ from facto.pieces import (
     ambient,
     assemble,
     bases,
-    complement,
     indices_by_degree,
     sub_shifts,
 )
@@ -177,9 +183,73 @@ def subspace_realization(field, degs, xmat, vectors):
     return sdegs, assemble(field, spieces, spieces, sx, k, k, step=1), incl
 
 
+def complement(field, dims, shifts, bases):
+    """(dims, shifts, proj) of the quotient by the span with per-degree
+    bases `bases`.  In each degree the complement is the unit vectors that
+    the span's piece misses, taken greedily in order, and proj[s] is the
+    projection along the span onto their coordinates; x on the quotient is
+    proj x on the complement's columns.
+
+    The span's Echelon rows have unit pivot columns, so its annihilator has
+    the basis e_f - sum_r row_r[f] e_(p_r) over the non-pivot columns f.
+    The reduced row echelon form of that basis is the projection: it kills
+    the span, its pivot columns are the greedy complement (a unit vector is
+    missed iff its column is independent of the earlier ones), and it is
+    the identity there.
+    """
+    qdims, local, proj = {}, {}, {}
+    for s, n in dims.items():
+        ech = bases.get(s)
+        rows, pivots = (ech.rows, ech.pivots) if ech is not None else ([], [])
+        ann = []
+        for f in range(n):
+            if f not in pivots:
+                q = [field.zero] * n
+                q[f] = field.one
+                for row, p in zip(rows, pivots):
+                    q[p] = field.neg(row[f])
+                ann.append(q)
+        proj[s], local[s] = linalg.rref(field, ann)
+        if local[s]:
+            qdims[s] = len(local[s])
+    qshifts = {s: linalg.mat_mul(field, proj[s + 1],
+                                 [[row[c] for c in local[s]] for row in x])
+               for s, x in shifts.items() if s in qdims and s + 1 in qdims}
+    return qdims, qshifts, proj
+
+
+def quotient(m: RModule, spans) -> ModuleMap:
+    """The projection of m onto the normal-form quotient by the span of the
+    x-stable `spans`, {s: vectors of T_s}."""
+    F = m.cfg.field
+    dims = {s: len(idx) for s, idx in m.pieces().items()}
+    qdims, qshifts, proj = complement(F, dims, _shifts(m), bases(F, spans))
+    quo, to_real = _normal_form(m.cfg, qdims, qshifts)
+    return ModuleMap.from_pieces(m, quo, {
+        s: linalg.solve(F, to_real[s], p) if s in qdims else []
+        for s, p in proj.items()})
+
+
+def map_ker_cok_im_by_quotient(f: ModuleMap):
+    """Kernel, cokernel and image in normal form, with structure maps, as
+    `modules.map_ker_cok_im` returns them: the image is the normal form of
+    the realization's span of f's columns, and the cokernel the quotient of
+    the realization by that span."""
+    src, tgt, F = f.src, f.tgt, f.src.cfg.field
+    dims = src.pieces()
+    incl = submodule(src, {s: linalg.nullspace(F, mat, cols=len(dims[s]))
+                           for s, mat in f.pieces().items()})
+    image = _image(f)
+    imod, _ = _normal_form(tgt.cfg, *sub_shifts(F, _shifts(tgt), bases(F, image)))
+    proj = quotient(tgt, image)
+    if incl.src.dim + imod.dim != src.dim:
+        raise RealizationError("rank-nullity violated")
+    return (incl.src, incl), (proj.tgt, proj), imod
+
+
 def quotient_realization(field, degs, xmat, sub_vectors):
     """(q_degs, q_x, projection) for the quotient by a submodule span; see
-    `pieces.complement`."""
+    `complement`."""
     pieces, dims, shifts = ambient(field, degs, xmat, len(degs))
     qdims, qx, proj = complement(field, dims, shifts,
                                  bases(field, split(field, degs, sub_vectors)))
@@ -496,6 +566,19 @@ def from_ints(field: Field, ints) -> Polynomial:
     return Polynomial(field, [field.from_int(n) for n in ints])
 
 
+def _all_flag_objects(cfg: HypersurfaceConfig, tops, length: int, build):
+    """build(cfg, key, spaces)(flag), shifted to minimum degree 0, for every
+    flag of `length` x-stable graded subspaces of each top in `tops`: no
+    top, orbit or flag is pruned."""
+    F = cfg.field
+    for key, top in tops:
+        spaces = census.stable_graded_subspaces(F, top) if length else []
+        make = build(cfg, key, spaces)
+        for flag in _subspace_flags(F, spaces, length):
+            x = make(flag)
+            yield x.shift(-x.min_degree())
+
+
 def _flag_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
                          window: int):
     """Every flag factorization within bounds, shifted to minimum degree 0.
@@ -504,11 +587,11 @@ def _flag_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
     normalized to minimum 0; every valid graded factorization with those
     invariants appears at least once.
     """
-    return _flag_objects(cfg, _fac_tops(cfg, m_max, window), l, _fac_build)
+    return _all_flag_objects(cfg, _fac_tops(cfg, m_max, window), l, _fac_build)
 
 
 def _flag_chains(cfg: HypersurfaceConfig, l: int, dim_max: int, window: int):
     """Every flag chain of l-1 monos with top dimension <= dim_max and top
     generator degrees over [0, window], shifted to minimum degree 0."""
     tops = _top_modules(cfg, dim_max, window)
-    return _flag_objects(cfg, ((t, t) for t in tops), l - 1, _chain_build)
+    return _all_flag_objects(cfg, ((t, t) for t in tops), l - 1, _chain_build)

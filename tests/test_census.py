@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -40,6 +41,7 @@ from facto.factorizations import (
     fac_iso_test,
     fac_projective_test,
     nu,
+    rotate,
 )
 from facto.fields import GF, QQ
 from facto.endo import is_local
@@ -72,6 +74,10 @@ from reference import stable_graded_subspaces as ambient_stable_graded_subspaces
 
 def cfg(d, field=GF(5)):
     return HypersurfaceConfig(d, field)
+
+
+# one report per census that several tests read
+_cached_census = functools.cache(class_census)
 
 
 def test_bounds_parse():
@@ -768,7 +774,7 @@ def test_fac_hom_basis_maps_pass_the_square_check(d):
     """fac_hom_basis builds its maps unchecked, as its solver writes the
     squares; rebuilt with the check, each basis map of each pair of
     criterion-2 classes still passes it."""
-    facs = class_census(cfg(d), 2, Bounds(m=2, dim=3, window=2)).fac_classes
+    facs = _cached_census(cfg(d), 2, Bounds(m=2, dim=3, window=2)).fac_classes
     count = 0
     for x in facs:
         for y in facs:
@@ -779,13 +785,48 @@ def test_fac_hom_basis_maps_pass_the_square_check(d):
 
 
 def test_census_agrees_across_fields_at_d4():
-    """l=2, d=4: F_2 and F_5 give the same classes, matching and tables."""
-    bounds = Bounds(m=2, dim=4, window=3)
-    reps = [class_census(cfg(4, field), 2, bounds) for field in (GF(2), GF(5))]
-    summaries = [(len(r.fac_classes), len(r.chain_classes), r.matching,
-                  r.fac_hom_table, r.chain_hom_table) for r in reps]
-    assert summaries[0] == summaries[1]
-    assert len(reps[0].matching) == len(reps[0].chain_classes)
+    """l=2, d=4: F_2 and F_5 give the same classes, matching and tables at
+    m=2, dim=4, window=3, and so do F_2 and F_3 at m=3, dim=6, window=3,
+    with all 18 Ringel-Schmidt classes matched."""
+    for bounds, fields in ((Bounds(m=2, dim=4, window=3), (GF(2), GF(5))),
+                           (Bounds(m=3, dim=6, window=3), (GF(2), GF(3)))):
+        reps = [_cached_census(cfg(4, field), 2, bounds) for field in fields]
+        summaries = [(len(r.fac_classes), len(r.chain_classes), r.matching,
+                      r.fac_hom_table, r.chain_hom_table) for r in reps]
+        assert summaries[0] == summaries[1]
+        assert len(reps[0].matching) == len(reps[0].chain_classes)
+    assert len(reps[0].fac_classes) == len(reps[0].matching) == 18
+
+
+@pytest.mark.parametrize("l, d, field, bounds", [
+    (2, 2, GF(5), Bounds(m=2, dim=3, window=2)),
+    (2, 3, GF(5), Bounds(m=2, dim=3, window=2)),
+    (3, 3, GF(5), Bounds(m=2, dim=3, window=2)),
+    (2, 4, GF(5), Bounds(m=2, dim=4, window=3)),
+    (3, 4, GF(2), Bounds(m=2, dim=4, window=3)),
+    (2, 4, GF(2), Bounds(m=3, dim=6, window=3)),
+], ids=["l2-d2-F5", "l2-d3-F5", "l3-d3-F5", "l2-d4-F5", "l3-d4-F2", "ringel-schmidt-d4-F2"])
+def test_rotation_permutes_the_classes(l, d, field, bounds):
+    """Theta = rotate is an autoequivalence of the stable category, so it
+    permutes the indecomposable nonprojective classes up to shift: Theta X,
+    shifted to minimum degree 0, is isomorphic to exactly one class (the
+    classes are indecomposable, so fac_iso_test is exact), the map is a
+    permutation other than the identity, and its (l+1)-th power is the
+    identity, as Theta^(l+1) = tau is a shift."""
+    classes = _cached_census(cfg(d, field), l, bounds).fac_classes
+    theta = []
+    for x in classes:
+        y = rotate(x)
+        y = y.shift(-y.min_degree())
+        hits = [j for j, z in enumerate(classes) if fac_iso_test(y, z)]
+        assert len(hits) == 1, (x, hits)
+        theta += hits
+    identity = list(range(len(classes)))
+    assert sorted(theta) == identity != theta
+    power = identity
+    for _ in range(l + 1):
+        power = [theta[i] for i in power]
+    assert power == identity
 
 
 def test_ringel_schmidt_count_at_d2():
@@ -847,7 +888,7 @@ def test_ringel_schmidt_count_at_d4():
     equivalence then matches each with a factorization under cok, with
     equal stable hom tables.
     """
-    rep = class_census(cfg(4, GF(2)), 2, Bounds(m=3, dim=6, window=3))
+    rep = _cached_census(cfg(4, GF(2)), 2, Bounds(m=3, dim=6, window=3))
     assert len(rep.chain_classes) == 18
     assert len(rep.fac_classes) == len(rep.matching) == 18
     assert {j for _, j in rep.matching} == set(range(18))

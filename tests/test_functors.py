@@ -475,12 +475,18 @@ def test_span_preimage_inclusion_equals_the_jordan_tops(field):
 
 @pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
 def test_normal_forms_never_build_the_ambient_x_operator(field):
-    """submodule, quotient, presentation_cokernel, cok and reconstruct read
-    x off the summands as shift blocks between degree pieces: RModule has
-    no ambient x_matrix, which would raise AttributeError, and they give
-    the same outputs on repeated calls."""
+    """submodule, map_ker_cok_im, presentation_cokernel, cok and
+    reconstruct read x off the summands as shift blocks between degree
+    pieces: RModule has no ambient x_matrix, which would raise
+    AttributeError, and they give the same outputs on repeated calls."""
     from facto.factorizations import prefix
-    from facto.modules import ModuleMap, hom_basis, presentation_cokernel, quotient, submodule
+    from facto.modules import (
+        ModuleMap,
+        hom_basis,
+        map_ker_cok_im,
+        presentation_cokernel,
+        submodule,
+    )
     from reference import realization, split
 
     rng = random.Random(73)
@@ -494,7 +500,7 @@ def test_normal_forms_never_build_the_ambient_x_operator(field):
             f = f + g.scale(field.from_int(rng.randrange(1, 4)))
         image = split(field, b.basis_degrees(), [list(col) for col in zip(*realization(f))])
         cases += [(lambda b=b, v=image: submodule(b, v)),
-                  (lambda b=b, v=image: quotient(b, v)),
+                  (lambda f=f: map_ker_cok_im(f)),
                   (lambda x=x: [presentation_cokernel(prefix(x, k), x.cfg)
                                 for k in range(1, x.l + 1)]),
                   (lambda x=x: cok(x)), (lambda u=u: reconstruct(u))]

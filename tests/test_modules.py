@@ -17,7 +17,6 @@ from facto.modules import (
     module_iso,
     presentation_cokernel,
     projective_cover,
-    quotient,
     realization_to_module,
     stable_hom_dim,
     submodule,
@@ -35,7 +34,9 @@ from reference import (
     jordan_by_kernels,
     lift_along_epi,
     module_from_presentation,
+    map_ker_cok_im_by_quotient,
     presentation_cokernel_by_quotient,
+    quotient,
     quotient_realization,
     realization,
     split,
@@ -243,6 +244,55 @@ def test_ker_cok_random_rank_nullity():
             assert (proj @ f).is_zero()
 
 
+def _ker_cok_im_inputs(field, rng):
+    """Random R-linear maps between modules of at most 3 summands, zero
+    modules included, for d = 1..4, each with the kernel's inclusion (a
+    mono), the cokernel's projection (an epi), the projective cover of its
+    target and the identity of its source."""
+    for d in range(1, 5):
+        c = cfg(d, field)
+        for _ in range(12):
+            a, b = (RModule(c, [(rng.randrange(1, d + 1), rng.randrange(-1, 3))
+                                for _ in range(rng.randrange(0, 4))]) for _ in range(2))
+            f = _random_map(rng, a, b)
+            (_, incl), (_, proj), _ = map_ker_cok_im_by_quotient(f)
+            yield from (f, incl, proj, projective_cover(b)[1], ModuleMap.identity(a))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=repr)
+def test_ker_cok_im_by_elimination_equals_the_quotient_version(field):
+    """map_ker_cok_im against the realization version
+    (`map_ker_cok_im_by_quotient`): the same kernel inclusion, cokernel
+    and image, and a projection p = phi o p_ref for a module iso phi, with
+    p o f = 0; zero modules, monos, epis and isos included.  A map that is
+    not R-linear is refused as not x-stable."""
+    F, rng = field, random.Random(83)
+    kinds = {}
+    for f in _ker_cok_im_inputs(field, rng):
+        (ker, incl), (cok, proj), im = map_ker_cok_im(f)
+        (ker_ref, incl_ref), (cok_ref, proj_ref), im_ref = map_ker_cok_im_by_quotient(f)
+        assert (ker, incl, cok, im) == (ker_ref, incl_ref, cok_ref, im_ref), f
+        phi = factor_through(proj_ref, proj)
+        assert is_mono_epi(phi) == (True, True) and phi @ proj_ref == proj
+        assert proj.src == f.tgt and (proj @ f).is_zero()
+        kind = "zero" if f.src.is_zero() or f.tgt.is_zero() else is_mono_epi(f)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(kinds.values()) > 5 and len(kinds) == 5, kinds
+    refused = 0
+    for _ in range(200):
+        c = cfg(rng.randrange(2, 5), field)
+        a, b = (RModule(c, [(rng.randrange(1, c.d + 1), rng.randrange(-1, 3))
+                            for _ in range(rng.randrange(1, 3))]) for _ in range(2))
+        g = ModuleMap(a, b, [[F.from_int(rng.randrange(0, 3)) if st >= su else F.zero
+                              for _, st in a.summands] for _, su in b.summands],
+                      check=False)
+        if not g.commutes_with_x():
+            with pytest.raises(RealizationError, match="x-stable"):
+                map_ker_cok_im(g)
+            refused += 1
+    assert refused > 10
+
+
 def test_stable_hom_examples():
     # d = 2: stable End of k = R/(x) is 1-dimensional (End = k, nothing
     # factors through a free module in degree 0... actually p: R -> k gives
@@ -269,6 +319,37 @@ def test_stable_hom_factoring():
     n = RModule(c, [(2, -1)])
     assert len(hom_basis(m, n)) == 1
     assert stable_hom_dim(m, n) == 0
+
+
+def _syzygy(m):
+    """Omega m, the kernel of m's projective cover: Omega R/x^e(-s) is
+    R/x^(d-e)(-s-e), and 0 when e = d."""
+    d = m.cfg.d
+    return RModule(m.cfg, [(d - e, s + e) for e, s in m.summands if e < d])
+
+
+def test_stable_homs_satisfy_serre_duality():
+    """dim stable Hom(X, Y) = dim stable Hom(Y, S X) for the Serre functor
+    S = Omega nu, nu the shift <1 - d> (D R = R(d - 1)); <t> is
+    RModule.shift(t).  Every pair of single summands R/x^e(-s) with
+    d = 1..6 and s in [-3, 3], then random sums of up to 3 summands."""
+    nonzero = 0
+    for d in range(1, 7):
+        c = cfg(d, GF(2))
+        singles = [RModule(c, [(e, s)]) for e in range(1, d + 1) for s in range(-3, 4)]
+        for x in singles:
+            sx = _syzygy(x).shift(1 - d)
+            for y in singles:
+                dim = stable_hom_dim(x, y)
+                assert dim == stable_hom_dim(y, sx), (x, y)
+                nonzero += dim > 0
+    assert nonzero > 400
+    rng = random.Random(89)
+    for _ in range(200):
+        c = cfg(rng.randrange(1, 7), GF(2))
+        x, y = (RModule(c, [(rng.randrange(1, c.d + 1), rng.randrange(-3, 4))
+                            for _ in range(rng.randrange(0, 4))]) for _ in range(2))
+        assert stable_hom_dim(x, y) == stable_hom_dim(y, _syzygy(x).shift(1 - c.d)), (x, y)
 
 
 def test_lift_along_epi():

@@ -21,7 +21,8 @@ def test_library_has_no_assert_statements():
 
 
 def test_submodules_and_quotients_are_built_in_modules_only():
-    # every other module goes through modules.submodule and modules.quotient;
+    # every other module takes submodules, kernels and cokernels through
+    # modules.submodule, modules.kernel and modules.presentation_cokernel;
     # only modules.py uses the degree-piece core of pieces.py
     names = {"subspace_realization", "quotient_realization",
              "realization_to_module", "decompose",
@@ -79,6 +80,7 @@ TEST_ONLY = {
     "try_solve_right", "from_ints", "_flag_factorizations", "_flag_chains",
     "realization", "jordan_by_kernels", "stable_dim", "_hom_positions",
     "presentation_cokernel_by_quotient", "factor_through", "cok_by_quotient",
+    "quotient", "complement", "map_ker_cok_im_by_quotient",
 }
 
 
