@@ -79,6 +79,7 @@ from dataclasses import dataclass
 from . import linalg
 from .chains import (
     MonoChain,
+    _chain_fingerprint,
     chain_composites,
     chain_hom_dim,
     chain_iso_test,
@@ -91,6 +92,7 @@ from .endo import is_local
 from .factorizations import (
     Factorization,
     _cover_rows,
+    _fac_fingerprint,
     fac_hom_dim,
     fac_iso_test,
     fac_stable_hom_dim,
@@ -582,10 +584,6 @@ def _fac_tops(cfg: HypersurfaceConfig, m_max: int, window: int):
             yield degs_l, RModule.free(cfg, list(degs_l))
 
 
-def _fac_fingerprint(x: Factorization):
-    return tuple(tuple(sorted(x.degs(k))) for k in range(x.l + 1))
-
-
 def _dedup(objs, fingerprint, iso):
     """The first member of each iso class of `objs`, in order; `iso` is
     only asked about pairs with equal fingerprints."""
@@ -644,10 +642,6 @@ def _flag_chain(cfg: HypersurfaceConfig, top: RModule, incls) -> MonoChain:
         if maps[-1] is None:
             raise MatchFailure("flag member does not factor")
     return MonoChain(cfg, [i.src for i in incls], maps)
-
-
-def _chain_fingerprint(u: MonoChain):
-    return tuple(obj.sorted_summands() for obj in u.objects)
 
 
 def enumerate_chains(cfg: HypersurfaceConfig, l: int, dim_max: int,

@@ -19,7 +19,6 @@ from .modules import (
     expect_json,
     hom_positions,
     is_mono_epi,
-    module_iso,
     projective_cover,
 )
 
@@ -185,10 +184,6 @@ class ChainMap:
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.parts)
 
-    def scalars(self):
-        """The components as k-matrices: the pieces of each part in turn."""
-        return [m for f in self.parts for m in f.scalars()]
-
     def __eq__(self, other):
         return (
             isinstance(other, ChainMap)
@@ -245,17 +240,16 @@ def _top_rows(u: MonoChain, v: MonoChain, walks=None):
 
 
 def _top_basis(u: MonoChain, v: MonoChain, walks=None):
-    """The top components phi of a k-basis of chain maps u -> v: the
-    nullspace of `_top_rows`.  It is the top component of the basis that
-    every commuting square, solved on all components with the unknowns in
-    component order, gives: phi fixes a map, so a free unknown of that
-    system's RREF lies in the top component, and its nullspace vectors are
-    the maps with one free unknown of the top equal to 1 and the others 0,
-    as here."""
+    """The top components phi of a k-basis of chain maps u -> v, as block
+    matrices (`ModuleMap.blocks`): the nullspace of `_top_rows`.  It is
+    the top component of the basis that every commuting square, solved on
+    all components with the unknowns in component order, gives: phi fixes
+    a map, so a free unknown of that system's RREF lies in the top
+    component, and its nullspace vectors are the maps with one free
+    unknown of the top equal to 1 and the others 0, as here."""
     positions, rows = _top_rows(u, v, walks)
     F, a, b = u.cfg.field, u.objects[-1], v.objects[-1]
-    return [ModuleMap(a, b, linalg.scatter(F, len(b.summands), len(a.summands),
-                                           positions, sol), check=False)
+    return [linalg.scatter(F, len(b.summands), len(a.summands), positions, sol)
             for sol in linalg.nullspace(F, rows, cols=len(positions))]
 
 
@@ -276,9 +270,11 @@ def chain_hom_basis(u: MonoChain, v: MonoChain):
     extended by the lifts of phi alpha^u_j through alpha^v_j (`_top_rows`),
     so the maps are built without re-checking their squares."""
     cu, (cv, killing) = chain_composites(u), chain_walks(v)
+    a, b = u.objects[-1], v.objects[-1]
+    tops = [ModuleMap(a, b, blocks, check=False)
+            for blocks in _top_basis(u, v, ((cu, None), (cv, killing)))]
     return [ChainMap(u, v, [lift(beta, phi @ alpha) for alpha, beta in zip(cu, cv[:-1])]
-                     + [phi], check=False)
-            for phi in _top_basis(u, v, ((cu, None), (cv, killing)))]
+                     + [phi], check=False) for phi in tops]
 
 
 def chain_hom_dim(u: MonoChain, v: MonoChain, walks=None) -> int:
@@ -403,34 +399,40 @@ def chain_stable_hom_dim(u: MonoChain, v: MonoChain, walks=None) -> int:
 # isomorphism and indecomposability --------------------------------------------
 
 
+def _chain_fingerprint(u: MonoChain):
+    """The objects' normal forms: equal on isomorphic chains."""
+    return tuple(obj.sorted_summands() for obj in u.objects)
+
+
 def chain_iso_test(u: MonoChain, v: MonoChain, walks=None) -> bool:
     """True iff u and v are isomorphic as chains; `walks` is
     (chain_walks(u), chain_walks(v)) when the caller already has them, of
     which only u's composites and v's killing rows are read (`_top_rows`).
 
-    Necessary check: componentwise normal forms agree.  Then searches the
-    top components of a hom basis (`_top_basis`) for an invertible one
-    (see endo.search_iso): each f^j is the restriction of f^top to U^j,
-    so when f^top is an iso every f^j is a mono between modules of equal
-    dimension, and f is an iso iff f^top is.
+    Necessary check: the fingerprints (componentwise normal forms) agree.
+    Then searches the top components of a hom basis (`_top_basis`) for an
+    invertible block matrix (see endo.search_iso).  Each f^j is the
+    restriction of f^top to U^j, so when f^top is an iso every f^j is a
+    mono between modules of equal dimension, and f is an iso iff f^top
+    is.  The tops have the same generator degrees, so, ordered by degree,
+    f^top's block matrix is block triangular with its head, the map on
+    top/x*top, on the diagonal: f^top is an iso iff its head is
+    (Nakayama) iff its block matrix is invertible.
     """
     if u.cfg != v.cfg:
         raise ValueError("config mismatch")
-    if u.length != v.length:
+    if _chain_fingerprint(u) != _chain_fingerprint(v):
         return False
-    for a, b in zip(u.objects, v.objects):
-        if not module_iso(a, b):
-            return False
     if u.is_zero():
         return True
-    return search_iso(u.cfg.field, [phi.scalars() for phi in _top_basis(u, v, walks)])
+    return search_iso(u.cfg.field, _top_basis(u, v, walks))
 
 
 def chain_is_indecomposable(u: MonoChain) -> bool:
     """u is nonzero and End(u) is local (see endo.is_local), read on the
-    top component: f -> f^top embeds End(u) as an algebra in End(U^top)."""
+    block matrices of the top component: f -> f^top embeds End(u) as an
+    algebra in End(U^top), and block products equal composition modulo
+    the strictly degree-raising entries, a nilpotent ideal."""
     if u.is_zero():
         return False
-    F = u.cfg.field
-    return is_local(F, [linalg.block_diagonal(F, phi.scalars())
-                        for phi in _top_basis(u, u)])
+    return is_local(u.cfg.field, _top_basis(u, u))

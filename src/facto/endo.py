@@ -1,17 +1,31 @@
 """Endomorphism algebras, isomorphisms and stable homs on scalar matrices.
 
-Modules, chains and factorizations hand their maps over through
-`scalars()`, the list of a map's components as k-matrices (a module
-map's degree pieces, a permuted block diagonal of its realization): a
-k-basis of End(X) becomes n x n matrices through the block diagonal of
-the components, and composition is the componentwise product.  Nothing
-here knows which category a map came from; each category supplies the
-pre-checks of an iso search, and modules their projective cover.  Each
-category solves its Hom spaces on the one component that fixes a map,
-component l of a factorization (`factorizations._hom_rows`) and the top
-of a chain (`chains._top_rows`), and hands over that component alone:
-f -> f^l and f -> f^top embed End(X) as an algebra, and a map between
-objects that pass the pre-checks is an iso iff that component is.
+Every map reaches this module as one square k-matrix, the generator
+matrix of the component that fixes it: f^l's scalars for a factorization
+map (`factorizations._top_basis`), the top component's block matrix for
+a chain map (`chains._top_basis`), and a stabilizer element's head in
+the census (`census._local_stabilizer`).  Each category solves its Hom
+spaces on that component (`factorizations._hom_rows`,
+`chains._top_rows`) and pre-checks an iso search by its fingerprint;
+nothing here knows which category a map came from.
+
+Why the generator matrix decides, between objects of equal fingerprints:
+- Ordered by degree, a degree-0 map's generator matrix is block
+  triangular, with its head (the map on top/x*top, the entries between
+  generators of equal degree) on the diagonal: gen_t -> c x^(s_t - s_u)
+  gen_u needs s_t >= s_u.  Equal fingerprints make the blocks square.
+- Block products equal composition modulo the strictly degree-raising
+  part (s_t > s_u), a nilpotent ideal; f -> f^l and f -> f^top embed
+  End(X) as an algebra, and the maps with phi X <= xX, whose heads
+  vanish, form a nilpotent ideal of End(X).
+- So a map is an iso iff its head is (Nakayama, as the dimensions
+  agree) iff its generator matrix is invertible.  Each x^i X /
+  x^(i+1) X is a quotient of the top X/xX, so a map and its generator
+  matrix have the same eigenvalues in k, minus each of which both are
+  nilpotent, or both invertible; and an algebra is nilpotent iff its
+  image modulo a nilpotent ideal is.  So `is_local` gives the same
+  verdicts, and raises NonSplitEndomorphism in the same cases, on the
+  generator matrices as on the realization or on all components.
 
 By Fitting's lemma an endomorphism of a finite-dimensional object is
 nilpotent, invertible, or splits X as Im(phi^n) + Ker(phi^n) with both
@@ -255,21 +269,21 @@ def is_local(field: Field, basis) -> bool:
 _PRIMES = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
-def _is_iso(field: Field, mats) -> bool:
-    return all(linalg.rank(field, m) == len(m) for m in mats)
+def _is_iso(field: Field, m) -> bool:
+    return linalg.rank(field, m) == len(m)
 
 
-def search_iso(field: Field, basis) -> bool:
-    """True if some k-combination of the hom `basis` is an isomorphism.
+def search_iso(field: Field, mats) -> bool:
+    """True if some k-combination of the hom basis `mats`, one square
+    k-matrix per map, is an isomorphism.
 
-    Each map is given by its `scalars()`, a list of components.  The
-    callers' pre-checks make every component square: equal degree
-    multisets per position for factorizations, equal module normal forms
-    (so equal piece dimensions) per object for chains.  A map is then an
-    isomorphism iff every component has full rank.  Tries single basis
-    vectors, small deterministic weights, then 64 random combinations
-    from one fixed stream (random.Random(0)), then every combination when
-    p^|basis| <= 4096.  True is always exact; an empty basis gives False.
+    Each map is given by the generator matrix of the component that fixes
+    it; after the caller's fingerprint pre-check a map is an isomorphism
+    iff that matrix is invertible (see the module docstring).  Tries
+    single basis vectors, small deterministic weights, then 64 random
+    combinations from one fixed stream (random.Random(0)), then every
+    combination when p^|mats| <= 4096.  True is always exact; an empty
+    basis gives False.
 
     When the target Y of Hom(X, Y) has a local End(Y), False is exact too
     and the single basis vectors already decide.  Proof: if phi: X -> Y
@@ -280,28 +294,24 @@ def search_iso(field: Field, basis) -> bool:
     isomorphism, for any basis.  For other targets False can miss an iso
     over Q or a larger field.
     """
-    if not basis:
+    if not mats:
         return False
+    n = len(mats[0])
 
-    def combo(weights):
+    def iso(weights):
         cs = [field.from_int(w) for w in weights]
-        return [linalg.combination(field, cs, [g[j] for g in basis], len(m), len(m))
-                for j, m in enumerate(basis[0])]
+        return _is_iso(field, linalg.combination(field, cs, mats, n, n))
 
-    if any(_is_iso(field, g) for g in basis):
+    if any(_is_iso(field, m) for m in mats):
         return True
     # deterministic small-prime weights (exact over Q, usually enough mod p)
-    weights = _PRIMES[:len(basis)] + [1] * max(0, len(basis) - len(_PRIMES))
-    if _is_iso(field, combo(weights)):
+    if iso(_PRIMES[:len(mats)] + [1] * max(0, len(mats) - len(_PRIMES))):
         return True
     rng = random.Random(0)
     p = getattr(field, "p", 0)
     hi = p if p else 1009
-    for _ in range(64):
-        if _is_iso(field, combo([rng.randrange(hi) for _ in basis])):
-            return True
-    if p and p ** len(basis) <= 4096:
-        return any(_is_iso(field, combo(ws))
-                   for ws in itertools.product(range(p), repeat=len(basis)))
+    if any(iso([rng.randrange(hi) for _ in mats]) for _ in range(64)):
+        return True
+    if p and p ** len(mats) <= 4096:
+        return any(iso(ws) for ws in itertools.product(range(p), repeat=len(mats)))
     return False
-

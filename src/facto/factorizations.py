@@ -335,10 +335,6 @@ class FacMap:
     def is_iso(self) -> bool:
         return all(f.is_iso() for f in self.components)
 
-    def scalars(self):
-        """The components as k-matrices: the scalars of each f^j."""
-        return [f.coeffs for f in self.components]
-
     def __eq__(self, other):
         return (
             isinstance(other, FacMap)
@@ -666,22 +662,24 @@ def fac_projective_test(x: Factorization) -> bool:
 # isomorphism and indecomposability -----------------------------------------------
 
 
+def _fac_fingerprint(x: Factorization):
+    """The sorted degrees of each X^k: equal on isomorphic factorizations."""
+    return tuple(tuple(sorted(x.degs(k))) for k in range(x.l + 1))
+
+
 def fac_iso_test(x: Factorization, y: Factorization) -> bool:
     """True iff x and y are isomorphic in Fac (twist ignored).
 
-    Searches the components f^l of a hom basis (`_top_basis`): each f^k
-    is frm_y[k] f^l into_x[k] with both walks invertible, so f is an iso
-    iff f^l is."""
-    if x.cfg != y.cfg or x.l != y.l:
+    Necessary check: the configs and fingerprints (the sorted degrees of
+    each X^k, so l and m too) agree.  Then searches the components f^l of
+    a hom basis (`_top_basis`) for invertible scalars (see the `endo`
+    docstring): each f^k is frm_y[k] f^l into_x[k] with both walks
+    invertible, so f is an iso iff f^l is."""
+    if x.cfg != y.cfg or _fac_fingerprint(x) != _fac_fingerprint(y):
         return False
-    if x.m != y.m:
-        return False
-    for k in range(x.l + 1):
-        if sorted(x.degs(k)) != sorted(y.degs(k)):
-            return False
     if x.is_zero():
         return True
-    return search_iso(x.cfg.field, [[top] for top in _top_basis(x, y)])
+    return search_iso(x.cfg.field, _top_basis(x, y))
 
 
 def fac_is_indecomposable(x: Factorization) -> bool:

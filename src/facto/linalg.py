@@ -189,15 +189,3 @@ class Echelon:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-
-def block_diagonal(field: Field, blocks):
-    """The square matrix with the given square blocks on its diagonal."""
-    n = sum(len(b) for b in blocks)
-    out = zeros(field, n, n)
-    at = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            out[at + i][at:at + len(row)] = row
-        at += len(b)
-    return out

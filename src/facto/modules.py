@@ -166,9 +166,10 @@ class ModuleMap:
     blocks[u][t] is the scalar c in gen_t -> c * x^(s_t - s_u) * gen_u.
     The blocks are normalized (entries whose monomial image is zero are
     dropped), validity is the closed form of `commutes_with_x`, and
-    composition is the product of the block matrices.  Its only k-matrix
-    view is `pieces()`, the realization degree by degree, which serves
-    kernels, images, ranks and `scalars()`.
+    composition is the product of the block matrices.  The block matrix
+    is the generator matrix that iso and locality tests read (see `endo`);
+    its only k-matrix view on the realization is `pieces()`, degree by
+    degree, which serves kernels, images and ranks.
     """
 
     __slots__ = ("src", "tgt", "blocks")
@@ -214,10 +215,6 @@ class ModuleMap:
             out[s] = [[self.blocks[tb[k][0]][t] for t in ts]
                       for k in tgt_pieces.get(s, ())]
         return out
-
-    def scalars(self):
-        """The components as k-matrices: the pieces, in ascending degree."""
-        return list(self.pieces().values())
 
     def commutes_with_x(self) -> bool:
         """Whether the map is R-linear: x^e_t gen_t = 0 must go to

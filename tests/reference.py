@@ -20,7 +20,9 @@ quotient of a realization by an x-stable span, and
 `map_ker_cok_im_by_quotient` is the earlier kernel, cokernel and image of
 a module map built on them.  `_flag_factorizations` and `_flag_chains`
 list every flag object within bounds, with nothing pruned: the census's
-exhaustive oracle.  The rest are helpers that only tests use.
+exhaustive oracle.  `scalars` and `block_diagonal` are the earlier
+k-matrix views of a map on all of its components, which the iso and
+locality oracles read.  The rest are helpers that only tests use.
 pytest does not collect this module; tests import it by name.
 """
 
@@ -36,7 +38,7 @@ from facto.census import (
     _subspaces_containing,
     _top_modules,
 )
-from facto.chains import MonoChain
+from facto.chains import ChainMap, MonoChain
 from facto.factorizations import FacMap, Factorization, _walk, adjunction_transport
 from facto.fields import Field
 from facto.functors import _minimal_generators
@@ -100,6 +102,31 @@ def realization(f: ModuleMap):
             if j < eu:
                 m[tgt_idx[(u, j)]][col] = c
     return m
+
+
+def scalars(f):
+    """A map's components as k-matrices: a module map's degree pieces in
+    ascending degree, a chain map's parts' pieces in turn, a factorization
+    map's scalars of each f^j."""
+    if isinstance(f, FacMap):
+        return [g.coeffs for g in f.components]
+    if isinstance(f, ChainMap):
+        return [m for g in f.parts for m in scalars(g)]
+    return list(f.pieces().values())
+
+
+def block_diagonal(field: Field, blocks):
+    """The square matrix with the given square blocks on its diagonal: on
+    `scalars(f)`, the ambient matrix of f up to one fixed permutation of
+    the basis."""
+    n = sum(len(b) for b in blocks)
+    out = linalg.zeros(field, n, n)
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return out
 
 
 def from_realization(src: RModule, tgt: RModule, real) -> ModuleMap:
@@ -424,7 +451,7 @@ def stable_dim(field: Field, hom_basis, cover, x, y) -> int:
     p: P -> y through which every map from a projective to y factors (a
     projective cover, or a counit for a smaller ideal).  Returns
     |Hom(x, y)| - dim span{p o g : g in Hom(x, P)}, the span taken over
-    the flattened `scalars()` of the composites.
+    the flattened `scalars` of the composites.
 
     On the explicit covers it is the reference for the closed forms
     `modules.stable_hom_dim`, `fac_stable_hom_dim`, `chain_stable_hom_dim`
@@ -436,7 +463,7 @@ def stable_dim(field: Field, hom_basis, cover, x, y) -> int:
     proj, p = cover(y)
     through = linalg.Echelon(field)
     for g in hom_basis(x, proj):
-        through.add([c for m in (p @ g).scalars() for row in m for c in row])
+        through.add([c for m in scalars(p @ g) for row in m for c in row])
     return len(homs) - through.dim
 
 

@@ -21,7 +21,6 @@ from facto.factorizations import (
     fac_projective_test,
     fac_stable_hom_dim,
     fac_validate,
-    nu,
     nu_resolution,
     rotate,
     termwise_split_check,

@@ -11,10 +11,8 @@ from facto.census import (
     Bounds,
     _all_subspaces,
     _chain_build,
-    _chain_fingerprint,
     _dedup,
     _fac_build,
-    _fac_fingerprint,
     _fac_tops,
     _generators,
     _local_stabilizer,
@@ -30,12 +28,14 @@ from facto.census import (
     stable_graded_subspaces,
 )
 from facto.chains import (
+    _chain_fingerprint,
     chain_is_indecomposable,
     chain_iso_test,
     chain_projective_test,
 )
 from facto.factorizations import (
     FacMap,
+    _fac_fingerprint,
     fac_hom_basis,
     fac_is_indecomposable,
     fac_iso_test,

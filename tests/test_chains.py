@@ -27,7 +27,7 @@ from facto.modules import (
     projective_cover,
     submodule,
 )
-from reference import realization
+from reference import realization, scalars
 
 
 def cfg(d, field=QQ):
@@ -212,8 +212,8 @@ def test_chain_hom_contains_identity():
     assert chain_iso_test(u, u)
     span = Echelon(c.field)
     for f in basis:
-        span.add([x for m in f.scalars() for row in m for x in row])
-    assert span.contains([x for m in ident.scalars() for row in m for x in row])
+        span.add([x for m in scalars(f) for row in m for x in row])
+    assert span.contains([x for m in scalars(ident) for row in m for x in row])
 
 
 def test_chain_hom_rejects_different_lengths():

@@ -5,16 +5,15 @@ import pytest
 
 from facto.census import (
     Bounds,
-    _chain_fingerprint,
-    _fac_fingerprint,
     class_census,
     enumerate_chains,
     enumerate_factorizations,
     hom_dim_compare,
 )
 from facto.chains import (
-    ChainMap,
     MonoChain,
+    _chain_fingerprint,
+    _top_basis,
     chain_hom_basis,
     chain_hom_dim,
     chain_is_indecomposable,
@@ -26,6 +25,7 @@ from facto.chains import (
 )
 from facto.endo import NonSplitEndomorphism, _charpoly, is_local, search_iso
 from facto.factorizations import (
+    _fac_fingerprint,
     fac_hom_basis,
     fac_hom_dim,
     fac_is_indecomposable,
@@ -37,7 +37,7 @@ from facto.factorizations import (
 )
 from facto.functors import cok
 from facto.fields import GF, QQ
-from facto.linalg import block_diagonal, identity, rank as matrix_rank
+from facto.linalg import identity, rank as matrix_rank
 from facto.modules import (
     HypersurfaceConfig,
     ModuleMap,
@@ -51,7 +51,15 @@ from facto.modules import (
 from facto.poly import Polynomial
 from facto.polymat import PolyMatrix
 from facto.randgen import random_chain, random_factorization, random_module
-from reference import _flag_chains, _flag_factorizations, nu_l_counit, realization, stable_dim
+from reference import (
+    _flag_chains,
+    _flag_factorizations,
+    block_diagonal,
+    nu_l_counit,
+    realization,
+    scalars,
+    stable_dim,
+)
 from test_chains import _chain_hom_basis_by_block_products
 from test_factorizations import _fac_hom_basis_by_slots
 
@@ -268,16 +276,24 @@ def test_every_raw_criterion_2_flag_object_decides():
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_search_iso_on_matrix_lists(field):
-    # a map is a list of square components; the empty combination is no iso
+    # a map is one square matrix; the empty combination is no iso
     assert not search_iso(field, [])
-    ident = [identity(field, 2), identity(field, 1)]
-    nil = [unit(field, 2, 0, 1), mat(field, [[0]])]
+
+    def blocks(*bs):
+        return block_diagonal(field, [mat(field, b) for b in bs])
+
+    ident = blocks([[1, 0], [0, 1]], [[1]])
+    nil = blocks([[0, 1], [0, 0]], [[0]])
     assert search_iso(field, [nil, ident])
     assert search_iso(field, [ident])
-    # every combination of nilpotent components is singular
-    assert not search_iso(field, [nil, [unit(field, 2, 0, 1), mat(field, [[0]])],
-                                  [mat(field, [[0, 0], [0, 0]]), mat(field, [[0]])]])
-    assert not search_iso(field, [[jordan(field, 3, 0)]])
+    # every combination of nilpotent matrices is singular
+    assert not search_iso(field, [nil, blocks([[0, 1], [0, 0]], [[0]]),
+                                  blocks([[0, 0], [0, 0]], [[0]])])
+    assert not search_iso(field, [jordan(field, 3, 0)])
+    # no basis matrix is invertible, but their sum is
+    first, second = blocks([[1, 0], [0, 0]], [[1]]), blocks([[0, 0], [0, 1]], [[0]])
+    assert not any(matrix_rank(field, m) == 3 for m in (first, second))
+    assert search_iso(field, [first, second])
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
@@ -321,9 +337,10 @@ def _chain_verdicts(pairs):
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=repr)
 def test_piece_scalars_decide_as_the_ambient_realization(field, monkeypatch):
-    """Iso, indecomposability, stable hom dimensions and ranks read off the
-    degree pieces of module maps equal the same computations on the
-    ambient realization matrices (the reference `realization`): on 60
+    """Iso and indecomposability read off the block matrices of the top
+    components, and stable hom dimensions and ranks read off the degree
+    pieces of module maps, equal the same computations on the ambient
+    realization matrices (the reference `realization`): on 60
     random chains, on the criterion-2 census classes (l = 2, dim <= 3,
     window 2, d = 2, 3; not over Q, which the census does not enumerate),
     on sums u + v against v + u, and on the maps of their hom bases."""
@@ -345,9 +362,9 @@ def test_piece_scalars_decide_as_the_ambient_realization(field, monkeypatch):
     ranks = [rank(f) for f in maps]
     assert ranks == [matrix_rank(field, realization(f)) for f in maps]
     assert len(set(ranks)) > 2
-    monkeypatch.setattr(ModuleMap, "scalars", lambda f: [realization(f)])
-    monkeypatch.setattr(ChainMap, "scalars",
-                        lambda f: [realization(g) for g in f.parts])
+    monkeypatch.setattr("facto.chains._top_basis", lambda u, v, walks=None: [
+        realization(ModuleMap(u.objects[-1], v.objects[-1], blocks, check=False))
+        for blocks in _top_basis(u, v, walks)])
     assert _chain_verdicts(pairs) == verdicts
 
 
@@ -364,14 +381,14 @@ def _outcome(fn, *args):
 
 def _fac_reference(x, y):
     """(iso, indecomposable) read on every component of the slot-equation
-    basis: search_iso on all l+1 components, is_local on their block
-    diagonal."""
+    basis: search_iso and is_local on the block diagonal of all l+1
+    components."""
     F = x.cfg.field
     same = all(sorted(x.degs(k)) == sorted(y.degs(k)) for k in range(x.l + 1))
     iso = same and (x.is_zero() or search_iso(
-        F, [f.scalars() for f in _fac_hom_basis_by_slots(x, y)]))
+        F, [block_diagonal(F, scalars(f)) for f in _fac_hom_basis_by_slots(x, y)]))
     return iso, not x.is_zero() and _outcome(is_local, F, [
-        block_diagonal(F, f.scalars()) for f in _fac_hom_basis_by_slots(x, x)])
+        block_diagonal(F, scalars(f)) for f in _fac_hom_basis_by_slots(x, x)])
 
 
 def _chain_reference(u, v):
@@ -379,9 +396,9 @@ def _chain_reference(u, v):
     F = u.cfg.field
     same = all(module_iso(a, b) for a, b in zip(u.objects, v.objects))
     iso = same and (u.is_zero() or search_iso(
-        F, [f.scalars() for f in _chain_hom_basis_by_block_products(u, v)]))
+        F, [block_diagonal(F, scalars(f)) for f in _chain_hom_basis_by_block_products(u, v)]))
     return iso, not u.is_zero() and _outcome(is_local, F, [
-        block_diagonal(F, f.scalars()) for f in _chain_hom_basis_by_block_products(u, u)])
+        block_diagonal(F, scalars(f)) for f in _chain_hom_basis_by_block_products(u, u)])
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)

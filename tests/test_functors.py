@@ -8,16 +8,13 @@ from facto.chains import (
     MonoChain,
     chain_hom_basis,
     chain_iso_test,
-    chain_validate,
     mu_trivial,
 )
 from facto.factorizations import (
     FacMap,
-    Factorization,
     _cover_rows,
     fac_hom_basis,
     fac_stable_hom_dim,
-    fac_validate,
     fac_walks,
     nu,
     zigzag_check,
@@ -39,6 +36,7 @@ from facto.randgen import (
     random_split_ses,
     rank1_factorization,
 )
+from reference import scalars
 
 
 def cfg(d, field=QQ):
@@ -283,7 +281,7 @@ def test_cok_maps_are_chain_maps_that_span_the_chain_homs(d, l, pairs, p, m, win
     for (i, j), maps in homs.items():
         images = [ChainMap(coks[i], coks[j], parts) for _, parts in maps]
         basis = chain_hom_basis(coks[i], coks[j])
-        rows = [[c for m in h.scalars() for row in m for c in row]
+        rows = [[c for m in scalars(h) for row in m for c in row]
                 for h in images + basis]
         assert rank(F, rows[:len(images)]) == rank(F, rows) == len(basis), (i, j)
         # the combinations of the basis maps that cok sends to 0

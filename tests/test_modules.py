@@ -39,6 +39,7 @@ from reference import (
     quotient,
     quotient_realization,
     realization,
+    scalars,
     split,
     subspace_realization,
     x_matrix,
@@ -753,7 +754,7 @@ def test_an_endomorphism_reads_its_module_pieces_once(monkeypatch):
     calls = []
     pieces = RModule.pieces
     monkeypatch.setattr(RModule, "pieces", lambda n: calls.append(n) or pieces(n))
-    assert ModuleMap.identity(m).scalars() == [
+    assert scalars(ModuleMap.identity(m)) == [
         identity(m.cfg.field, len(ks)) for ks in pieces(m).values()]
     assert len(calls) == 1
 

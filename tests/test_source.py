@@ -80,7 +80,8 @@ TEST_ONLY = {
     "try_solve_right", "from_ints", "_flag_factorizations", "_flag_chains",
     "realization", "jordan_by_kernels", "stable_dim", "_hom_positions",
     "presentation_cokernel_by_quotient", "factor_through", "cok_by_quotient",
-    "quotient", "complement", "map_ker_cok_im_by_quotient",
+    "quotient", "complement", "map_ker_cok_im_by_quotient", "scalars",
+    "block_diagonal",
 }
 
 
@@ -92,6 +93,22 @@ def test_test_only_code_is_not_in_the_library():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node.name in TEST_ONLY
     ]
+    assert not found, found
+
+
+def test_every_imported_name_is_read():
+    # a name taken with `from ... import` and never read hides which
+    # modules a module really depends on, and outlives the code that used it
+    paths = sorted(SRC.glob("*.py")) + sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [f"{path.name}:{node.lineno}:{alias.asname or alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                  for alias in node.names if (alias.asname or alias.name) not in read]
     assert not found, found
 
 
