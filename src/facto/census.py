@@ -10,7 +10,7 @@ A listed subspace V of T is its RREF pieces {s: the RREF of V_s in the
 coordinates of T_s, a tuple of row tuples}, canonical and hashable, with
 x as the shift blocks of `modules._shifts`, from its listing
 (`stable_graded_subspaces`) to its flag stabilizers and the members'
-inclusions; no ambient vector or matrix of T is built.
+submodules; no ambient vector or matrix of T is built.
 
 Indecomposability is decided on the flag, before any object is built:
 X is indecomposable iff End(X) is local (Fitting's lemma), End(X) is the
@@ -56,12 +56,12 @@ at most d - 2).
 
 Flags are listed up to the torus of T, one per orbit (`_subspace_flags`),
 which keeps the first flag of each iso class.  Only the flags that pass are
-built, with one inclusion per space (a preimage in S^m, a submodule of a
-chain top), and deduplicated with the iso tests: these are
-`enumerate_factorizations` and `enumerate_chains`.  The census drops the
-projective classes last, those whose stable End is 0, by the walks of
-each class (`fac_walks`) that also serve its row and column of the stable
-hom table.  Both properties are iso-invariant and
+built, with one submodule of the top per listed space (for a
+factorization, then its preimage in S^m), and deduplicated with the iso
+tests: these are `enumerate_factorizations` and `enumerate_chains`.  The
+census drops the projective classes last, those whose stable End is 0, by
+the walks of each class (`fac_walks`) that also serve its row and column
+of the stable hom table.  Both properties are iso-invariant and
 deduplication keeps the first member of each class, so this gives the
 classes of building and deduplicating every flag object first.  Between
 indecomposables the iso tests are exact (see `endo.search_iso`), so the
@@ -86,7 +86,6 @@ from .chains import (
     chain_projective_test,
     chain_stable_hom_dim,
     chain_walks,
-    lift,
 )
 from .endo import is_local
 from .factorizations import (
@@ -106,6 +105,7 @@ from .modules import (
     RModule,
     _shifts,
     hom_basis,
+    lift,
     submodule,
 )
 
@@ -533,36 +533,37 @@ def _splits(top: RModule, length: int) -> bool:
 
 
 def _flag_objects(cfg: HypersurfaceConfig, tops, length: int, build):
-    """build(cfg, key, spaces)(flag), shifted to minimum degree 0, for the
+    """build(cfg, top, spaces)(flag), shifted to minimum degree 0, for the
     flags (index tuples) of `length` x-stable graded subspaces `spaces`
-    (`stable_graded_subspaces`) of each top in `tops`, a stream of (key,
-    top module) pairs, that `_subspace_flags` lists given the top (one per
-    torus orbit, none split by a summand projection) and whose stabilizer
-    in End(top) is local (`_local_stabilizer`); split tops (`_splits`)
-    are skipped."""
+    (`stable_graded_subspaces`) of each top module in the stream `tops`
+    that `_subspace_flags` lists given the top (one per torus orbit, none
+    split by a summand projection) and whose stabilizer in End(top) is
+    local (`_local_stabilizer`); split tops (`_splits`) are skipped."""
     F = cfg.field
     omega = _primitive_root(F) if length else None
-    for key, top in tops:
+    for top in tops:
         if _splits(top, length):
             continue
         spaces = stable_graded_subspaces(F, top) if length else []
         flags = filter(_local_stabilizer(F, top, spaces),
                        _subspace_flags(F, spaces, length, top, omega))
-        make = build(cfg, key, spaces)
+        make = build(cfg, top, spaces)
         for flag in flags:
             x = make(flag)
             yield x.shift(-x.min_degree())
 
 
-def _fac_build(cfg: HypersurfaceConfig, degs_l, spaces):
-    """flag -> its flag factorization; one preimage per space of the top."""
+def _fac_build(cfg: HypersurfaceConfig, top: RModule, spaces):
+    """flag -> its flag factorization, on the free top R^m: each listed
+    space's submodule, taken once, gives its preimage in S^m
+    (`span_preimage_inclusion`)."""
     include = functools.cache(
-        lambda i: span_preimage_inclusion(cfg, list(degs_l), spaces[i]))
+        lambda i: span_preimage_inclusion(cfg, submodule(top, spaces[i])))
     return lambda flag: flag_factorization(cfg, [include(i) for i in flag])
 
 
 def _chain_build(cfg: HypersurfaceConfig, top: RModule, spaces):
-    """flag -> its flag chain; one submodule per space of the top."""
+    """flag -> its flag chain; each listed space's submodule, taken once."""
     include = functools.cache(lambda i: submodule(top, spaces[i]))
     return lambda flag: _flag_chain(cfg, top, [include(i) for i in flag])
 
@@ -577,11 +578,11 @@ def _sorted_degree_vectors(m, window):
 
 
 def _fac_tops(cfg: HypersurfaceConfig, m_max: int, window: int):
-    """(degs_l, free R-cover of X^l) for every rank up to m_max and every
-    degree vector over [0, window] normalized to minimum 0."""
+    """The free R-cover R^m(degs_l) of X^l for every rank m up to m_max and
+    every degree vector degs_l over [0, window] normalized to minimum 0."""
     for m in range(m_max + 1):
         for degs_l in _sorted_degree_vectors(m, window):
-            yield degs_l, RModule.free(cfg, list(degs_l))
+            yield RModule.free(cfg, list(degs_l))
 
 
 def _dedup(objs, fingerprint, iso):
@@ -634,7 +635,7 @@ def _top_modules(cfg: HypersurfaceConfig, dim_max: int, window: int):
 def _flag_chain(cfg: HypersurfaceConfig, top: RModule, incls) -> MonoChain:
     """The chain of submodules V_1 >-> ... >-> V_{l-1} >-> top, given by
     their inclusions `incls` into top (`modules.submodule`): each map is
-    the lift of one inclusion through the next (`chains.lift`)."""
+    the lift of one inclusion through the next (`modules.lift`)."""
     incls = incls + [ModuleMap.identity(top)]
     maps = []
     for i0, i1 in zip(incls, incls[1:]):
@@ -655,7 +656,7 @@ def enumerate_chains(cfg: HypersurfaceConfig, l: int, dim_max: int,
     _check_census_size(("dim", dim_max), ("l", l))
     window = min(window, max(dim_max - 2, 0))
     tops = [t for t in _top_modules(cfg, dim_max, window) if t.min_degree() == 0]
-    return _dedup(_flag_objects(cfg, ((t, t) for t in tops), l - 1, _chain_build),
+    return _dedup(_flag_objects(cfg, tops, l - 1, _chain_build),
                   _chain_fingerprint, chain_iso_test)
 
 

@@ -19,6 +19,7 @@ from .modules import (
     expect_json,
     hom_positions,
     is_mono_epi,
+    lift,
     projective_cover,
 )
 
@@ -216,8 +217,8 @@ def _top_rows(u: MonoChain, v: MonoChain, walks=None):
     A chain map is fixed by its top component phi: U^(n-1) -> V^(n-1), as
     every alpha^v_j = alpha^v_{j -> n-1} is a mono.  Conversely phi
     extends iff phi alpha^u_j lands in im alpha^v_j for each j < n-1: then
-    f^j is the lift of phi alpha^u_j through alpha^v_j (`lift`), and the
-    squares commute after alpha^v_(j+1), a mono.  R is self-injective, so
+    f^j is the lift of phi alpha^u_j through alpha^v_j (`modules.lift`),
+    and the squares commute after alpha^v_(j+1), a mono.  R is self-injective, so
     im alpha^v_j is the intersection of the kernels of the maps eta:
     V^(n-1) -> R(-s) that kill it, the rows of `chain_walks`.  So phi, in
     the elementary basis at `positions` (`modules.hom_positions`), extends
@@ -251,18 +252,6 @@ def _top_basis(u: MonoChain, v: MonoChain, walks=None):
     F, a, b = u.cfg.field, u.objects[-1], v.objects[-1]
     return [linalg.scatter(F, len(b.summands), len(a.summands), positions, sol)
             for sol in linalg.nullspace(F, rows, cols=len(positions))]
-
-
-def lift(mono: ModuleMap, f: ModuleMap):
-    """The map g with mono o g = f, or None when f does not factor through
-    the mono: solved degree by degree on the pieces, where a degree that
-    the mono's source lacks must carry a zero piece of f."""
-    F, up, pieces = f.src.cfg.field, mono.pieces(), {}
-    for s, mat in f.pieces().items():
-        pieces[s] = linalg.solve(F, up.get(s, [[] for _ in mat]), mat)
-        if pieces[s] is None:
-            return None
-    return ModuleMap.from_pieces(f.src, mono.src, pieces)
 
 
 def chain_hom_basis(u: MonoChain, v: MonoChain):

@@ -35,7 +35,7 @@ from .factorizations import (
 from .fields import FieldError, field_from_spec
 from .functors import cok, cok_exactness_check, reconstruct
 from .modules import HypersurfaceConfig, RealizationError
-from .polymat import GradedMatrix, InexactDivision
+from .polymat import GradedMatrix
 
 
 # the largest (l+1)*m*d every command except census accepts (inputs in use: <= 36)
@@ -417,7 +417,7 @@ def main(argv=None) -> int:
     except CheckFailure as e:
         print(f"failure: {e}", file=sys.stderr)
         return 2
-    except (RealizationError, FactorizationError, InexactDivision) as e:
+    except (RealizationError, FactorizationError) as e:
         print(f"failure: invariant broken: {e}", file=sys.stderr)
         return 2
 

@@ -8,9 +8,12 @@ elimination on the generators) returns, and `cok`, `induced_cok_map`,
 `jq_sequence` and `to_ldiagram` all read them from there: the map that g
 induces between two cokernels is the generator product P_tgt g M_src.
 `reconstruct` inverts cok up to isomorphism: it is the flag factorization
-(`flag_factorization`, shared with the census, which takes the members'
-inclusions) of the preimages, in a minimal free cover of the chain's last
-module, of 0 and of the images of the other modules.
+(`flag_factorization`, shared with the census) of the preimages, in the
+free cover P of the chain's last module U^l, of 0 and of the images of the
+other modules, each the kernel of P ->> cok(U^k -> U^l) (`modules.preimage`).
+Submodules of P come here as inclusions, from `preimage` or the census's
+`submodule`, and `span_preimage_inclusion` reads their preimages in S^m off
+the inclusions' generators: this module reads no degree piece.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .chains import MonoChain, chain_validate, iota_embed
+from .chains import MonoChain, chain_composites, chain_validate, iota_embed
 from .factorizations import (
     FacMap,
     Factorization,
@@ -36,11 +39,9 @@ from .modules import (
     preimage,
     rank,
     presentation_cokernel,
-    projective_cover,
     reduced_module_map,
-    submodule,
 )
-from .polymat import GradedMatrix, graded_solve
+from .polymat import GradedMatrix, NoSolution, graded_solve
 
 
 def _cokernels(x: Factorization):
@@ -150,24 +151,21 @@ def _minimal_generators(field, columns, degrees, m):
     return list(zip(*kept_cols)), kept_degs
 
 
-def span_preimage_inclusion(cfg, degs_l, spans):
-    """Free basis of the preimage in S^m of an x-stable graded span.
+def span_preimage_inclusion(cfg, incl: ModuleMap):
+    """Free basis of the preimage in S^m of a submodule of R^m.
 
-    spans: {s: vectors of T_s} in the realization of the free R-cover on
-    degs_l; the preimage adds omega-multiples of the generators.  Returns
-    the inclusion GradedMatrix X^k >-> X^l.
+    incl is the inclusion of the submodule into the free R-module R^m on
+    degs_l (as `modules.submodule` and `modules.preimage` return it); its
+    generators and the omega-multiples of R^m's generators generate the
+    preimage.  Returns the inclusion GradedMatrix X^k >-> X^l.
     """
-    F = cfg.field
-    m = len(degs_l)
-    # the span's generators, as coefficients on the cover's generators
-    incl = submodule(RModule.free(cfg, degs_l), spans)
+    F, degs_l = cfg.field, [s for _, s in incl.tgt.summands]
     columns = [list(col) for col in zip(*incl.blocks)]
     degrees = [s for _, s in incl.src.summands]
-    # plus the omega-multiples of the cover's generators
-    for j in range(m):
-        columns.append(linalg.unit_vector(F, m, j))
-        degrees.append(degs_l[j] + cfg.d)
-    coeffs, kept_degs = _minimal_generators(F, columns, degrees, m)
+    for j, s in enumerate(degs_l):
+        columns.append(linalg.unit_vector(F, len(degs_l), j))
+        degrees.append(s + cfg.d)
+    coeffs, kept_degs = _minimal_generators(F, columns, degrees, len(degs_l))
     return GradedMatrix.from_coeffs(F, coeffs, kept_degs, degs_l)
 
 
@@ -175,29 +173,28 @@ def flag_factorization(cfg, incls) -> Factorization:
     """The factorization whose X^k is the source of the k-th of the
     inclusions `incls` X^k >-> X^l (GradedMatrices into one free S^m, as
     `span_preimage_inclusion` builds them) and whose X^l is S^m itself.
-    Raises FactorizationError if the maps do not form a factorization."""
+    Raises FactorizationError if a member does not lie in the next or the
+    maps do not form a factorization."""
     # no inclusion gives no map, which fac_build rejects
     incls = incls + [GradedMatrix.identity(cfg.field, g.tgt_degs) for g in incls[-1:]]
-    maps = [graded_solve(b, a) for a, b in zip(incls, incls[1:])]
+    try:
+        maps = [graded_solve(b, a) for a, b in zip(incls, incls[1:])]
+    except NoSolution as e:
+        raise FactorizationError(f"flag member does not lie in the next: {e}") from None
     return fac_build(maps, cfg, "flag factorization")
 
 
 def reconstruct(u: MonoChain) -> Factorization:
     """A factorization X with cok(X) chain-isomorphic to u (minimal cover).
 
-    X is the flag factorization of the preimages under p: P ->> U^l of 0
-    and of the images of U^1, ..., U^(l-1) (`modules.preimage`).
+    X is the flag factorization of the preimages, in the free cover P of
+    U^l, of 0 and of the images of U^1, ..., U^(l-1): each the kernel of
+    P ->> cok(U^k -> U^l) (`modules.preimage`).
     """
-    cfg = u.cfg
     top = u.objects[-1]
-    _, p = projective_cover(top)
-    comps, comp = [ModuleMap.zero(RModule.zero(cfg), top)], ModuleMap.identity(top)
-    for f in reversed(u.maps):  # the composites U^k -> U^l, k = l-1 .. 1
-        comp = comp @ f
-        comps.insert(1, comp)
-    degs_l = [s for _, s in top.summands]
-    return flag_factorization(cfg, [span_preimage_inclusion(cfg, degs_l, preimage(p, g))
-                                    for g in comps])
+    comps = [ModuleMap.zero(RModule.zero(u.cfg), top)] + chain_composites(u)[:-1]
+    return flag_factorization(u.cfg, [span_preimage_inclusion(u.cfg, preimage(g))
+                                      for g in comps])
 
 
 # exactness of cok ------------------------------------------------------------

@@ -20,7 +20,12 @@ reduction of persistence), which reads the normal form, the projection
 and a section off the generators and decides by itself whether x^d kills
 the cokernel.  The cokernel of a module map f and its image src / ker f
 are eliminations of the presentations `_relations` of f and of ker f's
-inclusion.  The zero module (no summands) is a first-class value.
+inclusion, and the preimage of im g in the free cover P of g's target is
+the kernel of P ->> cok g (`preimage`).  With `lift`, which solves a map
+through a mono piece by piece, the realization stays in this module: the
+other modules take submodules as inclusions and read no degree piece,
+except the census, which lists subspaces piece by piece.  The zero module
+(no summands) is a first-class value.
 """
 
 from __future__ import annotations
@@ -149,12 +154,6 @@ class RModule:
     @classmethod
     def free(cls, cfg: HypersurfaceConfig, gen_degs) -> "RModule":
         return cls(cfg, [(cfg.d, s) for s in gen_degs])
-
-
-def module_iso(m: RModule, n: RModule) -> bool:
-    if m.cfg != n.cfg:
-        raise ValueError("config mismatch")
-    return m.sorted_summands() == n.sorted_summands()
 
 
 # module maps ------------------------------------------------------------
@@ -415,11 +414,6 @@ def realization_to_module(cfg: HypersurfaceConfig, degs, xmat):
 # operations ---------------------------------------------------------------
 
 
-def _image(f: ModuleMap):
-    """{s: the columns of f's degree piece s}, which span im f there."""
-    return {s: [list(c) for c in zip(*mat)] for s, mat in f.pieces().items()}
-
-
 def kernel(f: ModuleMap) -> ModuleMap:
     """The inclusion of ker f: the nullspace of each degree piece of f,
     passed through `submodule`."""
@@ -458,17 +452,23 @@ def map_ker_cok_im(f: ModuleMap):
     return (incl.src, incl), (p.tgt, ModuleMap(f.tgt, p.tgt, p.blocks)), imod
 
 
-def preimage(p: ModuleMap, f: ModuleMap):
-    """The preimage under p of the image of f (a map into p.tgt), as
-    {s: a basis of its piece in degree s of p.src}: in each degree, the
-    kernel of (the annihilator of the image's piece) o (p's piece)."""
-    F = p.src.cfg.field
-    image, src, tgt = _image(f), p.src.pieces(), p.tgt.pieces()
-    out = {}
-    for s, mat in p.pieces().items():
-        ann = linalg.nullspace(F, image.get(s, []), cols=len(tgt.get(s, ())))
-        out[s] = linalg.nullspace(F, linalg.mat_mul(F, ann, mat), cols=len(src[s]))
-    return out
+def preimage(g: ModuleMap) -> ModuleMap:
+    """The inclusion of the preimage of im g in the free cover P of g's
+    target: ker(P ->> cok g), the kernel of the projection that the graded
+    elimination of g's presentation (`_relations`) returns."""
+    return kernel(presentation_cokernel(_relations(g), g.src.cfg)[0])
+
+
+def lift(mono: ModuleMap, f: ModuleMap):
+    """The map g with mono o g = f, or None when f does not factor through
+    the mono: solved degree by degree on the pieces, where a degree that
+    the mono's source lacks must carry a zero piece of f."""
+    F, up, pieces = f.src.cfg.field, mono.pieces(), {}
+    for s, mat in f.pieces().items():
+        pieces[s] = linalg.solve(F, up.get(s, [[] for _ in mat]), mat)
+        if pieces[s] is None:
+            return None
+    return ModuleMap.from_pieces(f.src, mono.src, pieces)
 
 
 def rank(f: ModuleMap) -> int:

@@ -22,7 +22,10 @@ a module map built on them.  `_flag_factorizations` and `_flag_chains`
 list every flag object within bounds, with nothing pruned: the census's
 exhaustive oracle.  `scalars` and `block_diagonal` are the earlier
 k-matrix views of a map on all of its components, which the iso and
-locality oracles read.  The rest are helpers that only tests use.
+locality oracles read.  `preimage_by_annihilator` is the earlier preimage
+of an image under a cover, degree by degree through the annihilator of the
+image's pieces (`_image`): the oracle for `modules.preimage`, the kernel
+of a cokernel's projection.  The rest are helpers that only tests use.
 pytest does not collect this module; tests import it by name.
 """
 
@@ -47,7 +50,6 @@ from facto.modules import (
     ModuleMap,
     RModule,
     NotAnnihilated,
-    _image,
     _normal_form,
     _shifts,
     decompose,
@@ -479,6 +481,30 @@ def nu_l_counit(y: Factorization):
 # -- helpers only tests use ------------------------------------------------------
 
 
+def module_iso(m: RModule, n: RModule) -> bool:
+    if m.cfg != n.cfg:
+        raise ValueError("config mismatch")
+    return m.sorted_summands() == n.sorted_summands()
+
+
+def _image(f: ModuleMap):
+    """{s: the columns of f's degree piece s}, which span im f there."""
+    return {s: [list(c) for c in zip(*mat)] for s, mat in f.pieces().items()}
+
+
+def preimage_by_annihilator(p: ModuleMap, f: ModuleMap):
+    """The preimage under p of the image of f (a map into p.tgt), as
+    {s: a basis of its piece in degree s of p.src}: in each degree, the
+    kernel of (the annihilator of the image's piece) o (p's piece)."""
+    F = p.src.cfg.field
+    image, src, tgt = _image(f), p.src.pieces(), p.tgt.pieces()
+    out = {}
+    for s, mat in p.pieces().items():
+        ann = linalg.nullspace(F, image.get(s, []), cols=len(tgt.get(s, ())))
+        out[s] = linalg.nullspace(F, linalg.mat_mul(F, ann, mat), cols=len(src[s]))
+    return out
+
+
 def bar_p_epic(m: RModule):
     """P/x^d P covering m; over k[x] this coincides with the projective cover."""
     return projective_cover(m)
@@ -594,13 +620,13 @@ def from_ints(field: Field, ints) -> Polynomial:
 
 
 def _all_flag_objects(cfg: HypersurfaceConfig, tops, length: int, build):
-    """build(cfg, key, spaces)(flag), shifted to minimum degree 0, for every
+    """build(cfg, top, spaces)(flag), shifted to minimum degree 0, for every
     flag of `length` x-stable graded subspaces of each top in `tops`: no
     top, orbit or flag is pruned."""
     F = cfg.field
-    for key, top in tops:
+    for top in tops:
         spaces = census.stable_graded_subspaces(F, top) if length else []
-        make = build(cfg, key, spaces)
+        make = build(cfg, top, spaces)
         for flag in _subspace_flags(F, spaces, length):
             x = make(flag)
             yield x.shift(-x.min_degree())
@@ -621,4 +647,4 @@ def _flag_chains(cfg: HypersurfaceConfig, l: int, dim_max: int, window: int):
     """Every flag chain of l-1 monos with top dimension <= dim_max and top
     generator degrees over [0, window], shifted to minimum degree 0."""
     tops = _top_modules(cfg, dim_max, window)
-    return _all_flag_objects(cfg, ((t, t) for t in tops), l - 1, _chain_build)
+    return _all_flag_objects(cfg, tops, l - 1, _chain_build)

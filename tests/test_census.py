@@ -120,7 +120,7 @@ def test_piece_subspaces_equal_the_ambient_listing(field):
     built = 0
     for d in (2, 3):
         c = cfg(d, field)
-        tops = [top for _, top in _fac_tops(c, bounds.m, bounds.window)]
+        tops = list(_fac_tops(c, bounds.m, bounds.window))
         tops += _top_modules(c, bounds.dim, bounds.window)
         for top in tops:
             degs, xm = top.basis_degrees(), x_matrix(top)
@@ -136,7 +136,7 @@ def test_piece_subspaces_equal_the_ambient_listing(field):
                     sub, top, mat_mul(field, incl, to_real)), (top, vecs)
                 if top.is_free() and top.summands:
                     degs_l = [s for _, s in top.summands]
-                    assert span_preimage_inclusion(c, degs_l, space) == (
+                    assert span_preimage_inclusion(c, submodule(top, space)) == (
                         _preimage_by_jordan_tops(c, degs_l, vecs)), (top, vecs)
                 built += 1
     assert built > 100
@@ -447,21 +447,31 @@ def test_census_classes_come_from_the_enumerators(monkeypatch):
 
 
 def test_census_builds_each_member_inclusion_once(monkeypatch):
-    """On l=3 censuses, a chain member's submodule and a factorization
-    member's preimage are built at most once per (top, subspace)."""
-    built = []
-    for name, key in (("submodule", lambda top, space: top.summands),
-                      ("span_preimage_inclusion", lambda c, degs, space: tuple(degs))):
+    """On l=3 censuses, each enumerator takes a member's submodule, and
+    the factorization side its preimage in S^m, at most once per (top,
+    subspace)."""
+    side, built = [None], []
+    for name in ("enumerate_factorizations", "enumerate_chains"):
         real = getattr(census, name)
-        monkeypatch.setattr(census, name, lambda *a, real=real, name=name, key=key: (
-            built.append((name, key(*a), tuple((s, tuple(map(tuple, vecs)))
-                                               for s, vecs in a[-1].items())))
-            or real(*a)))
+        monkeypatch.setattr(census, name, lambda *a, real=real, name=name: (
+            side.__setitem__(0, name) or real(*a)))
+    sub, pre = census.submodule, census.span_preimage_inclusion
+    monkeypatch.setattr(census, "submodule", lambda top, space: (
+        built.append((side[0], "submodule", top.summands,
+                      tuple((s, tuple(map(tuple, vecs))) for s, vecs in space.items())))
+        or sub(top, space)))
+    monkeypatch.setattr(census, "span_preimage_inclusion", lambda c, incl: (
+        built.append((side[0], "span_preimage_inclusion", incl.tgt.summands,
+                      incl.src.summands, incl.blocks))
+        or pre(c, incl)))
     for d, field, bounds in ((3, GF(5), Bounds(m=2, dim=3, window=2)),
                              (2, GF(2), Bounds(m=3, dim=4, window=2))):
         built.clear()
         class_census(cfg(d, field), 3, bounds)
-        assert {name for name, _, _ in built} == {"submodule", "span_preimage_inclusion"}
+        assert {b[:2] for b in built} == {
+            ("enumerate_factorizations", "submodule"),
+            ("enumerate_factorizations", "span_preimage_inclusion"),
+            ("enumerate_chains", "submodule")}
         assert len(built) == len(set(built))
 
 
@@ -500,10 +510,10 @@ def test_partner_bounds_read_off_the_top_equal_a_reconstruction():
 def _stabilizer_decisions(c, tops, length, build):
     """(stabilizer decision, built object) for every raw flag of `tops`."""
     F = c.field
-    for key, top in tops:
+    for top in tops:
         spaces = stable_graded_subspaces(F, top) if length else []
         local = _local_stabilizer(F, top, spaces)
-        make = build(c, key, spaces)
+        make = build(c, top, spaces)
         for flag in _subspace_flags(F, spaces, length):
             yield local(flag), make(flag)
 
@@ -518,8 +528,7 @@ def test_flag_stabilizer_decides_indecomposability(d, field):
     facs = list(_stabilizer_decisions(
         c, _fac_tops(c, bounds.m, bounds.window), 2, _fac_build))
     tops = _top_modules(c, bounds.dim, bounds.window)
-    chains = list(_stabilizer_decisions(c, ((t, t) for t in tops), 1,
-                                        _chain_build))
+    chains = list(_stabilizer_decisions(c, tops, 1, _chain_build))
     for got, x in facs:
         assert got == fac_is_indecomposable(x), x
     for got, u in chains:
@@ -535,7 +544,7 @@ def _census_sides(c, bounds, l=2):
             if t.min_degree() == 0]
     return [(list(_fac_tops(c, bounds.m, bounds.window)), l, _fac_build,
              fac_is_indecomposable),
-            ([(t, t) for t in tops], l - 1, _chain_build, chain_is_indecomposable)]
+            (tops, l - 1, _chain_build, chain_is_indecomposable)]
 
 
 def test_splits_reads_the_degree_intervals():
@@ -571,12 +580,12 @@ def test_split_tops_carry_only_decomposable_flags(d, field, window, l):
     c = cfg(d, field)
     for tops, length, build, indecomposable in _census_sides(
             c, Bounds(m=2, dim=3, window=window), l):
-        split = [(key, top) for key, top in tops if _splits(top, length)]
+        split = [top for top in tops if _splits(top, length)]
         decisions = list(_stabilizer_decisions(c, split, length, build))
         assert split and decisions
         for got, x in decisions:
             assert not got and not indecomposable(x), x
-        split_tops = {top.sorted_summands() for _, top in split}
+        split_tops = {top.sorted_summands() for top in split}
         if build is _fac_build:
             assert ((d, 0), (d, d - 1)) in split_tops  # touching in degree d - 1
             assert (((d, 0), (d, 0)) in split_tops) == (min(l, d) <= 2)
@@ -592,7 +601,7 @@ def test_homogeneous_rule_needs_the_width_condition():
     top = RModule.free(c, [0, 0])
     assert _splits(top, 2) and not _splits(top, 3)
     assert any(got and fac_is_indecomposable(x) for got, x in
-               _stabilizer_decisions(c, [((0, 0), top)], 3, _fac_build))
+               _stabilizer_decisions(c, [top], 3, _fac_build))
 
 
 @pytest.mark.parametrize("d, field", [(2, GF(5)), (3, GF(5)), (3, GF(2))],
@@ -608,7 +617,7 @@ def test_memoized_keep_equals_a_fresh_decision(d, field, monkeypatch):
                         lambda *args: calls.append(1) or is_local(*args))
     flags = memo_calls = 0
     for tops, length, _, _ in _census_sides(c, Bounds(m=2, dim=3, window=2)):
-        for _, top in tops:
+        for top in tops:
             spaces = stable_graded_subspaces(F, top)
             keep = _local_stabilizer(F, top, spaces)
             for flag in _subspace_flags(F, spaces, length):
@@ -626,7 +635,7 @@ def test_degree_prefilter_keeps_the_flags(d, field):
     flags in the same order as plain containment of every pair."""
     c = cfg(d, field)
     for tops, _, _, _ in _census_sides(c, Bounds(m=2, dim=3, window=2)):
-        for _, top in tops:
+        for top in tops:
             spaces = stable_graded_subspaces(field, top)
             vectors = [to_ambient(field, top, v) for v in spaces]
             inside = [[all(_span(field, w).contains(v) for v in vecs)
@@ -716,7 +725,7 @@ def _criterion2_tops(field):
     m=2, dim=3, window=2) over `field`, split or not."""
     return [top for d in (2, 3) for side in _census_sides(
         cfg(d, field), Bounds(m=2, dim=3, window=2))
-        for _, top in side[0]]
+        for top in side[0]]
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5)], ids=repr)

@@ -12,7 +12,6 @@ from facto.chains import (
     chain_stable_hom_dim,
     chain_validate,
     iota_embed,
-    lift,
     mu_trivial,
 )
 from facto.census import MatchFailure, _flag_chain
@@ -24,6 +23,7 @@ from facto.modules import (
     RModule,
     hom_basis,
     is_mono_epi,
+    lift,
     projective_cover,
     submodule,
 )

@@ -43,7 +43,6 @@ from facto.modules import (
     ModuleMap,
     RModule,
     hom_basis,
-    module_iso,
     projective_cover,
     rank,
     stable_hom_dim,
@@ -55,6 +54,7 @@ from reference import (
     _flag_chains,
     _flag_factorizations,
     block_diagonal,
+    module_iso,
     nu_l_counit,
     realization,
     scalars,

@@ -36,7 +36,7 @@ from facto.randgen import (
     random_split_ses,
     rank1_factorization,
 )
-from reference import scalars
+from reference import module_iso, scalars
 
 
 def cfg(d, field=QQ):
@@ -86,7 +86,7 @@ def test_cok_additive():
 def test_cok_intermediate_quotients():
     # cok(U^j >-> U^k) = cok(X^j >-> X^k) for the chain vs matrix composites
     from facto.factorizations import between
-    from facto.modules import map_ker_cok_im, module_iso, presentation_cokernel
+    from facto.modules import map_ker_cok_im, presentation_cokernel
 
     rng = random.Random(23)
     c = cfg(3, GF(5))
@@ -395,7 +395,7 @@ def _reconstruct_by_cokernels(u):
     from facto.factorizations import fac_build
     from facto.functors import span_preimage_inclusion
     from facto.linalg import mat_mul
-    from facto.modules import ModuleMap, map_ker_cok_im, projective_cover
+    from facto.modules import ModuleMap, map_ker_cok_im, projective_cover, submodule
     from facto.polymat import GradedMatrix, graded_solve
     from reference import homogeneous_kernel, realization, split
 
@@ -403,7 +403,8 @@ def _reconstruct_by_cokernels(u):
     top = u.objects[-1]
     degs_l = [s for _, s in top.summands]
     _, p = projective_cover(top)
-    fdegs = RModule.free(c, degs_l).basis_degrees()
+    free = RModule.free(c, degs_l)
+    fdegs = free.basis_degrees()
     inclusions = []
     for k in range(l):
         if k == 0:
@@ -414,8 +415,8 @@ def _reconstruct_by_cokernels(u):
                 comp = u.maps[i] @ comp
             _, (_, proj), _ = map_ker_cok_im(comp)
             quot_proj = mat_mul(F, realization(proj), realization(p))
-        inclusions.append(span_preimage_inclusion(
-            c, degs_l, split(F, fdegs, homogeneous_kernel(F, fdegs, quot_proj))))
+        inclusions.append(span_preimage_inclusion(c, submodule(
+            free, split(F, fdegs, homogeneous_kernel(F, fdegs, quot_proj)))))
     inclusions.append(GradedMatrix.identity(F, degs_l))
     maps = [graded_solve(inclusions[k + 1], inclusions[k]) for k in range(l)]
     return fac_build(maps, c, "reconstruction")
@@ -434,6 +435,22 @@ def test_reconstruct_equals_the_cokernel_version(field):
                     == _reconstruct_by_cokernels(u).to_json()), u
 
 
+def test_flag_factorization_rejects_a_member_outside_the_next():
+    """X^0 = S does not lie in X^1 = xS: FactorizationError, which the CLI
+    maps to exit 2, and not the solver's NoSolution; in the other order
+    the same members build a factorization."""
+    from facto.factorizations import FactorizationError
+    from facto.functors import flag_factorization
+    from facto.polymat import GradedMatrix
+
+    F = GF(5)
+    c = cfg(2, F)
+    s, xs = (GradedMatrix.from_coeffs(F, [[F.one]], [t], [0]) for t in (0, 1))
+    with pytest.raises(FactorizationError, match="does not lie in the next"):
+        flag_factorization(c, [s, xs])
+    assert flag_factorization(c, [xs, s]).degs(0) == (1,)
+
+
 # -- preimage generators against the Jordan tops ------------------------------------
 
 
@@ -442,7 +459,7 @@ def test_span_preimage_inclusion_equals_the_jordan_tops(field):
     """The same inclusion on kernels of random maps out of a free module
     and images of random maps into one."""
     from facto.functors import span_preimage_inclusion
-    from facto.modules import ModuleMap, hom_basis
+    from facto.modules import ModuleMap, hom_basis, submodule
     from facto.randgen import random_module
     from reference import (_preimage_by_jordan_tops, homogeneous_kernel,
                            realization, split)
@@ -462,7 +479,8 @@ def test_span_preimage_inclusion_equals_the_jordan_tops(field):
         spans = [homogeneous_kernel(field, free.basis_degrees(), realization(maps[0])),
                  [list(col) for col in zip(*realization(maps[1]))]]
         for kvecs in spans:
-            got = span_preimage_inclusion(c, degs_l, split(field, free.basis_degrees(), kvecs))
+            got = span_preimage_inclusion(
+                c, submodule(free, split(field, free.basis_degrees(), kvecs)))
             assert got == _preimage_by_jordan_tops(c, degs_l, kvecs), (degs_l, kvecs)
             proper += not got.is_iso()
     assert proper > 10

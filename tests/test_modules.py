@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from facto.chains import chain_composites
 from facto.fields import GF, QQ
 from facto.linalg import identity, mat_mul, mat_vec, nullspace, rank, rref, solve
 from facto.modules import (
@@ -14,7 +15,7 @@ from facto.modules import (
     hom_basis,
     is_mono_epi,
     map_ker_cok_im,
-    module_iso,
+    preimage,
     presentation_cokernel,
     projective_cover,
     realization_to_module,
@@ -24,6 +25,7 @@ from facto.modules import (
 from facto.pieces import ambient, jordan
 from facto.poly import Polynomial
 from facto.polymat import GradedMatrix, PolyMatrix
+from facto.randgen import random_chain
 from reference import (
     bar_p_epic,
     factor_through,
@@ -34,7 +36,9 @@ from reference import (
     jordan_by_kernels,
     lift_along_epi,
     module_from_presentation,
+    module_iso,
     map_ker_cok_im_by_quotient,
+    preimage_by_annihilator,
     presentation_cokernel_by_quotient,
     quotient,
     quotient_realization,
@@ -835,6 +839,29 @@ def test_submodule_and_quotient_of_kernels_and_images(field):
         assert rank(field, kernel + vecs) == len(kernel) == dim, (m, vecs)
         proper += 0 < dim < m.dim
     assert proper > 20
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=repr)
+def test_preimage_is_the_kernel_of_the_cokernel_projection(field):
+    """preimage(g), the kernel of the free cover P ->> cok g, is exactly the
+    submodule of P that the annihilator preimage under the cover spans, on
+    random, zero and identity maps and on the composites of random chains."""
+    rng = random.Random(38)
+    maps = []
+    for _ in range(40):
+        c = cfg(rng.randrange(1, 5), field)
+        a, b = (RModule(c, [(rng.randrange(1, c.d + 1), rng.randrange(-1, 3))
+                            for _ in range(rng.randrange(0, 4))])
+                for _ in range(2))
+        maps += [_random_map(rng, a, b), ModuleMap.zero(a, b), ModuleMap.identity(b)]
+        maps += chain_composites(random_chain(c, rng.randrange(1, 4), rng, 3))[:-1]
+    proper = 0
+    for g in maps:
+        cover, p = projective_cover(g.tgt)
+        got = preimage(g)
+        assert got == submodule(cover, preimage_by_annihilator(p, g)), g
+        proper += 0 < got.src.dim < cover.dim
+    assert proper > 30
 
 
 def _random_realizations(field, rng, count, summands=3):

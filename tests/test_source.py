@@ -43,6 +43,22 @@ def test_submodules_and_quotients_are_built_in_modules_only():
     assert not found, found
 
 
+def test_degree_pieces_are_read_in_modules_and_the_census_only():
+    # the realization stays behind modules (and pieces); besides them only
+    # the census, which lists subspaces degree piece by degree piece, reads
+    # a module's or a map's pieces or x's shift blocks
+    names = {"pieces", "_pieces", "from_pieces", "_shifts"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("modules.py", "pieces.py", "census.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in names
+    ]
+    assert not found, found
+
+
 def test_only_the_census_takes_a_seed():
     # iso searches draw from one fixed stream; class_census accepts a seed
     # for the CLI's --seed and passes it nowhere
@@ -81,7 +97,7 @@ TEST_ONLY = {
     "realization", "jordan_by_kernels", "stable_dim", "_hom_positions",
     "presentation_cokernel_by_quotient", "factor_through", "cok_by_quotient",
     "quotient", "complement", "map_ker_cok_im_by_quotient", "scalars",
-    "block_diagonal",
+    "block_diagonal", "module_iso", "_image", "preimage_by_annihilator",
 }
 
 
