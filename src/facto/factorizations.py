@@ -27,7 +27,7 @@ from . import linalg
 from .endo import is_local, search_iso
 from .fields import Field
 from .modules import HypersurfaceConfig
-from .polymat import GradedMatrix
+from .polymat import GradedMatrix, NoSolution
 
 
 class FactorizationError(Exception):
@@ -154,7 +154,8 @@ def _walk(x: Factorization, a: int, steps: int):
 
 
 def fac_validate(maps, cfg: HypersurfaceConfig, twist: int = 0):
-    """Build a Factorization from A^0..A^{l-1}, or report why it fails."""
+    """Build a Factorization from A^0..A^{l-1}, or report why it fails.
+    The closing map A^l : X^l -> tau X^0 is x^d divided by the product."""
     F = cfg.field
     if type(twist) is not int:
         return Invalid(f"twist {twist!r} is not an integer")
@@ -172,15 +173,11 @@ def fac_validate(maps, cfg: HypersurfaceConfig, twist: int = 0):
     product = maps[0]
     for a in maps[1:]:
         product = a @ product
-    # (A^{l-1}..A^0) A^l = x^d I: the scalars of A^l invert the product's,
-    # and A^l : X^l -> tau X^0, as tau lowers degree vectors by d
-    inverse = linalg.invert(F, [list(row) for row in product.coeffs])
-    src, tgt = maps[-1].tgt_degs, [s - cfg.d for s in maps[0].src_degs]
-    for b, row in zip(tgt, inverse):
-        for a, c in zip(src, row):
-            if a < b and not F.is_zero(c):
-                return Invalid("NoClosing")
-    closing = GradedMatrix.from_coeffs(F, inverse, src, tgt)
+    # tau lowers degree vectors by d; the product is square and injective
+    try:
+        closing = product.shift(-cfg.d).solve(omega_map(F, maps[-1].tgt_degs, cfg.d))
+    except NoSolution:
+        return Invalid("NoClosing")
     return Factorization(cfg, maps, closing, twist)
 
 

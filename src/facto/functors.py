@@ -41,7 +41,7 @@ from .modules import (
     presentation_cokernel,
     reduced_module_map,
 )
-from .polymat import GradedMatrix, NoSolution, graded_solve
+from .polymat import GradedMatrix, NoSolution
 
 
 def _cokernels(x: Factorization):
@@ -172,13 +172,14 @@ def span_preimage_inclusion(cfg, incl: ModuleMap):
 def flag_factorization(cfg, incls) -> Factorization:
     """The factorization whose X^k is the source of the k-th of the
     inclusions `incls` X^k >-> X^l (GradedMatrices into one free S^m, as
-    `span_preimage_inclusion` builds them) and whose X^l is S^m itself.
-    Raises FactorizationError if a member does not lie in the next or the
-    maps do not form a factorization."""
+    `span_preimage_inclusion` builds them) and whose X^l is S^m itself:
+    A^k is incl_k divided by incl_(k+1) (`GradedMatrix.solve`).  Raises
+    FactorizationError if a member does not lie in the next, or is not
+    square and injective, or the maps do not form a factorization."""
     # no inclusion gives no map, which fac_build rejects
     incls = incls + [GradedMatrix.identity(cfg.field, g.tgt_degs) for g in incls[-1:]]
     try:
-        maps = [graded_solve(b, a) for a, b in zip(incls, incls[1:])]
+        maps = [b.solve(a) for a, b in zip(incls, incls[1:])]
     except NoSolution as e:
         raise FactorizationError(f"flag member does not lie in the next: {e}") from None
     return fac_build(maps, cfg, "flag factorization")

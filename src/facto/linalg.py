@@ -144,11 +144,6 @@ def solve(field: Field, a, b, cols: int | None = None):
     return x
 
 
-def invert(field: Field, a):
-    """Inverse of a square matrix, or None if singular."""
-    return solve(field, a, identity(field, len(a)))
-
-
 class Echelon:
     """Incremental row space: add vectors, track independence."""
 

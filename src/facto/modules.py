@@ -21,11 +21,12 @@ and a section off the generators and decides by itself whether x^d kills
 the cokernel.  The cokernel of a module map f and its image src / ker f
 are eliminations of the presentations `_relations` of f and of ker f's
 inclusion, and the preimage of im g in the free cover P of g's target is
-the kernel of P ->> cok g (`preimage`).  With `lift`, which solves a map
-through a mono piece by piece, the realization stays in this module: the
-other modules take submodules as inclusions and read no degree piece,
-except the census, which lists subspaces piece by piece.  The zero module
-(no summands) is a first-class value.
+the kernel of P ->> cok g (`preimage`).  Mono and epi are read on the
+generators too, on the socles and the heads (`is_mono_epi`).  With `lift`,
+which solves a map through a mono piece by piece, the realization stays in
+this module: the other modules take submodules as inclusions and read no
+degree piece, except the census, which lists subspaces piece by piece.
+The zero module (no summands) is a first-class value.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ class ModuleMap:
     The blocks are normalized (entries whose monomial image is zero are
     dropped), validity is the closed form of `commutes_with_x`, and
     composition is the product of the block matrices.  The block matrix
-    is the generator matrix that iso and locality tests read (see `endo`);
+    is the generator matrix that iso, locality, mono and epi tests read;
     its only k-matrix view on the realization is `pieces()`, degree by
     degree, which serves kernels, images and ranks.
     """
@@ -374,7 +375,11 @@ def _normal_form(cfg: HypersurfaceConfig, dims, shifts):
 
 def submodule(m: RModule, spans) -> ModuleMap:
     """The inclusion of the normal-form submodule of m spanned by the
-    x-stable `spans`, {s: vectors of T_s}."""
+    x-stable `spans`, {s: vectors of T_s}.  The inclusion depends on the
+    order in which `spans` fill each degree's Echelon, not only on the
+    subspace (a recombined piece may give another, isomorphic one): the
+    census passes RREF pieces, so its reports are functions of the
+    subspaces, and `kernel` passes `linalg.nullspace` output."""
     F = m.cfg.field
     basis = bases(F, spans)
     dims, shifts = sub_shifts(F, _shifts(m), basis)
@@ -477,8 +482,16 @@ def rank(f: ModuleMap) -> int:
 
 
 def is_mono_epi(f: ModuleMap):
-    rk = rank(f)
-    return rk == f.src.dim, rk == f.tgt.dim
+    """(mono, epi) for R-linear f.  A nonzero submodule meets the socle, so
+    f is mono iff injective on the socles, where block (u, t) counts iff
+    s_t + e_t = s_u + e_u; by Nakayama f is epi iff onto the heads m / xm,
+    where it counts iff s_t = s_u.  One rank of a generator matrix each."""
+    F, src, tgt = f.src.cfg.field, f.src.summands, f.tgt.summands
+    socles = [[c if st + et == su + eu else F.zero for (et, st), c in zip(src, row)]
+              for (eu, su), row in zip(tgt, f.blocks)]
+    heads = [[c if st == su else F.zero for (_, st), c in zip(src, row)]
+             for (_, su), row in zip(tgt, f.blocks)]
+    return linalg.rank(F, socles) == len(src), linalg.rank(F, heads) == len(tgt)
 
 
 def hom_basis(m: RModule, n: RModule):

@@ -2,8 +2,9 @@
 
 A `GradedMatrix` is a degree-0 map of graded free modules.  Entry (j, i)
 is a scalar multiple of x^(src_degs[i] - tgt_degs[j]), so the map is a
-scalar k-matrix plus the two degree vectors, and composition, injectivity,
-inverses and solving (`graded_solve`) are k-linear algebra on the scalars.
+scalar k-matrix plus the two degree vectors, and composition, injectivity
+and division by an injective square map (`GradedMatrix.solve`) are k-linear
+algebra on the scalars.
 
 `PolyMatrix` is a dense matrix of `Polynomial` entries, for input that is
 not graded.  Its toolkit (`snf`, `solve_right`, `kernel_basis`,
@@ -526,6 +527,25 @@ class GradedMatrix:
         """Injective over S iff C has full column rank."""
         return linalg.rank(self.field, self.coeffs) == len(self.src_degs)
 
+    def solve(self, b: "GradedMatrix") -> "GradedMatrix":
+        """The graded X with self @ X == b: X's scalars are C^-1 B, from one
+        `linalg.rref` of [C | B].  self is C between two diagonal matrices
+        of powers of x, so a square self is injective iff C is invertible,
+        and then X is unique.  NoSolution if the targets differ, C is not
+        square and invertible, or C^-1 B is nonzero where X's degrees allow
+        no entry."""
+        F, n = self.field, len(self.src_degs)
+        F.check(b.field)
+        red, pivots = linalg.rref(F, [r + s for r, s in zip(self.coeffs, b.coeffs)])
+        if self.tgt_degs != b.tgt_degs or len(red) != n or pivots != list(range(n)):
+            raise NoSolution("the divisor is not square and injective, or the targets differ")
+        x = [row[n:] for row in red]
+        for a, row in zip(self.src_degs, x):
+            for s, c in zip(b.src_degs, row):
+                if s < a and not F.is_zero(c):
+                    raise NoSolution("the dividend does not factor through the divisor")
+        return GradedMatrix.from_coeffs(F, x, b.src_degs, self.src_degs)
+
     def is_iso(self) -> bool:
         """Invertible over S: det C != 0 and equal degree multisets."""
         return sorted(self.src_degs) == sorted(self.tgt_degs) and self.is_injective()
@@ -625,32 +645,3 @@ def graded_check(mat, src_degs=None, tgt_degs=None):
             if want < 0 or p.degree != want or not p.is_monomial():
                 return Violation(position=(j, i), expected_degree=want)
     return True
-
-
-def graded_solve(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    """The graded X with A X = B; raises NoSolution if none exists.
-
-    Column c of X may use row r only where a.src_degs[r] <= b.src_degs[c],
-    so the columns of B with one source degree share one k-linear
-    elimination over the columns of A that reach them.  Free coordinates
-    are set to zero; when A is injective the solution is unique.
-    """
-    if a.tgt_degs != b.tgt_degs:
-        raise ValueError("target degree mismatch between A and B")
-    F = a.field
-    F.check(b.field)
-    out = linalg.zeros(F, len(a.src_degs), len(b.src_degs))
-    by_deg = {}
-    for c, s in enumerate(b.src_degs):
-        by_deg.setdefault(s, []).append(c)
-    for s, cols in by_deg.items():
-        reach = [r for r, t in enumerate(a.src_degs) if t <= s]
-        aug = [[arow[r] for r in reach] + [brow[c] for c in cols]
-               for arow, brow in zip(a.coeffs, b.coeffs)]
-        red, pivots = linalg.rref(F, aug)
-        if pivots and pivots[-1] >= len(reach):
-            raise NoSolution(f"a column of source degree {s} is out of reach")
-        for row, p in zip(red, pivots):
-            for q, c in enumerate(cols):
-                out[reach[p]][c] = row[len(reach) + q]
-    return GradedMatrix.from_coeffs(F, out, b.src_degs, a.src_degs)

@@ -18,7 +18,7 @@ from .modules import (
     hom_basis,
     kernel,
 )
-from .polymat import GradedMatrix, graded_solve
+from .polymat import GradedMatrix
 
 
 def random_unimodular(field, degs, rng: random.Random) -> GradedMatrix:
@@ -49,7 +49,8 @@ def rank1_factorization(cfg, powers, deg0: int = 0) -> Factorization:
 
 def random_factorization(cfg: HypersurfaceConfig, l: int, rng: random.Random,
                          m_max: int = 3, window: int = 2) -> Factorization:
-    """Direct sum of shifted rank-1 pieces, conjugated by unimodular changes."""
+    """Direct sum of shifted rank-1 pieces, conjugated by unimodular changes
+    U_k, with U_k^-1 = U_k.solve(identity)."""
     m = rng.randrange(1, m_max + 1)
     parts = []
     for _ in range(m):
@@ -69,7 +70,7 @@ def random_factorization(cfg: HypersurfaceConfig, l: int, rng: random.Random,
     us = [random_unimodular(cfg.field, list(x.degs(k)), rng) for k in range(l + 1)]
     maps = []
     for k in range(l):
-        u_inv = graded_solve(us[k], GradedMatrix.identity(cfg.field, x.degs(k)))
+        u_inv = us[k].solve(GradedMatrix.identity(cfg.field, x.degs(k)))
         maps.append(us[k + 1] @ x.maps[k] @ u_inv)
     return fac_build(maps, cfg, "conjugated factorization")
 

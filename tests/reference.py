@@ -25,7 +25,10 @@ k-matrix views of a map on all of its components, which the iso and
 locality oracles read.  `preimage_by_annihilator` is the earlier preimage
 of an image under a cover, degree by degree through the annihilator of the
 image's pieces (`_image`): the oracle for `modules.preimage`, the kernel
-of a cokernel's projection.  The rest are helpers that only tests use.
+of a cokernel's projection.  `graded_solve` is the earlier division by a
+graded map, one elimination per source degree of the right-hand side and
+for maps of any shape: the oracle for `GradedMatrix.solve`.  The rest are
+helpers that only tests use.
 pytest does not collect this module; tests import it by name.
 """
 
@@ -70,7 +73,7 @@ from facto.pieces import (
     sub_shifts,
 )
 from facto.poly import Polynomial
-from facto.polymat import GradedMatrix, NoSolution, PolyMatrix, graded_solve, solve_right
+from facto.polymat import GradedMatrix, NoSolution, PolyMatrix, solve_right
 
 
 # -- ambient realizations ------------------------------------------------------
@@ -596,6 +599,35 @@ def _hom_slots(x: Factorization, y: Factorization):
 
 def _facmap_to_vector(f: FacMap, slots):
     return [f.components[j].coeffs[r][c] for j, r, c in slots]
+
+
+def graded_solve(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
+    """The graded X with A X = B; raises NoSolution if none exists.
+
+    Column c of X may use row r only where a.src_degs[r] <= b.src_degs[c],
+    so the columns of B with one source degree share one k-linear
+    elimination over the columns of A that reach them.  Free coordinates
+    are set to zero; when A is injective the solution is unique.
+    """
+    if a.tgt_degs != b.tgt_degs:
+        raise ValueError("target degree mismatch between A and B")
+    F = a.field
+    F.check(b.field)
+    out = linalg.zeros(F, len(a.src_degs), len(b.src_degs))
+    by_deg = {}
+    for c, s in enumerate(b.src_degs):
+        by_deg.setdefault(s, []).append(c)
+    for s, cols in by_deg.items():
+        reach = [r for r, t in enumerate(a.src_degs) if t <= s]
+        aug = [[arow[r] for r in reach] + [brow[c] for c in cols]
+               for arow, brow in zip(a.coeffs, b.coeffs)]
+        red, pivots = linalg.rref(F, aug)
+        if pivots and pivots[-1] >= len(reach):
+            raise NoSolution(f"a column of source degree {s} is out of reach")
+        for row, p in zip(red, pivots):
+            for q, c in enumerate(cols):
+                out[reach[p]][c] = row[len(reach) + q]
+    return GradedMatrix.from_coeffs(F, out, b.src_degs, a.src_degs)
 
 
 def try_solve_right(a: PolyMatrix, b: PolyMatrix):

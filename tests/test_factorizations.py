@@ -33,9 +33,9 @@ from facto.factorizations import (
 from facto.fields import GF, QQ
 from facto.modules import HypersurfaceConfig
 from facto.poly import Polynomial
-from facto.polymat import GradedMatrix, NoSolution, PolyMatrix, graded_solve
+from facto.polymat import GradedMatrix, NoSolution, PolyMatrix
 from facto.randgen import random_factorization, random_unimodular
-from reference import _hom_slots
+from reference import _hom_slots, graded_solve
 
 
 def cfg(d, field=QQ):

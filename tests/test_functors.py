@@ -360,12 +360,13 @@ def test_cok_is_the_quotient_version_on_random_factorizations(field):
 def test_cokernels_take_no_quotient_and_no_graded_solve(monkeypatch):
     """presentation_cokernel, cok, induced_cok_map and to_ldiagram build no
     realization quotient, complement or Jordan form and solve no graded
-    system: those functions raise wherever facto holds them, and the
-    calls still give the chains they gave before."""
+    system: those functions and `GradedMatrix.solve` raise wherever facto
+    holds them, and the calls still give the chains they gave before."""
     import sys
 
     from facto.factorizations import prefix
     from facto.modules import presentation_cokernel
+    from facto.polymat import GradedMatrix
 
     rng = random.Random(67)
     xs = [random_factorization(cfg(d, field), l, rng) for d, l, field in
@@ -376,11 +377,12 @@ def test_cokernels_take_no_quotient_and_no_graded_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the cokernels took a quotient or a graded solve")
 
-    names = {"quotient", "complement", "jordan", "graded_solve"}
+    names = {"quotient", "complement", "jordan"}
     for name, mod in list(sys.modules.items()):
         if name.startswith("facto"):
             for attr in names & set(vars(mod)):
                 monkeypatch.setattr(mod, attr, refuse)
+    monkeypatch.setattr(GradedMatrix, "solve", refuse)
     assert [cok(x) for x in xs] == want
     for x, f in zip(xs, maps):
         assert [presentation_cokernel(prefix(x, k), x.cfg)[0].tgt
@@ -396,8 +398,8 @@ def _reconstruct_by_cokernels(u):
     from facto.functors import span_preimage_inclusion
     from facto.linalg import mat_mul
     from facto.modules import ModuleMap, map_ker_cok_im, projective_cover, submodule
-    from facto.polymat import GradedMatrix, graded_solve
-    from reference import homogeneous_kernel, realization, split
+    from facto.polymat import GradedMatrix
+    from reference import graded_solve, homogeneous_kernel, realization, split
 
     c, F, l = u.cfg, u.cfg.field, u.length
     top = u.objects[-1]
@@ -438,7 +440,8 @@ def test_reconstruct_equals_the_cokernel_version(field):
 def test_flag_factorization_rejects_a_member_outside_the_next():
     """X^0 = S does not lie in X^1 = xS: FactorizationError, which the CLI
     maps to exit 2, and not the solver's NoSolution; in the other order
-    the same members build a factorization."""
+    the same members build a factorization.  A singular member, first or
+    later, is refused with FactorizationError too."""
     from facto.factorizations import FactorizationError
     from facto.functors import flag_factorization
     from facto.polymat import GradedMatrix
@@ -449,6 +452,10 @@ def test_flag_factorization_rejects_a_member_outside_the_next():
     with pytest.raises(FactorizationError, match="does not lie in the next"):
         flag_factorization(c, [s, xs])
     assert flag_factorization(c, [xs, s]).degs(0) == (1,)
+    zero = GradedMatrix.zero(F, [0], [0])
+    for members in ([xs, zero], [zero, s], [zero]):
+        with pytest.raises(FactorizationError):
+            flag_factorization(c, members)
 
 
 # -- preimage generators against the Jordan tops ------------------------------------

@@ -4,6 +4,8 @@ Every degree-0 map of graded free modules is a scalar matrix plus two
 degree vectors; these checks draw random graded inputs over F_5 and Q and
 require the same answers from both paths.  The JSON form is read and
 written on the scalars, against the polynomial matrix's JSON as oracle.
+`GradedMatrix.solve` is checked against the per-degree `graded_solve` of
+tests/reference.py, over F_2 too.
 """
 
 import json
@@ -21,11 +23,11 @@ from facto.polymat import (
     GradedMatrix,
     NoSolution,
     PolyMatrix,
-    graded_solve,
     rank_over_fractions,
     solve_right,
 )
 from facto.randgen import random_factorization
+from reference import graded_solve
 
 FIELDS = [GF(5), QQ]
 PAIRS = [(2, 2), (3, 2), (3, 3)]
@@ -86,6 +88,84 @@ def test_graded_solve_agrees_with_solve_right(field):
             assert got.mat == want
         solved += 1
     assert solved > 20 and unsolvable > 20
+
+
+def _square_injective_maps(field, rng):
+    """Square injective graded maps: randgen's unimodulars, products of a
+    random factorization's maps, preimage inclusions of the images of
+    random maps (`span_preimage_inclusion` of `preimage`), and over F_p
+    those of every census space of small free tops."""
+    from facto.census import stable_graded_subspaces
+    from facto.functors import span_preimage_inclusion
+    from facto.modules import ModuleMap, RModule, hom_basis, preimage, submodule
+    from facto.randgen import random_module, random_unimodular
+
+    for _ in range(20):
+        yield random_unimodular(field, random_degs(rng, rng.randrange(0, 4)), rng)
+    for rep in range(12):
+        d, l = PAIRS[rep % len(PAIRS)]
+        c = HypersurfaceConfig(d, field)
+        x = random_factorization(c, l, rng)
+        product = x.maps[0]
+        for a in x.maps[1:]:
+            product = a @ product
+            yield product
+        src, tgt = random_module(c, rng), random_module(c, rng)
+        g = ModuleMap.zero(src, tgt)
+        for h in hom_basis(src, tgt):
+            g = g + h.scale(field.from_int(rng.randrange(-2, 3)))
+        yield span_preimage_inclusion(c, preimage(g))
+    if field != QQ:
+        for d, degs in ((2, [0, 1]), (3, [0]), (3, [0, 1])):
+            top = RModule.free(HypersurfaceConfig(d, field), degs)
+            for space in stable_graded_subspaces(field, top):
+                yield span_preimage_inclusion(top.cfg, submodule(top, space))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_solve_equals_graded_solve_on_square_injective_maps(field):
+    """GradedMatrix.solve, one elimination of [C | B], against the
+    per-degree `graded_solve`: the same X, or NoSolution from both, for
+    right-hand sides that factor through the map and random ones."""
+    rng = random.Random(39)
+    maps = solved = unsolvable = 0
+    for a in _square_injective_maps(field, rng):
+        assert len(a.src_degs) == len(a.tgt_degs) and a.is_injective()
+        maps += 1
+        low, high = min(a.tgt_degs, default=0), max(a.src_degs, default=0)
+        src_b = [rng.randrange(low, high + 2) for _ in range(rng.randrange(1, 3))]
+        for b in (a @ random_graded(field, rng, src_b, a.src_degs),
+                  random_graded(field, rng, src_b, a.tgt_degs)):
+            try:
+                want = graded_solve(a, b)
+            except NoSolution:
+                with pytest.raises(NoSolution):
+                    a.solve(b)
+                unsolvable += 1
+                continue
+            assert a.solve(b) == want
+            solved += 1
+    assert maps > 40 and solved > 40 and unsolvable > 10
+
+
+def test_solve_refuses_what_has_no_unique_graded_solution():
+    """NoSolution on a singular map (b = 0 included), on a map that is not
+    square, on a target mismatch, and on a b that does not factor through
+    the map: x * I divides no identity."""
+    F = GF(5)
+    one, zero = F.one, F.zero
+    singular = GradedMatrix.from_coeffs(F, [[one, one], [one, one]], [0, 0], [0, 0])
+    tall = GradedMatrix.from_coeffs(F, [[one], [zero]], [0], [0, 0])
+    x_id = GradedMatrix.from_coeffs(F, [[one]], [1], [0])
+    cases = [(singular, GradedMatrix.identity(F, [0, 0])),
+             (singular, GradedMatrix.zero(F, [0], [0, 0])),
+             (tall, GradedMatrix.from_coeffs(F, [[one], [zero]], [0], [0, 0])),
+             (GradedMatrix.identity(F, [0]), GradedMatrix.identity(F, [1])),
+             (x_id, GradedMatrix.identity(F, [0]))]
+    for a, b in cases:
+        with pytest.raises(NoSolution):
+            a.solve(b)
+    assert x_id.solve(x_id @ x_id.shift(1)) == x_id.shift(1)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

@@ -98,6 +98,7 @@ TEST_ONLY = {
     "presentation_cokernel_by_quotient", "factor_through", "cok_by_quotient",
     "quotient", "complement", "map_ker_cok_im_by_quotient", "scalars",
     "block_diagonal", "module_iso", "_image", "preimage_by_annihilator",
+    "graded_solve",
 }
 
 
