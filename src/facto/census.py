@@ -104,7 +104,7 @@ from .modules import (
     ModuleMap,
     RModule,
     _shifts,
-    hom_basis,
+    hom_positions,
     lift,
     submodule,
 )
@@ -421,12 +421,16 @@ def _local_stabilizer(field, top: RModule, spaces):
     the stabilizer A = {phi in End(T) : phi V <= V for V in the flag} is
     a local algebra.
 
-    hom_basis(T, T) is elementary (see `modules.hom_basis`) and computed
-    once, and read degree by degree (`ModuleMap.pieces`).  Each V gives
-    one block of conditions q . phi v = 0 on the basis coefficients, for v
-    among the R-generators of V in degree s (`_generators`) and q in the
-    annihilator of V_s in T_s: phi commutes with x, so phi V <= V iff phi
-    maps them into V, and phi v lies in T_s.  A block is built when a flag
+    End(T) has the elementary basis gen_t -> x^(s_t - s_u) gen_u at the
+    positions (u, t) of `modules.hom_positions`, and such a map has at
+    most one entry in a degree piece T_s: a 1 at (the coordinate of
+    summand u, the coordinate of summand t), when both reach s
+    (`_owners`).  Each V gives one block of conditions q . phi v = 0 on
+    the basis coefficients, for v among the R-generators of V in degree s
+    (`_generators`) and q in the annihilator of V_s in T_s: phi commutes
+    with x, so phi V <= V iff phi maps them into V, and phi v lies in
+    T_s.  So the coefficient of the map at (u, t) is q[r] v[c] at its
+    entry (r, c), and 0 where it has none.  A block is built when a flag
     first uses V; a flag's A is the nullspace of its stacked blocks.  The
     annihilator of a piece is solved once per (degree, piece) of a top, as
     the listed spaces share their pieces.
@@ -473,17 +477,17 @@ def _local_stabilizer(field, top: RModule, spaces):
     if len(top.summands) == 1:
         return lambda flag: True
     F = field
-    homs, tp = hom_basis(top, top), top.pieces()
-    # the few nonzero entries (r, c, a) of each basis map's degree pieces
-    entries = [{s: [(r, c, a) for r, row in enumerate(mat)
-                    for c, a in enumerate(row) if not F.is_zero(a)]
-                for s, mat in f._pieces(tp, tp).items()} for f in homs]
+    positions, owner = hom_positions(top, top), _owners(top)
+    # {s: the entry (r, c) of each basis map in T_s, or None}
+    entries = {}
+    for s, own in owner.items():
+        coord = {t: c for c, t in enumerate(own)}
+        entries[s] = [(coord[u], coord[t]) if u in coord and t in coord else None
+                      for u, t in positions]
     degs = [s for _, s in top.summands]
-    units = [(k, u, t) for k, f in enumerate(homs)
-             for u, row in enumerate(f.blocks) for t, c in enumerate(row)
-             if not F.is_zero(c) and degs[u] == degs[t]]
-    g, cells = len(degs), [(u, t) for _, u, t in units]
-    shifts, dims = _shifts(top), {s: len(idx) for s, idx in tp.items()}
+    units = [k for k, (u, t) in enumerate(positions) if degs[u] == degs[t]]
+    g, cells = len(degs), [positions[k] for k in units]
+    shifts = _shifts(top)
     blocks, decided, annihilators = {}, {}, {}
 
     def block(i):
@@ -493,26 +497,19 @@ def _local_stabilizer(field, top: RModule, spaces):
             for s, gens in _generators(F, shifts, space).items():
                 key = s, space[s]
                 if key not in annihilators:
-                    annihilators[key] = linalg.nullspace(F, space[s], cols=dims[s])
+                    annihilators[key] = linalg.nullspace(F, space[s], cols=len(owner[s]))
                 annihilator = annihilators[key]
                 for v in gens:
-                    images = [[(r, F.mul(a, v[c])) for r, c, a in ent[s]
-                               if not F.is_zero(v[c])] for ent in entries]
                     for q in annihilator:
-                        row = []
-                        for image in images:
-                            acc = F.zero
-                            for r, b in image:
-                                acc = F.add(acc, F.mul(q[r], b))
-                            row.append(acc)
-                        ech.add(row)
+                        ech.add([F.zero if rc is None else F.mul(q[rc[0]], v[rc[1]])
+                                 for rc in entries[s]])
             blocks[i] = ech.rows
         return blocks[i]
 
     def keep(flag):
         rows = [row for i in dict.fromkeys(flag) for row in block(i)]
-        key = tuple(tuple(c[k] for k, _, _ in units)
-                    for c in linalg.nullspace(F, rows, cols=len(homs)))
+        key = tuple(tuple(c[k] for k in units)
+                    for c in linalg.nullspace(F, rows, cols=len(positions)))
         if key not in decided:
             decided[key] = is_local(F, [linalg.scatter(F, g, g, cells, c)
                                         for c in key])

@@ -339,11 +339,12 @@ def chain_walks(u: MonoChain):
 
 def _killing(top: RModule, alpha, s: int):
     """The maps h: top -> R(-s), as coefficient rows in the elementary basis
-    (`modules.hom_positions`), with h o alpha = 0 (any h if alpha is None):
-    one equation per generator c of alpha's source whose image monomial
-    survives in R(-s), 0 <= s_c - s < d."""
+    (`modules.hom_positions`, whose positions into R(-s) are the summands
+    (e_t, s_t) with 0 <= s_t - s < d <= s_t - s + e_t), with h o alpha = 0
+    (any h if alpha is None): one equation per generator c of alpha's
+    source whose image monomial survives in R(-s), 0 <= s_c - s < d."""
     F, d = top.cfg.field, top.cfg.d
-    free = [t for _, t in hom_positions(top, RModule.free(top.cfg, [s]))]
+    free = [t for t, (e, st) in enumerate(top.summands) if 0 <= st - s < d <= st - s + e]
     rows = [] if alpha is None else [
         [alpha.blocks[t][c] for t in free]
         for c, (_, sc) in enumerate(alpha.src.summands) if 0 <= sc - s < d]

@@ -195,9 +195,11 @@ def _cmd_reconstruct(args):
 def _cmd_rotate(args):
     cfg = _config(args)
     x = _load_fac(cfg, args.infile)
-    # Theta^{l+1} = tau: each full cycle only moves the twist by one
+    # Theta^{l+1} = tau: each full cycle only moves the twist by one, from
+    # any phase, so the output's phase composes with a further rotate
     q, r = divmod(abs(args.steps), x.l + 1)
-    x = Factorization(x.cfg, x.maps, x.closing, x.twist + (q if args.steps > 0 else -q))
+    x = Factorization(x.cfg, x.maps, x.closing, x.twist + (q if args.steps > 0 else -q),
+                      x.rot_phase)
     for _ in range(r):
         x = rotate(x, inverse=args.steps < 0)
     _emit(_dumps(x.to_json()), args.out)

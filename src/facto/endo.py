@@ -304,7 +304,8 @@ def search_iso(field: Field, mats) -> bool:
 
     if any(_is_iso(field, m) for m in mats):
         return True
-    # deterministic small-prime weights (exact over Q, usually enough mod p)
+    # small deterministic weights: one evaluation point, never exact (over Q
+    # diag(1,0), diag(-1/2,0), diag(0,1) meet them in the singular diag(0,3))
     if iso(_PRIMES[:len(mats)] + [1] * max(0, len(mats) - len(_PRIMES))):
         return True
     rng = random.Random(0)

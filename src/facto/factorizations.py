@@ -111,7 +111,8 @@ class Factorization:
         )
 
     def to_json(self):
-        return {
+        """The JSON form; "rot_phase" is written only when it is nonzero."""
+        out = {
             "d": self.cfg.d,
             "l": self.l,
             "m": self.m,
@@ -119,6 +120,9 @@ class Factorization:
             "degs": self.all_degs(),
             "maps": [a.to_json() for a in self.maps],
         }
+        if self.rot_phase:
+            out["rot_phase"] = self.rot_phase
+        return out
 
     @classmethod
     def from_json(cls, cfg: HypersurfaceConfig, data):
@@ -128,6 +132,10 @@ class Factorization:
         out = fac_validate(maps, cfg, twist=data.get("twist", 0))
         if isinstance(out, Invalid):
             raise ValueError(f"invalid factorization: {out.reason}")
+        phase = data.get("rot_phase", 0)
+        if type(phase) is not int or not 0 <= phase <= out.l:
+            raise ValueError(f"rot_phase {phase!r} is not an integer in [0, {out.l}]")
+        out.rot_phase = phase
         return out
 
 
@@ -200,7 +208,7 @@ class ZigzagViolation:
 
 def omega_map(field: Field, src_degs, d: int) -> GradedMatrix:
     """x^d * I as the map X -> tau X: the identity with degrees dropped by d."""
-    return GradedMatrix.from_coeffs(
+    return GradedMatrix(
         field, linalg.identity(field, len(src_degs)), src_degs, [s - d for s in src_degs]
     )
 
@@ -230,7 +238,7 @@ def _nu_sum(cfg: HypersurfaceConfig, l: int, parts) -> Factorization:
     F, d = cfg.field, cfg.d
     degs = [[s - d if j > k else s for k, a in parts for s in a] for j in range(l + 2)]
     one = linalg.identity(F, len(degs[0]))
-    maps = [GradedMatrix.from_coeffs(F, one, degs[j], degs[j + 1]) for j in range(l + 1)]
+    maps = [GradedMatrix(F, one, degs[j], degs[j + 1]) for j in range(l + 1)]
     return Factorization(cfg, maps[:l], maps[l])
 
 
@@ -397,7 +405,7 @@ def fac_hom_basis(x: Factorization, y: Factorization):
     walks = fac_walks(x), fac_walks(y)
     (into, _), (_, frm) = walks
     F = x.cfg.field
-    return [FacMap(x, y, [GradedMatrix.from_coeffs(
+    return [FacMap(x, y, [GradedMatrix(
         F, linalg.mat_mul(F, linalg.mat_mul(F, frm[k], top), into[k]), x.degs(k), y.degs(k))
         for k in range(x.l + 1)], check=False) for top in _top_basis(x, y, walks)]
 
@@ -540,21 +548,20 @@ def nu_resolution(x: Factorization, side: str = "epic") -> NuResolution:
             coeffs = [[F.neg(fj[i - j * m][k]) for k in rest] if i in mine
                       else [F.one if k == i else F.zero for k in rest]
                       for i in range(len(degs))]
-            comps.append(GradedMatrix.from_coeffs(F, coeffs, sub, degs))
+            comps.append(GradedMatrix(F, coeffs, sub, degs))
         else:
             coeffs = [[F.neg(fj[i][k - j * m]) if k in mine
                        else F.one if k == i else F.zero for k in range(len(degs))]
                       for i in rest]
-            comps.append(GradedMatrix.from_coeffs(F, coeffs, degs, sub))
+            comps.append(GradedMatrix(F, coeffs, degs, sub))
         rests.append(rest)
     if side == "epic":
-        ker = fac_build([GradedMatrix.from_coeffs(F, [g.coeffs[i] for i in rest],
-                                                  g.src_degs, h.src_degs)
+        ker = fac_build([GradedMatrix(F, [g.coeffs[i] for i in rest], g.src_degs, h.src_degs)
                          for g, h, rest in zip(comps, comps[1:], rests[1:])],
                         x.cfg, "kernel")
         return NuResolution(middle, f, ker, FacMap(ker, middle, comps, check=False))
-    cok = fac_build([GradedMatrix.from_coeffs(F, [[row[i] for i in rest] for row in h.coeffs],
-                                              g.tgt_degs, h.tgt_degs)
+    cok = fac_build([GradedMatrix(F, [[row[i] for i in rest] for row in h.coeffs],
+                                  g.tgt_degs, h.tgt_degs)
                      for g, h, rest in zip(comps, comps[1:], rests)],
                     x.cfg, "cokernel")
     return NuResolution(middle, f, cok, FacMap(middle, cok, comps, check=False))

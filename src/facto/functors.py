@@ -166,7 +166,7 @@ def span_preimage_inclusion(cfg, incl: ModuleMap):
         columns.append(linalg.unit_vector(F, len(degs_l), j))
         degrees.append(s + cfg.d)
     coeffs, kept_degs = _minimal_generators(F, columns, degrees, len(degs_l))
-    return GradedMatrix.from_coeffs(F, coeffs, kept_degs, degs_l)
+    return GradedMatrix(F, coeffs, kept_degs, degs_l)
 
 
 def flag_factorization(cfg, incls) -> Factorization:

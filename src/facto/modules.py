@@ -432,7 +432,7 @@ def _relations(g: ModuleMap) -> GradedMatrix:
     images at their source degrees s_t, then x^(e_u) gen_u at degree
     s_u + e_u for each target summand u."""
     F, tgt = g.src.cfg.field, g.tgt.summands
-    return GradedMatrix.from_coeffs(
+    return GradedMatrix(
         F, [list(row) + unit for row, unit in zip(g.blocks, linalg.identity(F, len(tgt)))],
         [s for _, s in g.src.summands] + [s + e for e, s in tgt], [s for _, s in tgt])
 

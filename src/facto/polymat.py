@@ -4,17 +4,18 @@ A `GradedMatrix` is a degree-0 map of graded free modules.  Entry (j, i)
 is a scalar multiple of x^(src_degs[i] - tgt_degs[j]), so the map is a
 scalar k-matrix plus the two degree vectors, and composition, injectivity
 and division by an injective square map (`GradedMatrix.solve`) are k-linear
-algebra on the scalars.
+algebra on the scalars.  Its one constructor takes exactly that,
+`GradedMatrix(field, coeffs, src_degs, tgt_degs)`, unchecked; `from_json`
+checks input from outside, and `.mat` is the polynomial view.
 
 `PolyMatrix` is a dense matrix of `Polynomial` entries, for input that is
 not graded.  Its toolkit (`snf`, `solve_right`, `kernel_basis`,
 `rank_over_fractions`, Bareiss `det`) works over k[x] and serves the tests
-as the reference for the graded path.
+as the reference for the graded path; they convert a homogeneous
+PolyMatrix to a GradedMatrix in `tests/reference.py` (`from_poly`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import linalg
 from .fields import Field, FieldError
@@ -376,15 +377,6 @@ def a_cols(a: PolyMatrix, idx) -> PolyMatrix:
 # graded matrices --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    position: tuple[int, int]
-    expected_degree: int
-
-    def __bool__(self):
-        return False
-
-
 class GradedMatrix:
     """Degree-0 map of graded free modules: src ⊕S(-a_i) -> tgt ⊕S(-b_j).
 
@@ -402,38 +394,14 @@ class GradedMatrix:
 
     __slots__ = ("field", "coeffs", "src_degs", "tgt_degs")
 
-    def __init__(self, mat: PolyMatrix, src_degs, tgt_degs):
-        """Convert a homogeneous polynomial matrix.
-
-        Raises ValueError on an entry that is not a monomial of degree
-        a_i - b_j.
-        """
-        if len(src_degs) != mat.cols or len(tgt_degs) != mat.rows:
-            raise ValueError("degree vector length mismatch")
-        bad = graded_check(mat, src_degs, tgt_degs)
-        if bad is not True:
-            raise ValueError(
-                f"entry {bad.position} not homogeneous of degree {bad.expected_degree}"
-            )
-        coeffs = [
-            [p.coeff(a - b) for a, p in zip(src_degs, row)]
-            for b, row in zip(tgt_degs, mat.entries)
-        ]
-        self._set(mat.field, coeffs, src_degs, tgt_degs)
-
-    def _set(self, field, coeffs, src_degs, tgt_degs):
+    def __init__(self, field: Field, coeffs, src_degs, tgt_degs):
+        """The map with scalar matrix `coeffs`, unchecked: the caller
+        guarantees that coeffs[j][i] is 0 wherever src_degs[i] <
+        tgt_degs[j] (`from_json` checks input from outside)."""
         self.field = field
         self.coeffs = tuple(map(tuple, coeffs))
         self.src_degs = tuple(src_degs)
         self.tgt_degs = tuple(tgt_degs)
-
-    @classmethod
-    def from_coeffs(cls, field: Field, coeffs, src_degs, tgt_degs) -> "GradedMatrix":
-        """The map with scalar matrix `coeffs`; the caller guarantees that
-        coeffs[j][i] is 0 wherever src_degs[i] < tgt_degs[j]."""
-        g = object.__new__(cls)
-        g._set(field, coeffs, src_degs, tgt_degs)
-        return g
 
     @property
     def mat(self) -> PolyMatrix:
@@ -446,13 +414,11 @@ class GradedMatrix:
 
     @classmethod
     def identity(cls, field: Field, degs) -> "GradedMatrix":
-        return cls.from_coeffs(field, linalg.identity(field, len(degs)), degs, degs)
+        return cls(field, linalg.identity(field, len(degs)), degs, degs)
 
     @classmethod
     def zero(cls, field: Field, src_degs, tgt_degs) -> "GradedMatrix":
-        return cls.from_coeffs(
-            field, linalg.zeros(field, len(tgt_degs), len(src_degs)), src_degs, tgt_degs
-        )
+        return cls(field, linalg.zeros(field, len(tgt_degs), len(src_degs)), src_degs, tgt_degs)
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         if other.tgt_degs != self.src_degs:
@@ -465,7 +431,7 @@ class GradedMatrix:
             coeffs = linalg.mat_mul(F, self.coeffs, other.coeffs)
         else:
             coeffs = linalg.zeros(F, len(self.tgt_degs), len(other.src_degs))
-        return GradedMatrix.from_coeffs(F, coeffs, other.src_degs, self.tgt_degs)
+        return GradedMatrix(F, coeffs, other.src_degs, self.tgt_degs)
 
     def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
         if self.src_degs != other.src_degs or self.tgt_degs != other.tgt_degs:
@@ -474,12 +440,12 @@ class GradedMatrix:
         F.check(other.field)
         coeffs = [[F.add(a, b) for a, b in zip(r1, r2)]
                   for r1, r2 in zip(self.coeffs, other.coeffs)]
-        return GradedMatrix.from_coeffs(F, coeffs, self.src_degs, self.tgt_degs)
+        return GradedMatrix(F, coeffs, self.src_degs, self.tgt_degs)
 
     def scale(self, c) -> "GradedMatrix":
         F = self.field
         coeffs = [[F.mul(c, a) for a in row] for row in self.coeffs]
-        return GradedMatrix.from_coeffs(F, coeffs, self.src_degs, self.tgt_degs)
+        return GradedMatrix(F, coeffs, self.src_degs, self.tgt_degs)
 
     def __neg__(self) -> "GradedMatrix":
         return self.scale(self.field.neg(self.field.one))
@@ -489,30 +455,22 @@ class GradedMatrix:
 
     def shift(self, t: int) -> "GradedMatrix":
         """Apply the grade shift functor: same entries, degrees bumped by t."""
-        return GradedMatrix.from_coeffs(
-            self.field,
-            self.coeffs,
-            [a + t for a in self.src_degs],
-            [b + t for b in self.tgt_degs],
-        )
+        return GradedMatrix(self.field, self.coeffs, [a + t for a in self.src_degs],
+                            [b + t for b in self.tgt_degs])
 
     def hstack(self, other: "GradedMatrix") -> "GradedMatrix":
         """[self | other]: the map from the sum of both sources."""
         if self.tgt_degs != other.tgt_degs:
             raise ValueError("target degree mismatch in hstack")
         coeffs = [r1 + r2 for r1, r2 in zip(self.coeffs, other.coeffs)]
-        return GradedMatrix.from_coeffs(
-            self.field, coeffs, self.src_degs + other.src_degs, self.tgt_degs
-        )
+        return GradedMatrix(self.field, coeffs, self.src_degs + other.src_degs, self.tgt_degs)
 
     def vstack(self, other: "GradedMatrix") -> "GradedMatrix":
         """[self ; other]: the map into the sum of both targets."""
         if self.src_degs != other.src_degs:
             raise ValueError("source degree mismatch in vstack")
-        return GradedMatrix.from_coeffs(
-            self.field, self.coeffs + other.coeffs, self.src_degs,
-            self.tgt_degs + other.tgt_degs,
-        )
+        return GradedMatrix(self.field, self.coeffs + other.coeffs, self.src_degs,
+                            self.tgt_degs + other.tgt_degs)
 
     def direct_sum(self, other: "GradedMatrix") -> "GradedMatrix":
         F = self.field
@@ -544,7 +502,7 @@ class GradedMatrix:
             for s, c in zip(b.src_degs, row):
                 if s < a and not F.is_zero(c):
                     raise NoSolution("the dividend does not factor through the divisor")
-        return GradedMatrix.from_coeffs(F, x, b.src_degs, self.src_degs)
+        return GradedMatrix(F, x, b.src_degs, self.src_degs)
 
     def is_iso(self) -> bool:
         """Invertible over S: det C != 0 and equal degree multisets."""
@@ -582,12 +540,12 @@ class GradedMatrix:
 
     @classmethod
     def from_json(cls, field: Field, data) -> "GradedMatrix":
-        """Read the JSON form, rejecting what `PolyMatrix.from_json` and
-        the checked constructor reject: a non-array entry (FieldError), a
-        ragged or misdeclared shape, degree vectors of the wrong length, an
-        entry that is not a monomial of degree a_i - b_j (ValueError); and
-        a degree that is not an integer (TypeError).  A map with no rows
-        takes its width from "cols", or else from "src_degs"."""
+        """Read the JSON form, the check on input from outside: a
+        non-array entry (FieldError), a ragged or misdeclared shape, degree
+        vectors of the wrong length, an entry that is not a monomial of
+        degree a_i - b_j (ValueError), and a degree that is not an integer
+        (TypeError) are rejected.  A map with no rows takes its width from
+        "cols", or else from "src_degs"."""
         expect_json(data, dict, "graded matrix")
         parse, zero = field.parse, field.zero
         rows = []
@@ -624,24 +582,4 @@ class GradedMatrix:
             coeffs.append(out)
         if any(type(a) is not int for degs in (src_degs, tgt_degs) for a in degs):
             raise TypeError("graded matrix degrees must be integers")
-        return cls.from_coeffs(field, coeffs, src_degs, tgt_degs)
-
-
-def graded_check(mat, src_degs=None, tgt_degs=None):
-    """True, or a Violation at the first entry of `mat` that is not a
-    monomial of degree src_degs[i] - tgt_degs[j].
-
-    `mat` is a PolyMatrix with its degree vectors, or a GradedMatrix, whose
-    `.mat` is checked against its own vectors.
-    """
-    if isinstance(mat, GradedMatrix):
-        mat, src_degs, tgt_degs = mat.mat, mat.src_degs, mat.tgt_degs
-    for j, b in enumerate(tgt_degs):
-        for i, a in enumerate(src_degs):
-            p = mat.entries[j][i]
-            want = a - b
-            if p.is_zero():
-                continue
-            if want < 0 or p.degree != want or not p.is_monomial():
-                return Violation(position=(j, i), expected_degree=want)
-    return True
+        return cls(field, coeffs, src_degs, tgt_degs)

@@ -34,7 +34,7 @@ def random_unimodular(field, degs, rng: random.Random) -> GradedMatrix:
             e = degs[c] - degs[r]
             if r != c and e > 0 and rng.random() < 0.5:
                 entries[r][c] = field.from_int(rng.randrange(-2, 3))
-    return GradedMatrix.from_coeffs(field, entries, degs, degs)
+    return GradedMatrix(field, entries, degs, degs)
 
 
 def rank1_factorization(cfg, powers, deg0: int = 0) -> Factorization:
@@ -138,7 +138,7 @@ def random_split_ses(cfg: HypersurfaceConfig, l: int, rng: random.Random,
                     if e >= 0 and rng.random() < 0.4:
                         entries[r][c] = F.from_int(rng.randrange(-2, 3))
             h_list.append(
-                GradedMatrix.from_coeffs(F, entries, z.degs(k), x.degs(k + 1))
+                GradedMatrix(F, entries, z.degs(k), x.degs(k + 1))
             )
         cand = build(h_list)
         if isinstance(cand, Factorization):

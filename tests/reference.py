@@ -27,12 +27,16 @@ of an image under a cover, degree by degree through the annihilator of the
 image's pieces (`_image`): the oracle for `modules.preimage`, the kernel
 of a cokernel's projection.  `graded_solve` is the earlier division by a
 graded map, one elimination per source degree of the right-hand side and
-for maps of any shape: the oracle for `GradedMatrix.solve`.  The rest are
-helpers that only tests use.
+for maps of any shape: the oracle for `GradedMatrix.solve`.  `from_poly`
+is the bridge from the k[x] toolkit to the graded path: it converts a
+homogeneous `PolyMatrix`, rejecting other entries as `graded_check` finds
+them.  The rest are helpers that only tests use.
 pytest does not collect this module; tests import it by name.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from facto import census, linalg
 from facto.census import (
@@ -366,7 +370,7 @@ def _preimage_by_jordan_tops(c, degs_l, kvecs):
         columns.append(linalg.unit_vector(F, m, j))
         degrees.append(degs_l[j] + d)
     coeffs, kept_degs = _minimal_generators(F, columns, degrees, m)
-    return GradedMatrix.from_coeffs(F, coeffs, kept_degs, degs_l)
+    return GradedMatrix(F, coeffs, kept_degs, degs_l)
 
 
 def jordan_by_kernels(field, d, dims, shifts):
@@ -548,7 +552,7 @@ def presentation_cokernel_by_quotient(a: GradedMatrix,
     """
     F = cfg.field
     # x^d * I on the target, as the map from the target shifted up by d
-    omega = GradedMatrix.from_coeffs(
+    omega = GradedMatrix(
         F, linalg.identity(F, len(a.tgt_degs)), [t + cfg.d for t in a.tgt_degs],
         a.tgt_degs,
     )
@@ -627,7 +631,7 @@ def graded_solve(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
         for row, p in zip(red, pivots):
             for q, c in enumerate(cols):
                 out[reach[p]][c] = row[len(reach) + q]
-    return GradedMatrix.from_coeffs(F, out, b.src_degs, a.src_degs)
+    return GradedMatrix(F, out, b.src_degs, a.src_degs)
 
 
 def try_solve_right(a: PolyMatrix, b: PolyMatrix):
@@ -637,14 +641,59 @@ def try_solve_right(a: PolyMatrix, b: PolyMatrix):
         return None
 
 
+@dataclass(frozen=True)
+class Violation:
+    position: tuple[int, int]
+    expected_degree: int
+
+    def __bool__(self):
+        return False
+
+
+def graded_check(mat, src_degs=None, tgt_degs=None):
+    """True, or a Violation at the first entry of `mat` that is not a
+    monomial of degree src_degs[i] - tgt_degs[j].
+
+    `mat` is a PolyMatrix with its degree vectors, or a GradedMatrix, whose
+    `.mat` is checked against its own vectors.
+    """
+    if isinstance(mat, GradedMatrix):
+        mat, src_degs, tgt_degs = mat.mat, mat.src_degs, mat.tgt_degs
+    for j, b in enumerate(tgt_degs):
+        for i, a in enumerate(src_degs):
+            p = mat.entries[j][i]
+            want = a - b
+            if p.is_zero():
+                continue
+            if want < 0 or p.degree != want or not p.is_monomial():
+                return Violation(position=(j, i), expected_degree=want)
+    return True
+
+
+def from_poly(mat: PolyMatrix, src_degs, tgt_degs) -> GradedMatrix:
+    """The graded map of a homogeneous polynomial matrix: the bridge from
+    the k[x] toolkit to the graded path.  Raises ValueError on degree
+    vectors of the wrong length, or on an entry that is not a monomial of
+    degree a_i - b_j."""
+    if len(src_degs) != mat.cols or len(tgt_degs) != mat.rows:
+        raise ValueError("degree vector length mismatch")
+    bad = graded_check(mat, src_degs, tgt_degs)
+    if bad is not True:
+        raise ValueError(
+            f"entry {bad.position} not homogeneous of degree {bad.expected_degree}"
+        )
+    coeffs = [
+        [p.coeff(a - b) for a, p in zip(src_degs, row)]
+        for b, row in zip(tgt_degs, mat.entries)
+    ]
+    return GradedMatrix(mat.field, coeffs, src_degs, tgt_degs)
+
+
 def homothety(field: Field, degs, power: int) -> GradedMatrix:
     """x^power * I as a map ⊕S(-a) -> ⊕S(-(a+power))... i.e. degs -> degs shifted."""
     mono = Polynomial.monomial(field, power)
-    return GradedMatrix(
-        PolyMatrix.scalar(field, len(degs), mono),
-        [a + power for a in degs],
-        degs,
-    )
+    return from_poly(PolyMatrix.scalar(field, len(degs), mono),
+                     [a + power for a in degs], degs)
 
 
 def from_ints(field: Field, ints) -> Polynomial:

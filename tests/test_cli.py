@@ -147,6 +147,21 @@ def test_non_integer_twist_is_an_input_error(command, twist, xx_file):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("phase", ["1", None, 1.5, True, -1, 2, [1]], ids=repr)
+@pytest.mark.parametrize("command", [["rotate", "--steps", "1"], ["cok"]],
+                         ids=lambda argv: argv[0])
+def test_malformed_rot_phase_is_an_input_error(command, phase, xx_file):
+    """A rotation phase is an integer in [0, l] (l = 1 here, so 2 is out
+    of range, and a bool is no integer), rejected when the file is read."""
+    data = json.loads(xx_file.read_text())
+    data["rot_phase"] = phase
+    xx_file.write_text(json.dumps(data))
+    code, out, err = _run(command + ["--field", "fp:5", "--d", "2",
+                                     "--in", str(xx_file)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "rot_phase" in err and err.count("\n") == 1
+
+
 def test_integer_twist_still_rotates(xx_file, capsys):
     data = json.loads(xx_file.read_text())
     data["twist"] = 3
@@ -674,6 +689,25 @@ def test_rotate_steps_equal_single_rotations(l, tmp_path):
         for _ in range(abs(steps)):
             y = rotate(y, inverse=steps < 0)
         assert _rotate_cli(path, steps) == y.to_json(), steps
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_chained_rotates_equal_one_rotate(l, tmp_path):
+    """--steps a, then --steps b on its output, gives the file that one
+    --steps a+b gives: the output keeps its rotation phase, written only
+    when it is nonzero, so the second call goes on with the first one's
+    cycle instead of starting a new one."""
+    c = HypersurfaceConfig(3, GF(5))
+    x = random_factorization(c, l, random.Random(l), m_max=2)
+    path, mid = tmp_path / "mf.json", tmp_path / "mid.json"
+    path.write_text(json.dumps(x.to_json()))
+    single = {n: _rotate_cli(path, n) for n in range(-8, 9)}
+    for n, data in single.items():
+        assert data.get("rot_phase", 0) == n % (l + 1) and data.get("rot_phase") != 0
+    for a in range(-4, 5):
+        mid.write_text(json.dumps(single[a]))
+        for b in range(-4, 5):
+            assert _rotate_cli(mid, b) == single[a + b], (a, b)
 
 
 @pytest.mark.parametrize("sign", [1, -1])

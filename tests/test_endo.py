@@ -37,7 +37,7 @@ from facto.factorizations import (
 )
 from facto.functors import cok
 from facto.fields import GF, QQ
-from facto.linalg import identity, rank as matrix_rank
+from facto.linalg import combination, identity, rank as matrix_rank
 from facto.modules import (
     HypersurfaceConfig,
     ModuleMap,
@@ -294,6 +294,22 @@ def test_search_iso_on_matrix_lists(field):
     first, second = blocks([[1, 0], [0, 0]], [[1]]), blocks([[0, 0], [0, 1]], [[0]])
     assert not any(matrix_rank(field, m) == 3 for m in (first, second))
     assert search_iso(field, [first, second])
+    # neither a basis matrix nor the weights 1, 2, 3 give an iso, as
+    # diag(1, 0) + 2 diag(-1/2, 0) + 3 diag(0, 1) = diag(0, 3) (over F_2 the
+    # weights are 1, 0, 1, and the 3 x 3 analogue sums to diag(1, 1, 0));
+    # only the random stage finds the sum of the first two, the identity
+    if field == GF(2):
+        mats = [mat(field, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+                mat(field, [[0, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                mat(field, [[0, 0, 0], [0, 1, 0], [0, 0, 0]])]
+    else:
+        half = field.neg(field.inv(field.from_int(2)))
+        mats = [mat(field, [[1, 0], [0, 0]]), [[half, field.zero], [field.zero, field.zero]],
+                mat(field, [[0, 0], [0, 1]])]
+    n = len(mats[0])
+    weighted = combination(field, [field.from_int(w) for w in (1, 2, 3)], mats, n, n)
+    assert all(matrix_rank(field, m) < n for m in mats + [weighted])
+    assert search_iso(field, mats)
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)

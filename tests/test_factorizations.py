@@ -35,7 +35,7 @@ from facto.modules import HypersurfaceConfig
 from facto.poly import Polynomial
 from facto.polymat import GradedMatrix, NoSolution, PolyMatrix
 from facto.randgen import random_factorization, random_unimodular
-from reference import _hom_slots, graded_solve
+from reference import _hom_slots, from_poly, graded_solve
 
 
 def cfg(d, field=QQ):
@@ -44,7 +44,7 @@ def cfg(d, field=QQ):
 
 def mono_mat(field, power, degs_src):
     """x^power * I as a GradedMatrix on the given source degrees."""
-    return GradedMatrix(
+    return from_poly(
         PolyMatrix.scalar(field, len(degs_src), Polynomial.monomial(field, power)),
         degs_src,
         [s - power for s in degs_src],
@@ -93,7 +93,7 @@ def test_validate_lower_triangular():
         [Polynomial.x(F), Polynomial.zero(F)],
         [Polynomial.one(F), Polynomial.x(F)],
     ])
-    a = GradedMatrix(mat, [1, 2], [0, 1])
+    a = from_poly(mat, [1, 2], [0, 1])
     x = fac_validate([a], c)
     assert isinstance(x, Factorization)
     prod = x.maps[0].mat @ x.closing.mat
@@ -109,7 +109,7 @@ def test_validate_non_monic():
         [Polynomial.x(F), Polynomial.x(F)],
         [Polynomial.x(F), Polynomial.x(F)],
     ])
-    a = GradedMatrix(mat, [0, 0], [-1, -1])
+    a = from_poly(mat, [0, 0], [-1, -1])
     out = fac_validate([a], c)
     assert isinstance(out, Invalid) and "NonMonic" in out.reason
 
@@ -218,7 +218,7 @@ def test_hom_contains_identity():
 def test_hom_to_zero():
     c = cfg(2)
     x = xx(c)
-    maps = [GradedMatrix(PolyMatrix(QQ, []), [], [])]
+    maps = [from_poly(PolyMatrix(QQ, []), [], [])]
     z = fac_validate(maps, c)
     assert isinstance(z, Factorization)
     assert fac_hom_basis(x, z) == []
@@ -288,7 +288,7 @@ def test_adjunction_naturality():
         h = GradedMatrix.identity(c.field, x.degs(k))
         g = adjunction_transport("nu_k_right", x, h, k=k, forward=False)
         # naturality in B: postcomposing with 2*id on B
-        two = GradedMatrix(
+        two = from_poly(
             PolyMatrix.scalar(c.field, x.m, Polynomial(c.field, [c.field.from_int(2)])),
             x.degs(k), x.degs(k),
         )
@@ -486,9 +486,9 @@ def _resolution_by_solving(x, side):
         if rows:
             coeffs = [[F.one if c == i else F.zero for c in range(len(degs))]
                       for i in idx]
-            return GradedMatrix.from_coeffs(F, coeffs, degs, sub)
+            return GradedMatrix(F, coeffs, degs, sub)
         coeffs = [[F.one if r == i else F.zero for i in idx] for r in range(len(degs))]
-        return GradedMatrix.from_coeffs(F, coeffs, sub, degs)
+        return GradedMatrix(F, coeffs, sub, degs)
 
     def slot(j):
         return range(j * m, (j + 1) * m)
@@ -549,7 +549,7 @@ def _fac_hom_basis_by_slots(x, y):
         mats = [zeros(F, len(y.degs(j)), len(x.degs(j))) for j in range(x.l + 1)]
         for (j, r, c), val in zip(slots, vec):
             mats[j][r][c] = val
-        out.append(FacMap(x, y, [GradedMatrix.from_coeffs(F, mats[j], x.degs(j), y.degs(j))
+        out.append(FacMap(x, y, [GradedMatrix(F, mats[j], x.degs(j), y.degs(j))
                                  for j in range(x.l + 1)]))
     return out
 
@@ -726,8 +726,8 @@ def _slots_by_matrices(middle, m, j):
         sub = [degs[i] for i in idx]
         incl = [[F.one if r == i else F.zero for i in idx] for r in range(len(degs))]
         proj = [[F.one if c == i else F.zero for c in range(len(degs))] for i in idx]
-        out += (GradedMatrix.from_coeffs(F, incl, sub, degs),
-                GradedMatrix.from_coeffs(F, proj, degs, sub))
+        out += (GradedMatrix(F, incl, sub, degs),
+                GradedMatrix(F, proj, degs, sub))
     return out
 
 

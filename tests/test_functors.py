@@ -448,7 +448,7 @@ def test_flag_factorization_rejects_a_member_outside_the_next():
 
     F = GF(5)
     c = cfg(2, F)
-    s, xs = (GradedMatrix.from_coeffs(F, [[F.one]], [t], [0]) for t in (0, 1))
+    s, xs = (GradedMatrix(F, [[F.one]], [t], [0]) for t in (0, 1))
     with pytest.raises(FactorizationError, match="does not lie in the next"):
         flag_factorization(c, [s, xs])
     assert flag_factorization(c, [xs, s]).degs(0) == (1,)

@@ -27,7 +27,7 @@ from facto.polymat import (
     solve_right,
 )
 from facto.randgen import random_factorization
-from reference import graded_solve
+from reference import from_poly, graded_solve
 
 FIELDS = [GF(5), QQ]
 PAIRS = [(2, 2), (3, 2), (3, 3)]
@@ -41,7 +41,7 @@ def random_graded(field, rng, src_degs, tgt_degs, density=0.6):
          for a in src_degs]
         for b in tgt_degs
     ]
-    return GradedMatrix.from_coeffs(field, coeffs, src_degs, tgt_degs)
+    return GradedMatrix(field, coeffs, src_degs, tgt_degs)
 
 
 def random_degs(rng, n):
@@ -154,12 +154,12 @@ def test_solve_refuses_what_has_no_unique_graded_solution():
     the map: x * I divides no identity."""
     F = GF(5)
     one, zero = F.one, F.zero
-    singular = GradedMatrix.from_coeffs(F, [[one, one], [one, one]], [0, 0], [0, 0])
-    tall = GradedMatrix.from_coeffs(F, [[one], [zero]], [0], [0, 0])
-    x_id = GradedMatrix.from_coeffs(F, [[one]], [1], [0])
+    singular = GradedMatrix(F, [[one, one], [one, one]], [0, 0], [0, 0])
+    tall = GradedMatrix(F, [[one], [zero]], [0], [0, 0])
+    x_id = GradedMatrix(F, [[one]], [1], [0])
     cases = [(singular, GradedMatrix.identity(F, [0, 0])),
              (singular, GradedMatrix.zero(F, [0], [0, 0])),
-             (tall, GradedMatrix.from_coeffs(F, [[one], [zero]], [0], [0, 0])),
+             (tall, GradedMatrix(F, [[one], [zero]], [0], [0, 0])),
              (GradedMatrix.identity(F, [0]), GradedMatrix.identity(F, [1])),
              (x_id, GradedMatrix.identity(F, [0]))]
     for a, b in cases:
@@ -219,8 +219,7 @@ def _old_to_json(g):
 
 
 def _old_from_json(field, data):
-    return GradedMatrix(PolyMatrix.from_json(field, data),
-                        data["src_degs"], data["tgt_degs"])
+    return from_poly(PolyMatrix.from_json(field, data), data["src_degs"], data["tgt_degs"])
 
 
 @pytest.mark.parametrize("field", JSON_FIELDS, ids=repr)
@@ -238,7 +237,7 @@ def test_json_agrees_with_the_polynomial_matrix(field):
         tgt = [rng.randrange(-3, 4) for _ in range(rows)]
         coeffs = [[_scalar(field, rng) if a >= b and rng.random() < 0.7
                    else field.zero for a in src] for b in tgt]
-        g = GradedMatrix.from_coeffs(field, coeffs, src, tgt)
+        g = GradedMatrix(field, coeffs, src, tgt)
         data = g.to_json()
         oracle = rows or not cols
         if oracle:

@@ -30,6 +30,7 @@ from reference import (
     bar_p_epic,
     factor_through,
     from_ints,
+    from_poly,
     from_realization,
     graded_solve,
     homogeneous_components,
@@ -57,7 +58,7 @@ def cfg(d, field=QQ):
 
 def graded(field, entries, src_degs, tgt_degs):
     rows = [[from_ints(field, e) if isinstance(e, list) else e for e in row] for row in entries]
-    return GradedMatrix(PolyMatrix(field, rows), src_degs, tgt_degs)
+    return from_poly(PolyMatrix(field, rows), src_degs, tgt_degs)
 
 
 def x_power(field, k):
@@ -123,7 +124,7 @@ def test_presentation_change_of_basis_invariance():
     a = graded(F, [[[0, 1], [0, 2]], [[], [0, 1]]], [1, 1], [0, 0])
     m1 = module_from_presentation(a, c)
     u = graded(F, [[[1], [2]], [[], [1]]], [0, 0], [0, 0])
-    b = GradedMatrix(u.mat @ a.mat, a.src_degs, a.tgt_degs)
+    b = from_poly(u.mat @ a.mat, a.src_degs, a.tgt_degs)
     m2 = module_from_presentation(b, c)
     assert module_iso(m1, m2)
 
@@ -462,8 +463,8 @@ def _presentation_cokernel_by_closing(a, c):
     from facto.polymat import NoSolution
 
     F, d = c.field, c.d
-    omega = GradedMatrix.from_coeffs(F, identity(F, len(a.tgt_degs)),
-                                     [t + d for t in a.tgt_degs], a.tgt_degs)
+    omega = GradedMatrix(F, identity(F, len(a.tgt_degs)),
+                         [t + d for t in a.tgt_degs], a.tgt_degs)
     try:
         graded_solve(a, omega)
     except NoSolution:
@@ -502,10 +503,10 @@ def _presentation_inputs(field):
             tgt = [rng.randrange(-2, 3) for _ in range(rng.randrange(1, 4))]
             coeffs = [[field.from_int(rng.randrange(0, 4)) if s >= t else field.zero
                        for s in src] for t in tgt]
-            a = GradedMatrix.from_coeffs(field, coeffs, src, tgt)
+            a = GradedMatrix(field, coeffs, src, tgt)
             # with x^d * I beside it, the cokernel is killed by x^d
-            omega = GradedMatrix.from_coeffs(field, identity(field, len(tgt)),
-                                             [t + d for t in tgt], tgt)
+            omega = GradedMatrix(field, identity(field, len(tgt)),
+                                 [t + d for t in tgt], tgt)
             inputs += [a, a.hstack(omega)]
         for l in (1, 2, 3):
             x = random_factorization(c, l, rng)
@@ -589,9 +590,8 @@ def test_summand_lengths_are_the_valuations_of_the_invariant_factors(field):
             tgt = [rng.randrange(-1, 3) for _ in range(n)]
             coeffs = [[field.from_int(rng.randrange(0, 4)) if s >= t else field.zero
                        for s in src] for t in tgt]
-            omega = GradedMatrix.from_coeffs(field, identity(field, n),
-                                             [t + d for t in tgt], tgt)
-            inputs.append(GradedMatrix.from_coeffs(field, coeffs, src, tgt).hstack(omega))
+            omega = GradedMatrix(field, identity(field, n), [t + d for t in tgt], tgt)
+            inputs.append(GradedMatrix(field, coeffs, src, tgt).hstack(omega))
         for l in (1, 2, 3):
             x = random_factorization(c, l, rng)
             inputs += [prefix(x, k) for k in range(1, l + 1)]

@@ -8,14 +8,19 @@ from facto.polymat import (
     GradedMatrix,
     NoSolution,
     PolyMatrix,
-    Violation,
     diagonal,
-    graded_check,
     kernel_basis,
     snf,
     solve_right,
 )
-from reference import from_ints, homothety, try_solve_right
+from reference import (
+    Violation,
+    from_ints,
+    from_poly,
+    graded_check,
+    homothety,
+    try_solve_right,
+)
 
 F5 = GF(5)
 
@@ -181,8 +186,10 @@ def test_graded_identity_and_homothety():
 
 def test_graded_violation():
     m = M(QQ, [[(1, 1)]])  # 1 + x is not homogeneous
-    with pytest.raises(ValueError):
-        GradedMatrix(m, [1], [0])
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) not homogeneous of degree 1"):
+        from_poly(m, [1], [0])
+    with pytest.raises(ValueError, match="degree vector length mismatch"):
+        from_poly(m, [1, 1], [0])
     v = graded_check(m, [1], [0])
     assert isinstance(v, Violation)
     assert v.position == (0, 0)
@@ -191,19 +198,15 @@ def test_graded_violation():
 
 def test_graded_block_product():
     # [[x,0],[0,x^2]] * [[x^2,0],[0,x]] = x^3 I
-    a = GradedMatrix(
-        M(QQ, [[(0, 1), (0,)], [(0,), (0, 0, 1)]]), [3, 3], [2, 1]
-    )
-    b = GradedMatrix(
-        M(QQ, [[(0, 0, 1), (0,)], [(0,), (0, 1)]]), [5, 4], [3, 3]
-    )
+    a = from_poly(M(QQ, [[(0, 1), (0,)], [(0,), (0, 0, 1)]]), [3, 3], [2, 1])
+    b = from_poly(M(QQ, [[(0, 0, 1), (0,)], [(0,), (0, 1)]]), [5, 4], [3, 3])
     prod = a @ b
     assert prod.mat == PolyMatrix.scalar(QQ, 2, P(QQ, 0, 0, 0, 1))
     assert graded_check(prod) is True
 
 
 def test_graded_mul_identity():
-    a = GradedMatrix(M(QQ, [[(0, 0, 1)]]), [2], [0])
+    a = from_poly(M(QQ, [[(0, 0, 1)]]), [2], [0])
     i = GradedMatrix.identity(QQ, [2])
     assert (a @ i) == a
 
@@ -230,6 +233,6 @@ def test_det_random_matches_snf_rank():
 def test_matrix_json_round_trip():
     a = M(F5, [[(0, 1), (2,)], [(0,), (3, 0, 1)]])
     assert PolyMatrix.from_json(F5, a.to_json()) == a
-    g = GradedMatrix(M(QQ, [[(0, 0, 1)]]), [2], [0])
+    g = from_poly(M(QQ, [[(0, 0, 1)]]), [2], [0])
     g2 = GradedMatrix.from_json(QQ, g.to_json())
     assert g2 == g

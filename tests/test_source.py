@@ -59,6 +59,35 @@ def test_degree_pieces_are_read_in_modules_and_the_census_only():
     assert not found, found
 
 
+def test_map_pieces_are_built_and_read_in_modules_only():
+    # the census writes its stabilizer rows from the elementary positions
+    # (census._local_stabilizer), so only modules.py goes between a map's
+    # blocks and its degree pieces
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "modules.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in ("_pieces", "from_pieces")
+    ]
+    assert not found, found
+
+
+def test_graded_matrix_has_one_constructor():
+    # GradedMatrix(field, coeffs, src_degs, tgt_degs) builds every graded
+    # map: no alternative constructor, and no instance made around __init__
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("from_coeffs", "_set", "__new__")
+    ]
+    assert not found, found
+
+
 def test_only_the_census_takes_a_seed():
     # iso searches draw from one fixed stream; class_census accepts a seed
     # for the CLI's --seed and passes it nowhere
@@ -98,7 +127,7 @@ TEST_ONLY = {
     "presentation_cokernel_by_quotient", "factor_through", "cok_by_quotient",
     "quotient", "complement", "map_ker_cok_im_by_quotient", "scalars",
     "block_diagonal", "module_iso", "_image", "preimage_by_annihilator",
-    "graded_solve",
+    "graded_solve", "graded_check", "Violation", "from_poly",
 }
 
 
@@ -107,7 +136,7 @@ def test_test_only_code_is_not_in_the_library():
         f"{path.name}:{node.lineno}:{node.name}"
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and node.name in TEST_ONLY
     ]
     assert not found, found
