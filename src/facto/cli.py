@@ -17,15 +17,12 @@ import random
 import sys
 import tempfile
 
-from .census import Bounds, MatchFailure, class_census, hom_dim_compare
 from .chains import MonoChain, chain_iso_test, chain_stable_hom_dim
 from .endo import NonSplitEndomorphism
 from .factorizations import (
     Factorization,
     FactorizationError,
-    Invalid,
     fac_stable_hom_dim,
-    fac_validate,
     nu,
     nu_resolution,
     rotate,
@@ -35,7 +32,6 @@ from .factorizations import (
 from .fields import FieldError, field_from_spec
 from .functors import cok, cok_exactness_check, reconstruct
 from .modules import HypersurfaceConfig, RealizationError
-from .polymat import GradedMatrix
 
 
 # the largest (l+1)*m*d every command except census accepts (inputs in use: <= 36)
@@ -164,16 +160,8 @@ def _load_chain(cfg, path) -> MonoChain:
 
 def _cmd_validate(args):
     cfg = _config(args)
-    data = _load_json(args.infile)
-    try:
-        maps = [GradedMatrix.from_json(cfg.field, a) for a in data["maps"]]
-    except (ValueError, KeyError, TypeError) as e:
-        raise InputError(f"{args.infile}: {e}")
-    out = fac_validate(maps, cfg, twist=data.get("twist", 0))
-    if isinstance(out, Invalid):
-        raise InputError(f"invalid factorization: {out.reason}")
-    _check_size(cfg, out.l, out.m)
-    report = {"valid": True, "m": out.m, "closing": out.closing.to_json()}
+    x = _load_fac(cfg, args.infile)
+    report = {"valid": True, "m": x.m, "closing": x.closing.to_json()}
     _emit(_dumps(report), args.out)
     return 0
 
@@ -259,6 +247,8 @@ def _cmd_stable_hom(args):
 
 def _cmd_census(args):
     cfg = _config(args)
+    from .census import Bounds, MatchFailure, class_census
+
     if args.l is None:
         raise InputError("--l is required for census")
     try:
@@ -283,6 +273,7 @@ def _cmd_census(args):
 
 def _cmd_selftest(args):
     cfg = _config(args)
+    from .census import hom_dim_compare
     from .randgen import random_chain, random_factorization, random_split_ses
 
     rng = random.Random(args.seed)

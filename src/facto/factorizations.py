@@ -163,7 +163,8 @@ def _walk(x: Factorization, a: int, steps: int):
 
 def fac_validate(maps, cfg: HypersurfaceConfig, twist: int = 0):
     """Build a Factorization from A^0..A^{l-1}, or report why it fails.
-    The closing map A^l : X^l -> tau X^0 is x^d divided by the product."""
+    The closing map A^l : X^l -> tau X^0 is x^d divided by the product;
+    the factors are ranked only when that division fails."""
     F = cfg.field
     if type(twist) is not int:
         return Invalid(f"twist {twist!r} is not an integer")
@@ -175,17 +176,17 @@ def fac_validate(maps, cfg: HypersurfaceConfig, twist: int = 0):
     for k in range(len(maps) - 1):
         if maps[k].tgt_degs != maps[k + 1].src_degs:
             return Invalid(f"DegreeChainMismatch {k}")
-    for k, a in enumerate(maps):
-        if not a.is_injective():
-            return Invalid(f"NonMonic {k}")
     product = maps[0]
     for a in maps[1:]:
         product = a @ product
-    # tau lowers degree vectors by d; the product is square and injective
+    # tau lowers degree vectors by d.  The factors are square and the
+    # product's scalar matrix is theirs multiplied, so it is invertible iff
+    # each factor's is: the first factor of lower rank names the failure
     try:
         closing = product.shift(-cfg.d).solve(omega_map(F, maps[-1].tgt_degs, cfg.d))
     except NoSolution:
-        return Invalid("NoClosing")
+        k = next((k for k, a in enumerate(maps) if not a.is_injective()), None)
+        return Invalid("NoClosing" if k is None else f"NonMonic {k}")
     return Factorization(cfg, maps, closing, twist)
 
 

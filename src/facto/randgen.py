@@ -7,6 +7,8 @@ driven by an explicit `random.Random` instance for reproducibility.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
+from operator import sub
 
 from . import linalg
 from .chains import MonoChain
@@ -49,29 +51,27 @@ def rank1_factorization(cfg, powers, deg0: int = 0) -> Factorization:
 
 def random_factorization(cfg: HypersurfaceConfig, l: int, rng: random.Random,
                          m_max: int = 3, window: int = 2) -> Factorization:
-    """Direct sum of shifted rank-1 pieces, conjugated by unimodular changes
-    U_k, with U_k^-1 = U_k.solve(identity)."""
+    """A sum of m rank-1 factorizations x^{a_0}, ..., x^{a_{l-1}} (powers
+    summing to at most d, start degree in [0, window]), conjugated by
+    unimodular changes U_k, with U_k^-1 = U_k.solve(identity).  The sum's
+    maps are the identity scalars from degs[k] to degs[k+1], and only the
+    conjugated maps are validated."""
+    F = cfg.field
     m = rng.randrange(1, m_max + 1)
-    parts = []
+    parts = []  # per rank-1 part, its generator degrees at positions 0..l
     for _ in range(m):
-        left = cfg.d
         powers = []
         for _ in range(l):
-            a = rng.randrange(0, left + 1)
-            powers.append(a)
-            left -= a
-        parts.append(
-            rank1_factorization(cfg, powers, deg0=rng.randrange(0, window + 1))
-        )
-    x = parts[0]
-    for p in parts[1:]:
-        x = x.direct_sum(p)
+            powers.append(rng.randrange(0, cfg.d - sum(powers) + 1))
+        parts.append(list(accumulate(powers, sub, initial=rng.randrange(0, window + 1))))
+    degs = list(zip(*parts))
+    one = linalg.identity(F, m)
     # conjugate: A'^k = U_{k+1} A^k U_k^{-1} keeps validity and the iso class
-    us = [random_unimodular(cfg.field, list(x.degs(k)), rng) for k in range(l + 1)]
+    us = [random_unimodular(F, degs[k], rng) for k in range(l + 1)]
     maps = []
     for k in range(l):
-        u_inv = us[k].solve(GradedMatrix.identity(cfg.field, x.degs(k)))
-        maps.append(us[k + 1] @ x.maps[k] @ u_inv)
+        u_inv = us[k].solve(GradedMatrix.identity(F, degs[k]))
+        maps.append(us[k + 1] @ GradedMatrix(F, one, degs[k], degs[k + 1]) @ u_inv)
     return fac_build(maps, cfg, "conjugated factorization")
 
 

@@ -30,7 +30,12 @@ graded map, one elimination per source degree of the right-hand side and
 for maps of any shape: the oracle for `GradedMatrix.solve`.  `from_poly`
 is the bridge from the k[x] toolkit to the graded path: it converts a
 homogeneous `PolyMatrix`, rejecting other entries as `graded_check` finds
-them.  The rest are helpers that only tests use.
+them.  `fac_validate_ranking_first` is the earlier validation, which ranks
+every factor before it divides x^d by their product: the oracle for
+`fac_validate`'s reasons.  `random_factorization_by_parts` is the earlier
+random factorization, a direct sum of validated rank-1 factorizations
+conjugated as `randgen.random_factorization` does: the oracle for its
+draws.  The rest are helpers that only tests use.
 pytest does not collect this module; tests import it by name.
 """
 
@@ -49,7 +54,15 @@ from facto.census import (
     _top_modules,
 )
 from facto.chains import ChainMap, MonoChain
-from facto.factorizations import FacMap, Factorization, _walk, adjunction_transport
+from facto.factorizations import (
+    FacMap,
+    Factorization,
+    Invalid,
+    _walk,
+    adjunction_transport,
+    fac_build,
+    omega_map,
+)
 from facto.fields import Field
 from facto.functors import _minimal_generators
 from facto.modules import (
@@ -78,6 +91,7 @@ from facto.pieces import (
 )
 from facto.poly import Polynomial
 from facto.polymat import GradedMatrix, NoSolution, PolyMatrix, solve_right
+from facto.randgen import random_unimodular, rank1_factorization
 
 
 # -- ambient realizations ------------------------------------------------------
@@ -632,6 +646,61 @@ def graded_solve(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
             for q, c in enumerate(cols):
                 out[reach[p]][c] = row[len(reach) + q]
     return GradedMatrix(F, out, b.src_degs, a.src_degs)
+
+
+def fac_validate_ranking_first(maps, cfg: HypersurfaceConfig, twist: int = 0):
+    """`fac_validate` that ranks every factor before the division: NonMonic
+    k for the first factor of less than full rank, then NoClosing if x^d
+    does not factor through the product."""
+    F = cfg.field
+    if type(twist) is not int:
+        return Invalid(f"twist {twist!r} is not an integer")
+    if not maps:
+        return Invalid("need at least one map")
+    for k, a in enumerate(maps):
+        if len(a.src_degs) != len(a.tgt_degs):
+            return Invalid(f"NonSquare {k}")
+    for k in range(len(maps) - 1):
+        if maps[k].tgt_degs != maps[k + 1].src_degs:
+            return Invalid(f"DegreeChainMismatch {k}")
+    for k, a in enumerate(maps):
+        if not a.is_injective():
+            return Invalid(f"NonMonic {k}")
+    product = maps[0]
+    for a in maps[1:]:
+        product = a @ product
+    try:
+        closing = product.shift(-cfg.d).solve(omega_map(F, maps[-1].tgt_degs, cfg.d))
+    except NoSolution:
+        return Invalid("NoClosing")
+    return Factorization(cfg, maps, closing, twist)
+
+
+def random_factorization_by_parts(cfg: HypersurfaceConfig, l: int, rng,
+                                  m_max: int = 3, window: int = 2) -> Factorization:
+    """Direct sum of m validated rank-1 factorizations, conjugated by
+    unimodular changes U_k, with U_k^-1 = U_k.solve(identity)."""
+    m = rng.randrange(1, m_max + 1)
+    parts = []
+    for _ in range(m):
+        left = cfg.d
+        powers = []
+        for _ in range(l):
+            a = rng.randrange(0, left + 1)
+            powers.append(a)
+            left -= a
+        parts.append(
+            rank1_factorization(cfg, powers, deg0=rng.randrange(0, window + 1))
+        )
+    x = parts[0]
+    for p in parts[1:]:
+        x = x.direct_sum(p)
+    us = [random_unimodular(cfg.field, list(x.degs(k)), rng) for k in range(l + 1)]
+    maps = []
+    for k in range(l):
+        u_inv = us[k].solve(GradedMatrix.identity(cfg.field, x.degs(k)))
+        maps.append(us[k + 1] @ x.maps[k] @ u_inv)
+    return fac_build(maps, cfg, "conjugated factorization")
 
 
 def try_solve_right(a: PolyMatrix, b: PolyMatrix):

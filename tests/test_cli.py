@@ -148,7 +148,7 @@ def test_non_integer_twist_is_an_input_error(command, twist, xx_file):
 
 
 @pytest.mark.parametrize("phase", ["1", None, 1.5, True, -1, 2, [1]], ids=repr)
-@pytest.mark.parametrize("command", [["rotate", "--steps", "1"], ["cok"]],
+@pytest.mark.parametrize("command", [["rotate", "--steps", "1"], ["cok"], ["validate"]],
                          ids=lambda argv: argv[0])
 def test_malformed_rot_phase_is_an_input_error(command, phase, xx_file):
     """A rotation phase is an integer in [0, l] (l = 1 here, so 2 is out
@@ -160,6 +160,22 @@ def test_malformed_rot_phase_is_an_input_error(command, phase, xx_file):
                                      "--in", str(xx_file)])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "rot_phase" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["validate"], ["cok"], ["rotate", "--steps", "1"],
+                                     ["resolve", "--side", "epic"]],
+                         ids=lambda argv: argv[0])
+def test_mismatched_d_is_an_input_error(command, xx_file):
+    """A factorization file's "d" must be --d: every command that reads
+    one rejects the file with the same error line."""
+    data = json.loads(xx_file.read_text())
+    data["d"] = 3
+    xx_file.write_text(json.dumps(data))
+    args = ["--field", "fp:5", "--d", "2", "--in", str(xx_file)]
+    code, out, err = _run(command + args)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "d does not match" in err and err.count("\n") == 1
+    assert err == _run(["cok"] + args)[2]
 
 
 def test_integer_twist_still_rotates(xx_file, capsys):
@@ -639,7 +655,7 @@ def test_census_broken_module_invariant_exits_2(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RealizationError("span is not x-stable")
 
-    monkeypatch.setattr("facto.cli.class_census", broken)
+    monkeypatch.setattr("facto.census.class_census", broken)
     assert main(["census", "--field", "fp:5", "--d", "2", "--l", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("failure: ") and err.count("\n") == 1

@@ -35,7 +35,7 @@ from facto.modules import HypersurfaceConfig
 from facto.poly import Polynomial
 from facto.polymat import GradedMatrix, NoSolution, PolyMatrix
 from facto.randgen import random_factorization, random_unimodular
-from reference import _hom_slots, from_poly, graded_solve
+from reference import _hom_slots, fac_validate_ranking_first, from_poly, graded_solve
 
 
 def cfg(d, field=QQ):
@@ -120,6 +120,72 @@ def test_validate_no_closing():
     a = mono_mat(F, 3, [0])  # x^3 does not divide x^2
     out = fac_validate([a], c)
     assert isinstance(out, Invalid) and out.reason == "NoClosing"
+
+
+def _corruptions(x, rng):
+    """x's maps, then with one map damaged four ways: a nonzero entry
+    zeroed, a row zeroed, a row copied over another of no larger target
+    degree (the map stays graded), and the map shifted by one; last, the
+    final map times x^(d+1), which x^d cannot close."""
+    k = rng.randrange(x.l)
+    a = x.maps[k]
+    F, m = a.field, len(a.src_degs)
+
+    def with_map(b):
+        return list(x.maps[:k]) + [b] + list(x.maps[k + 1:])
+
+    def with_coeffs(coeffs):
+        return with_map(GradedMatrix(F, coeffs, a.src_degs, a.tgt_degs))
+
+    yield list(x.maps)
+    nonzero = [(r, c) for r in range(m) for c in range(m) if not F.is_zero(a.coeffs[r][c])]
+    r, c = rng.choice(nonzero)
+    yield with_coeffs([[F.zero if (i, j) == (r, c) else v for j, v in enumerate(row)]
+                       for i, row in enumerate(a.coeffs)])
+    yield with_coeffs([[F.zero] * m if i == r else row for i, row in enumerate(a.coeffs)])
+    if m > 1:
+        r, s = rng.sample(range(m), 2)
+        if a.tgt_degs[r] > a.tgt_degs[s]:
+            r, s = s, r
+        yield with_coeffs([a.coeffs[s] if i == r else row for i, row in enumerate(a.coeffs)])
+    yield with_map(a.shift(rng.choice((-1, 1))))
+    b = x.maps[-1]
+    yield list(x.maps[:-1]) + [GradedMatrix(F, b.coeffs, b.src_degs,
+                                            [t - x.cfg.d - 1 for t in b.tgt_degs])]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_validate_equals_ranking_every_factor_first(field):
+    """Dividing first and ranking the factors only when the division fails
+    gives the reasons and closings of ranking every factor first: the
+    product of square factors is invertible iff each factor is."""
+    rng = random.Random(43)
+    reasons = set()
+    for d in (2, 3, 4):
+        c = cfg(d, field)
+        for l in (1, 2, 3):
+            for _ in range(8):
+                x = random_factorization(c, l, rng)
+                for maps in _corruptions(x, rng):
+                    got = fac_validate(maps, c)
+                    assert got == fac_validate_ranking_first(maps, c), (d, l, maps)
+                    reasons.add(got.reason.split()[0] if isinstance(got, Invalid) else "valid")
+    assert reasons == {"valid", "NonMonic", "NoClosing", "DegreeChainMismatch"}
+
+
+def test_validating_a_valid_factorization_ranks_no_factor(monkeypatch):
+    """A valid factorization is decided by the one division: no factor's
+    rank is taken."""
+    rng = random.Random(7)
+    xs = [random_factorization(cfg(d, field), l, rng)
+          for field in (GF(2), GF(5), QQ) for d in (2, 3) for l in (1, 2, 3)]
+
+    def forbidden(self):
+        raise AssertionError("is_injective called")
+
+    monkeypatch.setattr(GradedMatrix, "is_injective", forbidden)
+    for x in xs:
+        assert fac_validate(list(x.maps), x.cfg, twist=x.twist) == x
 
 
 # -- zigzag ----------------------------------------------------------------------

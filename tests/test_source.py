@@ -88,6 +88,21 @@ def test_graded_matrix_has_one_constructor():
     assert not found, found
 
 
+def test_factorization_json_has_one_reader():
+    # Factorization.from_json reads a factorization file and makes every
+    # check on it; only it (and polymat, which defines the reader) reads
+    # a graded map's JSON
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("polymat.py", "factorizations.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "from_json"
+        and getattr(node.value, "id", None) == "GradedMatrix"
+    ]
+    assert not found, found
+
+
 def test_only_the_census_takes_a_seed():
     # iso searches draw from one fixed stream; class_census accepts a seed
     # for the CLI's --seed and passes it nowhere
@@ -128,6 +143,7 @@ TEST_ONLY = {
     "quotient", "complement", "map_ker_cok_im_by_quotient", "scalars",
     "block_diagonal", "module_iso", "_image", "preimage_by_annihilator",
     "graded_solve", "graded_check", "Violation", "from_poly",
+    "fac_validate_ranking_first", "random_factorization_by_parts",
 }
 
 
