@@ -59,9 +59,9 @@ which keeps the first flag of each iso class.  Only the flags that pass are
 built, with one submodule of the top per listed space (for a
 factorization, then its preimage in S^m), and deduplicated with the iso
 tests: these are `enumerate_factorizations` and `enumerate_chains`.  The
-census drops the projective classes last, those whose stable End is 0, by
-the walks of each class (`fac_walks`) that also serve its row and column
-of the stable hom table.  Both properties are iso-invariant and
+census drops the projective classes last: the factorizations whose stable
+End, their diagonal entry of the stable hom table, is 0, and the chains
+with only free objects.  Both properties are iso-invariant and
 deduplication keeps the first member of each class, so this gives the
 classes of building and deduplicating every flag object first.  Between
 indecomposables the iso tests are exact (see `endo.search_iso`), so the
@@ -80,22 +80,18 @@ from . import linalg
 from .chains import (
     MonoChain,
     _chain_fingerprint,
-    chain_composites,
     chain_hom_dim,
     chain_iso_test,
     chain_projective_test,
-    chain_stable_hom_dim,
-    chain_walks,
+    chain_stable_hom_table,
 )
 from .endo import is_local
 from .factorizations import (
     Factorization,
-    _cover_rows,
     _fac_fingerprint,
-    fac_hom_dim,
+    fac_hom_dim_mod_nu_l,
     fac_iso_test,
-    fac_stable_hom_dim,
-    fac_walks,
+    fac_stable_hom_table,
 )
 from .fields import PrimeField
 from .functors import cok, flag_factorization, span_preimage_inclusion
@@ -711,11 +707,6 @@ class CensusReport:
         return "\n".join(lines)
 
 
-def _chain_in_bounds(u: MonoChain, bounds: Bounds) -> bool:
-    top = u.objects[-1]
-    return top.dim <= bounds.dim and all(s <= bounds.window for _, s in top.summands)
-
-
 def _reconstruction_in_bounds(v: MonoChain, bounds: Bounds) -> bool:
     """Whether reconstruct(v), shifted to minimum degree 0, is in bounds,
     read off v's top U^l: reconstruct builds on its minimal free cover, so
@@ -732,39 +723,28 @@ def _match(canon, chains, bounds: Bounds):
     matches twice or not at all in bounds, on a chain class hit twice, and
     on an unmatched chain class whose reconstruction is in bounds.
     chain_iso_test is False between chains of different fingerprints, so
-    only equal fingerprints are tested, and a chain class's walks and a
-    cok's composites are built once, when first read."""
-    candidates, walked, matching, taken = {}, {}, [], {}
+    only equal fingerprints are tested."""
+    candidates, matching, taken = {}, [], {}
     for j, v in enumerate(chains):
         candidates.setdefault(_chain_fingerprint(v), []).append(j)
     for i, u in enumerate(canon):
-        hits, cu = [], None
-        for j in candidates.get(_chain_fingerprint(u), ()):
-            if j not in walked:
-                walked[j] = chain_walks(chains[j])
-            cu = cu or (chain_composites(u), None)
-            if chain_iso_test(u, chains[j], (cu, walked[j])):
-                hits.append(j)
+        hits = [j for j in candidates.get(_chain_fingerprint(u), ())
+                if chain_iso_test(u, chains[j])]
         if len(hits) > 1:
             raise MatchFailure(f"fac class {i}: cok matches chains {hits}")
         if not hits:
-            if _chain_in_bounds(u, bounds):
-                raise MatchFailure(
-                    f"fac class {i}: cok in bounds but not in the chain census"
-                )
+            top = u.objects[-1]
+            if top.dim <= bounds.dim and all(s <= bounds.window for _, s in top.summands):
+                raise MatchFailure(f"fac class {i}: cok in bounds but not in the chain census")
             continue
         j = hits[0]
         if j in taken:
-            raise MatchFailure(
-                f"fac classes {taken[j]} and {i} both map to chain class {j}"
-            )
+            raise MatchFailure(f"fac classes {taken[j]} and {i} both map to chain class {j}")
         taken[j] = i
         matching.append((i, j))
     for j, v in enumerate(chains):
         if j not in taken and _reconstruction_in_bounds(v, bounds):
-            raise MatchFailure(
-                f"chain class {j}: reconstruction in bounds but unmatched"
-            )
+            raise MatchFailure(f"chain class {j}: reconstruction in bounds but unmatched")
     return matching
 
 
@@ -775,8 +755,11 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
     Classes are indecomposable nonprojective objects up to iso and shift.
     The two sides are `enumerate_factorizations` and `enumerate_chains`,
     which build only the flags whose stabilizer in End(top) is local (see
-    `_local_stabilizer`); the census drops their projective classes,
-    matches the rest under cok and compares the stable hom tables.  Every
+    `_local_stabilizer`).  The census keeps the nonprojective classes: the
+    factorizations with a nonzero diagonal entry in their stable hom table
+    (`fac_stable_hom_table`) and the chains with a non-free object; matches
+    them under cok; and compares the kept table with that of the cok
+    images (`chain_stable_hom_table`).  Every
     iso test has an indecomposable target, so deduplication and matching
     are exact (see `endo.search_iso`): `seed` is accepted, for the CLI's
     `--seed`, and passed nowhere.  A class may stay unmatched only when its
@@ -790,27 +773,18 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
     to list.
     """
     _check_census_size(("m*d", bounds.m * cfg.d), ("dim", bounds.dim), ("l", l))
-    # (x, its walks, dim of its stable End): 0 iff x is projective
-    walked = [(x, w, fac_stable_hom_dim(x, x, (w, w))) for x in
-              enumerate_factorizations(cfg, l, bounds.m, bounds.window)
-              for w in [fac_walks(x)]]
-    walked = [(x, w, end) for x, w, end in walked if end]
-    facs = [x for x, _, _ in walked]
+    facs = enumerate_factorizations(cfg, l, bounds.m, bounds.window)
+    table = fac_stable_hom_table(facs)
+    keep = [i for i, row in enumerate(table) if row[i]]
+    facs, fac_table = [facs[i] for i in keep], [[table[i][j] for j in keep] for i in keep]
     chains = [u for u in enumerate_chains(cfg, l, bounds.dim, bounds.window)
               if not chain_projective_test(u)]
 
     coks = [cok(x) for x in facs]
     matching = _match([u.shift(-u.min_degree()) for u in coks], chains, bounds)
-
-    fac_table = [[end if x is y else fac_stable_hom_dim(x, y, (w, v)) for y, v, end in walked]
-                 for x, w, _ in walked]
-    walks = [chain_walks(u) for u in coks]
-    chain_table = [[chain_stable_hom_dim(u, v, (cu, cv)) for v, cv in zip(coks, walks)]
-                   for u, cu in zip(coks, walks)]
+    chain_table = chain_stable_hom_table(coks)
     if fac_table != chain_table:
-        raise MatchFailure(
-            f"stable hom tables differ: {fac_table} vs {chain_table}"
-        )
+        raise MatchFailure(f"stable hom tables differ: {fac_table} vs {chain_table}")
     return CensusReport(
         d=cfg.d,
         l=l,
@@ -828,13 +802,7 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
 
 
 def hom_dim_compare(x: Factorization, y: Factorization):
-    """(lhs, rhs, equal): Hom in Fac modulo nu^l-objects vs Hom of cokernels.
-
-    Maps factoring through a nu^l object are exactly those factoring
-    through the counit nu^l(Y^0) -> Y, summand 0 of y's projective cover,
-    whose rows on component l `fac_stable_hom_dim` takes with the others.
-    """
-    walks = fac_walks(x), fac_walks(y)
-    lhs = fac_hom_dim(x, y, walks) - linalg.rank(x.cfg.field, _cover_rows(x, y, walks, 0))
-    rhs = chain_hom_dim(cok(x), cok(y))
+    """(lhs, rhs, equal): dim Hom in Fac modulo nu^l-objects
+    (`fac_hom_dim_mod_nu_l`) vs dim Hom of the cokernels."""
+    lhs, rhs = fac_hom_dim_mod_nu_l(x, y), chain_hom_dim(cok(x), cok(y))
     return lhs, rhs, lhs == rhs

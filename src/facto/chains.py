@@ -11,7 +11,7 @@ import functools
 from dataclasses import dataclass
 
 from . import linalg
-from .endo import is_local, search_iso
+from .endo import is_local, search_iso, stable_hom_table
 from .modules import (
     HypersurfaceConfig,
     ModuleMap,
@@ -200,19 +200,15 @@ class ChainMap:
 # hom spaces ------------------------------------------------------------------
 
 
-def _surviving(src: RModule, tgt: RModule):
-    """The block positions (q, c) of a map src -> tgt whose monomial
-    x^(s_c - s_q) gen_q survives in tgt: the entries a normalized block
-    matrix can hold."""
-    return [(q, c) for q, (e, s) in enumerate(tgt.summands)
-            for c, (_, t) in enumerate(src.summands) if 0 <= t - s < e]
+def _hom_walks(u: MonoChain, v: MonoChain):
+    """(chain_composites(u), chain_walks(v)): what `_top_rows` reads."""
+    wv = chain_walks(v)
+    return (wv[0] if v is u else chain_composites(u)), wv
 
 
-def _top_rows(u: MonoChain, v: MonoChain, walks=None):
+def _top_rows(u: MonoChain, v: MonoChain, walks):
     """(positions, rows): the system of chain maps u -> v on the top
-    component, which fixes a map; `walks` is (chain_walks(u),
-    chain_walks(v)) when the caller already has them, of which only u's
-    composites and v's killing rows are read.
+    component, which fixes a map; `walks` is `_hom_walks(u, v)`.
 
     A chain map is fixed by its top component phi: U^(n-1) -> V^(n-1), as
     every alpha^v_j = alpha^v_{j -> n-1} is a mono.  Conversely phi
@@ -230,7 +226,7 @@ def _top_rows(u: MonoChain, v: MonoChain, walks=None):
         raise ValueError("config mismatch")
     if u.length != v.length:
         raise ValueError("chain lengths differ")
-    (cu, _), (_, killing) = walks or ((chain_composites(u), None), chain_walks(v))
+    cu, (_, killing) = walks
     F, d = u.cfg.field, u.cfg.d
     positions = hom_positions(u.objects[-1], v.objects[-1])
     return positions, [
@@ -240,14 +236,10 @@ def _top_rows(u: MonoChain, v: MonoChain, walks=None):
         for eta in etas]
 
 
-def _top_basis(u: MonoChain, v: MonoChain, walks=None):
+def _top_basis(u: MonoChain, v: MonoChain, walks):
     """The top components phi of a k-basis of chain maps u -> v, as block
-    matrices (`ModuleMap.blocks`): the nullspace of `_top_rows`.  It is
-    the top component of the basis that every commuting square, solved on
-    all components with the unknowns in component order, gives: phi fixes
-    a map, so a free unknown of that system's RREF lies in the top
-    component, and its nullspace vectors are the maps with one free
-    unknown of the top equal to 1 and the others 0, as here."""
+    matrices (`ModuleMap.blocks`): the nullspace of `_top_rows` (see the
+    `endo` docstring)."""
     positions, rows = _top_rows(u, v, walks)
     F, a, b = u.cfg.field, u.objects[-1], v.objects[-1]
     return [linalg.scatter(F, len(b.summands), len(a.summands), positions, sol)
@@ -258,19 +250,18 @@ def chain_hom_basis(u: MonoChain, v: MonoChain):
     """k-basis of ChainMaps u -> v: each top component phi of `_top_basis`
     extended by the lifts of phi alpha^u_j through alpha^v_j (`_top_rows`),
     so the maps are built without re-checking their squares."""
-    cu, (cv, killing) = chain_composites(u), chain_walks(v)
+    walks = _hom_walks(u, v)
+    cu, (cv, _) = walks
     a, b = u.objects[-1], v.objects[-1]
-    tops = [ModuleMap(a, b, blocks, check=False)
-            for blocks in _top_basis(u, v, ((cu, None), (cv, killing)))]
+    tops = [ModuleMap(a, b, blocks, check=False) for blocks in _top_basis(u, v, walks)]
     return [ChainMap(u, v, [lift(beta, phi @ alpha) for alpha, beta in zip(cu, cv[:-1])]
                      + [phi], check=False) for phi in tops]
 
 
-def chain_hom_dim(u: MonoChain, v: MonoChain, walks=None) -> int:
+def chain_hom_dim(u: MonoChain, v: MonoChain) -> int:
     """dim Hom(u, v) = len(chain_hom_basis(u, v)), by one rank over the
-    unknowns of the top component (`_top_rows`); `walks` is
-    (chain_walks(u), chain_walks(v)) when the caller already has them."""
-    positions, rows = _top_rows(u, v, walks)
+    unknowns of the top component (`_top_rows`)."""
+    positions, rows = _top_rows(u, v, _hom_walks(u, v))
     return len(positions) - linalg.rank(u.cfg.field, rows)
 
 
@@ -352,10 +343,9 @@ def _killing(top: RModule, alpha, s: int):
             for sol in linalg.nullspace(F, rows, cols=len(free))]
 
 
-def chain_stable_hom_dim(u: MonoChain, v: MonoChain, walks=None) -> int:
-    """dim Hom(u, v) modulo maps factoring through a projective chain;
-    `walks` is (chain_walks(u), chain_walks(v)) when the caller already
-    has them.  Builds no hom basis and no projective cover.
+def chain_stable_hom_dim(u: MonoChain, v: MonoChain) -> int:
+    """dim Hom(u, v) modulo maps factoring through a projective chain.
+    Builds no hom basis and no projective cover.
 
     Every such map factors through v's projective cover, the sum over j of
     the trivial chains mu_j(Q^j) on the free covers q^j: Q^j ->> V^j, with
@@ -370,18 +360,31 @@ def chain_stable_hom_dim(u: MonoChain, v: MonoChain, walks=None) -> int:
     cover are measured by the blocks of alpha^v_{j -> n-1} e_r eta at the
     surviving positions, one outer product of column r of alpha^v_{j ->
     n-1} and a killing row eta each.  Returns dim Hom(u, v)
-    (`chain_hom_dim`, on the same walks) minus their rank.
+    (`chain_hom_dim`, on the same walks) minus their rank (`_stable_dim`).
     """
-    walks = walks or (chain_walks(u), chain_walks(v))
-    hom = chain_hom_dim(u, v, walks)
+    wu = chain_walks(u)
+    return _stable_dim(u, v, (wu, wu if v is u else chain_walks(v)))
+
+
+def chain_stable_hom_table(us):
+    """[[chain_stable_hom_dim(u, v) for v in us] for u in us] (`endo.stable_hom_table`)."""
+    return stable_hom_table(us, chain_walks, _stable_dim)
+
+
+def _stable_dim(u: MonoChain, v: MonoChain, walks) -> int:
+    """chain_stable_hom_dim(u, v) on (chain_walks(u), chain_walks(v)); a block
+    matrix holds the entries (q, c) where x^(s_c - s_q) gen_q survives."""
+    (cu, killing), wv = walks
+    F = u.cfg.field
+    positions, rows = _top_rows(u, v, (cu, wv))
+    hom = len(positions) - linalg.rank(F, rows)
     if not hom:
         return 0
-    (_, killing), (cv, _) = walks
-    F = u.cfg.field
-    positions = _surviving(u.objects[-1], v.objects[-1])
+    positions = [(q, c) for q, (e, s) in enumerate(v.objects[-1].summands)
+                 for c, (_, t) in enumerate(u.objects[-1].summands) if 0 <= t - s < e]
     return hom - linalg.rank(F, [
         [F.mul(alpha.blocks[q][r], eta[c]) for q, c in positions]
-        for j, (obj, alpha) in enumerate(zip(v.objects, cv))
+        for j, (obj, alpha) in enumerate(zip(v.objects, wv[0]))
         for r, (_, s) in enumerate(obj.summands)
         for eta in killing.get((j - 1, s), ())])
 
@@ -394,20 +397,15 @@ def _chain_fingerprint(u: MonoChain):
     return tuple(obj.sorted_summands() for obj in u.objects)
 
 
-def chain_iso_test(u: MonoChain, v: MonoChain, walks=None) -> bool:
-    """True iff u and v are isomorphic as chains; `walks` is
-    (chain_walks(u), chain_walks(v)) when the caller already has them, of
-    which only u's composites and v's killing rows are read (`_top_rows`).
+def chain_iso_test(u: MonoChain, v: MonoChain) -> bool:
+    """True iff u and v are isomorphic as chains.
 
     Necessary check: the fingerprints (componentwise normal forms) agree.
     Then searches the top components of a hom basis (`_top_basis`) for an
-    invertible block matrix (see endo.search_iso).  Each f^j is the
+    invertible block matrix (see the `endo` docstring).  Each f^j is the
     restriction of f^top to U^j, so when f^top is an iso every f^j is a
     mono between modules of equal dimension, and f is an iso iff f^top
-    is.  The tops have the same generator degrees, so, ordered by degree,
-    f^top's block matrix is block triangular with its head, the map on
-    top/x*top, on the diagonal: f^top is an iso iff its head is
-    (Nakayama) iff its block matrix is invertible.
+    is.
     """
     if u.cfg != v.cfg:
         raise ValueError("config mismatch")
@@ -415,14 +413,12 @@ def chain_iso_test(u: MonoChain, v: MonoChain, walks=None) -> bool:
         return False
     if u.is_zero():
         return True
-    return search_iso(u.cfg.field, _top_basis(u, v, walks))
+    return search_iso(u.cfg.field, _top_basis(u, v, _hom_walks(u, v)))
 
 
 def chain_is_indecomposable(u: MonoChain) -> bool:
     """u is nonzero and End(u) is local (see endo.is_local), read on the
-    block matrices of the top component: f -> f^top embeds End(u) as an
-    algebra in End(U^top), and block products equal composition modulo
-    the strictly degree-raising entries, a nilpotent ideal."""
+    block matrices of the top component (see the `endo` docstring)."""
     if u.is_zero():
         return False
-    return is_local(u.cfg.field, _top_basis(u, u))
+    return is_local(u.cfg.field, _top_basis(u, u, _hom_walks(u, u)))

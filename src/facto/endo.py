@@ -7,7 +7,12 @@ a chain map (`chains._top_basis`), and a stabilizer element's head in
 the census (`census._local_stabilizer`).  Each category solves its Hom
 spaces on that component (`factorizations._hom_rows`,
 `chains._top_rows`) and pre-checks an iso search by its fingerprint;
-nothing here knows which category a map came from.
+nothing here knows which category a map came from.  A hom basis
+(`_top_basis`) is the nullspace of that system: the fixing component of
+the basis that every commuting square, solved on all components with the
+unknowns in component order, gives, as a free unknown of that system's
+RREF lies in the fixing component and its nullspace vectors set one such
+unknown to 1 and the others to 0.
 
 Why the generator matrix decides, between objects of equal fingerprints:
 - Ordered by degree, a degree-0 map's generator matrix is block
@@ -32,7 +37,8 @@ nilpotent, invertible, or splits X as Im(phi^n) + Ker(phi^n) with both
 parts nonzero; so X is indecomposable iff End(X) is local (Krull-Schmidt).
 In all three categories the stable hom space is Hom(X, Y) modulo
 p o Hom(X, P) for a projective cover p: P ->> Y; each category takes it
-in closed form, by such a rank or a count, with no basis and no cover.
+in closed form, by such a rank or a count, with no basis and no cover,
+and a table of them with each object's walks taken once (`stable_hom_table`).
 """
 
 from __future__ import annotations
@@ -316,3 +322,15 @@ def search_iso(field: Field, mats) -> bool:
     if p and p ** len(mats) <= 4096:
         return any(iso(ws) for ws in itertools.product(range(p), repeat=len(mats)))
     return False
+
+
+def stable_hom_table(objs, walk, stable_dim):
+    """[[stable_dim(x, y, (walk(x), walk(y))) for y in objs] for x in objs],
+    with walk(x) taken once per object and the diagonal first: where x's
+    stable End is 0, x's identity factors through a projective, and so does
+    every map into or out of x, so its row and column are 0 with no solve."""
+    walks = [walk(x) for x in objs]
+    ends = [stable_dim(x, x, (w, w)) for x, w in zip(objs, walks)]
+    return [[ends[i] if i == j else stable_dim(x, y, (v, w)) if ends[i] and ends[j] else 0
+             for j, (y, w) in enumerate(zip(objs, walks))]
+            for i, (x, v) in enumerate(zip(objs, walks))]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import linalg
-from .endo import is_local, search_iso
+from .endo import is_local, search_iso, stable_hom_table
 from .fields import Field
 from .modules import HypersurfaceConfig
 from .polymat import GradedMatrix, NoSolution
@@ -88,11 +88,14 @@ class Factorization:
             raise ValueError("shape mismatch")
         if other.twist != self.twist:
             raise ValueError("twist mismatch")
+        if other.rot_phase != self.rot_phase:
+            raise ValueError("rot_phase mismatch")
         return Factorization(
             self.cfg,
             [a.direct_sum(b) for a, b in zip(self.maps, other.maps)],
             self.closing.direct_sum(other.closing),
             self.twist,
+            self.rot_phase,
         )
 
     def __eq__(self, other):
@@ -356,10 +359,15 @@ class FacMap:
 # hom spaces ------------------------------------------------------------------
 
 
-def _hom_rows(x: Factorization, y: Factorization, walks=None):
+def _hom_walks(x: Factorization, y: Factorization):
+    """(fac_walks(x), fac_walks(y)), with one walk when y is x."""
+    w = fac_walks(x)
+    return w, w if y is x else fac_walks(y)
+
+
+def _hom_rows(x: Factorization, y: Factorization, walks):
     """(free, rows): the Hom(x, y) system on component l, which fixes a
-    map; `walks` is (fac_walks(x), fac_walks(y)) when the caller already
-    has them.
+    map; `walks` is (fac_walks(x), fac_walks(y)).
 
     The scalars of X^k -> X^l are into_x[k], those of X^l -> tau X^k are
     frm_x[k], and frm_x[k] into_x[k] is the identity: the loop around the
@@ -377,7 +385,7 @@ def _hom_rows(x: Factorization, y: Factorization, walks=None):
     """
     if x.cfg != y.cfg or x.l != y.l:
         raise ValueError("shape mismatch")
-    (into, _), (_, frm) = walks or (fac_walks(x), fac_walks(y))
+    (into, _), (_, frm) = walks
     F, l = x.cfg.field, x.l
     free = [(a, b) for a, t in enumerate(y.degs(l)) for b, s in enumerate(x.degs(l)) if s >= t]
     return free, [[F.mul(frm[k][r][a], into[k][b][c]) for a, b in free]
@@ -385,14 +393,9 @@ def _hom_rows(x: Factorization, y: Factorization, walks=None):
                   for c, s in enumerate(x.degs(k)) if s < t]
 
 
-def _top_basis(x: Factorization, y: Factorization, walks=None):
+def _top_basis(x: Factorization, y: Factorization, walks):
     """The components f^l of a k-basis of Hom(x, y), as k-matrices: the
-    nullspace of `_hom_rows`.  It is the last component of the basis
-    that every commuting square, solved on all l+1 components with the
-    unknowns in component order, gives: f^l fixes a map, so a free unknown
-    of that system's RREF lies in component l, and its nullspace vectors
-    are the maps with one free unknown of component l equal to 1 and the
-    others 0, as here."""
+    nullspace of `_hom_rows` (see the `endo` docstring)."""
     free, rows = _hom_rows(x, y, walks)
     F = x.cfg.field
     return [linalg.scatter(F, y.m, x.m, free, sol)
@@ -403,7 +406,7 @@ def fac_hom_basis(x: Factorization, y: Factorization):
     """k-basis of Hom(x, y): each f^l of `_top_basis` extended by the
     walks, f^k = frm_y[k] f^l into_x[k] (`_hom_rows`), so the maps are built
     without re-checking their squares."""
-    walks = fac_walks(x), fac_walks(y)
+    walks = _hom_walks(x, y)
     (into, _), (_, frm) = walks
     F = x.cfg.field
     return [FacMap(x, y, [GradedMatrix(
@@ -411,12 +414,10 @@ def fac_hom_basis(x: Factorization, y: Factorization):
         for k in range(x.l + 1)], check=False) for top in _top_basis(x, y, walks)]
 
 
-def fac_hom_dim(x: Factorization, y: Factorization, walks=None) -> int:
+def fac_hom_dim(x: Factorization, y: Factorization) -> int:
     """dim Hom(x, y) = len(fac_hom_basis(x, y)), by one rank over the
-    unknowns of component l (`_hom_rows`); `walks` is (fac_walks(x),
-    fac_walks(y)) when the caller already has them."""
-    free, rows = _hom_rows(x, y, walks)
-    return len(free) - linalg.rank(x.cfg.field, rows)
+    unknowns of component l (`_hom_rows`)."""
+    return _modulo_cover(x, y, _hom_walks(x, y), ())
 
 
 # adjunction transports ---------------------------------------------------------
@@ -615,10 +616,9 @@ def fac_walks(x: Factorization):
     return into[::-1], frm[1:] + frm[:1]
 
 
-def fac_stable_hom_dim(x: Factorization, y: Factorization, walks=None) -> int:
-    """dim Hom(x, y) modulo the maps that factor through projectives;
-    `walks` is (fac_walks(x), fac_walks(y)) when the caller already has
-    them.  Builds no hom basis and no projective cover.
+def fac_stable_hom_dim(x: Factorization, y: Factorization) -> int:
+    """dim Hom(x, y) modulo the maps that factor through projectives.
+    Builds no hom basis and no projective cover.
 
     Every such map factors through y's projective cover p: P ->> Y, with
     P = nu^l(Y^0) + sum_{i>=1} nu^(i-1)(tau^-1 Y^i) (`fac_projective_cover`),
@@ -636,21 +636,38 @@ def fac_stable_hom_dim(x: Factorization, y: Factorization, walks=None) -> int:
     the scalars into_y[i] e_r e_c^T frm_x[k] (`fac_walks`): the outer
     product of column r of into_y[i] and row c of frm_x[k].  Returns dim
     Hom(x, y) (`fac_hom_dim`, on the same walks and component) minus the
-    rank of these outer products.
+    rank of these outer products (`_modulo_cover`).
     """
-    walks = walks or (fac_walks(x), fac_walks(y))
-    hom = fac_hom_dim(x, y, walks)
+    return _modulo_cover(x, y, _hom_walks(x, y), range(x.l + 1))
+
+
+def fac_hom_dim_mod_nu_l(x: Factorization, y: Factorization) -> int:
+    """dim Hom(x, y) modulo the maps through nu^l objects, which factor
+    through the counit nu^l(Y^0) -> Y, summand 0 of y's projective cover."""
+    return _modulo_cover(x, y, _hom_walks(x, y), [0])
+
+
+def fac_stable_hom_table(xs):
+    """[[fac_stable_hom_dim(x, y) for y in xs] for x in xs] (`endo.stable_hom_table`)."""
+    return stable_hom_table(xs, fac_walks, lambda x, y, walks: _modulo_cover(
+        x, y, walks, range(x.l + 1)))
+
+
+def _modulo_cover(x: Factorization, y: Factorization, walks, summands) -> int:
+    """dim Hom(x, y) minus the rank of the maps through the given summands
+    of y's projective cover (`_cover_rows`), on (fac_walks(x), fac_walks(y))."""
+    F = x.cfg.field
+    free, rows = _hom_rows(x, y, walks)
+    hom = len(free) - linalg.rank(F, rows)
     if not hom:
         return 0
-    return hom - linalg.rank(x.cfg.field, [
-        row for i in range(x.l + 1) for row in _cover_rows(x, y, walks, i)])
+    return hom - linalg.rank(F, [row for i in summands for row in _cover_rows(x, y, walks, i)])
 
 
 def _cover_rows(x: Factorization, y: Factorization, walks, i: int):
     """The outer products on component l that `fac_stable_hom_dim` reads
     for summand i of y's projective cover: nu^l(Y^0), the counit, for i =
-    0, and nu^(i-1)(tau^-1 Y^i) otherwise; `walks` is (fac_walks(x),
-    fac_walks(y))."""
+    0, and nu^(i-1)(tau^-1 Y^i) otherwise."""
     (_, frm), (into, _) = walks
     F = x.cfg.field
     k, degs = (x.l, y.degs(0)) if i == 0 else (i - 1, [s + x.cfg.d for s in y.degs(i)])
@@ -684,7 +701,7 @@ def fac_iso_test(x: Factorization, y: Factorization) -> bool:
         return False
     if x.is_zero():
         return True
-    return search_iso(x.cfg.field, _top_basis(x, y))
+    return search_iso(x.cfg.field, _top_basis(x, y, _hom_walks(x, y)))
 
 
 def fac_is_indecomposable(x: Factorization) -> bool:
@@ -692,4 +709,4 @@ def fac_is_indecomposable(x: Factorization) -> bool:
     component l: f -> f^l embeds End(x) as an algebra in the k-matrices."""
     if x.is_zero():
         return False
-    return is_local(x.cfg.field, _top_basis(x, x))
+    return is_local(x.cfg.field, _top_basis(x, x, _hom_walks(x, x)))

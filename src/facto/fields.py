@@ -76,7 +76,7 @@ class Rationals(Field):
                 return Fraction(s)
             except ZeroDivisionError:
                 raise FieldError(f"zero denominator in {s!r}") from None
-        if isinstance(s, int):
+        if type(s) is int:
             return Fraction(s)
         raise FieldError(f"cannot parse rational from {s!r}")
 
@@ -125,7 +125,7 @@ class PrimeField(Field):
         return n % self.p
 
     def parse(self, s) -> int:
-        if isinstance(s, int):
+        if type(s) is int:
             return s % self.p
         if isinstance(s, str):
             return int(s) % self.p

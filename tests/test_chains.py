@@ -322,30 +322,6 @@ def socle_or_side(c, side):
     return MonoChain(c, [k1, top], [ModuleMap(k1, top, blocks)])
 
 
-@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
-def test_iso_test_on_shared_walks_equals_the_plain_one(field):
-    """chain_iso_test given both chains' walks, or u's composites beside
-    v's walks as the census matching passes them, decides as it does with
-    none: on the two socle_or_side chains, random chains of four (d, l)
-    shapes, each with itself and sums in both orders."""
-    from facto.chains import chain_composites, chain_walks
-
-    rng = random.Random(71)
-    u, v = socle_or_side(cfg(2, field), 0), socle_or_side(cfg(2, field), 1)
-    pairs = [(u, v), (v, u), (u, u)]
-    for d, l in ((2, 2), (3, 2), (3, 3), (4, 2)):
-        c = cfg(d, field)
-        for _ in range(4):
-            x, y = random_chain(c, rng, l), random_chain(c, rng, l)
-            pairs += [(x, y), (x, x), (x.direct_sum(y), y.direct_sum(x))]
-    verdicts = []
-    for a, b in pairs:
-        verdicts.append(chain_iso_test(a, b))
-        assert chain_iso_test(a, b, (chain_walks(a), chain_walks(b))) == verdicts[-1]
-        assert chain_iso_test(a, b, ((chain_composites(a), None), chain_walks(b))) == verdicts[-1]
-    assert verdicts[:3] == [False, False, True] and verdicts.count(False) > 5
-
-
 def test_chain_json_round_trip():
     c = cfg(2, GF(5))
     u = incl_k_in_R2(c)

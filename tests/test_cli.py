@@ -535,6 +535,26 @@ def test_rational_zero_denominator(xx_file, tmp_path, capsys):
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("field", ["fp:5", "q"])
+@pytest.mark.parametrize("command", ["validate", "cok", "reconstruct"])
+def test_boolean_scalar_is_an_input_error(command, field, xx_file, tmp_path):
+    """A JSON true or false is no field element, as it is no degree: a map
+    entry [0, true] (x) or a block entry true is refused, not read as 1."""
+    if command == "reconstruct":
+        # k(-1) >-> R/(x^2) onto the socle, its one block entry true
+        data = {"objects": [{"d": 2, "summands": [[1, 1]]}, {"d": 2, "summands": [[2, 0]]}],
+                "maps": [{"src": {"d": 2, "summands": [[1, 1]]},
+                          "tgt": {"d": 2, "summands": [[2, 0]]}, "blocks": [[True]]}]}
+    else:
+        data = json.loads(xx_file.read_text())
+        data["maps"][0]["entries"][0][0] = [0, True]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    code, out, err = _run([command, "--field", field, "--d", "2", "--in", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _run(argv):
     """(exit code, stdout, stderr) of one in-process call."""
     out, err = io.StringIO(), io.StringIO()

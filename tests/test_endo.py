@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import facto.chains
+import facto.factorizations
 from facto.census import (
     Bounds,
     class_census,
@@ -21,7 +23,8 @@ from facto.chains import (
     chain_projective_cover,
     chain_projective_test,
     chain_stable_hom_dim,
-    chain_walks,
+    chain_stable_hom_table,
+    mu_trivial,
 )
 from facto.endo import NonSplitEndomorphism, _charpoly, is_local, search_iso
 from facto.factorizations import (
@@ -32,7 +35,7 @@ from facto.factorizations import (
     fac_iso_test,
     fac_projective_cover,
     fac_stable_hom_dim,
-    fac_walks,
+    fac_stable_hom_table,
     nu,
 )
 from facto.functors import cok
@@ -378,7 +381,7 @@ def test_piece_scalars_decide_as_the_ambient_realization(field, monkeypatch):
     ranks = [rank(f) for f in maps]
     assert ranks == [matrix_rank(field, realization(f)) for f in maps]
     assert len(set(ranks)) > 2
-    monkeypatch.setattr("facto.chains._top_basis", lambda u, v, walks=None: [
+    monkeypatch.setattr("facto.chains._top_basis", lambda u, v, walks: [
         realization(ModuleMap(u.objects[-1], v.objects[-1], blocks, check=False))
         for blocks in _top_basis(u, v, walks)])
     assert _chain_verdicts(pairs) == verdicts
@@ -459,19 +462,19 @@ def test_verdicts_on_the_fixing_component_equal_the_all_component_ones(field):
 # stable homs in closed form against the explicit projective covers ------------
 
 
-def _fac_dims(x, y, walks=None):
+def _fac_dims(x, y):
     """((dim Hom by rank, stable dim in closed form, hom_dim_compare's left
     side), (dim Hom by a basis, stable dim by the explicit cover, by the
     nu^l counit)) of factorizations x, y."""
     F = x.cfg.field
-    return ((fac_hom_dim(x, y), fac_stable_hom_dim(x, y, walks), hom_dim_compare(x, y)[0]),
+    return ((fac_hom_dim(x, y), fac_stable_hom_dim(x, y), hom_dim_compare(x, y)[0]),
             (len(fac_hom_basis(x, y)), stable_dim(F, fac_hom_basis, fac_projective_cover, x, y),
              stable_dim(F, fac_hom_basis, nu_l_counit, x, y)))
 
 
-def _chain_dims(u, v, composites=None):
+def _chain_dims(u, v):
     """The same for chains u, v, with no counit."""
-    return ((chain_hom_dim(u, v), chain_stable_hom_dim(u, v, composites)),
+    return ((chain_hom_dim(u, v), chain_stable_hom_dim(u, v)),
             (len(chain_hom_basis(u, v)),
              stable_dim(u.cfg.field, chain_hom_basis, chain_projective_cover, u, v)))
 
@@ -499,29 +502,23 @@ CENSUS_CLASSES = [(2, 2, 5, Bounds(m=2, dim=3, window=2)),
 @pytest.mark.parametrize("l, d, p, bounds", CENSUS_CLASSES,
                          ids=[f"l{l}-d{d}-F{p}" for l, d, p, _ in CENSUS_CLASSES])
 def test_stable_homs_of_census_classes_equal_the_explicit_covers(l, d, p, bounds):
-    """fac_stable_hom_dim and chain_stable_hom_dim, given the walks and
-    composites that class_census shares, equal endo.stable_dim on the
-    explicit projective covers, and fac_hom_dim and chain_hom_dim the
-    lengths of the hom bases: on every ordered pair of the enumerated
+    """fac_stable_hom_dim and chain_stable_hom_dim equal endo.stable_dim
+    on the explicit projective covers, and fac_hom_dim and chain_hom_dim
+    the lengths of the hom bases: on every ordered pair of the enumerated
     classes, projective ones included, and of the cok images of the
     factorization classes, on which the census's chain table is taken."""
     c = HypersurfaceConfig(d, GF(p))
     facs = enumerate_factorizations(c, l, bounds.m, bounds.window)
     chains = enumerate_chains(c, l, bounds.dim, bounds.window) + [cok(x) for x in facs]
     assert any(chain_projective_test(u) for u in chains)
-    walked = [(x, fac_walks(x)) for x in facs]
-    _assert_agree([_fac_dims(x, y, (v, w))
-                   for (x, v), (y, w) in itertools.product(walked, repeat=2)])
-    composed = [(u, chain_walks(u)) for u in chains]
-    _assert_agree([_chain_dims(u, v, (cu, cv))
-                   for (u, cu), (v, cv) in itertools.product(composed, repeat=2)])
+    _assert_agree([_fac_dims(x, y) for x, y in itertools.product(facs, repeat=2)])
+    _assert_agree([_chain_dims(u, v) for u, v in itertools.product(chains, repeat=2)])
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
 def test_stable_homs_of_random_objects_equal_the_explicit_covers(field):
-    """The same, with no walks or composites given, on random
-    factorizations and chains of six (d, l) shapes, on direct sums on
-    either side and on each object with itself."""
+    """The same on random factorizations and chains of six (d, l) shapes,
+    on direct sums on either side and on each object with itself."""
     rng = random.Random(41)
     fac_dims, chain_dims = [], []
     for d, l in [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3)]:
@@ -535,3 +532,73 @@ def test_stable_homs_of_random_objects_equal_the_explicit_covers(field):
                            _chain_dims(v, u.direct_sum(w)), _chain_dims(u, u)]
     _assert_agree(fac_dims)
     _assert_agree(chain_dims)
+
+
+# the census's stable hom tables against the pairwise dims ---------------------
+
+
+def _assert_table(objs, table, dim):
+    """table(objs) is dim on every ordered pair of objs, and some of its
+    diagonal entries are 0 and some are not."""
+    expect = [[dim(a, b) for b in objs] for a in objs]
+    assert table(objs) == expect
+    assert {bool(row[i]) for i, row in enumerate(expect)} == {True, False}
+    return expect
+
+
+def _count_calls(monkeypatch, module, name):
+    """A list that grows by one on each call of module.name."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("l, d, p, bounds", CENSUS_CLASSES[:6],
+                         ids=[f"l{l}-d{d}-F{p}" for l, d, p, _ in CENSUS_CLASSES[:6]])
+def test_stable_hom_tables_of_census_classes_equal_the_pairwise_dims(l, d, p, bounds,
+                                                                     monkeypatch):
+    """fac_stable_hom_table and chain_stable_hom_table equal
+    fac_stable_hom_dim and chain_stable_hom_dim on every ordered pair: of
+    the enumerated classes, projective ones included, and of the cok
+    images of the factorization classes.  Each table takes each object's
+    walks once, and solves the diagonal and only the pairs of objects
+    whose stable Ends are nonzero."""
+    c = HypersurfaceConfig(d, GF(p))
+    facs = enumerate_factorizations(c, l, bounds.m, bounds.window)
+    chains = enumerate_chains(c, l, bounds.dim, bounds.window) + [cok(x) for x in facs]
+    for objs, table, dim, module, walk, solve in [
+            (facs, fac_stable_hom_table, fac_stable_hom_dim, facto.factorizations,
+             "fac_walks", "_modulo_cover"),
+            (chains, chain_stable_hom_table, chain_stable_hom_dim, facto.chains,
+             "chain_walks", "_stable_dim")]:
+        expect = _assert_table(objs, table, dim)
+        walks, solves = _count_calls(monkeypatch, module, walk), _count_calls(
+            monkeypatch, module, solve)
+        assert table(objs) == expect
+        assert len(walks) == len(objs)
+        kept = sum(1 for i, row in enumerate(expect) if row[i])
+        assert len(solves) == len(objs) + kept * (kept - 1)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_stable_hom_tables_of_random_and_trivial_objects_equal_the_pairwise_dims(field):
+    """The same on random factorizations and chains of five (d, l) shapes,
+    with the trivial objects nu^k(S(-s)) and mu_n of free and non-free
+    modules, and sums of a random object with a trivial one."""
+    rng = random.Random(45)
+    for d, l in [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2)]:
+        c = HypersurfaceConfig(d, field)
+        xs = [random_factorization(c, l, rng, m_max=2) for _ in range(4)]
+        xs += [nu(c, l, k, [rng.randrange(3)]) for k in range(l + 1)]
+        xs += [xs[0].direct_sum(xs[-1]), xs[-2].direct_sum(xs[1])]
+        us = [random_chain(c, l, rng) for _ in range(4)]
+        us += [mu_trivial(a, n, l) for n in range(1, l + 1)
+               for a in (RModule(c, [(d, rng.randrange(3))]), random_module(c, rng))]
+        us += [us[0].direct_sum(us[-2]), us[-1].direct_sum(us[1])]
+        _assert_table(xs, fac_stable_hom_table, fac_stable_hom_dim)
+        _assert_table(us, chain_stable_hom_table, chain_stable_hom_dim)

@@ -260,6 +260,24 @@ def test_direct_sum_xx():
     assert zigzag_check(s) is True
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_direct_sum_keeps_the_rotation_phase(field):
+    """Theta x + Theta y sits at phase 1 like its summands, so rotating it
+    twice at l = 2 gives Theta^3 x + Theta^3 y, with twist 1; summands at
+    different phases raise ValueError, as different twists do."""
+    rng = random.Random(45)
+    c = cfg(3, field)
+    x, y = (random_factorization(c, 2, rng, m_max=2) for _ in range(2))
+    s = rotate(x).direct_sum(rotate(y))
+    assert s.rot_phase == 1
+    thrice = [functools.reduce(lambda z, _: rotate(z), range(3), z) for z in (x, y)]
+    expect = thrice[0].direct_sum(thrice[1])
+    assert rotate(rotate(s)) == expect
+    assert (expect.twist, expect.rot_phase) == (1, 0)
+    with pytest.raises(ValueError, match="rot_phase"):
+        x.direct_sum(rotate(y))
+
+
 def test_contract():
     c = cfg(3)
     x = rank1(c, [1, 1])  # l=2: (x, x, x)

@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import pathlib
+import re
 
 import facto.endo
 
@@ -100,6 +101,28 @@ def test_factorization_json_has_one_reader():
         if isinstance(node, ast.Attribute) and node.attr == "from_json"
         and getattr(node.value, "id", None) == "GradedMatrix"
     ]
+    assert not found, found
+
+
+def _defaulted(args):
+    """The parameters of an ast.arguments that have a default."""
+    positional = args.posonlyargs + args.args
+    return positional[len(positional) - len(args.defaults):] + [
+        a for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+
+
+def test_walks_stay_inside_their_category():
+    # every Hom function takes two objects and takes their walks itself;
+    # the census asks each side for its stable hom table and names no walk
+    found = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "walks" in [a.arg for a in _defaulted(node.args)]
+    ]
+    found += re.findall(r"\b(?:fac_walks|chain_walks|chain_composites|_cover_rows)\b",
+                        (SRC / "census.py").read_text())
     assert not found, found
 
 
