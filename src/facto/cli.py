@@ -78,9 +78,12 @@ def _temp_beside(out_path):
                             prefix=".facto-")
 
 
-def _emit(text: str, out_path):
-    """Print to stdout, or atomically write to --out: the UTF-8 bytes go to
-    the temp file's descriptor, which is closed before the rename."""
+def _emit(data, out_path):
+    """Print `data` as compact JSON with sorted keys, through the C encoder
+    (an indent would send it to the pure-Python one), or atomically write it
+    to --out: the UTF-8 bytes go to the temp file's descriptor, which is
+    closed before the rename."""
+    text = json.dumps(data, sort_keys=True)
     if out_path is None:
         print(text)
         return
@@ -116,12 +119,6 @@ def _check_writable(out_path):
         raise InputError(f"cannot write {out_path}: {e}")
 
 
-def _dumps(data) -> str:
-    """Compact JSON with sorted keys, through the C encoder (an indent
-    would send it to the pure-Python one)."""
-    return json.dumps(data, sort_keys=True)
-
-
 def _check_size(cfg, l, m):
     """InputError beyond MAX_CLI_SIZE: realizations, hom spaces and written
     polynomials grow with (l+1)*m*d, whatever the size of the input."""
@@ -147,42 +144,31 @@ def _parse(cls, cfg, data, path):
     return x
 
 
-def _load_fac(cfg, path) -> Factorization:
-    return _parse(Factorization, cfg, _load_json(path), path)
-
-
-def _load_chain(cfg, path) -> MonoChain:
-    return _parse(MonoChain, cfg, _load_json(path), path)
+def _load(cls, cfg, path):
+    return _parse(cls, cfg, _load_json(path), path)
 
 
 # commands ---------------------------------------------------------------------
 
 
-def _cmd_validate(args):
-    cfg = _config(args)
-    x = _load_fac(cfg, args.infile)
+def _cmd_validate(cfg, args):
+    x = _load(Factorization, cfg, args.infile)
     report = {"valid": True, "m": x.m, "closing": x.closing.to_json()}
-    _emit(_dumps(report), args.out)
-    return 0
+    _emit(report, args.out)
 
 
-def _cmd_cok(args):
-    cfg = _config(args)
-    x = _load_fac(cfg, args.infile)
-    _emit(_dumps(cok(x).to_json()), args.out)
-    return 0
+def _cmd_cok(cfg, args):
+    x = _load(Factorization, cfg, args.infile)
+    _emit(cok(x).to_json(), args.out)
 
 
-def _cmd_reconstruct(args):
-    cfg = _config(args)
-    u = _load_chain(cfg, args.infile)
-    _emit(_dumps(reconstruct(u).to_json()), args.out)
-    return 0
+def _cmd_reconstruct(cfg, args):
+    u = _load(MonoChain, cfg, args.infile)
+    _emit(reconstruct(u).to_json(), args.out)
 
 
-def _cmd_rotate(args):
-    cfg = _config(args)
-    x = _load_fac(cfg, args.infile)
+def _cmd_rotate(cfg, args):
+    x = _load(Factorization, cfg, args.infile)
     # Theta^{l+1} = tau: each full cycle only moves the twist by one, from
     # any phase, so the output's phase composes with a further rotate
     q, r = divmod(abs(args.steps), x.l + 1)
@@ -190,12 +176,10 @@ def _cmd_rotate(args):
                       x.rot_phase)
     for _ in range(r):
         x = rotate(x, inverse=args.steps < 0)
-    _emit(_dumps(x.to_json()), args.out)
-    return 0
+    _emit(x.to_json(), args.out)
 
 
-def _cmd_nu(args):
-    cfg = _config(args)
+def _cmd_nu(cfg, args):
     if args.l is None or args.k is None or args.degs is None:
         raise InputError("nu requires --l, --k and --degs")
     try:
@@ -205,13 +189,11 @@ def _cmd_nu(args):
     if not (0 <= args.k <= args.l):
         raise InputError("--k must lie in [0, l]")
     _check_size(cfg, args.l, len(degs))
-    _emit(_dumps(nu(cfg, args.l, args.k, degs).to_json()), args.out)
-    return 0
+    _emit(nu(cfg, args.l, args.k, degs).to_json(), args.out)
 
 
-def _cmd_resolve(args):
-    cfg = _config(args)
-    x = _load_fac(cfg, args.infile)
+def _cmd_resolve(cfg, args):
+    x = _load(Factorization, cfg, args.infile)
     res = nu_resolution(x, side=args.side)
     ok = termwise_split_check(res, args.side)
     report = {
@@ -220,14 +202,12 @@ def _cmd_resolve(args):
         "map": res.map.to_json(),
         "termwise_split_exact": bool(ok),
     }
-    _emit(_dumps(report), args.out)
+    _emit(report, args.out)
     if not ok:
         raise CheckFailure("resolution is not termwise split exact")
-    return 0
 
 
-def _cmd_stable_hom(args):
-    cfg = _config(args)
+def _cmd_stable_hom(cfg, args):
     data = _load_json(args.infile)
     try:
         xd, yd = data["x"], data["y"]
@@ -241,12 +221,10 @@ def _cmd_stable_hom(args):
         dim = stable(x, y)
     except ValueError as e:  # "x" and "y" of different lengths or l
         raise InputError(f"{args.infile}: {e}")
-    _emit(_dumps({"stable_hom_dim": dim}), args.out)
-    return 0
+    _emit({"stable_hom_dim": dim}, args.out)
 
 
-def _cmd_census(args):
-    cfg = _config(args)
+def _cmd_census(cfg, args):
     from .census import Bounds, MatchFailure, class_census
 
     if args.l is None:
@@ -267,12 +245,10 @@ def _cmd_census(args):
         raise CheckFailure(f"census undecided: {e}")
     print(report.to_table())
     if args.out is not None:
-        _emit(_dumps(report.to_json()), args.out)
-    return 0
+        _emit(report.to_json(), args.out)
 
 
-def _cmd_selftest(args):
-    cfg = _config(args)
+def _cmd_selftest(cfg, args):
     from .census import hom_dim_compare
     from .randgen import random_chain, random_factorization, random_split_ses
 
@@ -332,78 +308,72 @@ def _cmd_selftest(args):
     )
     if failures:
         raise CheckFailure(f"{len(failures)} selftest group(s) failed")
-    return 0
 
 
 # entry point --------------------------------------------------------------------
 
 
+# every command's options, in --help order; its own options in _COMMANDS
+# follow them or, as --seed's help does, replace them
+_OPTIONS = {
+    "--field": dict(default="fp:5", help="q or fp:<p> (default fp:5)"),
+    "--d": dict(type=int, help="exponent of x^d"),
+    "--l": dict(type=int, help="factorizations have l+1 factors"),
+    "--in": dict(dest="infile", help="input JSON file"),
+    "--out": dict(help="output file (atomic)"),
+    "--seed": dict(type=int, default=0,
+                   help="accepted; this command is deterministic and ignores it"),
+}
+
+# name: (function(cfg, args), help, own options); a function that returns
+# has succeeded, and one that fails raises InputError or CheckFailure
+_COMMANDS = {
+    "validate": (_cmd_validate,
+                 "validate a factorization file and print its closing map", {}),
+    "cok": (_cmd_cok, "apply the cokernel functor to a factorization", {}),
+    "reconstruct": (_cmd_reconstruct,
+                    "rebuild a factorization from a chain of monos", {}),
+    "rotate": (_cmd_rotate, "rotate a factorization (--steps, negative for inverse)",
+               {"--steps": dict(type=int, default=1)}),
+    "nu": (_cmd_nu, "build the projective factorization nu^k on given degrees",
+           {"--k": dict(type=int),
+            "--degs": dict(help="comma-separated generator degrees")}),
+    "resolve": (_cmd_resolve, "nu-resolution of a factorization (--side epic|monic)",
+                {"--side": dict(choices=("epic", "monic"), default="epic")}),
+    "stable-hom": (_cmd_stable_hom,
+                   "stable hom dimension between two objects in a file", {}),
+    "census": (_cmd_census, "classify both sides within bounds and match them", {
+        "--seed": dict(type=int, default=0,
+                       help="accepted; the census is exact and does not depend on it"),
+        "--bounds": dict(default="m=1,dim=2,window=2",
+                         help="m=<int>,dim=<int>,window=<int>")}),
+    "selftest": (_cmd_selftest, "run randomized property checks", {
+        "--seed": dict(type=int, default=0,
+                       help="seed of the random inputs that the checks run on")}),
+}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """Built once per process; parse_args leaves the parser unchanged."""
+    """Built once per process from _COMMANDS; parse_args leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="facto",
         description="graded matrix factorizations of x^d and chains of "
         "monomorphisms over k[x]/(x^d)",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    specs = {
-        "validate": "validate a factorization file and print its closing map",
-        "cok": "apply the cokernel functor to a factorization",
-        "reconstruct": "rebuild a factorization from a chain of monos",
-        "rotate": "rotate a factorization (--steps, negative for inverse)",
-        "nu": "build the projective factorization nu^k on given degrees",
-        "resolve": "nu-resolution of a factorization (--side epic|monic)",
-        "stable-hom": "stable hom dimension between two objects in a file",
-        "census": "classify both sides within bounds and match them",
-        "selftest": "run randomized property checks",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text, own) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--field", default="fp:5",
-                        help="q or fp:<p> (default fp:5)")
-        sp.add_argument("--d", type=int, default=None, help="exponent of x^d")
-        sp.add_argument("--l", type=int, default=None,
-                        help="factorizations have l+1 factors")
-        sp.add_argument("--in", dest="infile", default=None,
-                        help="input JSON file")
-        sp.add_argument("--out", default=None, help="output file (atomic)")
-        sp.add_argument("--seed", type=int, default=0, help={
-            "census": "accepted; the census is exact and does not depend on it",
-            "selftest": "seed of the random inputs that the checks run on",
-        }.get(name, "accepted; this command is deterministic and ignores it"))
-        if name == "rotate":
-            sp.add_argument("--steps", type=int, default=1)
-        if name == "nu":
-            sp.add_argument("--k", type=int, default=None)
-            sp.add_argument("--degs", default=None,
-                            help="comma-separated generator degrees")
-        if name == "resolve":
-            sp.add_argument("--side", choices=("epic", "monic"),
-                            default="epic")
-        if name == "census":
-            sp.add_argument("--bounds", default="m=1,dim=2,window=2",
-                            help="m=<int>,dim=<int>,window=<int>")
+        for flag, kwargs in {**_OPTIONS, **own}.items():
+            sp.add_argument(flag, **kwargs)
     return p
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "cok": _cmd_cok,
-    "reconstruct": _cmd_reconstruct,
-    "rotate": _cmd_rotate,
-    "nu": _cmd_nu,
-    "resolve": _cmd_resolve,
-    "stable-hom": _cmd_stable_hom,
-    "census": _cmd_census,
-    "selftest": _cmd_selftest,
-}
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        _COMMANDS[args.command][0](_config(args), args)
+        return 0
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

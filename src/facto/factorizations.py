@@ -27,7 +27,7 @@ from . import linalg
 from .endo import is_local, search_iso, stable_hom_table
 from .fields import Field
 from .modules import HypersurfaceConfig
-from .polymat import GradedMatrix, NoSolution
+from .polymat import GradedMatrix, NoSolution, declared_int, expect_json
 
 
 class FactorizationError(Exception):
@@ -129,12 +129,21 @@ class Factorization:
 
     @classmethod
     def from_json(cls, cfg: HypersurfaceConfig, data):
-        if data.get("d", cfg.d) != cfg.d:
+        """Read the JSON form.  The "l", "m" and "degs" that `to_json`
+        writes are optional, and checked against the maps when present."""
+        if declared_int(expect_json(data, dict, "factorization"), "d", cfg.d) != cfg.d:
             raise ValueError("factorization d does not match config")
         maps = [GradedMatrix.from_json(cfg.field, a) for a in data["maps"]]
         out = fac_validate(maps, cfg, twist=data.get("twist", 0))
         if isinstance(out, Invalid):
             raise ValueError(f"invalid factorization: {out.reason}")
+        for key, value in (("l", out.l), ("m", out.m)):
+            if declared_int(data, key, value) != value:
+                raise ValueError(f"factorization {key} does not match its maps")
+        degs = out.all_degs()
+        declared = data.get("degs", degs)
+        if declared != degs or any(type(s) is not int for ds in declared for s in ds):
+            raise ValueError("factorization degs do not match its maps")
         phase = data.get("rot_phase", 0)
         if type(phase) is not int or not 0 <= phase <= out.l:
             raise ValueError(f"rot_phase {phase!r} is not an integer in [0, {out.l}]")

@@ -44,7 +44,7 @@ from .pieces import (
     jordan,
     sub_shifts,
 )
-from .polymat import GradedMatrix, expect_json
+from .polymat import GradedMatrix, declared_int, expect_json
 
 
 class NotAnnihilated(Exception):
@@ -140,7 +140,7 @@ class RModule:
 
     @classmethod
     def from_json(cls, cfg: HypersurfaceConfig, data) -> "RModule":
-        if expect_json(data, dict, "module").get("d", cfg.d) != cfg.d:
+        if declared_int(expect_json(data, dict, "module"), "d", cfg.d) != cfg.d:
             raise ValueError("module d does not match config")
         summands = expect_json(data["summands"], list, "module summands")
         for p in summands:

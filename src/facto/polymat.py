@@ -41,6 +41,15 @@ def expect_json(data, kind, what: str):
     return data
 
 
+def declared_int(data, key, default):
+    """data[key] if the JSON object declares it, else `default`; a TypeError
+    when the declared value is not a JSON integer (a JSON true is no 1)."""
+    value = data.get(key, default)
+    if key in data and type(value) is not int:
+        raise TypeError(f"declared {key} {value!r} is not an integer")
+    return value
+
+
 class PolyMatrix:
     __slots__ = ("field", "rows", "cols", "entries")
 
@@ -193,7 +202,8 @@ class PolyMatrix:
             [Polynomial.from_json(field, p) for p in row] for row in data["entries"]
         ]
         m = cls(field, entries)
-        if m.rows != data.get("rows", m.rows) or m.cols != data.get("cols", m.cols):
+        if (m.rows != declared_int(data, "rows", m.rows)
+                or m.cols != declared_int(data, "cols", m.cols)):
             raise ValueError("declared shape does not match entries")
         return m
 
@@ -543,9 +553,9 @@ class GradedMatrix:
         """Read the JSON form, the check on input from outside: a
         non-array entry (FieldError), a ragged or misdeclared shape, degree
         vectors of the wrong length, an entry that is not a monomial of
-        degree a_i - b_j (ValueError), and a degree that is not an integer
-        (TypeError) are rejected.  A map with no rows takes its width from
-        "cols", or else from "src_degs"."""
+        degree a_i - b_j (ValueError), and a degree or a declared "rows" or
+        "cols" that is not an integer (TypeError) are rejected.  A map with
+        no rows takes its width from "cols", or else from "src_degs"."""
         expect_json(data, dict, "graded matrix")
         parse, zero = field.parse, field.zero
         rows = []
@@ -560,10 +570,11 @@ class GradedMatrix:
                     cs.pop()
                 out.append(cs)
             rows.append(out)
-        cols = len(rows[0]) if rows else data.get("cols")
+        cols = len(rows[0]) if rows else declared_int(data, "cols", None)
         if any(len(row) != cols for row in rows):
             raise ValueError("ragged matrix")
-        if len(rows) != data.get("rows", len(rows)) or cols != data.get("cols", cols):
+        if (len(rows) != declared_int(data, "rows", len(rows))
+                or cols != declared_int(data, "cols", cols)):
             raise ValueError("declared shape does not match entries")
         src_degs, tgt_degs = data["src_degs"], data["tgt_degs"]
         if cols is None:

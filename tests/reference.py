@@ -35,12 +35,16 @@ every factor before it divides x^d by their product: the oracle for
 `fac_validate`'s reasons.  `random_factorization_by_parts` is the earlier
 random factorization, a direct sum of validated rank-1 factorizations
 conjugated as `randgen.random_factorization` does: the oracle for its
-draws.  The rest are helpers that only tests use.
+draws.  `parser_by_name_chain` is the earlier `facto` argument parser,
+which listed the commands' help in one dict and their own options in a
+chain of `if name == ...`: the oracle for `cli._parser`, built from one
+table.  The rest are helpers that only tests use.
 pytest does not collect this module; tests import it by name.
 """
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 
 from facto import census, linalg
@@ -798,3 +802,50 @@ def _flag_chains(cfg: HypersurfaceConfig, l: int, dim_max: int, window: int):
     generator degrees over [0, window], shifted to minimum degree 0."""
     tops = _top_modules(cfg, dim_max, window)
     return _all_flag_objects(cfg, tops, l - 1, _chain_build)
+
+
+def parser_by_name_chain() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="facto",
+        description="graded matrix factorizations of x^d and chains of "
+        "monomorphisms over k[x]/(x^d)",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    specs = {
+        "validate": "validate a factorization file and print its closing map",
+        "cok": "apply the cokernel functor to a factorization",
+        "reconstruct": "rebuild a factorization from a chain of monos",
+        "rotate": "rotate a factorization (--steps, negative for inverse)",
+        "nu": "build the projective factorization nu^k on given degrees",
+        "resolve": "nu-resolution of a factorization (--side epic|monic)",
+        "stable-hom": "stable hom dimension between two objects in a file",
+        "census": "classify both sides within bounds and match them",
+        "selftest": "run randomized property checks",
+    }
+    for name, help_text in specs.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--field", default="fp:5",
+                        help="q or fp:<p> (default fp:5)")
+        sp.add_argument("--d", type=int, default=None, help="exponent of x^d")
+        sp.add_argument("--l", type=int, default=None,
+                        help="factorizations have l+1 factors")
+        sp.add_argument("--in", dest="infile", default=None,
+                        help="input JSON file")
+        sp.add_argument("--out", default=None, help="output file (atomic)")
+        sp.add_argument("--seed", type=int, default=0, help={
+            "census": "accepted; the census is exact and does not depend on it",
+            "selftest": "seed of the random inputs that the checks run on",
+        }.get(name, "accepted; this command is deterministic and ignores it"))
+        if name == "rotate":
+            sp.add_argument("--steps", type=int, default=1)
+        if name == "nu":
+            sp.add_argument("--k", type=int, default=None)
+            sp.add_argument("--degs", default=None,
+                            help="comma-separated generator degrees")
+        if name == "resolve":
+            sp.add_argument("--side", choices=("epic", "monic"),
+                            default="epic")
+        if name == "census":
+            sp.add_argument("--bounds", default="m=1,dim=2,window=2",
+                            help="m=<int>,dim=<int>,window=<int>")
+    return p

@@ -24,6 +24,7 @@ from facto.fields import GF
 from facto.functors import cok
 from facto.modules import HypersurfaceConfig, RealizationError
 from facto.randgen import random_chain, random_factorization, rank1_factorization
+from reference import parser_by_name_chain
 
 
 @pytest.fixture
@@ -555,6 +556,56 @@ def test_boolean_scalar_is_an_input_error(command, field, xx_file, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# (d, command, paths set to true) on an l = 1, rank-1 factorization (one
+# 1 x 1 map) or, for reconstruct, its cok
+_DECLARED_TRUE = {
+    "map rows": (2, "validate", [("maps", 0, "rows")]),
+    "map cols": (2, "validate", [("maps", 0, "cols")]),
+    "map rows and cols": (2, "validate", [("maps", 0, "rows"), ("maps", 0, "cols")]),
+    "factorization d": (1, "validate", [("d",)]),
+    "factorization m": (1, "cok", [("m",)]),
+    "factorization l": (1, "rotate", [("l",)]),
+    "module d": (1, "reconstruct", [("objects", 0, "d")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DECLARED_TRUE))
+def test_boolean_declared_integer_is_an_input_error(case, tmp_path):
+    """A declared "rows", "cols", "d", "l" or "m" of JSON true is no 1: the
+    file is refused, as a boolean degree, summand or scalar is."""
+    d, command, paths = _DECLARED_TRUE[case]
+    x = rank1_factorization(HypersurfaceConfig(d, GF(5)), [1])
+    data = (cok(x) if command == "reconstruct" else x).to_json()
+    for path in paths:
+        data = _replace(data, path, True)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    code, out, err = _run([command, "--field", "fp:5", "--d", str(d), "--in", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "not an integer" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("declared", [
+    {"m": 99}, {"l": 7}, {"degs": [[0]]}, {"m": 99, "l": 7, "degs": [[0]]},
+    {"degs": [[0], [0], [-1]]}, {"degs": [[False], [0], [-2]]}, {"degs": [[0.0], [0], [-2]]},
+    {"degs": [0, 0, -2]}, {"m": 1.0},
+], ids=repr)
+def test_declared_shape_must_match_the_maps(declared, tmp_path):
+    """The "l", "m" and "degs" that a factorization file declares are those
+    of its maps (l = 2, m = 1, degs [[0], [0], [-2]]), value and type."""
+    cfg = HypersurfaceConfig(3, GF(5))
+    data = random_factorization(cfg, 2, random.Random(1), m_max=1).to_json()
+    assert (data["l"], data["m"], data["degs"]) == (2, 1, [[0], [0], [-2]])
+    path = tmp_path / "mf.json"
+    path.write_text(json.dumps(data))
+    argv = ["validate", "--field", "fp:5", "--d", "3", "--in", str(path)]
+    assert _run(argv)[0] == 0
+    path.write_text(json.dumps({**data, **declared}))
+    code, out, err = _run(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _run(argv):
     """(exit code, stdout, stderr) of one in-process call."""
     out, err = io.StringIO(), io.StringIO()
@@ -587,6 +638,42 @@ def test_parser_built_once_without_leaking_defaults(xx_file, tmp_path):
         fresh.append(_run(argv))
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]
+
+
+_COMMAND_NAMES = ["validate", "cok", "reconstruct", "rotate", "nu", "resolve",
+                  "stable-hom", "census", "selftest"]
+_PARSE_CASES = [
+    [], ["-h"], ["bogus"], ["--bogus"], ["-h", "validate"], ["rot", "--d", "2"],
+    ["validate", "--bogus", "1"], ["validate", "--fie", "fp:5", "--d", "2"],
+    ["validate", "--d", "x"], ["validate", "-d", "2"], ["validate", "--", "--d", "2"],
+    ["resolve", "--side", "up"], ["--", "nu", "--d", "2", "--l", "1", "--k", "0", "--degs", "0"],
+    ["validate", "--field", "q", "--d=2", "--in", "mf.json", "--out", "o.json"],
+    ["rotate", "--d", "2", "--in", "mf.json", "--steps", "-2", "--seed", "4"],
+    ["nu", "--d", "3", "--l", "2", "--k", "1", "--degs", "0,1"],
+    ["resolve", "--d", "2", "--in", "mf.json", "--side", "monic"],
+    ["census", "--l", "1", "--bounds", "m=1,dim=1,window=1"],
+    ["selftest", "--seed", "3", "--d", "2"],
+    *([name, "--help"] for name in _COMMAND_NAMES),
+]
+
+
+def _parse_outcome(parser, argv):
+    """(parsed options or SystemExit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=lambda argv: " ".join(argv) or "(no argv)")
+def test_parse_is_unchanged(argv):
+    """The parser built from the command table parses, prints help and
+    reports usage errors as the earlier parser, which listed the commands'
+    help and own options apart, did on the same Python."""
+    assert _parse_outcome(_parser(), argv) == _parse_outcome(parser_by_name_chain(), argv)
 
 
 _JSON = st.recursive(

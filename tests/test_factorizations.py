@@ -515,6 +515,14 @@ def test_json_round_trip():
     assert y == x
 
 
+@pytest.mark.parametrize("data", [[1], "mf", None], ids=repr)
+def test_json_that_is_no_object_is_a_type_error(data):
+    """The reader's own check, as the readers of the maps and modules
+    make theirs; it raised AttributeError from a missing `get`."""
+    with pytest.raises(TypeError, match="factorization: expected a JSON object"):
+        Factorization.from_json(cfg(2, GF(5)), data)
+
+
 # -- oracles for the composites around the cycle and the shared hom solver ------------
 
 
