@@ -169,13 +169,12 @@ def _cmd_reconstruct(cfg, args):
 
 def _cmd_rotate(cfg, args):
     x = _load(Factorization, cfg, args.infile)
-    # Theta^{l+1} = tau: each full cycle only moves the twist by one, from
-    # any phase, so the output's phase composes with a further rotate
-    q, r = divmod(abs(args.steps), x.l + 1)
-    x = Factorization(x.cfg, x.maps, x.closing, x.twist + (q if args.steps > 0 else -q),
-                      x.rot_phase)
+    # Theta^{l+1} = tau from any phase: Theta^steps = tau^q Theta^r for
+    # steps = q(l+1) + r, 0 <= r <= l, so the twist moves by q
+    q, r = divmod(args.steps, x.l + 1)
+    x = Factorization(x.cfg, x.maps, x.closing, x.twist + q, x.rot_phase)
     for _ in range(r):
-        x = rotate(x, inverse=args.steps < 0)
+        x = rotate(x)
     _emit(x.to_json(), args.out)
 
 

@@ -39,6 +39,9 @@ In all three categories the stable hom space is Hom(X, Y) modulo
 p o Hom(X, P) for a projective cover p: P ->> Y; each category takes it
 in closed form, by such a rank or a count, with no basis and no cover,
 and a table of them with each object's walks taken once (`stable_hom_table`).
+
+Eigenvalues come from `_charpoly`, the Bareiss determinant of t - b and
+the one runtime caller of `PolyMatrix.det`.
 """
 
 from __future__ import annotations
@@ -46,11 +49,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 from . import linalg
 from .fields import Field
 from .poly import Polynomial, poly_gcd
+from .polymat import PolyMatrix
 
 
 class NonSplitEndomorphism(Exception):
@@ -73,48 +77,11 @@ def _fitting_power(field: Field, a):
 
 
 def _charpoly(field: Field, b) -> Polynomial:
-    """det(t - b), from an upper Hessenberg matrix similar to b.
-
-    Elementary similarities (a row operation and the inverse column
-    operation) clear each column below its subdiagonal; then the leading
-    k x k minors p_k of t - h satisfy p_k = (t - h[k-1][k-1]) p_{k-1}
-    - sum_i h[k-1-i][k-1] h[k-1][k-2] ... h[k-i][k-i-1] p_{k-1-i}.
-    """
-    F = field
-    n = len(b)
-    h = [row[:] for row in b]
-    for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if not F.is_zero(h[i][j])), None)
-        if piv is None:
-            continue
-        if piv != j + 1:
-            h[piv], h[j + 1] = h[j + 1], h[piv]
-            for row in h:
-                row[piv], row[j + 1] = row[j + 1], row[piv]
-        inv = F.inv(h[j + 1][j])
-        for i in range(j + 2, n):
-            f = F.mul(h[i][j], inv)
-            if F.is_zero(f):
-                continue
-            h[i] = [F.sub(a, F.mul(f, c)) for a, c in zip(h[i], h[j + 1])]
-            for row in h:
-                row[j + 1] = F.add(row[j + 1], F.mul(f, row[i]))
-    # p[k]: coefficients of p_k, lowest degree first
-    p = [[F.one]]
-    for k in range(1, n + 1):
-        nxt = [F.zero] + p[k - 1]
-        for i, c in enumerate(p[k - 1]):
-            nxt[i] = F.sub(nxt[i], F.mul(h[k - 1][k - 1], c))
-        sub = F.one
-        for i in range(1, k):
-            sub = F.mul(sub, h[k - i][k - i - 1])
-            if F.is_zero(sub):
-                break
-            f = F.mul(h[k - 1 - i][k - 1], sub)
-            for e, c in enumerate(p[k - 1 - i]):
-                nxt[e] = F.sub(nxt[e], F.mul(f, c))
-        p.append(nxt)
-    return Polynomial(F, p[n])
+    """det(t - b), the Bareiss determinant of t - b over k[t]."""
+    t, zero = Polynomial.x(field), Polynomial.zero(field)
+    return PolyMatrix(field, [[(t if i == j else zero) - Polynomial(field, [v])
+                               for j, v in enumerate(row)]
+                              for i, row in enumerate(b)]).det()
 
 
 def _divisors(n: int):
@@ -129,9 +96,7 @@ def _rational_roots(chi: Polynomial):
     """The distinct rational roots of chi that the rational root theorem
     finds (every one, unless a coefficient is too large to factor)."""
     F = chi.field
-    den = 1
-    for c in chi.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in chi.coeffs))
     ints = [int(c * den) for c in chi.coeffs]
     low = next(k for k, c in enumerate(ints) if c)  # chi = t^low * rest
     roots = [F.zero] if low else []
@@ -191,7 +156,8 @@ def _nilpotent_part(field: Field, b):
     nilpotent; a second eigenvalue, or a singular b - lambda that is not
     nilpotent, gives a Fitting split.  The candidates tr(b)/n (unless
     char k divides n) and 0 are tried first; only when both are units are
-    the eigenvalues taken from the characteristic polynomial.
+    the eigenvalues taken from the characteristic polynomial (tr(b)/n also
+    finds the eigenvalue of 10^7 + N, too large for `_divisors`).
     """
     n = len(b)
     p = getattr(field, "p", 0)

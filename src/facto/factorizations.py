@@ -105,6 +105,7 @@ class Factorization:
             and self.maps == other.maps
             and self.closing == other.closing
             and self.twist == other.twist
+            and self.rot_phase == other.rot_phase
         )
 
     def __repr__(self):
@@ -256,25 +257,22 @@ def _nu_sum(cfg: HypersurfaceConfig, l: int, parts) -> Factorization:
 
 
 def rotate(x: Factorization, inverse: bool = False) -> Factorization:
-    """Theta(X) = (X^1, ..., X^l, tau X^0); Theta^{l+1} = tau (twist + 1)."""
+    """Theta(X) = (X^1, ..., X^l, tau X^0); Theta^{l+1} = tau (twist + 1),
+    so Theta^{-1} = Theta^l tau^{-1}: l rotations of X with twist - 1."""
+    if inverse:
+        x = Factorization(x.cfg, x.maps, x.closing, x.twist - 1, x.rot_phase)
+        for _ in range(x.l):
+            x = rotate(x)
+        return x
     d = x.cfg.d
-    if not inverse:
-        maps = list(x.maps[1:]) + [x.closing]
-        closing = x.maps[0].shift(-d)  # tau(A^0)
-        phase, twist = x.rot_phase + 1, x.twist
-        if phase == x.l + 1:
-            # a full cycle applied tau once: renormalize degrees, log the twist
-            phase, twist = 0, twist + 1
-            maps = [a.shift(d) for a in maps]
-            closing = closing.shift(d)
-        return Factorization(x.cfg, maps, closing, twist, phase)
-    maps = [x.closing.shift(d)] + list(x.maps[:-1])  # tau^{-1}(A^l)
-    closing = x.maps[-1]
-    phase, twist = x.rot_phase - 1, x.twist
-    if phase < 0:
-        phase, twist = x.l, twist - 1
-        maps = [a.shift(-d) for a in maps]
-        closing = closing.shift(-d)
+    maps = list(x.maps[1:]) + [x.closing]
+    closing = x.maps[0].shift(-d)  # tau(A^0)
+    phase, twist = x.rot_phase + 1, x.twist
+    if phase == x.l + 1:
+        # a full cycle applied tau once: renormalize degrees, log the twist
+        phase, twist = 0, twist + 1
+        maps = [a.shift(d) for a in maps]
+        closing = closing.shift(d)
     return Factorization(x.cfg, maps, closing, twist, phase)
 
 

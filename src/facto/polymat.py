@@ -12,7 +12,8 @@ checks input from outside, and `.mat` is the polynomial view.
 not graded.  Its toolkit (`snf`, `solve_right`, `kernel_basis`,
 `rank_over_fractions`, Bareiss `det`) works over k[x] and serves the tests
 as the reference for the graded path; they convert a homogeneous
-PolyMatrix to a GradedMatrix in `tests/reference.py` (`from_poly`).
+PolyMatrix to a GradedMatrix in `tests/reference.py` (`from_poly`).  In the
+library its one caller is `endo._charpoly`, the `det` of t - b.
 """
 
 from __future__ import annotations
@@ -134,11 +135,6 @@ class PolyMatrix:
         if self.cols != other.cols:
             raise ValueError("column count mismatch")
         return PolyMatrix(self.field, self.entries + other.entries)
-
-    def submatrix(self, row_idx, col_idx) -> "PolyMatrix":
-        return PolyMatrix(
-            self.field, [[self.entries[i][j] for j in col_idx] for i in row_idx]
-        )
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
@@ -377,11 +373,7 @@ def kernel_basis(a: PolyMatrix) -> PolyMatrix:
     u, d, v = snf(a)
     diag = diagonal(d)
     idx = [i for i in range(a.cols) if i >= len(diag) or diag[i].is_zero()]
-    return a_cols(v, idx)
-
-
-def a_cols(a: PolyMatrix, idx) -> PolyMatrix:
-    return a.submatrix(range(a.rows), idx)
+    return PolyMatrix(a.field, [[row[i] for i in idx] for row in v.entries])
 
 
 # graded matrices --------------------------------------------------------

@@ -26,7 +26,13 @@ from facto.chains import (
     chain_stable_hom_table,
     mu_trivial,
 )
-from facto.endo import NonSplitEndomorphism, _charpoly, is_local, search_iso
+from facto.endo import (
+    NonSplitEndomorphism,
+    _charpoly,
+    _eigenvalue_part,
+    is_local,
+    search_iso,
+)
 from facto.factorizations import (
     _fac_fingerprint,
     fac_hom_basis,
@@ -50,8 +56,6 @@ from facto.modules import (
     rank,
     stable_hom_dim,
 )
-from facto.poly import Polynomial
-from facto.polymat import PolyMatrix
 from facto.randgen import random_chain, random_factorization, random_module
 from reference import (
     _flag_chains,
@@ -242,12 +246,29 @@ def test_undecided_element_does_not_hide_a_split(field):
     assert not is_local(field, [rot, unit(field, 2, 0, 1), unit(field, 2, 1, 0)])
 
 
-def _det_charpoly(field, b):
-    """det(t - b) as a Bareiss determinant over k[t]: the oracle."""
-    t, zero = Polynomial.x(field), Polynomial.zero(field)
-    return PolyMatrix(field, [[(t if i == j else zero) - Polynomial(field, [v])
-                               for j, v in enumerate(row)]
-                              for i, row in enumerate(b)]).det()
+def _principal_minor_charpoly(field, b):
+    """det(t - b) with the coefficient of t^(n-k) equal to (-1)^k times the
+    sum of the k x k principal minors of b, each by the Leibniz formula:
+    the oracle, which shares no elimination with the determinant."""
+    n = len(b)
+
+    def minor(idx):
+        total = field.zero
+        for perm in itertools.permutations(range(len(idx))):
+            inversions = sum(p > q for p, q in itertools.combinations(perm, 2))
+            term = field.from_int((-1) ** inversions)
+            for r, c in enumerate(perm):
+                term = field.mul(term, b[idx[r]][idx[c]])
+            total = field.add(total, term)
+        return total
+
+    coeffs = [field.zero] * (n + 1)
+    for k in range(n + 1):
+        e = field.zero
+        for idx in itertools.combinations(range(n), k):
+            e = field.add(e, minor(idx))
+        coeffs[n - k] = field.neg(e) if k % 2 else e
+    return tuple(coeffs)
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(5), GF(1000003), QQ], ids=repr)
@@ -255,10 +276,18 @@ def test_charpoly_equals_determinant_oracle(field):
     rng = random.Random(41)
     for _ in range(60):
         n = rng.randint(1, 6)
-        # sparse entries exercise the zero pivots of the Hessenberg sweep
+        # sparse entries give zero minors and zero coefficients
         b = [[field.from_int(rng.choice([0, 0, 0, 1, -1, rng.randrange(-9, 10)]))
               for _ in range(n)] for _ in range(n)]
-        assert _charpoly(field, b).coeffs == _det_charpoly(field, b).coeffs
+        assert _charpoly(field, b).coeffs == _principal_minor_charpoly(field, b)
+
+
+def test_trace_candidate_finds_an_eigenvalue_the_divisors_miss():
+    """10^7 + N at n = 2 has chi = (t - 10^7)^2, whose constant 10^14 is
+    past the trial division of `_divisors`; tr(b)/n = 10^7 decides."""
+    b = jordan(QQ, 2, 10**7)
+    assert _eigenvalue_part(QQ, _charpoly(QQ, b)).degree == 0
+    assert is_local(QQ, [b])
 
 
 def test_every_raw_criterion_2_flag_object_decides():

@@ -34,7 +34,11 @@ from facto.fields import GF, QQ
 from facto.modules import HypersurfaceConfig
 from facto.poly import Polynomial
 from facto.polymat import GradedMatrix, NoSolution, PolyMatrix
-from facto.randgen import random_factorization, random_unimodular
+from facto.randgen import (
+    random_factorization,
+    random_unimodular,
+    rank1_factorization,
+)
 from reference import _hom_slots, fac_validate_ranking_first, from_poly, graded_solve
 
 
@@ -247,6 +251,33 @@ def test_rotate_inverse():
     for _ in range(3):
         y = rotate(y, inverse=True)
     assert y.maps == x.maps and y.twist == x.twist - 1
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_rotate_inverse_from_every_phase(l, field):
+    """Theta and Theta^-1 undo each other from each phase 0..l, phase and
+    twist included; Theta^-1 steps the phase back and, from phase 0, the
+    twist down."""
+    x = random_factorization(cfg(3, field), l, random.Random(l), m_max=2)
+    for phase in range(l + 1):
+        back = rotate(x, inverse=True)
+        assert rotate(rotate(x), inverse=True) == x
+        assert rotate(back) == x
+        assert (back.rot_phase, back.twist) == ((phase - 1) % (l + 1),
+                                                x.twist - (phase == 0))
+        x = rotate(x)
+
+
+def test_equality_compares_the_rotation_phase():
+    """Equal maps and twist at different phases are different objects: their
+    JSON differs and their direct sum raises."""
+    x = rank1_factorization(cfg(3, GF(5)), [1, 1])
+    y = Factorization(x.cfg, x.maps, x.closing, x.twist, 1)
+    assert x != y and x.to_json() != y.to_json()
+    assert x == Factorization(x.cfg, x.maps, x.closing, x.twist, 3)
+    with pytest.raises(ValueError, match="rot_phase"):
+        y.direct_sum(x)
 
 
 # -- direct sum / contraction -------------------------------------------------------
