@@ -175,10 +175,12 @@ MAX_SUBSPACES = 10 ** 5
 MAX_CENSUS_SIZE = 64
 
 
-def _check_census_size(*sizes):
-    """ValueError, before any enumeration, when one of the (name, size)
-    pairs exceeds MAX_CENSUS_SIZE."""
-    for name, size in sizes:
+def _check_census_size(l, *sizes):
+    """ValueError, before any enumeration, when l < 1 or when l or one of
+    the (name, size) pairs exceeds MAX_CENSUS_SIZE."""
+    if l < 1:
+        raise ValueError(f"l = {l}: a census needs l >= 1")
+    for name, size in sizes + (("l", l),):
         if size > MAX_CENSUS_SIZE:
             raise ValueError(f"{name} = {size} is larger than the census "
                              f"accepts ({MAX_CENSUS_SIZE})")
@@ -595,9 +597,9 @@ def enumerate_factorizations(cfg: HypersurfaceConfig, l: int, m_max: int,
     """The indecomposable (l+1)-factor factorizations up to iso and shift,
     within bounds: each class appears once, as its first flag factorization.
     Only local flags of unsplit tops are built (see the module docstring),
-    so the window is clamped to what those reach.  ValueError when m_max*d
-    or l exceeds MAX_CENSUS_SIZE."""
-    _check_census_size(("m*d", m_max * cfg.d), ("l", l))
+    so the window is clamped to what those reach.  ValueError when l < 1,
+    or when m_max*d or l exceeds MAX_CENSUS_SIZE."""
+    _check_census_size(l, ("m*d", m_max * cfg.d))
     window = min(window, max(m_max - 1, 0) * max(cfg.d - 2, 0))
     return _dedup(_flag_objects(cfg, _fac_tops(cfg, m_max, window), l, _fac_build),
                   _fac_fingerprint, fac_iso_test)
@@ -645,8 +647,8 @@ def enumerate_chains(cfg: HypersurfaceConfig, l: int, dim_max: int,
     appears once, as its first flag chain.  Only local flags of unsplit tops
     of minimum degree 0 are built, with the window clamped to what those
     reach; a top of minimum degree s > 0 repeats its shift by -s.
-    ValueError when dim_max or l exceeds MAX_CENSUS_SIZE."""
-    _check_census_size(("dim", dim_max), ("l", l))
+    ValueError when l < 1, or when dim_max or l exceeds MAX_CENSUS_SIZE."""
+    _check_census_size(l, ("dim", dim_max))
     window = min(window, max(dim_max - 2, 0))
     tops = [t for t in _top_modules(cfg, dim_max, window) if t.min_degree() == 0]
     return _dedup(_flag_objects(cfg, tops, l - 1, _chain_build),
@@ -768,11 +770,11 @@ def class_census(cfg: HypersurfaceConfig, l: int, bounds: Bounds,
     indecomposability is undecided over k (see `endo.is_local`),
     FactorizationError when a flag does not give a factorization
     (`functors.flag_factorization`; the CLI maps both to exit 2), and
-    ValueError (exit 1), before any enumeration, when m*d, dim or l exceeds
-    MAX_CENSUS_SIZE, or when one F^n has more than MAX_SUBSPACES subspaces
-    to list.
+    ValueError (exit 1), before any enumeration, when l < 1, when m*d, dim
+    or l exceeds MAX_CENSUS_SIZE, or when one F^n has more than
+    MAX_SUBSPACES subspaces to list.
     """
-    _check_census_size(("m*d", bounds.m * cfg.d), ("dim", bounds.dim), ("l", l))
+    _check_census_size(l, ("m*d", bounds.m * cfg.d), ("dim", bounds.dim))
     facs = enumerate_factorizations(cfg, l, bounds.m, bounds.window)
     table = fac_stable_hom_table(facs)
     keep = [i for i, row in enumerate(table) if row[i]]

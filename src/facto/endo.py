@@ -40,8 +40,9 @@ p o Hom(X, P) for a projective cover p: P ->> Y; each category takes it
 in closed form, by such a rank or a count, with no basis and no cover,
 and a table of them with each object's walks taken once (`stable_hom_table`).
 
-Eigenvalues come from `_charpoly`, the Bareiss determinant of t - b and
-the one runtime caller of `PolyMatrix.det`.
+Over F_p eigenvalues come from matrix powers (`_nilpotent_part`); only
+over Q does `_charpoly`, the Bareiss determinant of t - b and the one
+runtime caller of `PolyMatrix.det`, give them.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from math import isqrt, lcm
 
 from . import linalg
 from .fields import Field
-from .poly import Polynomial, poly_gcd
+from .poly import Polynomial
 from .polymat import PolyMatrix
 
 
@@ -66,14 +67,12 @@ class NonSplitEndomorphism(Exception):
     """
 
 
-def _fitting_power(field: Field, a):
-    """a^N for the least power of two N >= n (n x n input): a is nilpotent
-    iff a^N = 0, invertible iff a^N is, and otherwise Im a^N + Ker a^N is a
-    nonzero split."""
-    e = 1
-    while e < len(a):
-        a, e = linalg.mat_mul(field, a, a), 2 * e
-    return a
+def _power(field: Field, a, e: int):
+    """a^e for e >= 1, by repeated squaring."""
+    if e == 1:
+        return a
+    half = _power(field, linalg.mat_mul(field, a, a), e // 2)
+    return linalg.mat_mul(field, half, a) if e & 1 else half
 
 
 def _charpoly(field: Field, b) -> Polynomial:
@@ -110,41 +109,7 @@ def _rational_roots(chi: Polynomial):
     return roots
 
 
-def _eigenvalue_part(field: Field, chi: Polynomial) -> Polynomial:
-    """The monic product of (t - lambda) over the distinct roots lambda of
-    chi in k: gcd(chi, t^p - t) over F_p, the rational roots over Q."""
-    p = getattr(field, "p", 0)
-    if not p:
-        out = Polynomial.one(field)
-        for lam in _rational_roots(chi):
-            out = out * Polynomial(field, [field.neg(lam), field.one])
-        return out
-    t = Polynomial.x(field)
-    power, base, e = Polynomial.one(field), t % chi, p
-    while e:
-        if e & 1:
-            power = power * base % chi
-        base = base * base % chi
-        e >>= 1
-    rest = power - t
-    return poly_gcd(chi, rest) if not rest.is_zero() else chi.monic()
-
-
 _SPLITS = "splits"
-
-
-def _minus_eigenvalue(field: Field, b, lam):
-    """b - lam if it is nilpotent, _SPLITS if it is singular otherwise (a
-    Fitting split), None if it is invertible (lam is no eigenvalue)."""
-    n = len(b)
-    c = [[field.sub(v, lam) if i == j else v for j, v in enumerate(row)]
-         for i, row in enumerate(b)]
-    top = _fitting_power(field, c)
-    if all(field.is_zero(v) for row in top for v in row):
-        return c
-    if linalg.rank(field, top) < n:
-        return _SPLITS
-    return None
 
 
 def _nilpotent_part(field: Field, b):
@@ -153,31 +118,36 @@ def _nilpotent_part(field: Field, b):
 
     In a local algebra b - lambda is a unit or lies in the nilpotent
     radical, so b has at most one eigenvalue in k and b minus it is
-    nilpotent; a second eigenvalue, or a singular b - lambda that is not
-    nilpotent, gives a Fitting split.  The candidates tr(b)/n (unless
-    char k divides n) and 0 are tried first; only when both are units are
-    the eigenvalues taken from the characteristic polynomial (tr(b)/n also
-    finds the eigenvalue of 10^7 + N, too large for `_divisors`).
+    nilpotent; any other b with an eigenvalue lambda in k gives a Fitting
+    split, as b - lambda is singular and not nilpotent.  If b = lambda + N
+    with N nilpotent, lambda is tr(b)/n, or, when char k = p divides n,
+    (b^q)[0][0] for q = p^j >= n, as (lambda + N)^q = lambda^q + N^q =
+    lambda.  Otherwise b has an eigenvalue in k iff, over F_p, b^p - b,
+    the product of the b - c over c in F_p, is singular; over Q, iff
+    b - tr(b)/n is singular or det(t - b) has a root in `_rational_roots`
+    (tr(b)/n finds eigenvalues too large for `_divisors`, as of 10^7 + N).
     """
     n = len(b)
     p = getattr(field, "p", 0)
-    candidates = [field.zero]
-    if not (p and n % p == 0):
+    if p and n % p == 0:
+        q = p
+        while q < n:
+            q *= p
+        lam = _power(field, b, q)[0][0]
+    else:
         trace = field.zero
         for i in range(n):
             trace = field.add(trace, b[i][i])
-        mean = field.div(trace, field.from_int(n))
-        if not field.is_zero(mean):
-            candidates.insert(0, mean)
-    for lam in candidates:
-        c = _minus_eigenvalue(field, b, lam)
-        if c is not None:
-            return c
-    roots = _eigenvalue_part(field, _charpoly(field, b))
-    if roots.degree > 1:
+        lam = field.div(trace, field.from_int(n))
+    c = [[field.sub(v, lam) if i == j else v for j, v in enumerate(row)]
+         for i, row in enumerate(b)]
+    if all(field.is_zero(v) for row in _power(field, c, n) for v in row):
+        return c
+    if p:  # b^p - b, the product of the b - c over c in F_p
+        c = [[field.sub(u, v) for u, v in zip(r, s)]
+             for r, s in zip(_power(field, b, p), b)]
+    if linalg.rank(field, c) < n or (not p and _rational_roots(_charpoly(field, b))):
         return _SPLITS
-    if roots.degree == 1:
-        return _minus_eigenvalue(field, b, field.neg(roots.coeffs[0]))
     return None
 
 

@@ -13,7 +13,8 @@ not graded.  Its toolkit (`snf`, `solve_right`, `kernel_basis`,
 `rank_over_fractions`, Bareiss `det`) works over k[x] and serves the tests
 as the reference for the graded path; they convert a homogeneous
 PolyMatrix to a GradedMatrix in `tests/reference.py` (`from_poly`).  In the
-library its one caller is `endo._charpoly`, the `det` of t - b.
+library its one caller is `endo._charpoly`, the `det` of t - b, which
+`endo` forms over Q only.
 """
 
 from __future__ import annotations

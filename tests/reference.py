@@ -38,7 +38,11 @@ conjugated as `randgen.random_factorization` does: the oracle for its
 draws.  `parser_by_name_chain` is the earlier `facto` argument parser,
 which listed the commands' help in one dict and their own options in a
 chain of `if name == ...`: the oracle for `cli._parser`, built from one
-table.  The rest are helpers that only tests use.
+table.  `nilpotent_part_by_charpoly` is the earlier
+`endo._nilpotent_part`, which tried tr(b)/n and 0 and then took the
+eigenvalues in k from the characteristic polynomial (gcd(chi, t^p - t)
+over F_p): the oracle for the matrix-power path.  The rest are helpers
+that only tests use.
 pytest does not collect this module; tests import it by name.
 """
 
@@ -58,6 +62,7 @@ from facto.census import (
     _top_modules,
 )
 from facto.chains import ChainMap, MonoChain
+from facto.endo import _SPLITS, _charpoly, _rational_roots
 from facto.factorizations import (
     FacMap,
     Factorization,
@@ -93,7 +98,7 @@ from facto.pieces import (
     indices_by_degree,
     sub_shifts,
 )
-from facto.poly import Polynomial
+from facto.poly import Polynomial, poly_gcd
 from facto.polymat import GradedMatrix, NoSolution, PolyMatrix, solve_right
 from facto.randgen import random_unimodular, rank1_factorization
 
@@ -849,3 +854,84 @@ def parser_by_name_chain() -> argparse.ArgumentParser:
             sp.add_argument("--bounds", default="m=1,dim=2,window=2",
                             help="m=<int>,dim=<int>,window=<int>")
     return p
+
+
+# -- the locality test's eigenvalues by the characteristic polynomial -----------
+
+
+def _fitting_power(field: Field, a):
+    """a^N for the least power of two N >= n (n x n input): a is nilpotent
+    iff a^N = 0, invertible iff a^N is, and otherwise Im a^N + Ker a^N is a
+    nonzero split."""
+    e = 1
+    while e < len(a):
+        a, e = linalg.mat_mul(field, a, a), 2 * e
+    return a
+
+
+def _eigenvalue_part(field: Field, chi: Polynomial) -> Polynomial:
+    """The monic product of (t - lambda) over the distinct roots lambda of
+    chi in k: gcd(chi, t^p - t) over F_p, the rational roots over Q."""
+    p = getattr(field, "p", 0)
+    if not p:
+        out = Polynomial.one(field)
+        for lam in _rational_roots(chi):
+            out = out * Polynomial(field, [field.neg(lam), field.one])
+        return out
+    t = Polynomial.x(field)
+    power, base, e = Polynomial.one(field), t % chi, p
+    while e:
+        if e & 1:
+            power = power * base % chi
+        base = base * base % chi
+        e >>= 1
+    rest = power - t
+    return poly_gcd(chi, rest) if not rest.is_zero() else chi.monic()
+
+
+def _minus_eigenvalue(field: Field, b, lam):
+    """b - lam if it is nilpotent, _SPLITS if it is singular otherwise (a
+    Fitting split), None if it is invertible (lam is no eigenvalue)."""
+    n = len(b)
+    c = [[field.sub(v, lam) if i == j else v for j, v in enumerate(row)]
+         for i, row in enumerate(b)]
+    top = _fitting_power(field, c)
+    if all(field.is_zero(v) for row in top for v in row):
+        return c
+    if linalg.rank(field, top) < n:
+        return _SPLITS
+    return None
+
+
+def nilpotent_part_by_charpoly(field: Field, b):
+    """b - lambda for the only eigenvalue lambda of b in k; _SPLITS when b
+    splits X; None when b has no eigenvalue in k.
+
+    In a local algebra b - lambda is a unit or lies in the nilpotent
+    radical, so b has at most one eigenvalue in k and b minus it is
+    nilpotent; a second eigenvalue, or a singular b - lambda that is not
+    nilpotent, gives a Fitting split.  The candidates tr(b)/n (unless
+    char k divides n) and 0 are tried first; only when both are units are
+    the eigenvalues taken from the characteristic polynomial (tr(b)/n also
+    finds the eigenvalue of 10^7 + N, too large for `_divisors`).
+    """
+    n = len(b)
+    p = getattr(field, "p", 0)
+    candidates = [field.zero]
+    if not (p and n % p == 0):
+        trace = field.zero
+        for i in range(n):
+            trace = field.add(trace, b[i][i])
+        mean = field.div(trace, field.from_int(n))
+        if not field.is_zero(mean):
+            candidates.insert(0, mean)
+    for lam in candidates:
+        c = _minus_eigenvalue(field, b, lam)
+        if c is not None:
+            return c
+    roots = _eigenvalue_part(field, _charpoly(field, b))
+    if roots.degree > 1:
+        return _SPLITS
+    if roots.degree == 1:
+        return _minus_eigenvalue(field, b, field.neg(roots.coeffs[0]))
+    return None

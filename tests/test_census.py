@@ -214,6 +214,17 @@ def test_enumerators_reject_sizes_beyond_the_census_limit(call, says):
         call()
 
 
+@pytest.mark.parametrize("l", [0, -1])
+def test_census_needs_at_least_one_map(l):
+    """l < 1 is a ValueError before any enumeration, not an empty report,
+    an empty list or a FactorizationError."""
+    for call in (lambda: class_census(cfg(2), l, Bounds(m=2, dim=3, window=2)),
+                 lambda: enumerate_factorizations(cfg(2), l, 2, 2),
+                 lambda: enumerate_chains(cfg(2), l, 3, 2)):
+        with pytest.raises(ValueError, match=f"l = {l}"):
+            call()
+
+
 def test_enumerate_chains_d2_l1():
     c = cfg(2)
     # the indecomposables k and R; the raw flag chains also give 0 and k^2

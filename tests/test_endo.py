@@ -4,6 +4,7 @@ import random
 import pytest
 
 import facto.chains
+import facto.endo
 import facto.factorizations
 from facto.census import (
     Bounds,
@@ -27,9 +28,11 @@ from facto.chains import (
     mu_trivial,
 )
 from facto.endo import (
+    _SPLITS,
     NonSplitEndomorphism,
     _charpoly,
-    _eigenvalue_part,
+    _nilpotent_part,
+    _rational_roots,
     is_local,
     search_iso,
 )
@@ -62,6 +65,7 @@ from reference import (
     _flag_factorizations,
     block_diagonal,
     module_iso,
+    nilpotent_part_by_charpoly,
     nu_l_counit,
     realization,
     scalars,
@@ -286,8 +290,141 @@ def test_trace_candidate_finds_an_eigenvalue_the_divisors_miss():
     """10^7 + N at n = 2 has chi = (t - 10^7)^2, whose constant 10^14 is
     past the trial division of `_divisors`; tr(b)/n = 10^7 decides."""
     b = jordan(QQ, 2, 10**7)
-    assert _eigenvalue_part(QQ, _charpoly(QQ, b)).degree == 0
+    assert _rational_roots(_charpoly(QQ, b)) == []
     assert is_local(QQ, [b])
+
+
+PRIME_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(1000003), GF(2**31 - 1)]
+
+
+def _conjugate(field, b, rng):
+    """b conjugated by 2n random elementary matrices I + a e_ij, i != j."""
+    n = len(b)
+    b = [row[:] for row in b]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        a = field.from_int(rng.randrange(-3, 4))
+        b[i] = [field.add(u, field.mul(a, v)) for u, v in zip(b[i], b[j])]
+        for row in b:
+            row[j] = field.sub(row[j], field.mul(a, row[i]))
+    return b
+
+
+def _block_diagonal(field, blocks):
+    n = sum(len(b) for b in blocks)
+    out, at = [[field.zero] * n for _ in range(n)], 0
+    for b in blocks:
+        for r, row in enumerate(b):
+            out[at + r][at:at + len(b)] = row
+        at += len(b)
+    return out
+
+
+def _eigenvalue_block(field, n, lam, rng):
+    """lam + N for a random strictly upper triangular N."""
+    return [[field.from_int(lam if r == c else rng.randrange(-2, 3) if c > r else 0)
+             for c in range(n)] for r in range(n)]
+
+
+def _companion(field, coeffs):
+    """The companion matrix of t^k + coeffs[k-1] t^(k-1) + ... + coeffs[0]."""
+    k = len(coeffs)
+    return [[field.from_int(int(r == c + 1)) for c in range(k - 1)]
+            + [field.from_int(-coeffs[r])] for r in range(k)]
+
+
+def _irreducible_quadratic(field):
+    """[c0, c1] with t^2 + c1 t + c0 irreducible over k."""
+    p = getattr(field, "p", 0)
+    if p in (0, 2):
+        return [1, p // 2]
+    return [-next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1), 0]
+
+
+def _companion_blocks(field, n, rng):
+    """Companion matrices of random monic polynomials of degree 2 or 3
+    (irreducible ones among them), and a 1 x 1 block when one is left."""
+    blocks, size = [], 0
+    while size < n:
+        k = min(rng.choice([2, 3]), n - size)
+        blocks.append(_companion(field, [rng.randrange(-9, 10) for _ in range(k)]))
+        size += k
+    return _block_diagonal(field, blocks)
+
+
+def _eigenvalue_cases(field, seed):
+    """Matrices of every shape `_nilpotent_part` tells apart, n = 1..6, and
+    small bases of them with the identity for `is_local`."""
+    rng = random.Random(seed)
+    mats = {n: [] for n in range(1, 7)}
+    for n, _ in itertools.product(range(1, 7), range(2)):
+        k = rng.randrange(1, n) if n > 1 else 1
+        mats[n] += [_conjugate(field, b, rng) for b in (
+            _eigenvalue_block(field, n, rng.randrange(-9, 10), rng),
+            _eigenvalue_block(field, n, 0, rng),
+            _eigenvalue_block(field, n, 10**7, rng),
+            _block_diagonal(field, [_eigenvalue_block(field, k, rng.randrange(-9, 10), rng),
+                                    _eigenvalue_block(field, n - k, rng.randrange(9), rng)]),
+            _companion_blocks(field, n, rng),
+            _block_diagonal(field, [_companion(field, _irreducible_quadratic(field))]
+                            * (n // 2) + [_companion_blocks(field, n % 2, rng)] * (n % 2)),
+            [[field.from_int(rng.randrange(-9, 10)) for _ in range(n)] for _ in range(n)],
+            # over Q only tr(b)/n finds the eigenvalue 10^7 beside 10^7 +- 3
+            _block_diagonal(field, [_eigenvalue_block(field, 1, 10**7 + 3, rng),
+                                    _eigenvalue_block(field, 1, 10**7 - 3, rng),
+                                    _eigenvalue_block(field, n - 2, 10**7, rng)])
+            if n > 2 else _eigenvalue_block(field, n, 10**7, rng),
+        )]
+    bases = [[identity(field, n)] + rng.sample(ms, rng.randint(1, 2))
+             for n, ms in mats.items() for _ in range(3)]
+    # lam + N gives a local algebra; an irreducible companion block
+    # repeated (n even) has no eigenvalue in k, and its algebra is undecided
+    bases += [[identity(field, n), b] for n, ms in mats.items()
+              for b in ms[::8] + ms[5::8]]
+    return [b for ms in mats.values() for b in ms], bases
+
+
+def _outcome(local, field, basis):
+    try:
+        return local(field, basis)
+    except NonSplitEndomorphism:
+        return NonSplitEndomorphism
+
+
+@pytest.mark.parametrize("field", PRIME_FIELDS + [QQ], ids=repr)
+def test_nilpotent_part_equals_the_charpoly_oracle(field, monkeypatch):
+    """The matrix-power path returns what the earlier characteristic
+    polynomial path returned, matrix for matrix, and `is_local` gives the
+    same verdicts; every outcome occurs on every field."""
+    mats, bases = _eigenvalue_cases(field, 48)
+    kinds = set()
+    for b in mats:
+        got = _nilpotent_part(field, b)
+        assert got == nilpotent_part_by_charpoly(field, b), b
+        kinds.add(got if got is _SPLITS or got is None else "nilpotent")
+    got = [_outcome(is_local, field, basis) for basis in bases]
+    monkeypatch.setattr(facto.endo, "_nilpotent_part", nilpotent_part_by_charpoly)
+    assert got == [_outcome(is_local, field, basis) for basis in bases]
+    assert kinds == {"nilpotent", _SPLITS, None}
+    assert {True, False, NonSplitEndomorphism} <= set(got)
+
+
+def _no_charpoly(field, b):
+    raise AssertionError("characteristic polynomial over a prime field")
+
+
+@pytest.mark.parametrize("field", PRIME_FIELDS, ids=repr)
+def test_no_characteristic_polynomial_over_a_prime_field(field, monkeypatch):
+    _, bases = _eigenvalue_cases(field, 48)
+    verdicts = [_outcome(is_local, field, basis) for basis in bases]
+    monkeypatch.setattr(facto.endo, "_charpoly", _no_charpoly)
+    assert [_outcome(is_local, field, basis) for basis in bases] == verdicts
+
+
+def test_ringel_schmidt_census_takes_no_characteristic_polynomial(monkeypatch):
+    monkeypatch.setattr(facto.endo, "_charpoly", _no_charpoly)
+    rep = class_census(HypersurfaceConfig(3, GF(2)), 2, Bounds(m=3, dim=6, window=3))
+    assert len(rep.chain_classes) == len(rep.fac_classes) == len(rep.matching) == 8
 
 
 def test_every_raw_criterion_2_flag_object_decides():

@@ -167,6 +167,8 @@ TEST_ONLY = {
     "block_diagonal", "module_iso", "_image", "preimage_by_annihilator",
     "graded_solve", "graded_check", "Violation", "from_poly",
     "fac_validate_ranking_first", "random_factorization_by_parts",
+    "nilpotent_part_by_charpoly", "_eigenvalue_part", "_minus_eigenvalue",
+    "_fitting_power",
 }
 
 
